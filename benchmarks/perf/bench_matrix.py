@@ -1,31 +1,29 @@
 #!/usr/bin/env python
 """Wall-clock benchmark of the experiment matrix.
 
-Times the (workload x configuration) matrix four ways — the full fast
-pipeline (``REPRO_FAST=1 REPRO_VEC=1 REPRO_SCHED=1``, the default:
-whole-loop affine interpretation, set-level cache walks, two-level
-replay scheduler with macro-chunk coalescing), the same pipeline on the
-tuple-heap reference engine (``REPRO_SCHED=0``), batched replay with
-the vector paths off (``REPRO_VEC=0``) and the scalar per-access
-reference (``REPRO_FAST=0``) — asserts all modes produce identical
-results cell for cell, and writes a machine-readable report to
-``BENCH_matrix.json``:
+Times the (workload x configuration) matrix two ways — the production
+path (the default: whole-loop affine interpretation, batched replay
+with set-level cache walks, analytic macro-chunk offload replay) and
+the reference path (``REPRO_REFERENCE=1``: tree-walking
+interpretation, per-access replay, event-only offload replay) —
+asserts both produce identical results cell for cell, and writes a
+machine-readable report to ``BENCH_matrix.json``:
 
 * wall seconds, cells and cells/second per mode, plus per-engine event
-  counts (scheduler events dispatched, fast-forwards, analytic replay
-  and coalescing tallies);
+  counts (scheduler events dispatched, analytic replay and coalescing
+  tallies);
 * the interpret-vs-replay split (the first configuration of each
   workload pays the golden interpreter; the rest replay its functional
   trace from the trace cache);
-* per-cell wall times and the fast-over-scalar speedup.
+* per-cell wall times and the production-over-reference speedup.
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/perf/bench_matrix.py \
         --scale small --out benchmarks/perf/BENCH_matrix.json
 
-The scalar pass dominates the benchmark's own runtime; use ``--scale
-tiny`` (CI) or restrict ``--workloads`` for a quick check.
+The reference pass dominates the benchmark's own runtime; use
+``--scale tiny`` or restrict ``--workloads`` for a quick check.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.envcfg import REPRO_REFERENCE
 from repro.experiments.runner import (
     BASELINE,
     PAPER_CONFIGS,
@@ -47,13 +46,16 @@ from repro.obs import OBS
 from repro.sim.results import RunResult
 from repro.workloads import PAPER_ORDER
 
+ENV_VAR = REPRO_REFERENCE.name
+
 #: serial 12x6 small-matrix wall time before the columnar/batched
 #: pipeline landed (PR 3's >=3x target is measured against this)
 PRE_CHANGE_SMALL_MATRIX_S = 100.3
 
 
 def _cell_sig(result: RunResult) -> Tuple:
-    """Everything the figures read, for the fast==scalar identity check."""
+    """Everything the figures read, for the production==reference
+    identity check."""
     return (
         result.time_ps,
         result.insts,
@@ -69,19 +71,16 @@ def _cell_sig(result: RunResult) -> Tuple:
     )
 
 
-#: benchmark modes: (name, REPRO_FAST, REPRO_VEC, REPRO_SCHED)
+#: benchmark modes: (name, REPRO_REFERENCE)
 MODES = (
-    ("vec", True, True, True),
-    ("sched_off", True, True, False),
-    ("fast", True, False, True),
-    ("scalar", False, False, True),
+    ("production", False),
+    ("reference", True),
 )
 
 #: per-engine event counters copied from the obs registry into each
 #: mode's report entry (events-per-cell alongside cells/s)
 ENGINE_COUNTERS = (
     "engine.sim_events",
-    "engine.sim_fastforwards",
     "engine.offload_runs",
     "engine.fastsim_runs",
     "engine.fastsim_fallbacks",
@@ -93,12 +92,10 @@ ENGINE_MAXIMA = (
 )
 
 
-def _time_mode(name: str, fast: bool, vec: bool, sched: bool, scale: str,
+def _time_mode(name: str, reference: bool, scale: str,
                workloads: Sequence[str], configs: Sequence[str],
                jobs: Optional[int]) -> Dict:
-    os.environ["REPRO_FAST"] = "1" if fast else "0"
-    os.environ["REPRO_VEC"] = "1" if vec else "0"
-    os.environ["REPRO_SCHED"] = "1" if sched else "0"
+    os.environ[ENV_VAR] = "1" if reference else "0"
     OBS.reset()
     start = time.perf_counter()
     matrix = ResultMatrix(
@@ -134,9 +131,7 @@ def _time_mode(name: str, fast: bool, vec: bool, sched: bool, scale: str,
     sim_events = events["engine.sim_events"]
     return {
         "mode": name,
-        "repro_fast": int(fast),
-        "repro_vec": int(vec),
-        "repro_sched": int(sched),
+        "repro_reference": int(reference),
         "engine_counters": events,
         "events_per_cell": (round(sim_events / n_cells, 1)
                             if n_cells else None),
@@ -168,41 +163,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default="benchmarks/perf/BENCH_matrix.json",
                         help="output JSON path")
     parser.add_argument("--skip-scalar", action="store_true",
-                        help="skip the scalar reference pass (and its "
-                             "identity check)")
-    parser.add_argument("--skip-fast", action="store_true",
-                        help="skip the vec-off batched pass")
-    parser.add_argument("--skip-sched-off", action="store_true",
-                        help="skip the reference-engine (REPRO_SCHED=0) "
-                             "pass")
+                        help="skip the reference pass (and its identity "
+                             "check)")
     args = parser.parse_args(argv)
 
     workloads = [w for w in args.workloads.split(",") if w]
     configs = [c for c in args.configs.split(",") if c]
-    prior_env = {
-        v: os.environ.get(v)
-        for v in ("REPRO_FAST", "REPRO_VEC", "REPRO_SCHED")
-    }
-
-    skip = {"scalar"} if args.skip_scalar else set()
-    if args.skip_fast:
-        skip.add("fast")
-    if args.skip_sched_off:
-        skip.add("sched_off")
+    prior = os.environ.get(ENV_VAR)
     try:
         modes = [
-            _time_mode(name, fast, vec, sched, args.scale, workloads,
-                       configs, args.jobs)
-            for name, fast, vec, sched in MODES if name not in skip
+            _time_mode(name, reference, args.scale, workloads, configs,
+                       args.jobs)
+            for name, reference in MODES
+            if not (reference and args.skip_scalar)
         ]
     finally:
-        for var, prior in prior_env.items():
-            if prior is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = prior
+        if prior is None:
+            os.environ.pop(ENV_VAR, None)
+        else:
+            os.environ[ENV_VAR] = prior
 
-    # every later mode must reproduce the first (vec) mode bit for bit
+    # the reference mode must reproduce the production mode bit for bit
     mismatches: List[str] = []
     for other in modes[1:]:
         mismatches.extend(
@@ -213,17 +194,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     wall = {m["mode"]: m["wall_s"] for m in modes}
     speedup = None
-    if "scalar" in wall and wall[modes[0]["mode"]]:
-        speedup = round(wall["scalar"] / wall[modes[0]["mode"]], 3)
-    speedup_vec_over_fast = None
-    if "vec" in wall and "fast" in wall and wall["vec"]:
-        speedup_vec_over_fast = round(wall["fast"] / wall["vec"], 3)
-    speedup_sched = None
-    if "vec" in wall and "sched_off" in wall and wall["vec"]:
-        speedup_sched = round(wall["sched_off"] / wall["vec"], 3)
+    if "reference" in wall and wall["production"]:
+        speedup = round(wall["reference"] / wall["production"], 3)
     # headline number: the full small matrix took 100.3 s before the
-    # columnar/batched pipeline (the scalar mode timed above also gained
-    # from the hoisting/inlining that landed alongside it)
+    # columnar/batched pipeline (the reference mode timed above also
+    # gained from the hoisting/inlining that landed alongside it)
     vs_history = None
     if (args.scale == "small" and modes[0]["wall_s"]
             and len(workloads) >= 12 and len(configs) >= 6):
@@ -236,9 +211,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "jobs": args.jobs or 1,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "speedup_fast_over_scalar": speedup,
-        "speedup_vec_over_fast": speedup_vec_over_fast,
-        "speedup_sched_over_reference": speedup_sched,
+        "speedup_production_over_reference": speedup,
         "pre_change_small_matrix_s": PRE_CHANGE_SMALL_MATRIX_S,
         "speedup_vs_pre_change": vs_history,
         "identical_results": (None if len(modes) < 2 else not mismatches),
@@ -254,29 +227,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f.write("\n")
 
     for mode in report["modes"]:
-        print(f"{mode['mode']:>6}: {mode['wall_s']:8.2f}s "
+        print(f"{mode['mode']:>10}: {mode['wall_s']:8.2f}s "
               f"({mode['cells_per_s']} cells/s, "
               f"interp {mode['interp_s']}s / replay {mode['replay_s']}s)")
     if speedup is not None:
-        print(f"speedup ({modes[0]['mode']} over scalar): {speedup}x")
-    if speedup_vec_over_fast is not None:
-        print(f"speedup (vec over fast): {speedup_vec_over_fast}x")
-    if speedup_sched is not None:
-        print(f"speedup (two-level engine over reference engine): "
-              f"{speedup_sched}x")
+        print(f"speedup (production over reference): {speedup}x")
     for mode in report["modes"]:
         counters = mode.get("engine_counters") or {}
         if counters.get("engine.sim_events") or counters.get(
                 "engine.fastsim_runs"):
             print(f"{mode['mode']:>10}: {counters['engine.sim_events']:,} "
                   f"events ({mode['events_per_cell']}/cell), "
-                  f"{counters['engine.sim_fastforwards']:,} fast-forwards, "
                   f"{counters['engine.fastsim_runs']:,}/"
                   f"{counters['engine.offload_runs']:,} runs analytic, "
                   f"{counters['engine.fastsim_coalesced']:,} procs "
                   f"coalesced")
     if vs_history is not None:
-        print(f"speedup (fast vs {PRE_CHANGE_SMALL_MATRIX_S}s pre-change "
+        print(f"speedup (production vs {PRE_CHANGE_SMALL_MATRIX_S}s "
+              f"pre-change "
               f"small matrix): {vs_history}x")
     if mismatches:
         print(f"ERROR: {len(mismatches)} cells differ between modes:",

@@ -12,8 +12,10 @@ performance, so the guard only catches *unintentional* slowdowns larger
 than run-to-run noise.
 
 A fresh report whose cross-mode identity check failed
-(``identical_results: false``) also fails the guard — a fast mode that
-no longer matches the reference bit for bit is worse than a slow one.
+(``identical_results: false``) also fails the guard — a production mode
+that no longer matches the reference bit for bit is worse than a slow
+one. So do two reports that share no mode: after a mode rename the
+guard would otherwise compare nothing and pass.
 
 Run from the repo root::
 
@@ -61,6 +63,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     base_rates = {m["mode"]: m.get("cells_per_s")
                   for m in baseline.get("modes", [])}
+    fresh_modes = [m["mode"] for m in fresh.get("modes", [])]
+    if not set(fresh_modes) & set(base_rates):
+        failures.append(
+            f"no mode in common: baseline has {sorted(base_rates)}, "
+            f"fresh has {sorted(fresh_modes)}"
+        )
     for mode in fresh.get("modes", []):
         name = mode["mode"]
         base = base_rates.get(name)

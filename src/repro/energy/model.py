@@ -46,8 +46,8 @@ class EnergyLedger:
 
     # Summaries iterate the count dict in *sorted key order*: dict
     # insertion order depends on which code path charged a (component,
-    # event) pair first, and the batched replay paths (REPRO_FAST=1)
-    # charge pooled counts in a different order than the scalar reference.
+    # event) pair first, and the batched production replay paths charge
+    # pooled counts in a different order than the scalar reference.
     # The per-pair counts are identical exact integers either way; a
     # deterministic summation order makes the float totals bit-identical
     # too.

@@ -2,7 +2,7 @@
 
 Every behavior knob the simulator reads from the environment is declared
 here once, with its type, default and the tests that pin its semantics.
-Call sites (:mod:`repro.fastpath`, the experiment runner, the analysis
+Call sites (the timing models, the experiment runner, the analysis
 guard, the DSE scheduler) go through the typed accessors below instead
 of ``os.environ.get`` so the README's environment-variable table can be
 checked against code (``tools/check_docs.py`` / the docs-consistency
@@ -40,32 +40,19 @@ class EnvVar:
         return os.environ.get(self.name)
 
 
-REPRO_FAST = EnvVar(
-    "REPRO_FAST", "bool", "1",
-    "batched columnar replay of recorded traces; `0` selects the scalar "
-    "per-access reference path (bit-identical results, ~3x slower)",
-    "tests/sim/test_fastpath_equiv.py",
+REPRO_REFERENCE = EnvVar(
+    "REPRO_REFERENCE", "bool", "0",
+    "`1` selects the reference implementation in every layer at once: "
+    "the tree-walking interpreter, per-access OoO, stream and hierarchy "
+    "replay, and event-only offload replay (bit-identical results, "
+    "several times slower)",
+    "tests/sim/test_reference_equiv.py",
 )
 REPRO_JOBS = EnvVar(
     "REPRO_JOBS", "int", "1",
     "default worker-process count for the experiment matrix and "
     "`repro.dse` sweeps when `--jobs` is not given",
     "tests/test_runner_parallel.py, tests/dse/test_sweep_determinism.py",
-)
-REPRO_VEC = EnvVar(
-    "REPRO_VEC", "bool", "1",
-    "whole-loop vectorized interpretation of affine kernels and the "
-    "set-level vectorized cache walk; `0` keeps the per-iteration / "
-    "per-access scalar reference paths (bit-identical results)",
-    "tests/ir/test_vecinterp.py",
-)
-REPRO_SCHED = EnvVar(
-    "REPRO_SCHED", "bool", "1",
-    "two-level replay scheduler (same-timestamp run queue + calendar "
-    "buckets, sole-runner fast-forward) and analytic macro-chunk "
-    "coalescing of provably contention-free offload runs; `0` keeps the "
-    "single tuple-heap reference engine (bit-identical results)",
-    "tests/runtime/test_sched_equiv.py",
 )
 REPRO_NO_VERIFY = EnvVar(
     "REPRO_NO_VERIFY", "bool", "0",
@@ -124,7 +111,7 @@ REPRO_SERVE_TIMEOUT_S = EnvVar(
 
 #: every declared variable, in documentation order
 ENV_VARS: Tuple[EnvVar, ...] = (
-    REPRO_FAST, REPRO_JOBS, REPRO_VEC, REPRO_SCHED, REPRO_NO_VERIFY,
+    REPRO_REFERENCE, REPRO_JOBS, REPRO_NO_VERIFY,
     REPRO_TRACE_SPILL, REPRO_SERVE_PORT, REPRO_SERVE_STORE,
     REPRO_SERVE_WORKERS, REPRO_SERVE_TTL_S, REPRO_SERVE_MAX_ROWS,
     REPRO_SERVE_TIMEOUT_S,
@@ -153,19 +140,9 @@ def get_path(var: EnvVar) -> Optional[str]:
     return var.raw() or None
 
 
-def fast_path_enabled() -> bool:
-    """True unless ``REPRO_FAST`` is explicitly disabled (0/false/off)."""
-    return get_bool(REPRO_FAST, True)
-
-
-def vec_path_enabled() -> bool:
-    """True unless ``REPRO_VEC`` is explicitly disabled (0/false/off)."""
-    return get_bool(REPRO_VEC, True)
-
-
-def sched_path_enabled() -> bool:
-    """True unless ``REPRO_SCHED`` is explicitly disabled (0/false/off)."""
-    return get_bool(REPRO_SCHED, True)
+def reference_enabled() -> bool:
+    """True when ``REPRO_REFERENCE`` selects the reference paths."""
+    return get_bool(REPRO_REFERENCE, False)
 
 
 def verification_enabled() -> bool:

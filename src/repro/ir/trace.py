@@ -11,7 +11,7 @@ millions of tuple constructions.
 :class:`ColumnarTrace` keeps full sequence compatibility with the
 historical ``List[MemAccess]`` representation — iteration, indexing and
 equality all speak :class:`~repro.ir.interp.MemAccess` — so the scalar
-reference paths (``REPRO_FAST=0``) and existing tests consume it
+reference paths (``REPRO_REFERENCE=1``) and existing tests consume it
 unchanged.
 """
 

@@ -1,4 +1,4 @@
-"""Whole-loop vectorized golden interpreter (the ``REPRO_VEC`` path).
+"""Whole-loop vectorized golden interpreter (the production interpreter).
 
 The tree-walking :class:`~repro.ir.interp.Interpreter` pays Python
 dispatch per dynamic operation; for the affine loop nests that dominate
@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..envcfg import reference_enabled
 from .expr import (
     COMPLEX_OPS,
     BinOp,
@@ -827,9 +828,8 @@ class VecInterpreter:
 
 
 def make_interpreter(record_trace: bool = False):
-    """The functional interpreter the current env config selects."""
-    from ..vecpath import vec_path_enabled
-
-    if vec_path_enabled():
-        return VecInterpreter(record_trace=record_trace)
-    return Interpreter(record_trace=record_trace)
+    """The vectorized interpreter, or the tree-walking reference under
+    ``REPRO_REFERENCE=1``."""
+    if reference_enabled():
+        return Interpreter(record_trace=record_trace)
+    return VecInterpreter(record_trace=record_trace)

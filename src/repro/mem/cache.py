@@ -201,7 +201,7 @@ class Cache:
                 dirty_count += 1
         return dirty_count
 
-    # -- set-level vectorized walk (REPRO_VEC=1) ------------------------------
+    # -- set-level vectorized walk (production path) -------------------------
     #
     # The per-access LRU transition is stateful *within* a set but
     # independent *across* sets, so a batch of accesses can be advanced

@@ -26,16 +26,10 @@ from ..events import ps_to_cycles
 from ..noc import Mesh, MessageKind, TrafficLedger
 from ..obs import OBS
 from ..params import CacheParams, MachineParams
-from ..vecpath import vec_path_enabled
 from .cache import Cache
 from .dram import Dram
 from .nuca import NucaL3
 from .prefetch import StridePrefetcher
-
-#: accelerator chunk batches below this length take the scalar walk
-#: even under ``REPRO_VEC`` — the per-call array setup costs more than
-#: it saves (chunks are frequently a single line or element)
-_ACCEL_BATCH_VEC_MIN = 10**9
 
 #: segment-coalesced (``seg_ends``) batches at least this long take the
 #: per-home vectorized walk; per-access latencies are materialized as an
@@ -527,7 +521,8 @@ class MemoryHierarchy:
             self._writeback_to_dram(home)
 
     # ------------------------------------------------------------------
-    # batched fast paths (REPRO_FAST=1)
+    # batched production paths (the scalar methods above are the
+    # reference, selected by REPRO_REFERENCE=1)
     #
     # Each *_batch method replays a chunk of accesses through exactly the
     # same cache/DRAM state transitions as its scalar counterpart, in the
@@ -547,6 +542,17 @@ class MemoryHierarchy:
         Returns the summed post-L1 exposure ``sum(max(lat - l1_lat, 0))``
         in cycles — the only per-access timing quantity the OoO model
         consumes.
+
+        Within a batch nothing downstream ever feeds back into L1, so
+        the whole L1 state transition is advanced first through
+        :meth:`~repro.mem.cache.Cache.access_batch` (set-parallel waves,
+        numpy int ops), then a python loop visits *only the L1 misses*
+        in program order for the downstream L2/L3/prefetch/DRAM effects
+        — which keeps every stateful downstream transition in exactly
+        the scalar order. Back-to-back same-line accesses collapse into
+        runs; the run head's ``is_write`` and the run's dirty-OR both
+        only touch the line's dirty bit, so they fold into one
+        ``make_dirty`` input without changing hit/miss or LRU behavior.
         """
         n = len(addrs)
         if n == 0:
@@ -563,163 +569,15 @@ class MemoryHierarchy:
         stripe = l3.stripe_bytes
         ncl = l3.num_clusters
         lat_of = self.traffic.latency_of
-        l1_access = l1.access
         l2_line_of = l2.line_of
 
         lines = addrs >> l1.line_shift
         cuts = np.flatnonzero(lines[1:] != lines[:-1]) + 1
         starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [n]))
         run_write = np.logical_or.reduceat(is_write, starts)
-        if vec_path_enabled():
-            return self._host_access_batch_vec(
-                addrs, stream_ids, starts, ends, run_write
-            )
-        addr_l = addrs.tolist()
-        write_l = is_write.tolist()
-        sid_l = stream_ids.tolist()
-
-        stall = 0
-        n_l2 = 0
-        moved = 0
-        demand_counts: Dict[int, int] = {}
-        demand_cycles: Dict[int, int] = {}
-        pool = self._open_dram_pool()
-        try:
-            for i, end, any_write in zip(starts.tolist(), ends.tolist(),
-                                         run_write.tolist()):
-                addr = addr_l[i]
-                lat = l1_lat
-                out1 = l1_access(addr, write_l[i])
-                ev1 = out1.evicted
-                if ev1 is not None and ev1[1]:
-                    self._writeback_into_l2(ev1[0])
-                if not out1.hit:
-                    # L1 miss -> L2
-                    n_l2 += 1
-                    lat += l2_lat
-                    out2 = l2.access(addr, is_write=False)
-                    moved += line
-                    ev2 = out2.evicted
-                    if ev2 is not None and ev2[1]:
-                        self._writeback_into_l3(ev2[0])
-                    if prefetcher is not None:
-                        for pf_addr in prefetcher.observe(sid_l[i], addr):
-                            if l2.probe(pf_addr):
-                                continue
-                            cluster = (pf_addr // stripe) % ncl
-                            demand_counts[cluster] = (
-                                demand_counts.get(cluster, 0) + 1
-                            )
-                            conv = demand_cycles.get(cluster)
-                            if conv is None:
-                                conv = demand_cycles[cluster] = (
-                                    _ps_to_cycles_int(
-                                        lat_of(self._host, cluster, 0)
-                                        + lat_of(cluster, self._host, line),
-                                        freq,
-                                    )
-                                )
-                            fill_latency = l3_lat + conv
-                            out3 = l3.access(pf_addr, is_write=False)
-                            ev3 = out3.evicted
-                            if ev3 is not None and ev3[1]:
-                                self._writeback_to_dram(cluster)
-                            if not out3.hit:
-                                fill_latency += self._dram_fill(cluster)
-                            evp = l2.fill(pf_addr, is_prefetch=True)
-                            moved += line
-                            if evp and evp[1]:
-                                self._writeback_into_l3(evp[0])
-                            self._note_late_prefetch(
-                                l2_line_of(pf_addr), int(
-                                    fill_latency
-                                    * self.PREFETCH_LATE_FRACTION
-                                )
-                            )
-                            self._stats_prefetches += 1
-                    if out2.hit:
-                        lat += late.pop(l2_line_of(addr), 0)
-                    else:
-                        # L2 miss -> home L3 slice over the mesh
-                        cluster = (addr // stripe) % ncl
-                        demand_counts[cluster] = (
-                            demand_counts.get(cluster, 0) + 1
-                        )
-                        conv = demand_cycles.get(cluster)
-                        if conv is None:
-                            conv = demand_cycles[cluster] = (
-                                _ps_to_cycles_int(
-                                    lat_of(self._host, cluster, 0)
-                                    + lat_of(cluster, self._host, line),
-                                    freq,
-                                )
-                            )
-                        lat += l3_lat + conv
-                        out3 = l3.access(addr, is_write=False)
-                        ev3 = out3.evicted
-                        if ev3 is not None and ev3[1]:
-                            self._writeback_to_dram(cluster)
-                        if not out3.hit:
-                            lat += self._dram_fill(cluster)
-                        moved += line
-                rest = end - i - 1
-                if rest:
-                    # back-to-back same-line accesses: guaranteed L1 hits
-                    l1.touch_resident(addr, any_write, rest)
-                if lat > l1_lat:
-                    stall += lat - l1_lat
-        finally:
-            if pool is not None:
-                self._flush_dram_pool(pool)
-        self._charge("l1", "l1_access", n)
-        if n_l2:
-            self._charge("l2", "l2_access", n_l2)
-        for cluster, count in demand_counts.items():
-            self._charge("l3", "l3_access", count)
-            self._record(MessageKind.CACHE_REQ, self._host, cluster, 0,
-                         count)
-            self._record(MessageKind.CACHE_FILL, cluster, self._host,
-                         line, count)
-        self.movement_bytes += moved
-        return stall
-
-    def _host_access_batch_vec(self, addrs: np.ndarray,
-                               stream_ids: np.ndarray,
-                               starts: np.ndarray, ends: np.ndarray,
-                               run_write: np.ndarray) -> int:
-        """Set-level vectorized variant of :meth:`host_access_batch`
-        (REPRO_VEC=1).
-
-        Within a batch nothing downstream ever feeds back into L1, so
-        the whole L1 state transition is advanced first through
-        :meth:`~repro.mem.cache.Cache.access_batch` (set-parallel waves,
-        numpy int ops), then a python loop visits *only the L1 misses*
-        in program order for the downstream L2/L3/prefetch/DRAM effects
-        — which keeps every stateful downstream transition in exactly
-        the scalar order. The run head's ``is_write`` and the collapsed
-        run's dirty-OR both only touch the line's dirty bit, so they
-        fold into one ``make_dirty`` input without changing hit/miss or
-        LRU behavior.
-        """
-        n = len(addrs)
-        m = self.machine
-        l1, l2, l3 = self.l1, self.l2, self.l3
-        l1_lat = m.l1.latency_cycles
-        l2_lat = m.l2.latency_cycles
-        l3_lat = m.l3.latency_cycles
-        line = self._line
-        freq = m.core.freq_ghz
-        prefetcher = self.prefetcher
-        late = self._late_prefetch
-        stripe = l3.stripe_bytes
-        ncl = l3.num_clusters
-        lat_of = self.traffic.latency_of
-        l2_line_of = l2.line_of
-
         head_addrs = addrs[starts]
         hit, victim_line, victim_dirty = l1.access_batch(
-            head_addrs >> l1.line_shift, run_write
+            lines[starts], run_write
         )
         bulk = n - len(starts)
         if bulk:
@@ -861,11 +719,13 @@ class MemoryHierarchy:
         pool = self._open_dram_pool()
         try:
             if seg_ends is not None and n >= _SEG_VEC_MIN:
-                # per-home set-level walk (same argument as the vec
-                # branch below: slices are independent state machines,
-                # DRAM side effects pool commutatively), materializing
-                # per-access latencies so prefix sums recover the exact
-                # per-segment subtotals of the scalar walk
+                # set-level walk per home slice: the L3 slices are
+                # independent state machines, so grouping by home (in
+                # first-touch order, program order within a home) is
+                # bit-identical to the interleaved scalar loop — all
+                # DRAM side effects are pooled commutative counters.
+                # Per-access latencies are materialized so prefix sums
+                # recover the exact per-segment subtotals
                 homes = (line_addrs // stripe) % ncl
                 lat_arr = np.zeros(n, dtype=np.int64)
                 dpool = self._dram_pool
@@ -942,44 +802,6 @@ class MemoryHierarchy:
                     seg_totals.append(total - prev_total)
                     prev_total = total
                     pos = end
-            elif n >= _ACCEL_BATCH_VEC_MIN and vec_path_enabled():
-                # set-level walk per home slice: the L3 slices are
-                # independent state machines, so grouping by home (in
-                # first-touch order, program order within a home) is
-                # bit-identical to the interleaved scalar loop — all
-                # DRAM side effects are pooled commutative counters
-                homes = (line_addrs // stripe) % ncl
-                uniq, first = np.unique(homes, return_index=True)
-                dpool = self._dram_pool
-                for home in uniq[np.argsort(first)].tolist():
-                    sel = np.flatnonzero(homes == home)
-                    k = len(sel)
-                    counts[home] = k
-                    conv[home] = _ps_to_cycles_int(
-                        lat_of(local_cluster, home, 0)
-                        + (lat_of(local_cluster, home, line) if is_write
-                           else lat_of(home, local_cluster, line)),
-                        freq,
-                    )
-                    if home == local_cluster:
-                        total += k * (1 + bank_lat + conv[home])
-                    else:
-                        total += k * (1 + l3_lat + conv[home])
-                        moved += k * line
-                    slc = l3.slices[home]
-                    hit, _vline, vdirty = slc.access_batch(
-                        line_addrs[sel] >> slc.line_shift,
-                        np.full(k, is_write, dtype=bool),
-                    )
-                    wbs = int(vdirty.sum())
-                    if wbs:
-                        dpool.wbs[home] = dpool.wbs.get(home, 0) + wbs
-                    if not is_write:
-                        fills = k - int(hit.sum())
-                        if fills:
-                            lat = self._dram_fill(home)  # counts one fill
-                            dpool.fills[home] += fills - 1
-                            total += lat * fills
             elif (addr_list := line_addrs.tolist()) and (
                     min(addr_list) // stripe == max(addr_list) // stripe):
                 # whole chunk lives in one stripe block (the common case:
@@ -1156,11 +978,14 @@ class MemoryHierarchy:
         pool = self._open_dram_pool()
         try:
             if seg_ends is not None and n >= _SEG_VEC_MIN:
-                # per-home grouped walk (see the vec branch below for the
-                # identity argument: an ACP and its victims/misses only
-                # touch the home cluster's L3 slice), materializing
-                # per-access latencies so prefix sums recover the exact
-                # per-segment subtotals of the scalar walk
+                # group by home ACP: an ACP only caches addresses of its
+                # own stripe, so its victims retire into the same home's
+                # L3 slice — per-home groups never interleave L3 state,
+                # and the walk is bit-identical to the scalar loop. The
+                # ACP advances vectorized, then only its misses visit
+                # the L3/DRAM side in program order. Per-access
+                # latencies are materialized so prefix sums recover the
+                # exact per-segment subtotals
                 homes = (addrs // stripe) % ncl
                 lat_arr = np.zeros(n, dtype=np.int64)
                 uniq, first = np.unique(homes, return_index=True)
@@ -1224,53 +1049,6 @@ class MemoryHierarchy:
                     seg_totals.append(total - prev_total)
                     prev_total = total
                     pos = end
-            elif n >= _ACCEL_BATCH_VEC_MIN and vec_path_enabled():
-                # group by home ACP: an ACP only caches addresses of its
-                # own stripe, so its victims retire into the same home's
-                # L3 slice — per-home groups never interleave L3 state,
-                # and the walk is bit-identical to the scalar loop.
-                # Phase A advances the ACP vectorized; Phase B visits
-                # only ACP misses (the L3/DRAM side) in program order.
-                homes = (addrs // stripe) % ncl
-                uniq, first = np.unique(homes, return_index=True)
-                for home in uniq[np.argsort(first)].tolist():
-                    sel = np.flatnonzero(homes == home)
-                    k = len(sel)
-                    counts[home] = k
-                    conv[home] = _ps_to_cycles_int(
-                        lat_of(local_cluster, home, 0)
-                        + (lat_of(local_cluster, home, elem_bytes)
-                           if is_write
-                           else lat_of(home, local_cluster, elem_bytes)),
-                        freq,
-                    )
-                    if home != local_cluster:
-                        moved += k * elem_bytes
-                    total += k * (1 + conv[home])
-                    acp = acps[home]
-                    sel_addrs = addrs[sel]
-                    hit, vline, vdirty = acp.access_batch(
-                        sel_addrs >> acp.line_shift,
-                        np.full(k, is_write, dtype=bool),
-                    )
-                    miss_pos = np.flatnonzero(~hit)
-                    n_l3 += int(vdirty.sum()) + len(miss_pos)
-                    total += bank_lat * len(miss_pos)
-                    for j, addr, vd, vl in zip(
-                            miss_pos.tolist(),
-                            sel_addrs[miss_pos].tolist(),
-                            vdirty[miss_pos].tolist(),
-                            vline[miss_pos].tolist()):
-                        if vd:
-                            evicted = l3.fill(vl * line, dirty=True)
-                            if evicted and evicted[1]:
-                                self._writeback_to_dram(home)
-                        out3 = l3.access(addr, is_write=False)
-                        ev3 = out3.evicted
-                        if ev3 is not None and ev3[1]:
-                            self._writeback_to_dram(home)
-                        if not out3.hit:
-                            total += self._dram_fill(home)
             else:
                 total, n_l3, moved = self._acp_elem_walk(
                     addrs.tolist(), local_cluster, is_write, elem_bytes,

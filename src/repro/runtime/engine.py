@@ -20,9 +20,8 @@ import numpy as np
 from ..accel.base import PartitionProfile
 from ..compiler.pipeline import CompiledOffload
 from ..energy import EnergyLedger
-from ..envcfg import sched_path_enabled, vec_path_enabled
+from ..envcfg import reference_enabled
 from ..events import Channel, Delay, Get, Put, Simulator, cycles_to_ps
-from ..fastpath import fast_path_enabled
 from ..interface.config import AccessConfig, AccessKind, PartitionConfig
 from ..interface.intrinsics import mmio_bytes
 from ..interface.scheduler import HardwareScheduler
@@ -111,9 +110,10 @@ class OffloadEngine:
         self._configured_offloads: set = set()
         self._offload_ctx: Dict[int, int] = {}
         self._ctx = 0
-        #: batched replay enabled for this run (re-read per run() so tests
-        #: can flip REPRO_FAST in-process)
-        self._fast = fast_path_enabled()
+        #: production replay (batched hierarchy calls, analytic fastsim)
+        #: for this run; re-read per run() so tests can flip
+        #: REPRO_REFERENCE in-process
+        self._fast = not reference_enabled()
 
     def buffer_key(self, offload: CompiledOffload, access_id: int) -> int:
         """Scheduler buffer id serving an access (combining-aware)."""
@@ -154,7 +154,7 @@ class OffloadEngine:
 
     def _line_fetch_many(self, cluster: int, line_addrs: np.ndarray,
                          is_write: bool) -> int:
-        """Batched :meth:`_line_fetch` over a chunk (REPRO_FAST=1 only);
+        """Batched :meth:`_line_fetch` over a chunk (production path);
         bit-identical to the per-line loop."""
         if self.private_cache is None:
             return self.hierarchy.accel_line_fetch_batch(
@@ -164,7 +164,7 @@ class OffloadEngine:
 
     def _elem_access_many(self, cluster: int, addrs: np.ndarray,
                           is_write: bool, elem_bytes: int) -> int:
-        """Batched :meth:`_elem_access` over a chunk (REPRO_FAST=1 only);
+        """Batched :meth:`_elem_access` over a chunk (production path);
         bit-identical to the per-element loop."""
         if self.private_cache is None:
             return self.hierarchy.accel_elem_access_batch(
@@ -186,7 +186,7 @@ class OffloadEngine:
         window = self.hierarchy.l3_demand_batch(cluster)
         total = n  # 1 cycle per private-cache lookup
         try:
-            if n >= _PRIVATE_VEC_MIN and vec_path_enabled():
+            if n >= _PRIVATE_VEC_MIN:
                 # advance the private cache set-parallel first: nothing
                 # downstream (L3 window, victim writebacks) ever feeds
                 # back into it, so visiting only the misses afterwards
@@ -266,7 +266,7 @@ class OffloadEngine:
             trips: int, invocations: int,
             site_streams: SiteStreams) -> EngineStats:
         """Execute one kernel call's worth of the offloaded loop."""
-        self._fast = fast_path_enabled()
+        self._fast = not reference_enabled()
         stats = EngineStats()
         if trips <= 0:
             return stats
@@ -303,14 +303,13 @@ class OffloadEngine:
         # pooled charges/records are linear and the ledgers order-free)
         win = self.hierarchy.open_accounting()
         try:
-            if sched_path_enabled() and shared_port is None:
+            if self._fast and shared_port is None:
                 run_time = fastsim.replay(run_ctx)
             if run_time is None:
                 run_ctx.build()
                 sim.run()
                 run_time = sim.now
                 OBS.inc("engine.sim_events", sim.events_executed)
-                OBS.inc("engine.sim_fastforwards", sim.fastforwards)
                 OBS.observe_max("engine.sim_peak_pending",
                                 sim.peak_pending)
                 for chans in (run_ctx.channels, run_ctx.fill_tokens,
@@ -623,8 +622,8 @@ class _RunContext:
 
     def _fetch_chunk(self, at: int, lines: np.ndarray,
                      is_write: bool) -> int:
-        """Line fetches for one chunk: batched replay when REPRO_FAST=1,
-        the per-line reference loop otherwise."""
+        """Line fetches for one chunk: batched replay on the production
+        path, the per-line reference loop under ``REPRO_REFERENCE=1``."""
         engine = self.engine
         if engine._fast:
             return engine._line_fetch_many(at, lines, is_write)

@@ -1,4 +1,4 @@
-"""Analytic macro-chunk replay of one offload run (``REPRO_SCHED=1``).
+"""Analytic macro-chunk replay of one offload run (production path only).
 
 The discrete-event engine in :mod:`repro.runtime.engine` spends most of
 its time dispatching per-chunk generator resumes whose *timing* is fully
@@ -23,10 +23,10 @@ module replays such runs without any events:
 * **Pass 1 — per-process stateful sweep.** Each process's chunks
   execute back to back in program order: the same hierarchy calls, the
   same per-chunk energy/traffic accounting and the same per-chunk
-  ``cycles_to_ps`` rounding as the event engine's process bodies. With
-  ``REPRO_FAST=1`` consecutive chunks presenting at the same (migrated)
-  cluster are coalesced into one widened, segment-delimited
-  ``*_batch`` hierarchy call that returns per-chunk latency subtotals.
+  ``cycles_to_ps`` rounding as the event engine's process bodies.
+  Consecutive chunks presenting at the same (migrated) cluster are
+  coalesced into one widened, segment-delimited ``*_batch`` hierarchy
+  call that returns per-chunk latency subtotals.
 
 * **Pass 2 — closed-form schedule.** The per-chunk delays feed the
   exact timing recurrence of the bounded-channel process network
@@ -37,9 +37,11 @@ module replays such runs without any events:
   engine's ``sim.now`` exactly, with zero scheduler events.
 
 Anything the proof does not cover falls back to the event engine, so
-the replay is an optimization, never a semantic fork; equivalence is
-enforced by ``tests/runtime/test_sched_equiv.py`` and the differential
-oracle.
+the replay is an optimization, never a semantic fork. Under
+``REPRO_REFERENCE=1`` the engine never calls it, so equivalence is
+enforced by ``tests/sim/test_fastpath_equiv.py`` (whole runs),
+``tests/runtime/test_sched_equiv.py`` (analytic vs event-only replay)
+and the differential oracle.
 """
 
 from __future__ import annotations
@@ -305,18 +307,12 @@ def _drain_delays(ctx, acc, cluster: int) -> List[Optional[int]]:
 def _segmented_fetch(ctx, chunk_lines, is_write: bool) -> List[int]:
     """Line fetches for a list of (chunk, lines, at) in program order.
 
-    With the batched fast path on, consecutive chunks presenting at the
-    same cluster are widened into one segment-delimited hierarchy call
-    (identical per-segment latencies and pooled commutative accounting);
-    otherwise each chunk goes through the reference per-chunk path.
+    Consecutive chunks presenting at the same cluster are widened into
+    one segment-delimited hierarchy call (identical per-segment
+    latencies and pooled commutative accounting).
     """
-    engine = ctx.engine
     out: List[int] = []
-    if not engine._fast:
-        for _c, lines, at in chunk_lines:
-            out.append(ctx._fetch_chunk(at, lines, is_write))
-        return out
-    hier = engine.hierarchy
+    hier = ctx.engine.hierarchy
     i = 0
     n = len(chunk_lines)
     while i < n:
@@ -362,7 +358,7 @@ def _partition_delays(ctx, part, cluster: int
     # order (intra-process overlap is allowed by the disjointness
     # proof), so fall back to chunk-major per-chunk calls there
     ind_cycles = [0] * nchunks
-    if len(indirect) == 1 and engine._fast:
+    if len(indirect) == 1:
         acc = indirect[0]
         eb = acc.elem_bytes
         for c, (lat, n_elems) in enumerate(
@@ -414,7 +410,7 @@ def _partition_delays(ctx, part, cluster: int
 def _segmented_indirect(ctx, acc, cluster: int
                         ) -> List[Tuple[int, int]]:
     """Per-chunk (latency cycles, element count) of one indirect access,
-    widened across same-cluster chunk runs when the fast path is on."""
+    widened across same-cluster chunk runs."""
     engine = ctx.engine
     nchunks = len(ctx.chunk_sizes)
     elem_chunks = ctx._elem_chunks(acc)
@@ -428,10 +424,6 @@ def _segmented_indirect(ctx, acc, cluster: int
     out: List[Tuple[int, int]] = [(0, 0)] * nchunks
     base = engine.slab.by_name(acc.obj).base
     eb = acc.elem_bytes
-    if not engine._fast or engine.private_cache is not None:
-        for c, elems, at in chunks:
-            out[c] = (ctx._indirect_chunk(acc, at, elems), len(elems))
-        return out
     hier = engine.hierarchy
     i = 0
     while i < nchunks:

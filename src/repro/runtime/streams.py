@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from ..fastpath import fast_path_enabled
+from ..envcfg import reference_enabled
 from ..ir.interp import MemAccess
 from ..ir.trace import ColumnarTrace
 
@@ -21,7 +21,7 @@ class SiteStreams:
     """Ordered element indices per static access site."""
 
     def __init__(self, trace: Iterable[MemAccess]):
-        if isinstance(trace, ColumnarTrace) and fast_path_enabled():
+        if isinstance(trace, ColumnarTrace) and not reference_enabled():
             # vectorized group-by; identical streams to the scalar loop
             self._streams: Dict[int, np.ndarray] = dict(
                 trace.streams_by_site()

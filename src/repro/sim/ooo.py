@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..energy import EnergyLedger
+from ..envcfg import reference_enabled
 from ..events import cycles_to_ps
-from ..fastpath import fast_path_enabled
 from ..ir.interp import MemAccess, OpCounts
 from ..ir.program import Kernel
 from ..ir.trace import ColumnarTrace
@@ -32,7 +32,7 @@ from ..params import MachineParams
 #: fraction of the shorter of (compute, memory) that fails to overlap
 SERIALIZATION_FACTOR = 0.15
 
-#: accesses replayed per host_access_batch call on the fast path
+#: accesses replayed per host_access_batch call on the production path
 BATCH_CHUNK = 1 << 16
 
 
@@ -84,7 +84,7 @@ class OooModel:
         stall_units = 0
         loads = 0
         stores = 0
-        if isinstance(trace, ColumnarTrace) and fast_path_enabled():
+        if isinstance(trace, ColumnarTrace) and not reference_enabled():
             addrs = trace.addresses(
                 {name: alloc.base for name, alloc in obj_alloc.items()},
                 elem_bytes,

@@ -208,8 +208,8 @@ class SystemSimulator:
                 for name, arr in entry.final_arrays.items():
                     instance.arrays[name][...] = arr
                 return
-        # vectorized whole-loop interpretation when REPRO_VEC allows it;
-        # scalar tree-walking otherwise — bit-identical either way
+        # vectorized whole-loop interpretation; tree-walking under
+        # REPRO_REFERENCE=1 — bit-identical either way
         interp = make_interpreter(record_trace=True)
         recording = cache is not None and key is not None
         records = []

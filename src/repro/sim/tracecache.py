@@ -33,6 +33,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from ..envcfg import reference_enabled
 from ..ir.interp import InterpResult, MemAccess, OpCounts
 from ..ir.program import Kernel
 from ..ir.trace import ColumnarTrace
@@ -58,22 +59,20 @@ def functional_key(workload: str, scale: str,
     (sorted, ``scale@k=v,...``) so the key stays a picklable, printable
     ``(workload, variant)`` string pair.
 
-    The active interpreter mode (``REPRO_VEC``) is folded in as well:
-    the vectorized and scalar interpreters are bit-identical by
+    The active mode (``REPRO_REFERENCE``) is folded in as well: the
+    vectorized and tree-walking interpreters are bit-identical by
     contract, but keying them apart means a mode flip — which is exactly
     what the differential oracle does — re-interprets under the new mode
     instead of replaying a record produced by the other one, so
     cross-mode comparisons keep their evidentiary value.
     """
-    from ..vecpath import vec_path_enabled
-
     variant = scale
     if build_kwargs:
         kw = ",".join(
             f"{k}={build_kwargs[k]!r}" for k in sorted(build_kwargs)
         )
         variant = f"{scale}@{kw}"
-    if not vec_path_enabled():
+    if reference_enabled():
         variant += "+scalar"
     return (workload, variant)
 

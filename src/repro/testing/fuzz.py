@@ -12,12 +12,13 @@ Usage::
                                  [--no-shrink]
 
 Generates structured kernels/workloads (:mod:`repro.testing.genkernel`),
-runs each through every requested execution path under both
-``REPRO_FAST`` pipelines, and checks the differential oracles
-(:mod:`repro.testing.oracle`). With ``--machines``, every case also
-draws a seeded random machine document
+runs each through every requested configuration on the production
+path and under ``REPRO_REFERENCE=1`` (two simulations per
+configuration, 12 for the default six), and checks the differential
+oracles (:mod:`repro.testing.oracle`). With ``--machines``, every case
+also draws a seeded random machine document
 (:mod:`repro.testing.genmachine`) and the whole oracle battery —
-including the ``sched-vs-reference`` engine identity and the AN-C
+including the ``production-vs-reference`` identity and the AN-C
 ``static-cost-bounds`` interval checks — runs on that machine instead
 of the default, so random machines x random kernels are crossed in one
 sweep. Failing cases are greedily minimized
@@ -162,9 +163,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f.write("\n")
     hist_line = "  ".join(f"{k}={v}" for k, v in hist.items())
     print(f"[fuzz] {len(reports)} cases in {elapsed:.1f}s "
-          f"across {len(paths)} paths x {len(oracle.modes)} replay x "
-          f"{len(oracle.vec_modes)} interpreter modes x "
-          f"{len(set(oracle.sched_modes))} scheduler engines")
+          f"across {len(paths)} paths x production/reference "
+          f"({2 * len(paths)} simulations per case)")
     print(f"[fuzz] shapes: {hist_line}")
     if args.machines:
         mach_line = "  ".join(

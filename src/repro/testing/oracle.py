@@ -2,10 +2,10 @@
 
 One :class:`GeneratedCase` is pushed through the golden interpreter and
 through :func:`~repro.sim.system.simulate_workload` for each requested
-configuration under both replay pipelines (``REPRO_FAST=1`` batched and
-``REPRO_FAST=0`` scalar reference) and both interpreter modes
-(``REPRO_VEC=1`` vectorized whole-loop evaluation and ``REPRO_VEC=0``
-tree-walking), and the paths must agree on
+configuration twice: once on the production path (vectorized
+interpretation, batched replay, analytic offload replay) and once with
+``REPRO_REFERENCE=1`` (tree-walking interpretation, per-access replay,
+event-only offload replay). The paths must agree on
 
 * **analysis consistency** — the static verifier accepts exactly the
   kernels the interpreter executes without a fault, and the affine
@@ -15,13 +15,9 @@ tree-walking), and the paths must agree on
   golden interpreter's bit for bit (all paths execute the functional
   program through the same interpreter semantics, so exact equality is
   the contract, not an allclose);
-* **cross-path accounting** — for each configuration, the batched and
-  scalar pipelines produce the same time, instruction, memory-op,
-  cache-access, NoC and energy-ledger numbers, counter for counter;
-* **engine identity** — the two-level replay scheduler with macro-chunk
-  coalescing (``REPRO_SCHED=1``) reproduces the tuple-heap reference
-  engine's every counter exactly (the scheduler changes how events are
-  dispatched, never the timed behavior);
+* **production vs reference** — for each configuration, the two paths
+  produce the same time, instruction, memory-op, cache-access, NoC and
+  energy-ledger numbers, counter for counter;
 * **conservation** — functional quantities that are configuration-
   independent stay put: ``mem_ops`` equals the golden dynamic
   load+store count in every cell, the OoO baseline's instruction count
@@ -52,11 +48,9 @@ import numpy as np
 from ..analysis.deps import dependence_findings
 from ..analysis.verifier import verify_kernel
 from ..analysis.findings import errors_of
+from ..envcfg import REPRO_REFERENCE
 from ..errors import ReproError
-from ..fastpath import ENV_VAR as FAST_ENV
 from ..params import MachineParams, experiment_machine
-from ..schedpath import ENV_VAR as SCHED_ENV
-from ..vecpath import ENV_VAR as VEC_ENV
 from ..sim.results import RunResult
 from ..sim.system import simulate_workload
 from ..sim.tracecache import TraceCache
@@ -97,7 +91,8 @@ class OracleReport:
 
 
 @contextmanager
-def _env_mode(var: str, on: bool):
+def _reference_mode(on: bool):
+    var = REPRO_REFERENCE.name
     prior = os.environ.get(var)
     os.environ[var] = "1" if on else "0"
     try:
@@ -109,16 +104,8 @@ def _env_mode(var: str, on: bool):
             os.environ[var] = prior
 
 
-def _fast_mode(fast: bool):
-    return _env_mode(FAST_ENV, fast)
-
-
-def _vec_mode(vec: bool):
-    return _env_mode(VEC_ENV, vec)
-
-
-def _sched_mode(sched: bool):
-    return _env_mode(SCHED_ENV, sched)
+def _side(reference: bool) -> str:
+    return "reference" if reference else "production"
 
 
 def _metric_signature(r: RunResult) -> Dict[str, object]:
@@ -141,23 +128,9 @@ class DifferentialOracle:
     """Runs one case through every path and collects disagreements."""
 
     def __init__(self, paths: Sequence[str] = DEFAULT_PATHS,
-                 machine: Optional[MachineParams] = None,
-                 modes: Tuple[bool, ...] = (True, False),
-                 vec_modes: Tuple[bool, ...] = (True, False),
-                 sched_modes: Tuple[bool, ...] = (True, False)):
+                 machine: Optional[MachineParams] = None):
         self.paths = tuple(paths)
         self.machine = machine or experiment_machine()
-        #: REPRO_FAST replay modes to cross (batched vs scalar replay)
-        self.modes = modes
-        #: REPRO_VEC interpreter modes to cross (vectorized vs scalar
-        #: tree-walking interpretation)
-        self.vec_modes = vec_modes
-        #: REPRO_SCHED engine modes to cross (two-level scheduler +
-        #: macro-chunk coalescing vs the tuple-heap reference engine);
-        #: the reference engine is checked once per config at the
-        #: primary (fast, vec) mode rather than fully crossed — the
-        #: scheduler core is orthogonal to the replay/interpreter axes
-        self.sched_modes = sched_modes
 
     # ------------------------------------------------------------------
     def _machine_for(self, case: GeneratedCase) -> MachineParams:
@@ -183,8 +156,7 @@ class DifferentialOracle:
             return OracleReport(case.name, case.shape, failures, self.paths)
         runs = self._simulate_all(case, failures)
         self._check_outputs(case, golden, runs, failures)
-        self._check_cross_path(case, runs, failures)
-        self._check_sched_identity(case, runs, failures)
+        self._check_production_vs_reference(case, runs, failures)
         self._check_conservation(case, counts, runs, failures)
         self._check_static_bounds(case, runs, failures)
         return OracleReport(case.name, case.shape, failures, self.paths)
@@ -226,159 +198,82 @@ class DifferentialOracle:
     # ------------------------------------------------------------------
     def _simulate_all(self, case: GeneratedCase,
                       failures: List[OracleFailure]
-                      ) -> Dict[Tuple[str, bool, bool], RunResult]:
-        """Simulate every (config, fast-mode, vec-mode) cell of the case.
+                      ) -> Dict[Tuple[str, bool], RunResult]:
+        """Simulate every (config, reference) cell of the case.
 
         One shared trace cache per case: the functional interpretation is
         path-independent, so each cell after the first replays it — the
         exact sharing discipline the experiment matrix uses. The trace
-        key carries the interpreter mode (mirroring
-        ``tracecache.functional_key``) so each ``REPRO_VEC`` mode
-        records its own interpretation instead of replaying the other
-        mode's — the cross-mode comparison stays evidentiary.
+        key carries the mode (mirroring ``tracecache.functional_key``)
+        so the reference side records its own tree-walking
+        interpretation instead of replaying the production one — the
+        comparison stays evidentiary.
         """
-        runs: Dict[Tuple[str, bool, bool], RunResult] = {}
+        runs: Dict[Tuple[str, bool], RunResult] = {}
         machine = self._machine_for(case)
         cache = TraceCache(max_entries=1)
-        for vec in self.vec_modes:
-            variant = "fuzz" if vec else "fuzz+scalar"
-            with _vec_mode(vec), _sched_mode(self.sched_modes[0]):
-                for fast in self.modes:
-                    with _fast_mode(fast):
-                        for config in self.paths:
-                            try:
-                                runs[(config, fast, vec)] = simulate_workload(
-                                    case.instance(), config,
-                                    machine=machine,
-                                    trace_cache=cache,
-                                    trace_key=(case.name, variant),
-                                )
-                            except Exception as exc:  # crashes are findings
-                                failures.append(OracleFailure(
-                                    case.name, "simulates", config,
-                                    f"fast={int(fast)},vec={int(vec)}: "
-                                    f"{type(exc).__name__}: {exc}",
-                                ))
+        for reference in (False, True):
+            variant = "fuzz+scalar" if reference else "fuzz"
+            with _reference_mode(reference):
+                for config in self.paths:
+                    try:
+                        runs[(config, reference)] = simulate_workload(
+                            case.instance(), config,
+                            machine=machine,
+                            trace_cache=cache,
+                            trace_key=(case.name, variant),
+                        )
+                    except Exception as exc:  # crashes are findings
+                        failures.append(OracleFailure(
+                            case.name, "simulates", config,
+                            f"{_side(reference)}: "
+                            f"{type(exc).__name__}: {exc}",
+                        ))
         return runs
 
     # ------------------------------------------------------------------
     def _check_outputs(self, case: GeneratedCase,
                        golden: Dict[str, np.ndarray],
-                       runs: Dict[Tuple[str, bool, bool], RunResult],
+                       runs: Dict[Tuple[str, bool], RunResult],
                        failures: List[OracleFailure]) -> None:
-        for (config, fast, vec), run in runs.items():
+        for (config, reference), run in runs.items():
             if not run.validated:
                 failures.append(OracleFailure(
                     case.name, "outputs-validate", config,
-                    f"fast={int(fast)},vec={int(vec)}: run failed "
-                    f"output validation",
+                    f"{_side(reference)}: run failed output validation",
                 ))
 
-    def _check_cross_path(self, case: GeneratedCase,
-                          runs: Dict[Tuple[str, bool, bool], RunResult],
-                          failures: List[OracleFailure]) -> None:
-        """Counter-for-counter agreement across replay and interpreter
-        modes.
-
-        Pairwise along each axis: batched vs scalar replay within every
-        interpreter mode (``fast-vs-scalar``) and vectorized vs
-        tree-walking interpretation within every replay mode
-        (``vec-vs-scalar``). Together the comparisons connect every
-        simulated cell of a config, so any single-cell divergence is
-        caught and attributed to the axis it appeared on.
-        """
-        def compare(check: str, config: str, a: RunResult, b: RunResult,
-                    a_tag: str, b_tag: str) -> None:
-            sig_a = _metric_signature(a)
-            sig_b = _metric_signature(b)
-            for field in sig_a:
-                if sig_a[field] != sig_b[field]:
-                    failures.append(OracleFailure(
-                        case.name, check, config,
-                        f"{field} diverged: {a_tag}={sig_a[field]!r} "
-                        f"{b_tag}={sig_b[field]!r}",
-                    ))
-
+    def _check_production_vs_reference(
+            self, case: GeneratedCase,
+            runs: Dict[Tuple[str, bool], RunResult],
+            failures: List[OracleFailure]) -> None:
+        """Counter-for-counter agreement of the two paths per config."""
         for config in self.paths:
-            if set(self.modes) == {True, False}:
-                for vec in self.vec_modes:
-                    fast = runs.get((config, True, vec))
-                    scalar = runs.get((config, False, vec))
-                    if fast is not None and scalar is not None:
-                        compare("fast-vs-scalar", config, fast, scalar,
-                                "fast", "scalar")
-            if set(self.vec_modes) == {True, False}:
-                for fast in self.modes:
-                    vec = runs.get((config, fast, True))
-                    scalar = runs.get((config, fast, False))
-                    if vec is not None and scalar is not None:
-                        compare("vec-vs-scalar", config, vec, scalar,
-                                "vec", "scalar")
-
-    # ------------------------------------------------------------------
-    def _check_sched_identity(self, case: GeneratedCase,
-                              runs: Dict[Tuple[str, bool, bool], RunResult],
-                              failures: List[OracleFailure]) -> None:
-        """Two-level engine vs the tuple-heap reference, counter for
-        counter.
-
-        Every cell in ``runs`` was simulated under the primary
-        ``REPRO_SCHED`` mode (the two-level scheduler with macro-chunk
-        coalescing, by default). Here each config is re-simulated once
-        under the secondary mode (the reference engine) at the primary
-        (fast, vec) point and compared field by field — the scheduler
-        core only changes *how* events are dispatched, never the timed
-        behavior, so exact equality is the contract.
-        """
-        distinct = set(self.sched_modes)
-        if len(distinct) < 2:
-            return
-        fast, vec = self.modes[0], self.vec_modes[0]
-        variant = "fuzz" if vec else "fuzz+scalar"
-        other = self.sched_modes[1]
-        machine = self._machine_for(case)
-        cache = TraceCache(max_entries=1)
-        with _vec_mode(vec), _fast_mode(fast), _sched_mode(other):
-            for config in self.paths:
-                base = runs.get((config, fast, vec))
-                if base is None:
-                    continue
-                try:
-                    ref = simulate_workload(
-                        case.instance(), config,
-                        machine=machine,
-                        trace_cache=cache,
-                        trace_key=(case.name, variant),
-                    )
-                except Exception as exc:  # crashes are findings
+            prod = runs.get((config, False))
+            ref = runs.get((config, True))
+            if prod is None or ref is None:
+                continue
+            sig_p = _metric_signature(prod)
+            sig_r = _metric_signature(ref)
+            for field in sig_p:
+                if sig_p[field] != sig_r[field]:
                     failures.append(OracleFailure(
-                        case.name, "sched-simulates", config,
-                        f"sched={int(other)}: {type(exc).__name__}: {exc}",
+                        case.name, "production-vs-reference", config,
+                        f"{field} diverged: production={sig_p[field]!r} "
+                        f"reference={sig_r[field]!r}",
                     ))
-                    continue
-                sig_a = _metric_signature(base)
-                sig_b = _metric_signature(ref)
-                for field in sig_a:
-                    if sig_a[field] != sig_b[field]:
-                        failures.append(OracleFailure(
-                            case.name, "sched-vs-reference", config,
-                            f"{field} diverged: "
-                            f"sched={int(self.sched_modes[0])}="
-                            f"{sig_a[field]!r} "
-                            f"sched={int(other)}={sig_b[field]!r}",
-                        ))
 
     # ------------------------------------------------------------------
     def _check_conservation(self, case: GeneratedCase, counts,
-                            runs: Dict[Tuple[str, bool, bool], RunResult],
+                            runs: Dict[Tuple[str, bool], RunResult],
                             failures: List[OracleFailure]) -> None:
         golden_mem_ops = counts.loads + counts.stores
         ncalls = len(case.calls)
         expected_ooo_insts = (
             counts.total_insts + ncalls * HOST_INSTS_PER_CALL
         )
-        for (config, fast, vec), run in runs.items():
-            tag = f"fast={int(fast)},vec={int(vec)}"
+        for (config, reference), run in runs.items():
+            tag = _side(reference)
             # functional load/store volume is configuration-independent
             if run.mem_ops != golden_mem_ops:
                 failures.append(OracleFailure(
@@ -404,7 +299,7 @@ class DifferentialOracle:
             self._check_ledger(case, config, tag, run, failures)
 
     def _check_static_bounds(self, case: GeneratedCase,
-                             runs: Dict[Tuple[str, bool, bool], RunResult],
+                             runs: Dict[Tuple[str, bool], RunResult],
                              failures: List[OracleFailure]) -> None:
         """Measured metrics must fall inside their AN-C intervals.
 
@@ -432,15 +327,14 @@ class DifferentialOracle:
                 f"cost model failed: {type(exc).__name__}: {exc}",
             ))
             return
-        for (config, fast, vec), run in runs.items():
+        for (config, reference), run in runs.items():
             predicted = predictions.get(config)
             if predicted is None:
                 continue
             for violation in check_bounds(predicted, run, config):
                 failures.append(OracleFailure(
                     case.name, "static-cost-bounds", config,
-                    f"fast={int(fast)},vec={int(vec)}: "
-                    f"{violation.format()}",
+                    f"{_side(reference)}: {violation.format()}",
                 ))
 
     def _check_ledger(self, case: GeneratedCase, config: str, tag: str,

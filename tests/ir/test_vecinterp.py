@@ -1,4 +1,4 @@
-"""REPRO_VEC pinning tests.
+"""Vectorized-interpreter pinning tests.
 
 The vectorized whole-loop interpreter must be *bit-identical* to the
 tree-walking reference on everything it reports — outputs, program-order
@@ -472,9 +472,9 @@ class TestStableLoopKeys:
 
 class TestGateSelection:
     def test_gate_picks_interpreter(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC", "0")
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
         assert isinstance(make_interpreter(), Interpreter)
-        monkeypatch.setenv("REPRO_VEC", "1")
+        monkeypatch.setenv("REPRO_REFERENCE", "0")
         assert isinstance(make_interpreter(True), VecInterpreter)
 
     def test_scalar_override_in_sim(self, monkeypatch):
@@ -484,8 +484,8 @@ class TestGateSelection:
 
         machine = experiment_machine()
         sigs = []
-        for mode in ("1", "0"):
-            monkeypatch.setenv("REPRO_VEC", mode)
+        for mode in ("0", "1"):
+            monkeypatch.setenv("REPRO_REFERENCE", mode)
             r = simulate_workload(
                 ALL_WORKLOADS["fdt"].build("tiny"), "ooo",
                 machine=machine,

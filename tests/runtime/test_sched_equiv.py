@@ -1,26 +1,29 @@
-"""Scheduler-core equivalence gate: ``REPRO_SCHED=1`` must be
-bit-identical to the reference tuple-heap engine on every metric a
-figure or table reads.
+"""Offload-replay equivalence gate: the analytic replay
+(``runtime/fastsim.py``) must be bit-identical to the event-only replay
+on every metric a figure or table reads.
 
-This is the acceptance test for the two-level replay scheduler (FIFO
-run queue + calendar buckets, sole-runner fast-forward, inline channel
-rendezvous) and the macro-chunk coalescing replay: four workloads of
-different shapes are simulated under all six configurations twice —
-once per scheduler core — and every cell is compared field by field,
-including the float energy totals (exact equality, not approx).
+Four workloads of different shapes are simulated under all six
+configurations twice on the production path — once as it runs by
+default, once with ``fastsim.replay`` declining every run so that each
+offload run falls back to the event engine — and every cell is compared
+field by field, including the float energy totals (exact equality, not
+approx). The whole-run production-vs-reference gate is
+``tests/sim/test_fastpath_equiv.py``; this one isolates the offload
+replay layer.
 
-The second half pins the event-kernel *semantics* both cores must
-agree on: putter FIFO order under a full channel, getter wake order,
-``WaitProcess`` on an already-finished process, daemon-vs-deadlock
-classification, ``call_at`` vs process ordering at equal timestamps,
-and the ``run(until_ps=...)`` pause/resume contract (the popped
-over-horizon event must not be lost).
+The second half pins the event-kernel *semantics* of the one heap core
+in both of its dispatch loops — the specialized unbounded loop every
+replay run takes, and the general loop that ``until_ps`` /
+``max_events`` select: putter FIFO order under a full channel, getter
+wake order, ``WaitProcess`` on an already-finished process,
+daemon-vs-deadlock classification, ``call_at`` vs process ordering at
+equal timestamps, and the ``run(until_ps=...)`` pause/resume contract
+(the popped over-horizon event must not be lost).
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro import envcfg
 from repro.errors import DeadlockError
 from repro.events import (
     Channel,
@@ -31,40 +34,52 @@ from repro.events import (
     WaitProcess,
 )
 from repro.experiments.runner import BASELINE, PAPER_CONFIGS, ResultMatrix
-from repro.schedpath import ENV_VAR, sched_path_enabled
+from repro.obs.stats import OBS
+from repro.params import experiment_machine
+from repro.runtime import fastsim
+from repro.sim import simulate_workload
+from repro.workloads import ALL_WORKLOADS
 
 WORKLOADS = ("fdt", "bfs", "dis", "spmv")
 CONFIGS = (BASELINE,) + PAPER_CONFIGS
 
-#: both scheduler cores, by the Simulator(two_level=...) override
-CORES = (False, True)
+#: ``max_events`` guard that routes a run through the general dispatch
+#: loop without ever tripping
+EVENT_GUARD = 10**6
 
 
-def run_matrix_mode(monkeypatch, sched: bool):
-    monkeypatch.setenv(ENV_VAR, "1" if sched else "0")
-    assert sched_path_enabled() is sched
-    return ResultMatrix(
+def run_matrix_mode(monkeypatch, analytic: bool):
+    monkeypatch.delenv(envcfg.REPRO_REFERENCE.name, raising=False)
+    if not analytic:
+        monkeypatch.setattr(fastsim, "replay", lambda ctx: None)
+    before = OBS.counter("engine.fastsim_runs")
+    matrix = ResultMatrix(
         scale="tiny", workloads=WORKLOADS, configs=CONFIGS
     ).run_all()
+    replayed = OBS.counter("engine.fastsim_runs") - before
+    # the analytic side must actually replay runs, or the gate is vacuous
+    assert (replayed > 0) is analytic
+    monkeypatch.undo()
+    return matrix
 
 
 @pytest.fixture(scope="module")
 def both_engines():
     mp = pytest.MonkeyPatch()
     try:
-        sched = run_matrix_mode(mp, sched=True)
-        reference = run_matrix_mode(mp, sched=False)
+        analytic = run_matrix_mode(mp, analytic=True)
+        events_only = run_matrix_mode(mp, analytic=False)
     finally:
         mp.undo()
-    return sched, reference
+    return analytic, events_only
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("config", CONFIGS)
 def test_sched_engine_bit_identical(both_engines, workload, config):
-    sched, reference = both_engines
-    s = sched.results[(workload, config)]
-    r = reference.results[(workload, config)]
+    analytic, events_only = both_engines
+    s = analytic.results[(workload, config)]
+    r = events_only.results[(workload, config)]
     assert s.time_ps == r.time_ps
     assert s.insts == r.insts
     assert s.mem_ops == r.mem_ops
@@ -79,32 +94,39 @@ def test_sched_engine_bit_identical(both_engines, workload, config):
 
 
 def test_sched_path_defaults_on(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert sched_path_enabled() is True
-    assert Simulator()._two_level is True
+    """With ``REPRO_REFERENCE`` unset, offload runs try the analytic
+    replay first."""
+    calls = []
+    real_replay = fastsim.replay
 
+    def spy(ctx):
+        calls.append(ctx)
+        return real_replay(ctx)
 
-def test_sched_path_env_off(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "0")
-    assert sched_path_enabled() is False
-    assert Simulator()._two_level is False
-
-
-def test_explicit_core_overrides_env(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "0")
-    assert Simulator(two_level=True)._two_level is True
-    monkeypatch.setenv(ENV_VAR, "1")
-    assert Simulator(two_level=False)._two_level is False
+    monkeypatch.delenv(envcfg.REPRO_REFERENCE.name, raising=False)
+    monkeypatch.setattr(fastsim, "replay", spy)
+    result = simulate_workload(ALL_WORKLOADS["fdt"].build("tiny"),
+                               "dist_da_f", machine=experiment_machine())
+    assert result.validated
+    assert calls
 
 
 # ---------------------------------------------------------------------------
-# event-kernel semantics both cores must preserve
+# event-kernel semantics, in both dispatch loops of the heap core
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("two_level", CORES)
+def run(sim: Simulator, bounded: bool, **kwargs) -> int:
+    """``sim.run`` through the general loop when ``bounded``, else the
+    specialized unbounded loop (unless ``until_ps`` is given)."""
+    if bounded:
+        kwargs["max_events"] = EVENT_GUARD
+    return sim.run(**kwargs)
+
+
+@pytest.mark.parametrize("bounded", (False, True))
 class TestKernelSemantics:
-    def test_putter_fifo_under_full_channel(self, two_level):
+    def test_putter_fifo_under_full_channel(self, bounded):
         """Blocked putters are released in arrival order, one per slot."""
-        sim = Simulator(two_level=two_level)
+        sim = Simulator()
         ch = Channel(sim, capacity=1, name="narrow")
         log = []
 
@@ -121,7 +143,7 @@ class TestKernelSemantics:
         for tag in ("a", "b", "c", "d"):
             sim.spawn(f"put-{tag}", putter(tag))
         sim.spawn("cons", consumer())
-        sim.run()
+        run(sim, bounded)
         assert [e for e in log if e[0] == "got"] == [
             ("got", "a", 100), ("got", "b", 200),
             ("got", "c", 300), ("got", "d", 400),
@@ -132,9 +154,9 @@ class TestKernelSemantics:
             "a", "b", "c", "d",
         ]
 
-    def test_getter_wake_order(self, two_level):
+    def test_getter_wake_order(self, bounded):
         """Getters parked on an empty channel wake in arrival order."""
-        sim = Simulator(two_level=two_level)
+        sim = Simulator()
         ch = Channel(sim, name="feed")
         woke = []
 
@@ -150,13 +172,13 @@ class TestKernelSemantics:
         for tag in ("first", "second", "third"):
             sim.spawn(tag, getter(tag))
         sim.spawn("prod", producer())
-        sim.run()
+        run(sim, bounded)
         assert woke == [("first", 0), ("second", 1), ("third", 2)]
 
-    def test_wait_on_already_done_process(self, two_level):
+    def test_wait_on_already_done_process(self, bounded):
         """WaitProcess on a finished process resumes at the current time
         with the stored result."""
-        sim = Simulator(two_level=two_level)
+        sim = Simulator()
 
         def quick():
             yield Delay(10)
@@ -169,11 +191,11 @@ class TestKernelSemantics:
 
         target = sim.spawn("quick", quick())
         sim.spawn("waiter", waiter(target, out := []))
-        sim.run()
+        run(sim, bounded)
         assert out == [(42, 500)]
 
-    def test_daemon_may_block_forever(self, two_level):
-        sim = Simulator(two_level=two_level)
+    def test_daemon_may_block_forever(self, bounded):
+        sim = Simulator()
         ch = Channel(sim, name="sink")
 
         def server():
@@ -186,10 +208,10 @@ class TestKernelSemantics:
 
         sim.spawn("server", server(), daemon=True)
         sim.spawn("client", client())
-        assert sim.run() == 100  # no DeadlockError
+        assert run(sim, bounded) == 100  # no DeadlockError
 
-    def test_non_daemon_blocked_is_deadlock(self, two_level):
-        sim = Simulator(two_level=two_level)
+    def test_non_daemon_blocked_is_deadlock(self, bounded):
+        sim = Simulator()
         ch = Channel(sim, name="stuck")
 
         def starved():
@@ -197,11 +219,11 @@ class TestKernelSemantics:
 
         sim.spawn("starved", starved())
         with pytest.raises(DeadlockError, match=r"starved on get\(stuck\)"):
-            sim.run()
+            run(sim, bounded)
 
-    def test_call_at_vs_process_order_at_equal_time(self, two_level):
-        """Same-timestamp dispatch follows schedule order in both cores."""
-        sim = Simulator(two_level=two_level)
+    def test_call_at_vs_process_order_at_equal_time(self, bounded):
+        """Same-timestamp dispatch follows schedule order."""
+        sim = Simulator()
         log = []
 
         def sleeper():
@@ -211,16 +233,16 @@ class TestKernelSemantics:
         sim.call_at(100, lambda: log.append("cb-early"))
         sim.spawn("sleeper", sleeper())
         sim.call_at(100, lambda: log.append("cb-late"))
-        sim.run()
+        run(sim, bounded)
         # cb-early was enqueued first; the sleeper's wakeup is enqueued
         # when its Delay arms (dispatch at t=0, after cb-late's enqueue)
         assert log == ["cb-early", "cb-late", "proc"]
 
-    def test_run_until_does_not_lose_horizon_event(self, two_level):
+    def test_run_until_does_not_lose_horizon_event(self, bounded):
         """Regression: run(until_ps) used to pop the first over-horizon
         event and return without re-pushing it, so a resumed run lost
         the wakeup entirely."""
-        sim = Simulator(two_level=two_level)
+        sim = Simulator()
         log = []
 
         def sleeper():
@@ -228,97 +250,28 @@ class TestKernelSemantics:
             log.append(("woke", sim.now))
 
         sim.spawn("sleeper", sleeper())
-        assert sim.run(until_ps=50) == 50
+        assert run(sim, bounded, until_ps=50) == 50
         assert log == []  # paused before the wakeup, nothing lost
-        assert sim.run() == 100
+        assert run(sim, bounded) == 100
         assert log == [("woke", 100)]
 
-    def test_run_until_executes_events_at_horizon(self, two_level):
-        sim = Simulator(two_level=two_level)
+    def test_run_until_executes_events_at_horizon(self, bounded):
+        sim = Simulator()
         log = []
         sim.call_at(100, lambda: log.append("at"))
         sim.call_at(101, lambda: log.append("past"))
-        sim.run(until_ps=100)
+        run(sim, bounded, until_ps=100)
         assert log == ["at"]
-        sim.run()
+        run(sim, bounded)
         assert log == ["at", "past"]
 
-    def test_run_until_resume_preserves_order(self, two_level):
+    def test_run_until_resume_preserves_order(self, bounded):
         """Events beyond the horizon fire in original order on resume."""
-        sim = Simulator(two_level=two_level)
+        sim = Simulator()
         log = []
         for tag in ("x", "y", "z"):
             sim.call_at(200, lambda tag=tag: log.append(tag))
-        sim.run(until_ps=50)
+        run(sim, bounded, until_ps=50)
         assert log == []
-        sim.run()
+        run(sim, bounded)
         assert log == ["x", "y", "z"]
-
-
-def test_observability_counters():
-    """events_executed / peak_pending / fastforwards feed repro.obs."""
-    def pipeline(sim):
-        ch = Channel(sim, capacity=2, name="pipe")
-
-        def producer():
-            for i in range(8):
-                yield Delay(10)
-                yield Put(ch, i)
-
-        def consumer(out):
-            for _ in range(8):
-                out.append((yield Get(ch)))
-
-        sim.spawn("prod", producer())
-        sim.spawn("cons", consumer(out := []))
-        sim.run()
-        return out
-
-    ref = Simulator(two_level=False)
-    two = Simulator(two_level=True)
-    assert pipeline(ref) == pipeline(two) == list(range(8))
-    assert ref.events_executed > 0 and two.events_executed > 0
-    assert ref.peak_pending >= 1 and two.peak_pending >= 1
-    assert ref.fastforwards == 0  # reference core never fast-forwards
-    assert two.fastforwards > 0   # rendezvous/delay fast paths fired
-
-
-# ---------------------------------------------------------------------------
-# property: both cores produce identical timelines on random programs
-# ---------------------------------------------------------------------------
-@settings(deadline=None, max_examples=40)
-@given(
-    delays_p=st.lists(st.integers(min_value=0, max_value=50), min_size=1,
-                      max_size=8),
-    delays_c=st.lists(st.integers(min_value=0, max_value=50), min_size=1,
-                      max_size=8),
-    capacity=st.integers(min_value=1, max_value=3),
-)
-def test_cores_agree_on_random_pipelines(delays_p, delays_c, capacity):
-    def run(two_level):
-        sim = Simulator(two_level=two_level)
-        ch = Channel(sim, capacity=capacity, name="pipe")
-        log = []
-
-        def producer():
-            for i, d in enumerate(delays_p):
-                yield Delay(d)
-                yield Put(ch, i)
-                log.append(("put", i, sim.now))
-
-        def consumer():
-            for i in range(len(delays_p)):
-                yield Delay(delays_c[i % len(delays_c)])
-                item = yield Get(ch)
-                log.append(("got", item, sim.now))
-
-        sim.spawn("prod", producer())
-        sim.spawn("cons", consumer())
-        end = sim.run()
-        return log, end, sim.events_executed
-
-    ref_log, ref_end, ref_events = run(False)
-    two_log, two_end, two_events = run(True)
-    assert two_log == ref_log
-    assert two_end == ref_end
-    assert two_events == ref_events

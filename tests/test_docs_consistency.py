@@ -21,3 +21,36 @@ def test_architecture_doc_exists_and_is_linked():
     arch = REPO / "docs" / "ARCHITECTURE.md"
     assert arch.exists()
     assert "docs/ARCHITECTURE.md" in (REPO / "README.md").read_text()
+
+
+def _checker():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("check_docs", CHECKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_docs_may_not_name_unread_env_vars():
+    """A README/docs row for a variable nothing reads is flagged."""
+    check = _checker()
+    problems = check.unread_env_vars(
+        {"README.md": "| `REPRO_JOBS` | ... |\n| `REPRO_GONE` | ... |",
+         "docs/ARCHITECTURE.md": "set `REPRO_JOBS=2`"},
+        read={"REPRO_JOBS"},
+    )
+    assert problems == [
+        "README.md names REPRO_GONE, which no file under src, "
+        "benchmarks, tools reads",
+    ]
+    assert check.check_documented_env_vars() == []
+
+
+def test_architecture_may_not_name_missing_modules():
+    """A row for a deleted module is flagged; every root resolves."""
+    check = _checker()
+    text = ("`sim/system.py`, `repro/envcfg.py`, `tools/check_docs.py`, "
+            "`gone.py` and `mem/also_gone.py`")
+    assert check.missing_py_paths(text) == ["gone.py", "mem/also_gone.py"]
+    assert check.check_architecture_paths() == []

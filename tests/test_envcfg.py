@@ -20,27 +20,25 @@ class TestRegistry:
     def test_call_site_names_preserved(self):
         """Legacy import surfaces still expose the env-var names."""
         from repro.analysis.verifier import OPT_OUT_ENV
-        from repro.fastpath import ENV_VAR
 
-        assert ENV_VAR == envcfg.REPRO_FAST.name
         assert OPT_OUT_ENV == envcfg.REPRO_NO_VERIFY.name
 
 
 class TestAccessors:
     def test_get_bool_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST", raising=False)
-        assert envcfg.get_bool(envcfg.REPRO_FAST, True) is True
-        assert envcfg.get_bool(envcfg.REPRO_FAST, False) is False
+        monkeypatch.delenv("REPRO_REFERENCE", raising=False)
+        assert envcfg.get_bool(envcfg.REPRO_REFERENCE, True) is True
+        assert envcfg.get_bool(envcfg.REPRO_REFERENCE, False) is False
 
     @pytest.mark.parametrize("raw", ["0", "false", "OFF", " no "])
     def test_get_bool_falsy_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_FAST", raw)
-        assert envcfg.get_bool(envcfg.REPRO_FAST, True) is False
+        monkeypatch.setenv("REPRO_REFERENCE", raw)
+        assert envcfg.get_bool(envcfg.REPRO_REFERENCE, True) is False
 
     @pytest.mark.parametrize("raw", ["1", "true", "yes", "anything"])
     def test_get_bool_truthy_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_FAST", raw)
-        assert envcfg.get_bool(envcfg.REPRO_FAST, False) is True
+        monkeypatch.setenv("REPRO_REFERENCE", raw)
+        assert envcfg.get_bool(envcfg.REPRO_REFERENCE, False) is True
 
     def test_get_int(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -57,16 +55,18 @@ class TestAccessors:
         assert envcfg.get_path(envcfg.REPRO_TRACE_SPILL) == "/tmp/x"
 
     def test_reads_happen_at_call_time(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST", "1")
-        assert envcfg.fast_path_enabled()
-        monkeypatch.setenv("REPRO_FAST", "0")
-        assert not envcfg.fast_path_enabled()
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
+        assert envcfg.reference_enabled()
+        monkeypatch.setenv("REPRO_REFERENCE", "0")
+        assert not envcfg.reference_enabled()
 
 
 class TestDerivedKnobs:
     def test_fast_path_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST", raising=False)
-        assert envcfg.fast_path_enabled()
+        """The production (fast) path is the default: the reference
+        switch is off unless set."""
+        monkeypatch.delenv("REPRO_REFERENCE", raising=False)
+        assert not envcfg.reference_enabled()
 
     def test_verification_opt_out(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_VERIFY", raising=False)

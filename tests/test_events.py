@@ -331,3 +331,76 @@ class TestCallbacks:
         sim.spawn("p", proc())
         sim.run()
         assert fired == [250]
+
+
+def test_observability_counters():
+    """events_executed / peak_pending feed repro.obs: one event per
+    process resume, and the heap depth high-water mark."""
+    sim = Simulator()
+    ch = Channel(sim, capacity=2, name="pipe")
+
+    def producer():
+        for i in range(8):
+            yield Delay(10)
+            yield Put(ch, i)
+
+    def consumer(out):
+        for _ in range(8):
+            out.append((yield Get(ch)))
+
+    sim.spawn("prod", producer())
+    sim.spawn("cons", consumer(out := []))
+    sim.run()
+    assert out == list(range(8))
+    # producer: spawn + 8 x (Delay wakeup, Put resume) = 17;
+    # consumer: spawn + 8 Get resumes = 9
+    assert sim.events_executed == 26
+    assert sim.peak_pending == 2  # both spawns, before the first dispatch
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    delays_p=st.lists(st.integers(min_value=0, max_value=50), min_size=1,
+                      max_size=8),
+    delays_c=st.lists(st.integers(min_value=0, max_value=50), min_size=1,
+                      max_size=8),
+    capacity=st.integers(min_value=1, max_value=3),
+)
+def test_random_pipelines_match_recurrence(delays_p, delays_c, capacity):
+    """Property: a producer/consumer pair over a bounded channel follows
+    the marked-graph recurrence exactly — put ``i`` completes once item
+    ``i - capacity`` has been taken, get ``i`` once item ``i`` was put."""
+    n = len(delays_p)
+    sim = Simulator()
+    ch = Channel(sim, capacity=capacity, name="pipe")
+    puts, gets = [], []
+
+    def producer():
+        for i, d in enumerate(delays_p):
+            yield Delay(d)
+            yield Put(ch, i)
+            puts.append((i, sim.now))
+
+    def consumer():
+        for i in range(n):
+            yield Delay(delays_c[i % len(delays_c)])
+            item = yield Get(ch)
+            gets.append((item, sim.now))
+
+    sim.spawn("prod", producer())
+    sim.spawn("cons", consumer())
+    end = sim.run()
+
+    put_t, got_t = [0] * n, [0] * n
+    t_p = t_c = 0
+    for i in range(n):
+        t_p += delays_p[i]
+        if i >= capacity:
+            t_p = max(t_p, got_t[i - capacity])
+        put_t[i] = t_p
+        t_c = max(t_c + delays_c[i % len(delays_c)], put_t[i])
+        got_t[i] = t_c
+    assert puts == list(enumerate(put_t))
+    assert gets == list(enumerate(got_t))
+    assert end == max(put_t[-1], got_t[-1])
+    assert ch.max_occupancy <= capacity

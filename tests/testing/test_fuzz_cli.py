@@ -74,7 +74,7 @@ class TestFailingRuns:
         report = json.loads(report_path.read_text())
         assert report["ok"] is False
         assert report["failures"]
-        assert all(f["check"] == "fast-vs-scalar"
+        assert all(f["check"] == "production-vs-reference"
                    for f in report["failures"])
         entries = sorted(corpus.glob("*.json"))
         assert len(entries) == len(report["corpus_entries"]) == 2

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.testing import SHAPES, DifferentialOracle, check_case, generate_case
+from repro.params import experiment_machine
+from repro.sim import simulate_workload
+from repro.testing import SHAPES, check_case, generate_case
 
 
 class TestCleanCases:
@@ -22,11 +24,12 @@ class TestCleanCases:
 
 class TestInjectedFaults:
     def test_perturbed_batch_counter_is_caught(self, monkeypatch):
-        """A fast-path-only perturbation must trip the cross-path oracle.
+        """A production-only perturbation must trip the cross-path
+        oracle.
 
-        ``host_access_batch`` only runs under ``REPRO_FAST=1``; inflating
-        its returned stall cycles makes the batched replay's timing
-        diverge from the scalar reference on the OoO baseline.
+        ``host_access_batch`` never runs under ``REPRO_REFERENCE=1``;
+        inflating its returned stall cycles makes the production
+        replay's timing diverge from the reference on the OoO baseline.
         """
         real = MemoryHierarchy.host_access_batch
 
@@ -38,28 +41,38 @@ class TestInjectedFaults:
             generate_case(21, shape="elementwise"), paths=("ooo",)
         )
         assert not report.ok
-        assert any(f.check == "fast-vs-scalar" for f in report.failures)
+        assert any(f.check == "production-vs-reference"
+                   for f in report.failures)
         assert any("time_ps" in f.message for f in report.failures)
 
     def test_fault_invisible_without_fast_mode(self, monkeypatch):
-        """The scalar-only oracle cannot see a fast-path fault — the
+        """The reference side alone cannot see a fast-path fault — the
         divergence really is cross-path, not a broken case."""
+        case = generate_case(21, shape="elementwise")
+
+        def reference_run():
+            r = simulate_workload(case.instance(), "ooo",
+                                  machine=experiment_machine())
+            return r.time_ps, r.validated, r.energy.counts()
+
         real = MemoryHierarchy.host_access_batch
 
         def perturbed(self, addrs, is_write, stream_ids):
             return real(self, addrs, is_write, stream_ids) + 1000
 
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
+        clean = reference_run()
         monkeypatch.setattr(MemoryHierarchy, "host_access_batch", perturbed)
-        oracle = DifferentialOracle(paths=("ooo",), modes=(False,))
-        report = oracle.check_case(generate_case(21, shape="elementwise"))
-        assert report.ok, [f.format() for f in report.failures]
+        assert reference_run() == clean
 
     def test_broken_functional_result_is_caught(self, monkeypatch):
         """Corrupting replayed output arrays fails output validation.
 
-        The first (config, mode) cell records the functional trace; every
-        later cell replays it through ``TraceCache.get``, so corrupting
-        the entry there breaks exactly the replayed cells' outputs.
+        On each side (production, reference) the first config records
+        the functional trace and every later config replays it through
+        ``TraceCache.get``, so corrupting the entry there breaks exactly
+        the replayed cells' outputs. Two configs give each side one
+        replayed cell.
         """
         from repro.sim.tracecache import TraceCache
 
@@ -75,7 +88,8 @@ class TestInjectedFaults:
 
         monkeypatch.setattr(TraceCache, "get", corrupting_get)
         report = check_case(
-            generate_case(21, shape="elementwise"), paths=("ooo",)
+            generate_case(21, shape="elementwise"),
+            paths=("ooo", "dist_da_f"),
         )
         assert not report.ok
         assert any(f.check == "outputs-validate" for f in report.failures)

@@ -15,7 +15,8 @@ from repro.testing import (
 
 @pytest.fixture
 def fast_path_fault(monkeypatch):
-    """Perturb the batched host-access stall counter (REPRO_FAST=1 only)."""
+    """Perturb the batched host-access stall counter (production path
+    only)."""
     real = MemoryHierarchy.host_access_batch
 
     def perturbed(self, addrs, is_write, stream_ids):
@@ -70,7 +71,8 @@ class TestFaultToCorpus:
         # the deserialized repro still reproduces the failure...
         report = oracle.check_case(replayed)
         assert not report.ok
-        assert any(f.check == "fast-vs-scalar" for f in report.failures)
+        assert any(f.check == "production-vs-reference"
+                   for f in report.failures)
 
     def test_repro_passes_once_fault_removed(self, tmp_path):
         """...and the same bytes pass once the fault is gone (the corpus

@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
 """Docs-consistency checker (CI gate; also run as a pytest).
 
-Two invariants keep the documentation layer honest:
+These invariants keep the documentation layer honest, in both
+directions (code is documented, and docs name only what exists):
 
 1. Every module under ``src/repro/`` is named in ``docs/ARCHITECTURE.md``
    — a module file as its relative path (``sim/system.py``), a package's
-   ``__init__.py`` as its directory prefix (``sim/``).
+   ``__init__.py`` as its directory prefix (``sim/``) — and every
+   ``.py`` path ``docs/ARCHITECTURE.md`` names exists (relative to the
+   repo root, ``src/`` or ``src/repro/``).
 2. Every ``REPRO_*`` environment variable referenced anywhere under
    ``src/repro/`` is declared in :mod:`repro.envcfg` and documented in
    the README's environment-variable table (name, default and pinning
-   tests all present).
+   tests all present); and README.md and ``docs/`` name no ``REPRO_*``
+   variable that no Python file under ``src/``, ``benchmarks/`` or
+   ``tools/`` reads.
 3. Every builtin machine document and every machine-schema field
    (:func:`repro.machine.schema.schema_fields`) is documented in the
    README's machine-description section.
@@ -37,6 +42,10 @@ README = REPO / "README.md"
 # trailing [A-Z0-9]: docstrings refer to the variable family as
 # ``REPRO_SERVE_*``, which is a glob, not a variable name
 ENV_RE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
+PY_PATH_RE = re.compile(r"[\w./-]+\.py\b")
+
+#: trees whose Python files count as readers of a ``REPRO_*`` variable
+READER_DIRS = ("src", "benchmarks", "tools")
 
 
 def module_tokens() -> list[str]:
@@ -64,11 +73,45 @@ def check_architecture() -> list[str]:
     ]
 
 
-def env_vars_in_source() -> set[str]:
+def missing_py_paths(text: str) -> list[str]:
+    """``.py`` paths named in ``text`` that exist under no doc root."""
+    roots = (REPO, REPO / "src", SRC)
+    return [path for path in sorted(set(PY_PATH_RE.findall(text)))
+            if not any((root / path).is_file() for root in roots)]
+
+
+def check_architecture_paths() -> list[str]:
+    return [
+        f"docs/ARCHITECTURE.md names `{path}`, which does not exist"
+        for path in missing_py_paths(ARCH.read_text(encoding="utf-8"))
+    ]
+
+
+def env_vars_in(paths) -> set[str]:
     found = set()
-    for path in SRC.rglob("*.py"):
+    for path in paths:
         found |= set(ENV_RE.findall(path.read_text(encoding="utf-8")))
     return found
+
+
+def unread_env_vars(docs: dict[str, str], read: set[str]) -> list[str]:
+    """``REPRO_*`` names each document in ``docs`` (name -> text) uses
+    that are missing from ``read``."""
+    return [
+        f"{doc} names {name}, which no file under "
+        f"{', '.join(READER_DIRS)} reads"
+        for doc, text in sorted(docs.items())
+        for name in sorted(set(ENV_RE.findall(text)) - read)
+    ]
+
+
+def check_documented_env_vars() -> list[str]:
+    read = env_vars_in(path for top in READER_DIRS
+                       for path in (REPO / top).rglob("*.py"))
+    docs = [README, *sorted((REPO / "docs").rglob("*.md"))]
+    return unread_env_vars(
+        {d.relative_to(REPO).as_posix(): d.read_text(encoding="utf-8")
+         for d in docs}, read)
 
 
 def check_env_vars() -> list[str]:
@@ -77,7 +120,7 @@ def check_env_vars() -> list[str]:
 
     problems = []
     declared = {v.name for v in envcfg.ENV_VARS}
-    for name in sorted(env_vars_in_source() - declared):
+    for name in sorted(env_vars_in(SRC.rglob("*.py")) - declared):
         problems.append(f"{name} is read in src/ but not declared in "
                         f"repro/envcfg.py")
 
@@ -149,7 +192,8 @@ def check_service_docs() -> list[str]:
 
 
 def main() -> int:
-    problems = (check_architecture() + check_env_vars()
+    problems = (check_architecture() + check_architecture_paths()
+                + check_env_vars() + check_documented_env_vars()
                 + check_machine_docs() + check_service_docs())
     for p in problems:
         print(f"check_docs: {p}", file=sys.stderr)
