@@ -7,12 +7,18 @@ operation. This module compiles such a nest into straight-line Python
 source that mirrors :class:`~repro.ir.interp.Interpreter` semantics
 *operation for operation* — same evaluation order, same Python-number
 arithmetic (``_apply_binop`` inlined per static operand type), same
-dtype casts through the backing numpy array, same trace tuples, same
-``InterpreterError`` messages at the same dynamic points — then runs
-the generated function instead of the tree walk. Operation counts and
-iteration maps are folded into closed form per basic block, so the
-generated loop body only pays for loads, stores, arithmetic, and trace
-appends.
+dtype casts through the backing numpy array, same program-order
+accesses, same ``InterpreterError`` messages at the same dynamic
+points — then runs the generated function instead of the tree walk.
+Operation counts and iteration maps are folded into closed form per
+basic block, so the generated loop body only pays for loads, stores,
+arithmetic, and trace appends.
+
+The trace is recorded as two int columns, not as per-access tuples:
+each access appends its static site id and its element index. A site's
+object and read/write direction are compile-time constants, kept in a
+per-nest site table that expands the columns into the nest's columnar
+trace segment after the run.
 
 Anything whose scalar semantics the generator cannot reproduce
 verbatim (reads of conditionally-assigned temps, shadowed loop
@@ -123,7 +129,8 @@ class _Block:
         self.indent = indent
         # int/float/complex ops, loads, stores, loop_overhead
         self.counts = [0, 0, 0, 0, 0, 0]
-        self.objs: Dict[str, int] = {}
+        # per-object access counts, keyed by the object's counter slot
+        self.objs: Dict[int, int] = {}
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
@@ -131,7 +138,7 @@ class _Block:
     def count_bundle(self) -> List[str]:
         names = ("cI", "cF", "cC", "cLD", "cST", "cLP")
         return [f"{n} += {v}" for n, v in zip(names, self.counts) if v] + [
-            f"ac_{_obj_slot(o)} += {v}" for o, v in self.objs.items() if v
+            f"ac_{o} += {v}" for o, v in self.objs.items() if v
         ]
 
     def fold_scaled(self, parent: "_Block", trip: str) -> None:
@@ -143,15 +150,7 @@ class _Block:
                 parent.emit(f"{n} += {v} * {trip}")
         for o, v in self.objs.items():
             if v:
-                parent.emit(f"ac_{_obj_slot(o)} += {v} * {trip}")
-
-
-_obj_slots: Dict[str, int] = {}
-
-
-def _obj_slot(obj: str) -> int:
-    # per-compilation slot table; reset by _NestCompiler
-    return _obj_slots[obj]
+                parent.emit(f"ac_{o} += {v} * {trip}")
 
 
 class _NestCompiler:
@@ -172,8 +171,11 @@ class _NestCompiler:
         self.blocks: List[_Block] = []
         self.tmp_n = 0
         self.loop_n = 0
-        # name tables (deterministic orders for the result fold)
+        # name tables (deterministic orders for the result fold); an
+        # object's counter slot is its position in obj_order
         self.obj_order: List[str] = []
+        # site table: static site id -> (object, is_write)
+        self.sites: Dict[int, Tuple[str, bool]] = {}
         self.var_order: List[str] = []
         self.inner_keys: List[int] = []
         # scoping
@@ -198,10 +200,18 @@ class _NestCompiler:
         self.b.emit(f"{v} = {code}")
         return v, typ
 
-    def note_obj(self, obj: str) -> None:
-        if obj not in _obj_slots:
-            _obj_slots[obj] = len(_obj_slots)
+    def note_obj(self, obj: str) -> int:
+        """Counter slot of ``obj`` (allocated on first use)."""
+        if obj not in self.obj_order:
             self.obj_order.append(obj)
+        return self.obj_order.index(obj)
+
+    def record(self, node, obj: str, idx: str, is_write: bool) -> None:
+        """Emit the trace append of one access of ``obj`` at ``idx``."""
+        site = self.site_ids[id(node)]
+        self.sites[site] = (obj, is_write)
+        self.b.emit(f"_ts({site})")
+        self.b.emit(f"_ti({idx})")
 
     def dtype_of(self, obj: str) -> np.dtype:
         arr = self.arrays.get(obj)
@@ -248,7 +258,7 @@ class _NestCompiler:
 
     def load(self, e: Load) -> Tuple[str, str]:
         dt = self.dtype_of(e.obj)
-        self.note_obj(e.obj)
+        slot = self.note_obj(e.obj)
         idx = self.index_of(e.index)
         size = self.arrays[e.obj].size
         self.b.emit(
@@ -257,11 +267,9 @@ class _NestCompiler:
             f"(size {size})\")"
         )
         self.b.counts[3] += 1
-        self.b.objs[e.obj] = self.b.objs.get(e.obj, 0) + 1
+        self.b.objs[slot] = self.b.objs.get(slot, 0) + 1
         if self.record_trace:
-            self.b.emit(
-                f"_ta(({self.site_ids[id(e)]}, {e.obj!r}, {idx}, False))"
-            )
+            self.record(e, e.obj, idx, False)
         v = self.fresh()
         self.b.emit(f"{v} = lst_{_ident(e.obj)}[{idx}]")
         return v, _FLT if dt.kind == "f" else _INT
@@ -421,7 +429,7 @@ class _NestCompiler:
 
     def store(self, s: Store) -> None:
         dt = self.dtype_of(s.obj)
-        self.note_obj(s.obj)
+        slot = self.note_obj(s.obj)
         idx = self.index_of(s.index)
         code, typ = self.expr(s.value)
         val, _ = self.hoist(code, typ)
@@ -441,11 +449,9 @@ class _NestCompiler:
             else:
                 self.b.emit(f"lst_{o}[{idx}] = arr_{o}[{idx}].item()")
         self.b.counts[4] += 1
-        self.b.objs[s.obj] = self.b.objs.get(s.obj, 0) + 1
+        self.b.objs[slot] = self.b.objs.get(slot, 0) + 1
         if self.record_trace:
-            self.b.emit(
-                f"_ta(({self.site_ids[id(s)]}, {s.obj!r}, {idx}, True))"
-            )
+            self.record(s, s.obj, idx, True)
 
     def when(self, s: When) -> None:
         cc, _ct = self.expr(s.cond)
@@ -528,14 +534,13 @@ class _NestCompiler:
 
     # -- whole nest ------------------------------------------------------
     def compile(self) -> Tuple[str, dict]:
-        _obj_slots.clear()
         root = _Block(1)
         self.blocks = [root]
         self.loop(self.nest)
         for line in root.count_bundle():
             root.emit(line)
 
-        prelude: List[str] = ["def _nest(arrays, scalars, trace):"]
+        prelude: List[str] = ["def _nest(arrays, scalars, tsite, tidx):"]
         e = prelude.append
         for obj in self.obj_order:
             o = _ident(obj)
@@ -545,19 +550,20 @@ class _NestCompiler:
         for name, _t in sorted(self.scalar_types.items()):
             e(f"    S_{_ident(name)} = scalars[{name!r}]")
         if self.record_trace:
-            e("    _ta = trace.append")
+            e("    _ts = tsite.append")
+            e("    _ti = tidx.append")
         e("    cI = cF = cC = cLD = cST = cLP = 0")
         for v in self.var_order:
             e(f"    ic_{_ident(v)} = it_{_ident(v)} = 0")
         for key in self.inner_keys:
             e(f"    inv_{key} = itr_{key} = 0")
-        for obj in self.obj_order:
-            e(f"    ac_{_obj_slots[obj]} = 0")
+        for slot in range(len(self.obj_order)):
+            e(f"    ac_{slot} = 0")
         lines = prelude + root.lines
         ret_iters = ", ".join(
             f"ic_{_ident(v)}, it_{_ident(v)}" for v in self.var_order
         )
-        ret_objs = ", ".join(f"ac_{_obj_slots[o]}" for o in self.obj_order)
+        ret_objs = ", ".join(f"ac_{j}" for j in range(len(self.obj_order)))
         ret_inner = ", ".join(f"inv_{k}, itr_{k}" for k in self.inner_keys)
         lines.append(
             f"    return (cI, cF, cC, cLD, cST, cLP, "
@@ -569,6 +575,7 @@ class _NestCompiler:
             "vars": list(self.var_order),
             "objs": list(self.obj_order),
             "inner_keys": list(self.inner_keys),
+            "sites": dict(self.sites),
         }
         return "\n".join(lines), meta
 
@@ -583,9 +590,18 @@ def _ident(name: str) -> str:
 # runtime wrapper
 # ---------------------------------------------------------------------------
 class _Compiled:
-    """A compiled nest: the generated function plus fold metadata."""
+    """A compiled nest: the generated function, its result-fold metadata
+    and its site table.
 
-    __slots__ = ("fn", "vars", "objs", "inner_keys", "source")
+    The generated function appends each access's static site id and
+    element index to two int lists. The site table maps a site to its
+    object's id among the sorted :attr:`trace_names` (``site_obj``) and
+    to its direction (``site_write``), which expands the two columns
+    into the nest's trace segment.
+    """
+
+    __slots__ = ("fn", "vars", "objs", "inner_keys", "source",
+                 "site_obj", "site_write", "trace_names")
 
     def __init__(self, fn, meta: dict, source: str):
         self.fn = fn
@@ -593,9 +609,23 @@ class _Compiled:
         self.objs = meta["objs"]
         self.inner_keys = meta["inner_keys"]
         self.source = source
+        sites = meta["sites"]
+        self.trace_names = tuple(sorted({o for o, _ in sites.values()}))
+        local = {name: j for j, name in enumerate(self.trace_names)}
+        size = max(sites, default=-1) + 1
+        self.site_obj = np.zeros(size, dtype=np.int16)
+        self.site_write = np.zeros(size, dtype=bool)
+        for site, (obj, is_write) in sites.items():
+            self.site_obj[site] = local[obj]
+            self.site_write[site] = is_write
 
-    def execute(self, state: _State) -> None:
-        res = self.fn(state.arrays, state.scalars, state.trace)
+    def execute(self, state: _State) -> Optional[Tuple]:
+        """Run the nest on ``state``. Returns its trace segment
+        ``(site, obj, idx, is_write, names)`` with ``obj`` indexing
+        ``names``, or None when the nest recorded no access."""
+        tsite: List[int] = []
+        tidx: List[int] = []
+        res = self.fn(state.arrays, state.scalars, tsite, tidx)
         (cI, cF, cC, cLD, cST, cLP, iters, objs, inner) = res
         c = state.counts
         c.int_ops += cI
@@ -624,6 +654,11 @@ class _Compiled:
                 ii[key] = ii.get(key, 0) + itr
                 total += itr
         state.inner_iterations += total
+        if not tsite:
+            return None
+        site = np.array(tsite, dtype=np.int32)
+        return (site, self.site_obj[site], np.array(tidx, dtype=np.int64),
+                self.site_write[site], self.trace_names)
 
 
 _EXEC_GLOBALS = {
@@ -688,8 +723,12 @@ def compiled_nest(kernel: Kernel, nest_index: int, state: _State,
         hash(key)
     except TypeError:
         return None
-    if key in _cache:
+    # a single lookup: another thread may clear the cache between a
+    # membership test and a read
+    try:
         return _cache[key]
+    except KeyError:
+        pass
     if len(_cache) >= _CACHE_CAP:
         _cache.clear()
     compiled: Optional[_Compiled]

@@ -8,6 +8,12 @@ of per-access tuples: entries are ~5x smaller, slicing and per-object
 address math vectorize, and pickling is a few buffer copies instead of
 millions of tuple constructions.
 
+The production interpreter builds the columns directly: vectorized
+nests emit whole-loop index columns and compiled fallback nests record
+a site column and an index column. Only the tree-walking interpreter
+still records per-access :class:`~repro.ir.interp.MemAccess` tuples,
+and :meth:`ColumnarTrace.from_records` converts those.
+
 :class:`ColumnarTrace` keeps full sequence compatibility with the
 historical ``List[MemAccess]`` representation — iteration, indexing and
 equality all speak :class:`~repro.ir.interp.MemAccess` — so the scalar

@@ -762,7 +762,9 @@ class VecInterpreter:
             trace=[] if self.record_trace else None,
         )
         innermost = {id(l) for l in kernel.innermost_loops()}
-        segments: List[Tuple[str, object]] = []
+        # one (site, obj, idx, is_write, names) column segment per nest
+        # that recorded accesses, in program order
+        segments: List[Tuple] = []
         for nest_index, loop in enumerate(kernel.loops):
             nest = _NestRun(state, site_ids, loop_ids, innermost,
                             self.record_trace)
@@ -770,24 +772,22 @@ class VecInterpreter:
                 seg = nest.execute(loop)
             except _Fallback:
                 self.fallback_nests += 1
-                mark = len(state.trace) if state.trace is not None else 0
                 jit = nestjit.compiled_nest(kernel, nest_index, state,
                                             self.record_trace)
                 if jit is not None:
                     self.jit_nests += 1
-                    jit.execute(state)
+                    seg = jit.execute(state)
                 else:
                     scalar._run_loop(loop, state, {}, innermost)
-                if state.trace is not None and len(state.trace) > mark:
-                    segments.append(("records", (mark, len(state.trace))))
-                continue
-            self.vectorized_nests += 1
+                    seg = self._take_records(state)
+            else:
+                self.vectorized_nests += 1
             if seg is not None:
-                segments.append(("cols", seg))
+                segments.append(seg)
         return InterpResult(
             counts=state.counts,
             arrays=arrays,
-            trace=(self._merge_trace(segments, state)
+            trace=(self._merge_trace(segments)
                    if self.record_trace else None),
             iterations=dict(state.iterations),
             accesses_per_object=dict(state.obj_accesses),
@@ -798,19 +798,19 @@ class VecInterpreter:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _merge_trace(segments: List[Tuple[str, object]],
-                     state: _State) -> ColumnarTrace:
-        if not segments:
+    def _take_records(state: _State) -> Optional[Tuple]:
+        """The tree walker's records of one nest as a column segment
+        (None when it recorded nothing); empties ``state.trace``."""
+        if not state.trace:
+            return None
+        ct = ColumnarTrace.from_records(state.trace)
+        state.trace.clear()
+        return ct.site, ct.obj_id, ct.idx, ct.is_write, ct.obj_names
+
+    @staticmethod
+    def _merge_trace(parts: List[Tuple]) -> ColumnarTrace:
+        if not parts:
             return ColumnarTrace.empty()
-        parts = []  # (site, obj_local, idx, w, local_names)
-        for kind, payload in segments:
-            if kind == "cols":
-                parts.append(payload)
-            else:
-                lo, hi = payload
-                ct = ColumnarTrace.from_records(state.trace[lo:hi])
-                parts.append((ct.site, ct.obj_id, ct.idx, ct.is_write,
-                              ct.obj_names))
         all_names = sorted({n for p in parts for n in p[4]})
         name_id = {n: i for i, n in enumerate(all_names)}
         remapped = []

@@ -214,6 +214,34 @@ class TestVectorizationCoverage:
         assert vi.vectorized_nests == 1
         assert vi.fallback_nests == 1
 
+    def test_three_trace_origins_merge_in_program_order(self):
+        # one nest per trace origin: vectorized columns, nestjit's
+        # site/index columns, and the tree walker's records (nestjit
+        # declines the non-finite constant). Objects are first used in
+        # the reverse of their sorted order (Z, R, T, M), so every
+        # segment's local object ids must be remapped to merge
+        n = 16
+        Z = MemObject("Z", n, FLOAT64)
+        R = MemObject("R", n, FLOAT64)
+        T = MemObject("T", 1, FLOAT64)
+        M = MemObject("M", 1, FLOAT64)
+        i, j, m = LoopVar("i"), LoopVar("j"), LoopVar("m")
+        k = Kernel(
+            "origins", {"Z": Z, "R": R, "T": T, "M": M},
+            [
+                Loop("i", 0, n, [R.store(i, Z[i] * 2.0)]),
+                Loop("j", 0, n, [T.store(0, T[0] + R[j] * Z[j])]),
+                Loop("m", 0, n, [
+                    M.store(0, M[0].min(R[m]).min(Const(float("inf")))),
+                ]),
+            ],
+            outputs=["R", "T", "M"],
+        )
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert vi.vectorized_nests == 1
+        assert vi.fallback_nests == 2
+        assert vi.jit_nests == 1
+
     def test_guarded_and_nested_identity(self):
         n = 12
         A = MemObject("A", n * n, FLOAT64)
