@@ -201,57 +201,18 @@ class Cache:
                 dirty_count += 1
         return dirty_count
 
-    # -- set-level vectorized walk (production path) -------------------------
+    # -- set-major batch walk (production path) ------------------------------
     #
     # The per-access LRU transition is stateful *within* a set but
-    # independent *across* sets, so a batch of accesses can be advanced
-    # in "waves": each wave takes the first still-pending access of
-    # every set — all distinct sets, hence independent — and applies the
-    # whole wave's transitions as numpy integer ops on a dense
-    # [num_sets, ways] image of the tag/dirty state. Program order
-    # within a set is preserved by construction (wave w serves each
-    # set's w-th pending access), and the dense image round-trips
-    # exactly through the ordered-dict representation, so the walk is
-    # bit-identical to per-access `access()` calls — counters, LRU
-    # order, dirty bits and victims alike.
-
-    #: a batch whose busiest set concentrates more than this many
-    #: accesses (and dominates the batch) degenerates into ~one access
-    #: per wave; the scalar loop is faster there
-    _WAVE_FALLBACK_COUNT = 32
-
-    #: waves narrower than this pay more in per-wave numpy setup than
-    #: the scalar loop costs; the batch walk switches to scalar for the
-    #: tail once wave width drops below it (wave widths only shrink)
-    _WAVE_MIN_VEC = 24
-
-    def _export_state(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense [num_sets, ways] image of (tags, dirty).
-
-        Valid entries are right-aligned with column order == LRU order
-        (column ``ways-1`` is MRU); empty slots hold tag -1 on the left.
-        Right-alignment makes the miss transition uniform: shifting left
-        evicts column 0, which is the true LRU when the set is full and
-        an empty slot otherwise.
-        """
-        tags = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
-        dirty = np.zeros((self.num_sets, self.ways), dtype=bool)
-        for set_idx, cset in enumerate(self._sets):
-            k = len(cset)
-            if k:
-                tags[set_idx, self.ways - k:] = list(cset.keys())
-                dirty[set_idx, self.ways - k:] = list(cset.values())
-        return tags, dirty
-
-    def _import_state(self, tags: np.ndarray, dirty: np.ndarray) -> None:
-        """Rebuild the ordered-dict sets from a dense image."""
-        sets = self._sets
-        for set_idx in range(self.num_sets):
-            row_tags = tags[set_idx]
-            valid = row_tags != -1
-            sets[set_idx] = dict(zip(
-                row_tags[valid].tolist(), dirty[set_idx][valid].tolist()
-            ))
+    # independent *across* sets, so a batch can be replayed one set at a
+    # time: a stable sort by set keeps each set's accesses in program
+    # order, and the set's dict stays in a local for its whole run. After
+    # the first access of a set-local run of one line, that line is the
+    # set's MRU entry and accesses to other sets cannot move it, so every
+    # later access of the run is a hit whose only effect is OR-ing in its
+    # dirty bit: one lookup serves the run. The walk is bit-identical to
+    # per-access `access()` calls — counters, LRU order, dirty bits and
+    # victims alike.
 
     def access_batch(self, lines: np.ndarray, make_dirty: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,176 +222,65 @@ class Cache:
         order; ``make_dirty`` is the per-access dirty contribution (the
         hit/miss outcome and LRU movement never depend on it). Returns
         ``(hit, victim_line, victim_dirty)`` aligned with the inputs,
-        with ``victim_line == -1`` where nothing was evicted. Counter
-        updates (accesses/hits/misses/writebacks) match per-access
-        ``access()`` calls exactly.
+        with ``victim_line == -1`` where no dirty line was evicted.
+        Counter updates (accesses/hits/misses/writebacks) match
+        per-access ``access()`` calls exactly.
         """
         n = len(lines)
-        hit = np.zeros(n, dtype=bool)
+        hit = np.ones(n, dtype=bool)
         victim_line = np.full(n, -1, dtype=np.int64)
         victim_dirty = np.zeros(n, dtype=bool)
         if n == 0:
             return hit, victim_line, victim_dirty
-        set_idx = lines % self.num_sets
-        new_tags = lines // self.num_sets
-        per_set = np.bincount(set_idx, minlength=1)
-        busiest = int(per_set.max())
-        if busiest > self._WAVE_FALLBACK_COUNT and busiest * 8 > n:
-            self._access_batch_scalar(lines, make_dirty, hit,
-                                      victim_line, victim_dirty)
-            return hit, victim_line, victim_dirty
-
-        # stable sort by set groups each set's accesses in program
-        # order; a second stable sort by within-group rank makes wave w
-        # the contiguous block of every set's w-th access
-        by_set = np.argsort(set_idx, kind="stable")
-        sorted_sets = set_idx[by_set]
-        group_start = np.flatnonzero(np.concatenate(
-            ([True], sorted_sets[1:] != sorted_sets[:-1])
-        ))
-        group_len = np.diff(np.concatenate((group_start, [n])))
-        rank = np.arange(n, dtype=np.int64) - np.repeat(
-            group_start, group_len
-        )
-        by_wave = by_set[np.argsort(rank, kind="stable")]
-        wave_sizes = np.bincount(rank)
-        if int(wave_sizes[0]) < self._WAVE_MIN_VEC:
-            # even the widest wave is narrow: skip the dense image
-            self._access_batch_scalar(lines, make_dirty, hit,
-                                      victim_line, victim_dirty)
-            return hit, victim_line, victim_dirty
-
-        tags, dirty = self._export_state()
-        ways = self.ways
-        col = np.arange(ways, dtype=np.int64)[None, :]
-        hits_total = 0
-        wbs_total = 0
-        n_vec = 0
-        lo = 0
-        for size in wave_sizes.tolist():
-            if size < self._WAVE_MIN_VEC:
-                break  # scalar tail below; wave widths never grow
-            sel = by_wave[lo:lo + size]
-            lo += size
-            n_vec += size
-            s = set_idx[sel]
-            t = new_tags[sel]
-            T = tags[s]
-            D = dirty[s]
-            match = T == t[:, None]
-            h = match.any(axis=1)
-            hit[sel] = h
-            hits_total += int(h.sum())
-            hw = np.where(h, np.argmax(match, axis=1), 0)
-            old_dirty = D[np.arange(size), hw] & h
-            miss = ~h
-            vt = T[:, 0]
-            vd = D[:, 0] & miss & (vt != -1)
-            victim_line[sel] = np.where(vd, vt * self.num_sets + s, -1)
-            victim_dirty[sel] = vd
-            wbs_total += int(vd.sum())
-            # permutation: drop the touched way (hit way, or column 0 on
-            # a miss), shift the tail left, re-insert at MRU
-            perm = np.where(col < hw[:, None], col,
-                            np.minimum(col + 1, ways - 1))
-            rows = np.arange(size)[:, None]
-            T = T[rows, perm]
-            D = D[rows, perm]
-            T[:, ways - 1] = t
-            D[:, ways - 1] = old_dirty | make_dirty[sel]
-            tags[s] = T
-            dirty[s] = D
-        self.accesses += n_vec
-        self.hits += hits_total
-        self.misses += n_vec - hits_total
-        self.writebacks += wbs_total
-        self._import_state(tags, dirty)
-        # the narrow tail runs scalar, rank-major: each set's remaining
-        # accesses stay in program order, and sets are independent
-        for i in by_wave[lo:].tolist():
-            out = self.access(int(lines[i]) << self.line_shift,
-                              bool(make_dirty[i]))
-            hit[i] = out.hit
-            if out.evicted is not None and out.evicted[1]:
-                victim_line[i] = out.evicted[0]
-                victim_dirty[i] = True
-        return hit, victim_line, victim_dirty
-
-    def _access_batch_scalar(self, lines: np.ndarray,
-                             make_dirty: np.ndarray, hit: np.ndarray,
-                             victim_line: np.ndarray,
-                             victim_dirty: np.ndarray) -> None:
-        """Program-order scalar walk with same-line run collapsing.
-
-        The scalar fallbacks fire exactly when accesses concentrate on
-        few sets — which in practice means long back-to-back runs to
-        the *same line* (an accumulator, a hot stride). After the run's
-        first access the line is resident at MRU, so the rest are
-        guaranteed hits whose pop/reinsert is a no-op — accounted in
-        bulk, like :meth:`touch_resident`. The per-access logic of
-        :meth:`access`/:meth:`_insert` is inlined with the counters kept
-        in locals and flushed once (bit-identical: integer sums).
-        """
-        n = len(lines)
         nsets = self.num_sets
         ways = self.ways
-        sets_ = self._sets
-        # numpy run detection: a "run" is a maximal stretch of the same
-        # line; only run heads need the full lookup, the rest are
-        # guaranteed MRU hits (their only effect is the dirty-OR below)
+        key = lines % nsets
+        if nsets <= 1 << 16:
+            key = key.astype(np.uint16)  # numpy radix-sorts 16-bit keys
+        order = np.argsort(key, kind="stable")
+        by_set = lines[order]
         is_head = np.empty(n, dtype=bool)
         is_head[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=is_head[1:])
+        np.not_equal(by_set[1:], by_set[:-1], out=is_head[1:])
         heads = np.flatnonzero(is_head)
-        nruns = len(heads)
-        head_lines = lines[heads].tolist()
-        head_dirty = make_dirty[heads].tolist()
-        heads_list = heads.tolist()
-        if nruns != n:
-            np.logical_not(is_head, out=hit)  # non-heads: always hits
-            bounds = np.concatenate((heads, [n]))
-            rest_counts = (np.diff(bounds) - 1).tolist()
-            csum = np.concatenate(
-                ([0], np.cumsum(make_dirty, dtype=np.int64))
-            )
-            rest_any = (np.diff(csum[bounds])
-                        - np.asarray(head_dirty, dtype=np.int64)
-                        > 0).tolist()
-        else:
-            rest_counts = rest_any = None
-        acc = nhit = nmiss = nwb = 0
-        for r in range(nruns):
-            i = heads_list[r]
-            ln = head_lines[r]
-            si = ln % nsets
-            tag = ln // nsets
+        head_lines = by_set[heads]
+        head_sets = head_lines % nsets
+        set_ends = np.flatnonzero(head_sets[1:] != head_sets[:-1]) + 1
+        set_starts = np.concatenate(([0], set_ends)).tolist()
+        tags = (head_lines // nsets).tolist()
+        dirty = np.logical_or.reduceat(make_dirty[order], heads).tolist()
+        misses: List[int] = []
+        victims: List[int] = []
+        victim_lines: List[int] = []
+        sets_ = self._sets
+        for si, lo, hi in zip(head_sets[set_starts].tolist(), set_starts,
+                              set_starts[1:] + [len(tags)]):
             cset = sets_[si]
-            acc += 1
-            d = cset.pop(tag, _ABSENT)
-            if d is not _ABSENT:
-                nhit += 1
-                cset[tag] = d or head_dirty[r]  # move to MRU
-                hit[i] = True
-            else:
-                nmiss += 1
-                if len(cset) >= ways:
-                    vtag = next(iter(cset))  # oldest == LRU
-                    if cset.pop(vtag):
-                        nwb += 1
-                        victim_line[i] = vtag * nsets + si
-                        victim_dirty[i] = True
-                cset[tag] = head_dirty[r]
-            if rest_counts is not None:
-                rest = rest_counts[r]
-                if rest:
-                    acc += rest
-                    nhit += rest
-                    if rest_any[r] and not cset[tag]:
-                        cset[tag] = True
-        self.accesses += acc
-        self.hits += nhit
-        self.misses += nmiss
-        self.writebacks += nwb
+            pop = cset.pop
+            for r in range(lo, hi):
+                tag = tags[r]
+                d = pop(tag, _ABSENT)
+                if d is _ABSENT:
+                    misses.append(r)
+                    if len(cset) >= ways:
+                        vtag = next(iter(cset))  # oldest == LRU
+                        if pop(vtag):
+                            victims.append(r)
+                            victim_lines.append(vtag * nsets + si)
+                    cset[tag] = dirty[r]
+                else:
+                    cset[tag] = d or dirty[r]  # move to MRU
+        first = order[heads]  # program position of each run's head
+        hit[first[misses]] = False
+        if victims:
+            at = first[victims]
+            victim_line[at] = victim_lines
+            victim_dirty[at] = True
+        self.accesses += n
+        self.hits += n - len(misses)
+        self.misses += len(misses)
+        self.writebacks += len(victims)
+        return hit, victim_line, victim_dirty
 
     # -- introspection --------------------------------------------------------
     @property

@@ -26,7 +26,7 @@ from ..events import ps_to_cycles
 from ..noc import Mesh, MessageKind, TrafficLedger
 from ..obs import OBS
 from ..params import CacheParams, MachineParams
-from .cache import Cache
+from .cache import _ABSENT, Cache
 from .dram import Dram
 from .nuca import NucaL3
 from .prefetch import StridePrefetcher
@@ -526,13 +526,14 @@ class MemoryHierarchy:
     #
     # Each *_batch method replays a chunk of accesses through exactly the
     # same cache/DRAM state transitions as its scalar counterpart, in the
-    # same order, but (a) hoists attribute and latency lookups out of the
-    # loop, (b) collapses runs of back-to-back same-line host accesses
-    # into one full access plus a bulk hit update, and (c) defers the
-    # per-access energy charges and NoC records into per-(kind, src, dst)
-    # counters flushed once per chunk. All deferred quantities are
-    # commutative integer counts, so the resulting ledgers are
-    # bit-identical to the scalar path (enforced by
+    # same order, but (a) advances a cache that nothing downstream feeds
+    # back into over the whole chunk at once with the set-major
+    # :meth:`~repro.mem.cache.Cache.access_batch` walk, (b) hoists
+    # attribute and latency lookups out of the loop, and (c) defers the
+    # per-access energy charges, NoC records and cache counters into
+    # per-(kind, src, dst) counters flushed once per chunk. All deferred
+    # quantities are commutative integer counts, so the resulting ledgers
+    # are bit-identical to the scalar path (enforced by
     # tests/sim/test_fastpath_equiv.py).
     # ------------------------------------------------------------------
     def host_access_batch(self, addrs: np.ndarray, is_write: np.ndarray,
@@ -543,147 +544,179 @@ class MemoryHierarchy:
         in cycles — the only per-access timing quantity the OoO model
         consumes.
 
-        Within a batch nothing downstream ever feeds back into L1, so
-        the whole L1 state transition is advanced first through
-        :meth:`~repro.mem.cache.Cache.access_batch` (set-parallel waves,
-        numpy int ops), then a python loop visits *only the L1 misses*
-        in program order for the downstream L2/L3/prefetch/DRAM effects
-        — which keeps every stateful downstream transition in exactly
-        the scalar order. Back-to-back same-line accesses collapse into
-        runs; the run head's ``is_write`` and the run's dirty-OR both
-        only touch the line's dirty bit, so they fold into one
-        ``make_dirty`` input without changing hit/miss or LRU behavior.
+        Nothing downstream ever feeds back into L1, and the prefetcher
+        sees only the L1 misses' (stream, address) pairs, so both are
+        advanced over the whole chunk first: L1 by the set-major walk,
+        the prefetcher by :meth:`StridePrefetcher.observe_batch`. One
+        flat loop then visits *only the L1 misses* in program order and
+        applies each one's L2, prefetch, L3-slice and DRAM effects in the
+        scalar order, working directly on the L2 and slice set dicts with
+        its counters in locals.
         """
         n = len(addrs)
         if n == 0:
             return 0
-        m = self.machine
         l1, l2, l3 = self.l1, self.l2, self.l3
-        l1_lat = m.l1.latency_cycles
-        l2_lat = m.l2.latency_cycles
-        l3_lat = m.l3.latency_cycles
-        line = self._line
-        freq = m.core.freq_ghz
-        prefetcher = self.prefetcher
-        late = self._late_prefetch
-        stripe = l3.stripe_bytes
-        ncl = l3.num_clusters
-        lat_of = self.traffic.latency_of
-        l2_line_of = l2.line_of
-
-        lines = addrs >> l1.line_shift
-        cuts = np.flatnonzero(lines[1:] != lines[:-1]) + 1
-        starts = np.concatenate(([0], cuts))
-        run_write = np.logical_or.reduceat(is_write, starts)
-        head_addrs = addrs[starts]
-        hit, victim_line, victim_dirty = l1.access_batch(
-            lines[starts], run_write
-        )
-        bulk = n - len(starts)
-        if bulk:
-            # collapsed same-line accesses: guaranteed L1 hits, dirty
-            # contribution already folded into make_dirty above
-            l1.accesses += bulk
-            l1.hits += bulk
-
-        stall = 0
-        moved = 0
-        demand_counts: Dict[int, int] = {}
-        demand_cycles: Dict[int, int] = {}
+        hit, victim_line, _ = l1.access_batch(addrs >> l1.line_shift,
+                                              is_write)
+        self._charge("l1", "l1_access", n)
         miss_pos = np.flatnonzero(~hit)
         n_l2 = len(miss_pos)
-        pool = self._open_dram_pool()
+        if not n_l2:
+            return 0
+        m = self.machine
+        line = self._line
+        host = self._host
+        freq = m.core.freq_ghz
+        lat_of = self.traffic.latency_of
+        stripe = l3.stripe_bytes
+        ncl = l3.num_clusters
+        clusters = range(ncl)
+        # per home cluster: L3 hit latency, and what a DRAM fill adds
+        l3_hit_lat = [m.l3.latency_cycles + _ps_to_cycles_int(
+            lat_of(host, c, 0) + lat_of(c, host, line), freq)
+            for c in clusters]
+        fill_lat = [m.dram.latency_cycles + _ps_to_cycles_int(
+            lat_of(c, self._mc, 0) + lat_of(self._mc, c, line), freq)
+            for c in clusters]
+        s2, n2, w2, sets2 = l2.line_shift, l2.num_sets, l2.ways, l2._sets
+        slc = l3.slices[0]
+        s3, n3, w3 = slc.line_shift, slc.num_sets, slc.ways
+        sets3 = [sl._sets for sl in l3.slices]
+        late = self._late_prefetch
+        cap = self.LATE_PREFETCH_CAP
+        frac = self.PREFETCH_LATE_FRACTION
+        miss_addrs = addrs[miss_pos]
+        # each miss's prefetch candidates, -1 where none
+        plans = [()] * n_l2 if self.prefetcher is None else (
+            self.prefetcher.observe_batch(stream_ids[miss_pos], miss_addrs)
+            .tolist())
+        # counters, added to the caches and pools once, in the finally:
+        # `extra` sums the misses' latency past L2's own, and `l1_wbs`
+        # counts dirty L1 victims written back into L2
+        l2_hits = n_pf = extra = l1_wbs = 0
+        l3_acc = [0] * ncl
+        l3_miss = [0] * ncl
+        l3_wbs = [0] * ncl    # dirty slice victims -> DRAM
+        l3_fills = [0] * ncl  # dirty L2 victims -> slice
+
+        def l2_evict(cset: Dict[int, bool], si: int) -> None:
+            """Evict a full L2 set's LRU line; a dirty one retires into
+            its home slice."""
+            vt = next(iter(cset))
+            if not cset.pop(vt):
+                return
+            a = (vt * n2 + si) * line
+            c = (a // stripe) % ncl
+            l3_fills[c] += 1
+            ln3 = a >> s3
+            cset3 = sets3[c][ln3 % n3]
+            tag3 = ln3 // n3
+            if cset3.pop(tag3, None) is None and len(cset3) >= w3:
+                if cset3.pop(next(iter(cset3))):
+                    l3_wbs[c] += 1
+            cset3[tag3] = True
+
+        def l3_read(a: int) -> int:
+            """A read at the home slice (DRAM fill on a miss); returns
+            its latency."""
+            c = (a // stripe) % ncl
+            l3_acc[c] += 1
+            ln3 = a >> s3
+            cset3 = sets3[c][ln3 % n3]
+            tag3 = ln3 // n3
+            d3 = cset3.pop(tag3, _ABSENT)
+            if d3 is not _ABSENT:
+                cset3[tag3] = d3
+                return l3_hit_lat[c]
+            l3_miss[c] += 1
+            if len(cset3) >= w3 and cset3.pop(next(iter(cset3))):
+                l3_wbs[c] += 1
+            cset3[tag3] = False
+            return l3_hit_lat[c] + fill_lat[c]
+
         try:
-            for addr, vd, vl, sid in zip(
-                head_addrs[miss_pos].tolist(),
-                victim_dirty[miss_pos].tolist(),
-                victim_line[miss_pos].tolist(),
-                stream_ids[starts[miss_pos]].tolist(),
-            ):
-                if vd:
-                    self._writeback_into_l2(vl)
-                # L1 miss -> L2
-                lat = l1_lat + l2_lat
-                out2 = l2.access(addr, is_write=False)
-                moved += line
-                ev2 = out2.evicted
-                if ev2 is not None and ev2[1]:
-                    self._writeback_into_l3(ev2[0])
-                if prefetcher is not None:
-                    for pf_addr in prefetcher.observe(sid, addr):
-                        if l2.probe(pf_addr):
-                            continue
-                        cluster = (pf_addr // stripe) % ncl
-                        demand_counts[cluster] = (
-                            demand_counts.get(cluster, 0) + 1
-                        )
-                        conv = demand_cycles.get(cluster)
-                        if conv is None:
-                            conv = demand_cycles[cluster] = (
-                                _ps_to_cycles_int(
-                                    lat_of(self._host, cluster, 0)
-                                    + lat_of(cluster, self._host, line),
-                                    freq,
-                                )
-                            )
-                        fill_latency = l3_lat + conv
-                        out3 = l3.access(pf_addr, is_write=False)
-                        ev3 = out3.evicted
-                        if ev3 is not None and ev3[1]:
-                            self._writeback_to_dram(cluster)
-                        if not out3.hit:
-                            fill_latency += self._dram_fill(cluster)
-                        evp = l2.fill(pf_addr, is_prefetch=True)
-                        moved += line
-                        if evp and evp[1]:
-                            self._writeback_into_l3(evp[0])
-                        self._note_late_prefetch(
-                            l2_line_of(pf_addr), int(
-                                fill_latency
-                                * self.PREFETCH_LATE_FRACTION
-                            )
-                        )
-                        self._stats_prefetches += 1
-                if out2.hit:
-                    lat += late.pop(l2_line_of(addr), 0)
+            for addr, vl, pfs in zip(miss_addrs.tolist(),
+                                     victim_line[miss_pos].tolist(), plans):
+                if vl >= 0:
+                    # dirty L1 victim written back into L2
+                    l1_wbs += 1
+                    ln2 = (vl * line) >> s2
+                    si = ln2 % n2
+                    cset = sets2[si]
+                    tag = ln2 // n2
+                    if cset.pop(tag, None) is None and len(cset) >= w2:
+                        l2_evict(cset, si)
+                    cset[tag] = True
+                # L1 miss -> L2 demand access
+                ln2 = addr >> s2
+                si = ln2 % n2
+                cset = sets2[si]
+                tag = ln2 // n2
+                d = cset.pop(tag, _ABSENT)
+                if d is _ABSENT:
+                    if len(cset) >= w2:
+                        l2_evict(cset, si)
+                    cset[tag] = False
                 else:
+                    l2_hits += 1
+                    cset[tag] = d
+                for pf in pfs:
+                    if pf < 0:
+                        continue
+                    pl = pf >> s2
+                    psi = pl % n2
+                    pset = sets2[psi]
+                    ptag = pl // n2
+                    if ptag in pset:
+                        continue
+                    # fetch from the home slice (and DRAM) into L2
+                    lat = l3_read(pf)
+                    if len(pset) >= w2:
+                        l2_evict(pset, psi)
+                    pset[ptag] = False
+                    n_pf += 1
+                    if pl not in late and len(late) >= cap:
+                        del late[next(iter(late))]  # oldest residual
+                    late[pl] = int(lat * frac)
+                if d is _ABSENT:
                     # L2 miss -> home L3 slice over the mesh
-                    cluster = (addr // stripe) % ncl
-                    demand_counts[cluster] = (
-                        demand_counts.get(cluster, 0) + 1
-                    )
-                    conv = demand_cycles.get(cluster)
-                    if conv is None:
-                        conv = demand_cycles[cluster] = (
-                            _ps_to_cycles_int(
-                                lat_of(self._host, cluster, 0)
-                                + lat_of(cluster, self._host, line),
-                                freq,
-                            )
-                        )
-                    lat += l3_lat + conv
-                    out3 = l3.access(addr, is_write=False)
-                    ev3 = out3.evicted
-                    if ev3 is not None and ev3[1]:
-                        self._writeback_to_dram(cluster)
-                    if not out3.hit:
-                        lat += self._dram_fill(cluster)
-                    moved += line
-                stall += lat - l1_lat
+                    extra += l3_read(addr)
+                else:
+                    # a late prefetch exposes its residual to this hit
+                    extra += late.pop(ln2, 0)
         finally:
-            if pool is not None:
-                self._flush_dram_pool(pool)
-        self._charge("l1", "l1_access", n)
-        if n_l2:
-            self._charge("l2", "l2_access", n_l2)
-        for cluster, count in demand_counts.items():
-            self._charge("l3", "l3_access", count)
-            self._record(MessageKind.CACHE_REQ, self._host, cluster, 0,
-                         count)
-            self._record(MessageKind.CACHE_FILL, cluster, self._host,
-                         line, count)
-        self.movement_bytes += moved
-        return stall
+            l2.accesses += n_l2
+            l2.hits += l2_hits
+            l2.misses += n_l2 - l2_hits
+            l2.writebacks += sum(l3_fills)  # each retired into a slice
+            l2.prefetch_fills += n_pf
+            self._stats_prefetches += n_pf
+            owned = self._open_dram_pool()
+            pool = self._dram_pool
+            pool.l2_wbs += l1_wbs
+            for c, sl in enumerate(l3.slices):
+                sl.accesses += l3_acc[c]
+                sl.misses += l3_miss[c]
+                sl.hits += l3_acc[c] - l3_miss[c]
+                sl.writebacks += l3_wbs[c]
+                for counts, k in ((pool.fills, l3_miss[c]),
+                                  (pool.wbs, l3_wbs[c]),
+                                  (pool.l3_wbs, l3_fills[c])):
+                    if k:
+                        counts[c] = counts.get(c, 0) + k
+            if owned is not None:
+                self._flush_dram_pool(owned)
+        self._charge("l2", "l2_access", n_l2)
+        for c in clusters:
+            if l3_acc[c]:
+                self._charge("l3", "l3_access", l3_acc[c])
+                self._record(MessageKind.CACHE_REQ, host, c, 0, l3_acc[c])
+                self._record(MessageKind.CACHE_FILL, c, host, line,
+                             l3_acc[c])
+        # a fill into L1 per miss, into L2 per prefetch and per L2 miss
+        self.movement_bytes += line * (n_l2 + n_pf + n_l2 - l2_hits)
+        return n_l2 * m.l2.latency_cycles + extra
 
     def accel_line_fetch_batch(self, local_cluster: int,
                                line_addrs: np.ndarray,

@@ -527,13 +527,13 @@ class TestSetLevelCacheWalk:
     """``Cache.access_batch`` must be a drop-in for per-access calls:
     same outcomes, same counters, same final tag/dirty/LRU state."""
 
-    def make_caches(self):
-        params = CacheParams(size_bytes=4096, ways=4, latency_cycles=1,
-                             mshrs=4)
+    def make_caches(self, size_bytes=4096, ways=4):
+        params = CacheParams(size_bytes=size_bytes, ways=ways,
+                             latency_cycles=1, mshrs=4)
         return Cache(params, "a"), Cache(params, "b")
 
-    def drive_both(self, lines, make_dirty):
-        ref, vec = self.make_caches()
+    def drive_both(self, lines, make_dirty, caches=None):
+        ref, vec = caches or self.make_caches()
         exp_hit = np.zeros(len(lines), dtype=bool)
         exp_vline = np.full(len(lines), -1, dtype=np.int64)
         exp_vdirty = np.zeros(len(lines), dtype=bool)
@@ -563,14 +563,25 @@ class TestSetLevelCacheWalk:
         self.drive_both(lines, dirty)
 
     def test_single_set_stream_uses_scalar_valve(self):
-        # every access maps to one set: the wave walk would degenerate,
-        # so the batch must take the scalar path — and still be exact
+        # every access maps to one set: the set-major walk is then one
+        # long program-order run through a single set — still exact
         ref, _ = self.make_caches()
         num_sets = ref.num_sets
         rng = np.random.default_rng(11)
         lines = rng.integers(0, 64, 600) * num_sets + 5
         dirty = rng.random(600) < 0.5
         self.drive_both(lines, dirty)
+
+    @pytest.mark.parametrize("size_bytes,ways", [(4096, 1), (2048, 8)])
+    def test_warm_state_second_batch(self, size_bytes, ways):
+        # the walk carries LRU order and dirty bits across calls: a second
+        # batch replays on the state the first one left (a direct-mapped
+        # shape, and the experiment L1's 4-set 8-way shape)
+        caches = self.make_caches(size_bytes, ways)
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            lines = rng.integers(0, 96, 1500)
+            self.drive_both(lines, rng.random(1500) < 0.4, caches)
 
     def test_empty_batch(self):
         _, vec = self.make_caches()

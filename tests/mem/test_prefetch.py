@@ -1,6 +1,9 @@
 """Tests for the L2 stride prefetcher."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem import StridePrefetcher
 
@@ -83,3 +86,50 @@ class TestStrideDetection:
     def test_bad_table_size(self):
         with pytest.raises(ValueError):
             StridePrefetcher(table_size=0)
+
+
+@st.composite
+def observed_streams(draw):
+    """Prefetcher shape, (stream, address) accesses and chunk cuts.
+
+    Strides come from a small set with zero and negative members, so
+    runs of equal strides build confidence, repeats reset it, and
+    walks near address 0 aim prefetches below it. Up to eight streams
+    against a table of one to eight entries: some batches overflow the
+    table and take the per-access fallback.
+    """
+    shape = dict(table_size=draw(st.integers(1, 8)),
+                 confirm=draw(st.integers(1, 3)),
+                 degree=draw(st.integers(1, 3)),
+                 line_bytes=draw(st.sampled_from([8, 64])))
+    n = draw(st.integers(0, 120))
+    sids = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    strides = draw(st.lists(st.sampled_from([0, 8, 64, -8, -64, 200, -200]),
+                            min_size=n, max_size=n))
+    start = draw(st.integers(0, 600))
+    pos = {}
+    addrs = []
+    for sid, stride in zip(sids, strides):
+        pos[sid] = max(pos.get(sid, start + 97 * sid) + stride, 0)
+        addrs.append(pos[sid])
+    cuts = sorted(set(draw(st.lists(st.integers(0, n), max_size=6))))
+    return shape, sids, addrs, cuts
+
+
+class TestObserveBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(observed_streams())
+    def test_matches_per_access_observe(self, case):
+        shape, sids, addrs, cuts = case
+        ref = StridePrefetcher(**shape)
+        batch = StridePrefetcher(**shape)
+        bounds = [0] + cuts + [len(sids)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            plan = batch.observe_batch(np.array(sids[lo:hi], dtype=np.int64),
+                                       np.array(addrs[lo:hi], dtype=np.int64))
+            assert plan.shape == (hi - lo, shape["degree"])
+            for i, row in enumerate(plan.tolist(), lo):
+                assert [a for a in row if a >= 0] == ref.observe(sids[i],
+                                                                 addrs[i])
+            assert list(batch._table.items()) == list(ref._table.items())
+            assert batch.issued == ref.issued

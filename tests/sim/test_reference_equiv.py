@@ -16,6 +16,7 @@ from repro.ir.trace import ColumnarTrace
 from repro.ir.vecinterp import VecInterpreter
 from repro.mem.cache import Cache
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.prefetch import StridePrefetcher
 from repro.params import experiment_machine
 from repro.runtime import fastsim
 from repro.sim import simulate_workload
@@ -34,6 +35,7 @@ PRODUCTION_ONLY = (
     (MemoryHierarchy, "accel_elem_access_batch"),
     (MemoryHierarchy, "l3_demand_batch"),
     (Cache, "access_batch"),
+    (StridePrefetcher, "observe_batch"),
     (fastsim, "replay"),
 )
 
