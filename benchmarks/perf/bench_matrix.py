@@ -82,9 +82,6 @@ MODES = (
 ENGINE_COUNTERS = (
     "engine.sim_events",
     "engine.offload_runs",
-    "engine.fastsim_runs",
-    "engine.fastsim_fallbacks",
-    "engine.fastsim_coalesced",
 )
 ENGINE_MAXIMA = (
     "engine.sim_peak_pending",
@@ -234,14 +231,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"speedup (production over reference): {speedup}x")
     for mode in report["modes"]:
         counters = mode.get("engine_counters") or {}
-        if counters.get("engine.sim_events") or counters.get(
-                "engine.fastsim_runs"):
+        if counters.get("engine.sim_events"):
             print(f"{mode['mode']:>10}: {counters['engine.sim_events']:,} "
-                  f"events ({mode['events_per_cell']}/cell), "
-                  f"{counters['engine.fastsim_runs']:,}/"
-                  f"{counters['engine.offload_runs']:,} runs analytic, "
-                  f"{counters['engine.fastsim_coalesced']:,} procs "
-                  f"coalesced")
+                  f"events ({mode['events_per_cell']}/cell) over "
+                  f"{counters['engine.offload_runs']:,} offload runs")
     if vs_history is not None:
         print(f"speedup (production vs {PRE_CHANGE_SMALL_MATRIX_S}s "
               f"pre-change "

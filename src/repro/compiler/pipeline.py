@@ -22,7 +22,7 @@ from ..dfg.classify import (
 )
 from ..dfg.graph import Dfg
 from ..dfg.node import AccessNode
-from ..errors import ConfigError
+from ..errors import AllocationError, ConfigError
 from ..interface.config import OffloadConfig
 from ..interface.intrinsics import CoverageRecorder, mmio_bytes
 from ..ir.program import Kernel
@@ -100,7 +100,7 @@ class CompiledOffload:
             for acc in part.accesses:
                 try:
                     sched.allocate(k, cluster, acc)
-                except Exception:
+                except AllocationError:
                     counts.append(len(part.accesses))
                     break
             else:

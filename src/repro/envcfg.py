@@ -43,9 +43,10 @@ class EnvVar:
 REPRO_REFERENCE = EnvVar(
     "REPRO_REFERENCE", "bool", "0",
     "`1` selects the reference implementation in every layer at once: "
-    "the tree-walking interpreter, per-access OoO, stream and hierarchy "
-    "replay, and event-only offload replay (bit-identical results, "
-    "several times slower)",
+    "the tree-walking interpreter, and per-access OoO, stream and "
+    "hierarchy replay, including per-access hierarchy calls in the "
+    "event-driven offload replay (bit-identical results, several times "
+    "slower)",
     "tests/sim/test_reference_equiv.py",
 )
 REPRO_JOBS = EnvVar(

@@ -31,11 +31,6 @@ from .dram import Dram
 from .nuca import NucaL3
 from .prefetch import StridePrefetcher
 
-#: segment-coalesced (``seg_ends``) batches at least this long take the
-#: per-home vectorized walk; per-access latencies are materialized as an
-#: array and cut into per-segment subtotals by prefix sums
-_SEG_VEC_MIN = 48
-
 
 @dataclass
 class AccessStats:
@@ -372,27 +367,6 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # accelerator path
     # ------------------------------------------------------------------
-    def accel_access(self, local_cluster: int, addr: int,
-                     is_write: bool) -> int:
-        """Access from an accelerator at ``local_cluster`` via its ACP.
-
-        Data is served from the home L3 slice (local or remote) without
-        touching L1/L2. Returns latency in cycles (2 GHz domain).
-        """
-        acp = self.acps[local_cluster]
-        self.energy.charge("access_unit", "acp_access")
-        latency = 1  # ACP lookup
-        out = acp.access(addr, is_write)
-        if out.evicted and out.evicted[1]:
-            self._accel_writeback(local_cluster, out.evicted[0])
-        if out.hit:
-            return latency
-        latency += self._l3_demand(
-            addr, from_node=local_cluster, kind_fill=MessageKind.ACC_OPERAND
-        )
-        self.movement_bytes += self._line  # L3 -> ACP fill
-        return latency
-
     def accel_line_fetch(self, local_cluster: int, addr: int,
                          is_write: bool) -> int:
         """Line-granular transfer between an access-unit buffer and the
@@ -507,18 +481,6 @@ class MemoryHierarchy:
         evicted = self.l3.fill(addr, dirty=True)
         if evicted and evicted[1]:
             self._writeback_to_dram(cluster)
-
-    def _accel_writeback(self, local_cluster: int, line: int) -> None:
-        addr = line * self._line
-        home = self.l3.home_cluster(addr)
-        self.energy.charge("l3", "l3_access")
-        self.traffic.record(
-            MessageKind.ACC_OPERAND, local_cluster, home, self._line
-        )
-        self.movement_bytes += self._line
-        evicted = self.l3.fill(addr, dirty=True)
-        if evicted and evicted[1]:
-            self._writeback_to_dram(home)
 
     # ------------------------------------------------------------------
     # batched production paths (the scalar methods above are the
@@ -720,20 +682,12 @@ class MemoryHierarchy:
 
     def accel_line_fetch_batch(self, local_cluster: int,
                                line_addrs: np.ndarray,
-                               is_write: bool,
-                               seg_ends: Optional[np.ndarray] = None):
+                               is_write: bool) -> int:
         """Line-granular fill/drain of a chunk (see
-        :meth:`accel_line_fetch`); returns total latency cycles.
-
-        With ``seg_ends`` (ascending exclusive end offsets into
-        ``line_addrs``) the call covers several coalesced chunks in one
-        widened pass and returns the per-segment latency subtotals
-        instead — state transitions stay in program order and the pooled
-        accounting is identical to per-segment calls.
-        """
+        :meth:`accel_line_fetch`); returns total latency cycles."""
         n = len(line_addrs)
         if n == 0:
-            return 0 if seg_ends is None else [0] * len(seg_ends)
+            return 0
         m = self.machine
         line = self._line
         freq = m.core.freq_ghz
@@ -748,95 +702,10 @@ class MemoryHierarchy:
         conv: Dict[int, int] = {}
         total = 0
         moved = 0
-        seg_totals: List[int] = []
         pool = self._open_dram_pool()
         try:
-            if seg_ends is not None and n >= _SEG_VEC_MIN:
-                # set-level walk per home slice: the L3 slices are
-                # independent state machines, so grouping by home (in
-                # first-touch order, program order within a home) is
-                # bit-identical to the interleaved scalar loop — all
-                # DRAM side effects are pooled commutative counters.
-                # Per-access latencies are materialized so prefix sums
-                # recover the exact per-segment subtotals
-                homes = (line_addrs // stripe) % ncl
-                lat_arr = np.zeros(n, dtype=np.int64)
-                dpool = self._dram_pool
-                uniq, first = np.unique(homes, return_index=True)
-                for home in uniq[np.argsort(first)].tolist():
-                    sel = np.flatnonzero(homes == home)
-                    k = len(sel)
-                    counts[home] = k
-                    conv[home] = _ps_to_cycles_int(
-                        lat_of(local_cluster, home, 0)
-                        + (lat_of(local_cluster, home, line) if is_write
-                           else lat_of(home, local_cluster, line)),
-                        freq,
-                    )
-                    if home == local_cluster:
-                        base = 1 + bank_lat + conv[home]
-                    else:
-                        base = 1 + l3_lat + conv[home]
-                        moved += k * line
-                    slc = slices[home]
-                    hit, _vline, vdirty = slc.access_batch(
-                        line_addrs[sel] >> slc.line_shift,
-                        np.full(k, is_write, dtype=bool),
-                    )
-                    wbs = int(vdirty.sum())
-                    if wbs:
-                        dpool.wbs[home] = dpool.wbs.get(home, 0) + wbs
-                    if not is_write:
-                        miss = ~hit
-                        fills = int(miss.sum())
-                        if fills:
-                            fl = self._dram_fill(home)  # pools one fill
-                            dpool.fills[home] += fills - 1
-                            lat_arr[sel] = base + fl * miss
-                            continue
-                    lat_arr[sel] = base
-                csum = np.concatenate(([0], np.cumsum(lat_arr)))
-                bounds = np.concatenate(
-                    ([0], np.asarray(seg_ends, dtype=np.int64))
-                )
-                seg_totals = np.diff(csum[bounds]).tolist()
-            elif seg_ends is not None:
-                prev_total = 0
-                pos = 0
-                for end in (seg_ends.tolist()
-                            if isinstance(seg_ends, np.ndarray)
-                            else seg_ends):
-                    end = int(end)
-                    for addr in line_addrs[pos:end].tolist():
-                        home = (addr // stripe) % ncl
-                        seen = counts.get(home)
-                        if seen is None:
-                            counts[home] = 1
-                            conv[home] = _ps_to_cycles_int(
-                                lat_of(local_cluster, home, 0)
-                                + (lat_of(local_cluster, home, line)
-                                   if is_write
-                                   else lat_of(home, local_cluster, line)),
-                                freq,
-                            )
-                        else:
-                            counts[home] = seen + 1
-                        if home == local_cluster:
-                            total += 1 + bank_lat + conv[home]
-                        else:
-                            total += 1 + l3_lat + conv[home]
-                            moved += line
-                        out = slices[home].access(addr, is_write)
-                        ev = out.evicted
-                        if ev is not None and ev[1]:
-                            self._writeback_to_dram(home)
-                        if not out.hit and not is_write:
-                            total += self._dram_fill(home)
-                    seg_totals.append(total - prev_total)
-                    prev_total = total
-                    pos = end
-            elif (addr_list := line_addrs.tolist()) and (
-                    min(addr_list) // stripe == max(addr_list) // stripe):
+            addr_list = line_addrs.tolist()
+            if min(addr_list) // stripe == max(addr_list) // stripe:
                 # whole chunk lives in one stripe block (the common case:
                 # chunks are short, stripes are large): hoist the per-line
                 # home math and bookkeeping out of the walk
@@ -903,18 +772,20 @@ class MemoryHierarchy:
                 self._record(MessageKind.ACC_OPERAND, home,
                              local_cluster, line, count)
         self.movement_bytes += moved
-        return seg_totals if seg_ends is not None else total
+        return total
 
     def _acp_elem_walk(self, addr_list, local_cluster: int, is_write: bool,
-                       elem_bytes: int, counts: Dict[int, int],
-                       conv: Dict[int, int], total: int, n_l3: int,
-                       moved: int):
+                       elem_bytes: int, counts: Dict[int, int]):
         """Program-order element walk for :meth:`accel_elem_access_batch`
         with same-line run collapsing: after the first access of a run of
         consecutive same-line addresses the line is the ACP's resident MRU
         line, so the remaining ``k-1`` accesses are guaranteed hits with
         no L3 side — accounted in bulk via :meth:`Cache.touch_resident`
         and ``k-1``-scaled arithmetic, bit-identical to the scalar loop.
+
+        Fills ``counts`` (home -> accesses) and returns ``(total latency
+        cycles, L3 accesses, moved bytes)``; the L3 accesses are the
+        miss-side bank reads plus the dirty ACP retires.
         """
         m = self.machine
         line = self._line
@@ -929,6 +800,8 @@ class MemoryHierarchy:
         shift = acps[0].line_shift
         # same line => same home only when stripes are line-aligned
         collapse = stripe % (1 << shift) == 0
+        conv: Dict[int, int] = {}
+        total = n_l3 = moved = 0
         n = len(addr_list)
         i = 0
         while i < n:
@@ -980,113 +853,18 @@ class MemoryHierarchy:
 
     def accel_elem_access_batch(self, local_cluster: int,
                                 addrs: np.ndarray, is_write: bool,
-                                elem_bytes: int,
-                                seg_ends: Optional[np.ndarray] = None):
+                                elem_bytes: int) -> int:
         """Element-granular near-data accesses for a chunk (see
-        :meth:`accel_elem_access`); returns total latency cycles.
-
-        With ``seg_ends`` (ascending exclusive end offsets into
-        ``addrs``) the call covers several coalesced chunks at once and
-        returns per-segment latency subtotals — identical state
-        transitions and pooled accounting as per-segment calls.
-        """
+        :meth:`accel_elem_access`); returns total latency cycles."""
         n = len(addrs)
         if n == 0:
-            return 0 if seg_ends is None else [0] * len(seg_ends)
-        m = self.machine
-        line = self._line
-        freq = m.core.freq_ghz
-        l3 = self.l3
-        stripe = l3.stripe_bytes
-        ncl = l3.num_clusters
-        acps = self.acps
-        lat_of = self.traffic.latency_of
-        bank_lat = m.l3_bank_latency
+            return 0
         counts: Dict[int, int] = {}
-        conv: Dict[int, int] = {}
-        n_l3 = 0  # miss-side bank reads + dirty ACP retires
-        total = 0
-        moved = 0
-        seg_totals: List[int] = []
         pool = self._open_dram_pool()
         try:
-            if seg_ends is not None and n >= _SEG_VEC_MIN:
-                # group by home ACP: an ACP only caches addresses of its
-                # own stripe, so its victims retire into the same home's
-                # L3 slice — per-home groups never interleave L3 state,
-                # and the walk is bit-identical to the scalar loop. The
-                # ACP advances vectorized, then only its misses visit
-                # the L3/DRAM side in program order. Per-access
-                # latencies are materialized so prefix sums recover the
-                # exact per-segment subtotals
-                homes = (addrs // stripe) % ncl
-                lat_arr = np.zeros(n, dtype=np.int64)
-                uniq, first = np.unique(homes, return_index=True)
-                for home in uniq[np.argsort(first)].tolist():
-                    sel = np.flatnonzero(homes == home)
-                    k = len(sel)
-                    counts[home] = k
-                    conv[home] = _ps_to_cycles_int(
-                        lat_of(local_cluster, home, 0)
-                        + (lat_of(local_cluster, home, elem_bytes)
-                           if is_write
-                           else lat_of(home, local_cluster, elem_bytes)),
-                        freq,
-                    )
-                    if home != local_cluster:
-                        moved += k * elem_bytes
-                    acp = acps[home]
-                    sel_addrs = addrs[sel]
-                    hit, vline, vdirty = acp.access_batch(
-                        sel_addrs >> acp.line_shift,
-                        np.full(k, is_write, dtype=bool),
-                    )
-                    miss_pos = np.flatnonzero(~hit)
-                    n_l3 += int(vdirty.sum()) + len(miss_pos)
-                    lat_arr[sel] = 1 + conv[home]
-                    if len(miss_pos):
-                        slc = l3.slices[home]
-                        extra = np.full(len(miss_pos), bank_lat,
-                                        dtype=np.int64)
-                        for t, (addr, vd, vl) in enumerate(zip(
-                                sel_addrs[miss_pos].tolist(),
-                                vdirty[miss_pos].tolist(),
-                                vline[miss_pos].tolist())):
-                            if vd:
-                                evicted = l3.fill(vl * line, dirty=True)
-                                if evicted and evicted[1]:
-                                    self._writeback_to_dram(home)
-                            out3 = slc.access(addr, is_write=False)
-                            ev3 = out3.evicted
-                            if ev3 is not None and ev3[1]:
-                                self._writeback_to_dram(home)
-                            if not out3.hit:
-                                extra[t] += self._dram_fill(home)
-                        lat_arr[sel[miss_pos]] += extra
-                csum = np.concatenate(([0], np.cumsum(lat_arr)))
-                bounds = np.concatenate(
-                    ([0], np.asarray(seg_ends, dtype=np.int64))
-                )
-                seg_totals = np.diff(csum[bounds]).tolist()
-            elif seg_ends is not None:
-                prev_total = 0
-                pos = 0
-                for end in (seg_ends.tolist()
-                            if isinstance(seg_ends, np.ndarray)
-                            else seg_ends):
-                    end = int(end)
-                    total, n_l3, moved = self._acp_elem_walk(
-                        addrs[pos:end].tolist(), local_cluster, is_write,
-                        elem_bytes, counts, conv, total, n_l3, moved,
-                    )
-                    seg_totals.append(total - prev_total)
-                    prev_total = total
-                    pos = end
-            else:
-                total, n_l3, moved = self._acp_elem_walk(
-                    addrs.tolist(), local_cluster, is_write, elem_bytes,
-                    counts, conv, total, n_l3, moved,
-                )
+            total, n_l3, moved = self._acp_elem_walk(
+                addrs.tolist(), local_cluster, is_write, elem_bytes, counts
+            )
         finally:
             if pool is not None:
                 self._flush_dram_pool(pool)
@@ -1103,7 +881,7 @@ class MemoryHierarchy:
                 self._record(MessageKind.ACC_OPERAND, home,
                              local_cluster, elem_bytes, count)
         self.movement_bytes += moved
-        return seg_totals if seg_ends is not None else total
+        return total
 
     def l3_demand_batch(self, from_node: int,
                         as_accel: bool = False) -> "L3DemandWindow":

@@ -22,6 +22,7 @@ from ..compiler.pipeline import CompiledOffload
 from ..energy import EnergyLedger
 from ..envcfg import reference_enabled
 from ..events import Channel, Delay, Get, Put, Simulator, cycles_to_ps
+from ..errors import AllocationError, InterfaceError
 from ..interface.config import AccessConfig, AccessKind, PartitionConfig
 from ..interface.intrinsics import mmio_bytes
 from ..interface.scheduler import HardwareScheduler
@@ -32,7 +33,6 @@ from ..mem.slab import SlabAllocator
 from ..noc import MessageKind
 from ..obs import OBS
 from ..params import MachineParams
-from . import fastsim
 from .streams import SiteStreams
 
 #: target number of chunks an innermost loop is simulated in
@@ -110,9 +110,8 @@ class OffloadEngine:
         self._configured_offloads: set = set()
         self._offload_ctx: Dict[int, int] = {}
         self._ctx = 0
-        #: production replay (batched hierarchy calls, analytic fastsim)
-        #: for this run; re-read per run() so tests can flip
-        #: REPRO_REFERENCE in-process
+        #: production replay (batched hierarchy calls) for this run;
+        #: re-read per run() so tests can flip REPRO_REFERENCE in-process
         self._fast = not reference_enabled()
 
     def buffer_key(self, offload: CompiledOffload, access_id: int) -> int:
@@ -122,7 +121,7 @@ class OffloadEngine:
             return access_id
         try:
             return self.scheduler.lookup(ctx, access_id).buf_id
-        except Exception:
+        except InterfaceError:
             return 10_000_000 + access_id  # fell back to uncombined
 
     # ------------------------------------------------------------------
@@ -246,7 +245,7 @@ class OffloadEngine:
             for acc in part.accesses:
                 try:
                     self.scheduler.allocate(ctx, cluster, acc)
-                except Exception:
+                except AllocationError:
                     pass  # SRAM pressure: access falls back to uncombined
         # substrate setup (microcode / CGRA configuration load)
         setup_cycles = max(
@@ -297,34 +296,26 @@ class OffloadEngine:
             chunk_sizes=chunk_sizes, site_streams=site_streams,
             sim=sim, stats=stats, shared_port=shared_port,
         )
-        run_time = None
         # run-scoped deferred accounting: one DRAM pool and pooled
         # batch-tail ledger counts across the whole replay (exact: the
         # pooled charges/records are linear and the ledgers order-free)
         win = self.hierarchy.open_accounting()
         try:
-            if self._fast and shared_port is None:
-                run_time = fastsim.replay(run_ctx)
-            if run_time is None:
-                run_ctx.build()
-                sim.run()
-                run_time = sim.now
-                OBS.inc("engine.sim_events", sim.events_executed)
-                OBS.observe_max("engine.sim_peak_pending",
-                                sim.peak_pending)
-                for chans in (run_ctx.channels, run_ctx.fill_tokens,
-                              run_ctx.drain_tokens):
-                    for ch in chans.values():
-                        OBS.observe_max("engine.chan_max_occupancy",
-                                        ch.max_occupancy)
-            else:
-                OBS.inc("engine.fastsim_runs")
+            run_ctx.build()
+            sim.run()
         finally:
             self.hierarchy.close_accounting(win)
+        OBS.inc("engine.sim_events", sim.events_executed)
+        OBS.observe_max("engine.sim_peak_pending", sim.peak_pending)
+        for chans in (run_ctx.channels, run_ctx.fill_tokens,
+                      run_ctx.drain_tokens):
+            for ch in chans.values():
+                OBS.observe_max("engine.chan_max_occupancy",
+                                ch.max_occupancy)
         OBS.inc("engine.offload_runs")
         OBS.inc("engine.accel_iterations", trips)
         OBS.observe_max("engine.peak_chunks", nchunks)
-        stats.time_ps += run_time
+        stats.time_ps += sim.now
         stats.accel_iterations += trips
         # per-invocation host relaunch overhead for data-dependent inner
         # bounds (the paper's spmv Dist-DA-B effect); affine bounds are
@@ -369,13 +360,6 @@ class _RunContext:
     #: and partition procs all re-derive the same chunk slices, and the
     #: per-chunk np.unique is measurable across ~100k chunk visits
     _chunk_memo: Dict[tuple, np.ndarray] = field(default_factory=dict)
-    #: partial macro-chunk coalescing (fastsim): per-chunk latencies of
-    #: processes whose footprint is private to them — their hierarchy
-    #: sweeps ran up front in one widened call, so the event process
-    #: replays the latencies without touching memory-system state
-    pre_fill: Dict[int, List[int]] = field(default_factory=dict)
-    pre_drain: Dict[int, List[int]] = field(default_factory=dict)
-    pre_ind: Dict[int, List[int]] = field(default_factory=dict)
 
     def build(self) -> None:
         config = self.offload.config
@@ -404,7 +388,7 @@ class _RunContext:
                 self.fill_tokens[buf_key] = tok
                 self.sim.spawn(
                     f"fsm-fill-{buf_key}",
-                    self._fill_proc(acc, cluster, tok, buf_key),
+                    self._fill_proc(acc, cluster, tok),
                 )
             for buf_key, acc in self._grouped(
                 self._buffered_writes(part)
@@ -415,7 +399,7 @@ class _RunContext:
                 self.drain_tokens[buf_key] = tok
                 self.sim.spawn(
                     f"fsm-drain-{buf_key}",
-                    self._drain_proc(acc, cluster, tok, buf_key),
+                    self._drain_proc(acc, cluster, tok),
                 )
         for group in groups:
             if len(group) == 1:
@@ -544,10 +528,6 @@ class _RunContext:
             self._chunk_memo[key] = out
         return out
 
-    def _elems_for_chunk(self, acc: AccessConfig, c: int) -> np.ndarray:
-        """Slice of the access's element stream belonging to chunk c."""
-        return self._elem_chunks(acc)[c]
-
     def _addr(self, acc: AccessConfig, elem: int) -> int:
         alloc = self.engine.slab.by_name(acc.obj)
         return alloc.base + int(elem) * acc.elem_bytes
@@ -613,10 +593,6 @@ class _RunContext:
             return lines[keep] << 6
         return np.unique(lines) << 6
 
-    def _lines_for_chunk(self, acc: AccessConfig, c: int) -> np.ndarray:
-        """Unique line addresses a chunk's elements touch (64 B lines)."""
-        return self._line_chunks(acc)[c]
-
     def _is_invariant(self, acc: AccessConfig) -> bool:
         return acc.stride_elems == 0 and acc.kind is AccessKind.STREAM_READ
 
@@ -656,8 +632,7 @@ class _RunContext:
         return self.engine.hierarchy.l3.home_cluster(int(addr))
 
     # -- processes -----------------------------------------------------------
-    def _fill_proc(self, acc: AccessConfig, cluster: int, tok: Channel,
-                   buf_key: int):
+    def _fill_proc(self, acc: AccessConfig, cluster: int, tok: Channel):
         # the per-chunk energy charges and Fig-9 byte tallies are
         # commutative integer accumulations: summing them locally and
         # flushing once per process is bit-identical to per-chunk calls
@@ -666,7 +641,6 @@ class _RunContext:
         invariant = self._is_invariant(acc)
         line_chunks = self._line_chunks(acc)
         elem_chunks = None if invariant else self._elem_chunks(acc)
-        pre = self.pre_fill.get(buf_key)
         fsm_n = buf_n = trans_n = d_a = 0
         for c, iters in enumerate(self.chunk_sizes):
             if invariant and c > 0:
@@ -677,12 +651,8 @@ class _RunContext:
                 lines = lines[:1]
             if self.shared_port is not None:
                 yield Get(self.shared_port)
-            if pre is not None:
-                lat_cycles = pre[c]
-            else:
-                at = self._migrated(cluster,
-                                    lines[0] if len(lines) else None)
-                lat_cycles = self._fetch_chunk(at, lines, False)
+            at = self._migrated(cluster, lines[0] if len(lines) else None)
+            lat_cycles = self._fetch_chunk(at, lines, False)
             nlines = len(lines)
             if nlines:
                 fsm_n += 1 if invariant else len(elem_chunks[c])
@@ -701,24 +671,18 @@ class _RunContext:
             energy.charge("access_unit", "translation_lookup", trans_n)
             self.stats.d_a_bytes += d_a
 
-    def _drain_proc(self, acc: AccessConfig, cluster: int, tok: Channel,
-                    buf_key: int):
+    def _drain_proc(self, acc: AccessConfig, cluster: int, tok: Channel):
         engine = self.engine
         energy = engine.energy
         line_chunks = self._line_chunks(acc)
-        pre = self.pre_drain.get(buf_key)
         buf_n = d_a = 0
         for _ in self.chunk_sizes:
             c = yield Get(tok)
             lines = line_chunks[c]
             if self.shared_port is not None:
                 yield Get(self.shared_port)
-            if pre is not None:
-                lat_cycles = pre[c]
-            else:
-                at = self._migrated(cluster,
-                                    lines[0] if len(lines) else None)
-                lat_cycles = self._fetch_chunk(at, lines, True)
+            at = self._migrated(cluster, lines[0] if len(lines) else None)
+            lat_cycles = self._fetch_chunk(at, lines, True)
             nlines = len(lines)
             if nlines:
                 buf_n += nlines
@@ -748,7 +712,6 @@ class _RunContext:
             profile.buffer_reads + profile.buffer_writes
         )
         ind_chunks = [(acc, self._elem_chunks(acc)) for acc in indirect]
-        pre = self.pre_ind.get(part.partition_index)
         # hoist the per-chunk channel/token lookups out of the loop
         consume_chs = [self.channels[ch_id] for ch_id in part.consumes]
         read_toks = [self.fill_tokens[b] for b in read_bufs]
@@ -771,24 +734,16 @@ class _RunContext:
             for tok in read_toks:
                 yield Get(tok)
             ind_cycles = 0
-            if pre is not None:
-                ind_cycles = pre[c]
-                for acc, chunks in ind_chunks:
-                    n_elems = len(chunks[c])
-                    if n_elems:
-                        trans_n += n_elems
-                        d_a += n_elems * acc.elem_bytes
-            else:
-                for acc, chunks in ind_chunks:
-                    elems = chunks[c]
-                    at = self._migrated(
-                        cluster,
-                        self._addr(acc, elems[0]) if len(elems) else None,
-                    )
-                    ind_cycles += self._indirect_chunk(acc, at, elems)
-                    if len(elems):
-                        trans_n += len(elems)
-                        d_a += len(elems) * acc.elem_bytes
+            for acc, chunks in ind_chunks:
+                elems = chunks[c]
+                at = self._migrated(
+                    cluster,
+                    self._addr(acc, elems[0]) if len(elems) else None,
+                )
+                ind_cycles += self._indirect_chunk(acc, at, elems)
+                if len(elems):
+                    trans_n += len(elems)
+                    d_a += len(elems) * acc.elem_bytes
             compute_ps = ii_ps * iters
             # a loop-carried address chain (pointer chasing) serializes
             # indirect accesses on every substrate (overlap hoisted)

@@ -3,9 +3,9 @@
 One :class:`GeneratedCase` is pushed through the golden interpreter and
 through :func:`~repro.sim.system.simulate_workload` for each requested
 configuration twice: once on the production path (vectorized
-interpretation, batched replay, analytic offload replay) and once with
-``REPRO_REFERENCE=1`` (tree-walking interpretation, per-access replay,
-event-only offload replay). The paths must agree on
+interpretation, batched replay) and once with ``REPRO_REFERENCE=1``
+(tree-walking interpretation, per-access replay). The paths must agree
+on
 
 * **analysis consistency** — the static verifier accepts exactly the
   kernels the interpreter executes without a fault, and the affine

@@ -99,7 +99,7 @@ class TestHostPath:
 class TestAccelPath:
     def test_accel_access_does_not_touch_l1_l2(self):
         h, _ = make_hierarchy()
-        h.accel_access(0, 0x1000_0000, False)
+        h.accel_elem_access(0, 0x1000_0000, False, 4)
         s = h.stats()
         assert s.l1 == 0 and s.l2 == 0
         assert s.acp == 1 and s.l3 == 1
@@ -107,25 +107,31 @@ class TestAccelPath:
     def test_acp_hit_is_cheap(self):
         h, _ = make_hierarchy()
         addr = 0x1000_0000
-        h.accel_access(0, addr, False)
-        lat = h.accel_access(0, addr, False)
+        h.accel_elem_access(0, addr, False, 4)
+        lat = h.accel_elem_access(0, addr, False, 4)
         assert lat == 1
 
     def test_local_cluster_access_no_noc_traffic(self):
         h, _ = make_hierarchy()
-        addr = 0x1000_0000  # home cluster 0 (page-interleaved)
+        addr = 0x1000_0000  # home cluster 0 (range-striped)
         assert h.l3.home_cluster(addr) == 0
-        h.accel_access(0, addr, False)
+        h.accel_elem_access(0, addr, False, 4)
+        hops = h.traffic.byte_hops_by_class
+        assert hops[TrafficClass.ACC_CTRL] == 0
+        assert hops[TrafficClass.ACC_DATA] == 0
         acc_bytes = h.traffic.class_bytes(TrafficClass.ACC_DATA)
         assert h.traffic.total_byte_hops() > 0  # only the DRAM fill hops
-        assert acc_bytes > 0  # fill recorded even if local
+        assert acc_bytes > 0  # element recorded even if local
 
     def test_remote_cluster_access_crosses_mesh(self):
         h, _ = make_hierarchy()
-        addr = 0x1000_0000 + PAGE_BYTES  # home cluster 1
-        h.accel_access(0, addr, False)  # issued from cluster 0
-        # request + fill crossed at least one hop each
-        assert h.traffic.total_byte_hops() > 64
+        addr = 0x1000_0000 + h.l3.stripe_bytes
+        assert h.l3.home_cluster(addr) == 1
+        h.accel_elem_access(0, addr, False, 4)  # issued from cluster 0
+        # request and element reply each crossed the mesh
+        hops = h.traffic.byte_hops_by_class
+        assert hops[TrafficClass.ACC_CTRL] > 0
+        assert hops[TrafficClass.ACC_DATA] > 0
 
 
 class TestCoherence:
@@ -153,12 +159,15 @@ class TestCoherence:
         h, _ = make_hierarchy()
         slab = SlabAllocator()
         alloc = slab.allocate("A", 4096)
+        # an element access lands in the ACP at the data's home cluster
+        home = h.l3.home_cluster(alloc.base)
         mgr = CoherenceManager(h)
-        mgr.acquire(alloc, Domain.ACCEL, cluster=1)
-        h.accel_access(1, alloc.base, True)
-        assert h.acps[1].probe(alloc.base)
-        mgr.acquire(alloc, Domain.ACCEL, cluster=3)
-        assert not h.acps[1].probe(alloc.base)
+        mgr.acquire(alloc, Domain.ACCEL, cluster=home)
+        h.accel_elem_access(home, alloc.base, True, 4)
+        assert h.acps[home].probe(alloc.base)
+        mgr.acquire(alloc, Domain.ACCEL,
+                    cluster=(home + 3) % h.l3.num_clusters)
+        assert not h.acps[home].probe(alloc.base)
         assert mgr.transitions == 1
 
     def test_release_returns_to_host(self):

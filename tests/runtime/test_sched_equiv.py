@@ -1,15 +1,16 @@
-"""Offload-replay equivalence gate: the analytic replay
-(``runtime/fastsim.py``) must be bit-identical to the event-only replay
-on every metric a figure or table reads.
+"""Offload-replay equivalence gate: the event engine's batched hierarchy
+calls must be bit-identical to its per-access calls on every metric a
+figure or table reads.
 
 Four workloads of different shapes are simulated under all six
-configurations twice on the production path — once as it runs by
-default, once with ``fastsim.replay`` declining every run so that each
-offload run falls back to the event engine — and every cell is compared
-field by field, including the float energy totals (exact equality, not
-approx). The whole-run production-vs-reference gate is
-``tests/sim/test_fastpath_equiv.py``; this one isolates the offload
-replay layer.
+configurations twice on the production path: once as it runs by default,
+and once with only ``repro.runtime.engine.reference_enabled`` patched to
+return ``True``, so that the offload engine makes one hierarchy call per
+line or element while the interpreter, OoO model and streams stay on
+their production paths. Every cell is compared field by field, including
+the float energy totals (exact equality, not approx). The whole-run
+production-vs-reference gate is ``tests/sim/test_fastpath_equiv.py``;
+this one isolates the offload replay layer.
 
 The second half pins the event-kernel *semantics* of the one heap core
 in both of its dispatch loops — the specialized unbounded loop every
@@ -34,9 +35,9 @@ from repro.events import (
     WaitProcess,
 )
 from repro.experiments.runner import BASELINE, PAPER_CONFIGS, ResultMatrix
-from repro.obs.stats import OBS
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.params import experiment_machine
-from repro.runtime import fastsim
+from repro.runtime import engine
 from repro.sim import simulate_workload
 from repro.workloads import ALL_WORKLOADS
 
@@ -47,18 +48,24 @@ CONFIGS = (BASELINE,) + PAPER_CONFIGS
 #: loop without ever tripping
 EVENT_GUARD = 10**6
 
+#: the offload engine's batched hierarchy entry points
+ACCEL_BATCH = ("accel_line_fetch_batch", "accel_elem_access_batch",
+               "l3_demand_batch")
 
-def run_matrix_mode(monkeypatch, analytic: bool):
+
+def run_matrix_mode(monkeypatch, batched: bool):
     monkeypatch.delenv(envcfg.REPRO_REFERENCE.name, raising=False)
-    if not analytic:
-        monkeypatch.setattr(fastsim, "replay", lambda ctx: None)
-    before = OBS.counter("engine.fastsim_runs")
+    if not batched:
+        def forbidden(*args, **kwargs):
+            raise AssertionError("batched walk reached on per-access side")
+
+        monkeypatch.setattr(engine, "reference_enabled", lambda: True)
+        # the per-access side must never batch, or the gate is vacuous
+        for attr in ACCEL_BATCH:
+            monkeypatch.setattr(MemoryHierarchy, attr, forbidden)
     matrix = ResultMatrix(
         scale="tiny", workloads=WORKLOADS, configs=CONFIGS
     ).run_all()
-    replayed = OBS.counter("engine.fastsim_runs") - before
-    # the analytic side must actually replay runs, or the gate is vacuous
-    assert (replayed > 0) is analytic
     monkeypatch.undo()
     return matrix
 
@@ -67,19 +74,19 @@ def run_matrix_mode(monkeypatch, analytic: bool):
 def both_engines():
     mp = pytest.MonkeyPatch()
     try:
-        analytic = run_matrix_mode(mp, analytic=True)
-        events_only = run_matrix_mode(mp, analytic=False)
+        batched = run_matrix_mode(mp, batched=True)
+        per_access = run_matrix_mode(mp, batched=False)
     finally:
         mp.undo()
-    return analytic, events_only
+    return batched, per_access
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("config", CONFIGS)
 def test_sched_engine_bit_identical(both_engines, workload, config):
-    analytic, events_only = both_engines
-    s = analytic.results[(workload, config)]
-    r = events_only.results[(workload, config)]
+    batched, per_access = both_engines
+    s = batched.results[(workload, config)]
+    r = per_access.results[(workload, config)]
     assert s.time_ps == r.time_ps
     assert s.insts == r.insts
     assert s.mem_ops == r.mem_ops
@@ -94,17 +101,17 @@ def test_sched_engine_bit_identical(both_engines, workload, config):
 
 
 def test_sched_path_defaults_on(monkeypatch):
-    """With ``REPRO_REFERENCE`` unset, offload runs try the analytic
-    replay first."""
+    """With ``REPRO_REFERENCE`` unset, offload runs fetch each chunk's
+    lines with one batched hierarchy call."""
     calls = []
-    real_replay = fastsim.replay
+    real_fetch = MemoryHierarchy.accel_line_fetch_batch
 
-    def spy(ctx):
-        calls.append(ctx)
-        return real_replay(ctx)
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return real_fetch(self, *args, **kwargs)
 
     monkeypatch.delenv(envcfg.REPRO_REFERENCE.name, raising=False)
-    monkeypatch.setattr(fastsim, "replay", spy)
+    monkeypatch.setattr(MemoryHierarchy, "accel_line_fetch_batch", spy)
     result = simulate_workload(ALL_WORKLOADS["fdt"].build("tiny"),
                                "dist_da_f", machine=experiment_machine())
     assert result.validated

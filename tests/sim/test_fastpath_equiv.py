@@ -4,13 +4,12 @@ table reads.
 
 Four workloads of different shapes (stencil, graph, streaming, sparse)
 are simulated under all six configurations twice — once on the
-production path (vectorized interpretation, batched replay, analytic
-offload replay) and once with every layer on its reference
-implementation (tree-walking interpreter, per-access OoO, stream and
-hierarchy replay, event-only offload replay) — and every cell is
-compared field by field, including the float energy totals (exact
-equality, not approx: the production path is required to produce the
-same bits).
+production path (vectorized interpretation, batched replay) and once
+with every layer on its reference implementation (tree-walking
+interpreter, per-access OoO, stream and hierarchy replay) — and every
+cell is compared field by field, including the float energy totals
+(exact equality, not approx: the production path is required to
+produce the same bits).
 """
 
 import pytest

@@ -1,7 +1,7 @@
 """Reach of the ``REPRO_REFERENCE`` switch: set to ``1``, it selects the
 reference implementation in every layer at once (tree-walking
-interpreter, per-access OoO, stream and hierarchy replay, event-only
-offload replay), so a reference run never enters production-only code.
+interpreter, per-access OoO, stream and hierarchy replay), so a
+reference run never enters production-only code.
 
 That the two paths produce the same bits is the whole-run gate in
 ``tests/sim/test_fastpath_equiv.py``.
@@ -18,7 +18,6 @@ from repro.mem.cache import Cache
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.prefetch import StridePrefetcher
 from repro.params import experiment_machine
-from repro.runtime import fastsim
 from repro.sim import simulate_workload
 from repro.workloads import ALL_WORKLOADS
 
@@ -36,7 +35,6 @@ PRODUCTION_ONLY = (
     (MemoryHierarchy, "l3_demand_batch"),
     (Cache, "access_batch"),
     (StridePrefetcher, "observe_batch"),
-    (fastsim, "replay"),
 )
 
 
