@@ -2,19 +2,20 @@
 """Wall-clock benchmark of the experiment matrix.
 
 Times the (workload x configuration) matrix two ways — the production
-path (the default: whole-loop affine interpretation, batched replay
-with set-level cache walks, analytic macro-chunk offload replay) and
-the reference path (``REPRO_REFERENCE=1``: tree-walking
-interpretation, per-access replay, event-only offload replay) —
-asserts both produce identical results cell for cell, and writes a
-machine-readable report to ``BENCH_matrix.json``:
+path (the default: whole-loop affine interpretation, batched host
+replay with set-level cache walks, event-driven offload replay with one
+batched hierarchy call per chunk) and the reference path
+(``REPRO_REFERENCE=1``: tree-walking interpretation, per-access host
+replay, event-driven offload replay with one hierarchy call per line or
+element) — asserts both produce identical results cell for cell, and
+writes a machine-readable report to ``BENCH_matrix.json``:
 
-* wall seconds, cells and cells/second per mode, plus per-engine event
-  counts (scheduler events dispatched, analytic replay and coalescing
-  tallies);
+* wall seconds, cells and cells/second per mode, plus the offload
+  engine's counters (events dispatched, offload runs, peak pending
+  events, peak channel occupancy);
 * the interpret-vs-replay split (the first configuration of each
-  workload pays the golden interpreter; the rest replay its functional
-  trace from the trace cache);
+  workload builds, interprets and validates its dataset; the rest
+  replay that cached functional artifact);
 * per-cell wall times and the production-over-reference speedup.
 
 Run from the repo root::

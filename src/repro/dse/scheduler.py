@@ -24,9 +24,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..obs import OBS, CellStat, SweepProgress
 from ..params import MachineParams, machine_digest
 from ..sim.results import RunResult
-from ..sim.system import simulate_workload
+from ..sim.system import simulate_dataset
 from ..sim.tracecache import TraceCache
-from ..workloads import ALL_WORKLOADS
 from .spec import STORE_VERSION, SweepPoint, SweepSpec
 from .store import open_result_store
 
@@ -60,12 +59,10 @@ def _run_point(hash_: str, point: SweepPoint, base: MachineParams,
     while attempts < MAX_ATTEMPTS:
         attempts += 1
         try:
-            instance = ALL_WORKLOADS[point.workload].build(
-                point.scale, **dict(point.workload_kwargs)
-            )
-            run = simulate_workload(
-                instance, point.config, machine=machine,
-                trace_cache=cache, trace_key=point.trace_key(),
+            run = simulate_dataset(
+                point.workload, point.scale, point.config,
+                build_kwargs=dict(point.workload_kwargs),
+                machine=machine, trace_cache=cache,
             )
         except Exception as exc:  # noqa: BLE001 — recorded, not fatal
             error = f"{type(exc).__name__}: {exc}"

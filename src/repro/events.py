@@ -188,12 +188,6 @@ class Channel:
     def empty(self) -> bool:
         return not self._items
 
-    def try_peek(self) -> Any:
-        """Non-blocking peek; raises if empty."""
-        if not self._items:
-            raise SimulationError(f"peek on empty channel {self.name}")
-        return self._items[0]
-
     def _arm_get(self, proc: Process) -> None:
         if self._items:
             item = self._items.popleft()

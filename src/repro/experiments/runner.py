@@ -38,8 +38,8 @@ from ..interface.intrinsics import CoverageRecorder
 from ..obs import OBS, CellStat
 from ..params import MachineParams, experiment_machine
 from ..sim.results import RunResult
-from ..sim.system import simulate_workload
-from ..sim.tracecache import TraceCache, functional_key
+from ..sim.system import simulate_dataset
+from ..sim.tracecache import TraceCache
 from ..workloads import ALL_WORKLOADS, PAPER_ORDER
 
 #: the accelerator configurations of §VI-A, in presentation order
@@ -70,10 +70,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return max(1, int(jobs))
 
 
-def _default_trace_cache() -> TraceCache:
-    return TraceCache(max_entries=2, spill_dir=envcfg.trace_spill_dir())
-
-
 @dataclass
 class ResultMatrix:
     """Lazily-populated (workload, config) -> RunResult matrix."""
@@ -92,7 +88,8 @@ class ResultMatrix:
         if self.machine is None:
             self.machine = experiment_machine()
         if self.trace_cache is None:
-            self.trace_cache = _default_trace_cache()
+            self.trace_cache = TraceCache(
+                max_entries=2, spill_dir=envcfg.trace_spill_dir())
 
     def get(self, workload: str, config: str) -> RunResult:
         key = (workload, config)
@@ -101,11 +98,9 @@ class ResultMatrix:
                 raise ConfigError(f"unknown workload {workload!r}")
             cov = self.coverage.setdefault(workload, CoverageRecorder())
             start = perf_counter()
-            instance = ALL_WORKLOADS[workload].build(self.scale)
-            self.results[key] = simulate_workload(
-                instance, config, machine=self.machine, coverage=cov,
-                trace_cache=self.trace_cache,
-                trace_key=functional_key(workload, self.scale),
+            self.results[key] = simulate_dataset(
+                workload, self.scale, config, machine=self.machine,
+                coverage=cov, trace_cache=self.trace_cache,
             )
             OBS.add_cell(CellStat(
                 workload, config, perf_counter() - start,
@@ -202,26 +197,17 @@ def _matrix_worker(args: Tuple[str, Tuple[str, ...], str, MachineParams]):
     """Simulate every configuration of one workload (pool worker).
 
     Runs in a child process: resets the inherited observability registry
-    so the returned snapshot covers exactly this worker's cells, and uses
-    a private single-entry trace cache (one workload per worker).
+    so the returned snapshot covers exactly this worker's cells, and
+    populates a one-workload :class:`ResultMatrix` with a private
+    single-entry trace cache.
     """
     workload, configs, scale, machine = args
     OBS.reset()
-    cache = TraceCache(max_entries=1)
-    cov = CoverageRecorder()
-    cells: List[Tuple[str, RunResult]] = []
-    for config in configs:
-        start = perf_counter()
-        instance = ALL_WORKLOADS[workload].build(scale)
-        result = simulate_workload(
-            instance, config, machine=machine, coverage=cov,
-            trace_cache=cache, trace_key=functional_key(workload, scale),
-        )
-        OBS.add_cell(CellStat(
-            workload, config, perf_counter() - start,
-            trace_elems=cache.peak_trace_elems(workload, scale),
-        ))
-        cells.append((config, result))
+    matrix = ResultMatrix(scale=scale, machine=machine,
+                          workloads=(workload,), configs=configs,
+                          trace_cache=TraceCache(max_entries=1))
+    cells = [(config, matrix.get(workload, config)) for config in configs]
+    cov = matrix.coverage.setdefault(workload, CoverageRecorder())
     return workload, cells, cov, OBS.snapshot()
 
 

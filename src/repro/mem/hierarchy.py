@@ -134,8 +134,7 @@ class MemoryHierarchy:
             return latency + residual
 
         # L2 miss -> home L3 slice over the mesh
-        latency += self._l3_demand(addr, from_node=self._host,
-                                   kind_fill=MessageKind.CACHE_FILL)
+        latency += self._l3_demand(addr, from_node=self._host)
         self.movement_bytes += self._line  # L3 -> L2 fill
         return latency
 
@@ -159,10 +158,7 @@ class MemoryHierarchy:
             if self.l2.probe(pf_addr):
                 continue
             # fetch from L3/DRAM into L2
-            fill_latency = self._l3_demand(
-                pf_addr, from_node=self._host,
-                kind_fill=MessageKind.CACHE_FILL,
-            )
+            fill_latency = self._l3_demand(pf_addr, from_node=self._host)
             evicted = self.l2.fill(pf_addr, is_prefetch=True)
             self.movement_bytes += self._line
             if evicted and evicted[1]:
@@ -172,8 +168,7 @@ class MemoryHierarchy:
             ))
             self._stats_prefetches += 1
 
-    def _l3_demand(self, addr: int, from_node: int,
-                   kind_fill: MessageKind) -> int:
+    def _l3_demand(self, addr: int, from_node: int) -> int:
         """Access the home L3 slice from ``from_node``; fills from DRAM on
         miss. Returns latency cycles including mesh traversal."""
         m = self.machine
@@ -183,7 +178,7 @@ class MemoryHierarchy:
             MessageKind.CACHE_REQ, from_node, cluster, 0
         )
         lat_fill = self.traffic.record(
-            kind_fill, cluster, from_node, self._line
+            MessageKind.CACHE_FILL, cluster, from_node, self._line
         )
         latency = m.l3.latency_cycles
         latency += _ps_to_cycles_int(lat_req + lat_fill, m.core.freq_ghz)
@@ -456,16 +451,13 @@ class MemoryHierarchy:
             latency += self._dram_fill(home)
         return latency
 
-    def l3_demand(self, addr: int, from_node: int,
-                  as_accel: bool = False) -> int:
+    def l3_demand(self, addr: int, from_node: int) -> int:
         """Public demand access to the home L3 slice from any mesh node.
 
         Used by accelerators with private caches (Mono-CA) whose misses go
-        straight to the shared L3. Returns latency cycles.
+        straight to the shared L3 as cache fills. Returns latency cycles.
         """
-        kind = (MessageKind.ACC_OPERAND if as_accel
-                else MessageKind.CACHE_FILL)
-        latency = self._l3_demand(addr, from_node=from_node, kind_fill=kind)
+        latency = self._l3_demand(addr, from_node=from_node)
         self.movement_bytes += self._line
         return latency
 
@@ -883,12 +875,11 @@ class MemoryHierarchy:
         self.movement_bytes += moved
         return total
 
-    def l3_demand_batch(self, from_node: int,
-                        as_accel: bool = False) -> "L3DemandWindow":
+    def l3_demand_batch(self, from_node: int) -> "L3DemandWindow":
         """Open a deferred-accounting window over repeated
         :meth:`l3_demand` calls from one node (Mono-CA private-cache
         misses). Call :meth:`L3DemandWindow.flush` when done."""
-        return L3DemandWindow(self, from_node, as_accel)
+        return L3DemandWindow(self, from_node)
 
     # ------------------------------------------------------------------
     # flushes (coherence transitions)
@@ -963,14 +954,11 @@ class L3DemandWindow:
     latency conversion is memoized per cluster (the mesh is static).
     """
 
-    __slots__ = ("hier", "from_node", "kind", "_counts", "_conv", "_pool")
+    __slots__ = ("hier", "from_node", "_counts", "_conv", "_pool")
 
-    def __init__(self, hier: MemoryHierarchy, from_node: int,
-                 as_accel: bool):
+    def __init__(self, hier: MemoryHierarchy, from_node: int):
         self.hier = hier
         self.from_node = from_node
-        self.kind = (MessageKind.ACC_OPERAND if as_accel
-                     else MessageKind.CACHE_FILL)
         self._counts: Dict[int, int] = {}
         self._conv: Dict[int, int] = {}
         self._pool = hier._open_dram_pool()
@@ -1010,7 +998,7 @@ class L3DemandWindow:
             h._charge("l3", "l3_access", count)
             h._record(MessageKind.CACHE_REQ, self.from_node,
                       cluster, 0, count)
-            h._record(self.kind, cluster, self.from_node,
+            h._record(MessageKind.CACHE_FILL, cluster, self.from_node,
                       h._line, count)
         h.movement_bytes += total * h._line
         self._counts.clear()

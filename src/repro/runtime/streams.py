@@ -18,7 +18,7 @@ from ..ir.trace import ColumnarTrace
 
 
 class SiteStreams:
-    """Ordered element indices per static access site."""
+    """Ordered element indices per static access site (read-only)."""
 
     def __init__(self, trace: Iterable[MemAccess]):
         if isinstance(trace, ColumnarTrace) and not reference_enabled():
@@ -26,14 +26,16 @@ class SiteStreams:
             self._streams: Dict[int, np.ndarray] = dict(
                 trace.streams_by_site()
             )
-            return
-        buckets: Dict[int, List[int]] = {}
-        for acc in trace:
-            buckets.setdefault(acc.site_id, []).append(acc.elem_index)
-        self._streams = {
-            site: np.asarray(idxs, dtype=np.int64)
-            for site, idxs in buckets.items()
-        }
+        else:
+            buckets: Dict[int, List[int]] = {}
+            for acc in trace:
+                buckets.setdefault(acc.site_id, []).append(acc.elem_index)
+            self._streams = {
+                site: np.asarray(idxs, dtype=np.int64)
+                for site, idxs in buckets.items()
+            }
+        for stream in self._streams.values():
+            stream.flags.writeable = False
 
     def stream(self, site_id: int) -> np.ndarray:
         return self._streams.get(site_id, np.empty(0, dtype=np.int64))

@@ -1,15 +1,16 @@
 """Full-system simulation of one workload on one configuration.
 
 Implements the six tested configurations of paper §VI-A and the
-sensitivity variants (§VI-E). ``simulate_workload`` is the single entry
-point every experiment uses.
+sensitivity variants (§VI-E). Every experiment enters through
+``simulate_dataset`` (a registered workload's dataset, built only on a
+trace-cache miss) or ``simulate_workload`` (an already built instance).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..compiler.pipeline import CompiledKernel, CompileMode, compile_kernel
 from ..energy import EnergyLedger
@@ -35,14 +36,16 @@ from ..accel.cgra import CgraBackend
 from ..placement.horizontal import place_partitions
 from ..placement.vertical import PlacementLevel
 from ..runtime.engine import OffloadEngine
-from ..runtime.streams import SiteStreams
+from ..workloads import ALL_WORKLOADS
 from ..workloads.base import WorkloadInstance
 from .ooo import OooModel
 from .results import AccessDistribution, RunResult
 from .tracecache import (
+    DatasetInfo,
     FunctionalCallRecord,
     TraceCache,
     WorkloadTrace,
+    functional_key,
 )
 
 
@@ -162,7 +165,14 @@ class SystemSimulator:
         self.trace_key = trace_key
 
     # ------------------------------------------------------------------
-    def run(self, instance: WorkloadInstance) -> RunResult:
+    def run(self, instance: Optional[WorkloadInstance] = None, *,
+            build: Optional[Callable[[], WorkloadInstance]] = None
+            ) -> RunResult:
+        """Simulate ``instance``, or what ``build()`` returns; a trace
+        cache hit neither calls ``build`` nor touches ``instance``."""
+        entry = self._functional(
+            build if instance is None else (lambda: instance)
+        )
         energy = EnergyLedger(self.machine.energy)
         hierarchy = MemoryHierarchy(self.machine, energy)
         slab = SlabAllocator()
@@ -174,84 +184,83 @@ class SystemSimulator:
         align = math.lcm(stripe, PAGE_BYTES)
         allocations = {
             name: slab.allocate(name, obj.size_bytes, align=align)
-            for name, obj in instance.objects.items()
+            for name, obj in entry.info.objects.items()
         }
         coherence = CoherenceManager(hierarchy)
         ooo = OooModel(self.machine, hierarchy, energy, slab)
         if self.spec.mode is None:
-            result = self._run_ooo(instance, ooo, hierarchy, energy)
+            result = self._run_ooo(entry, ooo, hierarchy, energy)
         else:
             result = self._run_accel(
-                instance, ooo, hierarchy, energy, slab, allocations,
+                entry, ooo, hierarchy, energy, slab, allocations,
                 coherence,
             )
         return result
 
     # ------------------------------------------------------------------
-    def _functional_calls(self, instance: WorkloadInstance) -> Iterator:
-        """Yield ``(kernel, scalars, functional result)`` per kernel call.
+    def _functional(self, build: Callable[[], WorkloadInstance]
+                    ) -> WorkloadTrace:
+        """The dataset's configuration-independent functional artifact.
 
-        The functional interpretation (trace, op counts, loop-iteration
-        maps) is configuration-independent, so when a :class:`TraceCache`
-        is attached the first configuration records every call and later
-        configurations replay without re-running the interpreter. Replays
-        restore the final array contents so output validation still
-        observes the executed program state.
+        One cache lookup comes before anything is built. A miss builds,
+        interprets and validates the whole dataset first, so every cell
+        times the same complete artifact, whether it was cached or not.
         """
         cache, key = self.trace_cache, self.trace_key
-        if cache is not None and key is not None:
+        recording = cache is not None and key is not None
+        if recording:
             entry = cache.get(*key)
             if entry is not None:
                 OBS.inc("tracecache.replays")
-                for record in entry.calls:
-                    yield record.kernel, record.scalars, record.view()
-                for name, arr in entry.final_arrays.items():
-                    instance.arrays[name][...] = arr
-                return
+                return entry
+        instance = build()
         # vectorized whole-loop interpretation; tree-walking under
         # REPRO_REFERENCE=1 — bit-identical either way
         interp = make_interpreter(record_trace=True)
-        recording = cache is not None and key is not None
         records = []
         for call in instance.calls():
             OBS.inc("interp.invocations")
             res = interp.run(call.kernel, instance.arrays, call.scalars)
             OBS.observe_max("interp.peak_trace_elems", len(res.trace or ()))
-            if recording:
-                records.append(FunctionalCallRecord.from_interp(
-                    call.kernel, call.scalars, res
-                ))
-            yield call.kernel, call.scalars, res
-        if recording:
-            cache.put(WorkloadTrace(
-                workload=key[0], scale=key[1], calls=records,
-                final_arrays={
-                    name: arr.copy()
-                    for name, arr in instance.arrays.items()
-                },
+            records.append(FunctionalCallRecord.from_interp(
+                call.kernel, call.scalars, res
             ))
+        workload, scale = key or (instance.name, "")  # never cached
+        entry = WorkloadTrace(
+            workload=workload, scale=scale, calls=records,
+            info=DatasetInfo(
+                instance.short, dict(instance.objects),
+                instance.host_insts_per_call, instance.serial_fraction,
+            ),
+            # the arrays are final: the one validation this dataset gets
+            validated=instance.validate(),
+        )
+        if recording:
+            cache.put(entry)
+        return entry
 
     # ------------------------------------------------------------------
-    def _run_ooo(self, instance: WorkloadInstance, ooo: OooModel,
+    def _run_ooo(self, entry: WorkloadTrace, ooo: OooModel,
                  hierarchy: MemoryHierarchy,
                  energy: EnergyLedger) -> RunResult:
+        info = entry.info
         total_ps = 0
         insts = 0
         mem_ops = 0
-        for kernel, _scalars, res in self._functional_calls(instance):
-            out = ooo.run(kernel, res.counts, res.trace,
-                          extra_host_insts=instance.host_insts_per_call,
-                          serial_fraction=instance.serial_fraction)
+        for rec in entry.calls:
+            out = ooo.run(rec.kernel, rec.counts, rec.trace,
+                          extra_host_insts=info.host_insts_per_call,
+                          serial_fraction=info.serial_fraction)
             total_ps += out.time_ps
             insts += out.insts
             mem_ops += out.mem_ops
         return self._result(
-            instance, "ooo", total_ps, insts, mem_ops, energy, hierarchy,
+            entry, "ooo", total_ps, insts, mem_ops, energy, hierarchy,
             AccessDistribution(), mmio=0, accel_iters=0,
         )
 
     # ------------------------------------------------------------------
-    def _run_accel(self, instance: WorkloadInstance, ooo: OooModel,
+    def _run_accel(self, entry: WorkloadTrace, ooo: OooModel,
                    hierarchy: MemoryHierarchy, energy: EnergyLedger,
                    slab: SlabAllocator, allocations, coherence
                    ) -> RunResult:
@@ -279,8 +288,9 @@ class SystemSimulator:
         mem_ops = 0
         mmio = 0
         accel_iters = 0
-        for kernel, _scalars, res in self._functional_calls(instance):
-            mem_ops += res.counts.loads + res.counts.stores
+        for rec in entry.calls:
+            kernel = rec.kernel
+            mem_ops += rec.counts.loads + rec.counts.stores
             # compile cache: keyed by stable kernel identity (name +
             # structural fingerprint) — ``id()`` can be reused after a
             # kernel object is garbage collected, silently returning a
@@ -297,12 +307,13 @@ class SystemSimulator:
                 OBS.inc("compile.kernels")
                 ck = compile_kernel(
                     kernel, spec.mode,
-                    trip_count_hint=max(res.inner_iterations, 1),
+                    trip_count_hint=max(rec.inner_iterations, 1),
                     coverage=self.coverage,
                     disable_stream_spec=spec.no_stream_spec,
                 )
                 compiled[ck_key] = ck
-            streams = SiteStreams(res.trace)
+            # split once per recorded call, shared by every replay
+            streams = rec.site_streams()
             offloaded_insts = 0
             # iteration maps are keyed by structural loop position, so a
             # cached CompiledKernel built from a *different* (structurally
@@ -318,8 +329,8 @@ class SystemSimulator:
                             cluster=clusters[part_idx],
                         )
                 loop_key = loop_ids[id(off.loop)]
-                trips = res.inner_iters_by_loop.get(loop_key, 0)
-                invocations = res.inner_invocations_by_loop.get(
+                trips = rec.inner_iters_by_index.get(loop_key, 0)
+                invocations = rec.inner_invocations_by_index.get(
                     loop_key, 1
                 )
                 stats = engine.run(off, clusters, trips, invocations,
@@ -340,14 +351,14 @@ class SystemSimulator:
                 insts += trips * per_iter
             # host residual: outer-loop control + non-offloaded work
             resid = max(
-                res.counts.total_insts - offloaded_insts, 0
-            ) + instance.host_insts_per_call
+                rec.counts.total_insts - offloaded_insts, 0
+            ) + entry.info.host_insts_per_call
             host_cycles = resid / self.machine.core.issue_width
             energy.charge("core", "ooo_inst_overhead", resid)
             total_ps += cycles_to_ps(host_cycles, self.machine.core.freq_ghz)
             insts += resid
         return self._result(
-            instance, spec.name, total_ps, insts, mem_ops, energy,
+            entry, spec.name, total_ps, insts, mem_ops, energy,
             hierarchy, dist, mmio, accel_iters,
         )
 
@@ -374,14 +385,14 @@ class SystemSimulator:
         return clusters
 
     # ------------------------------------------------------------------
-    def _result(self, instance: WorkloadInstance, name: str, total_ps: int,
+    def _result(self, entry: WorkloadTrace, name: str, total_ps: int,
                 insts: int, mem_ops: int, energy: EnergyLedger,
                 hierarchy: MemoryHierarchy, dist: AccessDistribution,
                 mmio: int, accel_iters: int) -> RunResult:
         hierarchy.record_obs()
         OBS.inc("sim.cells")
         return RunResult(
-            workload=instance.short,
+            workload=entry.info.short,
             config=name,
             time_ps=max(total_ps, 1),
             insts=insts,
@@ -397,7 +408,7 @@ class SystemSimulator:
                 + hierarchy.traffic.total_byte_hops()
             ),
             access_dist=dist,
-            validated=instance.validate(),
+            validated=entry.validated,
             mmio_bytes=mmio,
             accel_iterations=accel_iters,
         )
@@ -419,3 +430,19 @@ def simulate_workload(instance: WorkloadInstance, config: str,
         config, machine, coverage,
         trace_cache=trace_cache, trace_key=trace_key,
     ).run(instance)
+
+
+def simulate_dataset(workload: str, scale: str, config: str,
+                     build_kwargs: Optional[Dict[str, object]] = None,
+                     machine: Optional[MachineParams] = None,
+                     coverage: Optional[CoverageRecorder] = None,
+                     trace_cache: Optional[TraceCache] = None
+                     ) -> RunResult:
+    """Simulate a registered workload's dataset on one configuration,
+    building it only on a ``trace_cache`` miss. The functional key comes
+    from the same arguments as the build, so the two cannot disagree."""
+    kwargs = dict(build_kwargs or {})
+    return SystemSimulator(
+        config, machine, coverage, trace_cache=trace_cache,
+        trace_key=functional_key(workload, scale, kwargs),
+    ).run(build=lambda: ALL_WORKLOADS[workload].build(scale, **kwargs))

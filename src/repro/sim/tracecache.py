@@ -1,20 +1,20 @@
-"""Reusable functional-interpretation traces.
+"""Reusable per-dataset functional artifacts.
 
 The golden interpreter's outputs for one workload instance — per-call
-address traces, op counts and loop-iteration maps — depend only on the
-(workload, scale) pair, never on the simulated machine configuration.
-The experiment matrix runs every workload under six configurations, so
-interpreting each kernel call once and replaying the recorded
-functional results for the other five removes the hottest redundant work
-of a full §VI reproduction.
+address traces, op counts, loop-iteration maps and the output verdict —
+depend only on the dataset, never on the simulated machine. The
+experiment matrix runs every workload under six configurations and a
+sweep replays each dataset on many machine points, so interpreting each
+dataset once and replaying the recorded results everywhere else removes
+the hottest redundant work of a full §VI reproduction.
 
-:class:`TraceCache` is a bounded in-memory LRU store keyed by
-``(workload, scale)``; each entry holds one :class:`FunctionalCallRecord`
-per dynamic kernel call (i.e. the logical key space is
-``(workload, scale, call index)``) plus the final array contents so
-output validation still observes the executed program on replay. Evicted
-entries can optionally spill to on-disk pickles and are transparently
-reloaded on the next miss.
+:class:`TraceCache` is a bounded in-memory LRU store keyed by the
+functional key; each entry holds one :class:`FunctionalCallRecord` per
+dynamic kernel call, the instance fields replay reads
+(:class:`DatasetInfo`) and the interpreting cell's validation verdict,
+so a hit needs no dataset build, array restore or NumPy reference.
+Evicted entries can optionally spill to on-disk pickles; a later miss
+reloads only files this cache wrote itself.
 
 Loop-iteration maps are keyed by the loop's *position* among the
 kernel's innermost loops (``Kernel.innermost_loop_ids``) end to end —
@@ -29,19 +29,18 @@ import os
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from ..envcfg import reference_enabled
 from ..ir.interp import InterpResult, MemAccess, OpCounts
-from ..ir.program import Kernel
+from ..ir.program import Kernel, MemObject
 from ..ir.trace import ColumnarTrace
 from ..obs import OBS
+from ..runtime.streams import SiteStreams
 
 #: a recorded access trace: columnar (normal) or a plain MemAccess list
-#: (legacy pickles / hand-built tests) — both speak the same sequence
-#: protocol
+#: (an untraced call's empty list / hand-built tests) — both speak the
+#: same sequence protocol
 TraceLike = Union[ColumnarTrace, List[MemAccess]]
 
 
@@ -78,22 +77,6 @@ def functional_key(workload: str, scale: str,
 
 
 @dataclass
-class FunctionalView:
-    """What the system simulator consumes per kernel call.
-
-    Mirrors the subset of :class:`InterpResult` the timing models read,
-    with iteration maps keyed by stable innermost-loop position
-    (:meth:`~repro.ir.program.Kernel.innermost_loop_ids`).
-    """
-
-    counts: OpCounts
-    trace: TraceLike
-    inner_iterations: int
-    inner_iters_by_loop: Dict[int, int]
-    inner_invocations_by_loop: Dict[int, int]
-
-
-@dataclass
 class FunctionalCallRecord:
     """Functional interpretation of one dynamic kernel call."""
 
@@ -105,6 +88,10 @@ class FunctionalCallRecord:
     #: innermost-loop position (per ``kernel.innermost_loops()``) -> value
     inner_iters_by_index: Dict[int, int] = field(default_factory=dict)
     inner_invocations_by_index: Dict[int, int] = field(default_factory=dict)
+    #: memoized :meth:`site_streams` (never pickled)
+    _streams: Optional[SiteStreams] = field(
+        default=None, init=False, repr=False, compare=False,
+    )
 
     @classmethod
     def from_interp(cls, kernel: Kernel, scalars: Dict[str, float],
@@ -123,25 +110,40 @@ class FunctionalCallRecord:
             inner_invocations_by_index=dict(res.inner_invocations_by_loop),
         )
 
-    def view(self) -> FunctionalView:
-        return FunctionalView(
-            counts=self.counts,
-            trace=self.trace,
-            inner_iterations=self.inner_iterations,
-            inner_iters_by_loop=self.inner_iters_by_index,
-            inner_invocations_by_loop=self.inner_invocations_by_index,
-        )
+    def site_streams(self) -> SiteStreams:
+        """Per-site element streams, split once and shared read-only by
+        every configuration replaying this call."""
+        if self._streams is None:
+            self._streams = SiteStreams(self.trace)
+        return self._streams
+
+    def __getstate__(self) -> Dict[str, object]:
+        # spills hold the trace only; a reloaded record re-splits it
+        return dict(self.__dict__, _streams=None)
+
+
+@dataclass(frozen=True)
+class DatasetInfo:
+    """The workload-instance fields replay reads (of the objects, only
+    their sizes matter), so a cache hit needs no built instance."""
+
+    short: str
+    objects: Mapping[str, MemObject]
+    host_insts_per_call: int
+    serial_fraction: float
 
 
 @dataclass
 class WorkloadTrace:
-    """All functional state one (workload, scale) execution produced."""
+    """All functional state one dataset's interpretation produced."""
 
     workload: str
     scale: str
     calls: List[FunctionalCallRecord]
-    #: array contents after the last call, for replayed validation
-    final_arrays: Dict[str, np.ndarray]
+    info: DatasetInfo
+    #: the interpreted outputs matched the NumPy reference (checked once,
+    #: by the interpreting cell, when the arrays were final)
+    validated: bool
 
     @property
     def peak_trace_elems(self) -> int:
@@ -162,6 +164,10 @@ class TraceCache:
         self.misses = 0
         self.spills = 0
         self.disk_loads = 0
+        #: keys this cache spilled itself; only their files are read back
+        #: (a file left by an earlier run or another checkout is ignored,
+        #: then overwritten by the next spill of its key)
+        self._spilled: Set[Tuple[str, str]] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -215,15 +221,13 @@ class TraceCache:
         os.makedirs(self.spill_dir, exist_ok=True)
         with open(self._path(key), "wb") as f:
             pickle.dump(entry, f, protocol=pickle.HIGHEST_PROTOCOL)
+        self._spilled.add(key)
         self.spills += 1
         OBS.inc("tracecache.spills")
 
     def _load_spilled(self, key: Tuple[str, str]
                       ) -> Optional[WorkloadTrace]:
-        if self.spill_dir is None:
+        if key not in self._spilled:
             return None
-        path = self._path(key)
-        if not os.path.exists(path):
-            return None
-        with open(path, "rb") as f:
+        with open(self._path(key), "rb") as f:
             return pickle.load(f)

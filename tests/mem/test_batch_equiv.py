@@ -15,6 +15,7 @@ import pytest
 
 from repro.energy import EnergyLedger
 from repro.mem import MemoryHierarchy
+from repro.noc.traffic import TrafficClass
 from repro.params import default_machine, experiment_machine
 
 #: the Table III shapes (64-set L1), the scaled-down shapes the
@@ -232,13 +233,16 @@ def test_accel_elem_access_batch_matches_scalar(elem_bytes, is_write):
 
 
 def test_l3_demand_window_matches_scalar():
+    """Mono-CA private-cache misses: the pooled window equals per-access
+    ``l3_demand``, and both carry the line back as a host-data cache
+    fill (no accelerator operand traffic)."""
     rng = np.random.default_rng(17)
     addrs = (np.int64(0x3000_0000)
              + rng.integers(0, 1 << 19, 1200).astype(np.int64) * 64)
     fast, fast_energy = make_hierarchy()
     ref, ref_energy = make_hierarchy()
 
-    window = fast.l3_demand_batch(from_node=3, as_accel=True)
+    window = fast.l3_demand_batch(from_node=3)
     batch_lat = 0
     try:
         for addr in addrs.tolist():
@@ -246,7 +250,7 @@ def test_l3_demand_window_matches_scalar():
     finally:
         window.flush()
     scalar_lat = sum(
-        ref.l3_demand(addr, from_node=3, as_accel=True)
+        ref.l3_demand(addr, from_node=3)
         for addr in addrs.tolist()
     )
     assert batch_lat == scalar_lat
@@ -255,6 +259,11 @@ def test_l3_demand_window_matches_scalar():
     assert fast.movement_bytes == ref.movement_bytes
     assert fast.traffic.breakdown() == ref.traffic.breakdown()
     assert fast.dram.reads == ref.dram.reads
+    # every fill is CACHE_FILL (host data); nothing is an accelerator
+    # operand, and remote homes put the fills on the mesh
+    for hier in (fast, ref):
+        assert hier.traffic.class_bytes(TrafficClass.ACC_DATA) == 0
+        assert hier.traffic.class_bytes(TrafficClass.HOST_DATA) > 0
 
 
 def test_late_prefetch_map_is_bounded():

@@ -9,8 +9,10 @@ from repro.ir import FLOAT32, Kernel, Loop, LoopVar, MemObject
 from repro.ir.interp import Interpreter
 from repro.obs import OBS
 from repro.params import experiment_machine
+from repro.runtime import SiteStreams
 from repro.sim import simulate_workload
 from repro.sim.tracecache import (
+    DatasetInfo,
     FunctionalCallRecord,
     TraceCache,
     WorkloadTrace,
@@ -38,34 +40,84 @@ def make_record(n=16):
 
 
 def make_trace(workload="wl", scale="tiny", n=16):
-    kernel, arrays, record, _ = make_record(n)
+    kernel, _, record, _ = make_record(n)
+    info = DatasetInfo(short=workload[:3], objects=kernel.objects,
+                       host_insts_per_call=50, serial_fraction=0.25)
     return WorkloadTrace(
-        workload=workload, scale=scale, calls=[record],
-        final_arrays={k: v.copy() for k, v in arrays.items()},
+        workload=workload, scale=scale, calls=[record], info=info,
+        validated=True,
     )
 
 
+def replay_fields(entry):
+    """What a cache hit hands replay in place of a built instance."""
+    info = entry.info
+    objects = sorted(
+        (name, obj.shape, obj.dtype, obj.size_bytes)
+        for name, obj in info.objects.items()
+    )
+    return (entry.validated, info.short, objects,
+            info.host_insts_per_call, info.serial_fraction)
+
+
 class TestFunctionalCallRecord:
+    """The record is what the system simulator consumes per call."""
+
     def test_view_matches_interp_result(self):
         _, _, record, res = make_record()
-        view = record.view()
-        assert view.counts == res.counts
-        assert view.trace == list(res.trace)
-        assert view.inner_iterations == res.inner_iterations
-        assert view.inner_iters_by_loop == res.inner_iters_by_loop
-        assert view.inner_invocations_by_loop == res.inner_invocations_by_loop
+        assert record.counts == res.counts
+        assert list(record.trace) == list(res.trace)
+        assert record.inner_iterations == res.inner_iterations
+        assert record.inner_iters_by_index == res.inner_iters_by_loop
+        assert (record.inner_invocations_by_index
+                == res.inner_invocations_by_loop)
 
     def test_view_survives_pickle(self):
         _, _, record, res = make_record()
         clone = pickle.loads(pickle.dumps(record))
-        view = clone.view()
         # maps are keyed by structural loop position, so they survive
         # pickling unchanged and stay valid for the clone's own loops
         loops = clone.kernel.innermost_loops()
-        assert set(view.inner_iters_by_loop) == set(range(len(loops)))
-        assert view.inner_iters_by_loop == res.inner_iters_by_loop
-        assert view.counts == res.counts
-        assert view.trace == list(res.trace)
+        assert set(clone.inner_iters_by_index) == set(range(len(loops)))
+        assert clone.inner_iters_by_index == res.inner_iters_by_loop
+        assert clone.counts == res.counts
+        assert list(clone.trace) == list(res.trace)
+
+
+class TestSiteStreamMemo:
+    def test_memo_equals_fresh_split(self):
+        _, _, record, res = make_record()
+        memo = record.site_streams()
+        fresh = SiteStreams(res.trace)
+        assert memo.sites() == fresh.sites() and memo.sites()
+        for site in fresh.sites():
+            np.testing.assert_array_equal(memo.stream(site),
+                                          fresh.stream(site))
+
+    def test_computed_once(self):
+        _, _, record, _ = make_record()
+        assert record.site_streams() is record.site_streams()
+
+    def test_streams_are_read_only(self):
+        _, _, record, _ = make_record()
+        streams = record.site_streams()
+        site = streams.sites()[0]
+        with pytest.raises(ValueError):
+            streams.stream(site)[0] = 99
+
+    def test_pickled_record_holds_no_streams(self):
+        _, _, record, _ = make_record()
+        bare = pickle.dumps(record)
+        streams = record.site_streams()
+        assert pickle.dumps(record) == bare
+        clone = pickle.loads(bare)
+        assert clone._streams is None
+        # a reloaded record recomputes the same streams on first use
+        again = clone.site_streams()
+        assert again is not streams
+        for site in streams.sites():
+            np.testing.assert_array_equal(again.stream(site),
+                                          streams.stream(site))
 
 
 class TestTraceCache:
@@ -99,8 +151,26 @@ class TestTraceCache:
         assert reloaded is not None
         assert cache.disk_loads == 1
         assert reloaded.calls[0].kernel.name == "vadd"
-        np.testing.assert_array_equal(
-            reloaded.final_arrays["C"], make_trace("a").final_arrays["C"]
+        assert replay_fields(reloaded) == replay_fields(make_trace("a"))
+
+    def test_ignores_spill_files_it_did_not_write(self, tmp_path):
+        """A spill file left by another cache (an earlier run, another
+        checkout) is never read back: a fresh cache on the same
+        directory misses."""
+        first = TraceCache(max_entries=1, spill_dir=str(tmp_path))
+        first.put(make_trace("a"))
+        first.put(make_trace("b"))  # spills "a"
+        assert (tmp_path / "trace-a-tiny.pkl").exists()
+        second = TraceCache(max_entries=1, spill_dir=str(tmp_path))
+        assert second.get("a", "tiny") is None
+        assert (second.misses, second.disk_loads) == (1, 0)
+        # its own spill of the key overwrites the foreign file
+        second.put(make_trace("a", n=8))
+        second.put(make_trace("b"))
+        reloaded = second.get("a", "tiny")
+        assert second.disk_loads == 1
+        assert len(reloaded.calls[0].trace) == len(
+            make_trace("a", n=8).calls[0].trace
         )
 
     def test_peak_trace_elems_is_pure(self):

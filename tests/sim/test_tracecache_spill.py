@@ -5,6 +5,7 @@ worker still holding a replayed entry."""
 import pytest
 
 from repro.ir.trace import ColumnarTrace
+from repro.obs import OBS
 from repro.params import experiment_machine
 from repro.sim.system import simulate_workload
 from repro.sim.tracecache import TraceCache
@@ -32,7 +33,8 @@ def cell_sig(run):
 
 
 def columns_of(entry):
-    """Bitwise snapshot of every trace column and final array."""
+    """Bitwise snapshot of every trace column, plus the verdict and the
+    instance fields replay reads from the entry."""
     cols = []
     for record in entry.calls:
         trace = record.trace
@@ -42,11 +44,14 @@ def columns_of(entry):
             trace.idx.tobytes(), trace.is_write.tobytes(),
             trace.obj_names,
         ))
-    arrays = {
-        name: (arr.dtype, arr.tobytes())
-        for name, arr in entry.final_arrays.items()
-    }
-    return cols, arrays
+    info = entry.info
+    replay = (
+        entry.validated, info.short, info.host_insts_per_call,
+        info.serial_fraction,
+        sorted((name, obj.shape, obj.dtype)
+               for name, obj in info.objects.items()),
+    )
+    return cols, replay
 
 
 class TestPopulatePastBound:
@@ -72,6 +77,25 @@ class TestPopulatePastBound:
         run_through(b, cache, machine)
         assert cache.get(a.name, "spill") is None
         assert cache.get(b.name, "spill") is not None
+
+
+class TestForeignSpillFiles:
+    def test_fresh_cache_reinterprets_instead_of_loading(self, tmp_path,
+                                                         machine):
+        """Spill files another cache wrote are never read back: a new
+        cache on the same directory misses, and its cell re-interprets
+        to the same numbers."""
+        first = TraceCache(max_entries=1, spill_dir=str(tmp_path))
+        case = generate_case(7, shape="multi")
+        original = run_through(case, first, machine)
+        run_through(generate_case(8, shape="elementwise"), first, machine)
+        assert first.spills == 1
+        second = TraceCache(max_entries=1, spill_dir=str(tmp_path))
+        OBS.reset()
+        again = run_through(case, second, machine)
+        assert (second.misses, second.hits, second.disk_loads) == (1, 0, 0)
+        assert OBS.counter("interp.invocations") == len(case.calls)
+        assert cell_sig(again) == cell_sig(original)
 
 
 class TestSpillRoundTrip:
@@ -134,21 +158,25 @@ class TestEvictionDoesNotCorruptHeldEntries:
 
     def test_final_arrays_are_isolated_per_replayer(self, tmp_path,
                                                     machine):
-        """Replay restores instance arrays *from* the entry; a replaying
-        worker mutating its own instance must never write back into the
-        cached entry."""
+        """A replay touches no arrays: a replaying worker scribbling over
+        its own instance changes neither the cached entry nor a later
+        replay."""
         cache = TraceCache(max_entries=2, spill_dir=str(tmp_path))
         case = generate_case(7, shape="reduction")
-        run_through(case, cache, machine)
-        entry = cache.get(case.name, "spill")
-        _, arrays_before = columns_of(entry)
+        first = run_through(case, cache, machine)
+        before = columns_of(cache.get(case.name, "spill"))
         instance = case.instance()
+        initial = {k: v.copy() for k, v in instance.arrays.items()}
         run = simulate_workload(
             instance, "ooo", machine=machine,
             trace_cache=cache, trace_key=(case.name, "spill"),
         )
         assert run.validated
+        # the hit neither ran nor restored anything into the instance
+        for name, arr in instance.arrays.items():
+            assert arr.tobytes() == initial[name].tobytes()
         for arr in instance.arrays.values():
             arr.fill(-1.0)  # worker scribbles over its private copy
-        _, arrays_after = columns_of(cache.get(case.name, "spill"))
-        assert arrays_after == arrays_before
+        assert columns_of(cache.get(case.name, "spill")) == before
+        later = run_through(case, cache, machine)
+        assert cell_sig(later) == cell_sig(first)

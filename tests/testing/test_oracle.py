@@ -66,30 +66,35 @@ class TestInjectedFaults:
         assert reference_run() == clean
 
     def test_broken_functional_result_is_caught(self, monkeypatch):
-        """Corrupting replayed output arrays fails output validation.
+        """Corrupting the interpreted outputs fails output validation.
 
-        On each side (production, reference) the first config records
-        the functional trace and every later config replays it through
-        ``TraceCache.get``, so corrupting the entry there breaks exactly
-        the replayed cells' outputs. Two configs give each side one
-        replayed cell.
+        On each side (production, reference) the first config interprets
+        the case and validates its outputs once; every later config
+        replays that entry and carries its verdict. Corrupting an output
+        array of the interpreting cell after its last kernel call must
+        therefore fail the interpreting cell *and* the replayed one. Two
+        configs give each side one replayed cell.
         """
-        from repro.sim.tracecache import TraceCache
+        from repro.workloads.base import WorkloadInstance
 
-        real_get = TraceCache.get
+        real_calls = WorkloadInstance.calls
 
-        def corrupting_get(self, workload, scale):
-            entry = real_get(self, workload, scale)
-            if entry is not None:
-                for arr in entry.final_arrays.values():
-                    if arr.size:
-                        arr.flat[0] += 1.0
-            return entry
+        def corrupting_calls(self):
+            yield from real_calls(self)
+            # every kernel call has run: the arrays are final
+            out = self.arrays[self.outputs[0]]
+            out.flat[0] += 1.0
 
-        monkeypatch.setattr(TraceCache, "get", corrupting_get)
+        monkeypatch.setattr(WorkloadInstance, "calls", corrupting_calls)
         report = check_case(
             generate_case(21, shape="elementwise"),
             paths=("ooo", "dist_da_f"),
         )
         assert not report.ok
-        assert any(f.check == "outputs-validate" for f in report.failures)
+        broken = {(f.config, f.message.split(":")[0])
+                  for f in report.failures if f.check == "outputs-validate"}
+        assert broken == {
+            (config, side)
+            for config in ("ooo", "dist_da_f")
+            for side in ("production", "reference")
+        }

@@ -42,6 +42,51 @@ class TestFunctionalCorrectness:
             instance.calls()
 
 
+#: one non-default size kwarg per workload (tiny scale)
+SIZE_KWARG = {
+    "dis": {"n": 9}, "tra": {"n": 9}, "adi": {"n": 9}, "fdt": {"n": 11},
+    "cho": {"n": 9}, "sei": {"n": 11}, "pf": {"cols": 17}, "nw": {"n": 9},
+    "bfs": {"num_nodes": 33}, "pr": {"num_nodes": 33}, "pch": {"n": 65},
+    "pca": {"n": 13}, "spmv": {"rows": 12},
+}
+
+
+def build_fingerprint(instance):
+    """Everything a trace-cache entry stands in for: the objects, the
+    initial arrays, the replayed host fields and the NumPy reference."""
+    return (
+        sorted((name, obj.shape, obj.dtype)
+               for name, obj in instance.objects.items()),
+        sorted((name, arr.dtype.str, arr.shape, arr.tobytes())
+               for name, arr in instance.arrays.items()),
+        instance.host_insts_per_call,
+        instance.serial_fraction,
+        sorted((name, arr.dtype.str, arr.shape, arr.tobytes())
+               for name, arr in instance.reference_outputs().items()),
+    )
+
+
+class TestBuildDeterminism:
+    """A dataset is a pure function of its functional key: a trace-cache
+    hit trusts the interpreting cell's verdict and instance fields, so
+    two builds of one key must agree bit for bit."""
+
+    def test_size_kwarg_covers_every_workload(self):
+        assert set(SIZE_KWARG) == set(ALL_WORKLOADS)
+
+    @pytest.mark.parametrize("short", ALL_SHORTS)
+    @pytest.mark.parametrize("sized", [False, True],
+                             ids=["default", "sized"])
+    def test_two_builds_agree(self, short, sized):
+        kwargs = SIZE_KWARG[short] if sized else {}
+        first = ALL_WORKLOADS[short].build("tiny", **kwargs)
+        second = ALL_WORKLOADS[short].build("tiny", **kwargs)
+        assert build_fingerprint(first) == build_fingerprint(second)
+        if sized:
+            default = ALL_WORKLOADS[short].build("tiny")
+            assert build_fingerprint(first) != build_fingerprint(default)
+
+
 @pytest.mark.parametrize("short", ALL_SHORTS)
 class TestCompilability:
     """Every workload kernel must compile to a Dist-DA offload."""
