@@ -112,29 +112,15 @@ class Cache:
         cset[tag] = is_write
         return _MISS_CLEAN
 
-    def touch_resident(self, addr: int, make_dirty: bool,
-                       count: int) -> None:
-        """Bulk-account ``count`` hits to a line known resident and MRU.
-
-        The batched replay path collapses a run of back-to-back accesses
-        to one line into the first (full) access plus this bulk update;
-        the line was just accessed, so it is resident at the MRU position
-        and each collapsed access is a guaranteed hit. Updating the dirty
-        bit in place preserves LRU order exactly like the scalar
-        pop-reinsert of an MRU entry.
-        """
-        if count <= 0:
-            return
-        set_idx, tag = self._index(self.line_of(addr))
-        cset = self._sets[set_idx]
-        if tag not in cset:
-            raise KeyError(
-                f"touch_resident on absent line {addr:#x} in {self.name}"
-            )
-        self.accesses += count
-        self.hits += count
-        if make_dirty and not cset[tag]:
-            cset[tag] = True
+    def add_counts(self, accesses: int, misses: int,
+                   writebacks: int = 0) -> None:
+        """Add the counters of accesses replayed on :attr:`_sets`
+        directly (the batch walks); ``writebacks`` counts dirty
+        victims."""
+        self.accesses += accesses
+        self.hits += accesses - misses
+        self.misses += misses
+        self.writebacks += writebacks
 
     def fill(self, addr: int, dirty: bool = False,
              is_prefetch: bool = False) -> Optional[Tuple[int, bool]]:
@@ -276,10 +262,7 @@ class Cache:
             at = first[victims]
             victim_line[at] = victim_lines
             victim_dirty[at] = True
-        self.accesses += n
-        self.hits += n - len(misses)
-        self.misses += len(misses)
-        self.writebacks += len(victims)
+        self.add_counts(n, len(misses), len(victims))
         return hit, victim_line, victim_dirty
 
     # -- introspection --------------------------------------------------------

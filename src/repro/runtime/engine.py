@@ -27,7 +27,7 @@ from ..interface.config import AccessConfig, AccessKind, PartitionConfig
 from ..interface.intrinsics import mmio_bytes
 from ..interface.scheduler import HardwareScheduler
 from ..ir.expr import Load
-from ..mem.cache import Cache
+from ..mem.cache import _ABSENT, Cache
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.slab import SlabAllocator
 from ..noc import MessageKind
@@ -43,9 +43,6 @@ FSM_OVERLAP = 4
 HOST_SYNC_CYCLES = 40
 #: memory clock domain for latency accounting
 MEM_FREQ_GHZ = 2.0
-#: Mono-CA chunks at least this long advance the private cache through
-#: the set-parallel batch walk instead of the per-access loop
-_PRIVATE_VEC_MIN = 16
 
 
 @dataclass
@@ -173,45 +170,42 @@ class OffloadEngine:
 
     def _private_fetch_many(self, cluster: int, addrs: np.ndarray,
                             is_write: bool) -> int:
-        """Mono-CA chunk replay: the private cache advances per access in
-        program order; the per-miss L3 accounting is pooled in an
+        """Mono-CA chunk replay: one program-order walk on the private
+        cache's set dicts; each miss's L3 access is pooled in an
         :class:`~repro.mem.hierarchy.L3DemandWindow`."""
         n = len(addrs)
         if n == 0:
             return 0
         self.energy.charge("accel", "private_cache_access", n)
         pc = self.private_cache
+        sets, nsets, ways = pc._sets, pc.num_sets, pc.ways
+        shift = pc.line_shift
         writeback = self.hierarchy.writeback_line_from
         window = self.hierarchy.l3_demand_batch(cluster)
+        demand = window.access
         total = n  # 1 cycle per private-cache lookup
+        misses = wbs = 0
         try:
-            if n >= _PRIVATE_VEC_MIN:
-                # advance the private cache set-parallel first: nothing
-                # downstream (L3 window, victim writebacks) ever feeds
-                # back into it, so visiting only the misses afterwards
-                # keeps every downstream transition in scalar order
-                hit, vline, vdirty = pc.access_batch(
-                    addrs >> pc.line_shift,
-                    np.full(n, is_write, dtype=bool),
-                )
-                for addr, vd, vl in zip(
-                        addrs[~hit].tolist(),
-                        vdirty[~hit].tolist(),
-                        vline[~hit].tolist()):
-                    if vd:
-                        writeback(vl, cluster)
-                    total += window.access(addr)
-            else:
-                access = pc.access
-                for addr in addrs.tolist():
-                    out = access(addr, is_write)
-                    ev = out.evicted
-                    if ev is not None and ev[1]:
-                        writeback(ev[0], cluster)
-                    if not out.hit:
-                        total += window.access(addr)
+            for addr in addrs.tolist():
+                ln = addr >> shift
+                si = ln % nsets
+                cset = sets[si]
+                tag = ln // nsets
+                d = cset.pop(tag, _ABSENT)
+                if d is not _ABSENT:
+                    cset[tag] = d or is_write  # move to MRU
+                    continue
+                misses += 1
+                if len(cset) >= ways:
+                    vt = next(iter(cset))
+                    if cset.pop(vt):
+                        wbs += 1
+                        writeback(vt * nsets + si, cluster)
+                cset[tag] = is_write
+                total += demand(addr)
         finally:
             window.flush()
+        pc.add_counts(n, misses, wbs)
         return total
 
     # ------------------------------------------------------------------
@@ -533,8 +527,8 @@ class _RunContext:
         return alloc.base + int(elem) * acc.elem_bytes
 
     def _line_chunks(self, acc: AccessConfig) -> List[np.ndarray]:
-        """Unique line addresses each chunk's elements touch (64 B
-        lines), all chunks in one vectorized pass.
+        """Unique line addresses each chunk's elements touch (the L3's
+        line size), all chunks in one vectorized pass.
 
         Streams are almost always monotone, so the per-chunk sorted
         dedup is a single global adjacent-difference mask re-anchored at
@@ -555,7 +549,8 @@ class _RunContext:
         else:
             base = self.engine.slab.by_name(acc.obj).base
             eb = acc.elem_bytes
-            lines = (base + stream * eb) >> 6
+            shift = self.engine.machine.l3.line_bytes.bit_length() - 1
+            lines = (base + stream * eb) >> shift
             bounds = [(size * c) // n for c in range(n + 1)]
             if size == 1 or bool((lines[1:] >= lines[:-1]).all()):
                 keep = np.empty(size, dtype=bool)
@@ -569,29 +564,30 @@ class _RunContext:
                         continue
                     k = keep[lo:hi].copy()
                     k[0] = True  # dedup restarts at the chunk boundary
-                    out.append(lines[lo:hi][k] << 6)
+                    out.append(lines[lo:hi][k] << shift)
             else:
-                out = [self._chunk_lines_ref(elems, base, eb)
+                out = [self._chunk_lines_ref(elems, base, eb, shift)
                        for elems in elem_chunks]
         self._chunk_memo[key] = out
         return out
 
     @staticmethod
-    def _chunk_lines_ref(elems: np.ndarray, base: int,
-                         eb: int) -> np.ndarray:
+    def _chunk_lines_ref(elems: np.ndarray, base: int, eb: int,
+                         shift: int) -> np.ndarray:
         """Reference per-chunk line dedup (non-monotone streams)."""
         if elems.size == 0:
             return elems
         if elems.size <= 16:
-            lines = sorted({(base + e * eb) >> 6 for e in elems.tolist()})
-            return np.array(lines, dtype=np.int64) << 6
-        lines = (base + elems * eb) >> 6
+            lines = sorted({(base + e * eb) >> shift
+                            for e in elems.tolist()})
+            return np.array(lines, dtype=np.int64) << shift
+        lines = (base + elems * eb) >> shift
         if (lines[1:] >= lines[:-1]).all():
             keep = np.empty(lines.size, dtype=bool)
             keep[0] = True
             keep[1:] = lines[1:] != lines[:-1]
-            return lines[keep] << 6
-        return np.unique(lines) << 6
+            return lines[keep] << shift
+        return np.unique(lines) << shift
 
     def _is_invariant(self, acc: AccessConfig) -> bool:
         return acc.stride_elems == 0 and acc.kind is AccessKind.STREAM_READ
@@ -638,6 +634,7 @@ class _RunContext:
         # flushing once per process is bit-identical to per-chunk calls
         engine = self.engine
         energy = engine.energy
+        line_bytes = engine.machine.l3.line_bytes
         invariant = self._is_invariant(acc)
         line_chunks = self._line_chunks(acc)
         elem_chunks = None if invariant else self._elem_chunks(acc)
@@ -658,7 +655,7 @@ class _RunContext:
                 fsm_n += 1 if invariant else len(elem_chunks[c])
                 buf_n += nlines
                 trans_n += 1
-                d_a += nlines * 64
+                d_a += nlines * line_bytes
             yield Delay(cycles_to_ps(
                 lat_cycles / FSM_OVERLAP + nlines, MEM_FREQ_GHZ
             ))
@@ -674,6 +671,7 @@ class _RunContext:
     def _drain_proc(self, acc: AccessConfig, cluster: int, tok: Channel):
         engine = self.engine
         energy = engine.energy
+        line_bytes = engine.machine.l3.line_bytes
         line_chunks = self._line_chunks(acc)
         buf_n = d_a = 0
         for _ in self.chunk_sizes:
@@ -686,7 +684,7 @@ class _RunContext:
             nlines = len(lines)
             if nlines:
                 buf_n += nlines
-                d_a += nlines * 64
+                d_a += nlines * line_bytes
             yield Delay(cycles_to_ps(
                 lat_cycles / FSM_OVERLAP + nlines, MEM_FREQ_GHZ
             ))

@@ -15,6 +15,7 @@ import pytest
 
 from repro.energy import EnergyLedger
 from repro.mem import MemoryHierarchy
+from repro.mem.cache import Cache
 from repro.noc.traffic import TrafficClass
 from repro.params import default_machine, experiment_machine
 
@@ -165,19 +166,14 @@ def test_accel_line_fetch_batch_matches_scalar(is_write):
         ref.accel_line_fetch(2, addr, is_write) for addr in addrs.tolist()
     )
     assert batch_lat == scalar_lat
-    assert fast_energy.by_event() == ref_energy.by_event()
-    assert fast.stats().as_dict() == ref.stats().as_dict()
-    assert fast.movement_bytes == ref.movement_bytes
-    assert fast.traffic.breakdown() == ref.traffic.breakdown()
-    assert fast.dram.reads == ref.dram.reads
-    assert fast.dram.writes == ref.dram.writes
+    assert_same_state(fast, fast_energy, ref, ref_energy)
 
 
 @pytest.mark.parametrize("machine", ["default", "experiment"])
 @pytest.mark.parametrize("is_write", [False, True])
 def test_accel_line_fetch_batch_single_stripe_chunks(machine, is_write):
     """Chunks that each sit inside one stripe block, the common case in
-    an offload run, take the walk that hoists the home out of the loop.
+    an offload run, walk their one home slice as a single group.
     200 chunks of 1-19 lines come from rotating local clusters; each
     home has three stripe blocks, and each block is cut down to four
     sets, so lines hit, conflict and evict."""
@@ -224,12 +220,7 @@ def test_accel_elem_access_batch_matches_scalar(elem_bytes, is_write):
         for addr in addrs.tolist()
     )
     assert batch_lat == scalar_lat
-    assert fast_energy.by_event() == ref_energy.by_event()
-    assert fast.stats().as_dict() == ref.stats().as_dict()
-    assert fast.movement_bytes == ref.movement_bytes
-    assert fast.traffic.breakdown() == ref.traffic.breakdown()
-    assert fast.dram.reads == ref.dram.reads
-    assert fast.dram.writes == ref.dram.writes
+    assert_same_state(fast, fast_energy, ref, ref_energy)
 
 
 def test_l3_demand_window_matches_scalar():
@@ -254,16 +245,121 @@ def test_l3_demand_window_matches_scalar():
         for addr in addrs.tolist()
     )
     assert batch_lat == scalar_lat
-    assert fast_energy.by_event() == ref_energy.by_event()
-    assert fast.stats().as_dict() == ref.stats().as_dict()
-    assert fast.movement_bytes == ref.movement_bytes
-    assert fast.traffic.breakdown() == ref.traffic.breakdown()
-    assert fast.dram.reads == ref.dram.reads
     # every fill is CACHE_FILL (host data); nothing is an accelerator
     # operand, and remote homes put the fills on the mesh
     for hier in (fast, ref):
         assert hier.traffic.class_bytes(TrafficClass.ACC_DATA) == 0
         assert hier.traffic.class_bytes(TrafficClass.HOST_DATA) > 0
+    assert_same_state(fast, fast_energy, ref, ref_energy)
+
+
+def mixed_accel_ops(l3, seed: int, n_ops: int = 240):
+    """A replayable mix of the offload engine's hierarchy calls from
+    rotating local clusters: line chunks inside one stripe block,
+    straddling a block boundary, or flooding one slice set with dirty
+    lines; element chunks of 4- and 8-byte elements with same-line runs;
+    and L3 demand-window accesses. Every line falls in four sets of its
+    slice, so slices and ACPs conflict, evict and write back, and the
+    floods evict lines that an ACP still holds dirty."""
+    rng = np.random.default_rng(seed)
+    line = l3.slices[0].params.line_bytes
+    stripe_lines = l3.stripe_bytes // line
+    sets = l3.slices[0].num_sets
+    ncl = l3.num_clusters
+    first = 0x1000_0000 // line  # stripe-aligned
+
+    def conflicting_lines(n):
+        blocks = rng.integers(0, 3 * ncl, n)
+        return (first + blocks * stripe_lines + rng.integers(0, 4, n)
+                + sets * rng.integers(0, stripe_lines // sets, n))
+
+    ops = []
+    for i in range(n_ops):
+        local = i % ncl
+        is_write = bool(rng.random() < 0.4)
+        kind = i % 3
+        if kind == 0 and i % 9 == 0:
+            # two blocks of one home: more lines in one set than it has
+            # ways
+            block = first + int(rng.integers(0, ncl)) * stripe_lines
+            lines = block + int(rng.integers(0, 4)) + sets * np.arange(
+                stripe_lines // sets)
+            lines = np.concatenate([lines, lines + ncl * stripe_lines])
+            ops.append(("lines", local, lines * line, True, None))
+        elif kind == 0 and i % 2:
+            # consecutive lines across the end of a stripe block
+            j = int(rng.integers(1, 4))
+            start = first + int(rng.integers(1, 3 * ncl)) * stripe_lines - j
+            lines = start + np.arange(j + int(rng.integers(1, 6)))
+            ops.append(("lines", local, lines * line, is_write, None))
+        elif kind == 0:
+            block = first + int(rng.integers(0, 3 * ncl)) * stripe_lines
+            n = int(rng.integers(1, 12))
+            lines = np.unique(block + rng.integers(0, 4, n) + sets
+                              * rng.integers(0, stripe_lines // sets, n))
+            ops.append(("lines", local, lines * line, is_write, None))
+        elif kind == 1:
+            elem_bytes = (4, 8)[i % 2]
+            runs = rng.integers(1, 7, int(rng.integers(1, 10)))
+            heads = conflicting_lines(len(runs)) * line
+            addrs = np.concatenate([
+                h + elem_bytes * np.arange(r) for h, r in zip(heads, runs)
+            ]).astype(np.int64)
+            ops.append(("elems", local, addrs, is_write, elem_bytes))
+        else:
+            addrs = conflicting_lines(int(rng.integers(1, 8))) * line
+            ops.append(("window", local, addrs, False, None))
+    return ops
+
+
+@pytest.mark.parametrize("machine", list(MACHINES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_accel_batch_mixed_sequence_matches_scalar(monkeypatch, machine,
+                                                   seed):
+    """Line chunks, element chunks and demand-window accesses, mixed
+    as an offload run mixes them, leave the same state as the scalar
+    calls, and no batch walk goes through ``Cache.access``."""
+    fast, fast_energy = make_hierarchy(MACHINES[machine])
+    ref, ref_energy = make_hierarchy(MACHINES[machine])
+    ops = mixed_accel_ops(ref.l3, seed)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("batch walk called Cache.access")
+
+    monkeypatch.setattr(Cache, "access", forbidden)
+    win = fast.open_accounting()
+    batch_lat = 0
+    for kind, local, addrs, is_write, elem_bytes in ops:
+        if kind == "lines":
+            batch_lat += fast.accel_line_fetch_batch(local, addrs, is_write)
+        elif kind == "elems":
+            batch_lat += fast.accel_elem_access_batch(local, addrs,
+                                                      is_write, elem_bytes)
+        else:
+            window = fast.l3_demand_batch(from_node=local)
+            batch_lat += sum(window.access(a) for a in addrs.tolist())
+            window.flush()
+    fast.close_accounting(win)
+    monkeypatch.undo()
+
+    scalar_lat = 0
+    for kind, local, addrs, is_write, elem_bytes in ops:
+        for addr in addrs.tolist():
+            if kind == "lines":
+                scalar_lat += ref.accel_line_fetch(local, addr, is_write)
+            elif kind == "elems":
+                scalar_lat += ref.accel_elem_access(local, addr, is_write,
+                                                    elem_bytes)
+            else:
+                scalar_lat += ref.l3_demand(addr, from_node=local)
+    assert batch_lat == scalar_lat
+    assert_same_state(fast, fast_energy, ref, ref_energy)
+    # the mix is not vacuous: dirty ACP victims retire into banks, and
+    # lines come from DRAM
+    assert sum(a.writebacks for a in ref.acps) > 0
+    assert ref.dram.reads > 0
+    if machine == "experiment":
+        assert sum(s.writebacks for s in ref.l3.slices) > 0
 
 
 def test_late_prefetch_map_is_bounded():

@@ -245,33 +245,3 @@ class TestInvalidateRangeOccupancyWalk:
         assert c.invalidate_range(0x100, 2 * CACHE_LINE_BYTES) == 1
         assert c.occupancy == 0
 
-
-class TestTouchResident:
-    """Bulk hit accounting used by the batched replay's run collapsing."""
-
-    def test_counts_hits_without_state_change(self):
-        c = tiny_cache()
-        c.access(0x100, False)
-        before = set(c.resident_lines())
-        c.touch_resident(0x100, make_dirty=False, count=5)
-        assert c.accesses == 6 and c.hits == 5 and c.misses == 1
-        assert set(c.resident_lines()) == before
-
-    def test_marks_dirty_like_write_hits(self):
-        a, b = tiny_cache(), tiny_cache()
-        a.access(0x100, False)
-        a.touch_resident(0x100, make_dirty=True, count=3)
-        b.access(0x100, False)
-        for _ in range(3):
-            assert b.access(0x100, True).hit
-        assert a.invalidate(0x100) == b.invalidate(0x100) is True
-
-    def test_absent_line_raises(self):
-        c = tiny_cache()
-        with pytest.raises(KeyError):
-            c.touch_resident(0x100, make_dirty=False, count=1)
-
-    def test_zero_count_noop(self):
-        c = tiny_cache()
-        c.touch_resident(0x100, make_dirty=True, count=0)  # absent is fine
-        assert c.accesses == 0

@@ -1,8 +1,11 @@
 """Unit tests for the offload execution engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import envcfg
 from repro.accel.cgra import CgraBackend
 from repro.accel.inorder import InOrderBackend
 from repro.compiler import CompileMode, compile_kernel
@@ -14,10 +17,9 @@ from repro.mem import MemoryHierarchy, SlabAllocator
 from repro.mem.cache import Cache
 from repro.params import CacheParams, experiment_machine
 from repro.runtime import OffloadEngine, SiteStreams
-from repro.runtime.engine import _PRIVATE_VEC_MIN
 
 
-def saxpy_setup(n=256, mode=CompileMode.DIST, backend="io"):
+def saxpy_setup(n=256, mode=CompileMode.DIST, backend="io", machine=None):
     A, B, C = (MemObject(x, n, FLOAT32) for x in "ABC")
     i = LoopVar("i")
     loop = Loop("i", 0, n, [C.store(i, A[i] * 2.0 + B[i])])
@@ -27,7 +29,7 @@ def saxpy_setup(n=256, mode=CompileMode.DIST, backend="io"):
     }
     res = Interpreter(record_trace=True).run(kernel, arrays)
     ck = compile_kernel(kernel, mode, trip_count_hint=n)
-    machine = experiment_machine()
+    machine = machine or experiment_machine()
     energy = EnergyLedger()
     hierarchy = MemoryHierarchy(machine, energy)
     slab = SlabAllocator()
@@ -111,6 +113,52 @@ class TestEngineRun:
         assert big.time_ps > small.time_ps
 
 
+def wide_line_machine(line_bytes=128):
+    """The experiment machine with every cache level at ``line_bytes``,
+    set in one ``replace``: the line sizes must agree at every step."""
+    m = experiment_machine()
+    return replace(m, l1=replace(m.l1, line_bytes=line_bytes),
+                   l2=replace(m.l2, line_bytes=line_bytes),
+                   l3=replace(m.l3, line_bytes=line_bytes))
+
+
+class TestLineSize:
+    def test_stream_fsms_move_whole_machine_lines(self, monkeypatch):
+        """On a 128 B-line machine each fill/drain fetches every 128 B
+        line of its chunk once, and the Figure 9 tally counts 128 B per
+        fetched line; the per-line reference path agrees."""
+        machine = wide_line_machine()
+        fetches = []
+        real = MemoryHierarchy.accel_line_fetch_batch
+
+        def spy(self, cluster, line_addrs, is_write):
+            fetches.append(line_addrs.tolist())
+            return real(self, cluster, line_addrs, is_write)
+
+        monkeypatch.setattr(MemoryHierarchy, "accel_line_fetch_batch", spy)
+        monkeypatch.delenv(envcfg.REPRO_REFERENCE.name, raising=False)
+        # 64 floats per chunk: two 128 B lines per stream chunk
+        engine, off, clusters, res, streams, energy = saxpy_setup(
+            n=8192, machine=machine)
+        stats = engine.run(off, clusters, res.inner_iterations, 1, streams)
+        assert max(len(f) for f in fetches) > 1
+        for f in fetches:
+            lines = [addr // 128 for addr in f]
+            assert len(set(lines)) == len(lines)
+        # saxpy's accesses are all streams
+        assert stats.d_a_bytes == 128 * sum(len(f) for f in fetches)
+
+        monkeypatch.setenv(envcfg.REPRO_REFERENCE.name, "1")
+        ref, off, clusters, res, streams, ref_energy = saxpy_setup(
+            n=8192, machine=machine)
+        ref_stats = ref.run(off, clusters, res.inner_iterations, 1, streams)
+        assert ref_stats == stats
+        assert ref_energy.by_event() == energy.by_event()
+        assert (ref.hierarchy.stats().as_dict()
+                == engine.hierarchy.stats().as_dict())
+        assert ref.hierarchy.movement_bytes == engine.hierarchy.movement_bytes
+
+
 class TestSerialGroups:
     def test_saxpy_has_no_cycles(self):
         engine, off, clusters, res, streams, _ = saxpy_setup()
@@ -182,11 +230,11 @@ def mono_engine(machine):
 
 
 class TestPrivateFetch:
-    """Mono-CA chunk replay matches the per-access reference loop on
-    both sides of the set-parallel threshold."""
+    """Mono-CA chunk replay, one walk on the private cache's set dicts,
+    matches the per-access reference loop at short and long chunk
+    lengths."""
 
-    @pytest.mark.parametrize(
-        "n", [5, _PRIVATE_VEC_MIN - 1, _PRIVATE_VEC_MIN, 200])
+    @pytest.mark.parametrize("n", [5, 15, 16, 200])
     @pytest.mark.parametrize("is_write", [False, True])
     def test_matches_per_access(self, n, is_write):
         machine = experiment_machine()
