@@ -27,6 +27,13 @@ def saxpy_setup(n=256, mode=CompileMode.DIST, backend="io", machine=None):
     arrays = {
         name: np.ones(n, dtype=np.float32) for name in ("A", "B", "C")
     }
+    return kernel_setup(kernel, arrays, n, mode, backend, machine)
+
+
+def kernel_setup(kernel, arrays, n, mode=CompileMode.DIST, backend="io",
+                 machine=None):
+    """Interpret ``kernel`` on ``arrays`` and build an engine for its
+    first offload, as the system simulator does."""
     res = Interpreter(record_trace=True).run(kernel, arrays)
     ck = compile_kernel(kernel, mode, trip_count_hint=n)
     machine = machine or experiment_machine()
