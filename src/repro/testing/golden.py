@@ -5,7 +5,11 @@ deterministic JSON document — cycles, instructions, memory operations,
 data movement, NoC flits, energy — and compares it against a snapshot
 committed under ``tests/golden/``. Any change to the modeled numbers
 shows up as a reviewable JSON diff instead of silently shifting the
-paper's figures.
+paper's figures. A second section, ``ledgers``, holds each cell's
+split of the two ledgers: bytes per NoC traffic class (Figure 10) and
+every energy event count, keyed ``component.event`` (Figure 7's
+per-component energy). A ledger change that moves the split but not
+the totals shows up there.
 
 The same module pins the *machine* snapshot: every builtin machine
 document under ``repro/machine/builtin/`` is constructed into its
@@ -74,12 +78,24 @@ def cell_record(run: RunResult) -> Dict[str, object]:
     }
 
 
+def ledger_record(run: RunResult) -> Dict[str, object]:
+    """One matrix cell's ledger split, all exact values."""
+    return {
+        "traffic_breakdown": dict(run.traffic_breakdown),
+        "energy_counts": {
+            f"{component}.{event}": n
+            for (component, event), n in sorted(run.energy.counts().items())
+        },
+    }
+
+
 def matrix_snapshot(scale: str = "tiny",
                     machine: Optional[MachineParams] = None,
                     workloads: Optional[Sequence[str]] = None,
                     configs: Optional[Sequence[str]] = None,
                     jobs: Optional[int] = None) -> Dict[str, object]:
-    """Run the matrix and collect every cell's headline record."""
+    """Run the matrix and collect every cell's headline record and
+    ledger split."""
     from ..experiments.runner import BASELINE, PAPER_CONFIGS, run_matrix
     from ..workloads import PAPER_ORDER
 
@@ -93,6 +109,10 @@ def matrix_snapshot(scale: str = "tiny",
         "configs": list(configs),
         "cells": {
             w: {c: cell_record(matrix.results[(w, c)]) for c in configs}
+            for w in workloads
+        },
+        "ledgers": {
+            w: {c: ledger_record(matrix.results[(w, c)]) for c in configs}
             for w in workloads
         },
     }
@@ -161,26 +181,35 @@ def load_snapshot(path: str) -> Dict[str, object]:
 
 def diff_snapshots(expected: Dict[str, object],
                    actual: Dict[str, object]) -> list:
-    """Human-readable list of per-cell field divergences."""
+    """Human-readable list of per-cell field divergences, over the
+    headline records and the ledger splits."""
     lines = []
-    exp_cells = expected.get("cells", {})
-    act_cells = actual.get("cells", {})
-    for w in sorted(set(exp_cells) | set(act_cells)):
-        if w not in exp_cells or w not in act_cells:
-            lines.append(f"{w}: present in only one snapshot")
-            continue
-        for c in sorted(set(exp_cells[w]) | set(act_cells[w])):
-            if c not in exp_cells[w] or c not in act_cells[w]:
-                lines.append(f"{w}/{c}: present in only one snapshot")
+    for section, prefix in (("cells", ""), ("ledgers", "ledgers.")):
+        exp_cells = expected.get(section, {})
+        act_cells = actual.get(section, {})
+        for w in sorted(set(exp_cells) | set(act_cells)):
+            if w not in exp_cells or w not in act_cells:
+                lines.append(f"{prefix}{w}: present in only one snapshot")
                 continue
-            exp, act = exp_cells[w][c], act_cells[w][c]
-            for field in sorted(set(exp) | set(act)):
-                if exp.get(field) != act.get(field):
+            for c in sorted(set(exp_cells[w]) | set(act_cells[w])):
+                if c not in exp_cells[w] or c not in act_cells[w]:
                     lines.append(
-                        f"{w}/{c}.{field}: golden={exp.get(field)!r} "
-                        f"actual={act.get(field)!r}"
-                    )
+                        f"{prefix}{w}/{c}: present in only one snapshot")
+                    continue
+                _diff_fields(f"{prefix}{w}/{c}", exp_cells[w][c],
+                             act_cells[w][c], lines)
     return lines
+
+
+def _diff_fields(path: str, exp: Dict[str, object],
+                 act: Dict[str, object], lines: list) -> None:
+    """Append one line per differing field, descending into dicts."""
+    for field in sorted(set(exp) | set(act)):
+        e, a = exp.get(field), act.get(field)
+        if isinstance(e, dict) and isinstance(a, dict):
+            _diff_fields(f"{path}.{field}", e, a, lines)
+        elif e != a:
+            lines.append(f"{path}.{field}: golden={e!r} actual={a!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -60,6 +60,32 @@ class TestGoldenSnapshot:
         assert len(lines) == 1
         assert f"{w}/{c}.insts" in lines[0]
 
+    def test_diff_reports_ledger_split_changes(self, tiny_snapshot):
+        """Moving counts between traffic classes or energy events, with
+        the totals unchanged, is a divergence."""
+        mutated = json.loads(snapshot_text(tiny_snapshot))
+        w = sorted(mutated["ledgers"])[0]
+        c = sorted(mutated["ledgers"][w])[0]
+        ledger = mutated["ledgers"][w][c]
+        split = ledger["traffic_breakdown"]
+        split["ctrl"] += 8.0
+        split["data"] -= 8.0
+        counts = ledger["energy_counts"]
+        counts["l3.l3_access"] += 1.0
+        counts["l3_remote.l3_access"] = 1.0
+        lines = diff_snapshots(tiny_snapshot, mutated)
+        assert lines == [
+            f"ledgers.{w}/{c}.energy_counts.l3.l3_access: golden="
+            f"{counts['l3.l3_access'] - 1.0!r} actual="
+            f"{counts['l3.l3_access']!r}",
+            f"ledgers.{w}/{c}.energy_counts.l3_remote.l3_access: "
+            f"golden=None actual=1.0",
+            f"ledgers.{w}/{c}.traffic_breakdown.ctrl: golden="
+            f"{split['ctrl'] - 8.0!r} actual={split['ctrl']!r}",
+            f"ledgers.{w}/{c}.traffic_breakdown.data: golden="
+            f"{split['data'] + 8.0!r} actual={split['data']!r}",
+        ]
+
     def test_update_cli_writes_verifiable_snapshot(self, tmp_path,
                                                    tiny_snapshot):
         path = tmp_path / "snap.json"
