@@ -4,12 +4,15 @@ Every simulated component charges events into a shared
 :class:`EnergyLedger`. The ledger keeps (component, event) counts and
 converts them to picojoules through an :class:`EnergyTable`, giving both a
 total and a per-component breakdown for the energy-efficiency figures.
+Counts another ledger derives (the NoC traffic ledger's byte-hops and
+router flits) are read from it, through :meth:`EnergyLedger.attach`,
+each time a count or total is read.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .tables import EnergyTable, default_energy_table
 
@@ -31,6 +34,23 @@ class EnergyLedger:
     def __init__(self, table: EnergyTable | None = None):
         self.table = table or default_energy_table()
         self._counts: Dict[Tuple[str, str], float] = defaultdict(float)
+        #: ledgers whose ``energy_counts()`` add to the charged counts
+        self._sources: List = []
+
+    def attach(self, source) -> None:
+        """Read ``source.energy_counts()``, a (component, event) -> count
+        mapping, as part of this ledger's counts on every read."""
+        self._sources.append(source)
+
+    def _all_counts(self) -> Dict[Tuple[str, str], float]:
+        """The charged counts plus every attached ledger's."""
+        if not self._sources:
+            return self._counts
+        out = dict(self._counts)
+        for source in self._sources:
+            for key, n in source.energy_counts().items():
+                out[key] = out.get(key, 0.0) + n
+        return out
 
     def charge(self, component: str, event: str, count: float = 1.0) -> None:
         if count < 0:
@@ -39,22 +59,22 @@ class EnergyLedger:
         self._counts[(component, event)] += count
 
     def count(self, component: str, event: str) -> float:
-        return self._counts.get((component, event), 0.0)
+        return self._all_counts().get((component, event), 0.0)
 
     def counts(self) -> Mapping[Tuple[str, str], float]:
-        return dict(self._counts)
+        return dict(self._all_counts())
 
-    # Summaries iterate the count dict in *sorted key order*: dict
-    # insertion order depends on which code path charged a (component,
-    # event) pair first, and the batched production replay paths charge
-    # pooled counts in a different order than the scalar reference.
+    # Summaries iterate the counts in *sorted key order*: dict insertion
+    # order depends on which code path charged a (component, event) pair
+    # first, and the batched production replay paths charge per-home
+    # counts in a different order than the scalar reference.
     # The per-pair counts are identical exact integers either way; a
     # deterministic summation order makes the float totals bit-identical
     # too.
     def total_pj(self) -> float:
         return sum(
             getattr(self.table, event) * n
-            for (_, event), n in sorted(self._counts.items())
+            for (_, event), n in sorted(self._all_counts().items())
         )
 
     def total_nj(self) -> float:
@@ -63,21 +83,15 @@ class EnergyLedger:
     def by_component(self) -> Dict[str, float]:
         """Energy in pJ per component."""
         out: Dict[str, float] = defaultdict(float)
-        for (component, event), n in sorted(self._counts.items()):
+        for (component, event), n in sorted(self._all_counts().items()):
             out[component] += getattr(self.table, event) * n
         return dict(out)
 
     def by_event(self) -> Dict[str, float]:
         out: Dict[str, float] = defaultdict(float)
-        for (_, event), n in sorted(self._counts.items()):
+        for (_, event), n in sorted(self._all_counts().items()):
             out[event] += getattr(self.table, event) * n
         return dict(out)
-
-    def merge(self, others: Iterable["EnergyLedger"]) -> None:
-        """Fold other ledgers (e.g. per-thread) into this one."""
-        for other in others:
-            for key, n in other._counts.items():
-                self._counts[key] += n
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<EnergyLedger total={self.total_nj():.2f} nJ>"

@@ -31,12 +31,6 @@ from .dram import Dram
 from .nuca import NucaL3
 from .prefetch import StridePrefetcher
 
-#: message kinds of the batch paths' traffic records; pooled records key
-#: a kind by its index here, since hashing an Enum member runs Python
-_KINDS = (MessageKind.CACHE_REQ, MessageKind.CACHE_FILL,
-          MessageKind.ACC_HANDSHAKE, MessageKind.ACC_OPERAND)
-_REQ, _FILL, _HANDSHAKE, _OPERAND = range(len(_KINDS))
-
 
 @dataclass
 class AccessStats:
@@ -100,13 +94,6 @@ class MemoryHierarchy:
         #: prefetched lines evicted before any demand hit are never
         #: popped, so without a cap the map grows for the whole run.
         self._late_prefetch: Dict[int, int] = {}
-        #: deferred DRAM fill/writeback accounting, open only while a
-        #: batch replay method is on the stack (None on the scalar path)
-        self._dram_pool: Optional[_DramPool] = None
-        #: run-scoped pooled batch-tail accounting (energy charge counts
-        #: and traffic record counts by key); None outside a window
-        self._acct_energy: Optional[Dict[Tuple[str, str], int]] = None
-        self._acct_traffic: Optional[Dict[Tuple, int]] = None
         self.latency = LatencyTable(self.traffic, machine)
 
     # ------------------------------------------------------------------
@@ -197,10 +184,6 @@ class MemoryHierarchy:
         return latency
 
     def _dram_fill(self, cluster: int) -> int:
-        pool = self._dram_pool
-        if pool is not None:
-            pool.fills[cluster] = pool.fills.get(cluster, 0) + 1
-            return self.latency.fill[cluster]
         lat_req = self.traffic.record(
             MessageKind.CACHE_REQ, cluster, self._mc, 0
         )
@@ -213,119 +196,36 @@ class MemoryHierarchy:
             lat_req + lat_fill, self.machine.core.freq_ghz
         )
 
-    def open_accounting(self):
-        """Open a run-scoped deferred-accounting window: one DRAM pool
-        plus pooled batch-tail energy/traffic counts shared by every
-        batch replay call until :meth:`close_accounting`.
+    def close_accounting(self, win=None) -> None:
+        """Does nothing, and nothing calls it: every access path charges
+        the ledgers directly. It stays because the benchmark's traced
+        runs (``perfbench/tracing.py``) wrap it as the
+        ``mem.accounting`` layer."""
 
-        Energy charges and ``count=``-style traffic records are linear in
-        their count and the ledgers are order-free (sorted summaries), so
-        merging them per key across a whole offload run is bit-identical
-        to flushing per batch call. Nothing may read the ledgers while a
-        window is open.
-        """
-        pool = self._open_dram_pool()
-        owned = self._acct_energy is None
-        if owned:
-            self._acct_energy = {}
-            self._acct_traffic = {}
-        return (pool, owned)
-
-    def close_accounting(self, win) -> None:
-        """Flush a window opened by :meth:`open_accounting`."""
-        pool, owned = win
-        if pool is not None:
-            self._flush_dram_pool(pool)
-        if owned:
-            en = self._acct_energy
-            tr = self._acct_traffic
-            self._acct_energy = None
-            self._acct_traffic = None
-            charge = self.energy.charge
-            for (unit, event), n in en.items():
-                charge(unit, event, n)
-            record = self.traffic.record
-            for (kind, src, dst, payload), c in tr.items():
-                record(_KINDS[kind], src, dst, payload, count=c)
-
-    def _charge(self, unit: str, event: str, n: int) -> None:
-        """Energy charge, pooled while an accounting window is open."""
-        acct = self._acct_energy
-        if acct is None:
-            self.energy.charge(unit, event, n)
-        else:
-            key = (unit, event)
-            acct[key] = acct.get(key, 0) + n
-
-    def _record(self, kind: int, src: int, dst: int, payload: int,
-                count: int) -> None:
-        """Traffic record of message kind ``_KINDS[kind]`` (return value
-        unused), pooled while an accounting window is open."""
-        acct = self._acct_traffic
-        if acct is None:
-            self.traffic.record(_KINDS[kind], src, dst, payload,
-                                count=count)
-        else:
-            key = (kind, src, dst, payload)
-            acct[key] = acct.get(key, 0) + count
-
-    def _open_dram_pool(self) -> Optional["_DramPool"]:
-        """Start deferring DRAM fill/writeback accounting; returns the
-        pool to pass to :meth:`_flush_dram_pool`, or None when an
-        enclosing batch already owns one."""
-        if self._dram_pool is not None:
-            return None
-        pool = self._dram_pool = _DramPool()
-        return pool
-
-    def _flush_dram_pool(self, pool: "_DramPool") -> None:
-        """Charge the pooled DRAM traffic/energy/movement (commutative
-        integer counts — bit-identical to the per-fill scalar charges)."""
-        self._dram_pool = None
-        if not (pool.fills or pool.wbs or pool.l2_wbs or pool.l3_wbs):
-            return  # every access hit: nothing pooled (the common case)
-        traffic = self.traffic
+    def _dram_traffic(self, cluster: int, fills: int, wbs: int) -> None:
+        """Charge ``fills`` DRAM line fills into ``cluster``'s slice and
+        ``wbs`` dirty lines it writes back to DRAM: per line, what
+        :meth:`_dram_fill` and :meth:`_writeback_to_dram` charge. The
+        batch walks count both per home and hand the counts here."""
+        if not (fills or wbs):
+            return
+        record = self.traffic.record
         line = self._line
-        total = 0
-        for cluster, count in pool.fills.items():
-            total += count
-            traffic.record(MessageKind.CACHE_REQ, cluster, self._mc, 0,
-                           count=count)
-            traffic.record(MessageKind.CACHE_FILL, self._mc, cluster,
-                           line, count=count)
-        if total:
-            self.dram.reads += total
-            self.energy.charge("dram", "dram_line_access", total)
-            self.movement_bytes += total * line
-        total = 0
-        for cluster, count in pool.wbs.items():
-            total += count
-            traffic.record(MessageKind.CACHE_WRITEBACK, cluster, self._mc,
-                           line, count=count)
-        if total:
-            self.dram.writes += total
-            self.energy.charge("dram", "dram_line_access", total)
-            self.movement_bytes += total * line
-        if pool.l2_wbs:
-            self.energy.charge("l2", "l2_access", pool.l2_wbs)
-            self.movement_bytes += pool.l2_wbs * line
-        total = 0
-        for cluster, count in pool.l3_wbs.items():
-            total += count
-            self.energy.charge("l3", "l3_access", count)
-            traffic.record(MessageKind.CACHE_WRITEBACK, self._host,
-                           cluster, line, count=count)
-        if total:
-            self.movement_bytes += total * line
+        if fills:
+            record(MessageKind.CACHE_REQ, cluster, self._mc, 0, fills)
+            record(MessageKind.CACHE_FILL, self._mc, cluster, line, fills)
+            self.dram.reads += fills
+        if wbs:
+            record(MessageKind.CACHE_WRITEBACK, cluster, self._mc, line,
+                   wbs)
+            self.dram.writes += wbs
+        self.energy.charge("dram", "dram_line_access", fills + wbs)
+        self.movement_bytes += (fills + wbs) * line
 
     def _writeback_into_l2(self, line: int) -> None:
         addr = line * self._line
-        pool = self._dram_pool
-        if pool is not None:
-            pool.l2_wbs += 1
-        else:
-            self.energy.charge("l2", "l2_access")
-            self.movement_bytes += self._line
+        self.energy.charge("l2", "l2_access")
+        self.movement_bytes += self._line
         evicted = self.l2.fill(addr, dirty=True)
         if evicted and evicted[1]:
             self._writeback_into_l3(evicted[0])
@@ -333,24 +233,16 @@ class MemoryHierarchy:
     def _writeback_into_l3(self, line: int) -> None:
         addr = line * self._line
         cluster = self.l3.home_cluster(addr)
-        pool = self._dram_pool
-        if pool is not None:
-            pool.l3_wbs[cluster] = pool.l3_wbs.get(cluster, 0) + 1
-        else:
-            self.energy.charge("l3", "l3_access")
-            self.traffic.record(
-                MessageKind.CACHE_WRITEBACK, self._host, cluster, self._line
-            )
-            self.movement_bytes += self._line
+        self.energy.charge("l3", "l3_access")
+        self.traffic.record(
+            MessageKind.CACHE_WRITEBACK, self._host, cluster, self._line
+        )
+        self.movement_bytes += self._line
         evicted = self.l3.fill(addr, dirty=True)
         if evicted and evicted[1]:
             self._writeback_to_dram(cluster)
 
     def _writeback_to_dram(self, cluster: int) -> None:
-        pool = self._dram_pool
-        if pool is not None:
-            pool.wbs[cluster] = pool.wbs.get(cluster, 0) + 1
-            return
         self.traffic.record(
             MessageKind.CACHE_WRITEBACK, cluster, self._mc, self._line
         )
@@ -483,10 +375,13 @@ class MemoryHierarchy:
     # nothing downstream feeds back into, with the set-major
     # :meth:`~repro.mem.cache.Cache.access_batch` walk), (b) takes its
     # latencies from the hierarchy's static :class:`LatencyTable`, and
-    # (c) defers the per-access energy charges, NoC records and cache
-    # counters into per-(kind, src, dst) counters flushed once per chunk.
-    # All deferred quantities are commutative integer counts, so the
-    # resulting ledgers are bit-identical to the scalar path (enforced by
+    # (c) tallies cache counters, energy events, NoC messages and DRAM
+    # fills and writebacks per home cluster in locals, and hands each
+    # tally to the cache, the energy ledger, the traffic ledger and
+    # :meth:`_dram_traffic` once per walk. The tallies are exact integer
+    # counts and both ledgers read them in a fixed order, so the results
+    # are bit-identical to the scalar path, which charges per access
+    # (enforced by tests/mem/test_batch_equiv.py and
     # tests/sim/test_fastpath_equiv.py).
     # ------------------------------------------------------------------
     def host_access_batch(self, addrs: np.ndarray, is_write: np.ndarray,
@@ -512,7 +407,7 @@ class MemoryHierarchy:
         l1, l2, l3 = self.l1, self.l2, self.l3
         hit, victim_line, _ = l1.access_batch(addrs >> l1.line_shift,
                                               is_write)
-        self._charge("l1", "l1_access", n)
+        self.energy.charge("l1", "l1_access", n)
         miss_pos = np.flatnonzero(~hit)
         n_l2 = len(miss_pos)
         if not n_l2:
@@ -540,7 +435,8 @@ class MemoryHierarchy:
         plans = [()] * n_l2 if self.prefetcher is None else (
             self.prefetcher.observe_batch(stream_ids[miss_pos], miss_addrs)
             .tolist())
-        # counters, added to the caches and pools once, in the finally:
+        # counters, added to the caches once, in the finally, and to the
+        # ledgers after it:
         # `extra` sums the misses' latency past L2's own, and `l1_wbs`
         # counts dirty L1 victims written back into L2
         l2_hits = n_pf = extra = l1_wbs = 0
@@ -635,28 +531,30 @@ class MemoryHierarchy:
                     # a late prefetch exposes its residual to this hit
                     extra += late.pop(ln2, 0)
         finally:
-            # each dirty L2 victim retired into a slice
-            l2.add_counts(n_l2, n_l2 - l2_hits, sum(l3_fills))
+            l2_wbs = sum(l3_fills)  # each dirty L2 victim into a slice
+            l2.add_counts(n_l2, n_l2 - l2_hits, l2_wbs)
             l2.prefetch_fills += n_pf
             self._stats_prefetches += n_pf
-            owned = self._open_dram_pool()
-            pool = self._dram_pool
-            pool.l2_wbs += l1_wbs
             for c, sl in enumerate(l3.slices):
                 sl.add_counts(l3_acc[c], l3_miss[c], l3_wbs[c])
-                pool.add(c, l3_miss[c], l3_wbs[c])
-                if l3_fills[c]:
-                    pool.l3_wbs[c] = pool.l3_wbs.get(c, 0) + l3_fills[c]
-            if owned is not None:
-                self._flush_dram_pool(owned)
-        self._charge("l2", "l2_access", n_l2)
+                self._dram_traffic(c, l3_miss[c], l3_wbs[c])
+        record = self.traffic.record
+        # an L2 access per L1 miss and per dirty L1 victim written back
+        self.energy.charge("l2", "l2_access", n_l2 + l1_wbs)
         for c in clusters:
             if l3_acc[c]:
-                self._charge("l3", "l3_access", l3_acc[c])
-                self._record(_REQ, host, c, 0, l3_acc[c])
-                self._record(_FILL, c, host, line, l3_acc[c])
-        # a fill into L1 per miss, into L2 per prefetch and per L2 miss
-        self.movement_bytes += line * (n_l2 + n_pf + n_l2 - l2_hits)
+                record(MessageKind.CACHE_REQ, host, c, 0, l3_acc[c])
+                record(MessageKind.CACHE_FILL, c, host, line, l3_acc[c])
+            if l3_fills[c]:
+                record(MessageKind.CACHE_WRITEBACK, host, c, line,
+                       l3_fills[c])
+            if l3_acc[c] or l3_fills[c]:
+                self.energy.charge("l3", "l3_access",
+                                   l3_acc[c] + l3_fills[c])
+        # a fill into L1 per miss, into L2 per prefetch and per L2 miss,
+        # and a line per dirty victim written back into L2 or a slice
+        self.movement_bytes += line * (n_l2 + n_pf + n_l2 - l2_hits
+                                       + l1_wbs + l2_wbs)
         return n_l2 * m.l2.latency_cycles + extra
 
     def accel_line_fetch_batch(self, local_cluster: int,
@@ -690,48 +588,43 @@ class MemoryHierarchy:
         fill = self.latency.fill
         slc = l3.slices[0]
         shift, nsets, ways = slc.line_shift, slc.num_sets, slc.ways
+        record = self.traffic.record
         total = moved = 0
-        owned = self._open_dram_pool()
-        try:
-            for home, addrs in groups.items():
-                slc = l3.slices[home]
-                sets = slc._sets
-                misses = wbs = 0
-                for addr in addrs:
-                    ln = addr >> shift
-                    cset = sets[ln % nsets]
-                    tag = ln // nsets
-                    d = cset.pop(tag, _ABSENT)
-                    if d is _ABSENT:
-                        misses += 1
-                        if len(cset) >= ways and cset.pop(next(iter(cset))):
-                            wbs += 1
-                        cset[tag] = is_write
-                    else:
-                        cset[tag] = d or is_write  # move to MRU
-                k = len(addrs)
-                slc.add_counts(k, misses, wbs)
-                if home == local_cluster:
-                    total += k * (1 + m.l3_bank_latency + conv[home])
+        for home, addrs in groups.items():
+            slc = l3.slices[home]
+            sets = slc._sets
+            misses = wbs = 0
+            for addr in addrs:
+                ln = addr >> shift
+                cset = sets[ln % nsets]
+                tag = ln // nsets
+                d = cset.pop(tag, _ABSENT)
+                if d is _ABSENT:
+                    misses += 1
+                    if len(cset) >= ways and cset.pop(next(iter(cset))):
+                        wbs += 1
+                    cset[tag] = is_write
                 else:
-                    # remote fill: the line crosses the mesh
-                    total += k * (1 + m.l3.latency_cycles + conv[home])
-                    moved += k * line
-                if is_write:
-                    # write-allocate of a fully-written line needs no
-                    # DRAM read
-                    misses = 0
-                    self._record(_OPERAND, local_cluster, home, line, k)
-                else:
-                    total += misses * fill[home]
-                    self._record(_OPERAND, home, local_cluster, line, k)
-                self._record(_HANDSHAKE, local_cluster, home, 0, k)
-                self._dram_pool.add(home, misses, wbs)
-        finally:
-            if owned is not None:
-                self._flush_dram_pool(owned)
-        self._charge("access_unit", "acp_access", n)
-        self._charge("l3", "l3_access", n)
+                    cset[tag] = d or is_write  # move to MRU
+            k = len(addrs)
+            slc.add_counts(k, misses, wbs)
+            if home == local_cluster:
+                total += k * (1 + m.l3_bank_latency + conv[home])
+            else:
+                # remote fill: the line crosses the mesh
+                total += k * (1 + m.l3.latency_cycles + conv[home])
+                moved += k * line
+            if is_write:
+                # write-allocate of a fully-written line needs no DRAM read
+                misses = 0
+                record(MessageKind.ACC_OPERAND, local_cluster, home, line, k)
+            else:
+                total += misses * fill[home]
+                record(MessageKind.ACC_OPERAND, home, local_cluster, line, k)
+            record(MessageKind.ACC_HANDSHAKE, local_cluster, home, 0, k)
+            self._dram_traffic(home, misses, wbs)
+        self.energy.charge("access_unit", "acp_access", n)
+        self.energy.charge("l3", "l3_access", n)
         self.movement_bytes += moved
         return total
 
@@ -828,37 +721,35 @@ class MemoryHierarchy:
         conv = self.latency.conv(local_cluster, elem_bytes, is_write)
         fill = self.latency.fill
         bank_lat = self.machine.l3_bank_latency
+        record = self.traffic.record
         total = moved = n_l3 = 0
-        owned = self._open_dram_pool()
-        try:
-            for h, (k, acp_miss, acp_wbs, l3_miss, dram_wbs) in (
-                    per_home.items()):
-                acps[h].add_counts(k, acp_miss, acp_wbs)
-                slices[h].add_counts(acp_miss, l3_miss)
-                self._dram_pool.add(h, l3_miss, dram_wbs)
-                n_l3 += acp_miss + acp_wbs
-                total += (k * (1 + conv[h]) + acp_miss * bank_lat
-                          + l3_miss * fill[h])
-                if h != local_cluster:
-                    moved += k
-                self._record(_HANDSHAKE, local_cluster, h, 0, k)
-                if is_write:
-                    self._record(_OPERAND, local_cluster, h, elem_bytes, k)
-                else:
-                    self._record(_OPERAND, h, local_cluster, elem_bytes, k)
-        finally:
-            if owned is not None:
-                self._flush_dram_pool(owned)
-        self._charge("access_unit", "acp_access", n)
+        for h, (k, acp_miss, acp_wbs, l3_miss, dram_wbs) in (
+                per_home.items()):
+            acps[h].add_counts(k, acp_miss, acp_wbs)
+            slices[h].add_counts(acp_miss, l3_miss)
+            self._dram_traffic(h, l3_miss, dram_wbs)
+            n_l3 += acp_miss + acp_wbs
+            total += (k * (1 + conv[h]) + acp_miss * bank_lat
+                      + l3_miss * fill[h])
+            if h != local_cluster:
+                moved += k
+            record(MessageKind.ACC_HANDSHAKE, local_cluster, h, 0, k)
+            if is_write:
+                record(MessageKind.ACC_OPERAND, local_cluster, h,
+                       elem_bytes, k)
+            else:
+                record(MessageKind.ACC_OPERAND, h, local_cluster,
+                       elem_bytes, k)
+        self.energy.charge("access_unit", "acp_access", n)
         if n_l3:
-            self._charge("l3", "l3_access", n_l3)
+            self.energy.charge("l3", "l3_access", n_l3)
         self.movement_bytes += moved * elem_bytes
         return total
 
     def l3_demand_batch(self, from_node: int) -> "L3DemandWindow":
-        """Open a deferred-accounting window over repeated
-        :meth:`l3_demand` calls from one node (Mono-CA private-cache
-        misses). Call :meth:`L3DemandWindow.flush` when done."""
+        """Open a window over the repeated :meth:`l3_demand` calls of
+        one walk from one node (a Mono-CA chunk's private-cache misses).
+        Call :meth:`L3DemandWindow.flush` when the walk is done."""
         return L3DemandWindow(self, from_node)
 
     # ------------------------------------------------------------------
@@ -907,28 +798,6 @@ class MemoryHierarchy:
         OBS.inc("mem.dram_accesses", s.dram)
         OBS.inc("mem.prefetches", s.prefetches)
         OBS.inc("mem.movement_bytes", self.movement_bytes)
-
-
-class _DramPool:
-    """Deferred rare-path accounting counters, open only while a batch
-    replay method runs: DRAM fills/writebacks per cluster, plus the host
-    path's L1->L2 and L2->L3 dirty writebacks."""
-
-    __slots__ = ("fills", "wbs", "l2_wbs", "l3_wbs")
-
-    def __init__(self):
-        self.fills: Dict[int, int] = {}
-        self.wbs: Dict[int, int] = {}
-        self.l2_wbs = 0
-        self.l3_wbs: Dict[int, int] = {}
-
-    def add(self, cluster: int, fills: int, wbs: int) -> None:
-        """Pool a set-dict walk's DRAM fills and writebacks at
-        ``cluster``."""
-        if fills:
-            self.fills[cluster] = self.fills.get(cluster, 0) + fills
-        if wbs:
-            self.wbs[cluster] = self.wbs.get(cluster, 0) + wbs
 
 
 class _Lazy(dict):
@@ -989,14 +858,16 @@ class LatencyTable:
 
 
 class L3DemandWindow:
-    """Deferred accounting over repeated :meth:`MemoryHierarchy.l3_demand`
-    calls from one mesh node.
+    """Repeated :meth:`MemoryHierarchy.l3_demand` calls of one walk from
+    one mesh node.
 
     Each access walks its home slice's set dict, so the cache state
-    advances per access in program order. The slice counters, the energy
-    charge, the two NoC records, the movement bytes and the DRAM fills
-    and writebacks are pooled per home cluster and added once by
-    :meth:`flush`. Latencies come from the hierarchy's
+    advances per access in program order. Accesses, misses and dirty
+    victims are tallied per home cluster, and :meth:`flush` hands each
+    home's tallies to the slice counters and the ledgers: the energy
+    charge, the two NoC records, the movement bytes and, through
+    :meth:`MemoryHierarchy._dram_traffic`, the DRAM fills and
+    writebacks. Latencies come from the hierarchy's
     :class:`LatencyTable`.
     """
 
@@ -1035,22 +906,21 @@ class L3DemandWindow:
         return latency + h.latency.fill[c]
 
     def flush(self) -> None:
-        """Add the pooled counters and charge the pooled energy, NoC,
-        movement and DRAM accounting."""
+        """Add the per-home tallies to the slice counters and charge
+        them to the ledgers."""
         h = self.hier
         line = h._line
-        owned = h._open_dram_pool()
+        record = h.traffic.record
+        node = self.from_node
         for c, count in self._counts.items():
             misses = self._misses.get(c, 0)
             wbs = self._wbs.get(c, 0)
             h.l3.slices[c].add_counts(count, misses, wbs)
-            h._dram_pool.add(c, misses, wbs)
-            h._charge("l3", "l3_access", count)
-            h._record(_REQ, self.from_node, c, 0, count)
-            h._record(_FILL, c, self.from_node, line, count)
+            h._dram_traffic(c, misses, wbs)
+            h.energy.charge("l3", "l3_access", count)
+            record(MessageKind.CACHE_REQ, node, c, 0, count)
+            record(MessageKind.CACHE_FILL, c, node, line, count)
             h.movement_bytes += count * line
-        if owned is not None:
-            h._flush_dram_pool(owned)
         self._counts.clear()
         self._misses.clear()
         self._wbs.clear()

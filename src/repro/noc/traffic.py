@@ -11,14 +11,20 @@ Every message sent over the mesh is recorded with a
   credits, step notifications);
 * ``ACC_DATA``   — inter-accelerator operand payloads.
 
-The ledger also charges NoC energy (per byte-hop and per router-flit)
-into the shared :class:`~repro.energy.EnergyLedger`.
+The ledger counts messages per shape (kind, src, dst, payload) and
+derives everything else from those counts when it is read: the
+per-class bytes, byte-hops and message counts, and the NoC energy
+events (per byte-hop and per router-flit), which the shared
+:class:`~repro.energy.EnergyLedger` reads through
+:meth:`TrafficLedger.energy_counts`. A message shape's size, distance
+and flit count are static properties of the mesh, so a record is one
+count, like a ZigZag memory level whose per-access costs are multiplied
+by its access count only when a total is read.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from typing import Dict, Optional, Tuple
 
 from ..energy import EnergyLedger
@@ -49,57 +55,32 @@ class MessageKind(enum.Enum):
     ACC_OPERAND = TrafficClass.ACC_DATA
 
 
-#: energy-count keys charged by :meth:`TrafficLedger.record`; updated
-#: directly on the ledger's count dict (the per-call ``charge()`` method
-#: overhead is measurable at a million records per matrix cell)
+#: energy-count keys :meth:`TrafficLedger.energy_counts` derives
 _EK_BYTE_HOP = ("noc", "noc_byte_hop")
 _EK_ROUTER_FLIT = ("noc", "noc_router_flit")
 
-_CLASSES = tuple(TrafficClass)
-_CLASS_INDEX = {tc: i for i, tc in enumerate(_CLASSES)}
-
 
 class TrafficLedger:
-    """Counts bytes, messages and byte-hops per traffic class.
+    """Counts messages per shape; per-class bytes, messages and
+    byte-hops, and the NoC energy counts, are derived on read.
 
-    Per-class tallies live in plain int-indexed lists; the public
-    ``*_by_class`` mappings are materialized on read. Hashing enum
-    members per record costs more than the accounting itself at the
-    record rates the batched replay path reaches.
+    A cell meets a few dozen message shapes and records millions of
+    messages, so the record path only counts, and every read walks the
+    shapes.
     """
 
     def __init__(self, mesh: Mesh, energy: Optional[EnergyLedger] = None):
         self.mesh = mesh
-        self.energy = energy
-        if energy is not None:
-            # validate the event names once (charge() does this per call)
-            getattr(energy.table, _EK_BYTE_HOP[1])
-            getattr(energy.table, _EK_ROUTER_FLIT[1])
-        self._bytes = [0.0] * len(_CLASSES)
-        self._byte_hops = [0.0] * len(_CLASSES)
-        self._messages = [0] * len(_CLASSES)
-        self.bytes_by_pair: Dict[Tuple[int, int], float] = defaultdict(float)
         #: (src, dst, payload) -> one-way latency ps; messages repeat the
         #: same few shapes millions of times, the mesh is static
         self._lat_memo: Dict[Tuple[int, int, int], int] = {}
-        #: (kind id, src, dst, payload) -> everything record() derives
-        #: from the static mesh: (class index, bytes/message, hops,
-        #: flits, latency, (src, dst))
-        self._shape_memo: Dict[Tuple[int, int, int, int], tuple] = {}
-
-    # live views keep the pre-existing mapping API (tests index these
-    # with TrafficClass members); every class is always present
-    @property
-    def bytes_by_class(self) -> Dict[TrafficClass, float]:
-        return dict(zip(_CLASSES, self._bytes))
-
-    @property
-    def byte_hops_by_class(self) -> Dict[TrafficClass, float]:
-        return dict(zip(_CLASSES, self._byte_hops))
-
-    @property
-    def messages_by_class(self) -> Dict[TrafficClass, int]:
-        return dict(zip(_CLASSES, self._messages))
+        #: (kind name, src, dst, payload) -> [messages, latency ps]
+        self._shapes: Dict[Tuple[str, int, int, int], list] = {}
+        if energy is not None:
+            # validate the event names once, as charge() does per call
+            getattr(energy.table, _EK_BYTE_HOP[1])
+            getattr(energy.table, _EK_ROUTER_FLIT[1])
+            energy.attach(self)
 
     def latency_of(self, src: int, dst: int, payload_bytes: int) -> int:
         """Memoized one-way message latency (what :meth:`record` returns)."""
@@ -118,41 +99,69 @@ class TrafficLedger:
         Local messages (src == dst) cost no link energy but are still
         counted as bytes so access-distribution statistics see them.
         """
-        # enum members are singletons, so id() is a stable, cheap key
-        key = (id(kind), src, dst, payload_bytes)
-        shape = self._shape_memo.get(key)
+        # keyed by the kind's name: hashing an Enum member runs Python
+        key = (kind._name_, src, dst, payload_bytes)
+        shape = self._shapes.get(key)
         if shape is None:
-            hops = self.mesh.hops(src, dst)
-            shape = self._shape_memo[key] = (
-                _CLASS_INDEX[kind.value],
-                payload_bytes + HEADER_BYTES,
-                hops,
-                self.mesh.num_flits(payload_bytes + HEADER_BYTES),
-                self.latency_of(src, dst, payload_bytes),
-                (src, dst),
-            )
-        ci, unit_bytes, hops, flits, lat, pair = shape
-        total_bytes = unit_bytes * count
-        self._bytes[ci] += total_bytes
-        self._byte_hops[ci] += total_bytes * hops
-        self._messages[ci] += count
-        self.bytes_by_pair[pair] += total_bytes
-        if self.energy is not None and hops > 0:
-            counts = self.energy._counts
-            counts[_EK_BYTE_HOP] += total_bytes * hops
-            counts[_EK_ROUTER_FLIT] += flits * (hops + 1) * count
-        return lat
+            shape = self._shapes[key] = [
+                0, self.latency_of(src, dst, payload_bytes)]
+        shape[0] += count
+        return shape[1]
+
+    def _by_class(self) -> Tuple[Dict[TrafficClass, int], ...]:
+        """Per traffic class (every class present): bytes, byte-hops
+        and messages."""
+        nbytes = dict.fromkeys(TrafficClass, 0)
+        byte_hops = dict.fromkeys(TrafficClass, 0)
+        messages = dict.fromkeys(TrafficClass, 0)
+        for (name, src, dst, payload), (n, _) in self._shapes.items():
+            tclass = MessageKind[name].value
+            total = (payload + HEADER_BYTES) * n
+            nbytes[tclass] += total
+            byte_hops[tclass] += total * self.mesh.hops(src, dst)
+            messages[tclass] += n
+        return nbytes, byte_hops, messages
+
+    def energy_counts(self) -> Dict[Tuple[str, str], float]:
+        """The NoC energy event counts of the recorded messages that
+        leave their node; empty while none has."""
+        mesh = self.mesh
+        byte_hops = router_flits = 0
+        remote = False
+        for (_, src, dst, payload), (n, _) in self._shapes.items():
+            hops = mesh.hops(src, dst)
+            if hops:
+                remote = True
+                unit = payload + HEADER_BYTES
+                byte_hops += unit * n * hops
+                router_flits += mesh.num_flits(unit) * (hops + 1) * n
+        if not remote:
+            return {}
+        return {_EK_BYTE_HOP: float(byte_hops),
+                _EK_ROUTER_FLIT: float(router_flits)}
+
+    @property
+    def bytes_by_class(self) -> Dict[TrafficClass, float]:
+        return {tc: float(n) for tc, n in self._by_class()[0].items()}
+
+    @property
+    def byte_hops_by_class(self) -> Dict[TrafficClass, float]:
+        return {tc: float(n) for tc, n in self._by_class()[1].items()}
+
+    @property
+    def messages_by_class(self) -> Dict[TrafficClass, int]:
+        return self._by_class()[2]
 
     # -- summaries ---------------------------------------------------------
     def total_bytes(self) -> float:
-        return sum(self._bytes)
+        return float(sum(self._by_class()[0].values()))
 
     def total_byte_hops(self) -> float:
-        return sum(self._byte_hops)
+        return float(sum(self._by_class()[1].values()))
 
     def breakdown(self) -> Dict[str, float]:
         """Figure-10 style breakdown: bytes per class name."""
-        return {tc.value: self._bytes[i] for i, tc in enumerate(_CLASSES)}
+        return {tc.value: n for tc, n in self.bytes_by_class.items()}
 
     def class_bytes(self, tclass: TrafficClass) -> float:
-        return self._bytes[_CLASS_INDEX[tclass]]
+        return self.bytes_by_class[tclass]

@@ -291,15 +291,8 @@ class OffloadEngine:
             chunk_sizes=chunk_sizes, site_streams=site_streams,
             sim=sim, stats=stats, shared_port=shared_port,
         )
-        # run-scoped deferred accounting: one DRAM pool and pooled
-        # batch-tail ledger counts across the whole replay (exact: the
-        # pooled charges/records are linear and the ledgers order-free)
-        win = self.hierarchy.open_accounting()
-        try:
-            run_ctx.build()
-            sim.run()
-        finally:
-            self.hierarchy.close_accounting(win)
+        run_ctx.build()
+        sim.run()
         OBS.inc("engine.sim_events", sim.events_executed)
         OBS.observe_max("engine.sim_peak_pending", sim.peak_pending)
         for chans in (run_ctx.channels, run_ctx.fill_tokens,

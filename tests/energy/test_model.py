@@ -50,15 +50,6 @@ class TestLedgerBasics:
             3 * default_energy_table().l3_access
         )
 
-    def test_merge(self):
-        a, b = EnergyLedger(), EnergyLedger()
-        a.charge("l1", "l1_access", 1)
-        b.charge("l1", "l1_access", 2)
-        b.charge("core", "int_op", 5)
-        a.merge([b])
-        assert a.count("l1", "l1_access") == 3
-        assert a.count("core", "int_op") == 5
-
     def test_total_nj(self):
         led = EnergyLedger()
         led.charge("dram", "dram_line_access", 1000)

@@ -318,32 +318,29 @@ def test_accel_batch_mixed_sequence_matches_scalar(monkeypatch, machine,
                                                    seed):
     """Line chunks, element chunks and demand-window accesses, mixed
     as an offload run mixes them, leave the same state as the scalar
-    calls, and no batch walk goes through ``Cache.access``."""
+    calls after every chunk, and no batch walk goes through
+    ``Cache.access``."""
     fast, fast_energy = make_hierarchy(MACHINES[machine])
     ref, ref_energy = make_hierarchy(MACHINES[machine])
-    ops = mixed_accel_ops(ref.l3, seed)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("batch walk called Cache.access")
 
-    monkeypatch.setattr(Cache, "access", forbidden)
-    win = fast.open_accounting()
-    batch_lat = 0
-    for kind, local, addrs, is_write, elem_bytes in ops:
-        if kind == "lines":
-            batch_lat += fast.accel_line_fetch_batch(local, addrs, is_write)
-        elif kind == "elems":
-            batch_lat += fast.accel_elem_access_batch(local, addrs,
-                                                      is_write, elem_bytes)
-        else:
-            window = fast.l3_demand_batch(from_node=local)
-            batch_lat += sum(window.access(a) for a in addrs.tolist())
-            window.flush()
-    fast.close_accounting(win)
-    monkeypatch.undo()
-
-    scalar_lat = 0
-    for kind, local, addrs, is_write, elem_bytes in ops:
+    for kind, local, addrs, is_write, elem_bytes in mixed_accel_ops(
+            ref.l3, seed):
+        with monkeypatch.context() as mp:
+            mp.setattr(Cache, "access", forbidden)
+            if kind == "lines":
+                batch_lat = fast.accel_line_fetch_batch(local, addrs,
+                                                        is_write)
+            elif kind == "elems":
+                batch_lat = fast.accel_elem_access_batch(
+                    local, addrs, is_write, elem_bytes)
+            else:
+                window = fast.l3_demand_batch(from_node=local)
+                batch_lat = sum(window.access(a) for a in addrs.tolist())
+                window.flush()
+        scalar_lat = 0
         for addr in addrs.tolist():
             if kind == "lines":
                 scalar_lat += ref.accel_line_fetch(local, addr, is_write)
@@ -352,8 +349,8 @@ def test_accel_batch_mixed_sequence_matches_scalar(monkeypatch, machine,
                                                     elem_bytes)
             else:
                 scalar_lat += ref.l3_demand(addr, from_node=local)
-    assert batch_lat == scalar_lat
-    assert_same_state(fast, fast_energy, ref, ref_energy)
+        assert batch_lat == scalar_lat
+        assert_same_state(fast, fast_energy, ref, ref_energy)
     # the mix is not vacuous: dirty ACP victims retire into banks, and
     # lines come from DRAM
     assert sum(a.writebacks for a in ref.acps) > 0
