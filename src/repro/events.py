@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterator, List, Optional
+from typing import Any, Deque, Generator, Iterator, List, Optional
 
 from .errors import DeadlockError, SimulationError
 
@@ -114,6 +114,7 @@ class WaitProcess(Command):
         if self.target.done:
             sim._schedule(sim.now, proc, self.target.result)
         else:
+            proc.blocked_on = ("wait", self.target)
             self.target._waiters.append(proc)
 
 
@@ -131,10 +132,10 @@ class Process:
         self.done = False
         self.result: Any = None
         self._waiters: List["Process"] = []
-        #: what the process is blocked on — ``("get", channel)`` /
-        #: ``("put", channel)``, formatted lazily for deadlock
-        #: diagnostics (blocks are frequent; f-strings per block are not
-        #: free on the replay hot path)
+        #: what the process is blocked on — ``("get", channel)``,
+        #: ``("put", channel)`` or ``("wait", process)``, formatted
+        #: lazily for deadlock diagnostics (blocks are frequent; f-strings
+        #: per block are not free on the replay hot path)
         self.blocked_on: Optional[tuple] = None
         #: daemon processes (e.g. sinks, FSMs that serve forever) may remain
         #: blocked at end of simulation without signalling deadlock.
@@ -145,8 +146,8 @@ class Process:
         """Human-readable description of the blocking operation."""
         if self.blocked_on is None:
             return None
-        op, ch = self.blocked_on
-        return f"{op}({ch.name})"
+        op, on = self.blocked_on
+        return f"{op}({on.name})"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.done else (self.blocked_desc or "ready")
@@ -259,16 +260,8 @@ class Simulator:
         self._schedule(self._now, proc, None)
         return proc
 
-    def call_at(self, time_ps: int, fn: Callable[[], None]) -> None:
-        """Schedule a plain callback (no process) at an absolute time."""
-        self._enqueue(time_ps, None, fn)
-
     def _schedule(self, time_ps: int, proc: Process, value: Any) -> None:
         proc.blocked_on = None
-        self._enqueue(time_ps, proc, value)
-
-    def _enqueue(self, time_ps: int, proc: Optional[Process],
-                 value: Any) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (time_ps, self._seq, proc, value))
         if len(self._heap) > self.peak_pending:
@@ -332,35 +325,32 @@ class Simulator:
                     time_ps, _seq, proc, value = pop(heap)
                     self._now = time_ps
                     executed += 1
-                    if proc is None:
-                        value()  # plain callback
+                    try:
+                        cmd = proc._gen.send(value)
+                    except StopIteration as stop:
+                        proc.done = True
+                        proc.result = stop.value
+                        for waiter in proc._waiters:
+                            self._schedule(time_ps, waiter, stop.value)
+                        proc._waiters.clear()
+                        continue
+                    cls = cmd.__class__
+                    if cls is Delay:
+                        self._seq = seq = self._seq + 1
+                        push(heap, (time_ps + cmd.ps, seq, proc, None))
+                        if len(heap) > self.peak_pending:
+                            self.peak_pending = len(heap)
+                    elif cls is Get:
+                        cmd.channel._arm_get(proc)
+                    elif cls is Put:
+                        cmd.channel._arm_put(proc, cmd.item)
+                    elif isinstance(cmd, Command):
+                        cmd.arm(self, proc)
                     else:
-                        try:
-                            cmd = proc._gen.send(value)
-                        except StopIteration as stop:
-                            proc.done = True
-                            proc.result = stop.value
-                            for waiter in proc._waiters:
-                                self._schedule(time_ps, waiter, stop.value)
-                            proc._waiters.clear()
-                            continue
-                        cls = cmd.__class__
-                        if cls is Delay:
-                            self._seq = seq = self._seq + 1
-                            push(heap, (time_ps + cmd.ps, seq, proc, None))
-                            if len(heap) > self.peak_pending:
-                                self.peak_pending = len(heap)
-                        elif cls is Get:
-                            cmd.channel._arm_get(proc)
-                        elif cls is Put:
-                            cmd.channel._arm_put(proc, cmd.item)
-                        elif isinstance(cmd, Command):
-                            cmd.arm(self, proc)
-                        else:
-                            raise SimulationError(
-                                f"process {proc.name!r} yielded {cmd!r}, "
-                                f"expected a Command"
-                            )
+                        raise SimulationError(
+                            f"process {proc.name!r} yielded {cmd!r}, "
+                            f"expected a Command"
+                        )
             finally:
                 self.events_executed += executed
             return True
@@ -380,8 +370,5 @@ class Simulator:
                 raise SimulationError(
                     f"exceeded max_events={max_events} at t={self._now}ps"
                 )
-            if proc is None:
-                value()  # plain callback
-            else:
-                self._step(proc, value)
+            self._step(proc, value)
         return True

@@ -16,10 +16,10 @@ The second half pins the event-kernel *semantics* of the one heap core
 in both of its dispatch loops — the specialized unbounded loop every
 replay run takes, and the general loop that ``until_ps`` /
 ``max_events`` select: putter FIFO order under a full channel, getter
-wake order, ``WaitProcess`` on an already-finished process,
-daemon-vs-deadlock classification, ``call_at`` vs process ordering at
-equal timestamps, and the ``run(until_ps=...)`` pause/resume contract
-(the popped over-horizon event must not be lost). The ``[False]`` ids
+wake order, ``WaitProcess`` on an already-finished process and on one
+that never ends, daemon-vs-deadlock classification, and the
+``run(until_ps=...)`` pause/resume contract (the popped over-horizon
+event must not be lost). The ``[False]`` ids
 run the unbounded loop, which pushes a ``Delay`` inline and hands a
 ``Get`` or ``Put`` straight to its channel. The ``[True]`` ids run the
 general loop, which arms every command through ``Command.arm``: they
@@ -235,22 +235,26 @@ class TestKernelSemantics:
         with pytest.raises(DeadlockError, match=r"starved on get\(stuck\)"):
             run(sim, bounded)
 
-    def test_call_at_vs_process_order_at_equal_time(self, bounded):
-        """Same-timestamp dispatch follows schedule order."""
+    def test_wait_on_never_ending_process_is_deadlock(self, bounded):
+        """A non-daemon process waiting on a process that never ends is
+        blocked on it, so the run raises instead of returning."""
         sim = Simulator()
-        log = []
+        ch = Channel(sim, name="idle")
 
-        def sleeper():
-            yield Delay(100)
-            log.append("proc")
+        def server():
+            while True:
+                yield Get(ch)
 
-        sim.call_at(100, lambda: log.append("cb-early"))
-        sim.spawn("sleeper", sleeper())
-        sim.call_at(100, lambda: log.append("cb-late"))
-        run(sim, bounded)
-        # cb-early was enqueued first; the sleeper's wakeup is enqueued
-        # when its Delay arms (dispatch at t=0, after cb-late's enqueue)
-        assert log == ["cb-early", "cb-late", "proc"]
+        def waiter(target):
+            yield WaitProcess(target)
+
+        target = sim.spawn("server", server(), daemon=True)
+        proc = sim.spawn("waiter", waiter(target))
+        with pytest.raises(DeadlockError,
+                           match=r"waiter on wait\(server\)"):
+            run(sim, bounded)
+        assert not proc.done
+        assert proc.blocked_desc == "wait(server)"
 
     def test_run_until_does_not_lose_horizon_event(self, bounded):
         """Regression: run(until_ps) used to pop the first over-horizon
@@ -272,8 +276,13 @@ class TestKernelSemantics:
     def test_run_until_executes_events_at_horizon(self, bounded):
         sim = Simulator()
         log = []
-        sim.call_at(100, lambda: log.append("at"))
-        sim.call_at(101, lambda: log.append("past"))
+
+        def sleeper(ps, tag):
+            yield Delay(ps)
+            log.append(tag)
+
+        sim.spawn("at", sleeper(100, "at"))
+        sim.spawn("past", sleeper(101, "past"))
         run(sim, bounded, until_ps=100)
         assert log == ["at"]
         run(sim, bounded)
@@ -283,8 +292,13 @@ class TestKernelSemantics:
         """Events beyond the horizon fire in original order on resume."""
         sim = Simulator()
         log = []
+
+        def sleeper(tag):
+            yield Delay(200)
+            log.append(tag)
+
         for tag in ("x", "y", "z"):
-            sim.call_at(200, lambda tag=tag: log.append(tag))
+            sim.spawn(tag, sleeper(tag))
         run(sim, bounded, until_ps=50)
         assert log == []
         run(sim, bounded)

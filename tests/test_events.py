@@ -319,20 +319,6 @@ class TestDeadlock:
             sim.run()
 
 
-class TestCallbacks:
-    def test_call_at(self):
-        sim = Simulator()
-        fired = []
-        sim.call_at(250, lambda: fired.append(sim.now))
-
-        def proc():
-            yield Delay(1000)
-
-        sim.spawn("p", proc())
-        sim.run()
-        assert fired == [250]
-
-
 def test_observability_counters():
     """events_executed / peak_pending feed repro.obs: one event per
     process resume, and the heap depth high-water mark."""
