@@ -87,3 +87,45 @@ def test_report_table(tool, tmp_path, monkeypatch, capsys):
         "| 10.00 [9.75–10.50] | 1.100 (0.909–1.250) | 2/4 | no | 0, 2 |")
     assert lines[4].startswith("| `fresh-traces` (1, 0 at 7919) | `cells` "
                                "| 5.00 [5.00–5.00] |")
+
+
+def traced_side(events_s, accounting_calls, events_calls=100):
+    return {"failed": 0, "metrics": {
+        "events.self_s": {"value": events_s},
+        "events.calls": {"value": events_calls},
+        "mem.accounting.calls": {"value": accounting_calls},
+        "trace.overhead_ratio": {"value": 1.5},
+    }}
+
+
+def test_traced_rows_report_layers_and_differing_counts(tool, tmp_path,
+                                                        monkeypatch,
+                                                        capsys):
+    bench = dict(BENCH, per_layer=[
+        {"name": "events.calls", "unit": "count", "better": "lower"},
+        {"name": "events.self_s", "unit": "s", "better": "lower"},
+        {"name": "mem.accounting.calls", "unit": "count",
+         "better": "lower"},
+        {"name": "trace.overhead_ratio", "unit": "ratio",
+         "better": "lower"},
+    ])
+    traced = [dict(pair(s, traced_side(p, 475), traced_side(c, 0)), trace=1)
+              for s, p, c in ((1, 2.0, 1.0), (2, 4.0, 3.0))]
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n"
+                            for row in ROWS[:1] + traced))
+    monkeypatch.setattr(tool, "load_benchmark", lambda: bench)
+    assert tool.main(["--report", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # the untraced row keeps its end-to-end table, then a blank line
+    assert out[2].startswith("| `paper-matrix` (1, 0 at 7919) | `cells` ")
+    assert out[4:] == [
+        "",
+        "| workload (traced pairs) | layer | parent self_s median "
+        "| change self_s median | change/parent |",
+        "|---|---|---|---|---|",
+        "| `paper-matrix` (2) | `events` | 3.000 | 2.000 | 0.667 |",
+        "",
+        "`paper-matrix` counts that differ (parent → change, per pair): "
+        "`mem.accounting.calls` (475 → 0, 475 → 0)",
+    ]

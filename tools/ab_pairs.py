@@ -18,6 +18,13 @@ the metric's ``bound``, and the ``failed`` totals::
 
     python3 tools/ab_pairs.py --report pairs.jsonl [more.jsonl ...]
 
+With ``--trace``, each run gets ``--trace 1`` and reports per-layer
+metrics instead of end-to-end ones, and the row is marked traced. For
+traced rows the report prints each layer's ``self_s`` median per side,
+and lists every per-layer metric of unit ``count`` in ``BENCHMARK.json``
+that differs between the two sides of any pair, with its values per
+pair.
+
 Quartiles interpolate linearly between order statistics. The tool reads
 ``BENCHMARK.json`` and writes only the output file it is given.
 """
@@ -42,10 +49,13 @@ def load_benchmark(path: Path = REPO / "BENCHMARK.json") -> dict:
         return json.load(f)
 
 
-def run_once(bench: dict, checkout: str, workload: str, seed: int) -> dict:
+def run_once(bench: dict, checkout: str, workload: str, seed: int,
+             trace: bool = False) -> dict:
     """One benchmark run in ``checkout``; its last output line, parsed."""
     cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
            "--seconds", str(bench["run_seconds"])]
+    if trace:
+        cmd += ["--trace", "1"]
     out = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                          text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -68,9 +78,11 @@ def run_pairs(args, bench: dict) -> None:
         order = ("parent", "change") if parent_first else ("change",
                                                            "parent")
         row = {"workload": args.workload, "seed": seed, "first": order[0]}
+        if args.trace:
+            row["trace"] = 1
         for side in order:
             row[side] = run_once(bench, getattr(args, side), args.workload,
-                                 seed)
+                                 seed, args.trace)
         with open(out, "a") as f:
             f.write(json.dumps(row) + "\n")
         for side in ("parent", "change"):
@@ -112,6 +124,17 @@ def compare(rows: Sequence[dict], metric: dict) -> Dict[str, object]:
 
 
 def report(rows: Sequence[dict], bench: dict) -> str:
+    plain = [row for row in rows if not row.get("trace")]
+    traced = [row for row in rows if row.get("trace")]
+    parts = []
+    if plain:
+        parts.append(end_to_end_report(plain, bench))
+    if traced:
+        parts.append(traced_report(traced, bench))
+    return "\n\n".join(parts)
+
+
+def end_to_end_report(rows: Sequence[dict], bench: dict) -> str:
     lines = [
         "| workload (pairs) | metric | parent median [Q1–Q3] "
         "| change median [Q1–Q3] | change/parent per pair, median (range) "
@@ -134,6 +157,43 @@ def report(rows: Sequence[dict], bench: dict) -> str:
     return "\n".join(lines)
 
 
+def traced_report(rows: Sequence[dict], bench: dict) -> str:
+    """Per workload: each layer's ``self_s`` median per side, then the
+    per-layer counts that differ between the two sides of a pair."""
+    layers = [m["name"] for m in bench.get("per_layer", ())
+              if m["name"].endswith(".self_s")]
+    counts = [m["name"] for m in bench.get("per_layer", ())
+              if m["unit"] == "count"]
+    lines = [
+        "| workload (traced pairs) | layer | parent self_s median "
+        "| change self_s median | change/parent |",
+        "|---|---|---|---|---|",
+    ]
+    notes = []
+    for workload in dict.fromkeys(row["workload"] for row in rows):
+        mine = [row for row in rows if row["workload"] == workload]
+
+        def values(side, name):
+            return [row[side]["metrics"][name]["value"] for row in mine]
+
+        for name in layers:
+            p = statistics.median(values("parent", name))
+            c = statistics.median(values("change", name))
+            ratio = f"{c / p:.3f}" if p else "—"
+            lines.append(f"| `{workload}` ({len(mine)}) "
+                         f"| `{name[:-len('.self_s')]}` | {p:.3f} "
+                         f"| {c:.3f} | {ratio} |")
+        differ = []
+        for name in counts:
+            pairs = list(zip(values("parent", name), values("change", name)))
+            if any(p != c for p, c in pairs):
+                per_pair = ", ".join(f"{p:g} → {c:g}" for p, c in pairs)
+                differ.append(f"`{name}` ({per_pair})")
+        notes.append(f"`{workload}` counts that differ (parent → change, "
+                     f"per pair): {', '.join(differ) or 'none'}")
+    return "\n".join(lines + [""] + notes)
+
+
 def fmt(med_q1_q3: tuple) -> str:
     med, q1, q3 = med_q1_q3
     return f"{med:.2f} [{q1:.2f}–{q3:.2f}]"
@@ -148,6 +208,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload")
     parser.add_argument("--seeds", nargs="+", type=int)
     parser.add_argument("--out", help="pair file to append to")
+    parser.add_argument("--trace", action="store_true",
+                        help="run traced pairs (--trace 1)")
     args = parser.parse_args(argv)
     bench = load_benchmark()
     if args.report:
