@@ -31,6 +31,14 @@ from .dram import Dram
 from .nuca import NucaL3
 from .prefetch import StridePrefetcher
 
+#: the message kinds the batch walks record, bound once: looking a
+#: member up on an Enum class runs Python, about ten times the cost of
+#: reading a module global
+_CACHE_REQ = MessageKind.CACHE_REQ
+_CACHE_FILL = MessageKind.CACHE_FILL
+_CACHE_WRITEBACK = MessageKind.CACHE_WRITEBACK
+_ACC_HANDSHAKE = MessageKind.ACC_HANDSHAKE
+_ACC_OPERAND = MessageKind.ACC_OPERAND
 
 @dataclass
 class AccessStats:
@@ -196,7 +204,7 @@ class MemoryHierarchy:
             lat_req + lat_fill, self.machine.core.freq_ghz
         )
 
-    def close_accounting(self, win=None) -> None:
+    def close_accounting(self) -> None:
         """Does nothing, and nothing calls it: every access path charges
         the ledgers directly. It stays because the benchmark's traced
         runs (``perfbench/tracing.py``) wrap it as the
@@ -212,12 +220,11 @@ class MemoryHierarchy:
         record = self.traffic.record
         line = self._line
         if fills:
-            record(MessageKind.CACHE_REQ, cluster, self._mc, 0, fills)
-            record(MessageKind.CACHE_FILL, self._mc, cluster, line, fills)
+            record(_CACHE_REQ, cluster, self._mc, 0, fills)
+            record(_CACHE_FILL, self._mc, cluster, line, fills)
             self.dram.reads += fills
         if wbs:
-            record(MessageKind.CACHE_WRITEBACK, cluster, self._mc, line,
-                   wbs)
+            record(_CACHE_WRITEBACK, cluster, self._mc, line, wbs)
             self.dram.writes += wbs
         self.energy.charge("dram", "dram_line_access", fills + wbs)
         self.movement_bytes += (fills + wbs) * line
@@ -543,11 +550,10 @@ class MemoryHierarchy:
         self.energy.charge("l2", "l2_access", n_l2 + l1_wbs)
         for c in clusters:
             if l3_acc[c]:
-                record(MessageKind.CACHE_REQ, host, c, 0, l3_acc[c])
-                record(MessageKind.CACHE_FILL, c, host, line, l3_acc[c])
+                record(_CACHE_REQ, host, c, 0, l3_acc[c])
+                record(_CACHE_FILL, c, host, line, l3_acc[c])
             if l3_fills[c]:
-                record(MessageKind.CACHE_WRITEBACK, host, c, line,
-                       l3_fills[c])
+                record(_CACHE_WRITEBACK, host, c, line, l3_fills[c])
             if l3_acc[c] or l3_fills[c]:
                 self.energy.charge("l3", "l3_access",
                                    l3_acc[c] + l3_fills[c])
@@ -617,11 +623,11 @@ class MemoryHierarchy:
             if is_write:
                 # write-allocate of a fully-written line needs no DRAM read
                 misses = 0
-                record(MessageKind.ACC_OPERAND, local_cluster, home, line, k)
+                record(_ACC_OPERAND, local_cluster, home, line, k)
             else:
                 total += misses * fill[home]
-                record(MessageKind.ACC_OPERAND, home, local_cluster, line, k)
-            record(MessageKind.ACC_HANDSHAKE, local_cluster, home, 0, k)
+                record(_ACC_OPERAND, home, local_cluster, line, k)
+            record(_ACC_HANDSHAKE, local_cluster, home, 0, k)
             self._dram_traffic(home, misses, wbs)
         self.energy.charge("access_unit", "acp_access", n)
         self.energy.charge("l3", "l3_access", n)
@@ -733,13 +739,11 @@ class MemoryHierarchy:
                       + l3_miss * fill[h])
             if h != local_cluster:
                 moved += k
-            record(MessageKind.ACC_HANDSHAKE, local_cluster, h, 0, k)
+            record(_ACC_HANDSHAKE, local_cluster, h, 0, k)
             if is_write:
-                record(MessageKind.ACC_OPERAND, local_cluster, h,
-                       elem_bytes, k)
+                record(_ACC_OPERAND, local_cluster, h, elem_bytes, k)
             else:
-                record(MessageKind.ACC_OPERAND, h, local_cluster,
-                       elem_bytes, k)
+                record(_ACC_OPERAND, h, local_cluster, elem_bytes, k)
         self.energy.charge("access_unit", "acp_access", n)
         if n_l3:
             self.energy.charge("l3", "l3_access", n_l3)
@@ -918,8 +922,8 @@ class L3DemandWindow:
             h.l3.slices[c].add_counts(count, misses, wbs)
             h._dram_traffic(c, misses, wbs)
             h.energy.charge("l3", "l3_access", count)
-            record(MessageKind.CACHE_REQ, node, c, 0, count)
-            record(MessageKind.CACHE_FILL, c, node, line, count)
+            record(_CACHE_REQ, node, c, 0, count)
+            record(_CACHE_FILL, c, node, line, count)
             h.movement_bytes += count * line
         self._counts.clear()
         self._misses.clear()

@@ -59,14 +59,16 @@ class MessageKind(enum.Enum):
 _EK_BYTE_HOP = ("noc", "noc_byte_hop")
 _EK_ROUTER_FLIT = ("noc", "noc_router_flit")
 
+_CLASSES = tuple(TrafficClass)
+
 
 class TrafficLedger:
     """Counts messages per shape; per-class bytes, messages and
     byte-hops, and the NoC energy counts, are derived on read.
 
-    A cell meets a few dozen message shapes and records millions of
-    messages, so the record path only counts, and every read walks the
-    shapes.
+    A cell meets tens to a few thousand message shapes and records
+    millions of messages, so the record path only counts, and every
+    read walks the shapes.
     """
 
     def __init__(self, mesh: Mesh, energy: Optional[EnergyLedger] = None):
@@ -74,7 +76,8 @@ class TrafficLedger:
         #: (src, dst, payload) -> one-way latency ps; messages repeat the
         #: same few shapes millions of times, the mesh is static
         self._lat_memo: Dict[Tuple[int, int, int], int] = {}
-        #: (kind name, src, dst, payload) -> [messages, latency ps]
+        #: (kind name, src, dst, payload) -> [messages, latency ps,
+        #: class index, bytes per message, hops, flits per message]
         self._shapes: Dict[Tuple[str, int, int, int], list] = {}
         if energy is not None:
             # validate the event names once, as charge() does per call
@@ -103,61 +106,59 @@ class TrafficLedger:
         key = (kind._name_, src, dst, payload_bytes)
         shape = self._shapes.get(key)
         if shape is None:
+            unit = payload_bytes + HEADER_BYTES
             shape = self._shapes[key] = [
-                0, self.latency_of(src, dst, payload_bytes)]
+                0, self.latency_of(src, dst, payload_bytes),
+                _CLASSES.index(kind.value), unit, self.mesh.hops(src, dst),
+                self.mesh.num_flits(unit)]
         shape[0] += count
         return shape[1]
 
-    def _by_class(self) -> Tuple[Dict[TrafficClass, int], ...]:
-        """Per traffic class (every class present): bytes, byte-hops
-        and messages."""
-        nbytes = dict.fromkeys(TrafficClass, 0)
-        byte_hops = dict.fromkeys(TrafficClass, 0)
-        messages = dict.fromkeys(TrafficClass, 0)
-        for (name, src, dst, payload), (n, _) in self._shapes.items():
-            tclass = MessageKind[name].value
-            total = (payload + HEADER_BYTES) * n
-            nbytes[tclass] += total
-            byte_hops[tclass] += total * self.mesh.hops(src, dst)
-            messages[tclass] += n
+    def _by_class(self) -> Tuple[list, list, list]:
+        """Per class index: bytes, byte-hops and messages."""
+        nbytes = [0] * len(_CLASSES)
+        byte_hops = [0] * len(_CLASSES)
+        messages = [0] * len(_CLASSES)
+        for n, _, ci, unit, hops, _ in self._shapes.values():
+            nbytes[ci] += unit * n
+            byte_hops[ci] += unit * n * hops
+            messages[ci] += n
         return nbytes, byte_hops, messages
 
     def energy_counts(self) -> Dict[Tuple[str, str], float]:
         """The NoC energy event counts of the recorded messages that
         leave their node; empty while none has."""
-        mesh = self.mesh
         byte_hops = router_flits = 0
         remote = False
-        for (_, src, dst, payload), (n, _) in self._shapes.items():
-            hops = mesh.hops(src, dst)
+        for n, _, _, unit, hops, flits in self._shapes.values():
             if hops:
                 remote = True
-                unit = payload + HEADER_BYTES
                 byte_hops += unit * n * hops
-                router_flits += mesh.num_flits(unit) * (hops + 1) * n
+                router_flits += flits * (hops + 1) * n
         if not remote:
             return {}
         return {_EK_BYTE_HOP: float(byte_hops),
                 _EK_ROUTER_FLIT: float(router_flits)}
 
+    # every class is always present in the per-class mappings
     @property
     def bytes_by_class(self) -> Dict[TrafficClass, float]:
-        return {tc: float(n) for tc, n in self._by_class()[0].items()}
+        return dict(zip(_CLASSES, map(float, self._by_class()[0])))
 
     @property
     def byte_hops_by_class(self) -> Dict[TrafficClass, float]:
-        return {tc: float(n) for tc, n in self._by_class()[1].items()}
+        return dict(zip(_CLASSES, map(float, self._by_class()[1])))
 
     @property
     def messages_by_class(self) -> Dict[TrafficClass, int]:
-        return self._by_class()[2]
+        return dict(zip(_CLASSES, self._by_class()[2]))
 
     # -- summaries ---------------------------------------------------------
     def total_bytes(self) -> float:
-        return float(sum(self._by_class()[0].values()))
+        return float(sum(self._by_class()[0]))
 
     def total_byte_hops(self) -> float:
-        return float(sum(self._by_class()[1].values()))
+        return float(sum(self._by_class()[1]))
 
     def breakdown(self) -> Dict[str, float]:
         """Figure-10 style breakdown: bytes per class name."""
