@@ -442,10 +442,10 @@ class MemoryHierarchy:
         plans = [()] * n_l2 if self.prefetcher is None else (
             self.prefetcher.observe_batch(stream_ids[miss_pos], miss_addrs)
             .tolist())
-        # counters, added to the caches once, in the finally, and to the
-        # ledgers after it:
-        # `extra` sums the misses' latency past L2's own, and `l1_wbs`
-        # counts dirty L1 victims written back into L2
+        # counters, added to the caches once, in the finally, and charged
+        # to the ledgers after the walk: `extra` sums the misses' latency
+        # past L2's own, and `l1_wbs` counts dirty L1 victims written
+        # back into L2
         l2_hits = n_pf = extra = l1_wbs = 0
         l3_acc = [0] * ncl
         l3_miss = [0] * ncl
@@ -544,11 +544,11 @@ class MemoryHierarchy:
             self._stats_prefetches += n_pf
             for c, sl in enumerate(l3.slices):
                 sl.add_counts(l3_acc[c], l3_miss[c], l3_wbs[c])
-                self._dram_traffic(c, l3_miss[c], l3_wbs[c])
         record = self.traffic.record
         # an L2 access per L1 miss and per dirty L1 victim written back
         self.energy.charge("l2", "l2_access", n_l2 + l1_wbs)
         for c in clusters:
+            self._dram_traffic(c, l3_miss[c], l3_wbs[c])
             if l3_acc[c]:
                 record(_CACHE_REQ, host, c, 0, l3_acc[c])
                 record(_CACHE_FILL, c, host, line, l3_acc[c])
