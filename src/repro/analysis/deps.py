@@ -82,9 +82,6 @@ class LoopDepSummary:
     kind: DepKind
     reasons: Tuple[str, ...]
 
-    def regions_of(self, obj: str) -> List[AccessRegion]:
-        return [r for r in self.reads + self.writes if r.obj == obj]
-
 
 # ---------------------------------------------------------------------------
 # region extraction

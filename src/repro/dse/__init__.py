@@ -7,12 +7,15 @@ declares axes over *machine* parameters (any dotted
 :class:`~repro.params.MachineParams` path, plus aliases like
 ``accel_freq_ghz``), over workload dataset kwargs, over workloads and
 over offload configurations. The spec expands into a run matrix; the
-scheduler shards points across worker processes, reuses the functional
-trace cache so a dataset is interpreted once and replayed across every
-machine point, and streams completed points into a crash-safe JSON-lines
-store keyed by content hash, so a killed sweep resumes with ``--resume``
-by skipping already-stored points. Reporting computes per-axis
-sensitivity tables and the energy/time Pareto frontier.
+scheduler shards dataset groups across worker processes through the one
+executor (:mod:`repro.dse.executor`, which also runs the experiment
+matrix and the sweep service, and turns a dead or timed-out worker into
+``failed`` rows), reuses the functional trace cache so a dataset is
+interpreted once and replayed across every machine point, and streams
+completed points into an indexed sqlite store keyed by content hash, so
+a killed sweep resumes with ``--resume`` by skipping already-stored
+points. Reporting computes per-axis sensitivity tables and the
+energy/time Pareto frontier.
 
 Entry points::
 
@@ -32,10 +35,10 @@ from .spec import (
     load_spec,
     shipped_specs,
 )
-from .store import ResultStore, row_text
+from .store import SqliteResultStore, row_text
 
 __all__ = [
     "SHIPPED_SPEC_DIR", "SweepPoint", "SweepSpec", "SweepResult",
-    "ResultStore", "format_report", "load_spec", "pareto_frontier",
+    "SqliteResultStore", "format_report", "load_spec", "pareto_frontier",
     "row_text", "run_sweep", "sensitivity_tables", "shipped_specs",
 ]

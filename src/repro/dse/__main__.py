@@ -9,13 +9,17 @@ Usage::
     python -m repro.dse --list-specs
     python -m repro.dse --spec smoke --dry-run         # expansion only
 
-Every completed point is appended to a crash-safe JSON-lines store
-(default ``dse-<name>.jsonl``; ``--store`` overrides). ``--resume``
-skips points already stored ``ok`` and retries ``failed`` ones, so a
-killed sweep continues where it stopped and a finished sweep becomes a
-no-op whose ``--report`` is pure post-processing. Exit status is 1 when
-any point ends ``failed`` or any measured metric escapes its AN-C
-static bound, 2 for bad specs/arguments.
+Every completed point is committed to an indexed sqlite store (default
+``dse-<name>.sqlite``; ``--store`` overrides). A store file that is not
+a readable sqlite database is quarantined with a warning and the sweep
+starts a fresh one (``python -m repro.serve --migrate-from`` converts a
+v1 JSON-lines store). ``--resume`` skips points already stored ``ok``
+and retries ``failed`` ones, so a killed sweep continues where it
+stopped and a finished sweep becomes a no-op whose ``--report`` is pure
+post-processing. With ``--jobs N``, a dataset group whose worker process
+dies or times out is recorded as ``failed`` rows; the other groups run
+on. Exit status is 1 when any point ends ``failed`` or any measured
+metric escapes its AN-C static bound, 2 for bad specs/arguments.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: $REPRO_JOBS or 1)")
     parser.add_argument("--store", default=None,
-                        help="result store path "
-                             "(default: dse-<name>.jsonl)")
+                        help="sqlite result store path "
+                             "(default: dse-<name>.sqlite)")
     parser.add_argument("--resume", action="store_true",
                         help="skip points already stored ok; retry "
                              "failed ones")
@@ -88,7 +92,7 @@ def main(argv=None) -> int:
                   f"dataset={dict(point.workload_kwargs)}")
         return 0
 
-    store_path = args.store or f"dse-{spec.name}.jsonl"
+    store_path = args.store or f"dse-{spec.name}.sqlite"
     start = time.time()
 
     def progress(line: str) -> None:

@@ -1,22 +1,24 @@
-"""Sweep execution: sharding, trace reuse, retries, resume.
+"""Sweep execution: sharding, trace reuse, failure rows, resume.
 
 Expansion groups points by *dataset* (the functional cache key — same
 workload, scale and dataset kwargs), because the golden interpretation
 is machine-independent: one group is interpreted once, then every
 machine point and configuration in it replays the recorded trace. A
-group is also the unit of work a worker process receives, so the trace
-never crosses a process boundary.
+group is also the unit of work :class:`~repro.dse.executor.Executor`
+hands a worker process, so the trace never crosses a process boundary.
 
-Per-point failures never kill a sweep: each point is retried once, and
-a point that fails twice is recorded as a ``failed`` row (with the
-exception text) in the result store. With ``resume=True``, points whose
-hash already has an ``ok`` row in the store are skipped; ``failed`` rows
-are retried.
+Failures never kill a sweep. A point that raises is recorded as a
+``failed`` row (with the exception text) after one attempt: the
+simulator is deterministic, so a second attempt would raise again. A
+group whose worker process dies or times out becomes one ``failed`` row
+per point (the executor's containment ladder). With ``resume=True``,
+points whose hash already has an ``ok`` row in the store are skipped;
+``failed`` rows are retried.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -26,14 +28,12 @@ from ..params import MachineParams, machine_digest
 from ..sim.results import RunResult
 from ..sim.system import simulate_dataset
 from ..sim.tracecache import TraceCache
+from .executor import Executor, GroupFailed, resolve_jobs
 from .spec import STORE_VERSION, SweepPoint, SweepSpec
 from .store import open_result_store
 
 #: a progress sink receives one human-readable line per completed unit
 ProgressFn = Callable[[str], None]
-
-#: how many times a point runs before it is recorded as failed
-MAX_ATTEMPTS = 2
 
 
 def point_metrics(run: RunResult) -> Dict[str, object]:
@@ -49,69 +49,69 @@ def point_metrics(run: RunResult) -> Dict[str, object]:
     return record
 
 
-def _run_point(hash_: str, point: SweepPoint, base: MachineParams,
-               cache: TraceCache) -> Dict[str, object]:
-    """Simulate one point; retry once; always return a row."""
-    machine = point.machine(base)
-    digest = machine_digest(machine)
-    error: Optional[str] = None
-    attempts = 0
-    while attempts < MAX_ATTEMPTS:
-        attempts += 1
-        try:
-            run = simulate_dataset(
-                point.workload, point.scale, point.config,
-                build_kwargs=dict(point.workload_kwargs),
-                machine=machine, trace_cache=cache,
-            )
-        except Exception as exc:  # noqa: BLE001 — recorded, not fatal
-            error = f"{type(exc).__name__}: {exc}"
-            continue
-        return {
-            "hash": hash_,
-            "version": STORE_VERSION,
-            "status": "ok",
-            "point": point.as_dict(),
-            "machine_digest": digest,
-            "metrics": point_metrics(run),
-            "error": None,
-            "attempts": attempts,
-        }
+def point_row(hash_: str, point: SweepPoint, machine: MachineParams,
+              status: str, metrics: Optional[Dict[str, object]] = None,
+              error: Optional[str] = None, attempts: int = 1
+              ) -> Dict[str, object]:
+    """One store row (the schema in :mod:`repro.dse.store`)."""
     return {
         "hash": hash_,
         "version": STORE_VERSION,
-        "status": "failed",
+        "status": status,
         "point": point.as_dict(),
-        "machine_digest": digest,
-        "metrics": None,
+        "machine_digest": machine_digest(machine),
+        "metrics": metrics,
         "error": error,
         "attempts": attempts,
     }
 
 
+def failed_rows_for_group(group: List[Tuple[str, SweepPoint]],
+                          base: MachineParams, error: str,
+                          attempts: int) -> List[Dict[str, object]]:
+    """The ``failed`` row every point of a group gets when the executor
+    gives up on the group as a whole."""
+    return [point_row(hash_, point, point.machine(base), "failed",
+                      error=error, attempts=attempts)
+            for hash_, point in group]
+
+
+def _run_point(hash_: str, point: SweepPoint, base: MachineParams,
+               cache: TraceCache) -> Dict[str, object]:
+    """Simulate one point; always return a row."""
+    machine = point.machine(base)
+    try:
+        run = simulate_dataset(
+            point.workload, point.scale, point.config,
+            build_kwargs=dict(point.workload_kwargs),
+            machine=machine, trace_cache=cache,
+        )
+    except Exception as exc:  # noqa: BLE001 — recorded, not fatal
+        return point_row(hash_, point, machine, "failed",
+                         error=f"{type(exc).__name__}: {exc}")
+    return point_row(hash_, point, machine, "ok",
+                     metrics=point_metrics(run))
+
+
 def _run_group(group: List[Tuple[str, SweepPoint]], base: MachineParams,
-               cache: TraceCache) -> List[Tuple[Dict[str, object], float]]:
-    """Run one dataset group; returns (row, wall_seconds) pairs."""
+               cache: TraceCache) -> List[Dict[str, object]]:
+    """Run one dataset group; returns its rows in point order."""
     rows = []
     for hash_, point in group:
         start = perf_counter()
-        row = _run_point(hash_, point, base, cache)
-        wall = perf_counter() - start
+        rows.append(_run_point(hash_, point, base, cache))
         OBS.add_cell(CellStat(
-            point.workload, point.config, wall,
+            point.workload, point.config, perf_counter() - start,
             trace_elems=cache.peak_trace_elems(*point.trace_key()),
         ))
-        rows.append((row, wall))
     return rows
 
 
 def _sweep_worker(args):
-    """Pool worker: one dataset group, private single-entry trace cache."""
+    """Executor unit: one dataset group, private single-entry trace
+    cache."""
     group, base = args
-    OBS.reset()
-    cache = TraceCache(max_entries=1)
-    rows = _run_group(group, base, cache)
-    return rows, OBS.snapshot()
+    return _run_group(group, base, TraceCache(max_entries=1))
 
 
 @dataclass
@@ -191,11 +191,14 @@ def run_sweep(spec: SweepSpec,
               bounds_fn=None) -> SweepResult:
     """Execute a sweep spec and return every row (stored + computed).
 
-    ``jobs`` (default ``$REPRO_JOBS`` or 1) shards dataset groups over a
-    process pool; results are row-identical to a serial run. With
-    ``store_path``, every completed row is durably appended as it
-    arrives; with ``resume=True`` as well, points already stored ``ok``
-    are skipped and failed rows are retried. ``base`` overrides the
+    ``jobs`` (default ``$REPRO_JOBS`` or 1) shards dataset groups over
+    the :class:`~repro.dse.executor.Executor`; results are row-identical
+    to a serial run, and a group whose worker dies or times out becomes
+    ``failed`` rows. With ``store_path``, every completed row is durably
+    appended to a sqlite store as it arrives (a corrupt store file is
+    quarantined and reported through ``progress``); with
+    ``resume=True`` as well, points already stored ``ok`` are skipped
+    and failed rows are retried. ``base`` overrides the
     spec's named base machine with an explicit
     :class:`~repro.params.MachineParams` (the experiment modules pass
     their fixture machine through this). With ``spec.prune`` set, an
@@ -204,11 +207,12 @@ def run_sweep(spec: SweepSpec,
     point as an explicit ``pruned`` row; ``bounds_fn`` overrides the
     static cost model (tests inject synthetic bounds here).
     """
-    from ..experiments.runner import resolve_jobs
-
     base = base if base is not None else spec.base_machine()
     jobs = resolve_jobs(jobs)
     store = open_result_store(store_path)
+    if progress is not None and store is not None and store.quarantined:
+        progress(f"warning: corrupt store quarantined to "
+                 f"{store.quarantined}")
     stored = store.load() if (store is not None and resume) else {}
 
     points = spec.points()
@@ -264,22 +268,14 @@ def run_sweep(spec: SweepSpec,
             kept = []
             for hash_, point in group:
                 if hash_ in prune_plan.pruned:
-                    record({
-                        "hash": hash_,
-                        "version": STORE_VERSION,
-                        "status": "pruned",
-                        "point": point.as_dict(),
-                        "machine_digest": machine_digest(
-                            point.machine(base)),
-                        "metrics": None,
-                        "bounds": {
-                            m: list(pair) for m, pair in
-                            prune_plan.bounds[hash_].items()
-                        },
-                        "pruned_by": prune_plan.pruned[hash_],
-                        "error": None,
-                        "attempts": 0,
-                    })
+                    row = point_row(hash_, point, point.machine(base),
+                                    "pruned", attempts=0)
+                    row["bounds"] = {
+                        m: list(pair) for m, pair in
+                        prune_plan.bounds[hash_].items()
+                    }
+                    row["pruned_by"] = prune_plan.pruned[hash_]
+                    record(row)
                 else:
                     kept.append((hash_, point))
             if kept:
@@ -288,27 +284,28 @@ def run_sweep(spec: SweepSpec,
 
     try:
         if jobs > 1 and len(groups) > 1:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(groups))
-            ) as pool:
+            with Executor(min(jobs, len(groups))) as executor:
                 futures = {
-                    pool.submit(_sweep_worker, (group, base)): group
+                    executor.submit(_sweep_worker, (group, base)): group
                     for group in groups
                 }
                 for future in as_completed(futures):
-                    rows, snapshot = future.result()
-                    OBS.merge(snapshot)
-                    for row, _wall in rows:
+                    group = futures[future]
+                    rows = future.result()
+                    if isinstance(rows, GroupFailed):
+                        rows = failed_rows_for_group(
+                            group, base, rows.error, rows.attempts)
+                    for row in rows:
                         record(row)
-                    if progress is not None and rows:
-                        p = rows[-1][0]["point"]
+                    if progress is not None:
                         progress(track.line(
-                            f"{spec.name}: {p['workload']} group done"
+                            f"{spec.name}: {group[0][1].workload} "
+                            f"group done"
                         ))
         else:
             cache = TraceCache(max_entries=2)
             for group in groups:
-                for row, _wall in _run_group(group, base, cache):
+                for row in _run_group(group, base, cache):
                     record(row)
                     if progress is not None:
                         p = row["point"]

@@ -1,47 +1,40 @@
-"""Result stores for design-space sweeps: JSONL (v1) and sqlite (v2).
+"""The sweep result store: indexed sqlite, plus a v1 JSONL migration.
 
 One row per completed sweep point, keyed by the point's content hash
-(:meth:`~repro.dse.spec.SweepPoint.content_hash`). Two on-disk formats
-share one row schema and one access interface:
+(:meth:`~repro.dse.spec.SweepPoint.content_hash`).
+:class:`SqliteResultStore` keeps each row as its canonical JSON text
+(:func:`row_text`) in an indexed table, so a single cell is answered by
+one primary-key lookup in well under a millisecond — the store behind
+both ``python -m repro.dse`` and the ``repro.serve`` sweep service.
+Every append commits, so a killed sweep loses at most the row being
+written. It adds age-based TTL expiry and an oldest-first row cap
+(eviction metadata lives in table columns, never inside the row
+payload), plus quarantine-and-recreate recovery when the database file
+itself is torn or corrupt.
 
-* **Format v1 — append-only JSONL** (:class:`ResultStore`). Rows are
-  appended, flushed and fsync'd one line at a time, so a killed sweep
-  loses at most the row being written; the loader tolerates a truncated
-  final line and keeps the *last* row per hash (a retried/resumed point
-  simply appends a fresh row that shadows the old one).
-* **Format v2 — indexed sqlite** (:class:`SqliteResultStore`). Rows are
-  stored as their canonical v1 JSON text in an indexed table, so a
-  single cell is answered by one primary-key lookup in well under a
-  millisecond instead of a full-file scan — the store behind the
-  ``repro.serve`` sweep service. Adds age-based TTL expiry and an
-  oldest-first row cap (eviction metadata lives in table columns, never
-  inside the row payload), plus quarantine-and-recreate recovery when
-  the database file itself is torn or corrupt.
-
-:func:`open_result_store` picks the format from the path (``.sqlite`` /
-``.sqlite3`` / ``.db`` or an existing sqlite file header select v2),
-and :func:`migrate_jsonl_to_sqlite` upgrades a v1 file to v2 with
-row-for-row byte equality (:func:`store_digest` is format-independent,
-so the digest proves the migration lossless).
+Earlier versions wrote an append-only JSON-lines file (format v1).
+:func:`load_jsonl` reads one, and :func:`migrate_jsonl_to_sqlite`
+copies it into a sqlite store with row-for-row byte equality
+(:func:`store_digest` proves the migration lossless).
 
 Rows carry no wall-clock fields — a serial sweep, a ``--jobs N`` sweep
 and a resumed sweep of the same spec produce byte-identical rows,
-differing only in file order.
+differing only in insertion order.
 
 Row schema (``version`` = :data:`~repro.dse.spec.STORE_VERSION`)::
 
-    {"hash": ..., "version": 1, "status": "ok" | "failed",
+    {"hash": ..., "version": 1, "status": "ok" | "failed" | "pruned",
      "point": {workload, config, scale, machine_overrides,
                workload_kwargs},
-     "metrics": {...} | null, "error": null | "ExcType: message",
-     "attempts": 1 | 2}
+     "machine_digest": ..., "metrics": {...} | null,
+     "error": null | "ExcType: message", "attempts": 1 | 2}
 
-``attempts`` reflects the **last-written row only**: because the loader
-keeps the newest row per hash, a resumed retry of a ``failed`` point
-*replaces* the old row (and its attempts count) rather than
-accumulating across rows. A point that failed twice, then succeeded
-first-try on ``--resume``, loads as ``{"status": "ok", "attempts": 1}``
-— the earlier ``"attempts": 2`` row is shadowed (pinned by
+``attempts`` counts the attempts behind the row: 1, or 2 when a worker
+process died under the group and its retry failed too. It reflects the
+**last-written row only**: a store keeps one row per hash, so a resumed
+retry of a ``failed`` point *replaces* the old row (and its attempts
+count). A point whose group failed twice, then succeeded on
+``--resume``, loads as ``{"status": "ok", "attempts": 1}`` (pinned by
 ``tests/dse/test_store_v2.py::TestAttemptsSemantics``).
 """
 
@@ -54,18 +47,15 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Optional
 
 from ..errors import ConfigError
 
-#: path suffixes that select the sqlite (v2) store format
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+#: value of the ``format`` key in a store's ``meta`` table
+SQLITE_FORMAT_VERSION = 2
 
 #: the 16-byte magic every well-formed sqlite file starts with
 _SQLITE_MAGIC = b"SQLite format 3\x00"
-
-#: value of the ``format`` key in a v2 store's ``meta`` table
-SQLITE_FORMAT_VERSION = 2
 
 
 def row_text(row: Dict[str, object]) -> str:
@@ -73,86 +63,34 @@ def row_text(row: Dict[str, object]) -> str:
     return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
-class ResultStore:
-    """Append-only JSONL store (format v1) with hash-keyed resume."""
+def load_jsonl(path: str) -> Dict[str, Dict[str, object]]:
+    """Hash -> last row of a v1 JSON-lines store, in file order.
 
-    def __init__(self, path: str):
-        self.path = path
-        self._handle = None
-
-    # -- reading -------------------------------------------------------
-    def load(self) -> Dict[str, Dict[str, object]]:
-        """Hash -> last stored row. Missing file -> empty store."""
-        rows: Dict[str, Dict[str, object]] = {}
-        if not os.path.exists(self.path):
-            return rows
-        with open(self.path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    # torn final line from a killed writer: ignore; the
-                    # point reruns on resume
-                    continue
-                if not isinstance(row, dict) or "hash" not in row:
-                    raise ConfigError(
-                        f"result store {self.path}: row without a hash"
-                    )
-                rows[row["hash"]] = row
-        return rows
-
-    def iter_rows(self) -> Iterator[Dict[str, object]]:
-        for row in self.load().values():
-            yield row
-
-    def get(self, hash_: str) -> Optional[Dict[str, object]]:
-        """Last row for one hash (full-file scan; v2 answers indexed)."""
-        return self.load().get(hash_)
-
-    def count(self) -> int:
-        return len(self.load())
-
-    # -- writing -------------------------------------------------------
-    def append(self, row: Dict[str, object]) -> None:
-        """Durably append one row (open lazily, flush + fsync)."""
-        if self._handle is None:
-            parent = os.path.dirname(self.path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            self._handle = open(self.path, "a")
-            # a killed writer may have left a torn final line with no
-            # newline; gluing a fresh row onto it would corrupt both
-            if self._handle.tell() > 0:
-                with open(self.path, "rb") as f:
-                    f.seek(-1, os.SEEK_END)
-                    if f.read(1) != b"\n":
-                        self._handle.write("\n")
-        self._handle.write(row_text(row) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    A torn final line (a writer killed mid-row) and blank lines are
+    skipped; a row without a hash is an error.
+    """
+    rows: Dict[str, Dict[str, object]] = {}
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if not isinstance(row, dict) or "hash" not in row:
+                raise ConfigError(f"result store {path}: row without a hash")
+            rows[row["hash"]] = row
+    return rows
 
 
 class SqliteResultStore:
-    """Indexed sqlite store (format v2): same rows, millisecond lookups.
+    """Indexed sqlite store: one row per hash, millisecond lookups.
 
-    The row payload is stored verbatim as its canonical v1 JSON text
-    (:func:`row_text`), so v1 and v2 stores of the same sweep are
-    byte-for-byte interconvertible and :func:`store_digest` agrees
-    across formats. Bookkeeping that must never leak into rows —
+    The row payload is stored verbatim as its canonical JSON text
+    (:func:`row_text`), so a migrated v1 file keeps its exact row bytes.
+    Bookkeeping that must never leak into rows —
     insertion sequence for oldest-first eviction, a wall-clock
     ``stored_at`` for TTL expiry — lives in separate columns.
 
@@ -162,11 +100,12 @@ class SqliteResultStore:
     * ``max_rows > 0``: every append evicts oldest-written rows beyond
       the cap. ``max_rows == 0`` means unbounded.
     * A file that exists but is not a readable sqlite database (torn
-      block writes, a stray v1 JSONL handed to the v2 opener) is
+      block writes, a v1 JSON-lines file passed as a store path) is
       quarantined — renamed to ``<path>.corrupt`` (``.corrupt-2``, ...
       if taken) — and a fresh empty store is created in its place; the
       quarantined path is kept in :attr:`quarantined` so callers can
-      surface it. Every point is recomputable, so losing a corrupt
+      surface it (``python -m repro.dse`` and ``python -m repro.serve``
+      print it as a warning). Every point is recomputable, so losing a corrupt
       cache beats refusing to serve.
 
     Thread-safe: one connection guarded by a lock (the serve layer's
@@ -250,7 +189,7 @@ class SqliteResultStore:
 
     # -- reading -------------------------------------------------------
     def load(self) -> Dict[str, Dict[str, object]]:
-        """Hash -> row, in insertion order (parity with the v1 loader)."""
+        """Hash -> row, in insertion order."""
         with self._lock:
             cur = self._conn.execute(
                 "SELECT row FROM rows ORDER BY seq")
@@ -258,10 +197,6 @@ class SqliteResultStore:
                 (row := json.loads(text))["hash"]: row
                 for (text,) in cur.fetchall()
             }
-
-    def iter_rows(self) -> Iterator[Dict[str, object]]:
-        for row in self.load().values():
-            yield row
 
     def get(self, hash_: str) -> Optional[Dict[str, object]]:
         """Indexed single-row lookup — the serve layer's cache hit."""
@@ -317,40 +252,15 @@ class SqliteResultStore:
         return cur.rowcount
 
 
-#: either store format, from the caller's point of view
-AnyResultStore = Union[ResultStore, SqliteResultStore]
+def open_result_store(path: Optional[str]) -> Optional[SqliteResultStore]:
+    """Open the sqlite store at ``path`` (None -> no store)."""
+    return SqliteResultStore(path) if path else None
 
 
-def is_sqlite_path(path: str) -> bool:
-    """True when ``path`` should open as a v2 sqlite store: a v2 suffix,
-    or an existing file with the sqlite magic header."""
-    if path.endswith(SQLITE_SUFFIXES):
-        return True
-    try:
-        with open(path, "rb") as f:
-            return f.read(len(_SQLITE_MAGIC)) == _SQLITE_MAGIC
-    except OSError:
-        return False
-
-
-def open_result_store(path: Optional[str], ttl_s: float = 0.0,
-                      max_rows: int = 0) -> Optional[AnyResultStore]:
-    """Open ``path`` as whichever store format it denotes (None -> None).
-
-    TTL/cap knobs only apply to sqlite stores; the JSONL format ignores
-    them (it has no eviction metadata).
-    """
-    if not path:
-        return None
-    if is_sqlite_path(path):
-        return SqliteResultStore(path, ttl_s=ttl_s, max_rows=max_rows)
-    return ResultStore(path)
-
-
-def store_digest(store: AnyResultStore) -> str:
-    """Format-independent content digest: sha256 over the sorted
-    canonical row lines. Two stores holding the same rows — regardless
-    of format, insertion order or shadowed history — share a digest."""
+def store_digest(store: SqliteResultStore) -> str:
+    """Content digest: sha256 over the sorted canonical row lines. Two
+    stores holding the same rows — regardless of insertion order or
+    replaced history — share a digest."""
     lines = sorted(row_text(row) for row in store.load().values())
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -372,21 +282,20 @@ class MigrationReport:
 def migrate_jsonl_to_sqlite(jsonl_path: str,
                             sqlite_path: Optional[str] = None,
                             overwrite: bool = False) -> MigrationReport:
-    """Upgrade a v1 JSONL store to a v2 sqlite store.
+    """Copy a v1 JSONL store into a new sqlite store.
 
     Rows are carried over in file order with their exact canonical
-    bytes (shadowed history collapses to last-row-per-hash, which is
-    what the v1 loader already exposed; a torn final line is dropped,
-    as on any v1 load). The source file is left untouched so the
-    operator can verify :func:`store_digest` equality before deleting
-    it. Refuses to clobber an existing non-empty target unless
+    bytes (shadowed history collapses to last-row-per-hash, as every v1
+    load did; a torn final line is dropped). The source file is left
+    untouched. Refuses to clobber an existing target unless
     ``overwrite=True``.
     """
     if not os.path.exists(jsonl_path):
         raise ConfigError(f"migration source {jsonl_path} does not exist")
-    if is_sqlite_path(jsonl_path):
-        raise ConfigError(
-            f"migration source {jsonl_path} is already a sqlite store")
+    with open(jsonl_path, "rb") as f:
+        if f.read(len(_SQLITE_MAGIC)) == _SQLITE_MAGIC:
+            raise ConfigError(
+                f"migration source {jsonl_path} is already a sqlite store")
     target = sqlite_path or (os.path.splitext(jsonl_path)[0] + ".sqlite")
     if os.path.exists(target):
         if not overwrite:
@@ -394,7 +303,7 @@ def migrate_jsonl_to_sqlite(jsonl_path: str,
                 f"migration target {target} exists "
                 f"(pass overwrite to replace it)")
         os.remove(target)
-    rows = ResultStore(jsonl_path).load()
+    rows = load_jsonl(jsonl_path)
     store = SqliteResultStore(target)
     try:
         for row in rows.values():
@@ -407,8 +316,7 @@ def migrate_jsonl_to_sqlite(jsonl_path: str,
 
 
 __all__ = [
-    "AnyResultStore", "MigrationReport", "ResultStore",
-    "SQLITE_FORMAT_VERSION", "SQLITE_SUFFIXES", "SqliteResultStore",
-    "is_sqlite_path", "migrate_jsonl_to_sqlite", "open_result_store",
+    "MigrationReport", "SQLITE_FORMAT_VERSION", "SqliteResultStore",
+    "load_jsonl", "migrate_jsonl_to_sqlite", "open_result_store",
     "row_text", "store_digest",
 ]

@@ -76,16 +76,15 @@ REPRO_SERVE_PORT = EnvVar(
 )
 REPRO_SERVE_STORE = EnvVar(
     "REPRO_SERVE_STORE", "path", "serve-store.sqlite",
-    "default result-store path of the sweep service when `--store` is "
-    "not given; a `.sqlite`/`.db` suffix selects the indexed v2 store, "
-    "anything else the v1 JSONL store",
+    "default sqlite result-store path of the sweep service when "
+    "`--store` is not given (`--migrate-from` converts a v1 JSONL "
+    "store)",
     "tests/serve/test_config.py",
 )
 REPRO_SERVE_WORKERS = EnvVar(
     "REPRO_SERVE_WORKERS", "int", "2",
     "default worker count of the sweep service when `--workers` is not "
-    "given: dataset groups execute on this many processes (and queue "
-    "consumers) in parallel",
+    "given: dataset groups execute on this many processes in parallel",
     "tests/serve/test_config.py",
 )
 REPRO_SERVE_TTL_S = EnvVar(
@@ -104,8 +103,8 @@ REPRO_SERVE_MAX_ROWS = EnvVar(
 REPRO_SERVE_TIMEOUT_S = EnvVar(
     "REPRO_SERVE_TIMEOUT_S", "int", "0",
     "per-dataset-group execution timeout (seconds) in the sweep "
-    "service's worker pool; a group that exceeds it is retried with "
-    "backoff and finally recorded as `failed` rows; `0` disables the "
+    "service's worker processes; a group that exceeds it is recorded "
+    "as `failed` rows at once, without a retry; `0` disables the "
     "timeout",
     "tests/serve/test_config.py, tests/serve/test_workers.py",
 )

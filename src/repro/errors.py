@@ -65,7 +65,3 @@ class DeadlockError(SimulationError):
 
 class ConfigError(ReproError):
     """Invalid machine or experiment configuration."""
-
-
-class ValidationError(ReproError):
-    """Offloaded execution output does not match the golden reference."""

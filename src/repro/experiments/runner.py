@@ -5,21 +5,24 @@ The matrix can be populated three ways, all numerically identical:
 
 * lazily, one cell at a time (``matrix.get(w, c)``);
 * serially in paper order (``run_matrix()`` / ``run_all(jobs=1)``);
-* in parallel over a :class:`~concurrent.futures.ProcessPoolExecutor`
+* in parallel over :class:`~repro.dse.executor.Executor`
   (``run_matrix(jobs=N)`` or ``REPRO_JOBS=N``), fanning the grid out one
-  worker per workload so each worker interprets its workload's kernels
+  unit per workload so each worker interprets its workload's kernels
   once and replays the functional trace for all remaining configurations
   via the shared :class:`~repro.sim.tracecache.TraceCache`.
 
-Workers ship their per-cell :class:`~repro.sim.results.RunResult`\\ s,
-per-workload :class:`~repro.interface.intrinsics.CoverageRecorder`\\ s and
-observability snapshots back to the parent, which merges them.
+Workers ship their per-cell :class:`~repro.sim.results.RunResult`\\ s and
+per-workload :class:`~repro.interface.intrinsics.CoverageRecorder`\\ s
+back to the parent (the executor carries their observability records).
+A workload whose unit raises, times out or loses its worker process
+twice does not stop the others: ``run_all`` raises one error naming it
+once every other workload's cells are in :attr:`ResultMatrix.results`.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -33,7 +36,7 @@ from typing import (
 )
 
 from .. import envcfg
-from ..errors import ConfigError
+from ..errors import ConfigError, ReproError
 from ..interface.intrinsics import CoverageRecorder
 from ..obs import OBS, CellStat
 from ..params import MachineParams, experiment_machine
@@ -57,17 +60,6 @@ def geomean(values: Iterable[float]) -> float:
     if not vals:
         raise ConfigError("geomean of empty sequence")
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """CLI/env parallelism knob: explicit value, else $REPRO_JOBS, else 1.
-
-    Serial is the default so tests and figure modules stay deterministic
-    in ordering (results are identical either way, cell for cell).
-    """
-    if jobs is None:
-        jobs = envcfg.default_jobs()
-    return max(1, int(jobs))
 
 
 @dataclass
@@ -115,8 +107,13 @@ class ResultMatrix:
 
     def run_all(self, jobs: Optional[int] = None,
                 progress: Optional[ProgressFn] = None) -> "ResultMatrix":
-        """Populate every cell; ``jobs > 1`` fans workloads out over a
-        process pool. Cell results are identical either way."""
+        """Populate every cell; ``jobs > 1`` fans workloads out over the
+        executor. Cell results are identical either way."""
+        # imported on use, not at module load: it pulls in the whole
+        # repro.dse package, about 0.08 s that every matrix user would
+        # otherwise pay at start-up
+        from ..dse.executor import resolve_jobs
+
         jobs = resolve_jobs(jobs)
         if jobs > 1 and len(self.workloads) > 1:
             return self._run_all_parallel(jobs, progress)
@@ -136,6 +133,8 @@ class ResultMatrix:
 
     def _run_all_parallel(self, jobs: int,
                           progress: Optional[ProgressFn]) -> "ResultMatrix":
+        from ..dse.executor import Executor, GroupFailed
+
         pending = [
             w for w in self.workloads
             if any((w, c) not in self.results for c in self.configs)
@@ -143,28 +142,31 @@ class ResultMatrix:
         for w in pending:
             if w not in ALL_WORKLOADS:
                 raise ConfigError(f"unknown workload {w!r}")
-        args = [
-            (w, tuple(self.configs), self.scale, self.machine)
-            for w in pending
-        ]
-        done = 0
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
+        failed: List[str] = []
+        with Executor(min(jobs, len(pending))) as executor:
             futures = {
-                pool.submit(_matrix_worker, a): a[0] for a in args
+                executor.submit(_matrix_worker, (
+                    w, tuple(self.configs), self.scale, self.machine)): w
+                for w in pending
             }
-            for future in as_completed(futures):
-                workload, cells, cov, snapshot = future.result()
+            for done, future in enumerate(as_completed(futures), 1):
+                workload = futures[future]
+                out = future.result()
+                if isinstance(out, GroupFailed):
+                    failed.append(f"{workload} ({out.attempts} attempts: "
+                                  f"{out.error})")
+                    continue
+                cells, cov, wall = out
                 for config, result in cells:
                     self.results[(workload, config)] = result
                 self.coverage[workload] = cov
-                OBS.merge(snapshot)
-                done += 1
                 if progress is not None:
-                    wall = sum(s[2] for s in snapshot.get("cells", ()))
                     progress(
-                        f"[{done}/{len(args)} workloads] {workload}"
+                        f"[{done}/{len(pending)} workloads] {workload}"
                         f" ({len(cells)} cells, {wall:.2f}s)"
                     )
+        if failed:
+            raise ReproError("matrix workload failed: " + "; ".join(failed))
         return self
 
     # -- normalized metric helpers (all relative to the OoO baseline) -----
@@ -194,21 +196,20 @@ class ResultMatrix:
 
 
 def _matrix_worker(args: Tuple[str, Tuple[str, ...], str, MachineParams]):
-    """Simulate every configuration of one workload (pool worker).
+    """Executor unit: simulate every configuration of one workload.
 
-    Runs in a child process: resets the inherited observability registry
-    so the returned snapshot covers exactly this worker's cells, and
-    populates a one-workload :class:`ResultMatrix` with a private
-    single-entry trace cache.
+    Populates a one-workload :class:`ResultMatrix` with a private
+    single-entry trace cache; returns its ``(config, RunResult)`` cells,
+    the workload's coverage and the wall seconds they took.
     """
     workload, configs, scale, machine = args
-    OBS.reset()
+    start = perf_counter()
     matrix = ResultMatrix(scale=scale, machine=machine,
                           workloads=(workload,), configs=configs,
                           trace_cache=TraceCache(max_entries=1))
     cells = [(config, matrix.get(workload, config)) for config in configs]
     cov = matrix.coverage.setdefault(workload, CoverageRecorder())
-    return workload, cells, cov, OBS.snapshot()
+    return cells, cov, perf_counter() - start
 
 
 def run_matrix(scale: str = "small",
@@ -219,9 +220,9 @@ def run_matrix(scale: str = "small",
                progress: Optional[ProgressFn] = None) -> ResultMatrix:
     """Build and fully populate a result matrix.
 
-    ``jobs`` (default: ``$REPRO_JOBS`` or 1) fans the grid out over a
-    process pool, one worker per workload; every cell's metrics are
-    identical to the serial run.
+    ``jobs`` (default: ``$REPRO_JOBS`` or 1) fans the grid out over the
+    executor, one unit per workload; every cell's metrics are identical
+    to the serial run.
     """
     return ResultMatrix(
         scale=scale, machine=machine, workloads=tuple(workloads),

@@ -218,17 +218,3 @@ class Kernel:
             ",".join(sorted(self.outputs)),
         ]
         return hashlib.sha1("|".join(parts).encode()).hexdigest()
-
-    def objects_referenced(self) -> List[str]:
-        names = []
-        for loop in self.loops:
-            for load in loop.all_loads():
-                if load.obj not in names:
-                    names.append(load.obj)
-            for store in loop.all_stores():
-                if store.obj not in names:
-                    names.append(store.obj)
-        return names
-
-    def total_footprint_bytes(self) -> int:
-        return sum(o.size_bytes for o in self.objects.values())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from ..errors import IRError
 from .expr import Expr, ExprLike, Load, as_expr
@@ -16,10 +16,6 @@ class Stmt:
     def expressions(self) -> Tuple[Expr, ...]:
         """All top-level expressions read by this statement."""
         return ()
-
-    def walk_exprs(self) -> Iterator[Expr]:
-        for expr in self.expressions():
-            yield from expr.walk()
 
 
 class Assign(Stmt):
@@ -137,10 +133,6 @@ class Loop(Stmt):
     def depth(self) -> int:
         inner = self.inner_loops()
         return 1 + (max(l.depth() for l in inner) if inner else 0)
-
-    def body_stmts(self) -> List[Stmt]:
-        """Non-loop statements directly in this loop's body."""
-        return [s for s in self.body if not isinstance(s, Loop)]
 
     def all_loads(self) -> List[Load]:
         out: List[Load] = []

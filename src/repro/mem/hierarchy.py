@@ -23,7 +23,7 @@ import numpy as np
 
 from ..energy import EnergyLedger
 from ..events import ps_to_cycles
-from ..noc import Mesh, MessageKind, TrafficLedger
+from ..noc import Mesh, TrafficClass, TrafficLedger
 from ..obs import OBS
 from ..params import CacheParams, MachineParams
 from .cache import _ABSENT, Cache
@@ -31,14 +31,13 @@ from .dram import Dram
 from .nuca import NucaL3
 from .prefetch import StridePrefetcher
 
-#: the message kinds the batch walks record, bound once: looking a
+#: the traffic classes the hierarchy records, bound once: looking a
 #: member up on an Enum class runs Python, about ten times the cost of
 #: reading a module global
-_CACHE_REQ = MessageKind.CACHE_REQ
-_CACHE_FILL = MessageKind.CACHE_FILL
-_CACHE_WRITEBACK = MessageKind.CACHE_WRITEBACK
-_ACC_HANDSHAKE = MessageKind.ACC_HANDSHAKE
-_ACC_OPERAND = MessageKind.ACC_OPERAND
+_HOST_CTRL = TrafficClass.HOST_CTRL
+_HOST_DATA = TrafficClass.HOST_DATA
+_ACC_CTRL = TrafficClass.ACC_CTRL
+_ACC_DATA = TrafficClass.ACC_DATA
 
 @dataclass
 class AccessStats:
@@ -177,10 +176,10 @@ class MemoryHierarchy:
         cluster = self.l3.home_cluster(addr)
         self.energy.charge("l3", "l3_access")
         lat_req = self.traffic.record(
-            MessageKind.CACHE_REQ, from_node, cluster, 0
+            _HOST_CTRL, from_node, cluster, 0
         )
         lat_fill = self.traffic.record(
-            MessageKind.CACHE_FILL, cluster, from_node, self._line
+            _HOST_DATA, cluster, from_node, self._line
         )
         latency = m.l3.latency_cycles
         latency += _ps_to_cycles_int(lat_req + lat_fill, m.core.freq_ghz)
@@ -193,10 +192,10 @@ class MemoryHierarchy:
 
     def _dram_fill(self, cluster: int) -> int:
         lat_req = self.traffic.record(
-            MessageKind.CACHE_REQ, cluster, self._mc, 0
+            _HOST_CTRL, cluster, self._mc, 0
         )
         lat_fill = self.traffic.record(
-            MessageKind.CACHE_FILL, self._mc, cluster, self._line
+            _HOST_DATA, self._mc, cluster, self._line
         )
         self.movement_bytes += self._line
         cycles = self.dram.access(is_write=False)
@@ -220,11 +219,11 @@ class MemoryHierarchy:
         record = self.traffic.record
         line = self._line
         if fills:
-            record(_CACHE_REQ, cluster, self._mc, 0, fills)
-            record(_CACHE_FILL, self._mc, cluster, line, fills)
+            record(_HOST_CTRL, cluster, self._mc, 0, fills)
+            record(_HOST_DATA, self._mc, cluster, line, fills)
             self.dram.reads += fills
         if wbs:
-            record(_CACHE_WRITEBACK, cluster, self._mc, line, wbs)
+            record(_HOST_DATA, cluster, self._mc, line, wbs)
             self.dram.writes += wbs
         self.energy.charge("dram", "dram_line_access", fills + wbs)
         self.movement_bytes += (fills + wbs) * line
@@ -242,7 +241,7 @@ class MemoryHierarchy:
         cluster = self.l3.home_cluster(addr)
         self.energy.charge("l3", "l3_access")
         self.traffic.record(
-            MessageKind.CACHE_WRITEBACK, self._host, cluster, self._line
+            _HOST_DATA, self._host, cluster, self._line
         )
         self.movement_bytes += self._line
         evicted = self.l3.fill(addr, dirty=True)
@@ -251,7 +250,7 @@ class MemoryHierarchy:
 
     def _writeback_to_dram(self, cluster: int) -> None:
         self.traffic.record(
-            MessageKind.CACHE_WRITEBACK, cluster, self._mc, self._line
+            _HOST_DATA, cluster, self._mc, self._line
         )
         self.movement_bytes += self._line
         self.dram.access(is_write=True)
@@ -272,10 +271,10 @@ class MemoryHierarchy:
         home = self.l3.home_cluster(addr)
         self.energy.charge("l3", "l3_access")
         lat_req = self.traffic.record(
-            MessageKind.ACC_HANDSHAKE, local_cluster, home, 0
+            _ACC_CTRL, local_cluster, home, 0
         )
         lat_data = self.traffic.record(
-            MessageKind.ACC_OPERAND,
+            _ACC_DATA,
             home if not is_write else local_cluster,
             local_cluster if not is_write else home,
             self._line,
@@ -317,10 +316,10 @@ class MemoryHierarchy:
         acp = self.acps[home]
         self.energy.charge("access_unit", "acp_access")
         lat_req = self.traffic.record(
-            MessageKind.ACC_HANDSHAKE, local_cluster, home, 0
+            _ACC_CTRL, local_cluster, home, 0
         )
         lat_data = self.traffic.record(
-            MessageKind.ACC_OPERAND,
+            _ACC_DATA,
             home if not is_write else local_cluster,
             local_cluster if not is_write else home,
             elem_bytes,
@@ -364,7 +363,7 @@ class MemoryHierarchy:
         cluster = self.l3.home_cluster(addr)
         self.energy.charge("l3", "l3_access")
         self.traffic.record(
-            MessageKind.CACHE_WRITEBACK, from_node, cluster, self._line
+            _HOST_DATA, from_node, cluster, self._line
         )
         self.movement_bytes += self._line
         evicted = self.l3.fill(addr, dirty=True)
@@ -550,10 +549,10 @@ class MemoryHierarchy:
         for c in clusters:
             self._dram_traffic(c, l3_miss[c], l3_wbs[c])
             if l3_acc[c]:
-                record(_CACHE_REQ, host, c, 0, l3_acc[c])
-                record(_CACHE_FILL, c, host, line, l3_acc[c])
+                record(_HOST_CTRL, host, c, 0, l3_acc[c])
+                record(_HOST_DATA, c, host, line, l3_acc[c])
             if l3_fills[c]:
-                record(_CACHE_WRITEBACK, host, c, line, l3_fills[c])
+                record(_HOST_DATA, host, c, line, l3_fills[c])
             if l3_acc[c] or l3_fills[c]:
                 self.energy.charge("l3", "l3_access",
                                    l3_acc[c] + l3_fills[c])
@@ -623,11 +622,11 @@ class MemoryHierarchy:
             if is_write:
                 # write-allocate of a fully-written line needs no DRAM read
                 misses = 0
-                record(_ACC_OPERAND, local_cluster, home, line, k)
+                record(_ACC_DATA, local_cluster, home, line, k)
             else:
                 total += misses * fill[home]
-                record(_ACC_OPERAND, home, local_cluster, line, k)
-            record(_ACC_HANDSHAKE, local_cluster, home, 0, k)
+                record(_ACC_DATA, home, local_cluster, line, k)
+            record(_ACC_CTRL, local_cluster, home, 0, k)
             self._dram_traffic(home, misses, wbs)
         self.energy.charge("access_unit", "acp_access", n)
         self.energy.charge("l3", "l3_access", n)
@@ -739,11 +738,11 @@ class MemoryHierarchy:
                       + l3_miss * fill[h])
             if h != local_cluster:
                 moved += k
-            record(_ACC_HANDSHAKE, local_cluster, h, 0, k)
+            record(_ACC_CTRL, local_cluster, h, 0, k)
             if is_write:
-                record(_ACC_OPERAND, local_cluster, h, elem_bytes, k)
+                record(_ACC_DATA, local_cluster, h, elem_bytes, k)
             else:
-                record(_ACC_OPERAND, h, local_cluster, elem_bytes, k)
+                record(_ACC_DATA, h, local_cluster, elem_bytes, k)
         self.energy.charge("access_unit", "acp_access", n)
         if n_l3:
             self.energy.charge("l3", "l3_access", n_l3)
@@ -922,8 +921,8 @@ class L3DemandWindow:
             h.l3.slices[c].add_counts(count, misses, wbs)
             h._dram_traffic(c, misses, wbs)
             h.energy.charge("l3", "l3_access", count)
-            record(_CACHE_REQ, node, c, 0, count)
-            record(_CACHE_FILL, c, node, line, count)
+            record(_HOST_CTRL, node, c, 0, count)
+            record(_HOST_DATA, c, node, line, count)
             h.movement_bytes += count * line
         self._counts.clear()
         self._misses.clear()

@@ -9,11 +9,10 @@ control and inter-accelerator data.
 """
 
 from .mesh import Mesh
-from .traffic import TrafficClass, TrafficLedger, MessageKind
+from .traffic import TrafficClass, TrafficLedger
 
 __all__ = [
     "Mesh",
     "TrafficClass",
     "TrafficLedger",
-    "MessageKind",
 ]

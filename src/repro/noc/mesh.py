@@ -91,10 +91,6 @@ class Mesh:
             path.append(self.node_at(row, b.col))
         return path
 
-    def routers_traversed(self, src: int, dst: int) -> int:
-        """Routers a message passes through (endpoints included)."""
-        return self.hops(src, dst) + 1
-
     # -- timing ------------------------------------------------------------
     def latency_ps(self, src: int, dst: int, payload_bytes: int,
                    freq_ghz: float = 2.0) -> int:

@@ -11,7 +11,7 @@ Every message sent over the mesh is recorded with a
   credits, step notifications);
 * ``ACC_DATA``   — inter-accelerator operand payloads.
 
-The ledger counts messages per shape (kind, src, dst, payload) and
+The ledger counts messages per shape (class, src, dst, payload) and
 derives everything else from those counts when it is read: the
 per-class bytes, byte-hops and message counts, and the NoC energy
 events (per byte-hop and per router-flit), which the shared
@@ -41,20 +41,6 @@ class TrafficClass(enum.Enum):
     ACC_DATA = "acc_data"
 
 
-class MessageKind(enum.Enum):
-    """Finer-grained message taxonomy, mapped onto traffic classes."""
-
-    MMIO_CONFIG = TrafficClass.HOST_CTRL
-    MMIO_CTRL = TrafficClass.HOST_CTRL
-    CACHE_REQ = TrafficClass.HOST_CTRL
-    CACHE_FILL = TrafficClass.HOST_DATA
-    CACHE_WRITEBACK = TrafficClass.HOST_DATA
-    HOST_OPERAND = TrafficClass.HOST_DATA
-    ACC_HANDSHAKE = TrafficClass.ACC_CTRL
-    ACC_CREDIT = TrafficClass.ACC_CTRL
-    ACC_OPERAND = TrafficClass.ACC_DATA
-
-
 #: energy-count keys :meth:`TrafficLedger.energy_counts` derives
 _EK_BYTE_HOP = ("noc", "noc_byte_hop")
 _EK_ROUTER_FLIT = ("noc", "noc_router_flit")
@@ -76,7 +62,7 @@ class TrafficLedger:
         #: (src, dst, payload) -> one-way latency ps; messages repeat the
         #: same few shapes millions of times, the mesh is static
         self._lat_memo: Dict[Tuple[int, int, int], int] = {}
-        #: (kind name, src, dst, payload) -> [messages, latency ps,
+        #: (class name, src, dst, payload) -> [messages, latency ps,
         #: class index, bytes per message, hops, flits per message]
         self._shapes: Dict[Tuple[str, int, int, int], list] = {}
         if energy is not None:
@@ -95,21 +81,21 @@ class TrafficLedger:
             )
         return lat
 
-    def record(self, kind: MessageKind, src: int, dst: int,
+    def record(self, tclass: TrafficClass, src: int, dst: int,
                payload_bytes: int, count: int = 1) -> int:
         """Record ``count`` identical messages; returns one-way latency ps.
 
         Local messages (src == dst) cost no link energy but are still
         counted as bytes so access-distribution statistics see them.
         """
-        # keyed by the kind's name: hashing an Enum member runs Python
-        key = (kind._name_, src, dst, payload_bytes)
+        # keyed by the class's name: hashing an Enum member runs Python
+        key = (tclass._name_, src, dst, payload_bytes)
         shape = self._shapes.get(key)
         if shape is None:
             unit = payload_bytes + HEADER_BYTES
             shape = self._shapes[key] = [
                 0, self.latency_of(src, dst, payload_bytes),
-                _CLASSES.index(kind.value), unit, self.mesh.hops(src, dst),
+                _CLASSES.index(tclass), unit, self.mesh.hops(src, dst),
                 self.mesh.num_flits(unit)]
         shape[0] += count
         return shape[1]

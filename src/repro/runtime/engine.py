@@ -30,7 +30,7 @@ from ..ir.expr import Load
 from ..mem.cache import _ABSENT, Cache
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.slab import SlabAllocator
-from ..noc import MessageKind
+from ..noc import TrafficClass
 from ..obs import OBS
 from ..params import MachineParams
 from .streams import Plan, SiteStreams, chunk_homes
@@ -223,7 +223,7 @@ class OffloadEngine:
         per_part = max(1, len(calls) // max(len(clusters), 1))
         for part_idx, cluster in clusters.items():
             lat = traffic.record(
-                MessageKind.MMIO_CONFIG, self.machine.noc.host_node, cluster,
+                TrafficClass.HOST_CTRL, self.machine.noc.host_node, cluster,
                 payload_bytes=per_part * 16,
             )
             total_ps += lat
@@ -687,10 +687,10 @@ class _RunContext:
         self.stats.intra_bytes += intra_per_iter * total_iters * 4
         self.stats.a_a_bytes += a_a
         for (dst_cluster, payload), count in operand_recs.items():
-            traffic.record(MessageKind.ACC_OPERAND, cluster, dst_cluster,
+            traffic.record(TrafficClass.ACC_DATA, cluster, dst_cluster,
                            payload, count=count)
             # every operand message is matched by a zero-payload credit
-            traffic.record(MessageKind.ACC_CREDIT, dst_cluster, cluster,
+            traffic.record(TrafficClass.ACC_CTRL, dst_cluster, cluster,
                            0, count=count)
 
     def _fused_group_proc(self, group: List[int]):
@@ -800,5 +800,5 @@ class _RunContext:
             self.stats.intra_bytes += intra * total_iters * 4
         self.stats.a_a_bytes += a_a
         for (src, dst, payload), count in operand_recs.items():
-            traffic.record(MessageKind.ACC_OPERAND, src, dst, payload,
+            traffic.record(TrafficClass.ACC_DATA, src, dst, payload,
                            count=count)

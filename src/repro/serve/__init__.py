@@ -4,9 +4,9 @@ Batch sweeps (``python -m repro.dse``) pay full startup per query. This
 package keeps the engine resident: a long-running server
 (``python -m repro.serve``) accepts sweep specs and single-cell queries
 over HTTP (TCP or a unix socket), dedups identical in-flight points,
-shards dataset groups over a worker pool exactly the way
-:mod:`repro.dse.scheduler` does — so service rows are byte-identical to
-batch rows — and answers repeated queries from an indexed sqlite result
+runs dataset groups on the same executor and row builder a batch
+:mod:`repro.dse.scheduler` sweep uses — so service rows are
+byte-identical to batch rows — and answers repeated queries from an indexed sqlite result
 store (:class:`repro.dse.store.SqliteResultStore`) in milliseconds.
 Most interactive design-space traffic is a cache hit; the service
 measures that (hit ratio, queue depth/latency, points/sec via

@@ -47,23 +47,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve on a unix-domain socket at PATH "
                              "instead of TCP")
     parser.add_argument("--store", default=env.store_path,
-                        help="result store path; .sqlite/.db selects "
-                             "the indexed v2 store (default: "
+                        help="sqlite result store path (default: "
                              "$REPRO_SERVE_STORE or serve-store.sqlite)")
     parser.add_argument("--workers", type=int, default=env.workers,
                         help="dataset-group worker processes "
                              "(default: $REPRO_SERVE_WORKERS or 2)")
     parser.add_argument("--timeout-s", type=float, default=env.timeout_s,
                         help="per-group execution timeout in seconds; "
-                             "0 disables (default: $REPRO_SERVE_TIMEOUT_S "
+                             "a group that exceeds it fails at once; 0 "
+                             "disables (default: $REPRO_SERVE_TIMEOUT_S "
                              "or 0)")
-    parser.add_argument("--retries", type=int, default=env.retries,
-                        help="pool-level retries per group after a "
-                             "crash/timeout (default: %(default)s)")
-    parser.add_argument("--backoff-ms", type=float, default=50.0,
-                        help="base backoff between group retries, "
-                             "doubling per attempt (default: "
-                             "%(default)s)")
     parser.add_argument("--ttl-s", type=float, default=env.ttl_s,
                         help="age-based TTL for stored rows; 0 disables "
                              "(default: $REPRO_SERVE_TTL_S or 0)")
@@ -72,13 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "means unbounded (default: "
                              "$REPRO_SERVE_MAX_ROWS or 0)")
     parser.add_argument("--inline", action="store_true",
-                        help="run dataset groups on the server's own "
-                             "threads instead of a process pool "
-                             "(single-machine debugging)")
+                        help="run dataset groups on the executor's "
+                             "threads instead of worker processes (no "
+                             "timeout; single-machine debugging)")
     parser.add_argument("--migrate-from", default=None, metavar="JSONL",
                         help="before serving, migrate this v1 JSONL "
-                             "store into --store (which must be a "
-                             "sqlite path)")
+                             "store into --store")
     parser.add_argument("--migrate-only", action="store_true",
                         help="with --migrate-from: exit after the "
                              "migration instead of serving")
@@ -108,8 +100,7 @@ def main(argv=None) -> int:
     config = ServeConfig(
         host=args.host, port=args.port, socket_path=args.socket,
         store_path=args.store, workers=args.workers,
-        timeout_s=args.timeout_s, retries=args.retries,
-        backoff_s=args.backoff_ms / 1e3, ttl_s=args.ttl_s,
+        timeout_s=args.timeout_s, ttl_s=args.ttl_s,
         max_rows=args.max_rows, inline=args.inline,
     )
     try:
@@ -117,10 +108,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if server.store.quarantined:  # type: ignore[union-attr]
+    if server.store.quarantined:
         print(f"warning: corrupt store quarantined to "
-              f"{server.store.quarantined}",  # type: ignore[union-attr]
-              file=sys.stderr)
+              f"{server.store.quarantined}", file=sys.stderr)
     print(f"serving on {server.endpoint} "
           f"(store {config.store_path}, {config.workers} workers)",
           flush=True)

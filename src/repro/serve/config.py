@@ -28,18 +28,15 @@ class ServeConfig:
     socket_path: Optional[str] = None
     store_path: str = "serve-store.sqlite"
     workers: int = 2
-    #: per-dataset-group execution timeout; 0 disables
+    #: per-dataset-group execution timeout in a worker process; 0
+    #: disables
     timeout_s: float = 0.0
-    #: extra pool-level attempts after a group times out or crashes
-    retries: int = 1
-    #: base backoff between pool-level attempts (doubles per attempt)
-    backoff_s: float = 0.05
     #: age-based row TTL in the sqlite store; 0 disables
     ttl_s: float = 0.0
     #: sqlite store row cap (oldest-first eviction); 0 means unbounded
     max_rows: int = 0
-    #: run dataset groups on the consumer threads instead of a process
-    #: pool (deterministic and fork-free; used by tests and the bench)
+    #: run dataset groups on the executor's threads instead of worker
+    #: processes (fork-free, no timeout; used by tests and the bench)
     inline: bool = False
     #: seconds between housekeeping passes (TTL eviction)
     housekeeping_s: float = 60.0
@@ -61,9 +58,7 @@ class ServeConfig:
             raise ConfigError("serve: workers must be >= 1")
         if self.port < 0 or self.port > 65535:
             raise ConfigError(f"serve: bad port {self.port}")
-        if self.retries < 0:
-            raise ConfigError("serve: retries must be >= 0")
-        for name in ("timeout_s", "backoff_s", "ttl_s"):
+        for name in ("timeout_s", "ttl_s"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"serve: {name} must be >= 0")
         if self.max_rows < 0:

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..errors import ConfigError
 from ..obs import OBS
 from ..dse.spec import SweepPoint, SweepSpec
-from ..dse.store import AnyResultStore
+from ..dse.store import SqliteResultStore
 from .workers import Group, WorkerPool
 
 #: finished-job metadata kept before the oldest is dropped
@@ -87,7 +87,7 @@ class Job:
 class JobManager:
     """Owns jobs, the in-flight point index, and the result store."""
 
-    def __init__(self, store: AnyResultStore, pool: WorkerPool):
+    def __init__(self, store: SqliteResultStore, pool: WorkerPool):
         self._store = store
         self._pool = pool
         self._lock = threading.Lock()
@@ -213,20 +213,6 @@ class JobManager:
 
     def result(self, hash_: str) -> Optional[Dict[str, object]]:
         return self._store_get(hash_)
-
-    def wait_for_hash(self, hash_: str,
-                      timeout_s: float) -> Optional[Dict[str, object]]:
-        """Block until ``hash_`` has a row and is no longer in flight
-        (or the timeout passes); returns the freshest row, if any."""
-        deadline = monotonic() + timeout_s
-        with self._cond:
-            while True:
-                if hash_ not in self._inflight:
-                    return self._store_get(hash_)
-                remaining = deadline - monotonic()
-                if remaining <= 0:
-                    return self._store_get(hash_)
-                self._cond.wait(remaining)
 
     def wait_for_job(self, job_id: str, timeout_s: float) -> Optional[Job]:
         deadline = monotonic() + timeout_s

@@ -1,7 +1,7 @@
 """The persistent sweep server: stdlib HTTP front end over the queue.
 
 ``SweepServer`` wires the pieces together: an indexed result store
-(:func:`repro.dse.store.open_result_store`), the
+(:class:`repro.dse.store.SqliteResultStore`), the
 :class:`~repro.serve.workers.WorkerPool`, the
 :class:`~repro.serve.jobs.JobManager`, a housekeeping thread (TTL
 eviction every ``housekeeping_s``), and a threaded stdlib HTTP server —
@@ -31,12 +31,12 @@ import socket
 import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..errors import ConfigError
 from ..obs import OBS
 from ..dse.spec import SweepPoint, SweepSpec, shipped_specs
-from ..dse.store import open_result_store
+from ..dse.store import SqliteResultStore
 from .config import ServeConfig
 from .jobs import JobManager
 from .protocol import API_VERSION
@@ -146,18 +146,15 @@ class SweepServer:
         self.config = config or ServeConfig.from_env()
         self.config.validate()
         self.verbose = verbose
-        self.store = open_result_store(
+        self.store = SqliteResultStore(
             self.config.store_path, ttl_s=self.config.ttl_s,
             max_rows=self.config.max_rows)
-        assert self.store is not None
-        if getattr(self.store, "quarantined", None):
+        if self.store.quarantined:
             OBS.inc("serve.store_quarantined")
         self.pool = WorkerPool(
             workers=self.config.workers,
             processes=not self.config.inline,
             timeout_s=self.config.timeout_s,
-            retries=self.config.retries,
-            backoff_s=self.config.backoff_s,
         )
         self.manager = JobManager(self.store, self.pool)
         self._stop_evt = threading.Event()
@@ -188,8 +185,7 @@ class SweepServer:
     # -- lifecycle -----------------------------------------------------
     def _housekeeping(self) -> None:
         while not self._stop_evt.wait(self.config.housekeeping_s):
-            evicted = self.store.evict_expired() if hasattr(
-                self.store, "evict_expired") else 0
+            evicted = self.store.evict_expired()
             if evicted:
                 OBS.inc("serve.store_evicted_ttl", evicted)
 
@@ -250,7 +246,7 @@ class SweepServer:
             h._send(200, {
                 "stats": self.manager.stats(),
                 "counters": {k: v for k, v in OBS.counters.items()
-                             if k.startswith("serve.")},
+                             if k.startswith(("serve.", "executor."))},
             })
             return True
         if method == "POST" and path == "/v1/sweeps":

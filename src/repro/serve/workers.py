@@ -1,229 +1,107 @@
-"""The service's worker pool: dataset-group execution with retries.
+"""The service's worker pool: dataset groups of jobs on the executor.
 
-The unit of work is the same one ``repro.dse.scheduler`` shards over
-its process pool: a *dataset group* — every pending point that shares a
-functional trace key — so the golden interpretation runs once per
-dataset and every machine point in the group replays it. Work items
-flow through a FIFO consumed by ``workers`` daemon threads; each thread
-executes its group either on a shared :class:`ProcessPoolExecutor`
-(default — real parallelism, crash isolation) or inline on the consumer
-thread (``processes=False`` — deterministic, fork-free; tests and the
-storm bench use it).
+The unit of work is the same one ``repro.dse.scheduler`` shards: a
+*dataset group* — every pending point that shares a functional trace key
+— so the golden interpretation runs once per dataset and every machine
+point in the group replays it. Each group runs on the one
+:class:`~repro.dse.executor.Executor` (``processes=True``, the default:
+real parallelism, crash isolation) or on its threads
+(``processes=False``: fork-free; tests and the storm bench use it).
 
-Failure containment, in escalating order:
+Failure containment is the executor's ladder: a point that raises is a
+``failed`` row after one attempt (``dse.scheduler._run_point``); a group
+whose worker process dies is retried once in a fresh process; a group
+that raises, times out (``timeout_s``) or dies twice gets a synthesized
+``failed`` row per point, so the job completes with recorded errors
+instead of wedging the service. A timed-out group's worker process may
+keep computing until its group ends, so ``timeout_s`` bounds how long a
+*job* can stall, not peak pool occupancy.
 
-* a point that raises is retried once *inside* the runner and recorded
-  as a ``failed`` row (``dse.scheduler._run_point`` semantics — the
-  common case, and invisible to the pool);
-* a group whose runner call itself fails — worker-process crash
-  (``BrokenProcessPool``, after which the executor is rebuilt), pickle
-  error, or ``timeout_s`` exceeded — is retried up to ``retries`` more
-  times with exponential backoff;
-* a group still failing after that synthesizes a ``failed`` row per
-  point, so the job completes with recorded errors instead of wedging
-  the service.
-
-A timed-out group's worker process may keep computing (there is no
-preemption inside a point); its eventual result is discarded and the
-pool slot frees when it finishes. ``timeout_s`` therefore bounds how
-long a *job* can stall, not peak pool occupancy.
-
-Observability (``repro.obs``): ``serve.queue_depth`` (max),
-``serve.groups_submitted`` / ``serve.groups_retried`` /
-``serve.groups_timeout`` / ``serve.groups_gave_up`` counters and the
-``serve.queue_latency`` / ``serve.group_exec`` timers.
+Observability (``repro.obs``): ``serve.queue_depth`` (max) and the
+``serve.queue_latency`` timer here, plus the executor's ``executor.*``
+counters.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..dse.executor import Executor, GroupFailed
+from ..dse.scheduler import _sweep_worker, failed_rows_for_group
+from ..dse.spec import SweepPoint
 from ..obs import OBS
-from ..params import MachineParams, machine_digest
-from ..sim.tracecache import TraceCache
-from ..dse.scheduler import _run_group, _sweep_worker
-from ..dse.spec import STORE_VERSION, SweepPoint
+from ..params import MachineParams
 
 #: one pending (hash, point) pair, as the scheduler shards them
 Group = List[Tuple[str, SweepPoint]]
 
-#: a runner maps ``(group, base)`` to ``(rows_with_walls, obs_snapshot)``
-#: — the :func:`repro.dse.scheduler._sweep_worker` contract
-Runner = Callable[[tuple], Tuple[List[Tuple[Dict[str, object], float]],
-                                 Optional[dict]]]
-
-
-def inline_group_runner(args) -> Tuple[
-        List[Tuple[Dict[str, object], float]], Optional[dict]]:
-    """Run one dataset group on the calling thread (no subprocess).
-
-    Matches ``_sweep_worker`` semantics — a fresh single-entry trace
-    cache per group — but reports straight into the process-global OBS
-    registry, so no snapshot needs merging.
-    """
-    group, base = args
-    cache = TraceCache(max_entries=1)
-    return _run_group(group, base, cache), None
-
-
-def failed_rows_for_group(group: Group, base: MachineParams, error: str,
-                          attempts: int) -> List[Dict[str, object]]:
-    """Synthesize the ``failed`` row every point of a group gets when
-    the pool gives up on the group as a whole."""
-    return [{
-        "hash": hash_,
-        "version": STORE_VERSION,
-        "status": "failed",
-        "point": point.as_dict(),
-        "machine_digest": machine_digest(point.machine(base)),
-        "metrics": None,
-        "error": error,
-        "attempts": attempts,
-    } for hash_, point in group]
-
-
-@dataclass
-class GroupWork:
-    """One queued dataset group plus its completion callbacks."""
-
-    group: Group
-    base: MachineParams
-    #: receives the finished plain rows (wall clocks stripped)
-    on_rows: Callable[[List[Dict[str, object]]], None]
-    #: fires when the group is dequeued (jobs flip queued -> running)
-    on_start: Optional[Callable[[Group], None]] = None
-    enqueued_at: float = field(default_factory=perf_counter)
-
-
-_STOP = object()
+#: a runner maps ``(group, base)`` to the group's rows — the
+#: :func:`repro.dse.scheduler._sweep_worker` contract
+Runner = Callable[[tuple], List[Dict[str, object]]]
 
 
 class WorkerPool:
-    """FIFO of dataset groups drained by ``workers`` consumer threads."""
+    """Runs submitted dataset groups, ``workers`` at a time."""
 
     def __init__(self, workers: int = 2, processes: bool = True,
-                 timeout_s: float = 0.0, retries: int = 1,
-                 backoff_s: float = 0.05,
-                 runner: Optional[Runner] = None):
-        self.workers = max(1, int(workers))
-        self.timeout_s = float(timeout_s)
-        self.retries = max(0, int(retries))
-        self.backoff_s = float(backoff_s)
-        self._queue: "queue.Queue" = queue.Queue()
+                 timeout_s: float = 0.0,
+                 runner: Runner = _sweep_worker):
+        self._executor = Executor(workers, processes=processes,
+                                  timeout_s=timeout_s)
+        self._runner = runner
         self._depth = 0
         self._lock = threading.Lock()
         self._closed = False
-        self._processes = processes
-        self._pool: Optional[ProcessPoolExecutor] = (
-            ProcessPoolExecutor(max_workers=self.workers)
-            if processes else None
-        )
-        self._runner: Runner = runner or (
-            _sweep_worker if processes else inline_group_runner)
-        self._threads = [
-            threading.Thread(target=self._loop, daemon=True,
-                             name=f"serve-worker-{i}")
-            for i in range(self.workers)
-        ]
-        for t in self._threads:
-            t.start()
 
-    # -- submission ----------------------------------------------------
     def submit(self, group: Group, base: MachineParams,
                on_rows: Callable[[List[Dict[str, object]]], None],
                on_start: Optional[Callable[[Group], None]] = None
                ) -> None:
+        """Run ``group``; ``on_start`` fires when it leaves the queue
+        (jobs flip queued -> running), ``on_rows`` receives its rows."""
         if self._closed:
             raise RuntimeError("worker pool is closed")
         with self._lock:
             self._depth += 1
             OBS.observe_max("serve.queue_depth", self._depth)
-        OBS.inc("serve.groups_submitted")
-        self._queue.put(GroupWork(group, base, on_rows, on_start))
+        enqueued_at = perf_counter()
+
+        def started() -> None:
+            with self._lock:
+                OBS.add_time("serve.queue_latency",
+                             perf_counter() - enqueued_at)
+            if on_start is not None:
+                on_start(group)
+
+        def finished(future) -> None:
+            try:
+                if future.cancelled():  # close(wait=False) dropped it
+                    return
+                rows = future.result()
+                if isinstance(rows, GroupFailed):
+                    rows = failed_rows_for_group(group, base, rows.error,
+                                                 rows.attempts)
+                on_rows(rows)
+            finally:
+                with self._lock:
+                    self._depth -= 1
+
+        self._executor.submit(self._runner, (group, base),
+                              on_start=started).add_done_callback(finished)
 
     @property
     def depth(self) -> int:
         """Groups submitted but not yet finished."""
         return self._depth
 
-    # -- execution -----------------------------------------------------
-    def _execute_once(self, work: GroupWork) -> List[Dict[str, object]]:
-        args = (work.group, work.base)
-        if self._pool is not None:
-            future = self._pool.submit(self._runner, args)
-            try:
-                rows_walls, snapshot = future.result(
-                    self.timeout_s or None)
-            except FutureTimeout:
-                future.cancel()
-                OBS.inc("serve.groups_timeout")
-                raise TimeoutError(
-                    f"group exceeded timeout_s={self.timeout_s:g}")
-            except BrokenProcessPool:
-                # the whole executor dies with its worker; rebuild it so
-                # the next attempt (and the next group) can run
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-                raise
-        else:
-            rows_walls, snapshot = self._runner(args)
-        if snapshot:
-            OBS.merge(snapshot)
-        return [row for row, _wall in rows_walls]
-
-    def _run_with_retries(self, work: GroupWork) -> List[Dict[str, object]]:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                with OBS.time("serve.group_exec"):
-                    return self._execute_once(work)
-            except Exception as exc:  # noqa: BLE001 — contained below
-                if attempts > self.retries:
-                    OBS.inc("serve.groups_gave_up")
-                    return failed_rows_for_group(
-                        work.group, work.base,
-                        f"{type(exc).__name__}: {exc}", attempts)
-                OBS.inc("serve.groups_retried")
-                time.sleep(self.backoff_s * (2 ** (attempts - 1)))
-
-    def _loop(self) -> None:
-        while True:
-            work = self._queue.get()
-            if work is _STOP:
-                break
-            OBS.add_time("serve.queue_latency",
-                         perf_counter() - work.enqueued_at)
-            try:
-                if work.on_start is not None:
-                    work.on_start(work.group)
-                rows = self._run_with_retries(work)
-                work.on_rows(rows)
-            finally:
-                with self._lock:
-                    self._depth -= 1
-
-    # -- lifecycle -----------------------------------------------------
     def close(self, wait: bool = True) -> None:
-        """Stop the consumers; optionally wait for queued work first."""
+        """Stop taking groups; optionally finish the queued ones first."""
         if self._closed:
             return
         self._closed = True
-        for _ in self._threads:
-            self._queue.put(_STOP)
-        if wait:
-            for t in self._threads:
-                t.join(timeout=60.0)
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait, cancel_futures=True)
+        self._executor.close(wait=wait)
 
 
-__all__ = ["Group", "GroupWork", "Runner", "WorkerPool",
-           "failed_rows_for_group", "inline_group_runner"]
+__all__ = ["Group", "Runner", "WorkerPool"]

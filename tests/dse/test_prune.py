@@ -1,6 +1,5 @@
 """Static sweep pruning: dominance planning and frontier preservation."""
 
-import json
 import os
 
 from repro.dse.prune import (
@@ -18,6 +17,7 @@ from repro.dse.report import (
 )
 from repro.dse.scheduler import run_sweep
 from repro.dse.spec import STORE_VERSION, SweepPoint, SweepSpec
+from repro.dse.store import SqliteResultStore
 
 
 def _spec(prune=False, configs=("ooo", "mono_ca")):
@@ -181,7 +181,7 @@ class TestSweepIntegration:
         truthful ooo lower bounds (the exact measured values are valid
         lower bounds) must prune ooo without changing the frontier.
         """
-        base_store = str(tmp_path / "ref.jsonl")
+        base_store = str(tmp_path / "ref.sqlite")
         ref = run_sweep(_spec(), store_path=base_store)
         ref_frontier = {p["config"] for p in pareto_frontier(ref)
                         if p["on_frontier"]}
@@ -192,11 +192,11 @@ class TestSweepIntegration:
                 r["metrics"] for r in ref.ok_rows()
         }
 
-        pruned_store = str(tmp_path / "pruned.jsonl")
-        with open(pruned_store, "w") as fh:
+        pruned_store = str(tmp_path / "pruned.sqlite")
+        with SqliteResultStore(pruned_store) as store:
             for row in ref.ok_rows():
                 if row["point"]["config"] == "mono_ca":
-                    fh.write(json.dumps(row) + "\n")
+                    store.append(row)
 
         def bounds(point):
             m = measured[(point.workload, point.config)]
@@ -222,7 +222,7 @@ class TestSweepIntegration:
     def test_real_bounds_attach_and_contain(self, tmp_path):
         """With the production bounds_fn, measured rows stay inside
         their intervals and tightness is reportable."""
-        store = str(tmp_path / "real.jsonl")
+        store = str(tmp_path / "real.sqlite")
         res = run_sweep(_spec(prune=True), store_path=store)
         assert not res.pruned_rows()  # empty store: nothing to dominate
         for row in res.ok_rows():
@@ -234,14 +234,15 @@ class TestSweepIntegration:
 
     def test_prune_off_attaches_nothing(self, tmp_path):
         res = run_sweep(_spec(prune=False),
-                        store_path=str(tmp_path / "off.jsonl"))
+                        store_path=str(tmp_path / "off.sqlite"))
         assert all("bounds" not in row for row in res.ok_rows())
 
     def test_store_rows_roundtrip_through_disk(self, tmp_path):
-        store = str(tmp_path / "disk.jsonl")
+        store = str(tmp_path / "disk.sqlite")
         run_sweep(_spec(prune=True), store_path=store)
         assert os.path.exists(store)
-        rows = [json.loads(line) for line in open(store)]
+        with SqliteResultStore(store) as reopened:
+            rows = list(reopened.load().values())
         assert {r["status"] for r in rows} == {"ok"}
         assert all("bounds" in r for r in rows)
 

@@ -1,10 +1,11 @@
-"""Crash-safe JSONL result store: durability and resume semantics."""
+"""The v1 JSON-lines loader that store migration reads through, and
+the canonical row text both formats share."""
 
 import json
 
 import pytest
 
-from repro.dse.store import ResultStore, row_text
+from repro.dse.store import SqliteResultStore, load_jsonl, row_text
 from repro.errors import ConfigError
 
 
@@ -14,25 +15,23 @@ def row(h, status="ok", **extra):
             **extra}
 
 
-class TestRoundtrip:
-    def test_append_load(self, tmp_path):
-        path = str(tmp_path / "s.jsonl")
-        with ResultStore(path) as store:
-            store.append(row("a"))
-            store.append(row("b"))
-        loaded = ResultStore(path).load()
-        assert set(loaded) == {"a", "b"}
-        assert loaded["a"] == row("a")
+def write_v1(path, *rows):
+    """A v1 store as its writer left it: one canonical line per row."""
+    with open(path, "w") as f:
+        for r in rows:
+            f.write(row_text(r) + "\n")
 
+
+class TestRoundtrip:
     def test_missing_file_is_empty(self, tmp_path):
-        assert ResultStore(str(tmp_path / "none.jsonl")).load() == {}
+        # a store path that does not exist yet resumes from nothing
+        with SqliteResultStore(str(tmp_path / "none.sqlite")) as store:
+            assert store.load() == {}
 
     def test_last_row_per_hash_wins(self, tmp_path):
         path = str(tmp_path / "s.jsonl")
-        with ResultStore(path) as store:
-            store.append(row("a", status="failed"))
-            store.append(row("a", status="ok"))
-        assert ResultStore(path).load()["a"]["status"] == "ok"
+        write_v1(path, row("a", status="failed"), row("a", status="ok"))
+        assert load_jsonl(path)["a"]["status"] == "ok"
 
     def test_row_text_canonical(self):
         a = row_text({"b": 1, "a": 2})
@@ -43,33 +42,20 @@ class TestRoundtrip:
 class TestCrashTolerance:
     def test_torn_final_line_ignored(self, tmp_path):
         path = str(tmp_path / "s.jsonl")
-        with ResultStore(path) as store:
-            store.append(row("a"))
-            store.append(row("b"))
+        write_v1(path, row("a"), row("b"))
         with open(path, "a") as f:
             f.write(row_text(row("c"))[:17])  # killed mid-write
-        assert set(ResultStore(path).load()) == {"a", "b"}
-
-    def test_append_after_torn_line_starts_fresh(self, tmp_path):
-        """A resume writer must not glue its row onto a torn fragment."""
-        path = str(tmp_path / "s.jsonl")
-        with ResultStore(path) as store:
-            store.append(row("a"))
-        with open(path, "a") as f:
-            f.write(row_text(row("b"))[:9])  # torn, no newline
-        with ResultStore(path) as store:
-            store.append(row("c"))
-        assert set(ResultStore(path).load()) == {"a", "c"}
+        assert set(load_jsonl(path)) == {"a", "b"}
 
     def test_hashless_row_rejected(self, tmp_path):
         path = str(tmp_path / "s.jsonl")
         with open(path, "w") as f:
             f.write(json.dumps({"status": "ok"}) + "\n")
         with pytest.raises(ConfigError, match="without a hash"):
-            ResultStore(path).load()
+            load_jsonl(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = str(tmp_path / "s.jsonl")
         with open(path, "w") as f:
             f.write("\n" + row_text(row("a")) + "\n\n")
-        assert set(ResultStore(path).load()) == {"a"}
+        assert set(load_jsonl(path)) == {"a"}

@@ -1,11 +1,12 @@
-"""Store format v2 (sqlite): migration, crash paths, eviction, semantics.
+"""The sqlite result store: migration, crash paths, eviction, semantics.
 
-Pins the v1 -> v2 contract: migration is row-for-row byte-lossless
-(:func:`store_digest` agrees across formats), a corrupt database file is
-quarantined instead of crashing the opener, TTL/row-cap eviction never
-touches row payloads, and ``attempts`` reflects the last-written row
-only (``TestAttemptsSemantics`` is referenced from the module docstring
-of ``repro.dse.store``). Also pins ``REPRO_SERVE_TTL_S`` /
+Pins the store contract: every path opens the sqlite store, migration
+from a v1 JSONL file is row-for-row byte-lossless, a corrupt database
+file (a v1 JSONL file passed as a store included) is quarantined instead
+of crashing the opener, TTL/row-cap eviction never touches row payloads,
+and ``attempts`` reflects the last-written row only
+(``TestAttemptsSemantics`` is referenced from the module docstring of
+``repro.dse.store``). Also pins ``REPRO_SERVE_TTL_S`` /
 ``REPRO_SERVE_MAX_ROWS`` flowing into the store via ServeConfig, and
 the ``--resume`` progress line reporting the skipped stored-ok count.
 """
@@ -17,9 +18,8 @@ import pytest
 from repro.dse.scheduler import run_sweep
 from repro.dse.spec import SweepSpec
 from repro.dse.store import (
-    ResultStore,
     SqliteResultStore,
-    is_sqlite_path,
+    load_jsonl,
     migrate_jsonl_to_sqlite,
     open_result_store,
     row_text,
@@ -36,6 +36,13 @@ def mkrow(h, status="ok", attempts=1, t=1.0):
             "attempts": attempts}
 
 
+def write_v1(path, *rows):
+    """A v1 JSONL store as its writer left it: one line per row."""
+    with open(path, "w") as f:
+        for row in rows:
+            f.write(row_text(row) + "\n")
+
+
 def sweep_spec():
     return SweepSpec(
         name="v2", workloads=("fdt",), configs=("dist_da_f",),
@@ -49,24 +56,22 @@ class TestFactory:
         ("store.sqlite", SqliteResultStore),
         ("store.sqlite3", SqliteResultStore),
         ("store.db", SqliteResultStore),
-        ("store.jsonl", ResultStore),
+        ("store.jsonl", SqliteResultStore),
     ])
     def test_suffix_selects_format(self, tmp_path, name, cls):
+        # one format: the suffix no longer chooses anything
         store = open_result_store(str(tmp_path / name))
         assert isinstance(store, cls)
-        if isinstance(store, SqliteResultStore):
-            store.close()
+        store.close()
 
     def test_none_path_is_no_store(self):
         assert open_result_store(None) is None
 
     def test_magic_header_beats_missing_suffix(self, tmp_path):
-        # an existing sqlite file keeps opening as sqlite whatever its
-        # name — renaming a store must not silently switch formats
+        # an existing sqlite store keeps its rows whatever its name
         path = str(tmp_path / "store.data")
         with SqliteResultStore(path) as s:
             s.append(mkrow("aa"))
-        assert is_sqlite_path(path)
         reopened = open_result_store(path)
         assert isinstance(reopened, SqliteResultStore)
         assert reopened.get("aa")["hash"] == "aa"
@@ -76,11 +81,8 @@ class TestFactory:
 class TestMigration:
     def test_round_trip_is_byte_lossless(self, tmp_path):
         jsonl = str(tmp_path / "v1.jsonl")
-        v1 = ResultStore(jsonl)
-        for h in ("aa", "bb", "cc"):
-            v1.append(mkrow(h))
-        v1.append(mkrow("bb", status="failed", attempts=2))  # shadows
-        v1.close()
+        write_v1(jsonl, mkrow("aa"), mkrow("bb"), mkrow("cc"),
+                 mkrow("bb", status="failed", attempts=2))  # shadows
         with open(jsonl, "a") as f:
             f.write('{"hash": "torn')  # killed writer's partial line
 
@@ -89,19 +91,18 @@ class TestMigration:
         assert report.target == str(tmp_path / "v1.sqlite")
         assert "migrated 3 rows" in report.line()
 
-        v1_rows = ResultStore(jsonl).load()
+        v1_rows = load_jsonl(jsonl)
         with SqliteResultStore(report.target) as v2:
             v2_rows = v2.load()
             assert {h: row_text(r) for h, r in v2_rows.items()} \
                 == {h: row_text(r) for h, r in v1_rows.items()}
             assert v2_rows["bb"]["status"] == "failed"  # last row wins
             assert store_digest(v2) == report.digest
-        assert store_digest(ResultStore(jsonl)) == report.digest
         assert os.path.exists(jsonl)  # source kept for verification
 
     def test_refuses_existing_target_unless_overwrite(self, tmp_path):
         jsonl = str(tmp_path / "v1.jsonl")
-        ResultStore(jsonl).append(mkrow("aa"))
+        write_v1(jsonl, mkrow("aa"))
         target = str(tmp_path / "v2.sqlite")
         with SqliteResultStore(target) as s:
             s.append(mkrow("zz"))
@@ -245,10 +246,16 @@ class TestSweepIntegration:
         assert "(2 stored rows)" in resume_lines[0]
 
     def test_jsonl_resume_logs_too(self, tmp_path):
+        """A v1 JSONL file passed as the store is quarantined with a
+        warning, and the resume says it found nothing to skip."""
         path = str(tmp_path / "sweep.jsonl")
-        run_sweep(sweep_spec(), jobs=1, store_path=path)
+        write_v1(path, mkrow("aa"))
         lines = []
-        run_sweep(sweep_spec(), jobs=1, store_path=path, resume=True,
-                  progress=lines.append)
-        assert any("skipped 2 of 2 stored-ok hashes" in ln
+        result = run_sweep(sweep_spec(), jobs=1, store_path=path,
+                           resume=True, progress=lines.append)
+        assert lines[0] == (f"warning: corrupt store quarantined to "
+                            f"{path}.corrupt")
+        assert any("skipped 0 of 0 stored-ok hashes" in ln
                    for ln in lines)
+        assert len(result.ok_rows()) == 2
+        assert load_jsonl(path + ".corrupt") == {"aa": mkrow("aa")}

@@ -2,14 +2,21 @@
 
 Rows carry no wall-clock fields, so the same spec must produce
 byte-identical rows (modulo order) however it is executed: serially,
-sharded over worker processes (``jobs``/``$REPRO_JOBS``), or resumed
-from a store truncated by a mid-sweep kill.
+sharded over worker processes (``jobs``/``$REPRO_JOBS``), resumed from a
+store that lost rows to a mid-sweep kill, or resumed after a worker
+process died under one dataset group.
 """
+
+import os
+import shutil
+import signal
+import sqlite3
+from contextlib import closing
 
 import pytest
 
-from repro.dse import SweepSpec, run_sweep
-from repro.dse.store import ResultStore, row_text
+from repro.dse import SweepSpec, run_sweep, scheduler
+from repro.dse.store import SqliteResultStore, row_text, store_digest
 
 
 def sweep_spec():
@@ -28,10 +35,15 @@ def canonical(result):
     return {h: row_text(r) for h, r in result.rows.items()}
 
 
+def digest(path):
+    with SqliteResultStore(path) as store:
+        return store_digest(store)
+
+
 @pytest.fixture(scope="module")
 def serial_store(tmp_path_factory):
     """One uninterrupted serial run, with its store file."""
-    path = str(tmp_path_factory.mktemp("dse") / "serial.jsonl")
+    path = str(tmp_path_factory.mktemp("dse") / "serial.sqlite")
     result = run_sweep(sweep_spec(), jobs=1, store_path=path)
     assert len(result.ok_rows()) == 4 and not result.failed_rows()
     return result, path
@@ -55,24 +67,18 @@ class TestResume:
     def test_resume_after_kill_matches_uninterrupted(self, serial_store,
                                                      tmp_path):
         serial, serial_path = serial_store
-        with open(serial_path) as f:
-            lines = f.readlines()
-        assert len(lines) == 4
-        # simulate a kill after 2 durable rows + one torn half-row
-        truncated = str(tmp_path / "killed.jsonl")
-        with open(truncated, "w") as f:
-            f.writelines(lines[:2])
-            f.write(lines[2][: len(lines[2]) // 2])
-        resumed = run_sweep(sweep_spec(), jobs=1, store_path=truncated,
+        # simulate a kill after 2 committed rows
+        killed = str(tmp_path / "killed.sqlite")
+        shutil.copyfile(serial_path, killed)
+        with closing(sqlite3.connect(killed)) as conn:
+            conn.execute("DELETE FROM rows WHERE seq > 2")
+            conn.commit()
+        resumed = run_sweep(sweep_spec(), jobs=1, store_path=killed,
                             resume=True)
         assert resumed.skipped == 2
         assert canonical(resumed) == canonical(serial)
         # the store converges to the same row set too
-        a = {h: row_text(r)
-             for h, r in ResultStore(truncated).load().items()}
-        b = {h: row_text(r)
-             for h, r in ResultStore(serial_path).load().items()}
-        assert a == b
+        assert digest(killed) == digest(serial_path)
 
     def test_resume_of_complete_store_runs_nothing(self, serial_store):
         serial, serial_path = serial_store
@@ -84,21 +90,58 @@ class TestResume:
 
 class TestFailurePolicy:
     def test_failed_point_recorded_not_fatal(self, tmp_path):
-        # fdt's build() has no 'bogus' kwarg: the point fails on both
-        # attempts and must land as a failed row, not an exception
+        # fdt's build() has no 'bogus' kwarg: the point fails, once
+        # (a deterministic error is not retried), and must land as a
+        # failed row, not an exception
         spec = SweepSpec(
             name="boom", workloads=("fdt",), configs=("dist_da_f",),
             scale="tiny", base="experiment",
             workload_axes={"bogus": (1,)},
         )
-        path = str(tmp_path / "boom.jsonl")
+        path = str(tmp_path / "boom.sqlite")
         result = run_sweep(spec, jobs=1, store_path=path)
         [row] = result.failed_rows()
-        assert row["attempts"] == 2
+        assert row["attempts"] == 1
         assert "TypeError" in row["error"]
         assert not result.ok_rows()
         # failed rows are durably stored and retried on resume
-        stored = ResultStore(path).load()
+        with SqliteResultStore(path) as store:
+            stored = store.load()
         assert [r["status"] for r in stored.values()] == ["failed"]
         again = run_sweep(spec, jobs=1, store_path=path, resume=True)
         assert again.skipped == 0 and len(again.failed_rows()) == 1
+
+
+class TestWorkerCrash:
+    def test_killed_group_fails_alone_and_resume_converges(
+            self, serial_store, tmp_path, monkeypatch):
+        serial, serial_path = serial_store
+        real_run_group = scheduler._run_group
+
+        def run_group(group, base, cache):
+            if dict(group[0][1].workload_kwargs)["n"] == 10:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run_group(group, base, cache)
+
+        # the executor's pool forks, so the patch reaches its workers:
+        # the n=10 group kills its worker on every attempt
+        monkeypatch.setattr(scheduler, "_run_group", run_group)
+        path = str(tmp_path / "crash.sqlite")
+        crashed = run_sweep(sweep_spec(), jobs=2, store_path=path)
+        failed = crashed.failed_rows()
+        assert len(failed) == 2
+        for row in failed:
+            assert row["point"]["workload_kwargs"]["n"] == 10
+            assert "BrokenProcessPool" in row["error"]
+            assert row["attempts"] == 2
+        expected = canonical(serial)
+        ok = crashed.ok_rows()
+        assert len(ok) == 2
+        assert all(row_text(r) == expected[r["hash"]] for r in ok)
+
+        monkeypatch.undo()
+        resumed = run_sweep(sweep_spec(), jobs=2, store_path=path,
+                            resume=True)
+        assert resumed.skipped == 2
+        assert canonical(resumed) == expected
+        assert digest(path) == digest(serial_path)

@@ -64,9 +64,7 @@ class TestValidation:
         ("workers", 0),
         ("port", -1),
         ("port", 70000),
-        ("retries", -1),
         ("timeout_s", -1.0),
-        ("backoff_s", -0.1),
         ("ttl_s", -5.0),
         ("max_rows", -2),
     ])

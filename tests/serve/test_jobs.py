@@ -25,9 +25,9 @@ HASH = POINT.content_hash(BASE)
 
 
 def ok_rows(group):
-    return [({"hash": h, "version": STORE_VERSION, "status": "ok",
-              "point": p.as_dict(), "metrics": {}, "error": None,
-              "attempts": 1}, 0.0) for h, p in group]
+    return [{"hash": h, "version": STORE_VERSION, "status": "ok",
+             "point": p.as_dict(), "metrics": {}, "error": None,
+             "attempts": 1} for h, p in group]
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def gated_manager(store, gate):
 
     def runner(args):
         assert gate.wait(timeout=30.0)
-        return ok_rows(args[0]), None
+        return ok_rows(args[0])
 
     pool = WorkerPool(workers=2, processes=False, runner=runner)
     return JobManager(store, pool), pool
@@ -74,8 +74,7 @@ class TestLifecycle:
         def broken(args):
             raise RuntimeError("dead dataset")
 
-        pool = WorkerPool(workers=1, processes=False, retries=0,
-                          backoff_s=0.001, runner=broken)
+        pool = WorkerPool(workers=1, processes=False, runner=broken)
         manager = JobManager(store, pool)
         try:
             job, _ = manager.submit_point(POINT, "experiment")
@@ -88,7 +87,7 @@ class TestLifecycle:
 
     def test_unknown_job_rows_raise(self, store):
         pool = WorkerPool(workers=1, processes=False,
-                          runner=lambda args: (ok_rows(args[0]), None))
+                          runner=lambda args: ok_rows(args[0]))
         manager = JobManager(store, pool)
         try:
             with pytest.raises(ConfigError):
@@ -106,7 +105,7 @@ class TestDedupAndCache:
         def counting_runner(args):
             executions.append(1)
             assert gate.wait(timeout=30.0)
-            return orig_rows(args[0]), None
+            return orig_rows(args[0])
 
         pool = WorkerPool(workers=2, processes=False,
                           runner=counting_runner)

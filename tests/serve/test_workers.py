@@ -1,14 +1,14 @@
-"""WorkerPool: execution, retries with backoff, timeouts, give-up rows.
+"""WorkerPool: execution, timeouts, synthesized failed rows.
 
-The pool's failure ladder (see ``repro.serve.workers``): a group whose
-runner call fails is retried with exponential backoff; a group still
-failing after ``retries`` extra attempts synthesizes a ``failed`` row
-per point so the submitting job completes instead of wedging. Also pins
+The pool runs on the executor's containment ladder (see
+``repro.dse.executor``): a group whose runner raises or times out fails
+at once, and the pool synthesizes a ``failed`` row per point so the
+submitting job completes instead of wedging. Also pins
 ``REPRO_SERVE_TIMEOUT_S`` (referenced by the README env table).
 
 Injected runners run the pool inline (``processes=False``) so the tests
-are fork-free and deterministic; the timeout test uses a real process
-pool because ``timeout_s`` is enforced on the executor future.
+are fork-free and deterministic; the timeout test uses worker processes
+because ``timeout_s`` is enforced on a process-pool future.
 """
 
 import threading
@@ -19,7 +19,8 @@ import pytest
 from repro.params import base_machine
 from repro.dse.spec import STORE_VERSION, SweepPoint
 from repro.serve.config import ServeConfig
-from repro.serve.workers import WorkerPool, failed_rows_for_group
+from repro.dse.scheduler import failed_rows_for_group
+from repro.serve.workers import WorkerPool
 
 BASE = base_machine("experiment")
 POINT = SweepPoint(workload="fdt", config="dist_da_f", scale="tiny")
@@ -28,9 +29,9 @@ GROUP = [(HASH, POINT)]
 
 
 def ok_rows(group):
-    return [({"hash": h, "version": STORE_VERSION, "status": "ok",
-              "point": p.as_dict(), "metrics": {}, "error": None,
-              "attempts": 1}, 0.0) for h, p in group]
+    return [{"hash": h, "version": STORE_VERSION, "status": "ok",
+             "point": p.as_dict(), "metrics": {}, "error": None,
+             "attempts": 1} for h, p in group]
 
 
 def collect():
@@ -49,7 +50,7 @@ def _sleep_runner(args):
     # module-level so a ProcessPoolExecutor can pickle it
     time.sleep(2.0)
     group, _base = args
-    return ok_rows(group), None
+    return ok_rows(group)
 
 
 class TestExecution:
@@ -57,7 +58,7 @@ class TestExecution:
         sink, done, on_rows = collect()
         started = []
         pool = WorkerPool(workers=1, processes=False,
-                          runner=lambda args: (ok_rows(args[0]), None))
+                          runner=lambda args: ok_rows(args[0]))
         try:
             pool.submit(GROUP, BASE, on_rows=on_rows,
                         on_start=started.append)
@@ -71,7 +72,7 @@ class TestExecution:
     def test_depth_drains_to_zero(self):
         sink, done, on_rows = collect()
         pool = WorkerPool(workers=1, processes=False,
-                          runner=lambda args: (ok_rows(args[0]), None))
+                          runner=lambda args: ok_rows(args[0]))
         try:
             pool.submit(GROUP, BASE, on_rows=on_rows)
             assert done.wait(10.0)
@@ -84,40 +85,20 @@ class TestExecution:
 
     def test_closed_pool_rejects_submission(self):
         pool = WorkerPool(workers=1, processes=False,
-                          runner=lambda args: (ok_rows(args[0]), None))
+                          runner=lambda args: ok_rows(args[0]))
         pool.close()
         with pytest.raises(RuntimeError):
             pool.submit(GROUP, BASE, on_rows=lambda rows: None)
 
 
 class TestRetries:
-    def test_transient_failure_is_retried(self):
-        attempts = []
-
-        def flaky(args):
-            attempts.append(1)
-            if len(attempts) == 1:
-                raise ValueError("transient")
-            return ok_rows(args[0]), None
-
-        sink, done, on_rows = collect()
-        pool = WorkerPool(workers=1, processes=False, retries=1,
-                          backoff_s=0.001, runner=flaky)
-        try:
-            pool.submit(GROUP, BASE, on_rows=on_rows)
-            assert done.wait(10.0)
-        finally:
-            pool.close()
-        assert len(attempts) == 2
-        assert sink[0]["status"] == "ok"
-
     def test_give_up_synthesizes_failed_rows(self):
         def always_broken(args):
             raise ValueError("boom")
 
         sink, done, on_rows = collect()
-        pool = WorkerPool(workers=1, processes=False, retries=1,
-                          backoff_s=0.001, runner=always_broken)
+        pool = WorkerPool(workers=1, processes=False,
+                          runner=always_broken)
         try:
             pool.submit(GROUP, BASE, on_rows=on_rows)
             assert done.wait(10.0)
@@ -127,7 +108,7 @@ class TestRetries:
         assert row["status"] == "failed"
         assert row["hash"] == HASH
         assert "ValueError: boom" in row["error"]
-        assert row["attempts"] == 2  # initial try + one retry
+        assert row["attempts"] == 1  # deterministic: never retried
 
     def test_failed_row_schema_matches_store_rows(self):
         (row,) = failed_rows_for_group(GROUP, BASE, "T: x", attempts=3)
@@ -142,7 +123,6 @@ class TestTimeout:
     def test_timed_out_group_becomes_failed_rows(self):
         sink, done, on_rows = collect()
         pool = WorkerPool(workers=1, processes=True, timeout_s=0.2,
-                          retries=0, backoff_s=0.001,
                           runner=_sleep_runner)
         try:
             pool.submit(GROUP, BASE, on_rows=on_rows)

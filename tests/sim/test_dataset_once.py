@@ -80,19 +80,19 @@ class TestMatrix:
             assert run_sig(run) == run_sig(uncached(w, c, machine)), (w, c)
 
     def test_pool_worker_builds_once(self, counted, machine):
-        """The process-pool worker populates a one-workload matrix: same
-        cells and one cell record per config, one build."""
+        """The executor unit populates a one-workload matrix: same cells
+        and one cell record per config, one build."""
         OBS.reset()
-        workload, cells, cov, snapshot = _matrix_worker(
+        cells, cov, wall = _matrix_worker(
             ("bfs", CONFIGS, "tiny", machine)
         )
-        assert workload == "bfs"
         assert counted["build"] == {"bfs": 1}
         assert counted["validate"] == 1
         assert [c for c, _ in cells] == list(CONFIGS)
-        assert [tuple(s[:2]) for s in snapshot["cells"]] == [
+        assert [(s.workload, s.config) for s in OBS.cells] == [
             ("bfs", c) for c in CONFIGS
         ]
+        assert wall > 0
         assert cov.used()
         for config, run in cells:
             assert run_sig(run) == run_sig(uncached("bfs", config, machine))

@@ -1,8 +1,15 @@
-"""Parallel matrix population must be cell-for-cell identical to serial."""
+"""Parallel matrix population must be cell-for-cell identical to serial,
+and a worker that dies under one workload must not lose the others."""
+
+import os
+import signal
 
 import pytest
 
-from repro.experiments.runner import ResultMatrix, resolve_jobs, run_matrix
+from repro.dse.executor import resolve_jobs
+from repro.errors import ReproError
+from repro.experiments import runner
+from repro.experiments.runner import ResultMatrix, run_matrix
 
 # a deliberately tiny 2x2 slice so the process pool spins up fast
 WORKLOADS = ("cho", "nw")
@@ -72,6 +79,30 @@ class TestParallelEquality:
                    jobs=1, progress=lines.append)
         assert len(lines) == len(CONFIGS)
         assert all("cho" in line for line in lines)
+
+
+class TestWorkerCrash:
+    def test_dead_workload_is_named_and_the_others_kept(
+            self, monkeypatch):
+        serial = run_matrix(scale="tiny", workloads=WORKLOADS,
+                            configs=CONFIGS, jobs=1)
+        real_simulate = runner.simulate_dataset
+
+        def simulate(workload, *args, **kwargs):
+            if workload == "nw":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_simulate(workload, *args, **kwargs)
+
+        # the executor's pool forks, so the patch reaches its workers:
+        # nw kills its worker on every attempt
+        monkeypatch.setattr(runner, "simulate_dataset", simulate)
+        matrix = ResultMatrix(scale="tiny", workloads=WORKLOADS,
+                              configs=CONFIGS)
+        with pytest.raises(ReproError, match="nw .*BrokenProcessPool"):
+            matrix.run_all(jobs=2)
+        assert set(matrix.results) == {("cho", c) for c in CONFIGS}
+        for key, run in matrix.results.items():
+            assert cell_sig(run) == cell_sig(serial.results[key]), key
 
 
 class TestLazyMatrix:
