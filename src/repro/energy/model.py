@@ -26,14 +26,16 @@ COMPONENTS = (
 class EnergyLedger:
     """Accumulates event counts and converts them to energy.
 
-    ``charge(component, event, count)`` looks ``event`` up as an attribute
-    of the energy table; unknown events raise ``AttributeError`` eagerly so
-    a typo cannot silently drop energy.
+    The first ``charge(component, event, count)`` of a (component,
+    event) pair looks ``event`` up as an attribute of the energy table;
+    an unknown event raises ``AttributeError`` there and leaves no
+    count, so a typo cannot silently drop energy. Later charges of the
+    pair only add.
     """
 
     def __init__(self, table: EnergyTable | None = None):
         self.table = table or default_energy_table()
-        self._counts: Dict[Tuple[str, str], float] = defaultdict(float)
+        self._counts: Dict[Tuple[str, str], float] = {}
         #: ledgers whose ``energy_counts()`` add to the charged counts
         self._sources: List = []
 
@@ -55,8 +57,12 @@ class EnergyLedger:
     def charge(self, component: str, event: str, count: float = 1.0) -> None:
         if count < 0:
             raise ValueError(f"negative event count: {count}")
-        getattr(self.table, event)  # validate event name eagerly
-        self._counts[(component, event)] += count
+        key = (component, event)
+        try:
+            self._counts[key] += count
+        except KeyError:
+            getattr(self.table, event)  # validate the event name once
+            self._counts[key] = 0.0 + count
 
     def count(self, component: str, event: str) -> float:
         return self._all_counts().get((component, event), 0.0)

@@ -17,7 +17,7 @@ results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .cache import _ABSENT, Cache
 from .dram import Dram
 from .nuca import NucaL3
 from .prefetch import StridePrefetcher
+
+if TYPE_CHECKING:
+    from ..runtime.streams import ElemWalk, LineWalk, Walk
 
 #: the traffic classes the hierarchy records, bound once: looking a
 #: member up on an Enum class runs Python, about ten times the cost of
@@ -102,6 +105,9 @@ class MemoryHierarchy:
         #: popped, so without a cap the map grows for the whole run.
         self._late_prefetch: Dict[int, int] = {}
         self.latency = LatencyTable(self.traffic, machine)
+        #: each slice's and each ACP's set list, for the batch walks
+        self._l3_sets = [slc._sets for slc in self.l3.slices]
+        self._acp_sets = [acp._sets for acp in self.acps]
 
     # ------------------------------------------------------------------
     # host path
@@ -379,13 +385,19 @@ class MemoryHierarchy:
     # same order, but (a) works on the caches' set dicts directly, never
     # through Cache.access (the host path first advances L1, which
     # nothing downstream feeds back into, with the set-major
-    # :meth:`~repro.mem.cache.Cache.access_batch` walk), (b) takes its
-    # latencies from the hierarchy's static :class:`LatencyTable`, and
-    # (c) tallies cache counters, energy events, NoC messages and DRAM
-    # fills and writebacks per home cluster in locals, and hands each
-    # tally to the cache, the energy ledger, the traffic ledger and
-    # :meth:`_dram_traffic` once per walk. The tallies are exact integer
-    # counts and both ledgers read them in a fixed order, so the results
+    # :meth:`~repro.mem.cache.Cache.access_batch` walk), and (b) takes
+    # its latencies from the hierarchy's static :class:`LatencyTable`.
+    # The host walk tallies its counts per home cluster in locals and
+    # charges them once per walk. The accelerator walks split each chunk
+    # into what depends on cache state and what does not: a process
+    # builds every chunk's step, state-free latency and state-free
+    # counts once per run from its plan's chunk walk
+    # (:meth:`accel_line_steps`, :meth:`accel_elem_steps`); a walk then
+    # only advances the set dicts, adds misses and dirty victims to the
+    # process's :class:`AccelTally` and returns the latency they add;
+    # and :meth:`charge_accel` charges the tally when the process ends.
+    # The counts are exact integers that nothing reads before a run
+    # ends, and both ledgers read them in a fixed order, so the results
     # are bit-identical to the scalar path, which charges per access
     # (enforced by tests/mem/test_batch_equiv.py and
     # tests/sim/test_fastpath_equiv.py).
@@ -562,42 +574,108 @@ class MemoryHierarchy:
                                        + l1_wbs + l2_wbs)
         return n_l2 * m.l2.latency_cycles + extra
 
-    def accel_line_fetch_batch(self, local_cluster: int,
-                               line_addrs: np.ndarray,
-                               is_write: bool) -> int:
-        """Line-granular fill/drain of a chunk (see
-        :meth:`accel_line_fetch`); returns total latency cycles.
-
-        Each L3 slice is an independent cache, so the chunk splits by
-        home cluster (one group when it sits in one stripe block, the
-        common case), and each group walks its home slice's set dicts in
-        program order with its counters in locals, added once per group.
-        """
-        n = len(line_addrs)
-        if n == 0:
-            return 0
+    def accel_line_steps(self, walk: "LineWalk", locals_: Sequence[int],
+                         is_write: bool, tally: "AccelTally"
+                         ) -> Tuple[list, List[int]]:
+        """Each chunk's step for :meth:`accel_line_fetch_batch` and the
+        latency no cache state changes: a fill (or, with ``is_write``, a
+        drain) of the chunks of ``walk`` presented at cluster
+        ``locals_[c]``. Adds every count of those fetches that no cache
+        state changes to ``tally``: slice accesses, NoC messages, energy
+        events and remote bytes (see :meth:`accel_line_fetch`)."""
         m = self.machine
         line = self._line
-        l3 = self.l3
-        stripe = l3.stripe_bytes
-        ncl = l3.num_clusters
-        addr_list = line_addrs.tolist()
-        block = min(addr_list) // stripe
-        if block == max(addr_list) // stripe:
-            groups = {block % ncl: addr_list}
-        else:
-            groups = {}
-            for addr in addr_list:
-                groups.setdefault((addr // stripe) % ncl, []).append(addr)
-        conv = self.latency.conv(local_cluster, line, is_write)
-        fill = self.latency.fill
-        slc = l3.slices[0]
+        free, remote = self._chunk_costs(
+            walk, locals_, line, is_write, 1 + m.l3_bank_latency,
+            1 + m.l3.latency_cycles, tally, tally.l3_acc)
+        lines = walk.lines.tolist()
+        ends = np.cumsum(walk.count).tolist()
+        segments = [(h, lines[lo:hi]) for h, lo, hi
+                    in zip(walk.home.tolist(), [0] + ends, ends)]
+        cuts = walk.cuts
+        tally.acp_events += len(lines)
+        tally.l3_events += len(lines)
+        # a remote fill's line crosses the mesh
+        tally.moved += remote * line
+        return [segments[a:b] for a, b in zip(cuts, cuts[1:])], free
+
+    def accel_elem_steps(self, walk: "ElemWalk", locals_: Sequence[int],
+                         is_write: bool, elem_bytes: int,
+                         tally: "AccelTally") -> Tuple[list, List[int]]:
+        """Each chunk's step for :meth:`accel_elem_access_batch` and the
+        latency no cache state changes, for the chunks of ``walk``
+        presented at cluster ``locals_[c]``. Adds every count of those
+        accesses that no cache state changes to ``tally``: ACP accesses,
+        NoC messages, energy events and remote bytes (see
+        :meth:`accel_elem_access`)."""
+        free, remote = self._chunk_costs(
+            walk, locals_, elem_bytes, is_write, 1, 1, tally, tally.acp_acc)
+        tally.acp_events += int(walk.count.sum())
+        tally.moved += remote * elem_bytes
+        homes = walk.head_home.tolist()
+        heads = walk.heads.tolist()
+        cuts = walk.head_cuts
+        return [(homes[a:b], heads[a:b])
+                for a, b in zip(cuts, cuts[1:])], free
+
+    def _chunk_costs(self, walk: "Walk",
+                     locals_: Sequence[int], payload: int, is_write: bool,
+                     near: int, far: int, tally: "AccelTally",
+                     accesses: List[int]) -> Tuple[List[int], int]:
+        """Each chunk's latency that no cache state changes, and how many
+        of its accesses leave their own cluster, for the (home, count)
+        groups of ``walk`` presented at ``locals_[c]``: per access,
+        ``near`` cycles at its own cluster or ``far`` at another, plus
+        the request and the ``payload`` bytes crossing the mesh. Adds
+        each home's accesses to ``accesses`` and each (local, home)
+        pair's request and data messages to ``tally``."""
+        home, count, cuts = walk.home, walk.count, walk.cuts
+        if not home.size:
+            return [0] * (len(cuts) - 1), 0
+        ncl = self.l3.num_clusters
+        bounds = np.asarray(cuts)
+        chunk = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+        pair = np.asarray(locals_, dtype=np.int64)[chunk] * ncl + home
+        # accesses per (local, home) pair code (exact: float64 holds
+        # integers below 2**53)
+        per_pair = np.bincount(pair, weights=count)
+        codes = np.flatnonzero(per_pair)
+        ctrl, data = tally.ctrl, tally.data
+        conv = self.latency.conv
+        unit = np.zeros(per_pair.size, dtype=np.int64)
+        remote = 0
+        for code, k in zip(codes.tolist(), per_pair[codes].tolist()):
+            local, h = divmod(code, ncl)
+            k = int(k)
+            accesses[h] += k
+            if h != local:
+                remote += k
+            unit[code] = ((near if h == local else far)
+                          + conv(local, payload, is_write)[h])
+            key = (local, h)
+            ctrl[key] = ctrl.get(key, 0) + k
+            key = (local, h, payload) if is_write else (h, local, payload)
+            data[key] = data.get(key, 0) + k
+        summed = np.concatenate(([0], np.cumsum(count * unit[pair])))
+        return (summed[bounds[1:]] - summed[bounds[:-1]]).tolist(), remote
+
+    def accel_line_fetch_batch(self, step: list, is_write: bool,
+                               tally: "AccelTally") -> int:
+        """Walk one chunk of line fetches (see :meth:`accel_line_fetch`)
+        on the home slices' set dicts; returns the latency its DRAM
+        fills add.
+
+        ``step`` holds the chunk's (home, lines) segments from
+        :meth:`accel_line_steps`. Each segment walks its home slice in
+        program order, and its misses and dirty victims go to
+        ``tally``.
+        """
+        slc = self.l3.slices[0]
         shift, nsets, ways = slc.line_shift, slc.num_sets, slc.ways
-        record = self.traffic.record
-        total = moved = 0
-        for home, addrs in groups.items():
-            slc = l3.slices[home]
-            sets = slc._sets
+        l3_sets = self._l3_sets
+        total = 0
+        for home, addrs in step:
+            sets = l3_sets[home]
             misses = wbs = 0
             for addr in addrs:
                 ln = addr >> shift
@@ -611,79 +689,49 @@ class MemoryHierarchy:
                     cset[tag] = is_write
                 else:
                     cset[tag] = d or is_write  # move to MRU
-            k = len(addrs)
-            slc.add_counts(k, misses, wbs)
-            if home == local_cluster:
-                total += k * (1 + m.l3_bank_latency + conv[home])
-            else:
-                # remote fill: the line crosses the mesh
-                total += k * (1 + m.l3.latency_cycles + conv[home])
-                moved += k * line
-            if is_write:
-                # write-allocate of a fully-written line needs no DRAM read
-                misses = 0
-                record(_ACC_DATA, local_cluster, home, line, k)
-            else:
-                total += misses * fill[home]
-                record(_ACC_DATA, home, local_cluster, line, k)
-            record(_ACC_CTRL, local_cluster, home, 0, k)
-            self._dram_traffic(home, misses, wbs)
-        self.energy.charge("access_unit", "acp_access", n)
-        self.energy.charge("l3", "l3_access", n)
-        self.movement_bytes += moved
+            if misses:
+                tally.l3_miss[home] += misses
+                if is_write:
+                    # write-allocate of a fully-written line needs no
+                    # DRAM read
+                    tally.l3_alloc[home] += misses
+                else:
+                    total += misses * self.latency.fill[home]
+            if wbs:
+                tally.l3_wbs[home] += wbs
+                tally.dram_wbs[home] += wbs
         return total
 
-    def accel_elem_access_batch(self, local_cluster: int,
-                                addrs: np.ndarray, is_write: bool,
-                                elem_bytes: int) -> int:
-        """Element-granular near-data accesses for a chunk (see
-        :meth:`accel_elem_access`); returns total latency cycles.
+    def accel_elem_access_batch(self, step: list, is_write: bool,
+                                tally: "AccelTally") -> int:
+        """Walk one chunk of element accesses (see
+        :meth:`accel_elem_access`) on the home ACPs' and slices' set
+        dicts; returns the latency its ACP misses add.
 
-        numpy finds the chunk's runs of consecutive same-line elements.
-        After a run's first access its line is the home ACP's MRU entry,
-        so the rest of the run are hits that change no state. One Python
-        iteration per run then walks the home ACP's set dict and, on a
-        miss, the home slice's; the per-home counters and the latency are
-        summed once per call.
+        ``step`` holds the home clusters and head addresses of the
+        chunk's same-line runs from :meth:`accel_elem_steps`: one
+        iteration per run walks the home ACP's set dict and, on a miss,
+        the home slice's. Misses and dirty victims go to ``tally``.
         """
-        n = len(addrs)
-        if n == 0:
-            return 0
         l3 = self.l3
-        slices = l3.slices
         stripe = l3.stripe_bytes
         ncl = l3.num_clusters
-        acps = self.acps
-        shift, na, wa = acps[0].line_shift, acps[0].num_sets, acps[0].ways
-        n3, w3 = slices[0].num_sets, slices[0].ways
-        if n > 1 and stripe % (1 << shift) == 0:
-            # same line => same home only when stripes are line-aligned
-            lines = addrs >> shift
-            head = np.empty(n, dtype=bool)
-            head[0] = True
-            np.not_equal(lines[1:], lines[:-1], out=head[1:])
-            starts = np.flatnonzero(head)
-            heads = addrs[starts].tolist()
-            bounds = starts.tolist()
-        else:
-            heads = addrs.tolist()
-            bounds = list(range(n))
-        bounds.append(n)
-        # home -> [elements, ACP misses, dirty ACP victims, slice misses,
-        # DRAM writebacks]; dirty slice victims go by slice in `l3_wbs`
-        per_home: Dict[int, List[int]] = {}
-        l3_wbs: Dict[int, int] = {}
+        acp = self.acps[0]
+        shift, na, wa = acp.line_shift, acp.num_sets, acp.ways
+        n3, w3 = l3.slices[0].num_sets, l3.slices[0].ways
+        acp_sets_of, l3_sets_of = self._acp_sets, self._l3_sets
+        bank_lat = self.machine.l3_bank_latency
+        fill = self.latency.fill
+        acp_miss, acp_wbs = tally.acp_miss, tally.acp_wbs
+        l3_miss, l3_wbs, dram_wbs = tally.l3_miss, tally.l3_wbs, \
+            tally.dram_wbs
+        total = 0
         home = -1
-        for r, addr in enumerate(heads):
-            h = (addr // stripe) % ncl
+        for h, addr in zip(*step):
             if h != home:
                 home = h
-                st = per_home.get(h)
-                if st is None:
-                    st = per_home[h] = [0, 0, 0, 0, 0]
-                acp_sets = acps[h]._sets
-                l3_sets = slices[h]._sets
-            st[0] += bounds[r + 1] - bounds[r]
+                acp_sets = acp_sets_of[h]
+                l3_sets = l3_sets_of[h]
             ln = addr >> shift
             si = ln % na
             cset = acp_sets[si]
@@ -692,21 +740,22 @@ class MemoryHierarchy:
             if d is not _ABSENT:
                 cset[tag] = d or is_write  # move to MRU
                 continue
-            st[1] += 1
+            acp_miss[h] += 1
+            total += bank_lat
             if len(cset) >= wa:
                 vt = next(iter(cset))
                 if cset.pop(vt):
                     # the dirty victim retires into its bank, as
                     # NucaL3.fill(dirty=True) does
-                    st[2] += 1
+                    acp_wbs[h] += 1
                     vl = vt * na + si
                     vc = ((vl << shift) // stripe) % ncl
-                    cset3 = slices[vc]._sets[vl % n3]
+                    cset3 = l3_sets_of[vc][vl % n3]
                     tag3 = vl // n3
                     if cset3.pop(tag3, None) is None and len(cset3) >= w3:
                         if cset3.pop(next(iter(cset3))):
-                            l3_wbs[vc] = l3_wbs.get(vc, 0) + 1
-                            st[4] += 1
+                            l3_wbs[vc] += 1
+                            dram_wbs[h] += 1
                     cset3[tag3] = True
             cset[tag] = is_write
             # the bank read at the home slice
@@ -714,40 +763,50 @@ class MemoryHierarchy:
             tag3 = ln // n3
             d = cset3.pop(tag3, _ABSENT)
             if d is _ABSENT:
-                st[3] += 1
+                l3_miss[h] += 1
+                total += fill[h]
                 if len(cset3) >= w3 and cset3.pop(next(iter(cset3))):
-                    l3_wbs[h] = l3_wbs.get(h, 0) + 1
-                    st[4] += 1
+                    l3_wbs[h] += 1
+                    dram_wbs[h] += 1
                 cset3[tag3] = False
             else:
                 cset3[tag3] = d
-        for c, wbs in l3_wbs.items():
-            slices[c].writebacks += wbs
-        conv = self.latency.conv(local_cluster, elem_bytes, is_write)
-        fill = self.latency.fill
-        bank_lat = self.machine.l3_bank_latency
-        record = self.traffic.record
-        total = moved = n_l3 = 0
-        for h, (k, acp_miss, acp_wbs, l3_miss, dram_wbs) in (
-                per_home.items()):
-            acps[h].add_counts(k, acp_miss, acp_wbs)
-            slices[h].add_counts(acp_miss, l3_miss)
-            self._dram_traffic(h, l3_miss, dram_wbs)
-            n_l3 += acp_miss + acp_wbs
-            total += (k * (1 + conv[h]) + acp_miss * bank_lat
-                      + l3_miss * fill[h])
-            if h != local_cluster:
-                moved += k
-            record(_ACC_CTRL, local_cluster, h, 0, k)
-            if is_write:
-                record(_ACC_DATA, local_cluster, h, elem_bytes, k)
-            else:
-                record(_ACC_DATA, h, local_cluster, elem_bytes, k)
-        self.energy.charge("access_unit", "acp_access", n)
-        if n_l3:
-            self.energy.charge("l3", "l3_access", n_l3)
-        self.movement_bytes += moved * elem_bytes
         return total
+
+    def accel_tally(self) -> "AccelTally":
+        """An empty tally for one process's accelerator walks."""
+        return AccelTally(self.l3.num_clusters)
+
+    def charge_accel(self, tally: "AccelTally") -> None:
+        """Charge what one process's walks added up: the slice and ACP
+        counters, the NoC messages, the energy events, the DRAM fills
+        and writebacks (:meth:`_dram_traffic`) and the moved bytes."""
+        record = self.traffic.record
+        for (src, dst), count in tally.ctrl.items():
+            record(_ACC_CTRL, src, dst, 0, count)
+        for (src, dst, payload), count in tally.data.items():
+            record(_ACC_DATA, src, dst, payload, count)
+        # an element's ACP miss reads its bank, and a dirty ACP victim
+        # retires into one
+        l3_events = tally.l3_events + sum(tally.acp_miss) + sum(
+            tally.acp_wbs)
+        for c, (slc, acp, l3_acc, misses, alloc, wbs, dram_wbs, acp_acc,
+                acp_miss, acp_wbs) in enumerate(zip(
+                    self.l3.slices, self.acps, tally.l3_acc, tally.l3_miss,
+                    tally.l3_alloc, tally.l3_wbs, tally.dram_wbs,
+                    tally.acp_acc, tally.acp_miss, tally.acp_wbs)):
+            if l3_acc or acp_miss or wbs:
+                slc.add_counts(l3_acc + acp_miss, misses, wbs)
+            if acp_acc:
+                acp.add_counts(acp_acc, acp_miss, acp_wbs)
+            if misses or dram_wbs:
+                self._dram_traffic(c, misses - alloc, dram_wbs)
+        if tally.acp_events:
+            self.energy.charge("access_unit", "acp_access",
+                               tally.acp_events)
+        if l3_events:
+            self.energy.charge("l3", "l3_access", l3_events)
+        self.movement_bytes += tally.moved
 
     def l3_demand_batch(self, from_node: int) -> "L3DemandWindow":
         """Open a window over the repeated :meth:`l3_demand` calls of
@@ -858,6 +917,45 @@ class LatencyTable:
 
             row = self._rows[key] = _Lazy(cycles)
         return row
+
+
+class AccelTally:
+    """What one offload process's accelerator walks add up, charged once
+    by :meth:`MemoryHierarchy.charge_accel` when the process ends.
+
+    The step builders add the counts no cache state changes, once per
+    run; the walks add misses and dirty victims. The counts are exact
+    integers that nothing reads before the run ends, so charging them
+    once equals charging each access as it happens.
+    """
+
+    __slots__ = ("l3_acc", "l3_miss", "l3_alloc", "l3_wbs", "dram_wbs",
+                 "acp_acc", "acp_miss", "acp_wbs", "ctrl", "data",
+                 "acp_events", "l3_events", "moved")
+
+    def __init__(self, clusters: int):
+        #: per cluster: slice accesses of line fetches, slice misses,
+        #: the misses of line writes (no DRAM read), dirty victims of
+        #: the slice, and DRAM writebacks the cluster sends
+        self.l3_acc = [0] * clusters
+        self.l3_miss = [0] * clusters
+        self.l3_alloc = [0] * clusters
+        self.l3_wbs = [0] * clusters
+        self.dram_wbs = [0] * clusters
+        #: per cluster: ACP accesses, misses and dirty victims
+        self.acp_acc = [0] * clusters
+        self.acp_miss = [0] * clusters
+        self.acp_wbs = [0] * clusters
+        #: accelerator messages: (src, dst) -> request headers, and
+        #: (src, dst, payload bytes) -> data messages
+        self.ctrl: Dict[Tuple[int, int], int] = {}
+        self.data: Dict[Tuple[int, int, int], int] = {}
+        #: ACP-port energy events, the line fetches' L3 energy events
+        #: (an element's come from its ACP misses and dirty victims),
+        #: and the bytes that crossed the mesh
+        self.acp_events = 0
+        self.l3_events = 0
+        self.moved = 0
 
 
 class L3DemandWindow:

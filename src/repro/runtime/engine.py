@@ -28,12 +28,12 @@ from ..interface.intrinsics import mmio_bytes
 from ..interface.scheduler import HardwareScheduler
 from ..ir.expr import Load
 from ..mem.cache import _ABSENT, Cache
-from ..mem.hierarchy import MemoryHierarchy
+from ..mem.hierarchy import AccelTally, MemoryHierarchy
 from ..mem.slab import SlabAllocator
 from ..noc import TrafficClass
 from ..obs import OBS
 from ..params import MachineParams
-from .streams import Plan, SiteStreams, chunk_homes
+from .streams import Plan, SiteStreams, chunk_homes, line_walk
 
 #: target number of chunks an innermost loop is simulated in
 TARGET_CHUNKS = 128
@@ -137,37 +137,24 @@ class OffloadEngine:
         # centralized accelerator: no in-place access, pull the line
         return self._line_fetch(cluster, addr, is_write)
 
-    def _line_fetch_many(self, cluster: int, line_addrs: np.ndarray,
-                         is_write: bool) -> int:
-        """Batched :meth:`_line_fetch` over a chunk (production path);
-        bit-identical to the per-line loop."""
-        if self.private_cache is None:
-            return self.hierarchy.accel_line_fetch_batch(
-                cluster, line_addrs, is_write
-            )
-        return self._private_fetch_many(cluster, line_addrs, is_write)
-
-    def _elem_access_many(self, cluster: int, addrs: np.ndarray,
-                          is_write: bool, elem_bytes: int) -> int:
-        """Batched :meth:`_elem_access` over a chunk (production path);
-        bit-identical to the per-element loop."""
-        if self.private_cache is None:
-            return self.hierarchy.accel_elem_access_batch(
-                cluster, addrs, is_write, elem_bytes
-            )
-        return self._private_fetch_many(cluster, addrs, is_write)
-
-    def _line_fetch_each(self, cluster: int, line_addrs: np.ndarray,
-                         is_write: bool) -> int:
-        """Reference for :meth:`_line_fetch_many`: one call per line."""
-        return sum(self._line_fetch(cluster, addr, is_write)
-                   for addr in line_addrs.tolist())
-
-    def _elem_access_each(self, cluster: int, addrs: np.ndarray,
-                          is_write: bool, elem_bytes: int) -> int:
-        """Reference for :meth:`_elem_access_many`: one call per element."""
+    def _walk_each(self, step: tuple, is_write: bool, tally) -> int:
+        """Reference chunk walk: one :meth:`_line_fetch` per line or, for
+        an element step (element bytes set), one :meth:`_elem_access`
+        per element. ``step`` is (cluster, addresses, element bytes);
+        every call charges the ledgers itself, so ``tally`` stays
+        empty."""
+        cluster, addrs, elem_bytes = step
+        if elem_bytes is None:
+            return sum(self._line_fetch(cluster, addr, is_write)
+                       for addr in addrs.tolist())
         return sum(self._elem_access(cluster, addr, is_write, elem_bytes)
                    for addr in addrs.tolist())
+
+    def _walk_private(self, step: tuple, is_write: bool, tally) -> int:
+        """Mono-CA chunk walk of a (cluster, addresses, element bytes)
+        step: :meth:`_private_fetch_many`, which charges as it goes, so
+        ``tally`` stays empty."""
+        return self._private_fetch_many(step[0], step[1], is_write)
 
     def _private_fetch_many(self, cluster: int, addrs: np.ndarray,
                             is_write: bool) -> int:
@@ -344,20 +331,31 @@ class _RunContext:
     #: combining: one FSM serves every access sharing a buffer)
     read_bufs: Dict[int, List[int]] = field(default_factory=dict)
     write_bufs: Dict[int, List[int]] = field(default_factory=dict)
-    #: the chunk walks every process binds (set by :meth:`build`)
+    #: the chunk walks every process binds and the charge that ends
+    #: each process (set by :meth:`build`)
     fetch_lines: Callable[..., int] = field(init=False)
     access_elems: Callable[..., int] = field(init=False)
+    charge: Callable[[AccelTally], None] = field(init=False)
+    #: whether the walks take their steps from the plans' chunk walks
+    walk_plans: bool = field(init=False)
 
     def build(self) -> None:
         engine = self.engine
-        # batched on the production path, one hierarchy call per line or
-        # element under REPRO_REFERENCE=1
-        if engine._fast:
-            self.fetch_lines = engine._line_fetch_many
-            self.access_elems = engine._elem_access_many
+        hierarchy = engine.hierarchy
+        # On the production path a distributed machine walks the cache
+        # set dicts from each plan's chunk walk, and each process charges
+        # its tally once. Mono-CA walks its private cache chunk by chunk,
+        # and REPRO_REFERENCE=1 makes one hierarchy call per line or
+        # element; both charge as they go.
+        self.walk_plans = engine._fast and engine.private_cache is None
+        if self.walk_plans:
+            self.fetch_lines = hierarchy.accel_line_fetch_batch
+            self.access_elems = hierarchy.accel_elem_access_batch
+            self.charge = hierarchy.charge_accel
         else:
-            self.fetch_lines = engine._line_fetch_each
-            self.access_elems = engine._elem_access_each
+            walk = engine._walk_private if engine._fast else engine._walk_each
+            self.fetch_lines = self.access_elems = walk
+            self.charge = _charged
         config = self.offload.config
         groups = self._serial_groups()
         for ch in config.channels:
@@ -518,8 +516,47 @@ class _RunContext:
         return self.site_streams.chunk_plan(
             acc.site_ids, len(self.chunk_sizes),
             engine.slab.by_name(acc.obj).base, acc.elem_bytes,
-            engine.machine.l3.line_bytes.bit_length() - 1, lines,
+            _line_shift(engine.machine), lines,
         )
+
+    def _steps(self, acc: AccessConfig, cluster: int, lines: bool,
+               tally: AccelTally) -> Tuple[Plan, list, List[int]]:
+        """The access's plan (only chunk 0's first line for an invariant
+        stream), each chunk's step for the bound walk, and the latency
+        of each chunk that no cache state changes.
+
+        With :attr:`walk_plans`, the steps come from the plan's chunk
+        walk, and the hierarchy adds the counts no cache state changes
+        to ``tally`` here, once per run. Otherwise a step is (cluster,
+        addresses in program order, element bytes or None for lines),
+        and the walk returns the chunk's whole latency."""
+        engine = self.engine
+        plan = flat, cuts = self._plan(acc, lines)
+        nchunks = len(self.chunk_sizes)
+        invariant = self._is_invariant(acc)
+        if invariant:  # only chunk 0 fetches, one line
+            k = min(cuts[1], 1)
+            plan = flat, cuts = flat[:k], (0,) + (k,) * nchunks
+        homes = self._homes(plan, cluster)
+        if not self.walk_plans:
+            eb = None if lines else acc.elem_bytes
+            return plan, [(home, flat[lo:hi], eb) for home, lo, hi
+                          in zip(homes, cuts, cuts[1:])], [0] * nchunks
+        l3 = engine.hierarchy.l3
+        if invariant:
+            walk = line_walk(plan, l3.stripe_bytes, l3.num_clusters)
+        else:
+            walk = self.site_streams.chunk_walk(
+                acc.site_ids, nchunks, engine.slab.by_name(acc.obj).base,
+                acc.elem_bytes, _line_shift(engine.machine), lines,
+                l3.stripe_bytes, l3.num_clusters)
+        if lines:
+            steps, free = engine.hierarchy.accel_line_steps(
+                walk, homes, acc.is_write, tally)
+        else:
+            steps, free = engine.hierarchy.accel_elem_steps(
+                walk, homes, acc.is_write, acc.elem_bytes, tally)
+        return plan, steps, free
 
     def _homes(self, plan: Plan, static_cluster: int) -> List[int]:
         """Cluster the access unit presents at for each chunk."""
@@ -539,37 +576,36 @@ class _RunContext:
         return Get(port), Put(port, True)
 
     # -- processes -----------------------------------------------------------
-    # The per-chunk energy charges and Fig-9 byte tallies are commutative
-    # integer counts: each process takes them from its plans and charges
-    # them once after its chunk loop, bit-identical to per-chunk charges.
+    # A process charges what it adds up once, after its chunk loop: the
+    # chunk walks' tally, and the energy charges and Fig-9 byte tallies
+    # it takes from its plans. All are commutative integer counts, so
+    # this is bit-identical to charging each chunk as it runs.
     def _fill_proc(self, acc: AccessConfig, cluster: int, tok: Channel):
         fetch = self.fetch_lines
         invariant = self._is_invariant(acc)
-        plan = flat, cuts = self._plan(acc, lines=True)
-        homes = self._homes(plan, cluster)
+        tally = self.engine.hierarchy.accel_tally()
+        (flat, cuts), steps, free = self._steps(acc, cluster, True, tally)
         take, give = self._port_commands()
         for c in range(len(self.chunk_sizes)):
             if invariant and c > 0:
                 yield Put(tok, c)
                 continue
-            lines = flat[cuts[c]:cuts[c + 1]]
-            if invariant:
-                lines = lines[:1]
             if take is not None:
                 yield take
-            lat_cycles = fetch(homes[c], lines, False)
+            lat_cycles = free[c] + fetch(steps[c], False, tally)
             yield Delay(cycles_to_ps(
-                lat_cycles / FSM_OVERLAP + len(lines), MEM_FREQ_GHZ
+                lat_cycles / FSM_OVERLAP + (cuts[c + 1] - cuts[c]),
+                MEM_FREQ_GHZ
             ))
             if give is not None:
                 yield give
             yield Put(tok, c)
-        if invariant:  # only chunk 0 fetched, and only its first line
-            fsm_n = buf_n = trans_n = min(cuts[1], 1)
-        else:
-            fsm_n = self.site_streams.length(acc.site_ids)
-            buf_n = flat.size
-            trans_n = sum(lo < hi for lo, hi in zip(cuts, cuts[1:]))
+        self.charge(tally)
+        buf_n = flat.size
+        # an invariant stream fetches one line for all its elements
+        fsm_n = buf_n if invariant else self.site_streams.length(
+            acc.site_ids)
+        trans_n = sum(lo < hi for lo, hi in zip(cuts, cuts[1:]))
         if trans_n:
             energy = self.engine.energy
             energy.charge("access_unit", "fsm_step", fsm_n)
@@ -579,21 +615,22 @@ class _RunContext:
 
     def _drain_proc(self, acc: AccessConfig, cluster: int, tok: Channel):
         fetch = self.fetch_lines
-        plan = flat, cuts = self._plan(acc, lines=True)
-        homes = self._homes(plan, cluster)
+        tally = self.engine.hierarchy.accel_tally()
+        (flat, cuts), steps, free = self._steps(acc, cluster, True, tally)
         take, give = self._port_commands()
         next_chunk = Get(tok)
         for _ in self.chunk_sizes:
             c = yield next_chunk
-            lines = flat[cuts[c]:cuts[c + 1]]
             if take is not None:
                 yield take
-            lat_cycles = fetch(homes[c], lines, True)
+            lat_cycles = free[c] + fetch(steps[c], True, tally)
             yield Delay(cycles_to_ps(
-                lat_cycles / FSM_OVERLAP + len(lines), MEM_FREQ_GHZ
+                lat_cycles / FSM_OVERLAP + (cuts[c + 1] - cuts[c]),
+                MEM_FREQ_GHZ
             ))
             if give is not None:
                 yield give
+        self.charge(tally)
         buf_n = flat.size
         if buf_n:
             energy = self.engine.energy
@@ -601,18 +638,24 @@ class _RunContext:
             energy.charge("access_unit", "buffer_access", buf_n)
             self.stats.d_a_bytes += buf_n * self.engine.machine.l3.line_bytes
 
-    def _indirect_plans(self, part: PartitionConfig, cluster: int):
-        """(flat, cuts, homes, is_write, elem bytes) of each indirect
-        access, and their translation-lookup and byte totals."""
-        plans = []
+    def _indirect_steps(self, parts: List[PartitionConfig],
+                        tally: AccelTally):
+        """(steps, is_write) of each indirect access of ``parts``, the
+        summed latency of each chunk that no cache state changes, and
+        the accesses' translation-lookup and byte totals."""
+        walks = []
+        free = [0] * len(self.chunk_sizes)
         lookups = moved = 0
-        for acc in self._indirect(part):
-            plan = flat, cuts = self._plan(acc, lines=False)
-            plans.append((flat, cuts, self._homes(plan, cluster),
-                          acc.is_write, acc.elem_bytes))
-            lookups += flat.size
-            moved += flat.size * acc.elem_bytes
-        return plans, lookups, moved
+        for part in parts:
+            cluster = self.clusters[part.partition_index]
+            for acc in self._indirect(part):
+                (flat, _), steps, lat = self._steps(acc, cluster, False,
+                                                    tally)
+                walks.append((steps, acc.is_write))
+                free = [a + b for a, b in zip(free, lat)]
+                lookups += flat.size
+                moved += flat.size * acc.elem_bytes
+        return walks, free, lookups, moved
 
     def _partition_proc(self, part: PartitionConfig, cluster: int):
         engine = self.engine
@@ -626,7 +669,8 @@ class _RunContext:
             profile.buffer_reads + profile.buffer_writes
         )
         access = self.access_elems
-        indirect, trans_n, d_a = self._indirect_plans(part, cluster)
+        tally = engine.hierarchy.accel_tally()
+        indirect, free, trans_n, d_a = self._indirect_steps([part], tally)
         # hoist the per-chunk channel/token lookups out of the loop
         gets = [Get(self.channels[ch_id]) for ch_id in part.consumes]
         gets += [Get(self.fill_tokens[b])
@@ -648,10 +692,9 @@ class _RunContext:
         for c, iters in enumerate(self.chunk_sizes):
             for get in gets:
                 yield get
-            ind_cycles = 0
-            for flat, cuts, homes, is_write, eb in indirect:
-                ind_cycles += access(homes[c], flat[cuts[c]:cuts[c + 1]],
-                                     is_write, eb)
+            ind_cycles = free[c]
+            for steps, is_write in indirect:
+                ind_cycles += access(steps[c], is_write, tally)
             compute_ps = ii_ps * iters
             # a loop-carried address chain (pointer chasing) serializes
             # indirect accesses on every substrate (overlap hoisted)
@@ -672,6 +715,7 @@ class _RunContext:
                 yield Put(ch, c)
             for tok in write_toks:
                 yield Put(tok, c)
+        self.charge(tally)
         if trans_n:
             energy.charge("access_unit", "translation_lookup", trans_n)
             self.stats.d_a_bytes += d_a
@@ -737,14 +781,8 @@ class _RunContext:
             and ch.consumer_partition not in group_set
         ]
         access = self.access_elems
-        indirect = []
-        trans_n = d_a = 0
-        for part in members:
-            plans, lookups, moved = self._indirect_plans(
-                part, self.clusters[part.partition_index])
-            indirect += plans
-            trans_n += lookups
-            d_a += moved
+        tally = engine.hierarchy.accel_tally()
+        indirect, free, trans_n, d_a = self._indirect_steps(members, tally)
         gets = [Get(self.channels[ch_id]) for ch_id in external_consumes]
         gets += [Get(self.fill_tokens[b]) for part in members
                  for b in self.read_bufs[part.partition_index]]
@@ -756,10 +794,9 @@ class _RunContext:
         for c, iters in enumerate(self.chunk_sizes):
             for get in gets:
                 yield get
-            ind_cycles = 0
-            for flat, cuts, homes, is_write, eb in indirect:
-                ind_cycles += access(homes[c], flat[cuts[c]:cuts[c + 1]],
-                                     is_write, eb)
+            ind_cycles = free[c]
+            for steps, is_write in indirect:
+                ind_cycles += access(steps[c], is_write, tally)
             # dependence cycle: no overlap across iterations
             yield Delay(
                 iters * (per_iter_ps + hop_ps)
@@ -787,6 +824,7 @@ class _RunContext:
                 yield Put(self.channels[ch.channel_id], c)
             for tok in write_toks:
                 yield Put(tok, c)
+        self.charge(tally)
         if trans_n:
             energy.charge("access_unit", "translation_lookup", trans_n)
             self.stats.d_a_bytes += d_a
@@ -802,3 +840,11 @@ class _RunContext:
         for (src, dst, payload), count in operand_recs.items():
             traffic.record(TrafficClass.ACC_DATA, src, dst, payload,
                            count=count)
+
+
+def _charged(tally: AccelTally) -> None:
+    """The end-of-process charge of walks that charge as they go."""
+
+
+def _line_shift(machine: MachineParams) -> int:
+    return machine.l3.line_bytes.bit_length() - 1

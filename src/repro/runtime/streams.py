@@ -8,13 +8,19 @@ interpreter's trace supplies the real indices for both uniformly.
 Offload replay splits each stream into chunks. A *chunk plan* holds the
 values every chunk visit reads: one read-only array of all chunks' line
 or element addresses, and the ``n + 1`` cut points that slice it per
-chunk. :class:`SiteStreams` builds each plan once and shares it with
-every configuration that replays the same call on the same layout.
+chunk. Next to a plan, a *chunk walk* holds what the accelerator's
+cache walks need from it under one L3 layout and that no cache state
+changes: each line chunk's lines grouped by home cluster
+(:class:`LineWalk`), and each element chunk's same-line run heads with
+its element count per home (:class:`ElemWalk`). :class:`SiteStreams`
+builds each plan and walk once and shares them with every
+configuration that replays the same call on the same layout.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -46,6 +52,10 @@ class SiteStreams:
         #: site -> ((slab base, line shift), {(chunks, elem bytes,
         #: lines): plan}): each site's plans under one layout
         self._plans: Dict[Optional[int], tuple] = {}
+        #: site -> {(chunks, elem bytes, lines, stripe bytes, clusters):
+        #: walk}: the walks of the site's plans, one per L3 layout,
+        #: dropped with the plans
+        self._walks: Dict[Optional[int], dict] = {}
 
     def stream(self, site_id: int) -> np.ndarray:
         return self._streams.get(site_id, np.empty(0, dtype=np.int64))
@@ -84,6 +94,7 @@ class SiteStreams:
         held = self._plans.get(site)
         if held is None or held[0] != (base, shift):
             held = self._plans[site] = ((base, shift), {})
+            self._walks.pop(site, None)
         plans = held[1]
         key = (nchunks, elem_bytes, lines)
         plan = plans.get(key)
@@ -94,6 +105,28 @@ class SiteStreams:
                 if lines else
                 _build_addr_plan(stream, nchunks, base, elem_bytes))
         return plan
+
+    def chunk_walk(self, site_ids: Sequence[int], nchunks: int, base: int,
+                   elem_bytes: int, shift: int, lines: bool, stripe: int,
+                   clusters: int) -> Walk:
+        """The walk of :meth:`chunk_plan`'s plan on an L3 of ``clusters``
+        slices striped every ``stripe`` bytes; built on first use.
+
+        A plan keeps one walk per L3 layout that replays it (machines
+        that differ only in their L3 share slab bases and line size, so
+        they share plans), and a plan dropped for another layout takes
+        its walks with it.
+        """
+        plan = self.chunk_plan(site_ids, nchunks, base, elem_bytes, shift,
+                               lines)
+        walks = self._walks.setdefault(self._representative(site_ids), {})
+        key = (nchunks, elem_bytes, lines, stripe, clusters)
+        walk = walks.get(key)
+        if walk is None:
+            walk = walks[key] = (
+                line_walk(plan, stripe, clusters) if lines else
+                elem_walk(plan, stripe, clusters, shift))
+        return walk
 
 
 #: one read-only array of every chunk's values, and the ``n + 1`` cut
@@ -154,6 +187,134 @@ def _chunk_lines_ref(elems: np.ndarray, base: int, eb: int,
         keep[1:] = lines[1:] != lines[:-1]
         return lines[keep] << shift
     return np.unique(lines) << shift
+
+
+class LineWalk(NamedTuple):
+    """Each line chunk's lines grouped by home cluster.
+
+    A chunk's lines form one segment per home, in the order the homes
+    first appear in the chunk, each keeping program order: every L3
+    slice is an independent cache, so a walk segment by segment leaves
+    each slice as a walk in program order does.
+    """
+
+    #: the segments' lines (the plan's own array when every chunk's
+    #: homes already appear in one segment each)
+    lines: np.ndarray
+    #: home cluster and line count of each segment
+    home: np.ndarray
+    count: np.ndarray
+    #: chunk ``c``'s segments are ``cuts[c]:cuts[c + 1]``
+    cuts: Tuple[int, ...]
+
+
+class ElemWalk(NamedTuple):
+    """Each element chunk's same-line run heads and element counts per
+    home cluster.
+
+    After a run's first access its line is the home ACP's MRU entry, so
+    the rest of the run are hits that change no state. A run restarts
+    at each chunk start, and every element heads its own run when the
+    stripe is not a multiple of the line (a line may then have two
+    homes).
+    """
+
+    #: address and home cluster of each run's first element
+    heads: np.ndarray
+    head_home: np.ndarray
+    #: chunk ``c``'s runs are ``head_cuts[c]:head_cuts[c + 1]``
+    head_cuts: Tuple[int, ...]
+    #: home cluster and element count of each (chunk, home) group
+    home: np.ndarray
+    count: np.ndarray
+    #: chunk ``c``'s groups are ``cuts[c]:cuts[c + 1]``
+    cuts: Tuple[int, ...]
+
+
+Walk = Union[LineWalk, ElemWalk]
+
+
+def _chunk_of(cuts: Sequence[int]) -> np.ndarray:
+    """Chunk index of each value of a plan."""
+    return np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+
+
+def _group_cuts(group_chunk: np.ndarray, nchunks: int) -> Tuple[int, ...]:
+    """Cut points of groups sorted by chunk: chunk ``c``'s groups."""
+    return tuple(np.searchsorted(group_chunk, np.arange(nchunks + 1))
+                 .tolist())
+
+
+def _homes_of(addrs: np.ndarray, stripe: int, clusters: int) -> np.ndarray:
+    return ((addrs // stripe) % clusters).astype(
+        np.min_scalar_type(clusters))
+
+
+def line_walk(plan: Plan, stripe: int, clusters: int) -> LineWalk:
+    """Group each chunk of a line plan by home cluster."""
+    flat, cuts = plan
+    nchunks = len(cuts) - 1
+    if not flat.size:
+        empty = np.empty(0, dtype=np.int64)
+        return LineWalk(flat, empty, empty, (0,) * (nchunks + 1))
+    home = _homes_of(flat, stripe, clusters)
+    chunk = _chunk_of(cuts)
+    code = chunk * clusters + home
+    start = _starts(code)
+    lines = flat
+    if start.size != np.count_nonzero(np.bincount(code)):
+        # a chunk comes back to a home: order its segments by where
+        # their homes first appear, each keeping program order
+        _, first, inverse = np.unique(code, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first[inverse.reshape(-1)], kind="stable")
+        lines = flat[order]
+        lines.flags.writeable = False
+        home, chunk = home[order], chunk[order]
+        start = _starts(code[order])
+    return LineWalk(lines, home[start],
+                    np.diff(np.append(start, flat.size)),
+                    _group_cuts(chunk[start], nchunks))
+
+
+def _starts(code: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal codes starts."""
+    return np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+
+
+def elem_walk(plan: Plan, stripe: int, clusters: int,
+              shift: int) -> ElemWalk:
+    """Each chunk's same-line run heads, in lines of ``1 << shift``
+    bytes, and its element count per home cluster."""
+    flat, cuts = plan
+    nchunks = len(cuts) - 1
+    size = flat.size
+    if not size:
+        empty = np.empty(0, dtype=np.int64)
+        zeros = (0,) * (nchunks + 1)
+        return ElemWalk(flat, empty, zeros, empty, empty, zeros)
+    bounds = np.asarray(cuts)
+    head = np.ones(size, dtype=bool)
+    if stripe % (1 << shift) == 0:
+        # same line => same home only when stripes are line-aligned
+        lines = flat >> shift
+        np.not_equal(lines[1:], lines[:-1], out=head[1:])
+        starts = bounds[:-1]
+        head[starts[starts < size]] = True
+    pos = np.flatnonzero(head)
+    heads = flat if pos.size == size else flat[pos]
+    heads.flags.writeable = False
+    head_home = _homes_of(heads, stripe, clusters)
+    head_cuts = np.concatenate(([0], np.cumsum(head)))[bounds]
+    # a run's elements share its head's home
+    count = np.bincount(
+        _chunk_of(head_cuts) * clusters + head_home,
+        weights=np.diff(np.append(pos, size))).astype(np.int64)
+    pairs = np.flatnonzero(count)
+    return ElemWalk(
+        heads, head_home, tuple(head_cuts.tolist()),
+        (pairs % clusters).astype(head_home.dtype), count[pairs],
+        _group_cuts(pairs // clusters, nchunks))
 
 
 def chunk_homes(plan: Plan, static: int, l3: NucaL3) -> List[int]:

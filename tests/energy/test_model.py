@@ -29,6 +29,36 @@ class TestLedgerBasics:
         with pytest.raises(AttributeError):
             led.charge("l1", "no_such_event")
 
+    def test_misspelt_event_raises_on_first_charge_and_counts_nothing(
+            self, monkeypatch):
+        """The event name is checked once per (component, event) pair,
+        on its first charge: a misspelt name raises there, every time,
+        and leaves no count, while later charges of a known pair do not
+        look the name up again."""
+        led = EnergyLedger()
+        led.charge("l1", "l1_access", 2)
+        for _ in range(2):
+            with pytest.raises(AttributeError):
+                led.charge("l1", "l1_acess", 3)
+        assert led.counts() == {("l1", "l1_access"): 2.0}
+        assert led.count("l1", "l1_acess") == 0.0
+        looked_up = []
+        table = type(led.table)
+        real = table.__getattribute__
+
+        def spy(self, name):
+            looked_up.append(name)
+            return real(self, name)
+
+        monkeypatch.setattr(table, "__getattribute__", spy)
+        led.charge("l1", "l1_access", 5)
+        led.charge("l2", "l2_access")
+        led.charge("l2", "l2_access", 4)
+        monkeypatch.undo()
+        assert looked_up == ["l2_access"]
+        assert led.counts() == {("l1", "l1_access"): 7.0,
+                                ("l2", "l2_access"): 5.0}
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             EnergyLedger().charge("l1", "l1_access", -1)

@@ -18,6 +18,7 @@ from repro.mem import MemoryHierarchy
 from repro.mem.cache import Cache
 from repro.noc.traffic import TrafficClass
 from repro.params import default_machine, experiment_machine
+from repro.runtime.streams import elem_walk, line_walk
 
 #: the Table III shapes (64-set L1), the scaled-down shapes the
 #: experiment matrix and the benchmark run (4-set L1, 8-set L2 and L3
@@ -53,6 +54,43 @@ def host_stream(seed: int, n: int = 3000):
     return addrs, is_write, stream_ids
 
 
+def walk_chunk(hier, local, addrs, is_write, elem_bytes=None, tally=None):
+    """Walk ``addrs`` as a one-chunk line plan or, given ``elem_bytes``,
+    element plan presented at ``local``: its chunk walk, its step and
+    state-free latency, then the batch walk. Charges the tally unless
+    one is passed in. Returns the chunk's latency and its step."""
+    l3 = hier.l3
+    plan = (addrs, (0, len(addrs)))
+    charge = tally is None
+    tally = tally or hier.accel_tally()
+    if elem_bytes is None:
+        walk = line_walk(plan, l3.stripe_bytes, l3.num_clusters)
+        steps, free = hier.accel_line_steps(walk, [local], is_write, tally)
+        lat = free[0] + hier.accel_line_fetch_batch(steps[0], is_write,
+                                                    tally)
+    else:
+        walk = elem_walk(plan, l3.stripe_bytes, l3.num_clusters,
+                         l3.slices[0].line_shift)
+        steps, free = hier.accel_elem_steps(walk, [local], is_write,
+                                            elem_bytes, tally)
+        lat = free[0] + hier.accel_elem_access_batch(steps[0], is_write,
+                                                     tally)
+    if charge:
+        hier.charge_accel(tally)
+    return lat, steps[0]
+
+
+def caches(hier):
+    return [hier.l1, hier.l2, *hier.l3.slices, *hier.acps]
+
+
+def assert_same_sets(fast, ref):
+    """LRU order and dirty bits of every cache set, counters aside."""
+    for a, b in zip(caches(fast), caches(ref)):
+        assert [list(s.items()) for s in a._sets] == [
+            list(s.items()) for s in b._sets]
+
+
 def assert_same_state(fast, fast_energy, ref, ref_energy):
     assert fast_energy.by_event() == ref_energy.by_event()
     assert fast_energy.total_pj() == ref_energy.total_pj()
@@ -62,14 +100,12 @@ def assert_same_state(fast, fast_energy, ref, ref_energy):
     assert fast.dram.writes == ref.dram.writes
     assert fast.traffic.breakdown() == ref.traffic.breakdown()
     assert fast.traffic.total_byte_hops() == ref.traffic.total_byte_hops()
-    for a, b in zip([fast.l1, fast.l2, *fast.l3.slices, *fast.acps],
-                    [ref.l1, ref.l2, *ref.l3.slices, *ref.acps]):
+    for a, b in zip(caches(fast), caches(ref)):
         assert (a.accesses, a.hits, a.misses, a.writebacks,
                 a.prefetch_fills) == (b.accesses, b.hits, b.misses,
                                       b.writebacks, b.prefetch_fills)
-        # LRU order and dirty bits, not just membership
-        assert [list(s.items()) for s in a._sets] == [
-            list(s.items()) for s in b._sets]
+    # LRU order and dirty bits, not just membership
+    assert_same_sets(fast, ref)
     if ref.prefetcher is not None:
         assert list(fast.prefetcher._table.items()) == list(
             ref.prefetcher._table.items())
@@ -161,7 +197,7 @@ def test_accel_line_fetch_batch_matches_scalar(is_write):
     fast, fast_energy = make_hierarchy()
     ref, ref_energy = make_hierarchy()
 
-    batch_lat = fast.accel_line_fetch_batch(2, addrs, is_write)
+    batch_lat, _ = walk_chunk(fast, 2, addrs, is_write)
     scalar_lat = sum(
         ref.accel_line_fetch(2, addr, is_write) for addr in addrs.tolist()
     )
@@ -173,13 +209,15 @@ def test_accel_line_fetch_batch_matches_scalar(is_write):
 @pytest.mark.parametrize("is_write", [False, True])
 def test_accel_line_fetch_batch_single_stripe_chunks(machine, is_write):
     """Chunks that each sit inside one stripe block, the common case in
-    an offload run, walk their one home slice as a single group.
-    200 chunks of 1-19 lines come from rotating local clusters; each
-    home has three stripe blocks, and each block is cut down to four
-    sets, so lines hit, conflict and evict."""
+    an offload run, walk their one home slice as a single segment.
+    200 chunks of 1-19 lines come from rotating local clusters and add
+    to one tally, charged once at the end; each home has three stripe
+    blocks, and each block is cut down to four sets, so lines hit,
+    conflict and evict."""
     rng = np.random.default_rng(19)
     fast, fast_energy = make_hierarchy(MACHINES[machine])
     ref, ref_energy = make_hierarchy(MACHINES[machine])
+    tally = fast.accel_tally()
     l3 = ref.l3
     stripe_lines = l3.stripe_bytes // 64
     sets = l3.slices[0].num_sets
@@ -193,10 +231,14 @@ def test_accel_line_fetch_batch_single_stripe_chunks(machine, is_write):
             block * stripe_lines + offsets).astype(np.int64) * 64
         assert len(set((addrs // l3.stripe_bytes).tolist())) == 1
         local = c % l3.num_clusters
-        batch_lat += fast.accel_line_fetch_batch(local, addrs, is_write)
+        lat, step = walk_chunk(fast, local, addrs, is_write, tally=tally)
+        assert len(step) == 1
+        batch_lat += lat
         scalar_lat += sum(ref.accel_line_fetch(local, addr, is_write)
                           for addr in addrs.tolist())
+        assert_same_sets(fast, ref)
     assert batch_lat == scalar_lat
+    fast.charge_accel(tally)
     assert_same_state(fast, fast_energy, ref, ref_energy)
     # the stream is not vacuous: lines hit and get evicted
     assert sum(s.hits for s in l3.slices) > 0
@@ -214,7 +256,7 @@ def test_accel_elem_access_batch_matches_scalar(elem_bytes, is_write):
     fast, fast_energy = make_hierarchy()
     ref, ref_energy = make_hierarchy()
 
-    batch_lat = fast.accel_elem_access_batch(1, addrs, is_write, elem_bytes)
+    batch_lat, _ = walk_chunk(fast, 1, addrs, is_write, elem_bytes)
     scalar_lat = sum(
         ref.accel_elem_access(1, addr, is_write, elem_bytes)
         for addr in addrs.tolist()
@@ -317,25 +359,30 @@ def mixed_accel_ops(l3, seed: int, n_ops: int = 240):
 def test_accel_batch_mixed_sequence_matches_scalar(monkeypatch, machine,
                                                    seed):
     """Line chunks, element chunks and demand-window accesses, mixed
-    as an offload run mixes them, leave the same state as the scalar
-    calls after every chunk, and no batch walk goes through
-    ``Cache.access``."""
+    as an offload run mixes them, leave the same set dicts as the scalar
+    calls after every chunk. The chunks add to a tally that is charged
+    after a few chunks, as a process charges when it ends, and every
+    charge leaves the same counters and ledgers. No batch walk goes
+    through ``Cache.access``."""
     fast, fast_energy = make_hierarchy(MACHINES[machine])
     ref, ref_energy = make_hierarchy(MACHINES[machine])
+    ops = mixed_accel_ops(ref.l3, seed)
+    ends = np.random.default_rng(seed + 100).random(len(ops)) < 0.3
+    ends[-1] = True
+    tally = fast.accel_tally()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("batch walk called Cache.access")
 
-    for kind, local, addrs, is_write, elem_bytes in mixed_accel_ops(
-            ref.l3, seed):
+    for (kind, local, addrs, is_write, elem_bytes), end in zip(ops, ends):
         with monkeypatch.context() as mp:
             mp.setattr(Cache, "access", forbidden)
             if kind == "lines":
-                batch_lat = fast.accel_line_fetch_batch(local, addrs,
-                                                        is_write)
+                batch_lat, _ = walk_chunk(fast, local, addrs, is_write,
+                                          tally=tally)
             elif kind == "elems":
-                batch_lat = fast.accel_elem_access_batch(
-                    local, addrs, is_write, elem_bytes)
+                batch_lat, _ = walk_chunk(fast, local, addrs, is_write,
+                                          elem_bytes, tally=tally)
             else:
                 window = fast.l3_demand_batch(from_node=local)
                 batch_lat = sum(window.access(a) for a in addrs.tolist())
@@ -350,7 +397,11 @@ def test_accel_batch_mixed_sequence_matches_scalar(monkeypatch, machine,
             else:
                 scalar_lat += ref.l3_demand(addr, from_node=local)
         assert batch_lat == scalar_lat
-        assert_same_state(fast, fast_energy, ref, ref_energy)
+        assert_same_sets(fast, ref)
+        if end:
+            fast.charge_accel(tally)
+            tally = fast.accel_tally()
+            assert_same_state(fast, fast_energy, ref, ref_energy)
     # the mix is not vacuous: dirty ACP victims retire into banks, and
     # lines come from DRAM
     assert sum(a.writebacks for a in ref.acps) > 0

@@ -133,14 +133,15 @@ class TestLineSize:
     def test_stream_fsms_move_whole_machine_lines(self, monkeypatch):
         """On a 128 B-line machine each fill/drain fetches every 128 B
         line of its chunk once, and the Figure 9 tally counts 128 B per
-        fetched line; the per-line reference path agrees."""
+        fetched line; the per-line reference path agrees. A chunk's
+        step holds its lines as (home, lines) segments."""
         machine = wide_line_machine()
         fetches = []
         real = MemoryHierarchy.accel_line_fetch_batch
 
-        def spy(self, cluster, line_addrs, is_write):
-            fetches.append(line_addrs.tolist())
-            return real(self, cluster, line_addrs, is_write)
+        def spy(self, step, is_write, tally):
+            fetches.append([addr for _, addrs in step for addr in addrs])
+            return real(self, step, is_write, tally)
 
         monkeypatch.setattr(MemoryHierarchy, "accel_line_fetch_batch", spy)
         monkeypatch.delenv(envcfg.REPRO_REFERENCE.name, raising=False)

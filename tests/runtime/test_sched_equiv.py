@@ -32,6 +32,7 @@ that the two loops agree on drawn process networks).
 import pytest
 
 from repro import envcfg
+from repro.energy import EnergyLedger
 from repro.errors import DeadlockError
 from repro.events import (
     Channel,
@@ -43,6 +44,7 @@ from repro.events import (
 )
 from repro.experiments.runner import BASELINE, PAPER_CONFIGS, ResultMatrix
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.noc import TrafficLedger
 from repro.params import experiment_machine
 from repro.runtime import engine
 from repro.sim import simulate_workload
@@ -109,20 +111,98 @@ def test_sched_engine_bit_identical(both_engines, workload, config):
 
 def test_sched_path_defaults_on(monkeypatch):
     """With ``REPRO_REFERENCE`` unset, offload runs fetch each chunk's
-    lines with one batched hierarchy call."""
+    lines with one batched hierarchy call, on the chunk's (home, lines)
+    segments, into its process's tally; each process charges its tally
+    once."""
     calls = []
+    charged = []
     real_fetch = MemoryHierarchy.accel_line_fetch_batch
+    real_charge = MemoryHierarchy.charge_accel
 
-    def spy(self, *args, **kwargs):
-        calls.append(args)
-        return real_fetch(self, *args, **kwargs)
+    def spy(self, step, is_write, tally):
+        calls.append((step, tally))
+        return real_fetch(self, step, is_write, tally)
+
+    def charge_spy(self, tally):
+        charged.append(tally)
+        return real_charge(self, tally)
 
     monkeypatch.delenv(envcfg.REPRO_REFERENCE.name, raising=False)
     monkeypatch.setattr(MemoryHierarchy, "accel_line_fetch_batch", spy)
+    monkeypatch.setattr(MemoryHierarchy, "charge_accel", charge_spy)
     result = simulate_workload(ALL_WORKLOADS["fdt"].build("tiny"),
                                "dist_da_f", machine=experiment_machine())
     assert result.validated
     assert calls
+    for step, _ in calls:
+        for home, lines in step:
+            assert isinstance(home, int) and lines
+            assert all(isinstance(addr, int) for addr in lines)
+    tallies = {id(tally) for _, tally in calls}
+    assert len(tallies) < len(calls)  # a tally serves a process's chunks
+    assert tallies <= {id(tally) for tally in charged}
+    assert len({id(tally) for tally in charged}) == len(charged)
+
+
+def results_of(result):
+    """Every metric of a cell that a figure or table reads."""
+    return (result.time_ps, result.insts, result.mem_ops, result.energy_nj,
+            result.movement_bytes, result.mmio_bytes,
+            result.accel_iterations, result.validated,
+            result.traffic_breakdown, result.cache_stats.as_dict(),
+            result.energy.by_event())
+
+
+@pytest.mark.parametrize("workload", ("fdt", "pr"))
+def test_chunk_walks_make_no_ledger_call(monkeypatch, workload):
+    """A chunk walk only walks the cache set dicts: no traffic record,
+    energy charge or DRAM charge runs while a line or element walk is
+    on the stack. The processes charge their tallies when they end,
+    and the cell equals its ``REPRO_REFERENCE=1`` run. ``fdt`` has
+    stream fills and drains, ``pr`` indirect element accesses."""
+    walking = []
+    walks = dict.fromkeys(("accel_line_fetch_batch",
+                           "accel_elem_access_batch"), 0)
+
+    def walk_spy(name):
+        real = getattr(MemoryHierarchy, name)
+
+        def walk(*args, **kwargs):
+            walking.append(name)
+            walks[name] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                walking.pop()
+
+        monkeypatch.setattr(MemoryHierarchy, name, walk)
+
+    def outside_walks(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            if walking:
+                raise AssertionError(f"{name} inside {walking[-1]}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    def run():
+        return simulate_workload(ALL_WORKLOADS[workload].build("tiny"),
+                                 "dist_da_f", machine=experiment_machine())
+
+    monkeypatch.delenv(envcfg.REPRO_REFERENCE.name, raising=False)
+    for name in walks:
+        walk_spy(name)
+    outside_walks(TrafficLedger, "record")
+    outside_walks(EnergyLedger, "charge")
+    outside_walks(MemoryHierarchy, "_dram_traffic")
+    result = run()
+    monkeypatch.undo()
+    assert walks["accel_line_fetch_batch"]
+    assert walks["accel_elem_access_batch"] or workload == "fdt"
+    monkeypatch.setenv(envcfg.REPRO_REFERENCE.name, "1")
+    assert results_of(result) == results_of(run())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Chunk plans: per-chunk line and element addresses, built once per
 recorded call and machine layout and shared by every configuration that
-replays the call."""
+replays the call; and their chunk walks: each line chunk's home
+segments and each element chunk's same-line run heads."""
 
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import envcfg
 from repro.experiments.runner import PAPER_CONFIGS, ResultMatrix
 from repro.ir import FLOAT32, INT32, Kernel, Loop, LoopVar, MemObject
 from repro.mem.nuca import NucaL3
@@ -19,6 +21,8 @@ from repro.runtime.streams import (
     _build_line_plan,
     _chunk_lines_ref,
     chunk_homes,
+    elem_walk,
+    line_walk,
 )
 
 from .test_engine import kernel_setup, saxpy_setup, wide_line_machine
@@ -77,6 +81,85 @@ def test_plans_match_per_chunk_slicing(stream, nchunks, eb, line_bytes,
         assert not plan[0].flags.writeable
         assert chunk_homes(plan, static, l3) == expected_homes(l3, plan,
                                                                 static)
+
+
+def home_segments_per_call(line_addrs, stripe, clusters):
+    """The per-call grouping the line walk replaced: the chunk's lines
+    by home cluster, in program order, homes in order of first
+    appearance."""
+    addr_list = line_addrs.tolist()
+    if not addr_list:
+        return []
+    block = min(addr_list) // stripe
+    if block == max(addr_list) // stripe:
+        return [(block % clusters, addr_list)]
+    groups = {}
+    for addr in addr_list:
+        groups.setdefault((addr // stripe) % clusters, []).append(addr)
+    return list(groups.items())
+
+
+def run_heads_per_call(addrs, stripe, clusters, shift):
+    """The per-call run detection the element walk replaced: (home,
+    head address) of each same-line run, and the element count per
+    home."""
+    n = len(addrs)
+    if n > 1 and stripe % (1 << shift) == 0:
+        lines = addrs >> shift
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        heads = addrs[starts].tolist()
+        bounds = starts.tolist()
+    else:
+        heads = addrs.tolist()
+        bounds = list(range(n))
+    bounds.append(n)
+    per_home = {}
+    runs = []
+    for r, addr in enumerate(heads):
+        h = (addr // stripe) % clusters
+        runs.append((h, addr))
+        per_home[h] = per_home.get(h, 0) + bounds[r + 1] - bounds[r]
+    return runs, per_home
+
+
+@settings(deadline=None, max_examples=200)
+@given(stream=element_streams(), nchunks=st.integers(1, 130),
+       eb=st.sampled_from((4, 8)), line_bytes=st.sampled_from((64, 128)),
+       stripe=st.sampled_from((256, 1024, 4096, 96, 1000)),
+       clusters=st.sampled_from((1, 2, 3, 8)))
+def test_walks_match_per_call_derivation(stream, nchunks, eb, line_bytes,
+                                         stripe, clusters):
+    """Each line chunk's home segments and each element chunk's run
+    heads and per-home counts equal what the per-call walks derived
+    from the chunk: monotone and non-monotone streams, empty chunks,
+    chunks across stripe blocks, and stripes that are not a multiple
+    of the line, where every element heads its own run."""
+    shift = line_bytes.bit_length() - 1
+    lines = _build_line_plan(stream, nchunks, BASE, eb, shift)
+    addrs = _build_addr_plan(stream, nchunks, BASE, eb)
+    lw = line_walk(lines, stripe, clusters)
+    ew = elem_walk(addrs, stripe, clusters, shift)
+    assert len(lw.cuts) == len(ew.cuts) == len(ew.head_cuts) == nchunks + 1
+    assert not lw.lines.flags.writeable and not ew.heads.flags.writeable
+    segment_lines = lw.lines.tolist()
+    ends = np.cumsum(lw.count).tolist()
+    segments = [(h, segment_lines[lo:hi]) for h, lo, hi
+                in zip(lw.home.tolist(), [0] + ends, ends)]
+    heads = list(zip(ew.head_home.tolist(), ew.heads.tolist()))
+    groups = list(zip(ew.home.tolist(), ew.count.tolist()))
+    for c in range(nchunks):
+        chunk = lines[0][lines[1][c]:lines[1][c + 1]]
+        assert segments[lw.cuts[c]:lw.cuts[c + 1]] == home_segments_per_call(
+            chunk, stripe, clusters)
+        runs, per_home = run_heads_per_call(
+            addrs[0][addrs[1][c]:addrs[1][c + 1]], stripe, clusters, shift)
+        assert heads[ew.head_cuts[c]:ew.head_cuts[c + 1]] == runs
+        assert dict(groups[ew.cuts[c]:ew.cuts[c + 1]]) == per_home
+    if stripe % line_bytes:
+        assert len(heads) == stream.size
 
 
 def test_tiny_replay_builds_each_plan_once(monkeypatch):
@@ -138,16 +221,38 @@ def wider_stripe_machine():
 @pytest.mark.parametrize("machine", [wide_line_machine,
                                      wider_stripe_machine])
 @pytest.mark.parametrize("setup", [saxpy_setup, gather_setup])
-def test_each_machine_layout_gets_its_own_plans(setup, machine):
+def test_each_machine_layout_gets_its_own_plans(setup, machine,
+                                                monkeypatch):
     """One record replayed on a machine with other line sizes or stripes
     (so other slab bases), and then on the first machine again, matches
     replays from fresh streams: a plan key that omitted the line shift
     or the base would hand it the other machine's plans. The second
-    machine's plans replace the first's rather than join them."""
+    machine's plans replace the first's rather than join them. A plan
+    keeps one chunk walk per L3 layout, and a replaced plan takes its
+    walks with it."""
     shared = setup(2048, machine=experiment_machine())[4]
     replay(setup, experiment_machine(), shared)
     held = sum(len(plans) for _, plans in shared._plans.values())
+    layouts = {site: layout for site, (layout, _) in shared._plans.items()}
+    first = {site: dict(walks) for site, walks in shared._walks.items()}
+    assert first
     assert replay(setup, machine(), shared) == replay(setup, machine())
     assert sum(len(plans) for _, plans in shared._plans.values()) == held
+
+    def walks_follow_plans():
+        for site, walks in shared._walks.items():
+            assert {key[:3] for key in walks} <= set(shared._plans[site][1])
+            kept = shared._plans[site][0] == layouts[site]
+            assert kept == all(walks.get(key) is walk
+                               for key, walk in first[site].items())
+
+    walks_follow_plans()
+    # a reference replay looks up plans but no walks: the plans it
+    # replaces take their walks with them
+    monkeypatch.setenv(envcfg.REPRO_REFERENCE.name, "1")
+    replay(setup, experiment_machine(), shared)
+    monkeypatch.delenv(envcfg.REPRO_REFERENCE.name)
+    assert len(shared._walks) < len(first)
+    walks_follow_plans()
     assert (replay(setup, experiment_machine(), shared)
             == replay(setup, experiment_machine()))
