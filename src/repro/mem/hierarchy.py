@@ -32,7 +32,7 @@ from .nuca import NucaL3
 from .prefetch import StridePrefetcher
 
 if TYPE_CHECKING:
-    from ..runtime.streams import ElemWalk, LineWalk, Walk
+    from ..runtime.streams import ElemWalk, LineWalk, Plan, Walk
 
 #: the traffic classes the hierarchy records, bound once: looking a
 #: member up on an Enum class runs Python, about ten times the cost of
@@ -68,7 +68,8 @@ class MemoryHierarchy:
     """The full Table III memory system."""
 
     def __init__(self, machine: MachineParams, energy: EnergyLedger,
-                 traffic: Optional[TrafficLedger] = None):
+                 traffic: Optional[TrafficLedger] = None,
+                 private_cache: bool = False):
         self.machine = machine
         self.energy = energy
         self.mesh = Mesh(machine.noc)
@@ -92,6 +93,15 @@ class MemoryHierarchy:
             Cache(acp_params, name=f"acp{i}")
             for i in range(machine.l3_clusters)
         ]
+        #: Mono-CA's private cache on the L3 bus (None elsewhere): every
+        #: line and element that accelerator touches goes through it, and
+        #: its misses and dirty victims go to their home slices
+        self.private: Optional[Cache] = Cache(
+            CacheParams(size_bytes=machine.mono_private_bytes, ways=4,
+                        latency_cycles=1, mshrs=8,
+                        line_bytes=machine.l3.line_bytes),
+            name="mono_ca_private",
+        ) if private_cache else None
         #: total bytes moved between hierarchy levels (fills + writebacks)
         self.movement_bytes = 0
         self._line = machine.l3.line_bytes
@@ -392,14 +402,19 @@ class MemoryHierarchy:
     # into what depends on cache state and what does not: a process
     # builds every chunk's step, state-free latency and state-free
     # counts once per run from its plan's chunk walk
-    # (:meth:`accel_line_steps`, :meth:`accel_elem_steps`); a walk then
+    # (:meth:`accel_line_steps`, :meth:`accel_elem_steps`, or on a
+    # machine with Mono-CA's private cache :meth:`l3_demand_steps`); a
+    # walk (:meth:`accel_line_fetch_batch`,
+    # :meth:`accel_elem_access_batch` or :meth:`l3_demand_batch`) then
     # only advances the set dicts, adds misses and dirty victims to the
     # process's :class:`AccelTally` and returns the latency they add;
     # and :meth:`charge_accel` charges the tally when the process ends.
-    # The counts are exact integers that nothing reads before a run
-    # ends, and both ledgers read them in a fixed order, so the results
-    # are bit-identical to the scalar path, which charges per access
-    # (enforced by tests/mem/test_batch_equiv.py and
+    # The Mono-CA walk's scalar reference is the engine's per-access
+    # private-cache lookup with :meth:`writeback_line_from` and
+    # :meth:`l3_demand`. The counts are exact integers that nothing
+    # reads before a run ends, and both ledgers read them in a fixed
+    # order, so the results are bit-identical to the scalar path, which
+    # charges per access (enforced by tests/mem/test_batch_equiv.py and
     # tests/sim/test_fastpath_equiv.py).
     # ------------------------------------------------------------------
     def host_access_batch(self, addrs: np.ndarray, is_write: np.ndarray,
@@ -574,21 +589,22 @@ class MemoryHierarchy:
                                        + l1_wbs + l2_wbs)
         return n_l2 * m.l2.latency_cycles + extra
 
-    def accel_line_steps(self, walk: "LineWalk", locals_: Sequence[int],
-                         is_write: bool, tally: "AccelTally"
-                         ) -> Tuple[list, List[int]]:
+    def accel_line_steps(self, walk: "LineWalk", lines: np.ndarray,
+                         locals_: Sequence[int], is_write: bool,
+                         tally: "AccelTally") -> Tuple[list, List[int]]:
         """Each chunk's step for :meth:`accel_line_fetch_batch` and the
         latency no cache state changes: a fill (or, with ``is_write``, a
-        drain) of the chunks of ``walk`` presented at cluster
-        ``locals_[c]``. Adds every count of those fetches that no cache
-        state changes to ``tally``: slice accesses, NoC messages, energy
-        events and remote bytes (see :meth:`accel_line_fetch`)."""
+        drain) of the chunks of ``walk``, the walk of the line plan whose
+        array is ``lines``, presented at cluster ``locals_[c]``. Adds
+        every count of those fetches that no cache state changes to
+        ``tally``: slice accesses, NoC messages, energy events and remote
+        bytes (see :meth:`accel_line_fetch`)."""
         m = self.machine
         line = self._line
         free, remote = self._chunk_costs(
             walk, locals_, line, is_write, 1 + m.l3_bank_latency,
             1 + m.l3.latency_cycles, tally, tally.l3_acc)
-        lines = walk.lines.tolist()
+        lines = lines.tolist()
         ends = np.cumsum(walk.count).tolist()
         segments = [(h, lines[lo:hi]) for h, lo, hi
                     in zip(walk.home.tolist(), [0] + ends, ends)]
@@ -640,7 +656,7 @@ class MemoryHierarchy:
         # integers below 2**53)
         per_pair = np.bincount(pair, weights=count)
         codes = np.flatnonzero(per_pair)
-        ctrl, data = tally.ctrl, tally.data
+        msgs = tally.msgs
         conv = self.latency.conv
         unit = np.zeros(per_pair.size, dtype=np.int64)
         remote = 0
@@ -652,10 +668,11 @@ class MemoryHierarchy:
                 remote += k
             unit[code] = ((near if h == local else far)
                           + conv(local, payload, is_write)[h])
-            key = (local, h)
-            ctrl[key] = ctrl.get(key, 0) + k
-            key = (local, h, payload) if is_write else (h, local, payload)
-            data[key] = data.get(key, 0) + k
+            key = ("ACC_CTRL", local, h, 0)
+            msgs[key] = msgs.get(key, 0) + k
+            key = (("ACC_DATA", local, h, payload) if is_write
+                   else ("ACC_DATA", h, local, payload))
+            msgs[key] = msgs.get(key, 0) + k
         summed = np.concatenate(([0], np.cumsum(count * unit[pair])))
         return (summed[bounds[1:]] - summed[bounds[:-1]]).tolist(), remote
 
@@ -778,14 +795,13 @@ class MemoryHierarchy:
         return AccelTally(self.l3.num_clusters)
 
     def charge_accel(self, tally: "AccelTally") -> None:
-        """Charge what one process's walks added up: the slice and ACP
-        counters, the NoC messages, the energy events, the DRAM fills
-        and writebacks (:meth:`_dram_traffic`) and the moved bytes."""
+        """Charge what one process's walks added up: the slice, ACP and
+        private-cache counters, the NoC messages, the energy events, the
+        DRAM fills and writebacks (:meth:`_dram_traffic`) and the moved
+        bytes. An empty tally charges nothing."""
         record = self.traffic.record
-        for (src, dst), count in tally.ctrl.items():
-            record(_ACC_CTRL, src, dst, 0, count)
-        for (src, dst, payload), count in tally.data.items():
-            record(_ACC_DATA, src, dst, payload, count)
+        for (name, src, dst, payload), count in tally.msgs.items():
+            record(TrafficClass[name], src, dst, payload, count)
         # an element's ACP miss reads its bank, and a dirty ACP victim
         # retires into one
         l3_events = tally.l3_events + sum(tally.acp_miss) + sum(
@@ -806,13 +822,119 @@ class MemoryHierarchy:
                                tally.acp_events)
         if l3_events:
             self.energy.charge("l3", "l3_access", l3_events)
+        if tally.private_acc:
+            self.private.add_counts(tally.private_acc, tally.private_miss,
+                                    tally.private_wbs)
+            self.energy.charge("accel", "private_cache_access",
+                               tally.private_acc)
         self.movement_bytes += tally.moved
 
-    def l3_demand_batch(self, from_node: int) -> "L3DemandWindow":
-        """Open a window over the repeated :meth:`l3_demand` calls of
-        one walk from one node (a Mono-CA chunk's private-cache misses).
-        Call :meth:`L3DemandWindow.flush` when the walk is done."""
-        return L3DemandWindow(self, from_node)
+    def l3_demand_steps(self, heads: "Plan", cuts: Sequence[int],
+                        locals_: Sequence[int], tally: "AccelTally"
+                        ) -> Tuple[list, List[int]]:
+        """Each chunk's step for :meth:`l3_demand_batch` and the latency
+        no cache state changes, on a machine with Mono-CA's private
+        cache. Chunk ``c`` makes ``cuts[c + 1] - cuts[c]`` private-cache
+        accesses of one cycle each, from cluster ``locals_[c]``, and
+        looks the cache up only at ``heads``: its lines, or the heads of
+        its elements' same-line runs, since the rest of a run hits the
+        line its head left most recently used. Adds the accesses to
+        ``tally``."""
+        addrs, at = heads
+        addrs = addrs.tolist()
+        tally.private_acc += cuts[-1] - cuts[0]
+        return ([(local, addrs[a:b])
+                 for local, a, b in zip(locals_, at, at[1:])],
+                [b - a for a, b in zip(cuts, cuts[1:])])
+
+    def l3_demand_batch(self, step: tuple, is_write: bool,
+                        tally: "AccelTally") -> int:
+        """Walk one Mono-CA chunk on the private cache's and the home
+        slices' set dicts; returns the latency its private-cache misses
+        add.
+
+        ``step`` is the requesting cluster and the addresses from
+        :meth:`l3_demand_steps`, looked up in program order. A miss
+        first retires a dirty victim into the victim's home slice, as
+        :meth:`writeback_line_from` does, then reads the missed line at
+        its own home slice, as :meth:`l3_demand` does. Misses, dirty
+        victims and the messages they send go to ``tally``.
+        """
+        node, addrs = step
+        pc = self.private
+        shift, npc, wpc, psets = pc.line_shift, pc.num_sets, pc.ways, \
+            pc._sets
+        l3 = self.l3
+        stripe, ncl = l3.stripe_bytes, l3.num_clusters
+        n3, w3 = l3.slices[0].num_sets, l3.slices[0].ways
+        l3_sets_of = self._l3_sets
+        fill = self.latency.fill
+        l3_miss, l3_wbs, dram_wbs = tally.l3_miss, tally.l3_wbs, \
+            tally.dram_wbs
+        # per home cluster: missed lines read there, and dirty victims
+        # retired into it
+        reads: Dict[int, int] = {}
+        retired: Dict[int, int] = {}
+        total = 0
+        for addr in addrs:
+            ln = addr >> shift
+            si = ln % npc
+            cset = psets[si]
+            tag = ln // npc
+            d = cset.pop(tag, _ABSENT)
+            if d is not _ABSENT:
+                cset[tag] = d or is_write  # move to MRU
+                continue
+            if len(cset) >= wpc:
+                vt = next(iter(cset))
+                if cset.pop(vt):
+                    vl = vt * npc + si
+                    vc = ((vl << shift) // stripe) % ncl
+                    retired[vc] = retired.get(vc, 0) + 1
+                    cset3 = l3_sets_of[vc][vl % n3]
+                    tag3 = vl // n3
+                    if cset3.pop(tag3, None) is None and len(cset3) >= w3:
+                        if cset3.pop(next(iter(cset3))):
+                            l3_wbs[vc] += 1
+                            dram_wbs[vc] += 1
+                    cset3[tag3] = True
+            cset[tag] = is_write
+            h = (addr // stripe) % ncl
+            reads[h] = reads.get(h, 0) + 1
+            cset3 = l3_sets_of[h][ln % n3]
+            tag3 = ln // n3
+            d = cset3.pop(tag3, _ABSENT)
+            if d is _ABSENT:
+                l3_miss[h] += 1
+                total += fill[h]
+                if len(cset3) >= w3 and cset3.pop(next(iter(cset3))):
+                    l3_wbs[h] += 1
+                    dram_wbs[h] += 1
+                cset3[tag3] = False
+            else:
+                cset3[tag3] = d
+        if not reads:
+            return total
+        line = self._line
+        row = self.latency.conv(node, line, False)
+        l3_lat = self.machine.l3.latency_cycles
+        msgs = tally.msgs
+        for h, k in reads.items():
+            total += k * (l3_lat + row[h])
+            tally.l3_acc[h] += k
+            for key in (("HOST_CTRL", node, h, 0),
+                        ("HOST_DATA", h, node, line)):
+                msgs[key] = msgs.get(key, 0) + k
+        for h, k in retired.items():
+            key = ("HOST_DATA", node, h, line)
+            msgs[key] = msgs.get(key, 0) + k
+        misses = sum(reads.values())
+        wbs = sum(retired.values())
+        tally.private_miss += misses
+        tally.private_wbs += wbs
+        tally.l3_events += misses + wbs
+        tally.moved += (misses + wbs) * line
+        return total
 
     # ------------------------------------------------------------------
     # flushes (coherence transitions)
@@ -930,8 +1052,9 @@ class AccelTally:
     """
 
     __slots__ = ("l3_acc", "l3_miss", "l3_alloc", "l3_wbs", "dram_wbs",
-                 "acp_acc", "acp_miss", "acp_wbs", "ctrl", "data",
-                 "acp_events", "l3_events", "moved")
+                 "acp_acc", "acp_miss", "acp_wbs", "private_acc",
+                 "private_miss", "private_wbs", "msgs", "acp_events",
+                 "l3_events", "moved")
 
     def __init__(self, clusters: int):
         #: per cluster: slice accesses of line fetches, slice misses,
@@ -946,85 +1069,21 @@ class AccelTally:
         self.acp_acc = [0] * clusters
         self.acp_miss = [0] * clusters
         self.acp_wbs = [0] * clusters
-        #: accelerator messages: (src, dst) -> request headers, and
-        #: (src, dst, payload bytes) -> data messages
-        self.ctrl: Dict[Tuple[int, int], int] = {}
-        self.data: Dict[Tuple[int, int, int], int] = {}
-        #: ACP-port energy events, the line fetches' L3 energy events
-        #: (an element's come from its ACP misses and dirty victims),
-        #: and the bytes that crossed the mesh
+        #: Mono-CA's private-cache accesses, misses and dirty victims
+        self.private_acc = 0
+        self.private_miss = 0
+        self.private_wbs = 0
+        #: (traffic class name, src, dst, payload bytes) -> messages:
+        #: the key of a message shape in the traffic ledger (a str hashes
+        #: in C, an Enum member in Python)
+        self.msgs: Dict[Tuple[str, int, int, int], int] = {}
+        #: ACP-port energy events, the L3 energy events of line fetches
+        #: and Mono-CA's misses and dirty victims (an element's come from
+        #: its ACP misses and dirty victims), and the bytes that crossed
+        #: the mesh
         self.acp_events = 0
         self.l3_events = 0
         self.moved = 0
-
-
-class L3DemandWindow:
-    """Repeated :meth:`MemoryHierarchy.l3_demand` calls of one walk from
-    one mesh node.
-
-    Each access walks its home slice's set dict, so the cache state
-    advances per access in program order. Accesses, misses and dirty
-    victims are tallied per home cluster, and :meth:`flush` hands each
-    home's tallies to the slice counters and the ledgers: the energy
-    charge, the two NoC records, the movement bytes and, through
-    :meth:`MemoryHierarchy._dram_traffic`, the DRAM fills and
-    writebacks. Latencies come from the hierarchy's
-    :class:`LatencyTable`.
-    """
-
-    __slots__ = ("hier", "from_node", "_row", "_counts", "_misses", "_wbs")
-
-    def __init__(self, hier: MemoryHierarchy, from_node: int):
-        self.hier = hier
-        self.from_node = from_node
-        #: the latency table's row for this node's line requests
-        self._row = hier.latency.conv(from_node, hier._line, False)
-        #: per home cluster: accesses, misses, dirty victims
-        self._counts: Dict[int, int] = {}
-        self._misses: Dict[int, int] = {}
-        self._wbs: Dict[int, int] = {}
-
-    def access(self, addr: int) -> int:
-        """One demand access; returns latency cycles (as l3_demand)."""
-        h = self.hier
-        l3 = h.l3
-        c = (addr // l3.stripe_bytes) % l3.num_clusters
-        counts = self._counts
-        counts[c] = counts.get(c, 0) + 1
-        slc = l3.slices[c]
-        ln = addr >> slc.line_shift
-        cset = slc._sets[ln % slc.num_sets]
-        tag = ln // slc.num_sets
-        latency = h.machine.l3.latency_cycles + self._row[c]
-        d = cset.pop(tag, _ABSENT)
-        if d is not _ABSENT:
-            cset[tag] = d  # move to MRU
-            return latency
-        self._misses[c] = self._misses.get(c, 0) + 1
-        if len(cset) >= slc.ways and cset.pop(next(iter(cset))):
-            self._wbs[c] = self._wbs.get(c, 0) + 1
-        cset[tag] = False
-        return latency + h.latency.fill[c]
-
-    def flush(self) -> None:
-        """Add the per-home tallies to the slice counters and charge
-        them to the ledgers."""
-        h = self.hier
-        line = h._line
-        record = h.traffic.record
-        node = self.from_node
-        for c, count in self._counts.items():
-            misses = self._misses.get(c, 0)
-            wbs = self._wbs.get(c, 0)
-            h.l3.slices[c].add_counts(count, misses, wbs)
-            h._dram_traffic(c, misses, wbs)
-            h.energy.charge("l3", "l3_access", count)
-            record(_HOST_CTRL, node, c, 0, count)
-            record(_HOST_DATA, c, node, line, count)
-            h.movement_bytes += count * line
-        self._counts.clear()
-        self._misses.clear()
-        self._wbs.clear()
 
 
 def _ps_to_cycles_int(ps: int, freq_ghz: float) -> int:

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..accel.base import PartitionProfile
 from ..compiler.pipeline import CompiledOffload
 from ..energy import EnergyLedger
@@ -27,7 +25,6 @@ from ..interface.config import AccessConfig, AccessKind, PartitionConfig
 from ..interface.intrinsics import mmio_bytes
 from ..interface.scheduler import HardwareScheduler
 from ..ir.expr import Load
-from ..mem.cache import _ABSENT, Cache
 from ..mem.hierarchy import AccelTally, MemoryHierarchy
 from ..mem.slab import SlabAllocator
 from ..noc import TrafficClass
@@ -65,7 +62,6 @@ class OffloadEngine:
     def __init__(self, machine: MachineParams, hierarchy: MemoryHierarchy,
                  energy: EnergyLedger, slab: SlabAllocator, backend,
                  scheduler: Optional[HardwareScheduler] = None,
-                 private_cache: Optional[Cache] = None,
                  io_overlap: float = 1.0,
                  localized_control: bool = False,
                  user_scheduled: bool = False):
@@ -77,16 +73,15 @@ class OffloadEngine:
         self.scheduler = scheduler or HardwareScheduler(
             machine.l3_clusters, machine.access_unit
         )
-        #: Mono-CA's 8 KB private cache on the L3 bus (None otherwise)
-        self.private_cache = private_cache
         #: outstanding indirect accesses an accelerator core sustains
         #: (1 = blocking in-order; >1 with SW prefetch or dataflow)
         self.io_overlap = max(io_overlap, 1.0)
         #: DA configurations re-place each access unit at the cluster of
         #: the data it is currently sweeping (paper §V-B: "for every
         #: outer loop iteration, the home node placement decision is
-        #: repeated"); the centralized Mono-CA accelerator cannot move
-        self.migrating = private_cache is None
+        #: repeated"); the centralized Mono-CA accelerator, the one with
+        #: a private cache, cannot move
+        self.migrating = hierarchy.private is None
         #: BN annotation: the orchestrators own nested-loop control, so
         #: data-dependent inner bounds need no per-invocation host sync
         self.localized_control = localized_control
@@ -115,22 +110,23 @@ class OffloadEngine:
     # ------------------------------------------------------------------
     def _line_fetch(self, cluster: int, addr: int, is_write: bool) -> int:
         """One line between buffer and memory system; returns cycles."""
-        if self.private_cache is None:
-            return self.hierarchy.accel_line_fetch(cluster, addr, is_write)
+        hierarchy = self.hierarchy
+        if hierarchy.private is None:
+            return hierarchy.accel_line_fetch(cluster, addr, is_write)
         # Mono-CA: every line crosses the L3 bus into the private cache
         self.energy.charge("accel", "private_cache_access")
-        out = self.private_cache.access(addr, is_write)
+        out = hierarchy.private.access(addr, is_write)
         latency = 1
         if out.evicted and out.evicted[1]:
-            self.hierarchy.writeback_line_from(out.evicted[0], cluster)
+            hierarchy.writeback_line_from(out.evicted[0], cluster)
         if not out.hit:
-            latency += self.hierarchy.l3_demand(addr, from_node=cluster)
+            latency += hierarchy.l3_demand(addr, from_node=cluster)
         return latency
 
     def _elem_access(self, cluster: int, addr: int, is_write: bool,
                      elem_bytes: int) -> int:
         """One element, in place at its home bank (cp_read/cp_write)."""
-        if self.private_cache is None:
+        if self.hierarchy.private is None:
             return self.hierarchy.accel_elem_access(
                 cluster, addr, is_write, elem_bytes
             )
@@ -149,52 +145,6 @@ class OffloadEngine:
                        for addr in addrs.tolist())
         return sum(self._elem_access(cluster, addr, is_write, elem_bytes)
                    for addr in addrs.tolist())
-
-    def _walk_private(self, step: tuple, is_write: bool, tally) -> int:
-        """Mono-CA chunk walk of a (cluster, addresses, element bytes)
-        step: :meth:`_private_fetch_many`, which charges as it goes, so
-        ``tally`` stays empty."""
-        return self._private_fetch_many(step[0], step[1], is_write)
-
-    def _private_fetch_many(self, cluster: int, addrs: np.ndarray,
-                            is_write: bool) -> int:
-        """Mono-CA chunk replay: one program-order walk on the private
-        cache's set dicts; each miss's L3 access is pooled in an
-        :class:`~repro.mem.hierarchy.L3DemandWindow`."""
-        n = len(addrs)
-        if n == 0:
-            return 0
-        self.energy.charge("accel", "private_cache_access", n)
-        pc = self.private_cache
-        sets, nsets, ways = pc._sets, pc.num_sets, pc.ways
-        shift = pc.line_shift
-        writeback = self.hierarchy.writeback_line_from
-        window = self.hierarchy.l3_demand_batch(cluster)
-        demand = window.access
-        total = n  # 1 cycle per private-cache lookup
-        misses = wbs = 0
-        try:
-            for addr in addrs.tolist():
-                ln = addr >> shift
-                si = ln % nsets
-                cset = sets[si]
-                tag = ln // nsets
-                d = cset.pop(tag, _ABSENT)
-                if d is not _ABSENT:
-                    cset[tag] = d or is_write  # move to MRU
-                    continue
-                misses += 1
-                if len(cset) >= ways:
-                    vt = next(iter(cset))
-                    if cset.pop(vt):
-                        wbs += 1
-                        writeback(vt * nsets + si, cluster)
-                cset[tag] = is_write
-                total += demand(addr)
-        finally:
-            window.flush()
-        pc.add_counts(n, misses, wbs)
-        return total
 
     # ------------------------------------------------------------------
     # host configuration phase
@@ -269,7 +219,7 @@ class OffloadEngine:
         # their own cluster port
         shared_port = (
             Channel(sim, capacity=1, name="l3bus")
-            if self.private_cache is not None else None
+            if self.hierarchy.private is not None else None
         )
         if shared_port is not None:
             shared_port._items.append(object())  # the single port token
@@ -331,31 +281,30 @@ class _RunContext:
     #: combining: one FSM serves every access sharing a buffer)
     read_bufs: Dict[int, List[int]] = field(default_factory=dict)
     write_bufs: Dict[int, List[int]] = field(default_factory=dict)
-    #: the chunk walks every process binds and the charge that ends
-    #: each process (set by :meth:`build`)
+    #: the chunk walks every process binds (set by :meth:`build`)
     fetch_lines: Callable[..., int] = field(init=False)
     access_elems: Callable[..., int] = field(init=False)
-    charge: Callable[[AccelTally], None] = field(init=False)
     #: whether the walks take their steps from the plans' chunk walks
+    #: (the production path; REPRO_REFERENCE=1 turns it off)
     walk_plans: bool = field(init=False)
 
     def build(self) -> None:
         engine = self.engine
         hierarchy = engine.hierarchy
-        # On the production path a distributed machine walks the cache
-        # set dicts from each plan's chunk walk, and each process charges
-        # its tally once. Mono-CA walks its private cache chunk by chunk,
-        # and REPRO_REFERENCE=1 makes one hierarchy call per line or
-        # element; both charge as they go.
-        self.walk_plans = engine._fast and engine.private_cache is None
-        if self.walk_plans:
+        # On the production path every process walks the cache set dicts
+        # from its plans' chunk walks into its tally, which it charges
+        # once when it ends; Mono-CA's lines and elements all go through
+        # its private cache. REPRO_REFERENCE=1 makes one hierarchy call
+        # per line or element, which charges as it goes and leaves the
+        # tally empty.
+        self.walk_plans = engine._fast
+        if not self.walk_plans:
+            self.fetch_lines = self.access_elems = engine._walk_each
+        elif hierarchy.private is not None:
+            self.fetch_lines = self.access_elems = hierarchy.l3_demand_batch
+        else:
             self.fetch_lines = hierarchy.accel_line_fetch_batch
             self.access_elems = hierarchy.accel_elem_access_batch
-            self.charge = hierarchy.charge_accel
-        else:
-            walk = engine._walk_private if engine._fast else engine._walk_each
-            self.fetch_lines = self.access_elems = walk
-            self.charge = _charged
         config = self.offload.config
         groups = self._serial_groups()
         for ch in config.channels:
@@ -531,6 +480,7 @@ class _RunContext:
         addresses in program order, element bytes or None for lines),
         and the walk returns the chunk's whole latency."""
         engine = self.engine
+        hierarchy = engine.hierarchy
         plan = flat, cuts = self._plan(acc, lines)
         nchunks = len(self.chunk_sizes)
         invariant = self._is_invariant(acc)
@@ -542,7 +492,7 @@ class _RunContext:
             eb = None if lines else acc.elem_bytes
             return plan, [(home, flat[lo:hi], eb) for home, lo, hi
                           in zip(homes, cuts, cuts[1:])], [0] * nchunks
-        l3 = engine.hierarchy.l3
+        l3 = hierarchy.l3
         if invariant:
             walk = line_walk(plan, l3.stripe_bytes, l3.num_clusters)
         else:
@@ -550,11 +500,15 @@ class _RunContext:
                 acc.site_ids, nchunks, engine.slab.by_name(acc.obj).base,
                 acc.elem_bytes, _line_shift(engine.machine), lines,
                 l3.stripe_bytes, l3.num_clusters)
-        if lines:
-            steps, free = engine.hierarchy.accel_line_steps(
-                walk, homes, acc.is_write, tally)
+        if hierarchy.private is not None:
+            heads = plan if lines else (walk.heads, walk.head_cuts)
+            steps, free = hierarchy.l3_demand_steps(heads, cuts, homes,
+                                                    tally)
+        elif lines:
+            steps, free = hierarchy.accel_line_steps(
+                walk, flat, homes, acc.is_write, tally)
         else:
-            steps, free = engine.hierarchy.accel_elem_steps(
+            steps, free = hierarchy.accel_elem_steps(
                 walk, homes, acc.is_write, acc.elem_bytes, tally)
         return plan, steps, free
 
@@ -600,7 +554,7 @@ class _RunContext:
             if give is not None:
                 yield give
             yield Put(tok, c)
-        self.charge(tally)
+        self.engine.hierarchy.charge_accel(tally)
         buf_n = flat.size
         # an invariant stream fetches one line for all its elements
         fsm_n = buf_n if invariant else self.site_streams.length(
@@ -630,7 +584,7 @@ class _RunContext:
             ))
             if give is not None:
                 yield give
-        self.charge(tally)
+        self.engine.hierarchy.charge_accel(tally)
         buf_n = flat.size
         if buf_n:
             energy = self.engine.energy
@@ -715,7 +669,7 @@ class _RunContext:
                 yield Put(ch, c)
             for tok in write_toks:
                 yield Put(tok, c)
-        self.charge(tally)
+        engine.hierarchy.charge_accel(tally)
         if trans_n:
             energy.charge("access_unit", "translation_lookup", trans_n)
             self.stats.d_a_bytes += d_a
@@ -723,7 +677,7 @@ class _RunContext:
         # operand reads/writes: access-unit SRAM buffers, or the
         # centralized private cache in Mono-CA
         operand_event = (
-            "private_cache_access" if engine.private_cache is not None
+            "private_cache_access" if engine.hierarchy.private is not None
             else "buffer_access"
         )
         energy.charge("access_unit", operand_event,
@@ -824,7 +778,7 @@ class _RunContext:
                 yield Put(self.channels[ch.channel_id], c)
             for tok in write_toks:
                 yield Put(tok, c)
-        self.charge(tally)
+        engine.hierarchy.charge_accel(tally)
         if trans_n:
             energy.charge("access_unit", "translation_lookup", trans_n)
             self.stats.d_a_bytes += d_a
@@ -840,10 +794,6 @@ class _RunContext:
         for (src, dst, payload), count in operand_recs.items():
             traffic.record(TrafficClass.ACC_DATA, src, dst, payload,
                            count=count)
-
-
-def _charged(tally: AccelTally) -> None:
-    """The end-of-process charge of walks that charge as they go."""
 
 
 def _line_shift(machine: MachineParams) -> int:

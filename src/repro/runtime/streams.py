@@ -10,7 +10,7 @@ values every chunk visit reads: one read-only array of all chunks' line
 or element addresses, and the ``n + 1`` cut points that slice it per
 chunk. Next to a plan, a *chunk walk* holds what the accelerator's
 cache walks need from it under one L3 layout and that no cache state
-changes: each line chunk's lines grouped by home cluster
+changes: each line chunk's runs of lines with one home cluster
 (:class:`LineWalk`), and each element chunk's same-line run heads with
 its element count per home (:class:`ElemWalk`). :class:`SiteStreams`
 builds each plan and walk once and shares them with every
@@ -190,17 +190,11 @@ def _chunk_lines_ref(elems: np.ndarray, base: int, eb: int,
 
 
 class LineWalk(NamedTuple):
-    """Each line chunk's lines grouped by home cluster.
-
-    A chunk's lines form one segment per home, in the order the homes
-    first appear in the chunk, each keeping program order: every L3
-    slice is an independent cache, so a walk segment by segment leaves
-    each slice as a walk in program order does.
+    """Each line chunk's lines as segments: the maximal runs of lines
+    with one home cluster, in program order, so the segments of all
+    chunks, concatenated, are the plan's array.
     """
 
-    #: the segments' lines (the plan's own array when every chunk's
-    #: homes already appear in one segment each)
-    lines: np.ndarray
     #: home cluster and line count of each segment
     home: np.ndarray
     count: np.ndarray
@@ -251,29 +245,16 @@ def _homes_of(addrs: np.ndarray, stripe: int, clusters: int) -> np.ndarray:
 
 
 def line_walk(plan: Plan, stripe: int, clusters: int) -> LineWalk:
-    """Group each chunk of a line plan by home cluster."""
+    """Cut each chunk of a line plan where its home cluster changes."""
     flat, cuts = plan
     nchunks = len(cuts) - 1
     if not flat.size:
         empty = np.empty(0, dtype=np.int64)
-        return LineWalk(flat, empty, empty, (0,) * (nchunks + 1))
+        return LineWalk(empty, empty, (0,) * (nchunks + 1))
     home = _homes_of(flat, stripe, clusters)
     chunk = _chunk_of(cuts)
-    code = chunk * clusters + home
-    start = _starts(code)
-    lines = flat
-    if start.size != np.count_nonzero(np.bincount(code)):
-        # a chunk comes back to a home: order its segments by where
-        # their homes first appear, each keeping program order
-        _, first, inverse = np.unique(code, return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first[inverse.reshape(-1)], kind="stable")
-        lines = flat[order]
-        lines.flags.writeable = False
-        home, chunk = home[order], chunk[order]
-        start = _starts(code[order])
-    return LineWalk(lines, home[start],
-                    np.diff(np.append(start, flat.size)),
+    start = _starts(chunk * clusters + home)
+    return LineWalk(home[start], np.diff(np.append(start, flat.size)),
                     _group_cuts(chunk[start], nchunks))
 
 

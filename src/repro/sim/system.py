@@ -19,14 +19,12 @@ from ..events import cycles_to_ps
 from ..interface.intrinsics import CoverageRecorder
 from ..ir.vecinterp import make_interpreter
 from ..ir.program import Kernel
-from ..mem.cache import Cache
 from ..mem.coherence import CoherenceManager, Domain
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.slab import SlabAllocator
 from ..obs import OBS
 from ..params import (
     PAGE_BYTES,
-    CacheParams,
     MachineParams,
     default_machine,
     mono_da_cgra_machine,
@@ -174,7 +172,8 @@ class SystemSimulator:
             build if instance is None else (lambda: instance)
         )
         energy = EnergyLedger(self.machine.energy)
-        hierarchy = MemoryHierarchy(self.machine, energy)
+        hierarchy = MemoryHierarchy(self.machine, energy,
+                                    private_cache=self.spec.private_cache)
         slab = SlabAllocator()
         stripe = hierarchy.l3.stripe_bytes
         # stripe alignment anchors each object at a home-cluster
@@ -266,17 +265,9 @@ class SystemSimulator:
                    ) -> RunResult:
         spec = self.spec
         backend = self._make_backend()
-        private = None
-        if spec.private_cache:
-            private = Cache(
-                CacheParams(size_bytes=self.machine.mono_private_bytes,
-                            ways=4, latency_cycles=1, mshrs=8,
-                            line_bytes=self.machine.l3.line_bytes),
-                name="mono_ca_private",
-            )
         engine = OffloadEngine(
             self.machine, hierarchy, energy, slab, backend,
-            private_cache=private, io_overlap=spec.io_overlap,
+            io_overlap=spec.io_overlap,
             localized_control=spec.localized_control,
             user_scheduled=spec.user_scheduled,
         )

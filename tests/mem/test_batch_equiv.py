@@ -31,9 +31,10 @@ MACHINES = {
 }
 
 
-def make_hierarchy(machine=default_machine):
+def make_hierarchy(machine=default_machine, private_cache=False):
     energy = EnergyLedger()
-    return MemoryHierarchy(machine(), energy), energy
+    return MemoryHierarchy(machine(), energy,
+                           private_cache=private_cache), energy
 
 
 def host_stream(seed: int, n: int = 3000):
@@ -54,34 +55,59 @@ def host_stream(seed: int, n: int = 3000):
     return addrs, is_write, stream_ids
 
 
-def walk_chunk(hier, local, addrs, is_write, elem_bytes=None, tally=None):
+def walk_chunk(hier, local, addrs, is_write, elem_bytes=None, tally=None,
+               mono=False):
     """Walk ``addrs`` as a one-chunk line plan or, given ``elem_bytes``,
     element plan presented at ``local``: its chunk walk, its step and
-    state-free latency, then the batch walk. Charges the tally unless
-    one is passed in. Returns the chunk's latency and its step."""
+    state-free latency, then the batch walk, through the distributed
+    walks or, with ``mono``, through Mono-CA's private cache. Charges
+    the tally unless one is passed in. Returns the chunk's latency and
+    its step."""
     l3 = hier.l3
     plan = (addrs, (0, len(addrs)))
     charge = tally is None
     tally = tally or hier.accel_tally()
     if elem_bytes is None:
         walk = line_walk(plan, l3.stripe_bytes, l3.num_clusters)
-        steps, free = hier.accel_line_steps(walk, [local], is_write, tally)
-        lat = free[0] + hier.accel_line_fetch_batch(steps[0], is_write,
-                                                    tally)
+        if mono:
+            steps, free = hier.l3_demand_steps(plan, plan[1], [local],
+                                               tally)
+        else:
+            steps, free = hier.accel_line_steps(walk, addrs, [local],
+                                                is_write, tally)
     else:
         walk = elem_walk(plan, l3.stripe_bytes, l3.num_clusters,
                          l3.slices[0].line_shift)
-        steps, free = hier.accel_elem_steps(walk, [local], is_write,
-                                            elem_bytes, tally)
-        lat = free[0] + hier.accel_elem_access_batch(steps[0], is_write,
-                                                     tally)
+        if mono:
+            steps, free = hier.l3_demand_steps(
+                (walk.heads, walk.head_cuts), plan[1], [local], tally)
+        else:
+            steps, free = hier.accel_elem_steps(walk, [local], is_write,
+                                                elem_bytes, tally)
+    batch = (hier.l3_demand_batch if mono
+             else hier.accel_line_fetch_batch if elem_bytes is None
+             else hier.accel_elem_access_batch)
+    lat = free[0] + batch(steps[0], is_write, tally)
     if charge:
         hier.charge_accel(tally)
     return lat, steps[0]
 
 
+def private_fetch(hier, local, addr, is_write):
+    """One Mono-CA access on the scalar path, as the offload engine's
+    reference makes it: the private cache's ``Cache.access``, a dirty
+    victim written back into its home slice, and a miss read at the
+    missed line's home slice. Returns its latency."""
+    hier.energy.charge("accel", "private_cache_access")
+    out = hier.private.access(addr, is_write)
+    if out.evicted and out.evicted[1]:
+        hier.writeback_line_from(out.evicted[0], local)
+    return 1 + (0 if out.hit else hier.l3_demand(addr, from_node=local))
+
+
 def caches(hier):
-    return [hier.l1, hier.l2, *hier.l3.slices, *hier.acps]
+    private = [hier.private] if hier.private is not None else []
+    return [hier.l1, hier.l2, *hier.l3.slices, *hier.acps, *private]
 
 
 def assert_same_sets(fast, ref):
@@ -265,34 +291,58 @@ def test_accel_elem_access_batch_matches_scalar(elem_bytes, is_write):
     assert_same_state(fast, fast_energy, ref, ref_energy)
 
 
-def test_l3_demand_window_matches_scalar():
-    """Mono-CA private-cache misses: the pooled window equals per-access
-    ``l3_demand``, and both carry the line back as a host-data cache
-    fill (no accelerator operand traffic)."""
-    rng = np.random.default_rng(17)
-    addrs = (np.int64(0x3000_0000)
-             + rng.integers(0, 1 << 19, 1200).astype(np.int64) * 64)
-    fast, fast_energy = make_hierarchy()
-    ref, ref_energy = make_hierarchy()
+def forbidden(*args, **kwargs):
+    raise AssertionError("batch walk called Cache.access")
 
-    window = fast.l3_demand_batch(from_node=3)
-    batch_lat = 0
-    try:
-        for addr in addrs.tolist():
-            batch_lat += window.access(addr)
-    finally:
-        window.flush()
-    scalar_lat = sum(
-        ref.l3_demand(addr, from_node=3)
-        for addr in addrs.tolist()
-    )
+
+def test_l3_demand_window_matches_scalar(monkeypatch):
+    """Mono-CA chunks: line chunks and element chunks with same-line
+    runs, from rotating clusters, walked through the private cache into
+    one tally that is charged at the end, equal per-access private-cache
+    lookups with ``writeback_line_from`` and ``l3_demand``, and leave
+    the same set dicts after every chunk. Both carry each line as a
+    host-data cache fill or writeback (no accelerator operand traffic).
+    No batch walk goes through ``Cache.access``."""
+    rng = np.random.default_rng(17)
+    fast, fast_energy = make_hierarchy(private_cache=True)
+    ref, ref_energy = make_hierarchy(private_cache=True)
+    pc, l3 = ref.private, ref.l3
+    # lines from twice the private cache's capacity at each of three
+    # stripe blocks, so chunks hit, miss, evict and write back
+    span = 2 * pc.num_sets * pc.ways
+    first = 0x3000_0000 // 64
+    tally = fast.accel_tally()
+    batch_lat = scalar_lat = 0
+    for c in range(80):
+        local = c % l3.num_clusters
+        is_write = c % 3 == 0
+        n = int(rng.integers(1, 30))
+        lines = (first + rng.integers(0, span, n)
+                 + l3.stripe_bytes // 64 * rng.integers(0, 3, n))
+        if c % 2:
+            elem_bytes = None
+            addrs = np.unique(lines) * 64
+        else:
+            elem_bytes = 4
+            runs = rng.integers(1, 6, n)
+            addrs = (np.repeat(lines * 64, runs)
+                     + 4 * rng.integers(0, 16, int(runs.sum())))
+        with monkeypatch.context() as mp:
+            mp.setattr(Cache, "access", forbidden)
+            lat, _ = walk_chunk(fast, local, addrs, is_write, elem_bytes,
+                                tally=tally, mono=True)
+        batch_lat += lat
+        scalar_lat += sum(private_fetch(ref, local, addr, is_write)
+                          for addr in addrs.tolist())
+        assert_same_sets(fast, ref)
+    fast.charge_accel(tally)
     assert batch_lat == scalar_lat
-    # every fill is CACHE_FILL (host data); nothing is an accelerator
-    # operand, and remote homes put the fills on the mesh
     for hier in (fast, ref):
         assert hier.traffic.class_bytes(TrafficClass.ACC_DATA) == 0
         assert hier.traffic.class_bytes(TrafficClass.HOST_DATA) > 0
     assert_same_state(fast, fast_energy, ref, ref_energy)
+    # the stream is not vacuous: lines hit, and dirty victims retire
+    assert pc.hits > 0 and pc.writebacks > 0
 
 
 def mixed_accel_ops(l3, seed: int, n_ops: int = 240):
@@ -300,9 +350,10 @@ def mixed_accel_ops(l3, seed: int, n_ops: int = 240):
     rotating local clusters: line chunks inside one stripe block,
     straddling a block boundary, or flooding one slice set with dirty
     lines; element chunks of 4- and 8-byte elements with same-line runs;
-    and L3 demand-window accesses. Every line falls in four sets of its
-    slice, so slices and ACPs conflict, evict and write back, and the
-    floods evict lines that an ACP still holds dirty."""
+    and Mono-CA line and element chunks through the private cache.
+    Every line falls in four sets of its slice, so slices, ACPs and the
+    private cache conflict, evict and write back, and the floods evict
+    lines that an ACP or the private cache still holds dirty."""
     rng = np.random.default_rng(seed)
     line = l3.slices[0].params.line_bytes
     stripe_lines = l3.stripe_bytes // line
@@ -340,17 +391,18 @@ def mixed_accel_ops(l3, seed: int, n_ops: int = 240):
             lines = np.unique(block + rng.integers(0, 4, n) + sets
                               * rng.integers(0, stripe_lines // sets, n))
             ops.append(("lines", local, lines * line, is_write, None))
-        elif kind == 1:
+        elif kind == 1 or i % 4 == 2:
             elem_bytes = (4, 8)[i % 2]
             runs = rng.integers(1, 7, int(rng.integers(1, 10)))
             heads = conflicting_lines(len(runs)) * line
             addrs = np.concatenate([
                 h + elem_bytes * np.arange(r) for h, r in zip(heads, runs)
             ]).astype(np.int64)
-            ops.append(("elems", local, addrs, is_write, elem_bytes))
+            ops.append(("elems" if kind == 1 else "mono", local, addrs,
+                        is_write, elem_bytes))
         else:
-            addrs = conflicting_lines(int(rng.integers(1, 8))) * line
-            ops.append(("window", local, addrs, False, None))
+            lines = np.unique(conflicting_lines(int(rng.integers(1, 8))))
+            ops.append(("mono", local, lines * line, is_write, None))
     return ops
 
 
@@ -358,35 +410,25 @@ def mixed_accel_ops(l3, seed: int, n_ops: int = 240):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_accel_batch_mixed_sequence_matches_scalar(monkeypatch, machine,
                                                    seed):
-    """Line chunks, element chunks and demand-window accesses, mixed
-    as an offload run mixes them, leave the same set dicts as the scalar
-    calls after every chunk. The chunks add to a tally that is charged
-    after a few chunks, as a process charges when it ends, and every
-    charge leaves the same counters and ledgers. No batch walk goes
-    through ``Cache.access``."""
-    fast, fast_energy = make_hierarchy(MACHINES[machine])
-    ref, ref_energy = make_hierarchy(MACHINES[machine])
+    """Line chunks, element chunks and Mono-CA chunks, mixed as offload
+    runs mix them, leave the same set dicts, the private cache's
+    included, as the scalar calls after every chunk. The chunks add to
+    one tally that is charged after a few chunks, as a process charges
+    when it ends, and every charge leaves the same counters and
+    ledgers. No batch walk goes through ``Cache.access``."""
+    fast, fast_energy = make_hierarchy(MACHINES[machine], True)
+    ref, ref_energy = make_hierarchy(MACHINES[machine], True)
     ops = mixed_accel_ops(ref.l3, seed)
     ends = np.random.default_rng(seed + 100).random(len(ops)) < 0.3
     ends[-1] = True
     tally = fast.accel_tally()
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("batch walk called Cache.access")
-
     for (kind, local, addrs, is_write, elem_bytes), end in zip(ops, ends):
         with monkeypatch.context() as mp:
             mp.setattr(Cache, "access", forbidden)
-            if kind == "lines":
-                batch_lat, _ = walk_chunk(fast, local, addrs, is_write,
-                                          tally=tally)
-            elif kind == "elems":
-                batch_lat, _ = walk_chunk(fast, local, addrs, is_write,
-                                          elem_bytes, tally=tally)
-            else:
-                window = fast.l3_demand_batch(from_node=local)
-                batch_lat = sum(window.access(a) for a in addrs.tolist())
-                window.flush()
+            batch_lat, _ = walk_chunk(fast, local, addrs, is_write,
+                                      elem_bytes, tally=tally,
+                                      mono=kind == "mono")
         scalar_lat = 0
         for addr in addrs.tolist():
             if kind == "lines":
@@ -395,16 +437,17 @@ def test_accel_batch_mixed_sequence_matches_scalar(monkeypatch, machine,
                 scalar_lat += ref.accel_elem_access(local, addr, is_write,
                                                     elem_bytes)
             else:
-                scalar_lat += ref.l3_demand(addr, from_node=local)
+                scalar_lat += private_fetch(ref, local, addr, is_write)
         assert batch_lat == scalar_lat
         assert_same_sets(fast, ref)
         if end:
             fast.charge_accel(tally)
             tally = fast.accel_tally()
             assert_same_state(fast, fast_energy, ref, ref_energy)
-    # the mix is not vacuous: dirty ACP victims retire into banks, and
-    # lines come from DRAM
+    # the mix is not vacuous: dirty ACP and private-cache victims retire
+    # into banks, and lines come from DRAM
     assert sum(a.writebacks for a in ref.acps) > 0
+    assert ref.private.writebacks > 0
     assert ref.dram.reads > 0
     if machine == "experiment":
         assert sum(s.writebacks for s in ref.l3.slices) > 0

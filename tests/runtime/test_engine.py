@@ -15,8 +15,9 @@ from repro.interface.scheduler import HardwareScheduler
 from repro.ir import FLOAT32, Interpreter, Kernel, Loop, LoopVar, MemObject
 from repro.mem import MemoryHierarchy, SlabAllocator
 from repro.mem.cache import Cache
-from repro.params import CacheParams, experiment_machine
+from repro.params import experiment_machine
 from repro.runtime import OffloadEngine, SiteStreams
+from repro.runtime.streams import elem_walk
 
 
 def saxpy_setup(n=256, mode=CompileMode.DIST, backend="io", machine=None):
@@ -221,62 +222,71 @@ class TestSchedulerFaults:
 
 
 def mono_engine(machine):
-    """An engine with Mono-CA's private cache, built like the system
-    simulator builds it."""
+    """An engine on a hierarchy with Mono-CA's private cache, built like
+    the system simulator builds it."""
     energy = EnergyLedger()
-    private = Cache(
-        CacheParams(size_bytes=machine.mono_private_bytes, ways=4,
-                    latency_cycles=1, mshrs=8,
-                    line_bytes=machine.l3.line_bytes),
-        name="mono_ca_private",
-    )
-    engine = OffloadEngine(machine, MemoryHierarchy(machine, energy),
-                           energy, SlabAllocator(),
-                           InOrderBackend(machine.inorder),
-                           private_cache=private)
+    engine = OffloadEngine(
+        machine, MemoryHierarchy(machine, energy, private_cache=True),
+        energy, SlabAllocator(), InOrderBackend(machine.inorder))
     return engine, energy
 
 
 class TestPrivateFetch:
-    """Mono-CA chunk replay, one walk on the private cache's set dicts,
-    matches the per-access reference loop at short and long chunk
-    lengths."""
+    """Mono-CA chunk replay, a walk on the private cache's and the
+    slices' set dicts into a tally charged once, matches the per-access
+    reference loop at short and long chunk lengths."""
 
     @pytest.mark.parametrize("n", [5, 15, 16, 200])
     @pytest.mark.parametrize("is_write", [False, True])
-    def test_matches_per_access(self, n, is_write):
+    def test_matches_per_access(self, monkeypatch, n, is_write):
         machine = experiment_machine()
         fast, fast_energy = mono_engine(machine)
         ref, ref_energy = mono_engine(machine)
-        pc = ref.private_cache
-        # element addresses over four times the private cache's lines;
-        # both caches start full of dirty lines, so chunks hit, evict
-        # and write back
+        fh, rh = fast.hierarchy, ref.hierarchy
+        pc = rh.private
+        # element addresses in same-line runs over four times the
+        # private cache's lines; both caches start full of dirty lines,
+        # so chunks hit, evict and write back
         rng = np.random.default_rng(29)
-        count = 200 + 6 * n
+        lines = rng.integers(0, 4 * pc.num_sets * pc.ways, 200 + 6 * n)
+        runs = rng.integers(1, 4, lines.size)
         addrs = (np.int64(0x1000_0000)
-                 + rng.integers(0, 4 * pc.num_sets * pc.ways, count)
-                 .astype(np.int64) * 64
-                 + rng.integers(0, 16, count).astype(np.int64) * 4)
+                 + np.repeat(lines, runs).astype(np.int64) * 64
+                 + rng.integers(0, 16, int(runs.sum())) * 4)
+        warm, addrs = addrs[:200], addrs[200:200 + 6 * n]
         for engine in (fast, ref):
-            for addr in addrs[:200].tolist():
+            for addr in warm.tolist():
                 engine._line_fetch(0, addr, True)
-        fast_lat = ref_lat = 0
-        for c in range(6):
-            chunk = addrs[200 + c * n:200 + (c + 1) * n]
-            cluster = c % machine.l3_clusters
-            fast_lat += fast._private_fetch_many(cluster, chunk, is_write)
-            ref_lat += sum(ref._line_fetch(cluster, addr, is_write)
-                           for addr in chunk.tolist())
+        # one plan of six n-element chunks from rotating clusters
+        cuts = tuple(range(0, 6 * n + 1, n))
+        locals_ = [c % machine.l3_clusters for c in range(6)]
+        l3 = fh.l3
+        walk = elem_walk((addrs, cuts), l3.stripe_bytes, l3.num_clusters,
+                         l3.slices[0].line_shift)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("batch walk called Cache.access")
+
+        tally = fh.accel_tally()
+        with monkeypatch.context() as mp:
+            mp.setattr(Cache, "access", forbidden)
+            steps, free = fh.l3_demand_steps((walk.heads, walk.head_cuts),
+                                             cuts, locals_, tally)
+            fast_lat = sum(free) + sum(fh.l3_demand_batch(step, is_write,
+                                                          tally)
+                                       for step in steps)
+        fh.charge_accel(tally)
+        ref_lat = sum(ref._elem_access(cluster, addr, is_write, 4)
+                      for cluster, lo, hi in zip(locals_, cuts, cuts[1:])
+                      for addr in addrs[lo:hi].tolist())
         assert fast_lat == ref_lat
         assert fast_energy.by_event() == ref_energy.by_event()
-        fh, rh = fast.hierarchy, ref.hierarchy
         assert fh.stats().as_dict() == rh.stats().as_dict()
         assert fh.movement_bytes == rh.movement_bytes
         assert fh.traffic.breakdown() == rh.traffic.breakdown()
         assert fh.dram.reads == rh.dram.reads
         assert fh.dram.writes == rh.dram.writes
-        for a, b in zip([fast.private_cache, *fh.l3.slices],
+        for a, b in zip([fh.private, *fh.l3.slices],
                         [pc, *rh.l3.slices]):
             assert (a.accesses, a.hits, a.misses, a.writebacks) == (
                 b.accesses, b.hits, b.misses, b.writebacks)

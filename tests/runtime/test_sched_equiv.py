@@ -153,29 +153,36 @@ def results_of(result):
             result.energy.by_event())
 
 
-@pytest.mark.parametrize("workload", ("fdt", "pr"))
-def test_chunk_walks_make_no_ledger_call(monkeypatch, workload):
+@pytest.mark.parametrize("config,workload", [
+    pytest.param("dist_da_f", "fdt", id="fdt"),
+    pytest.param("dist_da_f", "pr", id="pr"),
+    pytest.param("mono_ca", "fdt", id="mono_ca-fdt"),
+    pytest.param("mono_ca", "pr", id="mono_ca-pr"),
+])
+def test_chunk_walks_make_no_ledger_call(monkeypatch, config, workload):
     """A chunk walk only walks the cache set dicts: no traffic record,
-    energy charge or DRAM charge runs while a line or element walk is
+    energy charge or DRAM charge runs while a walk that
+    ``_RunContext.build`` binds (``fetch_lines``, ``access_elems``) is
     on the stack. The processes charge their tallies when they end,
     and the cell equals its ``REPRO_REFERENCE=1`` run. ``fdt`` has
-    stream fills and drains, ``pr`` indirect element accesses."""
+    stream fills and drains, ``pr`` indirect element accesses; on
+    Mono-CA both go through the private cache."""
     walking = []
-    walks = dict.fromkeys(("accel_line_fetch_batch",
-                           "accel_elem_access_batch"), 0)
+    walks = dict.fromkeys(("fetch_lines", "access_elems"), 0)
+    real_build = engine._RunContext.build
 
-    def walk_spy(name):
-        real = getattr(MemoryHierarchy, name)
+    def build(ctx):
+        real_build(ctx)
+        for name in walks:
+            def walk(*args, real=getattr(ctx, name), name=name):
+                walking.append(name)
+                walks[name] += 1
+                try:
+                    return real(*args)
+                finally:
+                    walking.pop()
 
-        def walk(*args, **kwargs):
-            walking.append(name)
-            walks[name] += 1
-            try:
-                return real(*args, **kwargs)
-            finally:
-                walking.pop()
-
-        monkeypatch.setattr(MemoryHierarchy, name, walk)
+            setattr(ctx, name, walk)
 
     def outside_walks(owner, name):
         real = getattr(owner, name)
@@ -189,18 +196,17 @@ def test_chunk_walks_make_no_ledger_call(monkeypatch, workload):
 
     def run():
         return simulate_workload(ALL_WORKLOADS[workload].build("tiny"),
-                                 "dist_da_f", machine=experiment_machine())
+                                 config, machine=experiment_machine())
 
     monkeypatch.delenv(envcfg.REPRO_REFERENCE.name, raising=False)
-    for name in walks:
-        walk_spy(name)
+    monkeypatch.setattr(engine._RunContext, "build", build)
     outside_walks(TrafficLedger, "record")
     outside_walks(EnergyLedger, "charge")
     outside_walks(MemoryHierarchy, "_dram_traffic")
     result = run()
     monkeypatch.undo()
-    assert walks["accel_line_fetch_batch"]
-    assert walks["accel_elem_access_batch"] or workload == "fdt"
+    assert walks["fetch_lines"]
+    assert walks["access_elems"] or workload == "fdt"
     monkeypatch.setenv(envcfg.REPRO_REFERENCE.name, "1")
     assert results_of(result) == results_of(run())
 

@@ -83,22 +83,6 @@ def test_plans_match_per_chunk_slicing(stream, nchunks, eb, line_bytes,
                                                                 static)
 
 
-def home_segments_per_call(line_addrs, stripe, clusters):
-    """The per-call grouping the line walk replaced: the chunk's lines
-    by home cluster, in program order, homes in order of first
-    appearance."""
-    addr_list = line_addrs.tolist()
-    if not addr_list:
-        return []
-    block = min(addr_list) // stripe
-    if block == max(addr_list) // stripe:
-        return [(block % clusters, addr_list)]
-    groups = {}
-    for addr in addr_list:
-        groups.setdefault((addr // stripe) % clusters, []).append(addr)
-    return list(groups.items())
-
-
 def run_heads_per_call(addrs, stripe, clusters, shift):
     """The per-call run detection the element walk replaced: (home,
     head address) of each same-line run, and the element count per
@@ -132,28 +116,35 @@ def run_heads_per_call(addrs, stripe, clusters, shift):
        clusters=st.sampled_from((1, 2, 3, 8)))
 def test_walks_match_per_call_derivation(stream, nchunks, eb, line_bytes,
                                          stripe, clusters):
-    """Each line chunk's home segments and each element chunk's run
-    heads and per-home counts equal what the per-call walks derived
-    from the chunk: monotone and non-monotone streams, empty chunks,
-    chunks across stripe blocks, and stripes that are not a multiple
-    of the line, where every element heads its own run."""
+    """Each line chunk's segments, concatenated, are the chunk in
+    program order; each segment has one home and the next one another.
+    Each element chunk's run heads and per-home counts equal what the
+    per-call walk derived from the chunk. Monotone and non-monotone
+    streams, empty chunks, chunks across stripe blocks, and stripes
+    that are not a multiple of the line, where every element heads its
+    own run."""
     shift = line_bytes.bit_length() - 1
     lines = _build_line_plan(stream, nchunks, BASE, eb, shift)
     addrs = _build_addr_plan(stream, nchunks, BASE, eb)
     lw = line_walk(lines, stripe, clusters)
     ew = elem_walk(addrs, stripe, clusters, shift)
     assert len(lw.cuts) == len(ew.cuts) == len(ew.head_cuts) == nchunks + 1
-    assert not lw.lines.flags.writeable and not ew.heads.flags.writeable
-    segment_lines = lw.lines.tolist()
+    assert not ew.heads.flags.writeable
+    # the segments cut the plan's own array
+    plan_lines = lines[0].tolist()
     ends = np.cumsum(lw.count).tolist()
-    segments = [(h, segment_lines[lo:hi]) for h, lo, hi
+    segments = [(h, plan_lines[lo:hi]) for h, lo, hi
                 in zip(lw.home.tolist(), [0] + ends, ends)]
     heads = list(zip(ew.head_home.tolist(), ew.heads.tolist()))
     groups = list(zip(ew.home.tolist(), ew.count.tolist()))
     for c in range(nchunks):
-        chunk = lines[0][lines[1][c]:lines[1][c + 1]]
-        assert segments[lw.cuts[c]:lw.cuts[c + 1]] == home_segments_per_call(
-            chunk, stripe, clusters)
+        chunk = plan_lines[lines[1][c]:lines[1][c + 1]]
+        chunk_segments = segments[lw.cuts[c]:lw.cuts[c + 1]]
+        assert [a for _, seg in chunk_segments for a in seg] == chunk
+        for h, seg in chunk_segments:
+            assert seg and {(a // stripe) % clusters for a in seg} == {h}
+        assert all(a[0] != b[0]
+                   for a, b in zip(chunk_segments, chunk_segments[1:]))
         runs, per_home = run_heads_per_call(
             addrs[0][addrs[1][c]:addrs[1][c + 1]], stripe, clusters, shift)
         assert heads[ew.head_cuts[c]:ew.head_cuts[c + 1]] == runs
