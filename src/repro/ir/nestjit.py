@@ -1,9 +1,9 @@
 """Per-nest Python specialization of the scalar interpreter.
 
 When :class:`~repro.ir.vecinterp.VecInterpreter` cannot vectorize a
-nest (true reductions, in-place stencils, data-dependent loop-carried
-flow), the tree-walking fallback pays full dispatch per dynamic
-operation. This module compiles such a nest into straight-line Python
+nest (reductions into few elements, in-place stencils, data-dependent
+loop-carried flow), the tree-walking fallback pays full dispatch per
+dynamic operation. This module compiles such a nest into straight-line Python
 source that mirrors :class:`~repro.ir.interp.Interpreter` semantics
 *operation for operation* — same evaluation order, same Python-number
 arithmetic (``_apply_binop`` inlined per static operand type), same

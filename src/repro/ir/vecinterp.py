@@ -27,9 +27,23 @@ vector must see the *same* index vector at every site, and that vector
 must be injective (checked with one ``np.unique``). Under that rule the
 only loop-carried hazard — a RAW through memory — provably cannot
 change any loaded value, so statement-at-a-time array evaluation equals
-the scalar interleaving. True reductions and in-place stencils fail the
-check and fall back; gathers, scatters and disjoint-object stencils
-vectorize.
+the scalar interleaving. In-place stencils fail the check and fall
+back; gathers, scatters and disjoint-object stencils vectorize.
+
+One repeated index is allowed: an in-place fold, a store
+``X[e] = X[e] op r`` with ``op`` one of ``+ - * min max``, where the
+load ``X[e]`` is an operand of the stored value and nothing else in the
+nest accesses ``X``. Then no load, count or trace entry depends on
+``X``'s values, so the nest runs vectorized as above and only ``X``'s
+stored values are recomputed: iterations that store to the same
+element are ranked by a stable sort of the store vector, and step ``t``
+applies every element's ``t``-th update at once, through the same
+operator kernel and store-cast guards as any other store. A fold with
+many steps per element (a running sum into one element) stays on the
+fallback, whose per-iteration cost is lower there (:data:`_FOLD_WIDTH`).
+
+Every fallback carries one reason code (:data:`FALLBACK_CODES`), and
+:class:`VecInterpreter` counts fallback nests per code.
 """
 
 from __future__ import annotations
@@ -71,9 +85,40 @@ _I64_MAX = 2 ** 63 - 1
 #: comparisons beyond it are exact in Python but rounded in numpy
 _F64_EXACT = 2 ** 53
 
+#: why a nest left the vector path, counted per code in
+#: :attr:`VecInterpreter.fallback_reasons`:
+#: ``repeated-index`` — a stored object repeats an index and is no fold;
+#: ``unequal-vectors`` — a stored object is accessed at unequal index
+#: vectors; ``narrow-fold`` — a fold with too many steps per element;
+#: ``scalar-error`` — the scalar path raises (out of bounds, zero
+#: divisor, square root of a negative, unbound name, zero step);
+#: ``int-range`` — a value leaves int64 or the stored dtype;
+#: ``float-semantics`` — libm ``exp``/``log``, NaN truthiness,
+#: ``int(float)``, mixed-type ``min``/``max``/``Select``;
+#: ``unsupported`` — a dtype, node kind or statement shape the vector
+#: path does not express
+FALLBACK_CODES = (
+    "repeated-index", "unequal-vectors", "narrow-fold", "scalar-error",
+    "int-range", "float-semantics", "unsupported",
+)
+
+#: operators of an in-place fold ``X[e] = X[e] op r``
+_FOLD_OPS = frozenset(("+", "-", "*", "min", "max"))
+#: a fold that repeats an index runs vectorized when its iterations
+#: number at least this many times its steps (elements updated per
+#: step, on average): each step costs about as much as three compiled
+#: fallback iterations (``benchmarks/perf/bench_fold.py``;
+#: EXPERIMENTS.md, "In-place folds on the vector path")
+_FOLD_WIDTH = 3
+
 
 class _Fallback(Exception):
     """This nest cannot be vectorized bit-identically; run it scalar."""
+
+    def __init__(self, code: str):
+        assert code in FALLBACK_CODES, code
+        super().__init__(code)
+        self.code = code
 
 
 class _Seq:
@@ -153,15 +198,48 @@ def _int_bounds(value) -> Tuple[int, int]:
 def _guard_i64(*corners: int) -> None:
     for c in corners:
         if not (_I64_MIN <= c <= _I64_MAX):
-            raise _Fallback
+            raise _Fallback("int-range")
+
+
+def _folds(loop: Loop) -> Dict[int, bool]:
+    """The nest's in-place folds: ``id(store)`` -> whether ``X[e]`` is
+    the left operand, for each store ``X[e] = X[e] op r`` whose object
+    the nest accesses nowhere else (at run time, the load's index vector
+    must still equal the store's)."""
+    accesses: Dict[str, List[object]] = {}  # per object, in visit order
+
+    def visit(stmt: Stmt) -> None:
+        exprs = (stmt.cond,) if isinstance(stmt, When) \
+            else stmt.expressions()
+        for expr in exprs:
+            for node in expr.walk():
+                if isinstance(node, Load):
+                    accesses.setdefault(node.obj, []).append(node)
+        if isinstance(stmt, (Loop, When)):
+            for inner in stmt.body:
+                visit(inner)
+        elif isinstance(stmt, Store):
+            accesses.setdefault(stmt.obj, []).append(stmt)
+
+    visit(loop)
+    folds: Dict[int, bool] = {}
+    for nodes in accesses.values():
+        if len(nodes) != 2 or not isinstance(nodes[1], Store):
+            continue
+        load, store = nodes
+        value = store.value
+        if (isinstance(value, BinOp) and value.op in _FOLD_OPS
+                and (value.lhs is load or value.rhs is load)):
+            folds[id(store)] = value.lhs is load
+    return folds
 
 
 class _NestRun:
     """Vectorized execution of one top-level loop nest.
 
     All effects (counts, iteration maps, array writes, trace emissions)
-    are buffered locally and folded into the shared interpreter state
-    only by :meth:`commit`, after every legality check passed — so a
+    are buffered locally and added to the shared interpreter state only
+    by :meth:`_commit`, after every legality check passed — so a
     :class:`_Fallback` at any point leaves the state untouched for the
     scalar re-run.
     """
@@ -183,14 +261,16 @@ class _NestRun:
         self.pending: Dict[str, np.ndarray] = {}
         self.emissions: List[_Emission] = []
         self.access: Dict[str, _AccessRecord] = {}
+        #: the nest's in-place fold stores (:func:`_folds`)
+        self.folds: Dict[int, bool] = {}
         self._uid = 0
 
     # -- top level ---------------------------------------------------------
     def execute(self, loop: Loop) -> Optional[Tuple]:
         root = _Ctx(1, {}, [], self._next_uid())
+        self.folds = _folds(loop)
         self._exec_loop(loop, root, _Seq())
-        self._check_legality()
-        self._fold_into_state()
+        self._commit()
         if not self.record_trace:
             return None
         return self._assemble_segment()
@@ -209,7 +289,7 @@ class _NestRun:
         up = self._index_vec(*self._eval(loop.upper, ctx, None, seq), ctx.n)
         step = loop.step
         if step == 0:
-            raise _Fallback  # scalar path raises InterpreterError
+            raise _Fallback("scalar-error")
         s_loop = seq.next()
         lo_b, up_b = _int_bounds(lo), _int_bounds(up)
         _guard_i64(up_b[0] - lo_b[1] - abs(step),
@@ -257,7 +337,7 @@ class _NestRun:
         if isinstance(stmt, Assign):
             if sel is not None:
                 # conditionally-assigned temps diverge per element
-                raise _Fallback
+                raise _Fallback("unsupported")
             ctx.env[stmt.name] = self._eval(stmt.value, ctx, None, seq)
             return
         if isinstance(stmt, Store):
@@ -278,26 +358,32 @@ class _NestRun:
             for inner in stmt.body:
                 self._exec_stmt(inner, ctx, sub, seq)
             return
-        raise _Fallback
+        raise _Fallback("unsupported")
 
     def _store(self, stmt: Store, ctx: _Ctx,
                sel: Optional[np.ndarray], seq: _Seq) -> None:
         m = ctx.n if sel is None else len(sel)
         idx = self._index_vec(*self._eval(stmt.index, ctx, sel, seq), m)
-        value, vf = self._eval(stmt.value, ctx, sel, seq)
-        arr = self._image(stmt.obj)
-        if arr is None or arr.dtype.kind not in "if":
-            raise _Fallback
-        if m and (int(idx.min()) < 0 or int(idx.max()) >= arr.size):
-            raise _Fallback  # scalar raises the bounds InterpreterError
-        self._record_access(stmt.obj, idx, True)
-        vals = self._materialize(value, vf, m)
-        self._guard_store_cast(arr.dtype, vals, vf)
+        x_left = self.folds.get(id(stmt))
+        if x_left is None:
+            value, vf = self._eval(stmt.value, ctx, sel, seq)
+        else:
+            # X[e] op r: the gathered X[e] goes stale once an element
+            # repeats, so only r is kept; _fold reloads X per step
+            operands = self._operands(stmt.value, ctx, sel, seq, m)
+            r, rf = operands[2:] if x_left else operands[:2]
+        arr = self._array(stmt.obj, idx, m)
+        self._record_access(stmt.obj, idx, True, fold=x_left is not None)
         if stmt.obj not in self.pending:
             arr = self.pending[stmt.obj] = arr.copy()
-        # duplicate scatter indices: numpy assigns in order, last wins —
-        # the same winner the scalar per-iteration store order picks
-        arr[idx] = vals
+        if x_left is None:
+            vals = self._materialize(value, vf, m)
+            self._guard_store_cast(arr.dtype, vals, vf)
+            # duplicate scatter indices: numpy assigns in order, last
+            # wins — the same winner the scalar per-iteration order picks
+            arr[idx] = vals
+        else:
+            self._fold(arr, idx, stmt.value.op, x_left, r, rf)
         self.counts.stores += m
         if m:  # the scalar path creates per-object entries lazily
             self.obj_accesses[stmt.obj] = (
@@ -318,13 +404,13 @@ class _NestRun:
         if not is_float:
             lo, hi = _int_bounds(vals)
             if lo < info.min or hi > info.max:
-                raise _Fallback
+                raise _Fallback("int-range")
             return
         if not np.isfinite(vals).all():
-            raise _Fallback
+            raise _Fallback("int-range")
         trunc = np.trunc(vals)
         if (trunc < info.min).any() or (trunc > info.max).any():
-            raise _Fallback
+            raise _Fallback("int-range")
 
     # -- expressions -------------------------------------------------------
     def _eval(self, expr: Expr, ctx: _Ctx, sel: Optional[np.ndarray],
@@ -336,7 +422,7 @@ class _NestRun:
         if kind is LoopVar or kind is Temp:
             entry = ctx.env.get(expr.name)
             if entry is None:
-                raise _Fallback  # scalar raises "unbound name"
+                raise _Fallback("scalar-error")  # "unbound name"
             v, f = entry
             if isinstance(v, np.ndarray) and sel is not None:
                 v = v[sel]
@@ -345,21 +431,13 @@ class _NestRun:
             try:
                 v = self.state.scalars[expr.name]
             except KeyError:
-                raise _Fallback from None
+                raise _Fallback("scalar-error") from None
             return v, isinstance(v, float)
         if kind is Load:
             return self._load(expr, ctx, sel, seq, m)
         if kind is BinOp:
-            lhs, lf = self._eval(expr.lhs, ctx, sel, seq)
-            rhs, rf = self._eval(expr.rhs, ctx, sel, seq)
-            op = expr.op
-            if op in COMPLEX_OPS:
-                self.counts.complex_ops += m
-            elif lf or rf:
-                self.counts.float_ops += m
-            else:
-                self.counts.int_ops += m
-            return self._binop(op, lhs, lf, rhs, rf)
+            return self._binop(expr.op,
+                               *self._operands(expr, ctx, sel, seq, m))
         if kind is UnaryOp:
             val, vf = self._eval(expr.operand, ctx, sel, seq)
             if expr.op in COMPLEX_OPS:
@@ -371,16 +449,26 @@ class _NestRun:
             return self._unop(expr.op, val, vf)
         if kind is Select:
             return self._select(expr, ctx, sel, seq, m)
-        raise _Fallback
+        raise _Fallback("unsupported")
+
+    def _operands(self, expr: BinOp, ctx: _Ctx, sel: Optional[np.ndarray],
+                  seq: _Seq, m: int) -> Tuple[object, bool, object, bool]:
+        """A binary op's operands in the scalar evaluation order, with
+        the op counted by their static types."""
+        lhs, lf = self._eval(expr.lhs, ctx, sel, seq)
+        rhs, rf = self._eval(expr.rhs, ctx, sel, seq)
+        if expr.op in COMPLEX_OPS:
+            self.counts.complex_ops += m
+        elif lf or rf:
+            self.counts.float_ops += m
+        else:
+            self.counts.int_ops += m
+        return lhs, lf, rhs, rf
 
     def _load(self, expr: Load, ctx: _Ctx, sel: Optional[np.ndarray],
               seq: _Seq, m: int) -> Tuple[object, bool]:
         idx = self._index_vec(*self._eval(expr.index, ctx, sel, seq), m)
-        arr = self._image(expr.obj)
-        if arr is None or arr.dtype.kind not in "if":
-            raise _Fallback
-        if m and (int(idx.min()) < 0 or int(idx.max()) >= arr.size):
-            raise _Fallback  # scalar raises the bounds InterpreterError
+        arr = self._array(expr.obj, idx, m)
         self._record_access(expr.obj, idx, False)
         self.counts.loads += m
         if m:  # the scalar path creates per-object entries lazily
@@ -414,7 +502,8 @@ class _NestRun:
         elif len(f_sel) == 0:
             out_f = tf
         elif tf != ff:
-            raise _Fallback  # per-element result types would diverge
+            # per-element result types would diverge
+            raise _Fallback("float-semantics")
         else:
             out_f = tf
         dtype = np.float64 if out_f else np.int64
@@ -431,7 +520,7 @@ class _NestRun:
             try:
                 res = _apply_binop(op, lhs, rhs)
             except InterpreterError:
-                raise _Fallback from None
+                raise _Fallback("scalar-error") from None
             return res, isinstance(res, float)
         out_float = lf or rf
         if op in ("+", "-", "*"):
@@ -453,12 +542,13 @@ class _NestRun:
             return l * r, out_float
         if op == "/":
             if self._any_zero(rhs):
-                raise _Fallback  # scalar raises (Interpreter/ZeroDivision)
+                # scalar raises (Interpreter/ZeroDivision)
+                raise _Fallback("scalar-error")
             if not out_float:
                 l, r = self._as_i64(lhs), self._as_i64(rhs)
                 if _int_bounds(l)[0] == _I64_MIN and \
                         bool((np.asarray(r) == -1).any()):
-                    raise _Fallback
+                    raise _Fallback("int-range")
                 q = np.floor_divide(l, r)
                 rem = l - q * r
                 # truncate toward zero, as the scalar reference does
@@ -467,12 +557,12 @@ class _NestRun:
             return (self._as_f64(lhs, lf) / self._as_f64(rhs, rf)), True
         if op == "%":
             if self._any_zero(rhs):
-                raise _Fallback  # scalar raises "modulo by zero"
+                raise _Fallback("scalar-error")  # "modulo by zero"
             if not out_float:
                 l, r = self._as_i64(lhs), self._as_i64(rhs)
                 if _int_bounds(l)[0] == _I64_MIN and \
                         bool((np.asarray(r) == -1).any()):
-                    raise _Fallback
+                    raise _Fallback("int-range")
                 return np.mod(l, r), False
             l = self._as_f64(lhs, lf)
             r = self._as_f64(rhs, rf)
@@ -483,7 +573,8 @@ class _NestRun:
             return np.where(mod == 0, np.copysign(0.0, r), mod), True
         if op in ("min", "max"):
             if lf != rf:
-                raise _Fallback  # result type varies per element
+                # result type varies per element
+                raise _Fallback("float-semantics")
             l, r = self._aligned(lhs, rhs, lf)
             # np.where mirrors `lhs if lhs <= rhs else rhs` exactly,
             # including NaN and signed-zero behavior
@@ -497,7 +588,7 @@ class _NestRun:
                 iv = rhs if lf else lhs
                 b = _int_bounds(iv)
                 if b[0] < -_F64_EXACT or b[1] > _F64_EXACT:
-                    raise _Fallback
+                    raise _Fallback("float-semantics")
             l, r = self._aligned(lhs, rhs, lf or rf)
             res = {
                 "==": l == r, "!=": l != r, "<": l < r,
@@ -506,12 +597,15 @@ class _NestRun:
             return np.asarray(res).astype(np.int64), False
         if op in ("&", "|", "^", "<<", ">>"):
             if lf or rf:
-                raise _Fallback  # int(float) per element; rare, scalar-only
+                # int(float) per element; rare, scalar-only
+                raise _Fallback("float-semantics")
             l, r = self._as_i64(lhs), self._as_i64(rhs)
             if op in ("<<", ">>"):
                 b = _int_bounds(r)
-                if b[0] < 0 or b[1] > 62:
-                    raise _Fallback  # ValueError / overflow territory
+                if b[0] < 0:
+                    raise _Fallback("scalar-error")  # negative shift count
+                if b[1] > 62:
+                    raise _Fallback("int-range")
                 if op == "<<":
                     lb = _int_bounds(l)
                     _guard_i64(lb[0] << b[1], lb[1] << b[1])
@@ -520,16 +614,17 @@ class _NestRun:
             fn = {"&": np.bitwise_and, "|": np.bitwise_or,
                   "^": np.bitwise_xor}[op]
             return fn(l, r), False
-        raise _Fallback
+        raise _Fallback("unsupported")
 
     def _unop(self, op: str, val, vf: bool):
         if not isinstance(val, np.ndarray):
             try:
                 res = _apply_unop(op, val)
             except InterpreterError:
-                raise _Fallback from None
+                raise _Fallback("scalar-error") from None
             if op in ("exp", "log"):
-                raise _Fallback  # libm vs numpy can differ in ULPs
+                # libm vs numpy can differ in ULPs
+                raise _Fallback("float-semantics")
             return res, isinstance(res, float)
         if op == "-":
             if not vf:
@@ -538,27 +633,30 @@ class _NestRun:
             return -val, vf
         if op == "abs":
             if not vf and _int_bounds(val)[0] == _I64_MIN:
-                raise _Fallback
+                raise _Fallback("int-range")
             return np.abs(val), vf
         if op == "sqrt":
             v = self._as_f64(val, vf)
             if bool((v < 0).any()):
-                raise _Fallback  # scalar raises InterpreterError
+                raise _Fallback("scalar-error")
             return np.sqrt(v), True
         if op == "floor":
             if not vf:
                 return val, False
             if not np.isfinite(val).all():
-                raise _Fallback  # math.floor raises on nan/inf
+                raise _Fallback("scalar-error")  # math.floor raises
             fl = np.floor(val)
             if bool((fl < _I64_MIN).any()) or bool((fl > _I64_MAX).any()):
-                raise _Fallback
+                raise _Fallback("int-range")
             return fl.astype(np.int64), False
         if op == "not":
             if vf and bool(np.isnan(val).any()):
-                raise _Fallback  # NaN is truthy in python, != 0 in numpy
+                # NaN is truthy in python, != 0 in numpy
+                raise _Fallback("float-semantics")
             return (val == 0).astype(np.int64), False
-        raise _Fallback  # exp / log / unknown
+        if op in ("exp", "log"):
+            raise _Fallback("float-semantics")
+        raise _Fallback("unsupported")
 
     # -- operand plumbing --------------------------------------------------
     @staticmethod
@@ -583,7 +681,7 @@ class _NestRun:
         try:
             return np.float64(float(v))  # CPython's exact int->float
         except OverflowError:
-            raise _Fallback from None
+            raise _Fallback("scalar-error") from None
 
     def _aligned(self, lhs, rhs, as_float: bool):
         if as_float:
@@ -604,24 +702,33 @@ class _NestRun:
             if not is_float:
                 return v
             if not np.isfinite(v).all():
-                raise _Fallback  # int(nan/inf) raises in the scalar path
+                # int(nan/inf) raises in the scalar path
+                raise _Fallback("scalar-error")
             t = np.trunc(v)
             if bool((t < _I64_MIN).any()) or bool((t > _I64_MAX).any()):
-                raise _Fallback
+                raise _Fallback("int-range")
             return t.astype(np.int64)
         iv = int(v)
         _guard_i64(iv)
         return np.full(m, iv, dtype=np.int64)
 
     # -- memory ------------------------------------------------------------
-    def _image(self, obj: str) -> Optional[np.ndarray]:
+    def _array(self, obj: str, idx: np.ndarray, m: int) -> np.ndarray:
+        """The current image of ``obj``, once ``idx`` is known to be a
+        legal access vector into it."""
         arr = self.pending.get(obj)
         if arr is None:
             arr = self.state.arrays.get(obj)
+        if arr is None:
+            raise _Fallback("scalar-error")  # unknown object
+        if arr.dtype.kind not in "if":
+            raise _Fallback("unsupported")
+        if m and (int(idx.min()) < 0 or int(idx.max()) >= arr.size):
+            raise _Fallback("scalar-error")  # out of bounds
         return arr
 
     def _record_access(self, obj: str, idx: np.ndarray,
-                       is_write: bool) -> None:
+                       is_write: bool, fold: bool = False) -> None:
         rec = self.access.get(obj)
         if rec is None:
             rec = self.access[obj] = _AccessRecord()
@@ -636,18 +743,58 @@ class _NestRun:
         # pass before their scalar re-run
         if rec.has_store and rec.instances > 1:
             if not rec.all_equal:
-                raise _Fallback
+                raise _Fallback("unequal-vectors")
+            if fold:
+                return  # the fold store orders its repeats itself
             if not rec.checked_unique:
                 rec.checked_unique = True
                 rec.unique = bool(
                     np.unique(rec.first).size == rec.first.size
                 )
             if not rec.unique:
-                raise _Fallback
+                raise _Fallback("repeated-index")
 
-    def _check_legality(self) -> None:
-        """Legality is enforced eagerly in :meth:`_record_access`; the
-        invariants it maintains make every surviving nest legal here."""
+    def _fold(self, arr: np.ndarray, idx: np.ndarray, op: str,
+              x_left: bool, r, rf: bool) -> None:
+        """``arr[idx[k]] = arr[idx[k]] op r[k]`` for k in program order.
+
+        A stable sort of ``idx`` ranks each iteration among the earlier
+        ones that store to its element; step t applies every element's
+        t-th update at once, so each element sees its updates in order.
+        """
+        m = len(idx)
+        if m == 0:
+            return
+        order = np.argsort(idx, kind="stable")
+        ordered = idx[order]
+        pos = np.arange(m)
+        head = np.ones(m, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+        rank = pos - np.maximum.accumulate(np.where(head, pos, 0))
+        per_step = np.bincount(rank)
+        steps = len(per_step)
+        if steps > 1 and steps * _FOLD_WIDTH > m:
+            raise _Fallback("narrow-fold")
+        # iterations grouped by step, each step's in sorted element order
+        by_step = order[np.argsort(rank, kind="stable")]
+        elems = idx[by_step]
+        if isinstance(r, np.ndarray):
+            r = r[by_step]
+        cuts = [0]
+        cuts.extend(np.cumsum(per_step).tolist())
+        xf = arr.dtype.kind == "f"
+        wide = np.float64 if xf else np.int64  # the scalar load's .item()
+        for t in range(steps):
+            a, b = cuts[t], cuts[t + 1]
+            e = elems[a:b]
+            x = arr[e].astype(wide)
+            other = r[a:b] if isinstance(r, np.ndarray) else r
+            if x_left:
+                vals, vf = self._binop(op, x, xf, other, rf)
+            else:
+                vals, vf = self._binop(op, other, rf, x, xf)
+            self._guard_store_cast(arr.dtype, vals, vf)
+            arr[e] = vals
 
     # -- trace emission ----------------------------------------------------
     def _emit(self, node, ctx: _Ctx, sel: Optional[np.ndarray],
@@ -707,7 +854,7 @@ class _NestRun:
         return site[order], obj[order], idx[order], w[order], tuple(names)
 
     # -- commit ------------------------------------------------------------
-    def _fold_into_state(self) -> None:
+    def _commit(self) -> None:
         st = self.state
         st.counts = st.counts.merged(self.counts)
         for k, v in self.iterations.items():
@@ -740,6 +887,8 @@ class VecInterpreter:
         self.vectorized_nests = 0
         self.fallback_nests = 0
         self.jit_nests = 0
+        #: fallback nests per reason code (:data:`FALLBACK_CODES`)
+        self.fallback_reasons: Dict[str, int] = {}
 
     def run(self, kernel: Kernel,
             arrays: Dict[str, np.ndarray],
@@ -770,8 +919,11 @@ class VecInterpreter:
                             self.record_trace)
             try:
                 seg = nest.execute(loop)
-            except _Fallback:
+            except _Fallback as exc:
                 self.fallback_nests += 1
+                self.fallback_reasons[exc.code] = (
+                    self.fallback_reasons.get(exc.code, 0) + 1
+                )
                 jit = nestjit.compiled_nest(kernel, nest_index, state,
                                             self.record_trace)
                 if jit is not None:

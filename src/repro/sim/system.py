@@ -17,7 +17,7 @@ from ..energy import EnergyLedger
 from ..errors import ConfigError
 from ..events import cycles_to_ps
 from ..interface.intrinsics import CoverageRecorder
-from ..ir.vecinterp import make_interpreter
+from ..ir.vecinterp import VecInterpreter, make_interpreter
 from ..ir.program import Kernel
 from ..mem.coherence import CoherenceManager, Domain
 from ..mem.hierarchy import MemoryHierarchy
@@ -224,6 +224,12 @@ class SystemSimulator:
             records.append(FunctionalCallRecord.from_interp(
                 call.kernel, call.scalars, res
             ))
+        if isinstance(interp, VecInterpreter):
+            # how each loop nest ran, and why it left the vector path
+            OBS.inc("interp.vec_nests", interp.vectorized_nests)
+            OBS.inc("interp.jit_nests", interp.jit_nests)
+            for code, n in interp.fallback_reasons.items():
+                OBS.inc(f"interp.fallback.{code}", n)
         workload, scale = key or (instance.name, "")  # never cached
         entry = WorkloadTrace(
             workload=workload, scale=scale, calls=records,

@@ -7,11 +7,12 @@ fuzzing surface in the tree — the hypothesis strategies in
 and it emits the kernel shapes that historically drove real bugs, far
 beyond 1-D elementwise: nested loops with affine multi-dimensional
 indexing, ``When``-guarded stores over data-dependent predicates,
-indirect gather/scatter accesses, loop-carried reductions,
-multi-kernel workloads chained through a shared intermediate object,
-large-magnitude INT64 division (operands beyond float64's exact-integer
-range), and degenerate loop bounds (zero-trip and statically-dead
-nests).
+indirect gather/scatter accesses, loop-carried reductions, in-place
+folds through repeated indices (``out[idx[i]] op= f(in[i])``, the
+pagerank scatter), multi-kernel workloads chained through a shared
+intermediate object, large-magnitude INT64 division (operands beyond
+float64's exact-integer range), and degenerate loop bounds (zero-trip
+and statically-dead nests).
 
 Every emitted case is *well-formed by construction*: it passes the
 static verifier with no ERROR findings and interprets without dynamic
@@ -32,6 +33,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..ir import (
     FLOAT32,
+    FLOAT64,
     INT32,
     INT64,
     Interpreter,
@@ -59,6 +61,7 @@ SHAPES = (
     "multi",
     "intdiv",
     "degenerate",
+    "scatter_add",
 )
 
 #: value-combining ops safe on arbitrary float data (no div-by-zero,
@@ -552,6 +555,61 @@ def _degenerate(rng: random.Random, seed: int) -> GeneratedCase:
     )
 
 
+def _scatter_add(rng: random.Random, seed: int) -> GeneratedCase:
+    """In-place fold through repeated indices:
+    ``out[idx[i]] = out[idx[i]] op f(in0[i])``.
+
+    One or two target elements give a fold with a step per iteration or
+    two (the vectorized interpreter leaves it to the fallback); eight or
+    more give a wide one (the vectorized interpreter ranks the repeats).
+    Accumulators are float32, float64 or int32; int32 terms stay small
+    (in {-1, 0, 1} under ``*``) so no sum or product leaves int32.
+    """
+    n = rng.randint(8, 48)
+    out_n = rng.randint(1, 2) if rng.random() < 0.5 else rng.randint(8, 48)
+    op = rng.choice(SAFE_OPS)
+    acc = rng.choice((FLOAT32, FLOAT64, INT32))
+    term_type = INT32 if acc is INT32 else FLOAT32
+    objects = {
+        "idx": MemObject("idx", n, INT32),
+        "in0": MemObject("in0", n, term_type),
+        "out": MemObject("out", out_n, acc),
+    }
+    idx, in0, out = objects["idx"], objects["in0"], objects["out"]
+    gen = np.random.default_rng(rng.getrandbits(31))
+    if acc is INT32:
+        bound = 1 if op == "*" else 50
+        data = gen.integers(-bound, bound + 1, size=n).astype(np.int32)
+        init = gen.integers(-bound, bound + 1, size=out_n).astype(np.int32)
+        term: Expr = in0[I]
+        cond = in0[I].ge(0)
+    else:
+        data = _input_data(rng, n)
+        init = _input_data(rng, out_n).astype(acc.numpy_dtype)
+        # products of terms near 1 neither overflow nor underflow
+        term = (in0[I] + 0.5) if op == "*" else (
+            in0[I] * round(rng.uniform(-2.0, 2.0), 3))
+        cond = in0[I].gt(round(rng.uniform(0.2, 0.6), 3))
+    acc_load = out[idx[I]]
+    value = (BinOp(op, acc_load, term) if rng.random() < 0.7
+             else BinOp(op, term, acc_load))
+    body: List = [out.store(idx[I], value)]
+    if rng.random() < 0.3:
+        body = [When(cond, body)]
+    loop = Loop("i", 0, n, body)
+    kernel = Kernel("fz_scatter_add", objects, [loop], outputs=["out"])
+    arrays = {
+        "idx": _index_data(rng, n, out_n),
+        "in0": data,
+        "out": init,
+    }
+    return GeneratedCase(
+        name=f"scatter_add-{seed}", shape="scatter_add", seed=seed,
+        kernels=[kernel], calls=[("fz_scatter_add", {})], arrays=arrays,
+        outputs=["out"],
+    )
+
+
 _EMITTERS = {
     "elementwise": _elementwise,
     "nested": _nested,
@@ -562,6 +620,7 @@ _EMITTERS = {
     "multi": _multi,
     "intdiv": _intdiv,
     "degenerate": _degenerate,
+    "scatter_add": _scatter_add,
 }
 
 

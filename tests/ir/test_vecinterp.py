@@ -15,13 +15,17 @@ from repro.errors import InterpreterError
 from repro.ir import (
     FLOAT32,
     FLOAT64,
+    INT32,
     INT64,
+    Assign,
+    BinOp,
     Const,
     Interpreter,
     Kernel,
     Loop,
     LoopVar,
     MemObject,
+    Temp,
     UnaryOp,
     When,
 )
@@ -151,7 +155,8 @@ class TestVectorizationCoverage:
         assert vi.fallback_nests == 0
 
     def test_reduction_falls_back(self):
-        # non-injective store index: a loop-carried sum must stay scalar
+        # a running sum into one element: a fold with one element per
+        # step stays on the fallback
         k = self.reduction()
         arrays = rng_arrays(k)
         arrays["S"] = np.zeros(1, dtype=np.float64)
@@ -294,6 +299,314 @@ class TestVectorizationCoverage:
             outputs=["B"],
         )
         run_both(k, rng_arrays(k))
+
+
+def scatter_fold(op, x_dtype, n, elems, x_left=True, seed=0):
+    """``X[d[i]] = X[d[i]] op A[i]`` over ``n`` iterations into ``elems``
+    elements, with repeated, unsorted indices."""
+    D = MemObject("D", n, INT32)
+    A = MemObject("A", n, FLOAT64)
+    X = MemObject("X", elems, x_dtype)
+    i = LoopVar("i")
+    x, r = X[D[i]], A[i]
+    value = BinOp(op, x, r) if x_left else BinOp(op, r, x)
+    k = Kernel("fold", {"D": D, "A": A, "X": X},
+               [Loop("i", 0, n, [X.store(D[i], value)])], outputs=["X"])
+    arrays = rng_arrays(k, seed)
+    arrays["D"] = np.random.default_rng(seed).integers(
+        0, elems, n).astype(np.int32)
+    return k, arrays
+
+
+class TestInPlaceFolds:
+    """``X[e] = X[e] op r`` with repeated ``e`` runs on the vector path,
+    bit-identical to the tree walker, when it has enough elements per
+    step; every other shape that repeats a stored index falls back."""
+
+    def test_indirect_float32_scatter_add(self):
+        k, arrays = scatter_fold("+", FLOAT32, 200, 16)
+        assert len(np.unique(arrays["D"])) < 200  # repeats, unsorted
+        assert not (np.diff(arrays["D"]) >= 0).all()
+        _, _, vi = run_both(k, arrays)
+        assert vi.vectorized_nests == 1
+
+    def test_pca_cov_shape(self):
+        # an affine innermost fold into float32 with float64 terms
+        n, d = 24, 5
+        D = MemObject("D", (n, d), FLOAT64)
+        mean = MemObject("mean", d, FLOAT64)
+        cov = MemObject("cov", (d, d), FLOAT32)
+        i, j, kk = LoopVar("i"), LoopVar("j"), LoopVar("k")
+        inner = Loop("k", 0, n, [
+            cov.store((i, j), cov[i, j]
+                      + (D[kk, i] - mean[i]) * (D[kk, j] - mean[j])),
+        ])
+        k = Kernel("cov", {"D": D, "mean": mean, "cov": cov},
+                   [Loop("i", 0, d, [Loop("j", 0, d, [inner])])],
+                   outputs=["cov"])
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert vi.vectorized_nests == 1
+
+    @pytest.mark.parametrize("op,x_left", [("-", True), ("+", False)])
+    def test_float64_fold(self, op, x_left):
+        k, arrays = scatter_fold(op, FLOAT64, 150, 12, x_left=x_left)
+        _, _, vi = run_both(k, arrays)
+        assert vi.vectorized_nests == 1
+
+    @pytest.mark.parametrize("x_dtype", [FLOAT32, FLOAT64])
+    @pytest.mark.parametrize("x_left", [True, False])
+    @pytest.mark.parametrize("op", ["min", "max"])
+    def test_min_max_fold_with_nan_and_inf(self, op, x_left, x_dtype):
+        k, arrays = scatter_fold(op, x_dtype, 120, 10, x_left=x_left)
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+        arrays["A"][::7] = np.resize(specials, len(arrays["A"][::7]))
+        arrays["X"][:3] = [np.nan, np.inf, -np.inf]
+        _, _, vi = run_both(k, arrays)
+        assert vi.vectorized_nests == 1
+
+    def test_int32_fold_leaving_int32_falls_back_with_nothing_committed(
+            self):
+        # each element's 17th of 40 additions leaves int32: the fold
+        # trips its store-dtype guard at a late step, and the fallback
+        # must raise the tree walker's error from the original state
+        n, elems = 320, 8
+        D = MemObject("D", n, INT32)
+        A = MemObject("A", n, INT32)
+        X = MemObject("X", elems, INT32)
+        i = LoopVar("i")
+        k = Kernel("ofl", {"D": D, "A": A, "X": X},
+                   [Loop("i", 0, n, [X.store(D[i], X[D[i]] + A[i])])],
+                   outputs=["X"])
+        arrays = {
+            "D": np.random.default_rng(1).permutation(
+                np.repeat(np.arange(elems), n // elems)).astype(np.int32),
+            "A": np.full(n, 2 ** 27, dtype=np.int32),
+            "X": np.zeros(elems, dtype=np.int32),
+        }
+        outs = []
+        for interp in (Interpreter(record_trace=True),
+                       VecInterpreter(record_trace=True)):
+            arrs = {name: v.copy() for name, v in arrays.items()}
+            with pytest.raises(OverflowError) as err:
+                interp.run(k, arrs)
+            outs.append((str(err.value), arrs))
+        assert outs[0][0] == outs[1][0]
+        for name in arrays:
+            np.testing.assert_array_equal(outs[0][1][name], outs[1][1][name])
+        assert interp.fallback_reasons == {"int-range": 1}
+        assert interp.vectorized_nests == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_injective_fold_vectorizes_at_any_length(self, n):
+        A = MemObject("A", n, FLOAT64)
+        X = MemObject("X", n, FLOAT32)
+        i = LoopVar("i")
+        k = Kernel("inj", {"A": A, "X": X},
+                   [Loop("i", 0, n, [X.store(i, X[i] * A[i])])],
+                   outputs=["X"])
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert vi.vectorized_nests == 1
+
+    def test_x_read_at_another_index_does_not_fold(self):
+        n = 40
+        D = MemObject("D", n, INT32)
+        A = MemObject("A", n, FLOAT64)
+        i = LoopVar("i")
+        k = Kernel("other", {"D": D, "A": A},
+                   [Loop("i", 0, n, [A.store(D[i], A[D[i]] + A[i])])],
+                   outputs=["A"])
+        arrays = rng_arrays(k)
+        arrays["D"] = np.random.default_rng(2).integers(
+            0, 8, n).astype(np.int32)
+        _, _, vi = run_both(k, arrays)
+        assert vi.fallback_reasons == {"unequal-vectors": 1}
+
+    def test_x_stored_by_a_second_statement_does_not_fold(self):
+        # the pca_mean shape: a fold in the inner loop, a rescale after it
+        n, d = 16, 6
+        D = MemObject("D", (n, d), FLOAT32)
+        mean = MemObject("mean", d, FLOAT32)
+        j, kk = LoopVar("j"), LoopVar("k")
+        k = Kernel("mean", {"D": D, "mean": mean}, [
+            Loop("j", 0, d, [
+                Loop("k", 0, n, [mean.store(j, mean[j] + D[kk, j])]),
+                mean.store(j, mean[j] * (1.0 / n)),
+            ]),
+        ], outputs=["mean"])
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert vi.fallback_reasons == {"repeated-index": 1}
+
+    def test_x_inside_its_own_index_does_not_fold(self):
+        n = 32
+        A = MemObject("A", n, INT64)
+        B = MemObject("B", n, INT64)
+        i = LoopVar("i")
+        k = Kernel("self", {"A": A, "B": B},
+                   [Loop("i", 0, n, [A.store(A[i], A[A[i]] + B[i])])],
+                   outputs=["A"])
+        arrays = {
+            "A": np.random.default_rng(3).integers(0, 4, n),
+            "B": np.arange(n, dtype=np.int64),
+        }
+        _, _, vi = run_both(k, arrays)
+        assert vi.fallback_reasons == {"unequal-vectors": 1}
+
+    @pytest.mark.parametrize("name,kwargs,folds", [
+        ("pr", {"num_nodes": 512}, {"pr_scatter"}),
+        ("pca", {"n": 64, "d": 6}, {"pca_cov"}),
+    ])
+    def test_workload_folds_identity(self, name, kwargs, folds):
+        inst_s = ALL_WORKLOADS[name].build("tiny", **kwargs)
+        inst_v = ALL_WORKLOADS[name].build("tiny", **kwargs)
+        vectorized = set()
+        for call_s, call_v in zip(inst_s.calls(), inst_v.calls()):
+            res_s = Interpreter(record_trace=True).run(
+                call_s.kernel, inst_s.arrays, call_s.scalars)
+            vi = VecInterpreter(record_trace=True)
+            res_v = vi.run(call_v.kernel, inst_v.arrays, call_v.scalars)
+            assert result_sig(res_s) == result_sig(res_v)
+            assert res_s.trace == res_v.trace
+            if vi.fallback_nests == 0:
+                vectorized.add(call_v.kernel.name)
+        for key in inst_s.arrays:
+            np.testing.assert_array_equal(inst_s.arrays[key],
+                                          inst_v.arrays[key])
+        assert folds <= vectorized
+
+
+    def test_generated_folds_reach_both_sides_of_the_width_rule(self):
+        # the scatter_add cases test_identity_per_shape draws
+        sides = set()
+        for seed in range(3):
+            case = generate_case(1000 * seed + 17, "scatter_add")
+            _, _, vi = run_both(case.kernel("fz_scatter_add"), case.arrays)
+            sides.add(tuple(vi.fallback_reasons) or "vector")
+        assert sides == {"vector", ("narrow-fold",)}
+
+
+class TestFallbackReasons:
+    """Every fallback nest is counted under one reason code."""
+
+    @staticmethod
+    def reasons(kernel, arrays, raises=None):
+        if raises is None:
+            vi = run_both(kernel, arrays)[2]
+        else:
+            vi = VecInterpreter(record_trace=True)
+            with pytest.raises(raises):
+                vi.run(kernel, arrays)
+        assert vi.fallback_nests == sum(vi.fallback_reasons.values())
+        return vi.fallback_reasons
+
+    def test_repeated_index(self):
+        n = 32
+        D = MemObject("D", n, INT32)
+        A = MemObject("A", n, FLOAT64)
+        B = MemObject("B", 4, FLOAT64)
+        i = LoopVar("i")
+        # B[e] * 0.5 + A[i]: the load is no operand of the stored op
+        k = Kernel("rep", {"D": D, "A": A, "B": B}, [Loop("i", 0, n, [
+            B.store(D[i], B[D[i]] * 0.5 + A[i])])], outputs=["B"])
+        arrays = rng_arrays(k)
+        arrays["D"] = (np.arange(n) % 4).astype(np.int32)
+        assert self.reasons(k, arrays) == {"repeated-index": 1}
+
+    def test_unequal_vectors(self):
+        n = 32
+        A = MemObject("A", n, FLOAT64)
+        i = LoopVar("i")
+        k = Kernel("scan", {"A": A},
+                   [Loop("i", 1, n, [A.store(i, A[i - 1] + A[i])])],
+                   outputs=["A"])
+        assert self.reasons(k, rng_arrays(k)) == {"unequal-vectors": 1}
+
+    def test_narrow_fold(self):
+        k = TestVectorizationCoverage().reduction()
+        arrays = rng_arrays(k)
+        arrays["S"] = np.zeros(1, dtype=np.float64)
+        assert self.reasons(k, arrays) == {"narrow-fold": 1}
+
+    def test_scalar_error(self, monkeypatch):
+        monkeypatch.setenv(OPT_OUT_ENV, "1")
+        n = 8
+        A = MemObject("A", n, FLOAT64)
+        i = LoopVar("i")
+        k = Kernel("oob", {"A": A},
+                   [Loop("i", 0, n + 4, [A.store(i, Const(1.0))])],
+                   outputs=["A"])
+        assert self.reasons(k, {"A": np.zeros(n)},
+                            raises=InterpreterError) == {"scalar-error": 1}
+
+    def test_int_range(self):
+        # A*B leaves int64; the scalar path's python ints divide it back
+        n = 8
+        A = MemObject("A", n, INT64)
+        B = MemObject("B", n, INT64)
+        C = MemObject("C", n, INT64)
+        i = LoopVar("i")
+        k = Kernel("wide", {"A": A, "B": B, "C": C},
+                   [Loop("i", 0, n, [C.store(i, (A[i] * B[i]) / B[i])])],
+                   outputs=["C"])
+        arrays = {
+            "A": np.full(n, 2 ** 40, dtype=np.int64),
+            "B": np.arange(1, n + 1, dtype=np.int64) * 2 ** 30,
+            "C": np.zeros(n, dtype=np.int64),
+        }
+        assert self.reasons(k, arrays) == {"int-range": 1}
+
+    def test_float_semantics(self):
+        n = 16
+        A = MemObject("A", n, FLOAT64)
+        B = MemObject("B", n, FLOAT64)
+        i = LoopVar("i")
+        k = Kernel("expk", {"A": A, "B": B},
+                   [Loop("i", 0, n, [B.store(i, UnaryOp("exp", A[i]))])],
+                   outputs=["B"])
+        assert self.reasons(k, rng_arrays(k)) == {"float-semantics": 1}
+
+    def test_unsupported(self):
+        # a temp assigned under a guard differs per element
+        n = 16
+        A = MemObject("A", n, FLOAT64)
+        B = MemObject("B", n, FLOAT64)
+        i = LoopVar("i")
+        k = Kernel("cond_temp", {"A": A, "B": B}, [Loop("i", 0, n, [
+            When(A[i].gt(0.5), [Assign("t", A[i] * 2.0),
+                                B.store(i, Temp("t"))]),
+        ])], outputs=["B"])
+        assert self.reasons(k, rng_arrays(k)) == {"unsupported": 1}
+
+    def test_codes_of_tiny_workloads(self):
+        got = {}
+        for name in ("pr", "pca", "adi", "pch"):
+            inst = ALL_WORKLOADS[name].build("tiny")
+            vi = VecInterpreter(record_trace=True)
+            for call in inst.calls():
+                vi.run(call.kernel, inst.arrays, call.scalars)
+            got[name] = (vi.vectorized_nests, vi.jit_nests,
+                         vi.fallback_reasons)
+        assert got == {
+            "pr": (4, 0, {}),
+            "pca": (1, 1, {"repeated-index": 1}),
+            "adi": (0, 4, {"unequal-vectors": 4}),
+            "pch": (0, 1, {"repeated-index": 1}),
+        }
+
+    def test_counts_reach_run_statistics(self):
+        from repro.obs import OBS
+        from repro.params import experiment_machine
+        from repro.sim import simulate_workload
+
+        OBS.reset()
+        simulate_workload(ALL_WORKLOADS["pca"].build("tiny"), "ooo",
+                          machine=experiment_machine())
+        counters = {name: n for name, n in OBS.counters.items()
+                    if name.startswith(("interp.fallback.",
+                                        "interp.vec_nests",
+                                        "interp.jit_nests"))}
+        OBS.reset()
+        assert counters == {"interp.vec_nests": 1, "interp.jit_nests": 1,
+                            "interp.fallback.repeated-index": 1}
 
 
 class TestFallbackErrorSemantics:
