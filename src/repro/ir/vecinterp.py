@@ -21,16 +21,37 @@ zero, out-of-bounds indices, NaN-sensitive truthiness — the nest falls
 back to the scalar interpreter *before any state is committed*: a nest
 either executes fully vectorized or exactly as the reference would have.
 
-Legality of vectorizing a nest is decided per memory object at run
-time: an object that is stored through more than one dynamic access
-vector must see the *same* index vector at every site, and that vector
-must be injective (checked with one ``np.unique``). Under that rule the
-only loop-carried hazard — a RAW through memory — provably cannot
-change any loaded value, so statement-at-a-time array evaluation equals
-the scalar interleaving. In-place stencils fail the check and fall
-back; gathers, scatters and disjoint-object stencils vectorize.
+Legality of vectorizing a nest is decided on the index vectors the
+full pass builds. The pass runs the nest statement at a time: in the
+order (body site, iteration). Every pair of accesses to one element of
+a stored object from two different iterations, at least one of them a
+store, must keep its scalar order under the order the nest runs in.
+The stores sorted by (element, program order), and each load's place
+among them, yield the pairs to check: each store against its element's
+previous store, each load against the last store of its element before
+it and the first after it (:class:`_Order`). An object that one
+iteration alone accesses per element needs no test; its vectors are
+equal and injective. Gathers, scatters, guarded
+updates of the element an iteration owns and disjoint-object stencils
+pass statement at a time. The test reasons per object name, so a call
+in which two names share memory runs every nest on the tree walker.
 
-One repeated index is allowed: an in-place fold, a store
+An in-place recurrence (Seidel-2D, ADI's sweeps, Needleman-Wunsch)
+fails that order, and may pass a wavefront schedule: the order
+(wavefront, body site, iteration) with wavefront ``t = c . k``, ``k``
+the per-loop iteration counters and ``c`` a small non-negative integer
+vector. The schedules are tried fewest wavefronts first. A wavefront
+nest must keep its trace and counts independent of values: every
+access of every stored object in one iteration table, and no ``When``,
+``Select``, fold, or load (directly or through a temp) in a subscript
+or loop bound. The full pass then still emits the trace and counts;
+only the stored values are recomputed, wavefront by wavefront, from the
+committed arrays, through the same operator kernels and store-cast
+guards, so a guard that trips in a late wavefront commits nothing. A
+schedule with fewer rows per wavefront than :data:`_WAVE_WIDTH` stays
+on the fallback, whose per-iteration cost is lower there.
+
+Folds are ordered by a schedule of their own: an in-place fold, a store
 ``X[e] = X[e] op r`` with ``op`` one of ``+ - * min max``, where the
 load ``X[e]`` is an operand of the stored value and nothing else in the
 nest accesses ``X``. Then no load, count or trace entry depends on
@@ -48,6 +69,8 @@ Every fallback carries one reason code (:data:`FALLBACK_CODES`), and
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -86,20 +109,25 @@ _I64_MAX = 2 ** 63 - 1
 _F64_EXACT = 2 ** 53
 
 #: why a nest left the vector path, counted per code in
-#: :attr:`VecInterpreter.fallback_reasons`:
-#: ``repeated-index`` — a stored object repeats an index and is no fold;
-#: ``unequal-vectors`` — a stored object is accessed at unequal index
-#: vectors; ``narrow-fold`` — a fold with too many steps per element;
+#: :attr:`VecInterpreter.fallback_reasons`. For a nest that no
+#: admissible schedule orders: ``repeated-index`` — a stored object
+#: repeats an index and is no fold; ``unequal-vectors`` — a stored
+#: object is accessed at unequal index vectors. Then:
+#: ``narrow-fold`` — a fold with too many steps per element;
+#: ``narrow-wavefront`` — only a schedule with too few rows per
+#: wavefront orders the nest;
 #: ``scalar-error`` — the scalar path raises (out of bounds, zero
 #: divisor, square root of a negative, unbound name, zero step);
 #: ``int-range`` — a value leaves int64 or the stored dtype;
 #: ``float-semantics`` — libm ``exp``/``log``, NaN truthiness,
 #: ``int(float)``, mixed-type ``min``/``max``/``Select``;
 #: ``unsupported`` — a dtype, node kind or statement shape the vector
-#: path does not express
+#: path does not express, or a conflict test too large for int64
+#: keys; ``aliased`` — two of the kernel's object names share memory
 FALLBACK_CODES = (
-    "repeated-index", "unequal-vectors", "narrow-fold", "scalar-error",
-    "int-range", "float-semantics", "unsupported",
+    "repeated-index", "unequal-vectors", "narrow-fold", "narrow-wavefront",
+    "scalar-error", "int-range", "float-semantics", "unsupported",
+    "aliased",
 )
 
 #: operators of an in-place fold ``X[e] = X[e] op r``
@@ -110,6 +138,20 @@ _FOLD_OPS = frozenset(("+", "-", "*", "min", "max"))
 #: fallback iterations (``benchmarks/perf/bench_fold.py``;
 #: EXPERIMENTS.md, "In-place folds on the vector path")
 _FOLD_WIDTH = 3
+#: a wavefront schedule runs vectorized when its iterations number at
+#: least this many times its wavefronts: each wavefront costs about as
+#: much as 8 to 16 compiled fallback iterations
+#: (``benchmarks/perf/bench_fold.py``; EXPERIMENTS.md, "In-place
+#: recurrences on the vector path")
+_WAVE_WIDTH = 12
+#: the conflict test of a nest that no wavefront can order looks at
+#: every this-many-th element first, and the test of a wavefront
+#: schedule at every this-many-th pair
+_SAMPLE = 61
+#: largest loop depth whose wavefront schedules are tried, and the
+#: largest per-loop coefficient
+_WAVE_DEPTH = 3
+_WAVE_COEF = 2
 
 
 class _Fallback(Exception):
@@ -139,51 +181,172 @@ class _Ctx:
 
     ``n`` rows in execution order; ``env`` maps loop vars and temps to
     ``(value, is_float)`` where value is an int64/float64 vector over
-    the table (or a Python scalar); ``prefix`` holds the hierarchical
-    order-key columns of every ancestor level.
+    the table (or a Python scalar), and ``env0`` is ``env`` before the
+    loop body assigned any temp; ``prefix`` holds the hierarchical
+    order-key columns of every ancestor level. ``loop`` is the table's
+    loop node, ``up`` the enclosing table, ``parent_idx`` each row's
+    row in ``up`` and ``offs`` each row's iteration counter of ``loop``
+    (all None for the root table).
     """
 
-    __slots__ = ("n", "env", "prefix", "uid")
+    __slots__ = ("n", "env", "env0", "prefix", "loop", "up",
+                 "parent_idx", "offs")
 
     def __init__(self, n: int, env: Dict[str, Tuple[object, bool]],
-                 prefix: List[np.ndarray], uid: int):
+                 prefix: List[np.ndarray],
+                 loop: Optional[Loop] = None, up: Optional["_Ctx"] = None,
+                 parent_idx: Optional[np.ndarray] = None,
+                 offs: Optional[np.ndarray] = None):
         self.n = n
         self.env = env
+        self.env0 = dict(env)
         self.prefix = prefix
-        self.uid = uid
+        self.loop = loop
+        self.up = up
+        self.parent_idx = parent_idx
+        self.offs = offs
+
+    def counters(self) -> List[np.ndarray]:
+        """Per-loop iteration counters of every row, outermost first."""
+        cols = []
+        rows = None
+        ctx = self
+        while ctx.loop is not None:
+            cols.append(ctx.offs if rows is None else ctx.offs[rows])
+            rows = ctx.parent_idx if rows is None else ctx.parent_idx[rows]
+            ctx = ctx.up
+        return cols[::-1]
 
 
-class _Emission:
-    """One static access site's dynamic accesses for one table."""
+class _Access:
+    """One static access site's dynamic accesses for one table: rows
+    ``sel`` of ``ctx`` (all rows when None), emitted ``seq``-th in the
+    table's scalar evaluation order."""
 
-    __slots__ = ("cols", "site", "obj", "idx", "is_write", "node_uid",
-                 "full")
+    __slots__ = ("node", "obj", "idx", "is_write", "ctx", "sel", "seq")
 
-    def __init__(self, cols: List[np.ndarray], site: int, obj: str,
-                 idx: np.ndarray, is_write: bool, node_uid: int,
-                 full: bool):
-        self.cols = cols
-        self.site = site
+    def __init__(self, node, obj: str, idx: np.ndarray, is_write: bool,
+                 ctx: _Ctx, sel: Optional[np.ndarray], seq: int):
+        self.node = node
         self.obj = obj
         self.idx = idx
         self.is_write = is_write
-        self.node_uid = node_uid
-        self.full = full
+        self.ctx = ctx
+        self.sel = sel
+        self.seq = seq
+
+    def rows(self) -> np.ndarray:
+        if self.sel is None:
+            return np.arange(self.ctx.n, dtype=np.int64)
+        return self.sel
+
+    def sample(self, stride: int) -> "_Access":
+        """The accesses to elements that ``stride`` divides."""
+        keep = self.idx % stride == 0
+        return _Access(self.node, self.obj, self.idx[keep], self.is_write,
+                       self.ctx, self.rows()[keep], self.seq)
+
+    def order_cols(self) -> List[np.ndarray]:
+        """Hierarchical program-order key columns of every access."""
+        sel = self.sel
+        cols = [c if sel is None else c[sel] for c in self.ctx.prefix]
+        cols.append(self.rows())
+        cols.append(np.full(len(self.idx), self.seq, dtype=np.int64))
+        return cols
 
 
-class _AccessRecord:
-    """Per-object runtime legality bookkeeping (see module docstring)."""
+class _Order:
+    """The pairs of accesses to one element, at least one a store, whose
+    order every schedule must keep, each as (earlier row, later row) in
+    scalar order: each store after its element's previous store, each
+    load after the last store of its element before it and before the
+    first store after it. The stores sorted by (element, program
+    order), and each load's place among them, yield the pairs.
 
-    __slots__ = ("first", "instances", "all_equal", "has_store",
-                 "checked_unique", "unique")
+    ``tie[k]`` says whether pair ``k`` runs in order statement at a
+    time, i.e. in the order (access record, row); a wavefront schedule
+    runs it in order when ``t(later row) - t(earlier row) + tie > 0``.
+    """
 
-    def __init__(self) -> None:
-        self.first: Optional[np.ndarray] = None
-        self.instances = 0
-        self.all_equal = True
-        self.has_store = False
-        self.checked_unique = False
-        self.unique = True
+    def __init__(self, accs: List[_Access], offsets: Dict[str, int]):
+        accs = [a for a in accs if len(a.idx)]
+        self.objs = [a.obj for a in accs]
+        if not accs:
+            self.row_b = self.row_a = self.rec_a = np.empty(0, np.int64)
+            self.tie = np.empty(0, dtype=bool)
+            return
+        k = len(accs)
+        lens = [len(a.idx) for a in accs]
+        elems = [a.idx + offsets[a.obj] for a in accs]
+        if all(a.ctx is accs[0].ctx for a in accs):
+            # one table: (row, record) is program order
+            span, rank = accs[0].ctx.n * k, None
+        else:
+            span = sum(lens)
+            rank = np.empty(span, dtype=np.int64)
+            rank[_program_order(accs)] = np.arange(span)
+        if (max(int(e.max()) for e in elems) + 1) * span >= 2 ** 62:
+            raise _Fallback("unsupported")  # the keys would leave int64
+        cuts = np.cumsum([0] + lens).tolist()
+
+        def key(j: int) -> np.ndarray:
+            """(element, program order) of record ``j``'s accesses."""
+            if rank is None:
+                return elems[j] * span + (accs[j].rows() * k + j)
+            return elems[j] * span + rank[cuts[j]:cuts[j + 1]]
+
+        st = [j for j, a in enumerate(accs) if a.is_write]
+        s_key = np.concatenate([key(j) for j in st] + [np.empty(0, np.int64)])
+        # each record's keys mostly ascend: a few long runs to merge
+        order = np.argsort(s_key, kind="stable")
+        s_key = s_key[order]
+        s_rec = np.repeat(np.array(st, dtype=np.int64),
+                          [lens[j] for j in st])[order]
+        s_row = np.concatenate([accs[j].rows() for j in st]
+                               + [np.empty(0, np.int64)])[order]
+        # a store of no element at each end: at a load's place ``pos``
+        # among the stores, ``below[pos]`` is the element of the store
+        # before it and ``above[pos]`` that of the store after it
+        s_elem = np.concatenate(([-1], s_key // span, [-1]))
+        below, above = s_elem[:-1], s_elem[1:]
+        q = np.flatnonzero(s_elem[1:-2] == s_elem[2:-1])
+        parts = [(s_row[q], s_row[q + 1], s_rec[q + 1],
+                  (s_rec[q] < s_rec[q + 1])
+                  | ((s_rec[q] == s_rec[q + 1]) & (s_row[q] < s_row[q + 1])))]
+        for j, a in enumerate(accs):
+            if a.is_write:
+                continue
+            pos = np.searchsorted(s_key, key(j))
+            rows = a.rows()
+            prev = np.flatnonzero(below[pos] == elems[j])
+            q = pos[prev] - 1
+            parts.append((s_row[q], rows[prev],
+                          np.full(len(q), j, dtype=np.int64), s_rec[q] < j))
+            nxt = np.flatnonzero(above[pos] == elems[j])
+            q = pos[nxt]
+            parts.append((rows[nxt], s_row[q], s_rec[q], j < s_rec[q]))
+        self.row_b, self.row_a, self.rec_a, self.tie = (
+            np.concatenate(col) for col in zip(*parts))
+
+    def failing_objects(self) -> set:
+        """Objects of the pairs out of order statement at a time."""
+        recs = np.unique(self.rec_a[~self.tie])
+        return {self.objs[r] for r in recs.tolist()}
+
+    def wave_ordered(self, counters: List[np.ndarray],
+                     coefs: Tuple[int, ...]) -> bool:
+        """Whether ``t = coefs . counters`` keeps every pair in order
+        (checked on every :data:`_SAMPLE`-th pair first, so a schedule
+        that fails usually fails at a fraction of the cost)."""
+        for sl in (slice(None, None, _SAMPLE), slice(None)):
+            rb, ra = self.row_b[sl], self.row_a[sl]
+            gap = self.tie[sl].astype(np.int64)
+            for c, k in zip(coefs, counters):
+                if c:
+                    gap += c * (k[ra] - k[rb])
+            if not bool((gap > 0).all()):
+                return False
+        return True
 
 
 def _int_bounds(value) -> Tuple[int, int]:
@@ -234,6 +397,59 @@ def _folds(loop: Loop) -> Dict[int, bool]:
     return folds
 
 
+def _values_steer(loop: Loop) -> bool:
+    """Whether a loaded value can change the nest's trace or counts: a
+    ``When`` or ``Select``, or a load (directly or through a temp) in a
+    subscript or loop bound."""
+    assigns: List[Assign] = []
+    keyed: List[Expr] = []  # subscripts and loop bounds
+    stack: List[Stmt] = [loop]
+    while stack:
+        stmt = stack.pop()
+        if isinstance(stmt, When):
+            return True
+        if isinstance(stmt, Loop):
+            stack.extend(stmt.body)
+            keyed.extend((stmt.lower, stmt.upper))
+        elif isinstance(stmt, Assign):
+            assigns.append(stmt)
+        elif isinstance(stmt, Store):
+            keyed.append(stmt.index)
+        for expr in stmt.expressions():
+            for node in expr.walk():
+                if isinstance(node, Select):
+                    return True
+                if isinstance(node, Load):
+                    keyed.append(node.index)
+    loaded: set = set()  # temps that carry a loaded value
+
+    def reads_load(expr: Expr) -> bool:
+        return any(isinstance(n, Load)
+                   or (isinstance(n, Temp) and n.name in loaded)
+                   for n in expr.walk())
+
+    grew = True
+    while grew:
+        grew = False
+        for a in assigns:
+            if a.name not in loaded and reads_load(a.value):
+                loaded.add(a.name)
+                grew = True
+    return any(reads_load(expr) for expr in keyed)
+
+
+def _program_order(accs: List["_Access"]) -> np.ndarray:
+    """The permutation that puts the concatenated accesses of ``accs``
+    in scalar program order."""
+    cols = [a.order_cols() for a in accs]
+    depth = max(len(c) for c in cols)
+    keys = [np.concatenate([
+        c[d] if d < len(c) else np.full(len(c[0]), -1, dtype=np.int64)
+        for c in cols
+    ]) for d in range(depth)]
+    return np.lexsort(keys[::-1])
+
+
 class _NestRun:
     """Vectorized execution of one top-level loop nest.
 
@@ -259,25 +475,244 @@ class _NestRun:
         self.inner_iters: Dict[int, int] = {}
         self.inner_invocs: Dict[int, int] = {}
         self.pending: Dict[str, np.ndarray] = {}
-        self.emissions: List[_Emission] = []
-        self.access: Dict[str, _AccessRecord] = {}
-        #: the nest's in-place fold stores (:func:`_folds`)
+        #: every access of the full pass, in pass order
+        self.accesses: List[_Access] = []
+        #: the nest's in-place fold stores (:func:`_folds`) and their
+        #: objects, which order their own repeats
         self.folds: Dict[int, bool] = {}
-        self._uid = 0
+        self.fold_objs: set = set()
+        #: whether a wavefront schedule may run the nest: its trace and
+        #: counts cannot depend on values (:func:`_values_steer`)
+        self.may_wave = False
 
     # -- top level ---------------------------------------------------------
     def execute(self, loop: Loop) -> Optional[Tuple]:
-        root = _Ctx(1, {}, [], self._next_uid())
+        root = _Ctx(1, {}, [])
         self.folds = _folds(loop)
-        self._exec_loop(loop, root, _Seq())
+        self.may_wave = not self.folds and not _values_steer(loop)
+        try:
+            self._exec_loop(loop, root, _Seq())
+        except _Fallback:
+            # a pass that ran accesses out of scalar order computed
+            # values the scalar path never sees: the order is the reason
+            code = self._disorder()
+            if code is not None:
+                raise _Fallback(code) from None
+            raise
+        self._schedule()
         self._commit()
         if not self.record_trace:
             return None
         return self._assemble_segment()
 
-    def _next_uid(self) -> int:
-        self._uid += 1
-        return self._uid
+    # -- schedules ---------------------------------------------------------
+    def _shared(self) -> set:
+        """Stored objects, folds aside, whose elements more than one
+        iteration may access: accessed more than once, and not at one
+        injective index vector over all rows of one table."""
+        by_obj: Dict[str, List[_Access]] = {}
+        for a in self.accesses:
+            by_obj.setdefault(a.obj, []).append(a)
+        shared = set()
+        for obj, accs in by_obj.items():
+            if (len(accs) < 2 or obj in self.fold_objs
+                    or not any(a.is_write for a in accs)):
+                continue
+            first = accs[0]
+            if all(a.ctx is first.ctx and a.sel is None
+                   and np.array_equal(a.idx, first.idx) for a in accs) \
+                    and np.unique(first.idx).size == first.idx.size:
+                continue
+            shared.add(obj)
+        return shared
+
+    def _order(self, objs: set, stride: int = 1) -> _Order:
+        offsets, base = {}, 0
+        for obj in sorted(objs):
+            offsets[obj] = base
+            base += self.state.arrays[obj].size
+        accs = [a for a in self.accesses if a.obj in objs]
+        if stride > 1:
+            accs = [a.sample(stride) for a in accs]
+        return _Order(accs, offsets)
+
+    def _unordered(self, objs: set) -> Optional[set]:
+        """The objects of pairs that statement at a time runs out of
+        scalar order, or None. A sample of the elements goes first: its
+        pairs are pairs of the whole, so a nest that fails usually fails
+        at a fraction of the cost."""
+        for stride in (_SAMPLE, 1):
+            order = self._order(objs, stride)
+            if not bool(order.tie.all()):
+                return order.failing_objects()
+        return None
+
+    def _disorder(self) -> Optional[str]:
+        """None when the accesses so far run in scalar order statement at
+        a time, else the reason code of the first that does not."""
+        failing = self._unordered(self._shared())
+        return None if failing is None else self._disorder_code(failing)
+
+    def _disorder_code(self, objs: set) -> str:
+        """The code of the first access, in pass order, at which one of
+        ``objs`` leaves one injective index vector per stored object."""
+        first: Dict[str, np.ndarray] = {}
+        equal: Dict[str, bool] = {}
+        stored: set = set()
+        for a in self.accesses:
+            obj = a.obj
+            if obj not in objs:
+                continue
+            if a.is_write:
+                stored.add(obj)
+            if obj not in first:
+                first[obj], equal[obj] = a.idx, True
+                continue
+            equal[obj] = equal[obj] and np.array_equal(first[obj], a.idx)
+            if obj in stored:
+                if not equal[obj]:
+                    return "unequal-vectors"
+                if np.unique(first[obj]).size < first[obj].size:
+                    return "repeated-index"
+        return "unequal-vectors"
+
+    def _schedule(self) -> None:
+        """Keep the pass's stored values when it ran every conflicting
+        pair of accesses in scalar order; else recompute them by the
+        widest wavefront schedule that does, or fall back."""
+        shared = self._shared()
+        if not shared:
+            return
+        stored = {a.obj for a in self.accesses if a.is_write}
+        table = self._wave_table(stored)
+        if table is None:
+            failing = self._unordered(shared)
+            if failing is not None:
+                raise _Fallback(self._disorder_code(failing))
+            return
+        order = self._order(stored)
+        if bool(order.tie.all()):
+            return
+        counters = table.counters()
+        for waves, coefs, t in self._waves(counters):
+            if order.wave_ordered(counters, coefs):
+                if waves * _WAVE_WIDTH > table.n:
+                    raise _Fallback("narrow-wavefront")
+                self._recompute(table, t, stored)
+                return
+        raise _Fallback(self._disorder_code(order.failing_objects()))
+
+    def _wave_table(self, stored: set) -> Optional[_Ctx]:
+        """The one iteration table that holds every access of every
+        stored object, when the nest's trace and counts cannot depend on
+        values; else None."""
+        if not self.may_wave:
+            return None
+        tables = {id(a.ctx): a.ctx for a in self.accesses
+                  if a.obj in stored}
+        if len(tables) != 1:
+            return None
+        table = next(iter(tables.values()))
+        if table.loop is None:
+            return None
+        return table
+
+    @staticmethod
+    def _waves(counters: List[np.ndarray]):
+        """Wavefront schedules ``t = coefs . counters`` as (wavefronts,
+        coefs, t), fewest wavefronts first."""
+        if len(counters) > _WAVE_DEPTH:
+            return []
+        cands = []
+        for coefs in itertools.product(range(_WAVE_COEF + 1),
+                                       repeat=len(counters)):
+            if math.gcd(*coefs) != 1:
+                continue  # the zero vector, or a multiple of another
+            t = sum(c * k for c, k in zip(coefs, counters) if c)
+            waves = int(np.count_nonzero(np.bincount(t)))
+            cands.append((waves, coefs, t))
+        cands.sort(key=lambda cand: cand[:2])
+        return cands
+
+    def _recompute(self, table: _Ctx, t: np.ndarray, stored: set) -> None:
+        """Recompute the stored values from the committed arrays,
+        wavefront by wavefront: each wavefront runs the table's
+        statements in body order over its rows in row order. The trace
+        and counts of the full pass stand."""
+        order = np.argsort(t, kind="stable")
+        sizes = np.bincount(t)
+        cuts = np.concatenate(([0], np.cumsum(sizes[sizes > 0]))).tolist()
+        # index vectors, loop vars and inherited temps in wavefront order
+        idx = {id(a.node): a.idx[order] for a in self.accesses
+               if a.ctx is table}
+        env = {name: (v[order] if isinstance(v, np.ndarray) else v, f)
+               for name, (v, f) in table.env0.items()}
+        arrays = self.state.arrays
+        work = {obj: arrays[obj].copy() for obj in stored}
+        span = [0, 0]  # the current wavefront's rows
+        local: Dict[str, Tuple[object, bool]] = {}
+        assigned: set = set()
+        binop, unop = self._binop, self._unop
+
+        def compile_(expr: Expr):
+            kind = expr.__class__
+            if kind is Const or kind is Scalar or (
+                    kind in (LoopVar, Temp) and expr.name not in assigned
+                    and not isinstance(env[expr.name][0], np.ndarray)):
+                if kind is Const:
+                    got = (expr.value, isinstance(expr.value, float))
+                elif kind is Scalar:
+                    v = self.state.scalars[expr.name]
+                    got = (v, isinstance(v, float))
+                else:
+                    got = env[expr.name]
+                return lambda: got
+            if kind is LoopVar or kind is Temp:
+                name = expr.name
+                if name in assigned:
+                    return lambda: local[name]
+                vec, f = env[name]
+                return lambda: (vec[span[0]:span[1]], f)
+            if kind is Load:
+                ix = idx[id(expr)]
+                arr = work.get(expr.obj)
+                if arr is None:
+                    arr = arrays[expr.obj]
+                f = arr.dtype.kind == "f"
+                wide = np.float64 if f else np.int64
+                return lambda: (arr[ix[span[0]:span[1]]].astype(
+                    wide, copy=False), f)
+            if kind is BinOp:
+                lhs, rhs, op = compile_(expr.lhs), compile_(expr.rhs), \
+                    expr.op
+                return lambda: binop(op, *lhs(), *rhs())
+            operand, op = compile_(expr.operand), expr.op
+            return lambda: unop(op, *operand())
+
+        def compile_stmt(stmt: Stmt):
+            value = compile_(stmt.value)
+            if isinstance(stmt, Assign):
+                assigned.add(stmt.name)
+                name = stmt.name
+
+                def assign() -> None:
+                    local[name] = value()
+                return assign
+            ix, arr = idx[id(stmt)], work[stmt.obj]
+
+            def store() -> None:
+                vals, vf = value()
+                vals = self._materialize(vals, vf, span[1] - span[0])
+                self._guard_store_cast(arr.dtype, vals, vf)
+                arr[ix[span[0]:span[1]]] = vals
+            return store
+
+        steps = [compile_stmt(s) for s in table.loop.body
+                 if not isinstance(s, Loop)]
+        for span[0], span[1] in zip(cuts[:-1], cuts[1:]):
+            for step in steps:
+                step()
+        self.pending.update(work)
 
     # -- loops -------------------------------------------------------------
     def _exec_loop(self, loop: Loop, ctx: _Ctx, seq: _Seq) -> None:
@@ -323,7 +758,9 @@ class _NestRun:
         prefix = [c[parent_idx] for c in ctx.prefix]
         prefix.append(parent_idx)
         prefix.append(np.full(n_c, s_loop, dtype=np.int64))
-        child = _Ctx(n_c, env, prefix, self._next_uid())
+        # only a wavefront schedule reads the counters
+        child = _Ctx(n_c, env, prefix, loop, ctx,
+                     *((parent_idx, offs) if self.may_wave else ()))
         child_seq = _Seq()
         for stmt in loop.body:
             if isinstance(stmt, Loop):
@@ -373,7 +810,13 @@ class _NestRun:
             operands = self._operands(stmt.value, ctx, sel, seq, m)
             r, rf = operands[2:] if x_left else operands[:2]
         arr = self._array(stmt.obj, idx, m)
-        self._record_access(stmt.obj, idx, True, fold=x_left is not None)
+        if x_left is not None:
+            # the fold's load is the object's one earlier access
+            load = next(a for a in reversed(self.accesses)
+                        if a.obj == stmt.obj)
+            if not np.array_equal(load.idx, idx):
+                raise _Fallback("unequal-vectors")
+            self.fold_objs.add(stmt.obj)
         if stmt.obj not in self.pending:
             arr = self.pending[stmt.obj] = arr.copy()
         if x_left is None:
@@ -469,7 +912,6 @@ class _NestRun:
               seq: _Seq, m: int) -> Tuple[object, bool]:
         idx = self._index_vec(*self._eval(expr.index, ctx, sel, seq), m)
         arr = self._array(expr.obj, idx, m)
-        self._record_access(expr.obj, idx, False)
         self.counts.loads += m
         if m:  # the scalar path creates per-object entries lazily
             self.obj_accesses[expr.obj] = (
@@ -727,33 +1169,6 @@ class _NestRun:
             raise _Fallback("scalar-error")  # out of bounds
         return arr
 
-    def _record_access(self, obj: str, idx: np.ndarray,
-                       is_write: bool, fold: bool = False) -> None:
-        rec = self.access.get(obj)
-        if rec is None:
-            rec = self.access[obj] = _AccessRecord()
-        rec.instances += 1
-        rec.has_store = rec.has_store or is_write
-        if rec.first is None:
-            rec.first = idx
-        elif rec.all_equal and not np.array_equal(rec.first, idx):
-            rec.all_equal = False
-        # fail the nest the moment legality is decided, not at commit —
-        # in-place stencils would otherwise pay a full doomed vectorized
-        # pass before their scalar re-run
-        if rec.has_store and rec.instances > 1:
-            if not rec.all_equal:
-                raise _Fallback("unequal-vectors")
-            if fold:
-                return  # the fold store orders its repeats itself
-            if not rec.checked_unique:
-                rec.checked_unique = True
-                rec.unique = bool(
-                    np.unique(rec.first).size == rec.first.size
-                )
-            if not rec.unique:
-                raise _Fallback("repeated-index")
-
     def _fold(self, arr: np.ndarray, idx: np.ndarray, op: str,
               x_left: bool, r, rf: bool) -> None:
         """``arr[idx[k]] = arr[idx[k]] op r[k]`` for k in program order.
@@ -800,57 +1215,39 @@ class _NestRun:
     def _emit(self, node, ctx: _Ctx, sel: Optional[np.ndarray],
               seq: _Seq, obj: str, idx: np.ndarray,
               is_write: bool) -> None:
-        s = seq.next()
-        if not self.record_trace:
-            return
-        full = sel is None
-        rows = np.arange(ctx.n, dtype=np.int64) if full else sel
-        cols = [c if full else c[sel] for c in ctx.prefix]
-        cols.append(rows)
-        cols.append(np.full(len(rows), s, dtype=np.int64))
-        self.emissions.append(_Emission(
-            cols, self.site_ids[id(node)], obj, idx, is_write,
-            ctx.uid, full,
-        ))
+        self.accesses.append(
+            _Access(node, obj, idx, is_write, ctx, sel, seq.next()))
 
     def _assemble_segment(self) -> Optional[Tuple]:
-        """Interleave per-site emissions into program-order columns."""
-        ems = self.emissions
-        if not ems:
+        """Interleave per-site accesses into program-order columns."""
+        accs = self.accesses
+        if not accs:
             return None
-        names = sorted({e.obj for e in ems})
+        names = sorted({a.obj for a in accs})
         name_id = {n: i for i, n in enumerate(names)}
-        total = sum(len(e.idx) for e in ems)
+        total = sum(len(a.idx) for a in accs)
         site = np.empty(total, dtype=np.int32)
         obj = np.empty(total, dtype=np.int16)
         idx = np.empty(total, dtype=np.int64)
         w = np.empty(total, dtype=bool)
-        k = len(ems)
-        if all(e.node_uid == ems[0].node_uid and e.full for e in ems):
-            # the common shape: every emission covers the same full
+        k = len(accs)
+        if all(a.ctx is accs[0].ctx and a.sel is None for a in accs):
+            # the common shape: every access site covers the same full
             # table, so program order is a strided interleave
-            for j, e in enumerate(ems):
-                site[j::k] = e.site
-                obj[j::k] = name_id[e.obj]
-                idx[j::k] = e.idx
-                w[j::k] = e.is_write
+            for j, a in enumerate(accs):
+                site[j::k] = self.site_ids[id(a.node)]
+                obj[j::k] = name_id[a.obj]
+                idx[j::k] = a.idx
+                w[j::k] = a.is_write
             return site, obj, idx, w, tuple(names)
-        depth = max(len(e.cols) for e in ems)
-        keys = []
-        for c in range(depth):
-            keys.append(np.concatenate([
-                e.cols[c] if c < len(e.cols)
-                else np.full(len(e.idx), -1, dtype=np.int64)
-                for e in ems
-            ]))
-        order = np.lexsort(keys[::-1])
-        np.concatenate([np.full(len(e.idx), e.site, dtype=np.int32)
-                        for e in ems], out=site)
-        np.concatenate([np.full(len(e.idx), name_id[e.obj],
-                                dtype=np.int16) for e in ems], out=obj)
-        np.concatenate([e.idx for e in ems], out=idx)
-        np.concatenate([np.full(len(e.idx), e.is_write, dtype=bool)
-                        for e in ems], out=w)
+        order = _program_order(accs)
+        np.concatenate([np.full(len(a.idx), self.site_ids[id(a.node)],
+                                dtype=np.int32) for a in accs], out=site)
+        np.concatenate([np.full(len(a.idx), name_id[a.obj],
+                                dtype=np.int16) for a in accs], out=obj)
+        np.concatenate([a.idx for a in accs], out=idx)
+        np.concatenate([np.full(len(a.idx), a.is_write, dtype=bool)
+                        for a in accs], out=w)
         return site[order], obj[order], idx[order], w[order], tuple(names)
 
     # -- commit ------------------------------------------------------------
@@ -914,18 +1311,23 @@ class VecInterpreter:
         # one (site, obj, idx, is_write, names) column segment per nest
         # that recorded accesses, in program order
         segments: List[Tuple] = []
+        # the vector path and nestjit reason per object name: names that
+        # share memory leave every nest to the tree walker
+        aliased = self._aliased([arrays[name] for name in kernel.objects])
         for nest_index, loop in enumerate(kernel.loops):
             nest = _NestRun(state, site_ids, loop_ids, innermost,
                             self.record_trace)
             try:
+                if aliased:
+                    raise _Fallback("aliased")
                 seg = nest.execute(loop)
             except _Fallback as exc:
                 self.fallback_nests += 1
                 self.fallback_reasons[exc.code] = (
                     self.fallback_reasons.get(exc.code, 0) + 1
                 )
-                jit = nestjit.compiled_nest(kernel, nest_index, state,
-                                            self.record_trace)
+                jit = None if aliased else nestjit.compiled_nest(
+                    kernel, nest_index, state, self.record_trace)
                 if jit is not None:
                     self.jit_nests += 1
                     seg = jit.execute(state)
@@ -950,6 +1352,11 @@ class VecInterpreter:
 
     # ------------------------------------------------------------------
     @staticmethod
+    def _aliased(arrs: List[np.ndarray]) -> bool:
+        return any(np.may_share_memory(a, b)
+                   for j, a in enumerate(arrs) for b in arrs[j + 1:])
+
+    @staticmethod
     def _take_records(state: _State) -> Optional[Tuple]:
         """The tree walker's records of one nest as a column segment
         (None when it recorded nothing); empties ``state.trace``."""
@@ -964,6 +1371,10 @@ class VecInterpreter:
         if not parts:
             return ColumnarTrace.empty()
         all_names = sorted({n for p in parts for n in p[4]})
+        if len(parts) == 1 and tuple(all_names) == tuple(parts[0][4]):
+            # the common call: one segment already in merged object
+            # order (the constructor casts a column only if it must)
+            return ColumnarTrace(*parts[0])
         name_id = {n: i for i, n in enumerate(all_names)}
         remapped = []
         for s, o, i, w, local in parts:

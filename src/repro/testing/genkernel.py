@@ -9,10 +9,11 @@ beyond 1-D elementwise: nested loops with affine multi-dimensional
 indexing, ``When``-guarded stores over data-dependent predicates,
 indirect gather/scatter accesses, loop-carried reductions, in-place
 folds through repeated indices (``out[idx[i]] op= f(in[i])``, the
-pagerank scatter), multi-kernel workloads chained through a shared
-intermediate object, large-magnitude INT64 division (operands beyond
-float64's exact-integer range), and degenerate loop bounds (zero-trip
-and statically-dead nests).
+pagerank scatter), in-place 2-D recurrences (``A[i, j] = f(A[i + a,
+j + b], ...)``, the Seidel/ADI/NW shape), multi-kernel workloads
+chained through a shared intermediate object, large-magnitude INT64
+division (operands beyond float64's exact-integer range), and
+degenerate loop bounds (zero-trip and statically-dead nests).
 
 Every emitted case is *well-formed by construction*: it passes the
 static verifier with no ERROR findings and interprets without dynamic
@@ -62,6 +63,7 @@ SHAPES = (
     "intdiv",
     "degenerate",
     "scatter_add",
+    "recurrence",
 )
 
 #: value-combining ops safe on arbitrary float data (no div-by-zero,
@@ -610,6 +612,76 @@ def _scatter_add(rng: random.Random, seed: int) -> GeneratedCase:
     )
 
 
+def _recurrence(rng: random.Random, seed: int) -> GeneratedCase:
+    """In-place 2-D recurrence ``A[i, j] = f(A[i + a, j + b], ...)``.
+
+    One to three distances from {-1, 0, 1}^2; a quarter of the cases add
+    the pair (-1, 2), (0, -1), which no wavefront ``t = c . (i, j)``
+    with coefficients up to 2 orders. Sometimes a second statement
+    ``B[i, j] = g(B[i + a, j + b], A[i + a', j + b'])`` reads the first
+    one's output, and sometimes a loop runs downward. Grids of 3 to 24
+    rows and columns put wavefront schedules on both sides of the
+    vectorized interpreter's width rule. Float values are scaled by 0.3
+    per step and int32 values reduced modulo 1009, so nothing leaves
+    range.
+    """
+    rows, cols = rng.randint(3, 24), rng.randint(3, 24)
+    margin = 2
+    dtype = rng.choice((FLOAT64, FLOAT32, INT32))
+    shape = (rows + 2 * margin, cols + 2 * margin)
+    objects = {"A": MemObject("A", shape, dtype)}
+    targets = ["A"]
+    if rng.random() < 0.4:
+        objects["B"] = MemObject("B", shape, dtype)
+        targets.append("B")
+
+    def distance() -> Tuple[int, int]:
+        return rng.randint(-1, 1), rng.randint(-1, 1)
+
+    def value(terms: List[Expr]) -> Expr:
+        ops = SAFE_OPS if dtype is not INT32 else ("+", "-", "min", "max")
+        expr = terms[0]
+        for term in terms[1:]:
+            expr = BinOp(rng.choice(ops), expr, term)
+        return expr % 1009 if dtype is INT32 else expr * 0.3
+
+    a = objects["A"]
+    dists = [distance() for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.25:
+        dists += [(-1, 2), (0, -1)]
+    body: List = [a.store((I, J), value(
+        [a[I + di, J + dj] for di, dj in dists]))]
+    if "B" in objects:
+        b = objects["B"]
+        (bi, bj), (ai, aj) = distance(), distance()
+        body.append(b.store((I, J), value([b[I + bi, J + bj],
+                                           a[I + ai, J + aj]])))
+    i_loop = (margin, rows + margin, 1)
+    j_loop = (margin, cols + margin, 1)
+    if rng.random() < 0.3:
+        i_loop = (rows + margin - 1, margin - 1, -1)
+    if rng.random() < 0.3:
+        j_loop = (cols + margin - 1, margin - 1, -1)
+    nest = Loop("i", i_loop[0], i_loop[1], [
+        Loop("j", j_loop[0], j_loop[1], body, step=j_loop[2]),
+    ], step=i_loop[2])
+    kernel = Kernel("fz_recurrence", objects, [nest], outputs=targets)
+    gen = np.random.default_rng(rng.getrandbits(31))
+    arrays = {}
+    for name, obj in objects.items():
+        if dtype is INT32:
+            arrays[name] = gen.integers(0, 100, obj.num_elements).astype(
+                np.int32)
+        else:
+            arrays[name] = gen.random(obj.num_elements).astype(
+                dtype.numpy_dtype)
+    return GeneratedCase(
+        name=f"recurrence-{seed}", shape="recurrence", seed=seed,
+        kernels=[kernel], calls=[("fz_recurrence", {})], arrays=arrays,
+        outputs=targets,
+    )
+
+
 _EMITTERS = {
     "elementwise": _elementwise,
     "nested": _nested,
@@ -621,6 +693,7 @@ _EMITTERS = {
     "intdiv": _intdiv,
     "degenerate": _degenerate,
     "scatter_add": _scatter_add,
+    "recurrence": _recurrence,
 }
 
 

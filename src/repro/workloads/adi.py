@@ -72,22 +72,21 @@ def build_kernel(n: int) -> Kernel:
 
 
 def reference_step(u, v, p, q, n):
-    for i in range(1, n - 1):
-        for j in range(1, n - 1):
-            denom = A_C * p[i, j - 1] + B_C
-            p[i, j] = -C_C / denom
-            q[i, j] = (u[j, i] - A_C * q[i, j - 1]) / denom
-    for i in range(1, n - 1):
-        for j in range(n - 2, 0, -1):
-            v[j, i] = p[i, j] * v[j + 1, i] + q[i, j]
-    for i in range(1, n - 1):
-        for j in range(1, n - 1):
-            denom = A_C * p[i, j - 1] + B_C
-            p[i, j] = -C_C / denom
-            q[i, j] = (v[i, j] - A_C * q[i, j - 1]) / denom
-    for i in range(1, n - 1):
-        for j in range(n - 2, 0, -1):
-            u[i, j] = p[i, j] * u[i, j + 1] + q[i, j]
+    """One timestep; each sweep runs along j for all of its independent
+    rows (or columns) at once, with the loop's float64 operations."""
+    inner = slice(1, n - 1)
+    for j in range(1, n - 1):
+        denom = A_C * p[inner, j - 1] + B_C
+        p[inner, j] = -C_C / denom
+        q[inner, j] = (u[j, inner] - A_C * q[inner, j - 1]) / denom
+    for j in range(n - 2, 0, -1):
+        v[j, inner] = p[inner, j] * v[j + 1, inner] + q[inner, j]
+    for j in range(1, n - 1):
+        denom = A_C * p[inner, j - 1] + B_C
+        p[inner, j] = -C_C / denom
+        q[inner, j] = (v[inner, j] - A_C * q[inner, j - 1]) / denom
+    for j in range(n - 2, 0, -1):
+        u[inner, j] = p[inner, j] * u[inner, j + 1] + q[inner, j]
 
 
 class Adi(Workload):

@@ -43,14 +43,17 @@ def build_kernel(n: int) -> Kernel:
 
 
 def reference_nw(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Fill ``m`` by anti-diagonals ``i + j``: a cell's west, north and
+    north-west neighbours lie on the two diagonals before it."""
     n = s.shape[0]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            m[i, j] = max(
-                m[i - 1, j - 1] + s[i - 1, j - 1],
-                m[i - 1, j] - PENALTY,
-                m[i, j - 1] - PENALTY,
-            )
+    for d in range(2, 2 * n + 1):
+        i = np.arange(max(1, d - n), min(n, d - 1) + 1)
+        j = d - i
+        m[i, j] = np.maximum(
+            np.maximum(m[i - 1, j - 1] + s[i - 1, j - 1],
+                       m[i - 1, j] - PENALTY),
+            m[i, j - 1] - PENALTY,
+        )
     return m
 
 

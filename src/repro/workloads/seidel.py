@@ -40,14 +40,22 @@ def build_kernel(n: int) -> Kernel:
 
 
 def reference_sweep(a: np.ndarray) -> None:
+    """One in-place sweep of a C-contiguous square ``a``, by wavefronts
+    ``2i + j``: a cell's neighbours fall in the three wavefronts before
+    it (swept) and after it (not yet swept), so every cell reads the
+    values the row-major loop reads, and sums them in the same order."""
     n = a.shape[0]
-    for i in range(1, n - 1):
-        for j in range(1, n - 1):
-            a[i, j] = (
-                a[i - 1, j - 1] + a[i - 1, j] + a[i - 1, j + 1]
-                + a[i, j - 1] + a[i, j] + a[i, j + 1]
-                + a[i + 1, j - 1] + a[i + 1, j] + a[i + 1, j + 1]
-            ) / 9.0
+    m = n - 2
+    flat = a.reshape(-1)  # a view of a C-contiguous array
+    # the 3x3 neighbourhood in the loop's summation order
+    offsets = np.array([-n - 1, -n, -n + 1, -1, 0, 1, n - 1, n, n + 1])
+    offsets = offsets[:, None]
+    for t in range(3 * (m - 1) + 1):
+        ci = np.arange(max(0, t - m + 2) // 2, min(m - 1, t // 2) + 1)
+        cell = (ci + 1) * n + (t - 2 * ci + 1)
+        g = flat[offsets + cell]
+        flat[cell] = (g[0] + g[1] + g[2] + g[3] + g[4] + g[5] + g[6]
+                      + g[7] + g[8]) / 9.0
 
 
 class Seidel(Workload):

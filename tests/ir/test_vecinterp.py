@@ -29,6 +29,7 @@ from repro.ir import (
     UnaryOp,
     When,
 )
+from repro.ir import vecinterp
 from repro.ir.vecinterp import VecInterpreter, make_interpreter
 from repro.mem.cache import Cache
 from repro.params import CacheParams
@@ -165,7 +166,8 @@ class TestVectorizationCoverage:
         assert vi.fallback_nests == 1
 
     def test_inplace_stencil_falls_back(self):
-        # store vector [1..n) vs load vector [0..n-1): unequal -> scalar
+        # a 1-D scan: only one iteration per wavefront orders it, too
+        # narrow for the vector path
         n = 32
         A = MemObject("A", n, FLOAT64)
         i = LoopVar("i")
@@ -225,23 +227,7 @@ class TestVectorizationCoverage:
         # declines the non-finite constant). Objects are first used in
         # the reverse of their sorted order (Z, R, T, M), so every
         # segment's local object ids must be remapped to merge
-        n = 16
-        Z = MemObject("Z", n, FLOAT64)
-        R = MemObject("R", n, FLOAT64)
-        T = MemObject("T", 1, FLOAT64)
-        M = MemObject("M", 1, FLOAT64)
-        i, j, m = LoopVar("i"), LoopVar("j"), LoopVar("m")
-        k = Kernel(
-            "origins", {"Z": Z, "R": R, "T": T, "M": M},
-            [
-                Loop("i", 0, n, [R.store(i, Z[i] * 2.0)]),
-                Loop("j", 0, n, [T.store(0, T[0] + R[j] * Z[j])]),
-                Loop("m", 0, n, [
-                    M.store(0, M[0].min(R[m]).min(Const(float("inf")))),
-                ]),
-            ],
-            outputs=["R", "T", "M"],
-        )
+        k = three_origins_kernel()
         _, _, vi = run_both(k, rng_arrays(k))
         assert vi.vectorized_nests == 1
         assert vi.fallback_nests == 2
@@ -299,6 +285,25 @@ class TestVectorizationCoverage:
             outputs=["B"],
         )
         run_both(k, rng_arrays(k))
+
+
+def three_origins_kernel(n=16):
+    Z = MemObject("Z", n, FLOAT64)
+    R = MemObject("R", n, FLOAT64)
+    T = MemObject("T", 1, FLOAT64)
+    M = MemObject("M", 1, FLOAT64)
+    i, j, m = LoopVar("i"), LoopVar("j"), LoopVar("m")
+    return Kernel(
+        "origins", {"Z": Z, "R": R, "T": T, "M": M},
+        [
+            Loop("i", 0, n, [R.store(i, Z[i] * 2.0)]),
+            Loop("j", 0, n, [T.store(0, T[0] + R[j] * Z[j])]),
+            Loop("m", 0, n, [
+                M.store(0, M[0].min(R[m]).min(Const(float("inf")))),
+            ]),
+        ],
+        outputs=["R", "T", "M"],
+    )
 
 
 def scatter_fold(op, x_dtype, n, elems, x_left=True, seed=0):
@@ -484,6 +489,233 @@ class TestInPlaceFolds:
         assert sides == {"vector", ("narrow-fold",)}
 
 
+def unordered_recurrence(n):
+    """``A[i, j] = A[i - 1, j + 2] + A[i, j - 1]``: iteration (i, j)
+    reads what (i - 1, j + 2) and (i, j - 1) stored."""
+    A = MemObject("A", (n, n), FLOAT64)
+    i, j = LoopVar("i"), LoopVar("j")
+    return Kernel("unordered", {"A": A}, [Loop("i", 1, n, [
+        Loop("j", 1, n - 2, [
+            A.store((i, j), A[i - 1, j + 2] + A[i, j - 1])]),
+    ])], outputs=["A"])
+
+
+@pytest.fixture
+def wavefronts(monkeypatch):
+    """The wavefront count of every nest recomputed by wavefronts."""
+    counts = []
+    recompute = vecinterp._NestRun._recompute
+
+    def spy(self, table, t, stored):
+        counts.append(int(np.count_nonzero(np.bincount(t))))
+        return recompute(self, table, t, stored)
+
+    monkeypatch.setattr(vecinterp._NestRun, "_recompute", spy)
+    return counts
+
+
+class TestWavefronts:
+    """In-place recurrences run on the vector path by wavefronts,
+    bit-identical to the tree walker, when a wide enough schedule
+    orders them; guarded and unordered ones fall back."""
+
+    @pytest.mark.parametrize("name,kwargs,kernel,waved", [
+        ("adi", {"n": 40}, "adi", True),
+        ("sei", {"n": 64}, "seidel2d", True),
+        ("nw", {"n": 40}, "nw", True),
+        ("dis", {"n": 24}, "disp_select", False),
+    ])
+    def test_workload_recurrences(self, wavefronts, name, kwargs, kernel,
+                                  waved):
+        inst_s = ALL_WORKLOADS[name].build("tiny", **kwargs)
+        inst_v = ALL_WORKLOADS[name].build("tiny", **kwargs)
+        seen = 0
+        for call_s, call_v in zip(inst_s.calls(), inst_v.calls()):
+            res_s = Interpreter(record_trace=True).run(
+                call_s.kernel, inst_s.arrays, call_s.scalars)
+            vi = VecInterpreter(record_trace=True)
+            res_v = vi.run(call_v.kernel, inst_v.arrays, call_v.scalars)
+            assert result_sig(res_s) == result_sig(res_v)
+            assert res_s.trace == res_v.trace
+            if call_v.kernel.name == kernel:
+                assert vi.fallback_nests == 0
+                seen += 1
+        for key in inst_s.arrays:
+            np.testing.assert_array_equal(inst_s.arrays[key],
+                                          inst_v.arrays[key])
+        assert seen
+        assert bool(wavefronts) == waved
+
+    def test_negative_step_recurrence(self, wavefronts):
+        # ADI's backward substitution: j runs down, reading j + 1
+        n = 40
+        u = MemObject("u", (n, n), FLOAT32)
+        p = MemObject("p", (n, n), FLOAT32)
+        q = MemObject("q", (n, n), FLOAT32)
+        i, j = LoopVar("i"), LoopVar("j")
+        k = Kernel("back", {"u": u, "p": p, "q": q}, [Loop("i", 1, n - 1, [
+            Loop("j", n - 2, 0, [
+                u.store((i, j), p[i, j] * u[i, j + 1] + q[i, j]),
+            ], step=-1),
+        ])], outputs=["u"])
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert vi.vectorized_nests == 1
+        assert wavefronts == [n - 2]
+
+    def test_two_statement_recurrence(self, wavefronts):
+        # ADI's forward sweep: p and q each carry along j, and q's
+        # statement reads p's previous element too
+        n = 40
+        u = MemObject("u", (n, n), FLOAT64)
+        p = MemObject("p", (n, n), FLOAT64)
+        q = MemObject("q", (n, n), FLOAT64)
+        i, j = LoopVar("i"), LoopVar("j")
+        k = Kernel("fwd", {"u": u, "p": p, "q": q}, [Loop("i", 1, n - 1, [
+            Loop("j", 1, n - 1, [
+                p.store((i, j), -0.25 / (0.25 * p[i, j - 1] + 1.5)),
+                q.store((i, j), (u[j, i] - 0.25 * q[i, j - 1])
+                        / (0.25 * p[i, j - 1] + 1.5)),
+            ]),
+        ])], outputs=["p", "q"])
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert vi.vectorized_nests == 1
+        assert wavefronts == [n - 2]
+
+    def test_int32_recurrence_leaving_int32_falls_back_with_nothing_committed(
+            self, wavefronts):
+        # Pascal's triangle along anti-diagonals: binomials leave int32
+        # in wavefront 32 of 77, after the full pass (which reads the
+        # committed ones) found nothing out of range
+        n = 40
+        A = MemObject("A", (n, n), INT32)
+        i, j = LoopVar("i"), LoopVar("j")
+        k = Kernel("pascal", {"A": A}, [Loop("i", 1, n, [
+            Loop("j", 1, n, [A.store((i, j), A[i - 1, j] + A[i, j - 1])]),
+        ])], outputs=["A"])
+        arrays = {"A": np.ones(n * n, dtype=np.int32)}
+        outs = []
+        for interp in (Interpreter(record_trace=True),
+                       VecInterpreter(record_trace=True)):
+            arrs = {name: v.copy() for name, v in arrays.items()}
+            with pytest.raises(OverflowError) as err:
+                interp.run(k, arrs)
+            outs.append((str(err.value), arrs))
+        assert outs[0][0] == outs[1][0]
+        np.testing.assert_array_equal(outs[0][1]["A"], outs[1][1]["A"])
+        assert interp.fallback_reasons == {"int-range": 1}
+        assert interp.vectorized_nests == 0
+        assert wavefronts == [2 * n - 3]
+
+    def test_guarded_recurrence_falls_back(self, wavefronts):
+        n = 40
+        A = MemObject("A", (n, n), FLOAT64)
+        i, j = LoopVar("i"), LoopVar("j")
+        k = Kernel("guarded", {"A": A}, [Loop("i", 0, n, [
+            Loop("j", 1, n, [When(A[i, j - 1].gt(0.5), [
+                A.store((i, j), A[i, j - 1] * 0.75)])]),
+        ])], outputs=["A"])
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert vi.fallback_reasons == {"unequal-vectors": 1}
+        assert wavefronts == []
+
+    def test_unordered_distances_fall_back(self, wavefronts):
+        k = unordered_recurrence(40)
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert vi.fallback_reasons == {"unequal-vectors": 1}
+        assert wavefronts == []
+
+    def test_anti_dependence_runs_by_wavefronts(self, wavefronts):
+        # iteration (i, j) reads A[i, j + 1] before (i, j + 1) stores
+        # it: statement at a time would read the stored value
+        n = 40
+        A = MemObject("A", (n, n + 1), FLOAT64)
+        B = MemObject("B", (n, n + 1), FLOAT64)
+        C = MemObject("C", (n, n + 1), FLOAT64)
+        i, j = LoopVar("i"), LoopVar("j")
+        k = Kernel("war", {"A": A, "B": B, "C": C}, [Loop("i", 0, n, [
+            Loop("j", 0, n, [A.store((i, j), B[i, j] * 2.0),
+                             C.store((i, j), A[i, j + 1] + 1.0)]),
+        ])], outputs=["A", "C"])
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert vi.vectorized_nests == 1
+        assert wavefronts == [n]
+
+    def test_repeated_store_orders_the_schedule(self, wavefronts):
+        # S[i + j] is stored by every iteration on an anti-diagonal, the
+        # last of them last: t = j, which orders A's recurrence, would
+        # run those stores in reverse, so t = i + j runs the nest
+        n = 30
+        A = MemObject("A", (n, n), FLOAT64)
+        S = MemObject("S", 2 * n, FLOAT64)
+        i, j = LoopVar("i"), LoopVar("j")
+        k = Kernel("diag", {"A": A, "S": S}, [Loop("i", 0, n, [
+            Loop("j", 1, n, [A.store((i, j), A[i, j - 1] * 0.5 + 1.0),
+                             S.store(i + j, A[i, j] * 2.0)]),
+        ])], outputs=["A", "S"])
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert vi.vectorized_nests == 1
+        assert wavefronts == [2 * n - 2]
+
+    def test_conflict_keys_beyond_int64_fall_back(self, monkeypatch):
+        # (element, program order) keys that would leave int64
+        built = []
+        init = vecinterp._Order.__init__
+
+        def spy(self, accs, offsets):
+            built.append((accs, offsets))
+            init(self, accs, offsets)
+
+        monkeypatch.setattr(vecinterp._Order, "__init__", spy)
+        k = unordered_recurrence(20)
+        run_both(k, rng_arrays(k))
+        monkeypatch.undo()
+        accs, offsets = built[-1]
+        vecinterp._Order(accs, offsets)
+        with pytest.raises(vecinterp._Fallback) as err:
+            vecinterp._Order(accs, {obj: off + 2 ** 61
+                                    for obj, off in offsets.items()})
+        assert err.value.code == "unsupported"
+
+    def test_generated_recurrences_reach_the_wavefronts_and_the_fallback(
+            self, wavefronts):
+        # the recurrence cases test_identity_per_shape draws
+        paths = []
+        for seed in range(3):
+            case = generate_case(1000 * seed + 17, "recurrence")
+            del wavefronts[:]
+            _, _, vi = run_both(case.kernel("fz_recurrence"), case.arrays)
+            paths.append("wavefronts" if wavefronts
+                         else tuple(vi.fallback_reasons))
+        assert set(paths) == {"wavefronts", ("unequal-vectors",)}
+
+    def test_one_segment_merge_equals_general_path(self, monkeypatch):
+        # a vectorized, a nestjit and a tree-walker segment, each merged
+        # alone and merged with an empty segment (the general path)
+        segments = []
+        merge = VecInterpreter._merge_trace
+
+        def spy(parts):
+            segments.extend(parts)
+            return merge(parts)
+
+        monkeypatch.setattr(VecInterpreter, "_merge_trace",
+                            staticmethod(spy))
+        k = three_origins_kernel()
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert (vi.vectorized_nests, vi.jit_nests, vi.fallback_nests) == (
+            1, 1, 2)
+        empty = (np.empty(0, np.int32), np.empty(0, np.int16),
+                 np.empty(0, np.int64), np.empty(0, bool), ())
+        assert len(segments) == 3
+        for seg in segments:
+            alone, general = merge([seg]), merge([seg, empty])
+            assert alone.obj_names == general.obj_names
+            for col in ("site", "obj_id", "idx", "is_write"):
+                got, want = getattr(alone, col), getattr(general, col)
+                assert got.dtype == want.dtype, col
+                np.testing.assert_array_equal(got, want, err_msg=col)
+
+
 class TestFallbackReasons:
     """Every fallback nest is counted under one reason code."""
 
@@ -512,13 +744,43 @@ class TestFallbackReasons:
         assert self.reasons(k, arrays) == {"repeated-index": 1}
 
     def test_unequal_vectors(self):
+        # distances (1, -2) and (0, 1) between iterations: no wavefront
+        # t = c . (i, j) with coefficients up to 2 orders both
+        k = unordered_recurrence(24)
+        assert self.reasons(k, rng_arrays(k)) == {"unequal-vectors": 1}
+
+    def test_narrow_wavefront(self):
+        # a 1-D scan: ordered only by one iteration per wavefront
         n = 32
         A = MemObject("A", n, FLOAT64)
         i = LoopVar("i")
         k = Kernel("scan", {"A": A},
                    [Loop("i", 1, n, [A.store(i, A[i - 1] + A[i])])],
                    outputs=["A"])
-        assert self.reasons(k, rng_arrays(k)) == {"unequal-vectors": 1}
+        assert self.reasons(k, rng_arrays(k)) == {"narrow-wavefront": 1}
+
+    def test_aliased(self):
+        # two names over one array: the vector path would read A from
+        # the committed array while the tree walker sees each B store
+        n = 8
+        A = MemObject("A", n, FLOAT64)
+        B = MemObject("B", n, FLOAT64)
+        i = LoopVar("i")
+        k = Kernel("alias", {"A": A, "B": B},
+                   [Loop("i", 1, n, [B.store(i, A[i - 1] + 1.0)])],
+                   outputs=["B"])
+        outs = []
+        for interp in (Interpreter(record_trace=True),
+                       VecInterpreter(record_trace=True)):
+            a = np.zeros(n)
+            res = interp.run(k, {"A": a, "B": a})
+            outs.append((a, res))
+        np.testing.assert_array_equal(outs[0][0], np.arange(n, dtype=float))
+        np.testing.assert_array_equal(outs[1][0], outs[0][0])
+        assert result_sig(outs[0][1]) == result_sig(outs[1][1])
+        assert outs[0][1].trace == outs[1][1].trace
+        assert interp.fallback_reasons == {"aliased": 1}
+        assert interp.jit_nests == 0
 
     def test_narrow_fold(self):
         k = TestVectorizationCoverage().reduction()
@@ -588,7 +850,7 @@ class TestFallbackReasons:
         assert got == {
             "pr": (4, 0, {}),
             "pca": (1, 1, {"repeated-index": 1}),
-            "adi": (0, 4, {"unequal-vectors": 4}),
+            "adi": (0, 4, {"narrow-wavefront": 4}),
             "pch": (0, 1, {"repeated-index": 1}),
         }
 
