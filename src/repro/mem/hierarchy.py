@@ -16,23 +16,27 @@ results.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from itertools import chain, compress, count
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..energy import EnergyLedger
 from ..events import ps_to_cycles
-from ..noc import Mesh, TrafficClass, TrafficLedger
+from ..noc import Mesh, MessageCosts, TrafficClass, TrafficLedger
+from ..noc.traffic import Lazy
 from ..obs import OBS
-from ..params import CacheParams, MachineParams
+from ..params import CacheParams, MachineParams, NocParams
 from .cache import _ABSENT, Cache
 from .dram import Dram
 from .nuca import NucaL3
 from .prefetch import StridePrefetcher
 
 if TYPE_CHECKING:
-    from ..runtime.streams import ElemWalk, LineWalk, Plan, Walk
+    from ..runtime.streams import Walk
 
 #: the traffic classes the hierarchy records, bound once: looking a
 #: member up on an Enum class runs Python, about ten times the cost of
@@ -68,12 +72,15 @@ class MemoryHierarchy:
     """The full Table III memory system."""
 
     def __init__(self, machine: MachineParams, energy: EnergyLedger,
-                 traffic: Optional[TrafficLedger] = None,
                  private_cache: bool = False):
         self.machine = machine
         self.energy = energy
-        self.mesh = Mesh(machine.noc)
-        self.traffic = traffic or TrafficLedger(self.mesh, energy)
+        #: static latencies, shared with every hierarchy on the same
+        #: latency parameters, and so is their mesh
+        self.latency = latency_table(machine)
+        self.mesh = self.latency.messages.mesh
+        self.traffic = TrafficLedger(self.mesh, energy,
+                                     self.latency.messages)
         self.l1 = Cache(machine.l1, name="l1d")
         self.l2 = Cache(machine.l2, name="l2")
         self.l3 = NucaL3(machine)
@@ -114,7 +121,6 @@ class MemoryHierarchy:
         #: prefetched lines evicted before any demand hit are never
         #: popped, so without a cap the map grows for the whole run.
         self._late_prefetch: Dict[int, int] = {}
-        self.latency = LatencyTable(self.traffic, machine)
         #: each slice's and each ACP's set list, for the batch walks
         self._l3_sets = [slc._sets for slc in self.l3.slices]
         self._acp_sets = [acp._sets for acp in self.acps]
@@ -396,25 +402,28 @@ class MemoryHierarchy:
     # through Cache.access (the host path first advances L1, which
     # nothing downstream feeds back into, with the set-major
     # :meth:`~repro.mem.cache.Cache.access_batch` walk), and (b) takes
-    # its latencies from the hierarchy's static :class:`LatencyTable`.
+    # its latencies from the shared static :class:`LatencyTable`.
     # The host walk tallies its counts per home cluster in locals and
     # charges them once per walk. The accelerator walks split each chunk
-    # into what depends on cache state and what does not: a process
-    # builds every chunk's step, state-free latency and state-free
-    # counts once per run from its plan's chunk walk
-    # (:meth:`accel_line_steps`, :meth:`accel_elem_steps`, or on a
-    # machine with Mono-CA's private cache :meth:`l3_demand_steps`); a
-    # walk (:meth:`accel_line_fetch_batch`,
-    # :meth:`accel_elem_access_batch` or :meth:`l3_demand_batch`) then
-    # only advances the set dicts, adds misses and dirty victims to the
-    # process's :class:`AccelTally` and returns the latency they add;
-    # and :meth:`charge_accel` charges the tally when the process ends.
-    # The Mono-CA walk's scalar reference is the engine's per-access
-    # private-cache lookup with :meth:`writeback_line_from` and
-    # :meth:`l3_demand`. The counts are exact integers that nothing
-    # reads before a run ends, and both ledgers read them in a fixed
-    # order, so the results are bit-identical to the scalar path, which
-    # charges per access (enforced by tests/mem/test_batch_equiv.py and
+    # into what depends on cache state and what does not. What does not
+    # is kept with the record (:class:`~repro.runtime.streams.KeptPlan`,
+    # once per record and L3 layout): each chunk walk's addresses and
+    # homes, each plan's chunk homes, the accesses and messages of each
+    # (requester, home) pair, and, once per latency table, each chunk's
+    # state-free latency. A process adds those counts to its
+    # :class:`AccelTally` (:meth:`accel_costs`) and binds its walks once
+    # per run; a walk (:meth:`accel_line_fetch_batch`,
+    # :meth:`accel_elem_access_batch` or, on a machine with Mono-CA's
+    # private cache, :meth:`l3_demand_batch`) then only advances the set
+    # dicts for one chunk, adds misses and dirty victims to the tally
+    # and returns the latency they add; and :meth:`charge_accel` charges
+    # the tally when the process ends. The Mono-CA walk's scalar
+    # reference is the engine's per-access private-cache lookup with
+    # :meth:`writeback_line_from` and :meth:`l3_demand`. The counts are
+    # exact integers that nothing reads before a run ends, and both
+    # ledgers read them in a fixed order, so the results are
+    # bit-identical to the scalar path, which charges per access
+    # (enforced by tests/mem/test_batch_equiv.py and
     # tests/sim/test_fastpath_equiv.py).
     # ------------------------------------------------------------------
     def host_access_batch(self, addrs: np.ndarray, is_write: np.ndarray,
@@ -589,112 +598,28 @@ class MemoryHierarchy:
                                        + l1_wbs + l2_wbs)
         return n_l2 * m.l2.latency_cycles + extra
 
-    def accel_line_steps(self, walk: "LineWalk", lines: np.ndarray,
-                         locals_: Sequence[int], is_write: bool,
-                         tally: "AccelTally") -> Tuple[list, List[int]]:
-        """Each chunk's step for :meth:`accel_line_fetch_batch` and the
-        latency no cache state changes: a fill (or, with ``is_write``, a
-        drain) of the chunks of ``walk``, the walk of the line plan whose
-        array is ``lines``, presented at cluster ``locals_[c]``. Adds
-        every count of those fetches that no cache state changes to
-        ``tally``: slice accesses, NoC messages, energy events and remote
-        bytes (see :meth:`accel_line_fetch`)."""
-        m = self.machine
-        line = self._line
-        free, remote = self._chunk_costs(
-            walk, locals_, line, is_write, 1 + m.l3_bank_latency,
-            1 + m.l3.latency_cycles, tally, tally.l3_acc)
-        lines = lines.tolist()
-        ends = np.cumsum(walk.count).tolist()
-        segments = [(h, lines[lo:hi]) for h, lo, hi
-                    in zip(walk.home.tolist(), [0] + ends, ends)]
-        cuts = walk.cuts
-        tally.acp_events += len(lines)
-        tally.l3_events += len(lines)
-        # a remote fill's line crosses the mesh
-        tally.moved += remote * line
-        return [segments[a:b] for a, b in zip(cuts, cuts[1:])], free
-
-    def accel_elem_steps(self, walk: "ElemWalk", locals_: Sequence[int],
-                         is_write: bool, elem_bytes: int,
-                         tally: "AccelTally") -> Tuple[list, List[int]]:
-        """Each chunk's step for :meth:`accel_elem_access_batch` and the
-        latency no cache state changes, for the chunks of ``walk``
-        presented at cluster ``locals_[c]``. Adds every count of those
-        accesses that no cache state changes to ``tally``: ACP accesses,
-        NoC messages, energy events and remote bytes (see
-        :meth:`accel_elem_access`)."""
-        free, remote = self._chunk_costs(
-            walk, locals_, elem_bytes, is_write, 1, 1, tally, tally.acp_acc)
-        tally.acp_events += int(walk.count.sum())
-        tally.moved += remote * elem_bytes
-        homes = walk.head_home.tolist()
-        heads = walk.heads.tolist()
-        cuts = walk.head_cuts
-        return [(homes[a:b], heads[a:b])
-                for a, b in zip(cuts, cuts[1:])], free
-
-    def _chunk_costs(self, walk: "Walk",
-                     locals_: Sequence[int], payload: int, is_write: bool,
-                     near: int, far: int, tally: "AccelTally",
-                     accesses: List[int]) -> Tuple[List[int], int]:
-        """Each chunk's latency that no cache state changes, and how many
-        of its accesses leave their own cluster, for the (home, count)
-        groups of ``walk`` presented at ``locals_[c]``: per access,
-        ``near`` cycles at its own cluster or ``far`` at another, plus
-        the request and the ``payload`` bytes crossing the mesh. Adds
-        each home's accesses to ``accesses`` and each (local, home)
-        pair's request and data messages to ``tally``."""
-        home, count, cuts = walk.home, walk.count, walk.cuts
-        if not home.size:
-            return [0] * (len(cuts) - 1), 0
-        ncl = self.l3.num_clusters
-        bounds = np.asarray(cuts)
-        chunk = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-        pair = np.asarray(locals_, dtype=np.int64)[chunk] * ncl + home
-        # accesses per (local, home) pair code (exact: float64 holds
-        # integers below 2**53)
-        per_pair = np.bincount(pair, weights=count)
-        codes = np.flatnonzero(per_pair)
-        msgs = tally.msgs
-        conv = self.latency.conv
-        unit = np.zeros(per_pair.size, dtype=np.int64)
-        remote = 0
-        for code, k in zip(codes.tolist(), per_pair[codes].tolist()):
-            local, h = divmod(code, ncl)
-            k = int(k)
-            accesses[h] += k
-            if h != local:
-                remote += k
-            unit[code] = ((near if h == local else far)
-                          + conv(local, payload, is_write)[h])
-            key = ("ACC_CTRL", local, h, 0)
-            msgs[key] = msgs.get(key, 0) + k
-            key = (("ACC_DATA", local, h, payload) if is_write
-                   else ("ACC_DATA", h, local, payload))
-            msgs[key] = msgs.get(key, 0) + k
-        summed = np.concatenate(([0], np.cumsum(count * unit[pair])))
-        return (summed[bounds[1:]] - summed[bounds[:-1]]).tolist(), remote
-
-    def accel_line_fetch_batch(self, step: list, is_write: bool,
+    def accel_line_fetch_batch(self, walk: tuple, c: int, is_write: bool,
                                tally: "AccelTally") -> int:
-        """Walk one chunk of line fetches (see :meth:`accel_line_fetch`)
+        """Walk chunk ``c`` of line fetches (see :meth:`accel_line_fetch`)
         on the home slices' set dicts; returns the latency its DRAM
         fills add.
 
-        ``step`` holds the chunk's (home, lines) segments from
-        :meth:`accel_line_steps`. Each segment walks its home slice in
-        program order, and its misses and dirty victims go to
-        ``tally``.
+        ``walk`` is a line walk bound for one run
+        (:meth:`~repro.runtime.streams.KeptPlan.line_steps`): the plan's
+        lines, each segment's home and start, and each chunk's segment
+        cut points. Each of the chunk's segments walks its home slice in
+        program order, and its misses and dirty victims go to ``tally``.
         """
+        lines, homes, starts, cuts = walk
         slc = self.l3.slices[0]
         shift, nsets, ways = slc.line_shift, slc.num_sets, slc.ways
         l3_sets = self._l3_sets
         total = 0
-        for home, addrs in step:
+        for s in range(cuts[c], cuts[c + 1]):
+            home = homes[s]
             sets = l3_sets[home]
             misses = wbs = 0
-            for addr in addrs:
+            for addr in lines[starts[s]:starts[s + 1]]:
                 ln = addr >> shift
                 cset = sets[ln % nsets]
                 tag = ln // nsets
@@ -719,17 +644,21 @@ class MemoryHierarchy:
                 tally.dram_wbs[home] += wbs
         return total
 
-    def accel_elem_access_batch(self, step: list, is_write: bool,
+    def accel_elem_access_batch(self, walk: tuple, c: int, is_write: bool,
                                 tally: "AccelTally") -> int:
-        """Walk one chunk of element accesses (see
+        """Walk chunk ``c`` of element accesses (see
         :meth:`accel_elem_access`) on the home ACPs' and slices' set
         dicts; returns the latency its ACP misses add.
 
-        ``step`` holds the home clusters and head addresses of the
-        chunk's same-line runs from :meth:`accel_elem_steps`: one
-        iteration per run walks the home ACP's set dict and, on a miss,
-        the home slice's. Misses and dirty victims go to ``tally``.
+        ``walk`` is an element walk bound for one run
+        (:meth:`~repro.runtime.streams.KeptPlan.elem_steps`): the home
+        clusters and head addresses of the same-line runs, and each
+        chunk's run cut points. One iteration per run walks the home
+        ACP's set dict and, on a miss, the home slice's. Misses and
+        dirty victims go to ``tally``.
         """
+        homes, heads, cuts = walk
+        lo, hi = cuts[c], cuts[c + 1]
         l3 = self.l3
         stripe = l3.stripe_bytes
         ncl = l3.num_clusters
@@ -744,7 +673,7 @@ class MemoryHierarchy:
             tally.dram_wbs
         total = 0
         home = -1
-        for h, addr in zip(*step):
+        for h, addr in zip(homes[lo:hi], heads[lo:hi]):
             if h != home:
                 home = h
                 acp_sets = acp_sets_of[h]
@@ -790,31 +719,62 @@ class MemoryHierarchy:
                 cset3[tag3] = d
         return total
 
+    def accel_costs(self, costs: WalkCosts, lines: bool,
+                    tally: "AccelTally") -> List[int]:
+        """Add a walk's kept counts that no cache state changes to
+        ``tally`` and return each chunk's latency that no cache state
+        changes, for a walk of line fetches (see
+        :meth:`accel_line_fetch`) or, with ``lines`` false, element
+        accesses (see :meth:`accel_elem_access`). The counts are, per
+        home, a line fetch's slice access or an element's ACP access;
+        each access's ACP-port energy event (and a line fetch's L3
+        energy event), its request and data messages, and the bytes of
+        the accesses that leave their cluster. Per access, a line fetch
+        takes one cycle and the bank latency at its own cluster or the
+        L3 latency at another, an element access one cycle, and either
+        adds the request and the payload crossing the mesh."""
+        accesses = tally.l3_acc if lines else tally.acp_acc
+        for home, k in costs.per_home:
+            accesses[home] += k
+        if lines:
+            tally.l3_events += costs.accesses
+        tally.acp_events += costs.accesses
+        tally.moved += costs.remote * costs.payload
+        tally.kept_msgs.append(costs.msgs)
+        m = self.machine
+        if lines:
+            free = costs.free(self.latency, 1 + m.l3_bank_latency,
+                              1 + m.l3.latency_cycles)
+        else:
+            free = costs.free(self.latency, 1, 1)
+        return free.tolist()
+
     def accel_tally(self) -> "AccelTally":
         """An empty tally for one process's accelerator walks."""
         return AccelTally(self.l3.num_clusters)
 
     def charge_accel(self, tally: "AccelTally") -> None:
         """Charge what one process's walks added up: the slice, ACP and
-        private-cache counters, the NoC messages, the energy events, the
-        DRAM fills and writebacks (:meth:`_dram_traffic`) and the moved
+        private-cache counters of the clusters the tally touched, the
+        NoC messages (one ledger call), the energy events, the DRAM
+        fills and writebacks (:meth:`_dram_traffic`) and the moved
         bytes. An empty tally charges nothing."""
-        record = self.traffic.record
-        for (name, src, dst, payload), count in tally.msgs.items():
-            record(TrafficClass[name], src, dst, payload, count)
+        self.traffic.record_shapes(chain(tally.msgs.items(),
+                                         *tally.kept_msgs))
         # an element's ACP miss reads its bank, and a dirty ACP victim
         # retires into one
         l3_events = tally.l3_events + sum(tally.acp_miss) + sum(
             tally.acp_wbs)
-        for c, (slc, acp, l3_acc, misses, alloc, wbs, dram_wbs, acp_acc,
-                acp_miss, acp_wbs) in enumerate(zip(
-                    self.l3.slices, self.acps, tally.l3_acc, tally.l3_miss,
-                    tally.l3_alloc, tally.l3_wbs, tally.dram_wbs,
-                    tally.acp_acc, tally.acp_miss, tally.acp_wbs)):
+        per_cluster = (tally.l3_acc, tally.l3_miss, tally.l3_alloc,
+                       tally.l3_wbs, tally.dram_wbs, tally.acp_acc,
+                       tally.acp_miss, tally.acp_wbs)
+        for (c, l3_acc, misses, alloc, wbs, dram_wbs, acp_acc, acp_miss,
+             acp_wbs) in compress(zip(count(), *per_cluster),
+                                  map(any, zip(*per_cluster))):
             if l3_acc or acp_miss or wbs:
-                slc.add_counts(l3_acc + acp_miss, misses, wbs)
+                self.l3.slices[c].add_counts(l3_acc + acp_miss, misses, wbs)
             if acp_acc:
-                acp.add_counts(acp_acc, acp_miss, acp_wbs)
+                self.acps[c].add_counts(acp_acc, acp_miss, acp_wbs)
             if misses or dram_wbs:
                 self._dram_traffic(c, misses - alloc, dram_wbs)
         if tally.acp_events:
@@ -829,38 +789,25 @@ class MemoryHierarchy:
                                tally.private_acc)
         self.movement_bytes += tally.moved
 
-    def l3_demand_steps(self, heads: "Plan", cuts: Sequence[int],
-                        locals_: Sequence[int], tally: "AccelTally"
-                        ) -> Tuple[list, List[int]]:
-        """Each chunk's step for :meth:`l3_demand_batch` and the latency
-        no cache state changes, on a machine with Mono-CA's private
-        cache. Chunk ``c`` makes ``cuts[c + 1] - cuts[c]`` private-cache
-        accesses of one cycle each, from cluster ``locals_[c]``, and
-        looks the cache up only at ``heads``: its lines, or the heads of
-        its elements' same-line runs, since the rest of a run hits the
-        line its head left most recently used. Adds the accesses to
-        ``tally``."""
-        addrs, at = heads
-        addrs = addrs.tolist()
-        tally.private_acc += cuts[-1] - cuts[0]
-        return ([(local, addrs[a:b])
-                 for local, a, b in zip(locals_, at, at[1:])],
-                [b - a for a, b in zip(cuts, cuts[1:])])
-
-    def l3_demand_batch(self, step: tuple, is_write: bool,
+    def l3_demand_batch(self, walk: tuple, c: int, is_write: bool,
                         tally: "AccelTally") -> int:
-        """Walk one Mono-CA chunk on the private cache's and the home
+        """Walk Mono-CA's chunk ``c`` on the private cache's and the home
         slices' set dicts; returns the latency its private-cache misses
         add.
 
-        ``step`` is the requesting cluster and the addresses from
-        :meth:`l3_demand_steps`, looked up in program order. A miss
-        first retires a dirty victim into the victim's home slice, as
-        :meth:`writeback_line_from` does, then reads the missed line at
-        its own home slice, as :meth:`l3_demand` does. Misses, dirty
-        victims and the messages they send go to ``tally``.
+        ``walk`` is bound for one run
+        (:meth:`~repro.runtime.streams.KeptPlan.private_steps`): the
+        requesting cluster, the addresses the private cache looks up
+        and each chunk's cut points. The chunk's addresses are its lines,
+        or the heads of its elements' same-line runs, since the rest of
+        a run hits the line its head left most recently used; they are
+        looked up in program order. A miss first retires a dirty victim
+        into the victim's home slice, as :meth:`writeback_line_from`
+        does, then reads the missed line at its own home slice, as
+        :meth:`l3_demand` does. Misses, dirty victims and the messages
+        they send go to ``tally``.
         """
-        node, addrs = step
+        node, addrs, cuts = walk
         pc = self.private
         shift, npc, wpc, psets = pc.line_shift, pc.num_sets, pc.ways, \
             pc._sets
@@ -876,7 +823,7 @@ class MemoryHierarchy:
         reads: Dict[int, int] = {}
         retired: Dict[int, int] = {}
         total = 0
-        for addr in addrs:
+        for addr in addrs[cuts[c]:cuts[c + 1]]:
             ln = addr >> shift
             si = ln % npc
             cset = psets[si]
@@ -984,44 +931,34 @@ class MemoryHierarchy:
         OBS.inc("mem.movement_bytes", self.movement_bytes)
 
 
-class _Lazy(dict):
-    """A dict that computes a missing entry on its first lookup."""
-
-    __slots__ = ("_make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key):
-        value = self[key] = self._make(key)
-        return value
-
-
 class LatencyTable:
-    """Static access latencies of one hierarchy, in core cycles.
+    """Static access latencies of one set of latency parameters, in core
+    cycles: the NoC, the core clock, the DRAM latency and the line size.
 
-    The mesh, the clocks and the DRAM timing are fixed per machine, so
-    each entry is a constant, like a ZigZag memory level's latency
-    field: :meth:`conv` holds the request-plus-data NoC conversion of
-    one access, and :attr:`fill` the DRAM-fill cycles per cluster. Each
-    entry equals what the scalar paths compute per call. A hierarchy is
-    built per simulated cell and meets few of its (requester, home)
-    pairs, so entries are computed on first lookup.
+    Each entry is a constant of the machine, like a ZigZag memory
+    level's latency field: :attr:`messages` holds each message's
+    one-way latency and static shape fields, :meth:`conv` the
+    request-plus-data NoC conversion of one access, and :attr:`fill` the
+    DRAM-fill cycles per cluster. Each entry equals what the scalar
+    paths compute per call. A table meets few of its (requester, home)
+    pairs, so entries are computed on first lookup
+    (:class:`~repro.noc.traffic.Lazy`, which needs no lock on threads).
+    :func:`latency_table` hands every hierarchy the one table of its
+    parameters, and its traffic ledger the table's :attr:`messages`.
     """
 
-    __slots__ = ("_latency_of", "_freq", "_rows", "fill")
+    __slots__ = ("messages", "_freq", "_rows", "fill")
 
-    def __init__(self, traffic: TrafficLedger, machine: MachineParams):
-        self._latency_of = lat_of = traffic.latency_of
-        self._freq = freq = machine.core.freq_ghz
-        self._rows: Dict[Tuple[int, int, bool], _Lazy] = {}
-        dram = machine.dram.latency_cycles
-        line = machine.l3.line_bytes
-        mc = machine.noc.mc_node
+    def __init__(self, noc: NocParams, freq_ghz: float, dram_cycles: int,
+                 line_bytes: int):
+        self.messages = MessageCosts(Mesh(noc))
+        ps = self.messages.ps
+        self._freq = freq_ghz
+        self._rows: Dict[Tuple[int, int, bool], Lazy] = {}
+        mc = noc.mc_node
         #: cluster -> DRAM latency plus the fill's round trip to the MC
-        self.fill = _Lazy(lambda c: dram + _ps_to_cycles_int(
-            lat_of(c, mc, 0) + lat_of(mc, c, line), freq))
+        self.fill = Lazy(lambda c: dram_cycles + _ps_to_cycles_int(
+            ps[(c, mc, 0)] + ps[(mc, c, line_bytes)], freq_ghz))
 
     def conv(self, req: int, payload: int, is_write: bool) -> Dict[int, int]:
         """home -> cycles of one access from ``req``: a request header to
@@ -1029,31 +966,115 @@ class LatencyTable:
         key = (req, payload, is_write)
         row = self._rows.get(key)
         if row is None:
-            lat_of = self._latency_of
+            ps = self.messages.ps
             freq = self._freq
 
             def cycles(home: int) -> int:
-                data = (lat_of(req, home, payload) if is_write
-                        else lat_of(home, req, payload))
-                return _ps_to_cycles_int(lat_of(req, home, 0) + data, freq)
+                data = (ps[(req, home, payload)] if is_write
+                        else ps[(home, req, payload)])
+                return _ps_to_cycles_int(ps[(req, home, 0)] + data, freq)
 
-            row = self._rows[key] = _Lazy(cycles)
+            row = self._rows.setdefault(key, Lazy(cycles))
         return row
+
+
+#: the tables handed out, one per set of latency parameters (the most
+#: recently used, so a long sweep over many machines stays bounded)
+_tables = functools.lru_cache(maxsize=64)(LatencyTable)
+#: the service runs units on threads; the cache may build a missing
+#: table twice without it
+_tables_lock = threading.Lock()
+
+
+def latency_table(machine: MachineParams) -> LatencyTable:
+    """The one :class:`LatencyTable` of ``machine``'s NoC, core clock,
+    DRAM latency and line size."""
+    with _tables_lock:
+        return _tables(machine.noc, machine.core.freq_ghz,
+                       machine.dram.latency_cycles, machine.l3.line_bytes)
+
+
+class WalkCosts:
+    """What a chunk walk's accesses cost that no cache state changes,
+    presented at one set of chunk homes: each (requester, home) pair's
+    accesses and its request and data messages, and, once per latency
+    table, each chunk's latency (what :meth:`MemoryHierarchy.accel_costs`
+    adds to a tally and returns). A record keeps one per walk, set of
+    homes and direction (:class:`~repro.runtime.streams.KeptPlan`)."""
+
+    __slots__ = ("per_home", "msgs", "accesses", "remote", "payload",
+                 "_walk", "_pair", "_codes", "_clusters", "_is_write",
+                 "_free")
+
+    def __init__(self, walk: "Walk", homes: np.ndarray, clusters: int,
+                 payload: int, is_write: bool):
+        self._walk = walk
+        self._clusters = clusters
+        self.payload = payload
+        self._is_write = is_write
+        #: each (chunk, home) group's (requester, home) pair code
+        cuts = walk.cuts
+        chunk = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+        self._pair = homes[chunk] * clusters + walk.home
+        # accesses per pair code (exact: float64 holds integers below
+        # 2**53)
+        per_pair = np.bincount(self._pair, weights=walk.count)
+        codes = np.flatnonzero(per_pair)
+        accesses = per_pair[codes].astype(np.int64)
+        local, home = np.divmod(codes, clusters)
+        self._codes = codes.tolist()
+        self.remote = int(accesses[local != home].sum())
+        per_home = np.bincount(home, weights=accesses).astype(np.int64)
+        used = np.flatnonzero(per_home)
+        #: (home, accesses) and (message shape, messages) pairs
+        self.per_home = tuple(zip(used.tolist(), per_home[used].tolist()))
+        pairs = list(zip(local.tolist(), home.tolist(), accesses.tolist()))
+        self.msgs = tuple(
+            [(("ACC_CTRL", r, h, 0), k) for r, h, k in pairs]
+            + [((("ACC_DATA", r, h, payload) if is_write
+                 else ("ACC_DATA", h, r, payload)), k)
+               for r, h, k in pairs])
+        self.accesses = int(walk.count.sum())
+        self._free: Dict[tuple, np.ndarray] = {}
+
+    def free(self, table: LatencyTable, near: int, far: int) -> np.ndarray:
+        """Each chunk's latency in core cycles that no cache state
+        changes: per access, ``near`` cycles at its own cluster or
+        ``far`` at another, plus the request and the payload crossing
+        the mesh (``table``'s conversion)."""
+        key = (table, near, far)
+        free = self._free.get(key)
+        if free is None:
+            walk = self._walk
+            clusters = self._clusters
+            unit = np.zeros(clusters * clusters, dtype=np.int64)
+            for code in self._codes:
+                local, h = divmod(code, clusters)
+                unit[code] = ((near if h == local else far) + table.conv(
+                    local, self.payload, self._is_write)[h])
+            summed = np.concatenate(
+                ([0], np.cumsum(walk.count * unit[self._pair])))
+            bounds = np.asarray(walk.cuts)
+            free = self._free[key] = (summed[bounds[1:]]
+                                      - summed[bounds[:-1]])
+        return free
 
 
 class AccelTally:
     """What one offload process's accelerator walks add up, charged once
     by :meth:`MemoryHierarchy.charge_accel` when the process ends.
 
-    The step builders add the counts no cache state changes, once per
-    run; the walks add misses and dirty victims. The counts are exact
-    integers that nothing reads before the run ends, so charging them
-    once equals charging each access as it happens.
+    A process adds the kept counts no cache state changes once per run
+    (:meth:`MemoryHierarchy.accel_costs`); the walks add misses and
+    dirty victims. The counts
+    are exact integers that nothing reads before the run ends, so
+    charging them once equals charging each access as it happens.
     """
 
     __slots__ = ("l3_acc", "l3_miss", "l3_alloc", "l3_wbs", "dram_wbs",
                  "acp_acc", "acp_miss", "acp_wbs", "private_acc",
-                 "private_miss", "private_wbs", "msgs", "acp_events",
+                 "private_miss", "private_wbs", "msgs", "kept_msgs",
+                 "acp_events",
                  "l3_events", "moved")
 
     def __init__(self, clusters: int):
@@ -1073,10 +1094,13 @@ class AccelTally:
         self.private_acc = 0
         self.private_miss = 0
         self.private_wbs = 0
-        #: (traffic class name, src, dst, payload bytes) -> messages:
-        #: the key of a message shape in the traffic ledger (a str hashes
-        #: in C, an Enum member in Python)
+        #: (traffic class name, src, dst, payload bytes) -> messages the
+        #: walks send: the key of a message shape in the traffic ledger
+        #: (a str hashes in C, an Enum member in Python)
         self.msgs: Dict[Tuple[str, int, int, int], int] = {}
+        #: the (shape, messages) pairs kept with each walk's costs,
+        #: charged as they are
+        self.kept_msgs: List[tuple] = []
         #: ACP-port energy events, the L3 energy events of line fetches
         #: and Mono-CA's misses and dirty victims (an element's come from
         #: its ACP misses and dirty victims), and the bytes that crossed

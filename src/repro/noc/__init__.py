@@ -9,10 +9,11 @@ control and inter-accelerator data.
 """
 
 from .mesh import Mesh
-from .traffic import TrafficClass, TrafficLedger
+from .traffic import MessageCosts, TrafficClass, TrafficLedger
 
 __all__ = [
     "Mesh",
+    "MessageCosts",
     "TrafficClass",
     "TrafficLedger",
 ]

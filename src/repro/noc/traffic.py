@@ -25,7 +25,7 @@ by its access count only when a total is read.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..energy import EnergyLedger
 from .mesh import Mesh
@@ -46,6 +46,51 @@ _EK_BYTE_HOP = ("noc", "noc_byte_hop")
 _EK_ROUTER_FLIT = ("noc", "noc_router_flit")
 
 _CLASSES = tuple(TrafficClass)
+#: class name -> index into :data:`_CLASSES`
+_CLASS_INDEX = {tc._name_: i for i, tc in enumerate(_CLASSES)}
+
+#: the key of a message shape: (class name, src, dst, payload bytes)
+Shape = Tuple[str, int, int, int]
+
+
+class Lazy(dict):
+    """A dict that computes a missing entry on its first lookup. Two
+    threads that miss one entry at once compute the same value, so a
+    shared one needs no lock."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
+class MessageCosts:
+    """What a message costs on ``mesh`` whoever sends it, computed on
+    first lookup: :attr:`ps` maps (src, dst, payload bytes) to its
+    one-way latency in ps, and :attr:`shapes` maps a shape to (latency
+    ps, class index, bytes per message, hops, flits per message). The
+    mesh is static, so one instance serves every ledger on the same NoC
+    parameters."""
+
+    __slots__ = ("mesh", "ps", "shapes")
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self.ps = ps = Lazy(lambda key: mesh.latency_ps(
+            key[0], key[1], key[2] + HEADER_BYTES))
+
+        def shape(key: Shape) -> tuple:
+            name, src, dst, payload_bytes = key
+            unit = payload_bytes + HEADER_BYTES
+            return (ps[(src, dst, payload_bytes)], _CLASS_INDEX[name], unit,
+                    mesh.hops(src, dst), mesh.num_flits(unit))
+
+        self.shapes = Lazy(shape)
 
 
 class TrafficLedger:
@@ -57,29 +102,38 @@ class TrafficLedger:
     read walks the shapes.
     """
 
-    def __init__(self, mesh: Mesh, energy: Optional[EnergyLedger] = None):
+    def __init__(self, mesh: Mesh, energy: Optional[EnergyLedger] = None,
+                 costs: Optional[MessageCosts] = None):
         self.mesh = mesh
-        #: (src, dst, payload) -> one-way latency ps; messages repeat the
-        #: same few shapes millions of times, the mesh is static
-        self._lat_memo: Dict[Tuple[int, int, int], int] = {}
-        #: (class name, src, dst, payload) -> [messages, latency ps,
-        #: class index, bytes per message, hops, flits per message]
-        self._shapes: Dict[Tuple[str, int, int, int], list] = {}
+        #: static message costs on ``mesh``; a hierarchy passes its
+        #: latency table's, which every cell on the same NoC shares
+        costs = costs or MessageCosts(mesh)
+        self._ps = costs.ps
+        self._static = costs.shapes
+        #: shape -> [messages, latency ps, class index, bytes per
+        #: message, hops, flits per message]
+        self._shapes: Dict[Shape, list] = {}
         if energy is not None:
             # validate the event names once, as charge() does per call
             getattr(energy.table, _EK_BYTE_HOP[1])
             getattr(energy.table, _EK_ROUTER_FLIT[1])
             energy.attach(self)
 
+    def __getstate__(self) -> dict:
+        # a result sent between processes carries its counts, not the
+        # shared cost memos (which hold functions), so they are rebuilt
+        state = self.__dict__.copy()
+        del state["_ps"], state["_static"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        costs = MessageCosts(self.mesh)
+        self._ps, self._static = costs.ps, costs.shapes
+
     def latency_of(self, src: int, dst: int, payload_bytes: int) -> int:
         """Memoized one-way message latency (what :meth:`record` returns)."""
-        key = (src, dst, payload_bytes)
-        lat = self._lat_memo.get(key)
-        if lat is None:
-            lat = self._lat_memo[key] = self.mesh.latency_ps(
-                src, dst, payload_bytes + HEADER_BYTES
-            )
-        return lat
+        return self._ps[(src, dst, payload_bytes)]
 
     def record(self, tclass: TrafficClass, src: int, dst: int,
                payload_bytes: int, count: int = 1) -> int:
@@ -92,13 +146,19 @@ class TrafficLedger:
         key = (tclass._name_, src, dst, payload_bytes)
         shape = self._shapes.get(key)
         if shape is None:
-            unit = payload_bytes + HEADER_BYTES
-            shape = self._shapes[key] = [
-                0, self.latency_of(src, dst, payload_bytes),
-                _CLASSES.index(tclass), unit, self.mesh.hops(src, dst),
-                self.mesh.num_flits(unit)]
+            shape = self._shapes[key] = [0, *self._static[key]]
         shape[0] += count
         return shape[1]
+
+    def record_shapes(self, counts: Iterable[Tuple[Shape, int]]) -> None:
+        """Record ``count`` messages of each (shape, count) pair, as
+        :meth:`record` does one shape at a time."""
+        shapes, static = self._shapes, self._static
+        for key, count in counts:
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = [0, *static[key]]
+            shape[0] += count
 
     def _by_class(self) -> Tuple[list, list, list]:
         """Per class index: bytes, byte-hops and messages."""

@@ -30,7 +30,7 @@ from ..mem.slab import SlabAllocator
 from ..noc import TrafficClass
 from ..obs import OBS
 from ..params import MachineParams
-from .streams import Plan, SiteStreams, chunk_homes, line_walk
+from .streams import KeptPlan, SiteStreams
 
 #: target number of chunks an innermost loop is simulated in
 TARGET_CHUNKS = 128
@@ -103,6 +103,7 @@ class OffloadEngine:
         try:
             return self.scheduler.lookup(ctx, access_id).buf_id
         except InterfaceError:
+            OBS.inc("engine.fallback.unmapped-access")
             return 10_000_000 + access_id  # fell back to uncombined
 
     # ------------------------------------------------------------------
@@ -133,13 +134,16 @@ class OffloadEngine:
         # centralized accelerator: no in-place access, pull the line
         return self._line_fetch(cluster, addr, is_write)
 
-    def _walk_each(self, step: tuple, is_write: bool, tally) -> int:
-        """Reference chunk walk: one :meth:`_line_fetch` per line or, for
-        an element step (element bytes set), one :meth:`_elem_access`
-        per element. ``step`` is (cluster, addresses, element bytes);
-        every call charges the ledgers itself, so ``tally`` stays
-        empty."""
-        cluster, addrs, elem_bytes = step
+    def _walk_each(self, walk: tuple, c: int, is_write: bool,
+                   tally) -> int:
+        """Reference walk of chunk ``c``: one :meth:`_line_fetch` per line
+        or, for an element walk (element bytes set), one
+        :meth:`_elem_access` per element. ``walk`` is (each chunk's
+        cluster, the plan's array, its cut points, element bytes); every
+        call charges the ledgers itself, so ``tally`` stays empty."""
+        homes, flat, cuts, elem_bytes = walk
+        cluster = homes[c]
+        addrs = flat[cuts[c]:cuts[c + 1]]
         if elem_bytes is None:
             return sum(self._line_fetch(cluster, addr, is_write)
                        for addr in addrs.tolist())
@@ -178,7 +182,8 @@ class OffloadEngine:
                 try:
                     self.scheduler.allocate(ctx, cluster, acc)
                 except AllocationError:
-                    pass  # SRAM pressure: access falls back to uncombined
+                    # SRAM pressure: the access falls back to uncombined
+                    OBS.inc("engine.fallback.sram-pressure")
         # substrate setup (microcode / CGRA configuration load)
         setup_cycles = max(
             (self.backend.setup_cycles(p)
@@ -458,66 +463,44 @@ class _RunContext:
             if a.kind in (AccessKind.INDIRECT, AccessKind.RANDOM)
         ]
 
-    def _plan(self, acc: AccessConfig, lines: bool) -> Plan:
-        """The access's per-chunk line addresses (the L3's line size) or
-        element byte addresses."""
-        engine = self.engine
-        return self.site_streams.chunk_plan(
-            acc.site_ids, len(self.chunk_sizes),
-            engine.slab.by_name(acc.obj).base, acc.elem_bytes,
-            _line_shift(engine.machine), lines,
-        )
-
     def _steps(self, acc: AccessConfig, cluster: int, lines: bool,
-               tally: AccelTally) -> Tuple[Plan, list, List[int]]:
-        """The access's plan (only chunk 0's first line for an invariant
-        stream), each chunk's step for the bound walk, and the latency
-        of each chunk that no cache state changes.
+               tally: AccelTally) -> Tuple[KeptPlan, tuple, List[int]]:
+        """The access's kept plan of line or element addresses (for an
+        invariant stream, only chunk 0's first line), its walk bound for
+        this run, and the latency of each chunk that no cache state
+        changes.
 
-        With :attr:`walk_plans`, the steps come from the plan's chunk
-        walk, and the hierarchy adds the counts no cache state changes
-        to ``tally`` here, once per run. Otherwise a step is (cluster,
-        addresses in program order, element bytes or None for lines),
-        and the walk returns the chunk's whole latency."""
+        With :attr:`walk_plans`, the walk and the latencies come from
+        what the record keeps for this L3 layout, and the kept counts
+        no cache state changes go to ``tally`` here, once per run.
+        Otherwise the walk is (each chunk's cluster, the plan's array,
+        its cut points, element bytes or None for lines), and the bound
+        walk returns each chunk's whole latency."""
         engine = self.engine
         hierarchy = engine.hierarchy
-        plan = flat, cuts = self._plan(acc, lines)
-        nchunks = len(self.chunk_sizes)
-        invariant = self._is_invariant(acc)
-        if invariant:  # only chunk 0 fetches, one line
-            k = min(cuts[1], 1)
-            plan = flat, cuts = flat[:k], (0,) + (k,) * nchunks
-        homes = self._homes(plan, cluster)
-        if not self.walk_plans:
-            eb = None if lines else acc.elem_bytes
-            return plan, [(home, flat[lo:hi], eb) for home, lo, hi
-                          in zip(homes, cuts, cuts[1:])], [0] * nchunks
         l3 = hierarchy.l3
-        if invariant:
-            walk = line_walk(plan, l3.stripe_bytes, l3.num_clusters)
-        else:
-            walk = self.site_streams.chunk_walk(
-                acc.site_ids, nchunks, engine.slab.by_name(acc.obj).base,
-                acc.elem_bytes, _line_shift(engine.machine), lines,
-                l3.stripe_bytes, l3.num_clusters)
+        nchunks = len(self.chunk_sizes)
+        kept = self.site_streams.kept(
+            acc.site_ids, (engine.slab.by_name(acc.obj).base,
+                           _line_shift(engine.machine), l3.stripe_bytes,
+                           l3.num_clusters),
+            nchunks, acc.elem_bytes, lines, self._is_invariant(acc))
+        flat, cuts = kept.plan
+        if not self.walk_plans:
+            # a migrating access unit presents each chunk at its data's
+            # home
+            homes = (kept.homes(cluster).tolist() if engine.migrating
+                     else [cluster] * nchunks)
+            return kept, (homes, flat, cuts,
+                          None if lines else acc.elem_bytes), [0] * nchunks
         if hierarchy.private is not None:
-            heads = plan if lines else (walk.heads, walk.head_cuts)
-            steps, free = hierarchy.l3_demand_steps(heads, cuts, homes,
-                                                    tally)
-        elif lines:
-            steps, free = hierarchy.accel_line_steps(
-                walk, flat, homes, acc.is_write, tally)
-        else:
-            steps, free = hierarchy.accel_elem_steps(
-                walk, homes, acc.is_write, acc.elem_bytes, tally)
-        return plan, steps, free
-
-    def _homes(self, plan: Plan, static_cluster: int) -> List[int]:
-        """Cluster the access unit presents at for each chunk."""
-        engine = self.engine
-        if not engine.migrating:
-            return [static_cluster] * len(self.chunk_sizes)
-        return chunk_homes(plan, static_cluster, engine.hierarchy.l3)
+            # Mono-CA: one cycle per private-cache access
+            tally.private_acc += kept.accesses
+            return kept, kept.private_steps(cluster), [
+                b - a for a, b in zip(cuts, cuts[1:])]
+        free = hierarchy.accel_costs(kept.costs(cluster, acc.is_write),
+                                     lines, tally)
+        return kept, kept.line_steps() if lines else kept.elem_steps(), free
 
     def _is_invariant(self, acc: AccessConfig) -> bool:
         return acc.stride_elems == 0 and acc.kind is AccessKind.STREAM_READ
@@ -538,7 +521,8 @@ class _RunContext:
         fetch = self.fetch_lines
         invariant = self._is_invariant(acc)
         tally = self.engine.hierarchy.accel_tally()
-        (flat, cuts), steps, free = self._steps(acc, cluster, True, tally)
+        kept, walk, free = self._steps(acc, cluster, True, tally)
+        cuts = kept.plan[1]
         take, give = self._port_commands()
         for c in range(len(self.chunk_sizes)):
             if invariant and c > 0:
@@ -546,7 +530,7 @@ class _RunContext:
                 continue
             if take is not None:
                 yield take
-            lat_cycles = free[c] + fetch(steps[c], False, tally)
+            lat_cycles = free[c] + fetch(walk, c, False, tally)
             yield Delay(cycles_to_ps(
                 lat_cycles / FSM_OVERLAP + (cuts[c + 1] - cuts[c]),
                 MEM_FREQ_GHZ
@@ -555,11 +539,11 @@ class _RunContext:
                 yield give
             yield Put(tok, c)
         self.engine.hierarchy.charge_accel(tally)
-        buf_n = flat.size
+        buf_n = kept.accesses
         # an invariant stream fetches one line for all its elements
         fsm_n = buf_n if invariant else self.site_streams.length(
             acc.site_ids)
-        trans_n = sum(lo < hi for lo, hi in zip(cuts, cuts[1:]))
+        trans_n = kept.nonempty
         if trans_n:
             energy = self.engine.energy
             energy.charge("access_unit", "fsm_step", fsm_n)
@@ -570,14 +554,15 @@ class _RunContext:
     def _drain_proc(self, acc: AccessConfig, cluster: int, tok: Channel):
         fetch = self.fetch_lines
         tally = self.engine.hierarchy.accel_tally()
-        (flat, cuts), steps, free = self._steps(acc, cluster, True, tally)
+        kept, walk, free = self._steps(acc, cluster, True, tally)
+        cuts = kept.plan[1]
         take, give = self._port_commands()
         next_chunk = Get(tok)
         for _ in self.chunk_sizes:
             c = yield next_chunk
             if take is not None:
                 yield take
-            lat_cycles = free[c] + fetch(steps[c], True, tally)
+            lat_cycles = free[c] + fetch(walk, c, True, tally)
             yield Delay(cycles_to_ps(
                 lat_cycles / FSM_OVERLAP + (cuts[c + 1] - cuts[c]),
                 MEM_FREQ_GHZ
@@ -585,7 +570,7 @@ class _RunContext:
             if give is not None:
                 yield give
         self.engine.hierarchy.charge_accel(tally)
-        buf_n = flat.size
+        buf_n = kept.accesses
         if buf_n:
             energy = self.engine.energy
             energy.charge("access_unit", "fsm_step", buf_n)
@@ -594,21 +579,20 @@ class _RunContext:
 
     def _indirect_steps(self, parts: List[PartitionConfig],
                         tally: AccelTally):
-        """(steps, is_write) of each indirect access of ``parts``, the
-        summed latency of each chunk that no cache state changes, and
-        the accesses' translation-lookup and byte totals."""
+        """(bound walk, is_write) of each indirect access of ``parts``,
+        the summed latency of each chunk that no cache state changes,
+        and the accesses' translation-lookup and byte totals."""
         walks = []
         free = [0] * len(self.chunk_sizes)
         lookups = moved = 0
         for part in parts:
             cluster = self.clusters[part.partition_index]
             for acc in self._indirect(part):
-                (flat, _), steps, lat = self._steps(acc, cluster, False,
-                                                    tally)
-                walks.append((steps, acc.is_write))
+                kept, walk, lat = self._steps(acc, cluster, False, tally)
+                walks.append((walk, acc.is_write))
                 free = [a + b for a, b in zip(free, lat)]
-                lookups += flat.size
-                moved += flat.size * acc.elem_bytes
+                lookups += kept.accesses
+                moved += kept.accesses * acc.elem_bytes
         return walks, free, lookups, moved
 
     def _partition_proc(self, part: PartitionConfig, cluster: int):
@@ -647,8 +631,8 @@ class _RunContext:
             for get in gets:
                 yield get
             ind_cycles = free[c]
-            for steps, is_write in indirect:
-                ind_cycles += access(steps[c], is_write, tally)
+            for walk, is_write in indirect:
+                ind_cycles += access(walk, c, is_write, tally)
             compute_ps = ii_ps * iters
             # a loop-carried address chain (pointer chasing) serializes
             # indirect accesses on every substrate (overlap hoisted)
@@ -749,8 +733,8 @@ class _RunContext:
             for get in gets:
                 yield get
             ind_cycles = free[c]
-            for steps, is_write in indirect:
-                ind_cycles += access(steps[c], is_write, tally)
+            for walk, is_write in indirect:
+                ind_cycles += access(walk, c, is_write, tally)
             # dependence cycle: no overlap across iterations
             yield Delay(
                 iters * (per_iter_ps + hop_ps)

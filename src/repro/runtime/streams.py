@@ -12,9 +12,14 @@ chunk. Next to a plan, a *chunk walk* holds what the accelerator's
 cache walks need from it under one L3 layout and that no cache state
 changes: each line chunk's runs of lines with one home cluster
 (:class:`LineWalk`), and each element chunk's same-line run heads with
-its element count per home (:class:`ElemWalk`). :class:`SiteStreams`
-builds each plan and walk once and shares them with every
-configuration that replays the same call on the same layout.
+its element count per home (:class:`ElemWalk`). A :class:`KeptPlan`
+holds a plan, its walk, its chunk homes and, per set of chunk homes,
+its :class:`WalkCosts`: everything in a chunk step that no
+configuration changes. :class:`SiteStreams` builds each part once per
+record and L3 layout and shares it with every configuration that
+replays the same call on that layout. All of it is numpy arrays and
+per-pair counts: a run binds the Python lists its walks iterate, so no
+per-chunk or per-address Python object outlives a run.
 """
 
 from __future__ import annotations
@@ -27,7 +32,14 @@ import numpy as np
 from ..envcfg import reference_enabled
 from ..ir.interp import MemAccess
 from ..ir.trace import ColumnarTrace
-from ..mem.nuca import NucaL3
+from ..mem.hierarchy import WalkCosts
+
+#: (slab base, line shift, stripe bytes, clusters): what places a
+#: site's addresses on an L3
+Layout = Tuple[int, int, int, int]
+
+#: how many layouts a site keeps plans for: its most recently used
+LAYOUTS = 2
 
 
 class SiteStreams:
@@ -49,13 +61,10 @@ class SiteStreams:
             }
         for stream in self._streams.values():
             stream.flags.writeable = False
-        #: site -> ((slab base, line shift), {(chunks, elem bytes,
-        #: lines): plan}): each site's plans under one layout
-        self._plans: Dict[Optional[int], tuple] = {}
-        #: site -> {(chunks, elem bytes, lines, stripe bytes, clusters):
-        #: walk}: the walks of the site's plans, one per L3 layout,
-        #: dropped with the plans
-        self._walks: Dict[Optional[int], dict] = {}
+        #: site -> ((layout, {(chunks, elem bytes, lines, invariant):
+        #: kept plan}), ...): the site's plans under its most recently
+        #: used layouts, newest last
+        self._kept: Dict[Optional[int], tuple] = {}
 
     def stream(self, site_id: int) -> np.ndarray:
         return self._streams.get(site_id, np.empty(0, dtype=np.int64))
@@ -79,54 +88,61 @@ class SiteStreams:
     def sites(self) -> List[int]:
         return sorted(self._streams)
 
-    def chunk_plan(self, site_ids: Sequence[int], nchunks: int, base: int,
-                   elem_bytes: int, shift: int, lines: bool) -> Plan:
-        """Each chunk's distinct line addresses in lines of ``1 << shift``
-        bytes or, with ``lines`` false, its element byte addresses (the
-        object at ``base``); built on first use.
+    def kept(self, site_ids: Sequence[int], layout: Layout, nchunks: int,
+             elem_bytes: int, lines: bool,
+             invariant: bool = False) -> "KeptPlan":
+        """The plan of each chunk's distinct line addresses, in lines of
+        ``1 << shift`` bytes, or, with ``lines`` false, of its element
+        byte addresses (the object at the layout's slab base), with what
+        replays of it share under ``layout``; built on first use. An
+        ``invariant`` plan holds only the line plan's first line, which
+        chunk 0 fetches for every chunk.
 
-        A site keeps the plans of one layout (its object's slab base and
-        the line shift) at a time: a lookup under another layout drops
-        them, so a record holds at most one machine's plans however many
-        machines replay it.
+        A site keeps the plans of its :data:`LAYOUTS` most recently used
+        layouts: a lookup under another layout drops the least recently
+        used one's, so a record holds at most two machines' plans
+        however many machines replay it.
         """
         site = self._representative(site_ids)
-        held = self._plans.get(site)
-        if held is None or held[0] != (base, shift):
-            held = self._plans[site] = ((base, shift), {})
-            self._walks.pop(site, None)
-        plans = held[1]
-        key = (nchunks, elem_bytes, lines)
-        plan = plans.get(key)
-        if plan is None:
-            stream = self.stream(site)
-            plan = plans[key] = (
-                _build_line_plan(stream, nchunks, base, elem_bytes, shift)
-                if lines else
-                _build_addr_plan(stream, nchunks, base, elem_bytes))
-        return plan
+        held = self._kept.get(site, ())
+        if held and held[-1][0] == layout:
+            plans = held[-1][1]
+        else:
+            plans = next((p for lay, p in held if lay == layout), {})
+            others = tuple(entry for entry in held if entry[0] != layout)
+            dropped = max(0, len(others) + 1 - LAYOUTS)
+            # replaced whole, so no reader sees it half changed
+            self._kept[site] = others[dropped:] + ((layout, plans),)
+        key = (nchunks, elem_bytes, lines, invariant)
+        kept = plans.get(key)
+        if kept is None:
+            shift = layout[1]
+            kept = plans[key] = KeptPlan(
+                self._plan(site_ids, layout, key), layout, lines,
+                (1 << shift) if lines else elem_bytes)
+        return kept
 
-    def chunk_walk(self, site_ids: Sequence[int], nchunks: int, base: int,
-                   elem_bytes: int, shift: int, lines: bool, stripe: int,
-                   clusters: int) -> Walk:
-        """The walk of :meth:`chunk_plan`'s plan on an L3 of ``clusters``
-        slices striped every ``stripe`` bytes; built on first use.
-
-        A plan keeps one walk per L3 layout that replays it (machines
-        that differ only in their L3 share slab bases and line size, so
-        they share plans), and a plan dropped for another layout takes
-        its walks with it.
-        """
-        plan = self.chunk_plan(site_ids, nchunks, base, elem_bytes, shift,
-                               lines)
-        walks = self._walks.setdefault(self._representative(site_ids), {})
-        key = (nchunks, elem_bytes, lines, stripe, clusters)
-        walk = walks.get(key)
-        if walk is None:
-            walk = walks[key] = (
-                line_walk(plan, stripe, clusters) if lines else
-                elem_walk(plan, stripe, clusters, shift))
-        return walk
+    def _plan(self, site_ids: Sequence[int], layout: Layout,
+              key: tuple) -> Plan:
+        """Build the plan of :meth:`kept`, or share it with a kept layout
+        that differs only in the L3."""
+        site = self._representative(site_ids)
+        for other, plans in self._kept[site]:
+            kept = plans.get(key)
+            if kept is not None and other[:2] == layout[:2]:
+                return kept.plan
+        nchunks, elem_bytes, lines, invariant = key
+        base, shift = layout[:2]
+        if invariant:
+            flat, cuts = self.kept(site_ids, layout, nchunks, elem_bytes,
+                                   True).plan
+            k = min(cuts[1], 1)
+            return flat[:k], (0,) + (k,) * nchunks
+        if lines:
+            return _build_line_plan(self.stream(site), nchunks, base,
+                                    elem_bytes, shift)
+        return _build_addr_plan(self.stream(site), nchunks, base,
+                                elem_bytes)
 
 
 #: one read-only array of every chunk's values, and the ``n + 1`` cut
@@ -152,41 +168,23 @@ def _build_addr_plan(stream: np.ndarray, nchunks: int, base: int,
 
 def _build_line_plan(stream: np.ndarray, nchunks: int, base: int,
                      elem_bytes: int, shift: int) -> Plan:
-    """Streams are almost always monotone, so the per-chunk sorted dedup
-    is one global adjacent-difference mask that restarts at each chunk
-    start. Non-monotone streams keep the per-chunk reference dedup."""
+    """Each chunk's distinct lines in ascending order. Streams are
+    almost always monotone, so this is one global adjacent-difference
+    mask that restarts at each chunk start; a non-monotone stream is
+    first sorted by (chunk, line)."""
     size = stream.size
     bounds = _elem_bounds(size, nchunks)
     if size == 0:
         return _plan(stream, bounds)
     lines = (base + stream * elem_bytes) >> shift
-    if size == 1 or bool((lines[1:] >= lines[:-1]).all()):
-        keep = np.empty(size, dtype=bool)
-        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-        keep[bounds[:-1]] = True
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        return _plan(lines[keep] << shift, kept[bounds])
-    parts = [_chunk_lines_ref(stream[lo:hi], base, elem_bytes, shift)
-             for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-    return _plan(np.concatenate(parts),
-                 np.cumsum([0] + [p.size for p in parts]))
-
-
-def _chunk_lines_ref(elems: np.ndarray, base: int, eb: int,
-                    shift: int) -> np.ndarray:
-    """Reference per-chunk line dedup (non-monotone streams)."""
-    if elems.size == 0:
-        return elems
-    if elems.size <= 16:
-        lines = sorted({(base + e * eb) >> shift for e in elems.tolist()})
-        return np.array(lines, dtype=np.int64) << shift
-    lines = (base + elems * eb) >> shift
-    if (lines[1:] >= lines[:-1]).all():
-        keep = np.empty(lines.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = lines[1:] != lines[:-1]
-        return lines[keep] << shift
-    return np.unique(lines) << shift
+    if size > 1 and not bool((lines[1:] >= lines[:-1]).all()):
+        chunk = _chunk_of(bounds)
+        lines = lines[np.lexsort((lines, chunk))]
+    keep = np.empty(size, dtype=bool)
+    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+    keep[bounds[:-1]] = True
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return _plan(lines[keep] << shift, kept[bounds])
 
 
 class LineWalk(NamedTuple):
@@ -298,13 +296,97 @@ def elem_walk(plan: Plan, stripe: int, clusters: int,
         _group_cuts(pairs // clusters, nchunks))
 
 
-def chunk_homes(plan: Plan, static: int, l3: NucaL3) -> List[int]:
-    """Home cluster of each chunk's first address; ``static`` for an
+def chunk_homes(plan: Plan, static: int, stripe: int,
+                clusters: int) -> np.ndarray:
+    """Home cluster of each chunk's first address, on an L3 of
+    ``clusters`` slices striped every ``stripe`` bytes; ``static`` for an
     empty chunk."""
     flat, cuts = plan
     if not flat.size:
-        return [static] * (len(cuts) - 1)
+        return np.full(len(cuts) - 1, static, dtype=np.int64)
     lo = np.array(cuts[:-1])
     first = flat[np.minimum(lo, flat.size - 1)]
-    return np.where(lo < np.array(cuts[1:]), l3.home_cluster(first),
-                    static).tolist()
+    return np.where(lo < np.array(cuts[1:]),
+                    (first // stripe) % clusters, static).astype(np.int64)
+
+
+class KeptPlan:
+    """A chunk plan and, under one L3 layout, what every replay of it
+    reads that no configuration changes: its chunk walk, its chunk homes
+    per presenting cluster, and per set of homes its :class:`WalkCosts`.
+    Each part is built on first use. A :class:`SiteStreams` keeps these,
+    and a record never pickles its streams."""
+
+    __slots__ = ("plan", "nonempty", "accesses", "payload", "_layout",
+                 "_lines", "_walk", "_homes", "_costs")
+
+    def __init__(self, plan: Plan, layout: Layout, lines: bool,
+                 payload: int):
+        self.plan = plan
+        cuts = plan[1]
+        #: chunks with at least one address, and the addresses
+        self.nonempty = int(np.count_nonzero(np.diff(cuts)))
+        self.accesses = cuts[-1] - cuts[0]
+        #: bytes one access moves: a line, or an element
+        self.payload = payload
+        self._layout = layout
+        self._lines = lines
+        self._walk: Optional[Walk] = None
+        self._homes: Dict[int, np.ndarray] = {}
+        self._costs: Dict[Tuple[int, bool], WalkCosts] = {}
+
+    def walk(self) -> Walk:
+        if self._walk is None:
+            _, shift, stripe, clusters = self._layout
+            self._walk = (line_walk(self.plan, stripe, clusters)
+                          if self._lines else
+                          elem_walk(self.plan, stripe, clusters, shift))
+        return self._walk
+
+    def homes(self, static: int) -> np.ndarray:
+        """Where a migrating access unit presents each chunk (see
+        :func:`chunk_homes`)."""
+        homes = self._homes.get(static)
+        if homes is None:
+            _, _, stripe, clusters = self._layout
+            homes = self._homes[static] = chunk_homes(self.plan, static,
+                                                      stripe, clusters)
+        return homes
+
+    def costs(self, static: int, is_write: bool) -> WalkCosts:
+        """The walk's state-free costs presented at :meth:`homes`."""
+        key = (static, is_write)
+        costs = self._costs.get(key)
+        if costs is None:
+            costs = self._costs[key] = WalkCosts(
+                self.walk(), self.homes(static), self._layout[3],
+                self.payload, is_write)
+        return costs
+
+    # -- walks bound for one run: Python lists, which the cache walks
+    # iterate fastest, built per run because kept they would hold a
+    # Python int per address
+    def line_steps(self) -> tuple:
+        """The plan's lines, each segment's home, each segment's start
+        (and the end), and chunk ``c``'s segments ``cuts[c]:cuts[c +
+        1]``."""
+        walk = self.walk()
+        return (self.plan[0].tolist(), walk.home.tolist(),
+                [0] + np.cumsum(walk.count).tolist(), walk.cuts)
+
+    def elem_steps(self) -> tuple:
+        """Each same-line run's home and head address, and chunk ``c``'s
+        runs ``cuts[c]:cuts[c + 1]``."""
+        walk = self.walk()
+        return walk.head_home.tolist(), walk.heads.tolist(), walk.head_cuts
+
+    def private_steps(self, node: int) -> tuple:
+        """The requesting cluster, and the addresses Mono-CA's private
+        cache looks up with each chunk's cut points: a line plan's lines,
+        or an element walk's run heads."""
+        if self._lines:
+            flat, cuts = self.plan
+        else:
+            walk = self.walk()
+            flat, cuts = walk.heads, walk.head_cuts
+        return node, flat.tolist(), cuts

@@ -18,7 +18,7 @@ from repro.mem import MemoryHierarchy
 from repro.mem.cache import Cache
 from repro.noc.traffic import TrafficClass
 from repro.params import default_machine, experiment_machine
-from repro.runtime.streams import elem_walk, line_walk
+from repro.runtime.streams import KeptPlan, WalkCosts
 
 #: the Table III shapes (64-set L1), the scaled-down shapes the
 #: experiment matrix and the benchmark run (4-set L1, 8-set L2 and L3
@@ -58,39 +58,37 @@ def host_stream(seed: int, n: int = 3000):
 def walk_chunk(hier, local, addrs, is_write, elem_bytes=None, tally=None,
                mono=False):
     """Walk ``addrs`` as a one-chunk line plan or, given ``elem_bytes``,
-    element plan presented at ``local``: its chunk walk, its step and
-    state-free latency, then the batch walk, through the distributed
-    walks or, with ``mono``, through Mono-CA's private cache. Charges
-    the tally unless one is passed in. Returns the chunk's latency and
-    its step."""
+    element plan presented at ``local``: its kept plan, the kept costs
+    of its walk presented at ``local`` added to the tally with the
+    chunk's state-free latency, then the batch walk, through the
+    distributed walks or, with ``mono``, through Mono-CA's private
+    cache. Charges the tally unless one is passed in. Returns the
+    chunk's latency and its bound walk."""
     l3 = hier.l3
-    plan = (addrs, (0, len(addrs)))
+    lines = elem_bytes is None
+    kept = KeptPlan((addrs, (0, len(addrs))),
+                    (0, l3.slices[0].line_shift, l3.stripe_bytes,
+                     l3.num_clusters),
+                    lines,
+                    hier.machine.l3.line_bytes if lines else elem_bytes)
     charge = tally is None
     tally = tally or hier.accel_tally()
-    if elem_bytes is None:
-        walk = line_walk(plan, l3.stripe_bytes, l3.num_clusters)
-        if mono:
-            steps, free = hier.l3_demand_steps(plan, plan[1], [local],
-                                               tally)
-        else:
-            steps, free = hier.accel_line_steps(walk, addrs, [local],
-                                                is_write, tally)
+    if mono:
+        tally.private_acc += kept.accesses
+        walk, free = kept.private_steps(local), [kept.accesses]
+        batch = hier.l3_demand_batch
     else:
-        walk = elem_walk(plan, l3.stripe_bytes, l3.num_clusters,
-                         l3.slices[0].line_shift)
-        if mono:
-            steps, free = hier.l3_demand_steps(
-                (walk.heads, walk.head_cuts), plan[1], [local], tally)
+        costs = WalkCosts(kept.walk(), np.array([local]), l3.num_clusters,
+                          kept.payload, is_write)
+        free = hier.accel_costs(costs, lines, tally)
+        if lines:
+            walk, batch = kept.line_steps(), hier.accel_line_fetch_batch
         else:
-            steps, free = hier.accel_elem_steps(walk, [local], is_write,
-                                                elem_bytes, tally)
-    batch = (hier.l3_demand_batch if mono
-             else hier.accel_line_fetch_batch if elem_bytes is None
-             else hier.accel_elem_access_batch)
-    lat = free[0] + batch(steps[0], is_write, tally)
+            walk, batch = kept.elem_steps(), hier.accel_elem_access_batch
+    lat = free[0] + batch(walk, 0, is_write, tally)
     if charge:
         hier.charge_accel(tally)
-    return lat, steps[0]
+    return lat, walk
 
 
 def private_fetch(hier, local, addr, is_write):
@@ -257,8 +255,9 @@ def test_accel_line_fetch_batch_single_stripe_chunks(machine, is_write):
             block * stripe_lines + offsets).astype(np.int64) * 64
         assert len(set((addrs // l3.stripe_bytes).tolist())) == 1
         local = c % l3.num_clusters
-        lat, step = walk_chunk(fast, local, addrs, is_write, tally=tally)
-        assert len(step) == 1
+        lat, walk = walk_chunk(fast, local, addrs, is_write, tally=tally)
+        segment_cuts = walk[3]
+        assert segment_cuts[1] - segment_cuts[0] == 1
         batch_lat += lat
         scalar_lat += sum(ref.accel_line_fetch(local, addr, is_write)
                           for addr in addrs.tolist())

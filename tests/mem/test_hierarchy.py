@@ -1,11 +1,16 @@
 """Integration tests for the assembled memory hierarchy + NUCA + coherence."""
 
+import sys
+import threading
+from dataclasses import replace
+
 import pytest
 
 from repro.energy import EnergyLedger
 from repro.mem import CoherenceManager, Domain, MemoryHierarchy, NucaL3, SlabAllocator
+from repro.mem.hierarchy import LatencyTable
 from repro.noc import TrafficClass
-from repro.params import PAGE_BYTES, default_machine
+from repro.params import PAGE_BYTES, default_machine, experiment_machine
 
 
 def make_hierarchy():
@@ -195,3 +200,85 @@ class TestDram:
         h.host_access(0x2000_0000 + 10 * PAGE_BYTES, False)
         assert h.dram.reads == 2
         assert h.dram.bytes_transferred == 2 * 64
+
+
+def with_lines(m, line_bytes):
+    """``m`` with every cache level at ``line_bytes``."""
+    return replace(m, l1=replace(m.l1, line_bytes=line_bytes),
+                   l2=replace(m.l2, line_bytes=line_bytes),
+                   l3=replace(m.l3, line_bytes=line_bytes))
+
+
+#: the experiment machine with one latency parameter changed
+CHANGED = {
+    "noc": lambda m: replace(m, noc=replace(
+        m.noc, hop_latency_cycles=m.noc.hop_latency_cycles + 1)),
+    "core clock": lambda m: replace(m, core=replace(
+        m.core, freq_ghz=m.core.freq_ghz * 2)),
+    "dram latency": lambda m: replace(m, dram=replace(
+        m.dram, latency_cycles=m.dram.latency_cycles + 40)),
+    "line size": lambda m: with_lines(m, 128),
+}
+
+
+class TestLatencyTable:
+    """One static latency table per set of latency parameters (NoC,
+    core clock, DRAM latency, line size), read by every hierarchy and
+    traffic ledger that has them."""
+
+    def test_machines_with_the_same_parameters_share_one(self):
+        base = experiment_machine()
+        # the accelerator clock and the L3 size are not among them
+        machines = [base, base.with_accel_freq(1.5), replace(
+            base, l3=replace(base.l3, size_bytes=base.l3.size_bytes * 2))]
+        hierarchies = [MemoryHierarchy(m, EnergyLedger())
+                       for m in machines]
+        table = hierarchies[0].latency
+        for h in hierarchies:
+            assert h.latency is table
+            assert h.mesh is table.messages.mesh
+            assert h.traffic._ps is table.messages.ps
+            assert h.traffic._static is table.messages.shapes
+
+    @pytest.mark.parametrize("field", sorted(CHANGED))
+    def test_a_machine_that_differs_in_one_gets_its_own(self, field):
+        base = experiment_machine()
+        changed = CHANGED[field](base)
+        a = MemoryHierarchy(base, EnergyLedger())
+        b = MemoryHierarchy(changed, EnergyLedger())
+        assert a.latency is not b.latency
+        # and its entries are its own machine's
+        fresh = LatencyTable(changed.noc, changed.core.freq_ghz,
+                             changed.dram.latency_cycles,
+                             changed.l3.line_bytes)
+        line = changed.l3.line_bytes
+        for c in range(changed.l3_clusters):
+            assert b.latency.fill[c] == fresh.fill[c]
+            assert (b.latency.conv(c, line, False)[0]
+                    == fresh.conv(c, line, False)[0])
+
+    def test_threads_share_one(self):
+        """Hierarchies built on more threads than cores at once, with
+        the interpreter switching threads as often as it can, share one
+        table."""
+        machine = replace(experiment_machine(), dram=replace(
+            experiment_machine().dram, latency_cycles=777))
+        tables = []
+        start = threading.Barrier(8)
+
+        def build():
+            start.wait()
+            tables.append(MemoryHierarchy(machine, EnergyLedger()).latency)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(tables) == 8 and len({id(t) for t in tables}) == 1

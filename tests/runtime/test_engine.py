@@ -11,13 +11,15 @@ from repro.accel.inorder import InOrderBackend
 from repro.compiler import CompileMode, compile_kernel
 from repro.energy import EnergyLedger
 from repro.errors import AllocationError
+from repro.interface.config import AccessKind
 from repro.interface.scheduler import HardwareScheduler
 from repro.ir import FLOAT32, Interpreter, Kernel, Loop, LoopVar, MemObject
 from repro.mem import MemoryHierarchy, SlabAllocator
 from repro.mem.cache import Cache
+from repro.obs import OBS
 from repro.params import experiment_machine
 from repro.runtime import OffloadEngine, SiteStreams
-from repro.runtime.streams import elem_walk
+from repro.runtime.streams import KeptPlan
 
 
 def saxpy_setup(n=256, mode=CompileMode.DIST, backend="io", machine=None):
@@ -135,14 +137,16 @@ class TestLineSize:
         """On a 128 B-line machine each fill/drain fetches every 128 B
         line of its chunk once, and the Figure 9 tally counts 128 B per
         fetched line; the per-line reference path agrees. A chunk's
-        step holds its lines as (home, lines) segments."""
+        lines are its segments' lines, which lie next to each other in
+        the bound walk."""
         machine = wide_line_machine()
         fetches = []
         real = MemoryHierarchy.accel_line_fetch_batch
 
-        def spy(self, step, is_write, tally):
-            fetches.append([addr for _, addrs in step for addr in addrs])
-            return real(self, step, is_write, tally)
+        def spy(self, walk, c, is_write, tally):
+            lines, _, starts, cuts = walk
+            fetches.append(lines[starts[cuts[c]]:starts[cuts[c + 1]]])
+            return real(self, walk, c, is_write, tally)
 
         monkeypatch.setattr(MemoryHierarchy, "accel_line_fetch_batch", spy)
         monkeypatch.delenv(envcfg.REPRO_REFERENCE.name, raising=False)
@@ -204,15 +208,33 @@ class TestSchedulerFaults:
             engine.run(off, clusters, res.inner_iterations, 1, streams)
 
     def test_allocation_error_falls_back_to_uncombined(self, monkeypatch):
+        """Each failed allocation and each lookup that falls back to an
+        uncombined id counts under its reason code, and only then."""
+        engine, off, clusters, res, streams, _ = saxpy_setup()
+        accesses = [acc for part in off.config.partitions
+                    for acc in part.accesses]
+        OBS.reset()
+        engine.run(off, clusters, res.inner_iterations, 1, streams)
+        assert not [name for name in OBS.counters
+                    if name.startswith("engine.fallback.")]
         engine, off, clusters, res, streams, _ = saxpy_setup()
         monkeypatch.setattr(engine.scheduler, "allocate",
                             raise_allocation_error)
+        OBS.reset()
         stats = engine.run(off, clusters, res.inner_iterations, 1, streams)
         assert stats.time_ps > 0
-        for part in off.config.partitions:
-            for acc in part.accesses:
-                assert (engine.buffer_key(off, acc.access_id)
-                        == 10_000_000 + acc.access_id)
+        assert OBS.counter("engine.fallback.sram-pressure") == len(accesses)
+        # the run looked up each buffered stream's buffer once
+        looked_up = OBS.counter("engine.fallback.unmapped-access")
+        assert looked_up == sum(acc.kind in (AccessKind.STREAM_READ,
+                                             AccessKind.STREAM_WRITE)
+                                for acc in accesses)
+        for acc in accesses:
+            assert (engine.buffer_key(off, acc.access_id)
+                    == 10_000_000 + acc.access_id)
+        assert (OBS.counter("engine.fallback.unmapped-access")
+                == looked_up + len(accesses))
+        OBS.reset()
 
     def test_buffer_count_propagates_programming_error(self, monkeypatch):
         _, off, *_ = saxpy_setup()
@@ -261,8 +283,9 @@ class TestPrivateFetch:
         cuts = tuple(range(0, 6 * n + 1, n))
         locals_ = [c % machine.l3_clusters for c in range(6)]
         l3 = fh.l3
-        walk = elem_walk((addrs, cuts), l3.stripe_bytes, l3.num_clusters,
-                         l3.slices[0].line_shift)
+        kept = KeptPlan((addrs, cuts), (0, l3.slices[0].line_shift,
+                                        l3.stripe_bytes, l3.num_clusters),
+                        False, 4)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("batch walk called Cache.access")
@@ -270,11 +293,13 @@ class TestPrivateFetch:
         tally = fh.accel_tally()
         with monkeypatch.context() as mp:
             mp.setattr(Cache, "access", forbidden)
-            steps, free = fh.l3_demand_steps((walk.heads, walk.head_cuts),
-                                             cuts, locals_, tally)
-            fast_lat = sum(free) + sum(fh.l3_demand_batch(step, is_write,
-                                                          tally)
-                                       for step in steps)
+            # one cycle per access, and each chunk's heads from its
+            # cluster
+            tally.private_acc += kept.accesses
+            fast_lat = kept.accesses + sum(
+                fh.l3_demand_batch(kept.private_steps(local), c, is_write,
+                                   tally)
+                for c, local in enumerate(locals_))
         fh.charge_accel(tally)
         ref_lat = sum(ref._elem_access(cluster, addr, is_write, 4)
                       for cluster, lo, hi in zip(locals_, cuts, cuts[1:])

@@ -112,16 +112,18 @@ def test_sched_engine_bit_identical(both_engines, workload, config):
 def test_sched_path_defaults_on(monkeypatch):
     """With ``REPRO_REFERENCE`` unset, offload runs fetch each chunk's
     lines with one batched hierarchy call, on the chunk's (home, lines)
-    segments, into its process's tally; each process charges its tally
-    once."""
+    segments of a walk bound for the run, into its process's tally;
+    each process charges its tally once."""
     calls = []
     charged = []
     real_fetch = MemoryHierarchy.accel_line_fetch_batch
     real_charge = MemoryHierarchy.charge_accel
 
-    def spy(self, step, is_write, tally):
-        calls.append((step, tally))
-        return real_fetch(self, step, is_write, tally)
+    def spy(self, walk, c, is_write, tally):
+        lines, homes, starts, cuts = walk
+        calls.append(([(homes[s], lines[starts[s]:starts[s + 1]])
+                       for s in range(cuts[c], cuts[c + 1])], tally))
+        return real_fetch(self, walk, c, is_write, tally)
 
     def charge_spy(self, tally):
         charged.append(tally)

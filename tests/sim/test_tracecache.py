@@ -7,6 +7,7 @@ import pytest
 
 from repro.ir import FLOAT32, Kernel, Loop, LoopVar, MemObject
 from repro.ir.interp import Interpreter
+from repro.mem.hierarchy import latency_table
 from repro.obs import OBS
 from repro.params import experiment_machine
 from repro.runtime import SiteStreams
@@ -84,6 +85,10 @@ class TestFunctionalCallRecord:
         assert list(clone.trace) == list(res.trace)
 
 
+#: (slab base, line shift, stripe bytes, clusters) of a site's plans
+LAYOUT = (0x1000_0000, 6, 4096, 8)
+
+
 class TestSiteStreamMemo:
     def test_memo_equals_fresh_split(self):
         _, _, record, res = make_record()
@@ -120,40 +125,62 @@ class TestSiteStreamMemo:
                                           streams.stream(site))
 
     def test_plans_are_read_only_and_never_pickled(self):
+        """Plans are read-only, and nothing a record keeps for its
+        replays (plans, walks, chunk homes, walk costs and chunk
+        latencies) enters its pickle."""
         _, _, record, _ = make_record()
         bare = pickle.dumps(record)
         streams = record.site_streams()
         site = streams.sites()[0]
+        table = latency_table(experiment_machine())
         for lines in (True, False):  # a line plan and an address plan
-            flat, _ = streams.chunk_plan([site], 4, 0x1000_0000, 4, 6, lines)
+            kept = streams.kept([site], LAYOUT, 4, 4, lines)
             with pytest.raises(ValueError):
-                flat[0] = 0
-        assert len(streams._plans[site][1]) == 2
+                kept.plan[0][0] = 0
+            assert kept.costs(0, False).free(table, 1, 1).size == 4
+            assert kept.walk() is not None and kept._homes
+        assert len(streams._kept[site][-1][1]) == 2
         assert pickle.dumps(record) == bare
 
     def test_a_site_keeps_one_layouts_plans(self):
-        """A lookup under another slab base or line shift drops the
-        site's plans, so replays on many machines do not pile them up;
-        a layout seen again is rebuilt with the same values."""
+        """A site keeps the plans of its two most recently used layouts
+        (slab base, line shift, stripe, clusters): a lookup under a
+        third drops the least recently used one's, so replays on many
+        machines do not pile them up. A layout seen again after it was
+        dropped is rebuilt with the same values, and a layout that
+        differs from a kept one only in the L3 shares its plan."""
         _, _, record, _ = make_record()
         streams = record.site_streams()
         site = streams.sites()[0]
+        a, b, c = LAYOUT, (0x2000_0000,) + LAYOUT[1:], LAYOUT[:1] + (
+            7,) + LAYOUT[2:]
 
-        def plan(base, shift, lines=True):
-            return streams.chunk_plan([site], 4, base, 4, shift, lines)
+        def kept(layout, lines=True):
+            return streams.kept([site], layout, 4, 4, lines)
 
-        first = plan(0x1000_0000, 6)
-        assert plan(0x1000_0000, 6) is first
-        plan(0x1000_0000, 6, lines=False)
-        assert len(streams._plans[site][1]) == 2
-        for layout in ((0x2000_0000, 6), (0x1000_0000, 7)):
-            plan(*layout)
-            assert streams._plans[site][0] == layout
-            assert len(streams._plans[site][1]) == 1
-        again = plan(0x1000_0000, 6)
+        def layouts():
+            return [layout for layout, _ in streams._kept[site]]
+
+        first = kept(a)
+        assert kept(a) is first
+        kept(a, lines=False)
+        assert len(streams._kept[site][-1][1]) == 2
+        kept(b)
+        assert layouts() == [a, b]
+        assert kept(a) is first
+        assert layouts() == [b, a]
+        kept(c)
+        assert layouts() == [a, c]
+        kept(b)
+        assert layouts() == [c, b]
+        again = kept(a)
         assert again is not first
-        np.testing.assert_array_equal(again[0], first[0])
-        assert again[1] == first[1]
+        np.testing.assert_array_equal(again.plan[0], first.plan[0])
+        assert again.plan[1] == first.plan[1]
+        # another stripe and cluster count: the walks differ, the plan
+        # is the same
+        other_l3 = kept(LAYOUT[:2] + (8192, 4))
+        assert other_l3 is not again and other_l3.plan is again.plan
 
 
 class TestTraceCache:
