@@ -24,12 +24,12 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs import OBS, CellStat, SweepProgress
-from ..params import MachineParams, machine_digest
+from ..params import MachineParams
 from ..sim.results import RunResult
 from ..sim.system import simulate_dataset
 from ..sim.tracecache import TraceCache
 from .executor import Executor, GroupFailed, resolve_jobs
-from .spec import STORE_VERSION, SweepPoint, SweepSpec
+from .spec import STORE_VERSION, PlannedPoint, SweepSpec
 from .store import open_result_store
 
 #: a progress sink receives one human-readable line per completed unit
@@ -49,57 +49,55 @@ def point_metrics(run: RunResult) -> Dict[str, object]:
     return record
 
 
-def point_row(hash_: str, point: SweepPoint, machine: MachineParams,
-              status: str, metrics: Optional[Dict[str, object]] = None,
+def point_row(planned: PlannedPoint, status: str,
+              metrics: Optional[Dict[str, object]] = None,
               error: Optional[str] = None, attempts: int = 1
               ) -> Dict[str, object]:
     """One store row (the schema in :mod:`repro.dse.store`)."""
     return {
-        "hash": hash_,
+        "hash": planned.hash,
         "version": STORE_VERSION,
         "status": status,
-        "point": point.as_dict(),
-        "machine_digest": machine_digest(machine),
+        "point": planned.point.as_dict(),
+        "machine_digest": planned.digest,
         "metrics": metrics,
         "error": error,
         "attempts": attempts,
     }
 
 
-def failed_rows_for_group(group: List[Tuple[str, SweepPoint]],
-                          base: MachineParams, error: str,
+def failed_rows_for_group(group: List[PlannedPoint], error: str,
                           attempts: int) -> List[Dict[str, object]]:
     """The ``failed`` row every point of a group gets when the executor
     gives up on the group as a whole."""
-    return [point_row(hash_, point, point.machine(base), "failed",
-                      error=error, attempts=attempts)
-            for hash_, point in group]
+    return [point_row(planned, "failed", error=error, attempts=attempts)
+            for planned in group]
 
 
-def _run_point(hash_: str, point: SweepPoint, base: MachineParams,
+def _run_point(planned: PlannedPoint,
                cache: TraceCache) -> Dict[str, object]:
     """Simulate one point; always return a row."""
-    machine = point.machine(base)
+    point = planned.point
     try:
         run = simulate_dataset(
             point.workload, point.scale, point.config,
             build_kwargs=dict(point.workload_kwargs),
-            machine=machine, trace_cache=cache,
+            machine=planned.machine, trace_cache=cache,
         )
     except Exception as exc:  # noqa: BLE001 — recorded, not fatal
-        return point_row(hash_, point, machine, "failed",
+        return point_row(planned, "failed",
                          error=f"{type(exc).__name__}: {exc}")
-    return point_row(hash_, point, machine, "ok",
-                     metrics=point_metrics(run))
+    return point_row(planned, "ok", metrics=point_metrics(run))
 
 
-def _run_group(group: List[Tuple[str, SweepPoint]], base: MachineParams,
+def _run_group(group: List[PlannedPoint],
                cache: TraceCache) -> List[Dict[str, object]]:
     """Run one dataset group; returns its rows in point order."""
     rows = []
-    for hash_, point in group:
+    for planned in group:
+        point = planned.point
         start = perf_counter()
-        rows.append(_run_point(hash_, point, base, cache))
+        rows.append(_run_point(planned, cache))
         OBS.add_cell(CellStat(
             point.workload, point.config, perf_counter() - start,
             trace_elems=cache.peak_trace_elems(*point.trace_key()),
@@ -107,11 +105,10 @@ def _run_group(group: List[Tuple[str, SweepPoint]], base: MachineParams,
     return rows
 
 
-def _sweep_worker(args):
+def _sweep_worker(group: List[PlannedPoint]) -> List[Dict[str, object]]:
     """Executor unit: one dataset group, private single-entry trace
     cache."""
-    group, base = args
-    return _run_group(group, base, TraceCache(max_entries=1))
+    return _run_group(group, TraceCache(max_entries=1))
 
 
 @dataclass
@@ -161,24 +158,24 @@ class SweepResult:
 def _group_points(spec: SweepSpec, base: MachineParams,
                   stored: Dict[str, Dict[str, object]],
                   progress_track: SweepProgress
-                  ) -> Tuple[List[List[Tuple[str, SweepPoint]]],
+                  ) -> Tuple[List[List[PlannedPoint]],
                              Dict[str, Dict[str, object]]]:
-    """Hash every point, split resumed rows from pending groups."""
+    """Plan every point, split resumed rows from pending groups."""
     resumed: Dict[str, Dict[str, object]] = {}
-    groups: Dict[Tuple[str, str], List[Tuple[str, SweepPoint]]] = {}
+    groups: Dict[Tuple[str, str], List[PlannedPoint]] = {}
     order: List[Tuple[str, str]] = []
     for point in spec.points():
-        hash_ = point.content_hash(base)
-        prior = stored.get(hash_)
+        planned = point.plan(base)
+        prior = stored.get(planned.hash)
         if prior is not None and prior.get("status") == "ok":
-            resumed[hash_] = prior
+            resumed[planned.hash] = prior
             progress_track.skip()
             continue
         key = point.trace_key()
         if key not in groups:
             groups[key] = []
             order.append(key)
-        groups[key].append((hash_, point))
+        groups[key].append(planned)
     return [groups[k] for k in order], resumed
 
 
@@ -236,7 +233,7 @@ def run_sweep(spec: SweepSpec,
     if spec.prune:
         from .prune import plan_pruning, static_bounds_fn
 
-        pending = [pt for group in groups for pt in group]
+        pending = [(p.hash, p.point) for group in groups for p in group]
         prune_plan = plan_pruning(
             spec, pending, list(resumed.values()),
             bounds_fn or static_bounds_fn(spec, base),
@@ -266,10 +263,10 @@ def run_sweep(spec: SweepSpec,
         kept_groups = []
         for group in groups:
             kept = []
-            for hash_, point in group:
+            for planned in group:
+                hash_ = planned.hash
                 if hash_ in prune_plan.pruned:
-                    row = point_row(hash_, point, point.machine(base),
-                                    "pruned", attempts=0)
+                    row = point_row(planned, "pruned", attempts=0)
                     row["bounds"] = {
                         m: list(pair) for m, pair in
                         prune_plan.bounds[hash_].items()
@@ -277,7 +274,7 @@ def run_sweep(spec: SweepSpec,
                     row["pruned_by"] = prune_plan.pruned[hash_]
                     record(row)
                 else:
-                    kept.append((hash_, point))
+                    kept.append(planned)
             if kept:
                 kept_groups.append(kept)
         groups = kept_groups
@@ -286,7 +283,7 @@ def run_sweep(spec: SweepSpec,
         if jobs > 1 and len(groups) > 1:
             with Executor(min(jobs, len(groups))) as executor:
                 futures = {
-                    executor.submit(_sweep_worker, (group, base)): group
+                    executor.submit(_sweep_worker, group): group
                     for group in groups
                 }
                 for future in as_completed(futures):
@@ -294,18 +291,18 @@ def run_sweep(spec: SweepSpec,
                     rows = future.result()
                     if isinstance(rows, GroupFailed):
                         rows = failed_rows_for_group(
-                            group, base, rows.error, rows.attempts)
+                            group, rows.error, rows.attempts)
                     for row in rows:
                         record(row)
                     if progress is not None:
                         progress(track.line(
-                            f"{spec.name}: {group[0][1].workload} "
+                            f"{spec.name}: {group[0].point.workload} "
                             f"group done"
                         ))
         else:
-            cache = TraceCache(max_entries=2)
+            cache = TraceCache(max_entries=1)
             for group in groups:
-                for row in _run_group(group, base, cache):
+                for row in _run_group(group, cache):
                     record(row)
                     if progress is not None:
                         p = row["point"]

@@ -33,7 +33,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..params import (
@@ -145,6 +145,20 @@ class SweepPoint:
             "workload_kwargs": {k: v for k, v in self.workload_kwargs},
         }
 
+    def plan(self, base: MachineParams) -> "PlannedPoint":
+        """Derive the point's machine from ``base`` and digest it, once:
+        the content hash, the simulation and the stored row all take
+        them from the returned :class:`PlannedPoint`."""
+        machine = self.machine(base)
+        digest = machine_digest(machine)
+        blob = json.dumps({
+            "point": self.as_dict(),
+            "machine": digest,
+            "store_version": STORE_VERSION,
+        }, sort_keys=True)
+        return PlannedPoint(hashlib.sha256(blob.encode()).hexdigest()[:24],
+                            self, machine, digest)
+
     def content_hash(self, base: MachineParams) -> str:
         """Content hash of (spec point, code-relevant params).
 
@@ -152,12 +166,20 @@ class SweepPoint:
         machine, so two spec spellings of the same machine share a hash
         and a change to the base machine invalidates every row.
         """
-        blob = json.dumps({
-            "point": self.as_dict(),
-            "machine": machine_digest(self.machine(base)),
-            "store_version": STORE_VERSION,
-        }, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:24]
+        return self.plan(base).hash
+
+
+class PlannedPoint(NamedTuple):
+    """A sweep point bound to its base machine: what a worker needs to
+    simulate it and store its row."""
+
+    #: :meth:`SweepPoint.content_hash`, the point's store key
+    hash: str
+    point: SweepPoint
+    #: the derived machine the point runs on
+    machine: MachineParams
+    #: :func:`~repro.params.machine_digest` of ``machine``
+    digest: str
 
 
 @dataclass
@@ -313,6 +335,6 @@ def load_spec(name_or_path: str) -> SweepSpec:
 
 
 __all__ = [
-    "SHIPPED_SPEC_DIR", "STORE_VERSION", "SweepPoint", "SweepSpec",
-    "load_spec", "shipped_specs",
+    "SHIPPED_SPEC_DIR", "STORE_VERSION", "PlannedPoint", "SweepPoint",
+    "SweepSpec", "load_spec", "shipped_specs",
 ]

@@ -21,14 +21,13 @@ __all__ = ["AreaTable", "AreaModel", "default_area_model"]
 
 
 class AreaModel:
-    """Computes accelerator area overheads per cluster and per chip.
+    """Computes accelerator area overheads per cluster and per chip from
+    the machine's own ``area`` charge sheet (document-sourced; see
+    :mod:`repro.machine`)."""
 
-    ``table`` defaults to the machine's own ``area`` charge sheet
-    (document-sourced; see :mod:`repro.machine`)."""
-
-    def __init__(self, machine: MachineParams, table: AreaTable | None = None):
+    def __init__(self, machine: MachineParams):
         self.machine = machine
-        self.table = table or machine.area
+        self.table = machine.area
 
     # -- aggregates ------------------------------------------------------
     def chip_area(self) -> float:

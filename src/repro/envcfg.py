@@ -61,13 +61,6 @@ REPRO_NO_VERIFY = EnvVar(
     "`compile_kernel` and the golden interpreter",
     "tests/analysis/test_verifier.py",
 )
-REPRO_TRACE_SPILL = EnvVar(
-    "REPRO_TRACE_SPILL", "path", "(unset)",
-    "directory for spilling evicted functional-trace cache entries to "
-    "disk instead of recomputing them",
-    "tests/sim/test_tracecache_spill.py",
-)
-
 REPRO_SERVE_PORT = EnvVar(
     "REPRO_SERVE_PORT", "int", "8177",
     "default TCP port of the `repro.serve` sweep service when `--port` "
@@ -112,9 +105,8 @@ REPRO_SERVE_TIMEOUT_S = EnvVar(
 #: every declared variable, in documentation order
 ENV_VARS: Tuple[EnvVar, ...] = (
     REPRO_REFERENCE, REPRO_JOBS, REPRO_NO_VERIFY,
-    REPRO_TRACE_SPILL, REPRO_SERVE_PORT, REPRO_SERVE_STORE,
-    REPRO_SERVE_WORKERS, REPRO_SERVE_TTL_S, REPRO_SERVE_MAX_ROWS,
-    REPRO_SERVE_TIMEOUT_S,
+    REPRO_SERVE_PORT, REPRO_SERVE_STORE, REPRO_SERVE_WORKERS,
+    REPRO_SERVE_TTL_S, REPRO_SERVE_MAX_ROWS, REPRO_SERVE_TIMEOUT_S,
 )
 
 
@@ -153,10 +145,6 @@ def verification_enabled() -> bool:
 def default_jobs() -> int:
     """``$REPRO_JOBS`` or 1 (serial)."""
     return get_int(REPRO_JOBS, 1)
-
-
-def trace_spill_dir() -> Optional[str]:
-    return get_path(REPRO_TRACE_SPILL)
 
 
 # -- repro.serve defaults (CLI flags override these) -----------------------

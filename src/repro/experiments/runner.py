@@ -35,7 +35,6 @@ from typing import (
     Tuple,
 )
 
-from .. import envcfg
 from ..errors import ConfigError, ReproError
 from ..interface.intrinsics import CoverageRecorder
 from ..obs import OBS, CellStat
@@ -73,15 +72,15 @@ class ResultMatrix:
     results: Dict[Tuple[str, str], RunResult] = field(default_factory=dict)
     coverage: Dict[str, CoverageRecorder] = field(default_factory=dict)
     #: shared functional-trace store; one entry serves every config of a
-    #: workload, so only the first config pays the interpreter
+    #: workload, so only the first config pays the interpreter (cells
+    #: are visited one workload at a time, so it holds one dataset)
     trace_cache: Optional[TraceCache] = None
 
     def __post_init__(self) -> None:
         if self.machine is None:
             self.machine = experiment_machine()
         if self.trace_cache is None:
-            self.trace_cache = TraceCache(
-                max_entries=2, spill_dir=envcfg.trace_spill_dir())
+            self.trace_cache = TraceCache(max_entries=1)
 
     def get(self, workload: str, config: str) -> RunResult:
         key = (workload, config)
@@ -198,15 +197,14 @@ class ResultMatrix:
 def _matrix_worker(args: Tuple[str, Tuple[str, ...], str, MachineParams]):
     """Executor unit: simulate every configuration of one workload.
 
-    Populates a one-workload :class:`ResultMatrix` with a private
-    single-entry trace cache; returns its ``(config, RunResult)`` cells,
+    Populates a one-workload :class:`ResultMatrix` (with its own
+    single-entry trace cache); returns its ``(config, RunResult)`` cells,
     the workload's coverage and the wall seconds they took.
     """
     workload, configs, scale, machine = args
     start = perf_counter()
     matrix = ResultMatrix(scale=scale, machine=machine,
-                          workloads=(workload,), configs=configs,
-                          trace_cache=TraceCache(max_entries=1))
+                          workloads=(workload,), configs=configs)
     cells = [(config, matrix.get(workload, config)) for config in configs]
     cov = matrix.coverage.setdefault(workload, CoverageRecorder())
     return cells, cov, perf_counter() - start

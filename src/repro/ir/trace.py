@@ -2,7 +2,7 @@
 
 A recorded trace is consumed three ways: replayed element-by-element
 through the host path (OoO baseline), grouped by static site for the
-offload engine's access streams, and cached/spilled by the trace cache.
+offload engine's access streams, and cached by the trace cache.
 All three are better served by four parallel NumPy arrays than by a list
 of per-access tuples: entries are ~5x smaller, slicing and per-object
 address math vectorize, and pickling is a few buffer copies instead of

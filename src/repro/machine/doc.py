@@ -257,10 +257,6 @@ def _structural(m: dict) -> List[str]:
         )
     if noc["flit_bytes"] < 1:
         v.append(f"noc.flit_bytes must be >= 1: {noc['flit_bytes']}")
-    if noc["credits_per_link"] < 1:
-        v.append(
-            f"noc.credits_per_link must be >= 1: {noc['credits_per_link']}"
-        )
 
     # -- DRAM -----------------------------------------------------------
     if m["dram"]["size_bytes"] < 1:
@@ -282,7 +278,7 @@ def _structural(m: dict) -> List[str]:
                         ("cgra", m["cgra"]["freq_ghz"])):
         if freq <= 0:
             v.append(f"{group}.freq_ghz must be positive: {freq}")
-    for group, leaf in (("core", "issue_width"), ("core", "rob_entries"),
+    for group, leaf in (("core", "issue_width"),
                         ("core", "mem_level_parallelism"),
                         ("inorder", "issue_width"),
                         ("inorder", "mem_level_parallelism"),
@@ -295,8 +291,7 @@ def _structural(m: dict) -> List[str]:
 
     # -- access unit + Mono-CA private cache ----------------------------
     au = m["access_unit"]
-    for leaf in ("buffer_bytes", "acp_ways", "acp_bytes",
-                 "fill_burst_elems", "max_buffers"):
+    for leaf in ("buffer_bytes", "acp_ways", "acp_bytes", "max_buffers"):
         if au[leaf] < 1:
             v.append(f"access_unit.{leaf} must be >= 1: {au[leaf]}")
     if line >= 8 and au["acp_ways"] >= 1 and au["acp_bytes"] >= 1:

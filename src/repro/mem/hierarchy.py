@@ -235,7 +235,7 @@ class MemoryHierarchy:
         """Charge ``fills`` DRAM line fills into ``cluster``'s slice and
         ``wbs`` dirty lines it writes back to DRAM: per line, what
         :meth:`_dram_fill` and :meth:`_writeback_to_dram` charge. The
-        batch walks count both per home and hand the counts here."""
+        host batch walk counts both per home and hands the counts here."""
         if not (fills or wbs):
             return
         record = self.traffic.record
@@ -756,11 +756,10 @@ class MemoryHierarchy:
     def charge_accel(self, tally: "AccelTally") -> None:
         """Charge what one process's walks added up: the slice, ACP and
         private-cache counters of the clusters the tally touched, the
-        NoC messages (one ledger call), the energy events, the DRAM
-        fills and writebacks (:meth:`_dram_traffic`) and the moved
-        bytes. An empty tally charges nothing."""
-        self.traffic.record_shapes(chain(tally.msgs.items(),
-                                         *tally.kept_msgs))
+        NoC messages with the DRAM fills and writebacks among them (one
+        ledger call), the energy events with one DRAM charge, and the
+        moved bytes. An empty tally charges nothing."""
+        msgs, mc, line = tally.msgs, self._mc, self._line
         # an element's ACP miss reads its bank, and a dirty ACP victim
         # retires into one
         l3_events = tally.l3_events + sum(tally.acp_miss) + sum(
@@ -768,6 +767,7 @@ class MemoryHierarchy:
         per_cluster = (tally.l3_acc, tally.l3_miss, tally.l3_alloc,
                        tally.l3_wbs, tally.dram_wbs, tally.acp_acc,
                        tally.acp_miss, tally.acp_wbs)
+        reads = writes = 0
         for (c, l3_acc, misses, alloc, wbs, dram_wbs, acp_acc, acp_miss,
              acp_wbs) in compress(zip(count(), *per_cluster),
                                   map(any, zip(*per_cluster))):
@@ -775,8 +775,22 @@ class MemoryHierarchy:
                 self.l3.slices[c].add_counts(l3_acc + acp_miss, misses, wbs)
             if acp_acc:
                 self.acps[c].add_counts(acp_acc, acp_miss, acp_wbs)
-            if misses or dram_wbs:
-                self._dram_traffic(c, misses - alloc, dram_wbs)
+            # per line, what _dram_fill and _writeback_to_dram send
+            fills = misses - alloc
+            if fills:
+                for key in (("HOST_CTRL", c, mc, 0),
+                            ("HOST_DATA", mc, c, line)):
+                    msgs[key] = msgs.get(key, 0) + fills
+                reads += fills
+            if dram_wbs:
+                key = ("HOST_DATA", c, mc, line)
+                msgs[key] = msgs.get(key, 0) + dram_wbs
+                writes += dram_wbs
+        self.traffic.record_shapes(chain(msgs.items(), *tally.kept_msgs))
+        if reads or writes:
+            self.dram.reads += reads
+            self.dram.writes += writes
+            self.energy.charge("dram", "dram_line_access", reads + writes)
         if tally.acp_events:
             self.energy.charge("access_unit", "acp_access",
                                tally.acp_events)
@@ -787,7 +801,7 @@ class MemoryHierarchy:
                                     tally.private_wbs)
             self.energy.charge("accel", "private_cache_access",
                                tally.private_acc)
-        self.movement_bytes += tally.moved
+        self.movement_bytes += tally.moved + (reads + writes) * line
 
     def l3_demand_batch(self, walk: tuple, c: int, is_write: bool,
                         tally: "AccelTally") -> int:
@@ -1095,8 +1109,9 @@ class AccelTally:
         self.private_miss = 0
         self.private_wbs = 0
         #: (traffic class name, src, dst, payload bytes) -> messages the
-        #: walks send: the key of a message shape in the traffic ledger
-        #: (a str hashes in C, an Enum member in Python)
+        #: walks send, and at charge time the DRAM fills and writebacks:
+        #: the key of a message shape in the traffic ledger (a str
+        #: hashes in C, an Enum member in Python)
         self.msgs: Dict[Tuple[str, int, int, int], int] = {}
         #: the (shape, messages) pairs kept with each walk's costs,
         #: charged as they are

@@ -45,13 +45,10 @@ class Allocation:
 class SlabAllocator:
     """Page-granular allocator over a contiguous accelerator arena."""
 
-    def __init__(self, arena_base: int = DEFAULT_ARENA_BASE,
-                 arena_size: int = 1 << 30):
-        if arena_base % PAGE_BYTES != 0:
-            raise AllocationError(f"arena base not page aligned: {arena_base:#x}")
-        self.arena_base = arena_base
+    def __init__(self, arena_size: int = 1 << 30):
+        self.arena_base = DEFAULT_ARENA_BASE
         self.arena_size = arena_size
-        self._bump = arena_base
+        self._bump = DEFAULT_ARENA_BASE
         self._live: Dict[int, Allocation] = {}
         self._by_name: Dict[str, int] = {}
         self._free_lists: Dict[int, List[int]] = {}  # size -> bases

@@ -147,28 +147,26 @@ class SweepProgress:
     Counts completed, failed and skipped (resume-hit) points against the
     planned total and renders one-line status strings with points/s and
     an ETA. Purely observational: reports into the ``dse.*`` counters of
-    ``registry`` (default :data:`OBS`) and never touches results.
+    :data:`OBS` and never touches results.
     """
 
-    def __init__(self, total: int,
-                 registry: "StatsRegistry" = None) -> None:
+    def __init__(self, total: int) -> None:
         self.total = int(total)
         self.done = 0
         self.failed = 0
         self.skipped = 0
-        self._registry = registry if registry is not None else OBS
         self._start = time.perf_counter()
 
     def skip(self, n: int = 1) -> None:
         self.skipped += n
-        self._registry.inc("dse.points_skipped", n)
+        OBS.inc("dse.points_skipped", n)
 
     def complete(self, failed: bool = False) -> None:
         self.done += 1
-        self._registry.inc("dse.points_done")
+        OBS.inc("dse.points_done")
         if failed:
             self.failed += 1
-            self._registry.inc("dse.points_failed")
+            OBS.inc("dse.points_failed")
 
     @property
     def remaining(self) -> int:

@@ -38,7 +38,6 @@ class CacheParams:
     latency_cycles: int
     mshrs: int
     line_bytes: int = CACHE_LINE_BYTES
-    writeback: bool = True
 
     @property
     def num_lines(self) -> int:
@@ -72,7 +71,6 @@ class NocParams:
     mesh_rows: int = 2
     hop_latency_cycles: int = 2
     flit_bytes: int = 16
-    credits_per_link: int = 8
     #: mesh node where the host core (and its L1/L2) attaches
     host_node: int = 0
     #: mesh node where the memory controller attaches; ``-1`` resolves
@@ -118,7 +116,6 @@ class CoreParams:
 
     freq_ghz: float = 2.0
     issue_width: int = 5
-    rob_entries: int = 224
     mem_level_parallelism: int = 6
 
 
@@ -129,7 +126,6 @@ class InOrderParams:
     freq_ghz: float = 2.0
     issue_width: int = 1
     mem_level_parallelism: int = 1
-    sw_prefetch: bool = False
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,6 @@ class AccessUnitParams:
     buffer_bytes: int = 4096
     acp_ways: int = 1
     acp_bytes: int = 1024
-    fill_burst_elems: int = 8
     max_buffers: int = 16
 
 

@@ -61,16 +61,14 @@ class OffloadEngine:
 
     def __init__(self, machine: MachineParams, hierarchy: MemoryHierarchy,
                  energy: EnergyLedger, slab: SlabAllocator, backend,
-                 scheduler: Optional[HardwareScheduler] = None,
                  io_overlap: float = 1.0,
-                 localized_control: bool = False,
-                 user_scheduled: bool = False):
+                 localized_control: bool = False):
         self.machine = machine
         self.hierarchy = hierarchy
         self.energy = energy
         self.slab = slab
         self.backend = backend
-        self.scheduler = scheduler or HardwareScheduler(
+        self.scheduler = HardwareScheduler(
             machine.l3_clusters, machine.access_unit
         )
         #: outstanding indirect accesses an accelerator core sustains
@@ -85,9 +83,6 @@ class OffloadEngine:
         #: BN annotation: the orchestrators own nested-loop control, so
         #: data-dependent inner bounds need no per-invocation host sync
         self.localized_control = localized_control
-        #: BNS annotation: user fill_ra/drain_ra block schedule pipelines
-        #: across innermost-loop invocations
-        self.user_scheduled = user_scheduled
         self._configured_offloads: set = set()
         self._offload_ctx: Dict[int, int] = {}
         self._ctx = 0

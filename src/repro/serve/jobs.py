@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
 from ..obs import OBS
-from ..dse.spec import SweepPoint, SweepSpec
+from ..dse.spec import PlannedPoint, SweepPoint, SweepSpec
 from ..dse.store import SqliteResultStore
 from .workers import Group, WorkerPool
 
@@ -102,9 +102,8 @@ class JobManager:
     def submit_spec(self, spec: SweepSpec) -> Job:
         """Expand, dedup and enqueue a sweep; returns the new job."""
         base = spec.base_machine()
-        points = spec.points()
-        hashed = [(p.content_hash(base), p) for p in points]
-        return self._admit("sweep", spec.name, hashed, base)
+        return self._admit("sweep", spec.name,
+                           [p.plan(base) for p in spec.points()])
 
     def submit_point(self, point: SweepPoint, base_name: str) -> Tuple[
             Job, Optional[Dict[str, object]]]:
@@ -112,20 +111,20 @@ class JobManager:
         stored answer when it was a pure cache hit (job born done)."""
         from ..params import base_machine
 
-        base = base_machine(base_name)
-        hash_ = point.content_hash(base)
+        planned = point.plan(base_machine(base_name))
         job = self._admit("query", f"{point.workload}/{point.config}",
-                          [(hash_, point)], base)
-        row = self._store_get(hash_) if job.cached else None
+                          [planned])
+        row = self._store_get(planned.hash) if job.cached else None
         return job, row
 
     def _admit(self, kind: str, name: str,
-               hashed: List[Tuple[str, SweepPoint]], base) -> Job:
+               planned_points: List[PlannedPoint]) -> Job:
         groups: Dict[Tuple[str, str], Group] = {}
         order: List[Tuple[str, str]] = []
         with self._lock:
             job = Job(id=f"job-{next(self._ids)}", kind=kind, name=name)
-            for hash_, point in hashed:
+            for planned in planned_points:
+                hash_ = planned.hash
                 job.hashes.append(hash_)
                 row = self._store_get(hash_)
                 if row is not None and row.get("status") == "ok":
@@ -140,18 +139,18 @@ class JobManager:
                     OBS.inc("serve.dedup_inflight")
                     continue
                 self._inflight[hash_] = {job.id}
-                key = point.trace_key()
+                key = planned.point.trace_key()
                 if key not in groups:
                     groups[key] = []
                     order.append(key)
-                groups[key].append((hash_, point))
+                groups[key].append(planned)
             if not job.pending:
                 job.state = "done"
             self._jobs[job.id] = job
             self._trim_jobs_locked()
         # enqueue outside the lock: the pool's callbacks take it back
         for key in order:
-            self._pool.submit(groups[key], base,
+            self._pool.submit(groups[key],
                               on_rows=self._on_rows,
                               on_start=self._on_start)
         return job
@@ -159,8 +158,8 @@ class JobManager:
     # -- pool callbacks ------------------------------------------------
     def _on_start(self, group: Group) -> None:
         with self._lock:
-            for hash_, _point in group:
-                for job_id in self._inflight.get(hash_, ()):
+            for planned in group:
+                for job_id in self._inflight.get(planned.hash, ()):
                     job = self._jobs.get(job_id)
                     if job is not None and job.state == "queued":
                         job.state = "running"

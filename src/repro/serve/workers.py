@@ -26,20 +26,19 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..dse.executor import Executor, GroupFailed
 from ..dse.scheduler import _sweep_worker, failed_rows_for_group
-from ..dse.spec import SweepPoint
+from ..dse.spec import PlannedPoint
 from ..obs import OBS
-from ..params import MachineParams
 
-#: one pending (hash, point) pair, as the scheduler shards them
-Group = List[Tuple[str, SweepPoint]]
+#: one dataset's pending points, as the scheduler shards them
+Group = List[PlannedPoint]
 
-#: a runner maps ``(group, base)`` to the group's rows — the
+#: a runner maps a group to its rows — the
 #: :func:`repro.dse.scheduler._sweep_worker` contract
-Runner = Callable[[tuple], List[Dict[str, object]]]
+Runner = Callable[[Group], List[Dict[str, object]]]
 
 
 class WorkerPool:
@@ -55,7 +54,7 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._closed = False
 
-    def submit(self, group: Group, base: MachineParams,
+    def submit(self, group: Group,
                on_rows: Callable[[List[Dict[str, object]]], None],
                on_start: Optional[Callable[[Group], None]] = None
                ) -> None:
@@ -81,14 +80,14 @@ class WorkerPool:
                     return
                 rows = future.result()
                 if isinstance(rows, GroupFailed):
-                    rows = failed_rows_for_group(group, base, rows.error,
+                    rows = failed_rows_for_group(group, rows.error,
                                                  rows.attempts)
                 on_rows(rows)
             finally:
                 with self._lock:
                     self._depth -= 1
 
-        self._executor.submit(self._runner, (group, base),
+        self._executor.submit(self._runner, group,
                               on_start=started).add_done_callback(finished)
 
     @property

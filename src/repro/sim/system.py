@@ -67,9 +67,6 @@ class ConfigSpec:
     #: user-annotated blocked loop nests (Dist-DA-BN/BNS): partition
     #: orchestrators own the nest control, no per-invocation host sync
     localized_control: bool = False
-    #: user-scheduled block fill/drain (cp_fill_ra/cp_drain_ra): deeper
-    #: decoupling across innermost-loop invocations
-    user_scheduled: bool = False
     #: multithreading case study: stream-based access specialization is
     #: skipped (paper Fig 12b discussion)
     no_stream_spec: bool = False
@@ -102,7 +99,8 @@ CONFIGS: Dict[str, ConfigSpec] = {
     ),
     # §VI-D case-study variants (Fig 12a): B = the automated compiler
     # offload (= dist_da_f), BN adds user-annotated localized nest
-    # control, BNS adds a user block-transfer schedule
+    # control, BNS adds a user block-transfer schedule (cp_fill_ra /
+    # cp_drain_ra), modelled as twice BN's outstanding accesses
     "dist_da_b": ConfigSpec(
         "dist_da_b", CompileMode.DIST, "cgra", io_overlap=6.0,
     ),
@@ -112,7 +110,7 @@ CONFIGS: Dict[str, ConfigSpec] = {
     ),
     "dist_da_bns": ConfigSpec(
         "dist_da_bns", CompileMode.DIST, "cgra", io_overlap=12.0,
-        localized_control=True, user_scheduled=True,
+        localized_control=True,
     ),
     # multithreading case study (Fig 12b): per-thread slices are
     # scheduled individually, so stream specialization is skipped
@@ -210,7 +208,6 @@ class SystemSimulator:
         if recording:
             entry = cache.get(*key)
             if entry is not None:
-                OBS.inc("tracecache.replays")
                 return entry
         instance = build()
         # vectorized whole-loop interpretation; tree-walking under
@@ -275,7 +272,6 @@ class SystemSimulator:
             self.machine, hierarchy, energy, slab, backend,
             io_overlap=spec.io_overlap,
             localized_control=spec.localized_control,
-            user_scheduled=spec.user_scheduled,
         )
         compiled: Dict[Tuple[str, str], CompiledKernel] = {}
         fingerprints: Dict[int, Tuple[Kernel, Tuple[str, str]]] = {}

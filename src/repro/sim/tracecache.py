@@ -13,8 +13,8 @@ functional key; each entry holds one :class:`FunctionalCallRecord` per
 dynamic kernel call, the instance fields replay reads
 (:class:`DatasetInfo`) and the interpreting cell's validation verdict,
 so a hit needs no dataset build, array restore or NumPy reference.
-Evicted entries can optionally spill to on-disk pickles; a later miss
-reloads only files this cache wrote itself.
+An evicted entry is forgotten: every shipped caller visits one
+dataset's cells back to back, so none would ever ask for it again.
 
 Loop-iteration maps are keyed by the loop's *position* among the
 kernel's innermost loops (``Kernel.innermost_loop_ids``) end to end —
@@ -25,11 +25,9 @@ kernels the way ``id()`` keys can.
 
 from __future__ import annotations
 
-import os
-import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..envcfg import reference_enabled
 from ..ir.interp import InterpResult, MemAccess, OpCounts
@@ -103,7 +101,7 @@ class FunctionalCallRecord:
             scalars=dict(scalars),
             counts=res.counts,
             # the interpreter hands back a ColumnarTrace: store it as-is
-            # (no per-access tuple copy; spills pickle the column buffers)
+            # (no per-access tuple copy; a pickle holds the column buffers)
             trace=res.trace if res.trace is not None else [],
             inner_iterations=res.inner_iterations,
             inner_iters_by_index=dict(res.inner_iters_by_loop),
@@ -118,7 +116,7 @@ class FunctionalCallRecord:
         return self._streams
 
     def __getstate__(self) -> Dict[str, object]:
-        # spills hold the trace only; a reloaded record re-splits it
+        # a pickle holds the trace only; an unpickled record re-splits it
         return dict(self.__dict__, _streams=None)
 
 
@@ -151,23 +149,15 @@ class WorkloadTrace:
 
 
 class TraceCache:
-    """Bounded LRU store of workload traces with optional disk spill."""
+    """Bounded LRU store of workload traces."""
 
-    def __init__(self, max_entries: int = 2,
-                 spill_dir: Optional[str] = None):
+    def __init__(self, max_entries: int = 2):
         self.max_entries = max(1, int(max_entries))
-        self.spill_dir = spill_dir
         self._entries: "OrderedDict[Tuple[str, str], WorkloadTrace]" = (
             OrderedDict()
         )
         self.hits = 0
         self.misses = 0
-        self.spills = 0
-        self.disk_loads = 0
-        #: keys this cache spilled itself; only their files are read back
-        #: (a file left by an earlier run or another checkout is ignored,
-        #: then overwritten by the next spill of its key)
-        self._spilled: Set[Tuple[str, str]] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -177,57 +167,26 @@ class TraceCache:
         key = (workload, scale)
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._load_spilled(key)
-            if entry is not None:
-                self.disk_loads += 1
-                OBS.inc("tracecache.disk_loads")
-                self._install(key, entry)
-        else:
-            self._entries.move_to_end(key)
-        if entry is None:
             self.misses += 1
             OBS.inc("tracecache.misses")
             return None
+        self._entries.move_to_end(key)
         self.hits += 1
         OBS.inc("tracecache.hits")
         return entry
 
     def put(self, trace: WorkloadTrace) -> None:
-        self._install((trace.workload, trace.scale), trace)
+        key = (trace.workload, trace.scale)
+        self._entries[key] = trace
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
 
     def peak_trace_elems(self, workload: str, scale: str) -> int:
         """Longest per-call trace of a resident entry (0 when absent).
 
         A pure query: does not count as a hit/miss and does not touch
-        LRU order or the spill store.
+        LRU order.
         """
         entry = self._entries.get((workload, scale))
         return entry.peak_trace_elems if entry is not None else 0
-
-    # ------------------------------------------------------------------
-    def _install(self, key: Tuple[str, str], entry: WorkloadTrace) -> None:
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            old_key, old_entry = self._entries.popitem(last=False)
-            self._spill(old_key, old_entry)
-
-    def _path(self, key: Tuple[str, str]) -> str:
-        return os.path.join(self.spill_dir, f"trace-{key[0]}-{key[1]}.pkl")
-
-    def _spill(self, key: Tuple[str, str], entry: WorkloadTrace) -> None:
-        if self.spill_dir is None:
-            return
-        os.makedirs(self.spill_dir, exist_ok=True)
-        with open(self._path(key), "wb") as f:
-            pickle.dump(entry, f, protocol=pickle.HIGHEST_PROTOCOL)
-        self._spilled.add(key)
-        self.spills += 1
-        OBS.inc("tracecache.spills")
-
-    def _load_spilled(self, key: Tuple[str, str]
-                      ) -> Optional[WorkloadTrace]:
-        if key not in self._spilled:
-            return None
-        with open(self._path(key), "rb") as f:
-            return pickle.load(f)

@@ -118,10 +118,10 @@ class TestWorkerCrash:
         serial, serial_path = serial_store
         real_run_group = scheduler._run_group
 
-        def run_group(group, base, cache):
-            if dict(group[0][1].workload_kwargs)["n"] == 10:
+        def run_group(group, cache):
+            if dict(group[0].point.workload_kwargs)["n"] == 10:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real_run_group(group, base, cache)
+            return real_run_group(group, cache)
 
         # the executor's pool forks, so the patch reaches its workers:
         # the n=10 group kills its worker on every attempt

@@ -2,7 +2,7 @@
 
 The columnar (structure-of-arrays) trace must be a drop-in replacement
 for the historical ``List[MemAccess]``: building it from records,
-slicing it, spilling it through pickle and replaying it element by
+slicing it, pickling it and replaying it element by
 element must all reproduce the exact tuple sequence.
 """
 
@@ -54,8 +54,8 @@ def test_slicing_preserves_records():
 
 
 def test_pickle_spill_roundtrip():
-    """Spilling to disk (the trace cache pickles evicted entries) and
-    reloading must reproduce the identical access sequence."""
+    """A pickled and reloaded trace reproduces the identical access
+    sequence."""
     records = random_records(5)
     trace = ColumnarTrace.from_records(records)
     clone = pickle.loads(pickle.dumps(trace))

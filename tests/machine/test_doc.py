@@ -133,6 +133,23 @@ def test_unknown_keys_rejected_by_name():
     assert "'spurious'" in joined
 
 
+#: fields earlier schema-1 documents carried that no simulator code read
+UNMODELLED = [("core", "rob_entries", 224), ("l1", "writeback", True),
+              ("l2", "writeback", True), ("l3", "writeback", True),
+              ("noc", "credits_per_link", 8),
+              ("inorder", "sw_prefetch", False),
+              ("access_unit", "fill_burst_elems", 8)]
+
+
+@pytest.mark.parametrize("group, leaf, value", UNMODELLED)
+def test_unmodelled_field_rejected_by_name(group, leaf, value):
+    """A document still setting a field the simulator never modelled
+    fails, naming the field, instead of changing nothing."""
+    with pytest.raises(MachineDocError) as err:
+        validate_document({"schema_version": 1, group: {leaf: value}})
+    assert err.value.violations == [f"unknown key '{group}.{leaf}'"]
+
+
 def test_type_mismatch_rejected():
     with pytest.raises(MachineDocError):
         validate_document({"schema_version": 1,

@@ -25,9 +25,9 @@ HASH = POINT.content_hash(BASE)
 
 
 def ok_rows(group):
-    return [{"hash": h, "version": STORE_VERSION, "status": "ok",
-             "point": p.as_dict(), "metrics": {}, "error": None,
-             "attempts": 1} for h, p in group]
+    return [{"hash": p.hash, "version": STORE_VERSION, "status": "ok",
+             "point": p.point.as_dict(), "metrics": {}, "error": None,
+             "attempts": 1} for p in group]
 
 
 @pytest.fixture
@@ -39,9 +39,9 @@ def store(tmp_path):
 def gated_manager(store, gate):
     """Manager whose runner blocks on ``gate`` before returning rows."""
 
-    def runner(args):
+    def runner(group):
         assert gate.wait(timeout=30.0)
-        return ok_rows(args[0])
+        return ok_rows(group)
 
     pool = WorkerPool(workers=2, processes=False, runner=runner)
     return JobManager(store, pool), pool
@@ -71,7 +71,7 @@ class TestLifecycle:
             pool.close()
 
     def test_failed_runner_fails_the_job(self, store):
-        def broken(args):
+        def broken(group):
             raise RuntimeError("dead dataset")
 
         pool = WorkerPool(workers=1, processes=False, runner=broken)
@@ -86,8 +86,7 @@ class TestLifecycle:
             pool.close()
 
     def test_unknown_job_rows_raise(self, store):
-        pool = WorkerPool(workers=1, processes=False,
-                          runner=lambda args: ok_rows(args[0]))
+        pool = WorkerPool(workers=1, processes=False, runner=ok_rows)
         manager = JobManager(store, pool)
         try:
             with pytest.raises(ConfigError):
@@ -102,10 +101,10 @@ class TestDedupAndCache:
         executions = []
         orig_rows = ok_rows
 
-        def counting_runner(args):
+        def counting_runner(group):
             executions.append(1)
             assert gate.wait(timeout=30.0)
-            return orig_rows(args[0])
+            return orig_rows(group)
 
         pool = WorkerPool(workers=2, processes=False,
                           runner=counting_runner)

@@ -25,13 +25,13 @@ from repro.serve.workers import WorkerPool
 BASE = base_machine("experiment")
 POINT = SweepPoint(workload="fdt", config="dist_da_f", scale="tiny")
 HASH = POINT.content_hash(BASE)
-GROUP = [(HASH, POINT)]
+GROUP = [POINT.plan(BASE)]
 
 
 def ok_rows(group):
-    return [{"hash": h, "version": STORE_VERSION, "status": "ok",
-             "point": p.as_dict(), "metrics": {}, "error": None,
-             "attempts": 1} for h, p in group]
+    return [{"hash": p.hash, "version": STORE_VERSION, "status": "ok",
+             "point": p.point.as_dict(), "metrics": {}, "error": None,
+             "attempts": 1} for p in group]
 
 
 def collect():
@@ -46,10 +46,9 @@ def collect():
     return sink, done, on_rows
 
 
-def _sleep_runner(args):
+def _sleep_runner(group):
     # module-level so a ProcessPoolExecutor can pickle it
     time.sleep(2.0)
-    group, _base = args
     return ok_rows(group)
 
 
@@ -58,9 +57,9 @@ class TestExecution:
         sink, done, on_rows = collect()
         started = []
         pool = WorkerPool(workers=1, processes=False,
-                          runner=lambda args: ok_rows(args[0]))
+                          runner=ok_rows)
         try:
-            pool.submit(GROUP, BASE, on_rows=on_rows,
+            pool.submit(GROUP, on_rows=on_rows,
                         on_start=started.append)
             assert done.wait(10.0)
         finally:
@@ -72,9 +71,9 @@ class TestExecution:
     def test_depth_drains_to_zero(self):
         sink, done, on_rows = collect()
         pool = WorkerPool(workers=1, processes=False,
-                          runner=lambda args: ok_rows(args[0]))
+                          runner=ok_rows)
         try:
-            pool.submit(GROUP, BASE, on_rows=on_rows)
+            pool.submit(GROUP, on_rows=on_rows)
             assert done.wait(10.0)
             deadline = time.monotonic() + 5.0
             while pool.depth and time.monotonic() < deadline:
@@ -85,22 +84,22 @@ class TestExecution:
 
     def test_closed_pool_rejects_submission(self):
         pool = WorkerPool(workers=1, processes=False,
-                          runner=lambda args: ok_rows(args[0]))
+                          runner=ok_rows)
         pool.close()
         with pytest.raises(RuntimeError):
-            pool.submit(GROUP, BASE, on_rows=lambda rows: None)
+            pool.submit(GROUP, on_rows=lambda rows: None)
 
 
 class TestRetries:
     def test_give_up_synthesizes_failed_rows(self):
-        def always_broken(args):
+        def always_broken(group):
             raise ValueError("boom")
 
         sink, done, on_rows = collect()
         pool = WorkerPool(workers=1, processes=False,
                           runner=always_broken)
         try:
-            pool.submit(GROUP, BASE, on_rows=on_rows)
+            pool.submit(GROUP, on_rows=on_rows)
             assert done.wait(10.0)
         finally:
             pool.close()
@@ -111,7 +110,7 @@ class TestRetries:
         assert row["attempts"] == 1  # deterministic: never retried
 
     def test_failed_row_schema_matches_store_rows(self):
-        (row,) = failed_rows_for_group(GROUP, BASE, "T: x", attempts=3)
+        (row,) = failed_rows_for_group(GROUP, "T: x", attempts=3)
         assert row["version"] == STORE_VERSION
         assert row["point"] == POINT.as_dict()
         assert row["metrics"] is None
@@ -125,7 +124,7 @@ class TestTimeout:
         pool = WorkerPool(workers=1, processes=True, timeout_s=0.2,
                           runner=_sleep_runner)
         try:
-            pool.submit(GROUP, BASE, on_rows=on_rows)
+            pool.submit(GROUP, on_rows=on_rows)
             assert done.wait(30.0)
         finally:
             pool.close(wait=False)

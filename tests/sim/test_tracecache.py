@@ -7,6 +7,7 @@ import pytest
 
 from repro.ir import FLOAT32, Kernel, Loop, LoopVar, MemObject
 from repro.ir.interp import Interpreter
+from repro.ir.trace import ColumnarTrace
 from repro.mem.hierarchy import latency_table
 from repro.obs import OBS
 from repro.params import experiment_machine
@@ -18,6 +19,7 @@ from repro.sim.tracecache import (
     TraceCache,
     WorkloadTrace,
 )
+from repro.testing import generate_case
 from repro.workloads import ALL_WORKLOADS
 
 
@@ -204,38 +206,6 @@ class TestTraceCache:
         assert cache.get("a", "tiny") is None
         assert cache.get("b", "tiny") is not None
 
-    def test_eviction_spills_and_reloads(self, tmp_path):
-        cache = TraceCache(max_entries=1, spill_dir=str(tmp_path))
-        cache.put(make_trace("a"))
-        cache.put(make_trace("b"))  # evicts "a" to disk
-        assert cache.spills == 1
-        assert (tmp_path / "trace-a-tiny.pkl").exists()
-        reloaded = cache.get("a", "tiny")
-        assert reloaded is not None
-        assert cache.disk_loads == 1
-        assert reloaded.calls[0].kernel.name == "vadd"
-        assert replay_fields(reloaded) == replay_fields(make_trace("a"))
-
-    def test_ignores_spill_files_it_did_not_write(self, tmp_path):
-        """A spill file left by another cache (an earlier run, another
-        checkout) is never read back: a fresh cache on the same
-        directory misses."""
-        first = TraceCache(max_entries=1, spill_dir=str(tmp_path))
-        first.put(make_trace("a"))
-        first.put(make_trace("b"))  # spills "a"
-        assert (tmp_path / "trace-a-tiny.pkl").exists()
-        second = TraceCache(max_entries=1, spill_dir=str(tmp_path))
-        assert second.get("a", "tiny") is None
-        assert (second.misses, second.disk_loads) == (1, 0)
-        # its own spill of the key overwrites the foreign file
-        second.put(make_trace("a", n=8))
-        second.put(make_trace("b"))
-        reloaded = second.get("a", "tiny")
-        assert second.disk_loads == 1
-        assert len(reloaded.calls[0].trace) == len(
-            make_trace("a", n=8).calls[0].trace
-        )
-
     def test_peak_trace_elems_is_pure(self):
         cache = TraceCache(max_entries=2)
         assert cache.peak_trace_elems("wl", "tiny") == 0
@@ -296,7 +266,7 @@ class TestReplayEquivalence:
             )
         calls_per_run = OBS.counter("interp.invocations")
         assert calls_per_run > 0
-        assert OBS.counter("tracecache.replays") == 2
+        assert OBS.counter("tracecache.hits") == 2
         assert cache.misses == 1 and cache.hits == 2
         # re-run without a cache: every config pays the interpreter
         OBS.reset()
@@ -306,3 +276,98 @@ class TestReplayEquivalence:
                 machine=machine,
             )
         assert OBS.counter("interp.invocations") == 3 * calls_per_run
+
+
+def run_through(case, cache, machine, config="ooo"):
+    return simulate_workload(
+        case.instance(), config, machine=machine,
+        trace_cache=cache, trace_key=(case.name, "tiny"),
+    )
+
+
+def columns_of(entry):
+    """Bitwise snapshot of every trace column, plus the verdict and the
+    instance fields replay reads from the entry."""
+    cols = []
+    for record in entry.calls:
+        trace = record.trace
+        assert isinstance(trace, ColumnarTrace)
+        cols.append((
+            trace.site.tobytes(), trace.obj_id.tobytes(),
+            trace.idx.tobytes(), trace.is_write.tobytes(),
+            trace.obj_names,
+        ))
+    return cols, replay_fields(entry)
+
+
+class TestEviction:
+    """An evicted entry is forgotten; a caller holding it keeps a live,
+    unchanged artifact it can still replay."""
+
+    @pytest.fixture(scope="class")
+    def machine(self):
+        return experiment_machine()
+
+    def test_lru_cache_forgets_evicted_key(self, machine):
+        cache = TraceCache(max_entries=1)
+        a = generate_case(100, shape="gather")
+        b = generate_case(101, shape="scatter")
+        run_through(a, cache, machine)
+        run_through(b, cache, machine)
+        assert cache.get(a.name, "tiny") is None
+        assert cache.get(b.name, "tiny") is not None
+
+    def test_held_entry_survives_eviction_of_its_key(self, machine):
+        """A caller that fetched an entry keeps a live reference while
+        other datasets churn the cache past its bound; the held entry's
+        traces and replayed fields stay bit-identical throughout."""
+        cache = TraceCache(max_entries=1)
+        case = generate_case(7, shape="guarded")
+        run_through(case, cache, machine)
+        held = cache.get(case.name, "tiny")
+        snapshot = columns_of(held)
+        for i in range(3):
+            run_through(generate_case(50 + i, shape="elementwise"),
+                        cache, machine)
+        assert cache.get(case.name, "tiny") is None
+        assert columns_of(held) == snapshot
+
+    def test_held_entry_still_replays_correctly(self, machine):
+        """Replaying the held (evicted) entry gives the same simulation
+        numbers as the run that recorded it and as a fresh
+        interpretation."""
+        cache = TraceCache(max_entries=1)
+        case = generate_case(7, shape="nested")
+        first = run_through(case, cache, machine)
+        held = cache.get(case.name, "tiny")
+        run_through(generate_case(9, shape="elementwise"), cache, machine)
+        # hand the held entry back through a private single-entry cache
+        private = TraceCache(max_entries=1)
+        private.put(held)
+        replayed = run_through(case, private, machine)
+        assert run_sig(replayed) == run_sig(first)
+        fresh = simulate_workload(case.instance(), "ooo", machine=machine)
+        assert run_sig(fresh) == run_sig(first)
+
+    def test_replay_touches_no_instance_arrays(self, machine):
+        """A replay neither runs nor restores anything into the instance
+        it is given: a replaying caller scribbling over its own arrays
+        changes neither the cached entry nor a later replay."""
+        cache = TraceCache(max_entries=1)
+        case = generate_case(7, shape="reduction")
+        first = run_through(case, cache, machine)
+        before = columns_of(cache.get(case.name, "tiny"))
+        instance = case.instance()
+        initial = {k: v.copy() for k, v in instance.arrays.items()}
+        run = simulate_workload(
+            instance, "ooo", machine=machine,
+            trace_cache=cache, trace_key=(case.name, "tiny"),
+        )
+        assert run.validated
+        for name, arr in instance.arrays.items():
+            assert arr.tobytes() == initial[name].tobytes()
+        for arr in instance.arrays.values():
+            arr.fill(-1.0)
+        assert columns_of(cache.get(case.name, "tiny")) == before
+        later = run_through(case, cache, machine)
+        assert run_sig(later) == run_sig(first)

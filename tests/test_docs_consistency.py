@@ -54,3 +54,27 @@ def test_architecture_may_not_name_missing_modules():
             "`gone.py` and `mem/also_gone.py`")
     assert check.missing_py_paths(text) == ["gone.py", "mem/also_gone.py"]
     assert check.check_architecture_paths() == []
+
+
+def test_settings_nothing_reads_are_flagged(tmp_path):
+    """A machine-schema or ConfigSpec field that no code reads is
+    flagged; an attribute load and a string naming the attribute both
+    count as reads, an attribute store does not."""
+    check = _checker()
+    source = tmp_path / "reader.py"
+    source.write_text("t = m.core.freq_ghz\n"
+                      "getattr(table, 'cgra_op')\n"
+                      "m.warp_factor = 3\n")
+    read = check.attribute_reads([source])
+    assert {"freq_ghz", "cgra_op"} <= read and "warp_factor" not in read
+    problems = check.unread_settings(
+        {"machine schema field core.freq_ghz": "freq_ghz",
+         "machine schema field energy.cgra_op": "cgra_op",
+         "machine schema field core.warp_factor": "warp_factor"},
+        read)
+    assert problems == [
+        "machine schema field core.warp_factor changes nothing: no code "
+        "under src/repro/ outside params.py and machine/ reads "
+        "`warp_factor`",
+    ]
+    assert check.check_settings_read() == []

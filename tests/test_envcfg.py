@@ -49,10 +49,10 @@ class TestAccessors:
         assert envcfg.get_int(envcfg.REPRO_JOBS, 3) == 3
 
     def test_get_path(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_SPILL", raising=False)
-        assert envcfg.get_path(envcfg.REPRO_TRACE_SPILL) is None
-        monkeypatch.setenv("REPRO_TRACE_SPILL", "/tmp/x")
-        assert envcfg.get_path(envcfg.REPRO_TRACE_SPILL) == "/tmp/x"
+        monkeypatch.delenv("REPRO_SERVE_STORE", raising=False)
+        assert envcfg.get_path(envcfg.REPRO_SERVE_STORE) is None
+        monkeypatch.setenv("REPRO_SERVE_STORE", "/tmp/x")
+        assert envcfg.get_path(envcfg.REPRO_SERVE_STORE) == "/tmp/x"
 
     def test_reads_happen_at_call_time(self, monkeypatch):
         monkeypatch.setenv("REPRO_REFERENCE", "1")

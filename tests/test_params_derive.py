@@ -72,6 +72,16 @@ class TestDeriveMachine:
         with pytest.raises(ConfigError, match="no field 'warp_drive'"):
             derive_machine(default_machine(), {"warp_drive": 1})
 
+    @pytest.mark.parametrize("path", [
+        "noc.credits_per_link", "core.rob_entries", "l3.writeback",
+        "inorder.sw_prefetch", "access_unit.fill_burst_elems"])
+    def test_unmodelled_field_rejected_by_name(self, path):
+        """A sweep axis on a field the simulator never modelled fails,
+        naming the field, instead of sweeping flat rows."""
+        leaf = path.split(".")[1]
+        with pytest.raises(ConfigError, match=f"{path!r}.*no field {leaf!r}"):
+            derive_machine(default_machine(), {path: 1})
+
     def test_descend_into_leaf(self):
         with pytest.raises(ConfigError, match="leaf value"):
             derive_machine(default_machine(), {"l3_clusters.size": 1})

@@ -24,12 +24,20 @@ directions (code is documented, and docs name only what exists):
    job lifecycle state, each ``python -m repro.serve`` CLI flag, and
    each ``REPRO_SERVE_*`` environment variable — and the README links
    the guide.
+5. Every setting changes something: each machine-schema field (by its
+   leaf name) and each :class:`repro.sim.system.ConfigSpec` field is
+   read as an attribute somewhere under ``src/repro/`` outside
+   ``params.py`` and ``machine/`` (which declare, validate and copy
+   every field). A read is an attribute load (``m.l3_clusters``) or a
+   string naming the attribute (the energy sheet's event names reach
+   ``getattr(table, event)`` as strings).
 
 Exit status 0 when all hold; 1 with a per-violation listing otherwise.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -191,10 +199,53 @@ def check_service_docs() -> list[str]:
     return problems
 
 
+def attribute_reads(paths) -> set[str]:
+    """Every attribute name ``paths`` read: each attribute load, and each
+    string constant (an attribute read by name)."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def unread_settings(settings: dict[str, str], read: set[str]) -> list[str]:
+    """Problems for the settings (label -> attribute name) whose
+    attribute is missing from ``read``."""
+    return [
+        f"{label} changes nothing: no code under src/repro/ outside "
+        f"params.py and machine/ reads `{attr}`"
+        for label, attr in sorted(settings.items()) if attr not in read
+    ]
+
+
+def check_settings_read() -> list[str]:
+    sys.path.insert(0, str(REPO / "src"))
+    from dataclasses import fields
+
+    from repro.machine.schema import schema_fields
+    from repro.sim.system import ConfigSpec
+
+    settings = {f"machine schema field {name}": name.rsplit(".", 1)[-1]
+                for name in schema_fields()}
+    settings.update({f"ConfigSpec field {f.name}": f.name
+                     for f in fields(ConfigSpec)})
+    readers = [path for path in SRC.rglob("*.py")
+               if path != SRC / "params.py"
+               and SRC / "machine" not in path.parents]
+    return unread_settings(settings, attribute_reads(readers))
+
+
 def main() -> int:
     problems = (check_architecture() + check_architecture_paths()
                 + check_env_vars() + check_documented_env_vars()
-                + check_machine_docs() + check_service_docs())
+                + check_machine_docs() + check_service_docs()
+                + check_settings_read())
     for p in problems:
         print(f"check_docs: {p}", file=sys.stderr)
     if problems:
@@ -206,7 +257,8 @@ def main() -> int:
     print("check_docs: OK "
           f"({len(module_tokens())} modules, README env table, "
           f"{len(schema_fields())} machine schema fields and "
-          f"{len(ENDPOINTS)} serve endpoints in sync)")
+          f"{len(ENDPOINTS)} serve endpoints in sync; every setting "
+          f"read)")
     return 0
 
 
