@@ -34,7 +34,7 @@ interval comparison *does* decide, the decision needs no simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.expr import (
@@ -839,24 +839,6 @@ def enumerate_calls(instance: Any) -> List[Tuple[Kernel, Dict[str, Any]]]:
     return out
 
 
-def derived_machine(spec: Any, base: MachineParams) -> MachineParams:
-    """The exact machine derivation `SystemSimulator.__init__` applies."""
-    from ..params import mono_da_cgra_machine
-
-    machine = base
-    if spec.big_fabric:
-        machine = mono_da_cgra_machine(machine)
-    if spec.accel_freq is not None:
-        machine = machine.with_accel_freq(spec.accel_freq)
-    if spec.io_issue_width is not None:
-        machine = dc_replace(
-            machine, inorder=dc_replace(
-                machine.inorder, issue_width=spec.io_issue_width
-            )
-        )
-    return machine
-
-
 @dataclass
 class CostReport:
     """Per-config metric intervals for one workload at one machine."""
@@ -912,7 +894,7 @@ class CostModel:
         from ..sim.system import config_spec
 
         spec = config_spec(config)
-        machine = derived_machine(spec, self.machine)
+        machine = spec.machine(self.machine)
         if spec.mode is None:
             return self._predict_ooo(machine)
         return self._predict_accel(spec, machine)

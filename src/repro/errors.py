@@ -65,3 +65,16 @@ class DeadlockError(SimulationError):
 
 class ConfigError(ReproError):
     """Invalid machine or experiment configuration."""
+
+
+class MachineConfigError(ConfigError):
+    """A machine failed validation, from a document or an override.
+
+    ``violations`` lists every independent problem found, each naming
+    its field, so a machine with a non-power-of-two set count *and* an
+    undersized mesh reports both in one error.
+    """
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("invalid machine: " + "; ".join(self.violations))

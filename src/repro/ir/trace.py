@@ -23,7 +23,7 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Mapping, Sequence, Tuple
+from typing import Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 

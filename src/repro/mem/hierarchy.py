@@ -29,7 +29,7 @@ from ..events import ps_to_cycles
 from ..noc import Mesh, MessageCosts, TrafficClass, TrafficLedger
 from ..noc.traffic import Lazy
 from ..obs import OBS
-from ..params import CacheParams, MachineParams, NocParams
+from ..params import MONO_PRIVATE_WAYS, CacheParams, MachineParams, NocParams
 from .cache import _ABSENT, Cache
 from .dram import Dram
 from .nuca import NucaL3
@@ -104,7 +104,8 @@ class MemoryHierarchy:
         #: line and element that accelerator touches goes through it, and
         #: its misses and dirty victims go to their home slices
         self.private: Optional[Cache] = Cache(
-            CacheParams(size_bytes=machine.mono_private_bytes, ways=4,
+            CacheParams(size_bytes=machine.mono_private_bytes,
+                        ways=MONO_PRIVATE_WAYS,
                         latency_cycles=1, mshrs=8,
                         line_bytes=machine.l3.line_bytes),
             name="mono_ca_private",

@@ -21,12 +21,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, MachineConfigError
 
 CACHE_LINE_BYTES = 64
 PAGE_BYTES = 4096
+#: associativity of Mono-CA's private cache (``mono_private_bytes``)
+MONO_PRIVATE_WAYS = 4
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,6 @@ class CacheParams:
     @property
     def num_sets(self) -> int:
         return self.num_lines // self.ways
-
-    def __post_init__(self) -> None:
-        if self.size_bytes % (self.ways * self.line_bytes) != 0:
-            raise ValueError(
-                f"cache size {self.size_bytes} not divisible by "
-                f"ways*line ({self.ways}*{self.line_bytes})"
-            )
 
 
 @dataclass(frozen=True)
@@ -82,23 +77,8 @@ class NocParams:
         return self.mesh_cols * self.mesh_rows
 
     def __post_init__(self) -> None:
-        if self.mesh_cols < 1 or self.mesh_rows < 1:
-            raise ValueError(
-                f"mesh must be at least 1x1: "
-                f"{self.mesh_cols}x{self.mesh_rows}"
-            )
-        if self.flit_bytes < 1:
-            raise ValueError(f"flit_bytes must be positive: {self.flit_bytes}")
         if self.mc_node == -1:
             object.__setattr__(self, "mc_node", self.mesh_cols - 1)
-        n = self.num_nodes
-        for label, node in (("host_node", self.host_node),
-                            ("mc_node", self.mc_node)):
-            if not 0 <= node < n:
-                raise ValueError(
-                    f"{label} {node} outside the "
-                    f"{self.mesh_cols}x{self.mesh_rows} mesh ({n} nodes)"
-                )
 
 
 @dataclass(frozen=True)
@@ -281,59 +261,9 @@ class MachineParams:
     area: AreaTable = field(default_factory=AreaTable)
 
     def __post_init__(self) -> None:
-        problems = []
-        if self.l3_clusters < 1:
-            problems.append(f"l3_clusters must be >= 1: {self.l3_clusters}")
-        if self.l3_banks_per_cluster < 1:
-            problems.append(
-                f"l3_banks_per_cluster must be >= 1: "
-                f"{self.l3_banks_per_cluster}"
-            )
-        if self.l3_clusters >= 1:
-            if self.l3.size_bytes % self.l3_clusters != 0:
-                problems.append(
-                    f"l3.size_bytes {self.l3.size_bytes} not divisible by "
-                    f"l3_clusters {self.l3_clusters}"
-                )
-            else:
-                slice_bytes = self.l3.size_bytes // self.l3_clusters
-                if slice_bytes % (self.l3.ways * self.l3.line_bytes) != 0:
-                    problems.append(
-                        f"l3 slice size {slice_bytes} not divisible by "
-                        f"ways*line ({self.l3.ways}*{self.l3.line_bytes})"
-                    )
-            if self.noc.num_nodes < self.l3_clusters:
-                problems.append(
-                    f"mesh {self.noc.mesh_cols}x{self.noc.mesh_rows} "
-                    f"({self.noc.num_nodes} nodes) too small for "
-                    f"{self.l3_clusters} L3 clusters"
-                )
-            if self.noc.host_node >= self.l3_clusters:
-                problems.append(
-                    f"host_node {self.noc.host_node} is not co-located "
-                    f"with an L3 cluster (l3_clusters={self.l3_clusters})"
-                )
-        if not (self.l1.line_bytes == self.l2.line_bytes
-                == self.l3.line_bytes):
-            problems.append(
-                f"cache line size must be uniform across levels: "
-                f"l1={self.l1.line_bytes} l2={self.l2.line_bytes} "
-                f"l3={self.l3.line_bytes}"
-            )
-        if self.dram.bandwidth_bytes_per_cycle <= 0:
-            problems.append(
-                f"dram.bandwidth_bytes_per_cycle must be positive: "
-                f"{self.dram.bandwidth_bytes_per_cycle}"
-            )
-        for label, freq in (("core", self.core.freq_ghz),
-                            ("inorder", self.inorder.freq_ghz),
-                            ("cgra", self.cgra.freq_ghz)):
-            if freq <= 0:
-                problems.append(f"{label}.freq_ghz must be positive: {freq}")
-        if problems:
-            raise ConfigError(
-                "invalid machine parameters: " + "; ".join(problems)
-            )
+        violations = machine_violations(self)
+        if violations:
+            raise MachineConfigError(violations)
 
     @property
     def l3_cluster_bytes(self) -> int:
@@ -347,6 +277,133 @@ class MachineParams:
             inorder=replace(self.inorder, freq_ghz=freq_ghz),
             cgra=replace(self.cgra, freq_ghz=freq_ghz),
         )
+
+
+def _pow2(n: int) -> bool:
+    return n >= 1 and n & (n - 1) == 0
+
+
+def machine_violations(m: MachineParams) -> List[str]:
+    """Every structural rule ``m`` breaks, one message per broken rule.
+
+    The one rule set for every machine, however it is made (a document,
+    a sweep override, the ``topology`` alias, a factory): each message
+    names its field, and the cache geometries checked are exactly the
+    ones :class:`~repro.mem.hierarchy.MemoryHierarchy` builds (L1, L2,
+    each L3 slice, each ACP, the Mono-CA private cache).
+    """
+    v: List[str] = []
+
+    # written as "not ok" so that a NaN (which JSON documents may
+    # carry) fails the rule instead of passing it
+    def at_least(path: str, value, bound) -> None:
+        if not value >= bound:
+            v.append(f"{path} must be >= {bound}: {value}")
+
+    def positive(path: str, value) -> None:
+        if not value > 0:
+            v.append(f"{path} must be positive: {value}")
+
+    def geometry(path: str, size: int, ways_path: str, ways: int,
+                 line: int) -> None:
+        """``size`` bytes must hold a power-of-two count of sets of
+        ``ways`` lines (rules above report the non-positive inputs)."""
+        if size < 1 or ways < 1 or line < 1:
+            return
+        sets, rem = divmod(size, ways * line)
+        if rem:
+            v.append(f"{path} must be a multiple of {ways_path} x line "
+                     f"({ways} x {line} B): {size}")
+        elif not _pow2(sets):
+            v.append(f"{path} has a non-power-of-two set count ({sets} "
+                     f"sets of {ways_path} x line, {ways} x {line} B): "
+                     f"{size}")
+
+    for name in ("l1", "l2", "l3"):
+        c = getattr(m, name)
+        at_least(f"{name}.size_bytes", c.size_bytes, 1)
+        at_least(f"{name}.ways", c.ways, 1)
+        at_least(f"{name}.latency_cycles", c.latency_cycles, 1)
+        at_least(f"{name}.mshrs", c.mshrs, 1)
+        if c.line_bytes < 8 or not _pow2(c.line_bytes):
+            v.append(f"{name}.line_bytes must be a power of two >= 8: "
+                     f"{c.line_bytes}")
+        if name != "l3":
+            geometry(f"{name}.size_bytes", c.size_bytes, f"{name}.ways",
+                     c.ways, c.line_bytes)
+    line = m.l3.line_bytes
+    if not m.l1.line_bytes == m.l2.line_bytes == line:
+        v.append(f"l1.line_bytes, l2.line_bytes and l3.line_bytes must be "
+                 f"equal: {m.l1.line_bytes}, {m.l2.line_bytes}, {line}")
+
+    clusters = m.l3_clusters
+    at_least("l3_clusters", clusters, 1)
+    at_least("l3_banks_per_cluster", m.l3_banks_per_cluster, 1)
+    at_least("l3_bank_latency", m.l3_bank_latency, 1)
+    if clusters >= 1:
+        slice_bytes, rem = divmod(m.l3.size_bytes, clusters)
+        if rem:
+            v.append(f"l3.size_bytes must be a multiple of l3_clusters "
+                     f"({clusters}): {m.l3.size_bytes}")
+        else:
+            geometry("l3.size_bytes / l3_clusters (one L3 slice)",
+                     slice_bytes, "l3.ways", m.l3.ways, line)
+
+    noc = m.noc
+    cols, rows = noc.mesh_cols, noc.mesh_rows
+    at_least("noc.mesh_cols", cols, 1)
+    at_least("noc.mesh_rows", rows, 1)
+    at_least("noc.hop_latency_cycles", noc.hop_latency_cycles, 0)
+    at_least("noc.flit_bytes", noc.flit_bytes, 1)
+    if cols >= 1 and rows >= 1:
+        nodes = cols * rows
+        for label, node in (("host_node", noc.host_node),
+                            ("mc_node", noc.mc_node)):
+            if not 0 <= node < nodes:
+                v.append(f"noc.{label} must be a node of the {cols}x{rows} "
+                         f"mesh (0..{nodes - 1}): {node}")
+        if nodes < clusters:
+            v.append(f"noc.mesh_cols x noc.mesh_rows ({cols}x{rows}, "
+                     f"{nodes} nodes) too small for {clusters} L3 clusters "
+                     f"(l3_clusters)")
+        if clusters >= 1 and clusters <= noc.host_node < nodes:
+            v.append(f"noc.host_node {noc.host_node} is not co-located "
+                     f"with an L3 cluster (l3_clusters={clusters})")
+
+    at_least("dram.size_bytes", m.dram.size_bytes, 1)
+    at_least("dram.latency_cycles", m.dram.latency_cycles, 0)
+    positive("dram.bandwidth_bytes_per_cycle",
+             m.dram.bandwidth_bytes_per_cycle)
+
+    for name in ("core", "inorder"):
+        group = getattr(m, name)
+        positive(f"{name}.freq_ghz", group.freq_ghz)
+        at_least(f"{name}.issue_width", group.issue_width, 1)
+        at_least(f"{name}.mem_level_parallelism",
+                 group.mem_level_parallelism, 1)
+    cgra = m.cgra
+    positive("cgra.freq_ghz", cgra.freq_ghz)
+    at_least("cgra.rows", cgra.rows, 1)
+    at_least("cgra.cols", cgra.cols, 1)
+    at_least("cgra.int_alus", cgra.int_alus, 0)
+    at_least("cgra.float_alus", cgra.float_alus, 0)
+    at_least("cgra.complex_alus", cgra.complex_alus, 0)
+
+    au = m.access_unit
+    at_least("access_unit.buffer_bytes", au.buffer_bytes, 1)
+    at_least("access_unit.acp_ways", au.acp_ways, 1)
+    at_least("access_unit.acp_bytes", au.acp_bytes, 1)
+    at_least("access_unit.max_buffers", au.max_buffers, 1)
+    geometry("access_unit.acp_bytes (the ACP)", au.acp_bytes,
+             "access_unit.acp_ways", au.acp_ways, line)
+    at_least("mono_private_bytes", m.mono_private_bytes, 1)
+    geometry("mono_private_bytes (the Mono-CA private cache)",
+             m.mono_private_bytes, "its ways", MONO_PRIVATE_WAYS, line)
+
+    for sheet in ("energy", "area"):
+        for leaf, value in vars(getattr(m, sheet)).items():
+            at_least(f"{sheet}.{leaf}", value, 0)
+    return v
 
 
 def default_machine() -> MachineParams:
@@ -407,95 +464,95 @@ def base_machine(name: str) -> MachineParams:
     )
 
 
-def _apply_topology(machine: "MachineParams", value) -> "MachineParams":
+def coerce_leaf(path: str, current: object, value: object) -> object:
+    """``value`` for the leaf field ``path`` whose value is now
+    ``current``, checked against its JSON type (ints widen to floats).
+    Documents and overrides both set leaves through here."""
+    if isinstance(current, bool):
+        ok, kind = isinstance(value, bool), "a bool"
+    elif isinstance(current, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        kind = "an int"
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        kind = "a number"
+        value = float(value) if ok else value
+    if not ok:
+        raise MachineConfigError([f"{path} expects {kind}, got {value!r}"])
+    return value
+
+
+def _apply_topology(top: Dict[str, object], value) -> None:
     """``topology`` alias: ``"CxR"`` (or ``[C, R]``) re-shapes the mesh
     to ``C x R`` nodes with one L3 cluster per node, clamping the host
     and memory-controller attachment points into the new mesh. Couples
     the cluster count to the mesh shape so a single sweep-axis value
     always derives a valid machine."""
-    if isinstance(value, str):
-        parts = value.lower().split("x")
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        raise ConfigError(
-            f"machine override 'topology' expects 'CxR' or [C, R], "
-            f"got {value!r}"
-        )
+    parts = value.lower().split("x") if isinstance(value, str) else value
     try:
         cols, rows = (int(p) for p in parts)
     except (TypeError, ValueError):
-        raise ConfigError(
-            f"machine override 'topology' expects 'CxR' or [C, R], "
-            f"got {value!r}"
-        ) from None
-    if cols < 1 or rows < 1:
-        raise ConfigError(f"machine override 'topology': bad mesh "
-                          f"{cols}x{rows}")
+        raise MachineConfigError([
+            f"topology expects 'CxR' or [C, R], got {value!r}"
+        ]) from None
     nodes = cols * rows
-    noc = replace(
-        machine.noc, mesh_cols=cols, mesh_rows=rows,
-        host_node=min(machine.noc.host_node, nodes - 1),
-        mc_node=min(machine.noc.mc_node, nodes - 1),
+    noc = top["noc"]
+    top["noc"] = replace(
+        noc, mesh_cols=cols, mesh_rows=rows,
+        host_node=min(noc.host_node, nodes - 1),
+        mc_node=min(noc.mc_node, nodes - 1),
     )
-    return replace(machine, noc=noc, l3_clusters=nodes)
+    top["l3_clusters"] = nodes
 
 
-#: derived-override aliases: one spec key fans out to several fields
-OVERRIDE_ALIASES: Dict[str, Callable[["MachineParams", object],
-                                     "MachineParams"]] = {
-    # both accelerator substrates are re-clocked together, as in the
-    # paper's §VI-E clocking study
-    "accel_freq_ghz": lambda m, v: m.with_accel_freq(float(v)),
+def _apply_accel_freq(top: Dict[str, object], value) -> None:
+    """``accel_freq_ghz`` alias: both accelerator substrates are
+    re-clocked together, as in the paper's §VI-E clocking study."""
+    freq = coerce_leaf("accel_freq_ghz", top["cgra"].freq_ghz, value)
+    top["inorder"] = replace(top["inorder"], freq_ghz=freq)
+    top["cgra"] = replace(top["cgra"], freq_ghz=freq)
+
+
+#: derived-override aliases: one spec key fans out to several fields of
+#: the machine's top-level field dict
+OVERRIDE_ALIASES: Dict[str, Callable[[Dict[str, object], object], None]] = {
+    "accel_freq_ghz": _apply_accel_freq,
     # mesh shape + one-cluster-per-node topology (DSE topology sweeps)
     "topology": _apply_topology,
 }
 
 
-def _override_one(obj, path: Tuple[str, ...], dotted: str, value):
-    """Recursively rebuild a frozen dataclass with one field replaced."""
-    head, rest = path[0], path[1:]
-    known = {f.name: f for f in fields(obj)}
-    if head not in known:
-        raise ConfigError(
-            f"machine override {dotted!r}: {type(obj).__name__} has no "
-            f"field {head!r}; known: {sorted(known)}"
-        )
-    current = getattr(obj, head)
-    if rest:
-        if not is_dataclass(current):
-            raise ConfigError(
-                f"machine override {dotted!r}: {head!r} is a leaf value, "
-                f"cannot descend into {'.'.join(rest)!r}"
-            )
-        return replace(obj, **{head: _override_one(current, rest, dotted,
-                                                   value)})
-    if is_dataclass(current):
-        raise ConfigError(
-            f"machine override {dotted!r} targets the parameter group "
-            f"{type(current).__name__}; override one of its fields "
-            f"({', '.join(sorted(f.name for f in fields(current)))})"
-        )
-    if isinstance(current, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(
-                f"machine override {dotted!r} expects a bool, got "
-                f"{value!r}"
-            )
-    elif isinstance(current, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(
-                f"machine override {dotted!r} expects an int, got "
-                f"{value!r}"
-            )
-    elif isinstance(current, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(
-                f"machine override {dotted!r} expects a number, got "
-                f"{value!r}"
-            )
-        value = float(value)
-    return replace(obj, **{head: value})
+def _override_one(top: Dict[str, object], dotted: str, value) -> None:
+    """Set the leaf ``dotted`` names in the top-level field dict."""
+    head, _, leaf = dotted.partition(".")
+    if head not in top:
+        raise MachineConfigError([
+            f"machine override {dotted!r}: MachineParams has no field "
+            f"{head!r}; known: {sorted(top)}"
+        ])
+    current = top[head]
+    if not leaf:
+        if is_dataclass(current):
+            raise MachineConfigError([
+                f"machine override {dotted!r} targets the parameter group "
+                f"{type(current).__name__}; override one of its fields "
+                f"({', '.join(sorted(f.name for f in fields(current)))})"
+            ])
+        top[head] = coerce_leaf(dotted, current, value)
+        return
+    if not is_dataclass(current):
+        raise MachineConfigError([
+            f"machine override {dotted!r}: {head!r} is a leaf value, "
+            f"cannot descend into {leaf!r}"
+        ])
+    known = [f.name for f in fields(current)]
+    if leaf not in known:
+        raise MachineConfigError([
+            f"machine override {dotted!r}: {type(current).__name__} has "
+            f"no field {leaf!r}; known: {sorted(known)}"
+        ])
+    top[head] = replace(current, **{
+        leaf: coerce_leaf(dotted, getattr(current, leaf), value)})
 
 
 def derive_machine(base: MachineParams,
@@ -511,22 +568,21 @@ def derive_machine(base: MachineParams,
             "accel_freq_ghz": 3.0,         # alias (see OVERRIDE_ALIASES)
         })
 
-    Unknown paths, paths into leaf values, group-level targets and
-    type-mismatched values raise :class:`~repro.errors.ConfigError`;
-    structural validation of the resulting machine (cache geometry
-    divisibility, ``__post_init__``) still applies. Keys are applied in
-    sorted order so derivation is deterministic regardless of dict
-    ordering.
+    Keys are applied in sorted order, so derivation is deterministic
+    regardless of dict ordering, and the machine is constructed once
+    from the result, as a document's is. Unknown paths, paths into leaf
+    values, group-level targets, type-mismatched values and every
+    structural rule the result breaks (:func:`machine_violations`)
+    raise :class:`~repro.errors.MachineConfigError` naming the field.
     """
-    machine = base
+    top = {f.name: getattr(base, f.name) for f in fields(MachineParams)}
     for key in sorted(overrides):
-        value = overrides[key]
         alias = OVERRIDE_ALIASES.get(key)
         if alias is not None:
-            machine = alias(machine, value)
-            continue
-        machine = _override_one(machine, tuple(key.split(".")), key, value)
-    return machine
+            alias(top, overrides[key])
+        else:
+            _override_one(top, key, overrides[key])
+    return MachineParams(**top)
 
 
 def machine_digest(machine: MachineParams) -> str:

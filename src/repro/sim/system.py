@@ -71,6 +71,22 @@ class ConfigSpec:
     #: skipped (paper Fig 12b discussion)
     no_stream_spec: bool = False
 
+    def machine(self, base: MachineParams) -> MachineParams:
+        """The machine this configuration runs on: ``base`` with the
+        8x8 fabric, accelerator clock and in-order issue width it asks
+        for. The simulator and the AN-C cost model both derive it here."""
+        if self.big_fabric:
+            base = mono_da_cgra_machine(base)
+        if self.accel_freq is not None:
+            base = base.with_accel_freq(self.accel_freq)
+        if self.io_issue_width is not None:
+            base = replace(
+                base, inorder=replace(
+                    base.inorder, issue_width=self.io_issue_width
+                )
+            )
+        return base
+
 
 #: the paper's tested configurations (§VI-A)
 CONFIGS: Dict[str, ConfigSpec] = {
@@ -141,18 +157,7 @@ class SystemSimulator:
                  trace_cache: Optional[TraceCache] = None,
                  trace_key: Optional[Tuple[str, str]] = None):
         self.spec = config_spec(config)
-        base = machine or default_machine()
-        if self.spec.big_fabric:
-            base = mono_da_cgra_machine(base)
-        if self.spec.accel_freq is not None:
-            base = base.with_accel_freq(self.spec.accel_freq)
-        if self.spec.io_issue_width is not None:
-            base = replace(
-                base, inorder=replace(
-                    base.inorder, issue_width=self.spec.io_issue_width
-                )
-            )
-        self.machine = base
+        self.machine = self.spec.machine(machine or default_machine())
         self.coverage = coverage if coverage is not None else CoverageRecorder()
         #: shared functional-trace store; the interpretation of a
         #: (workload, scale) pair is configuration-independent, so one

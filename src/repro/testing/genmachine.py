@@ -18,7 +18,7 @@ reference configuration.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence
 
 from ..machine import validate_document
 

@@ -102,12 +102,14 @@ def test_invalid_document_reports_all_violations():
         "l3_clusters": 4,
         "noc": {"mesh_cols": 1, "mesh_rows": 1},        # < 4 clusters
         "dram": {"bandwidth_bytes_per_cycle": 0},       # zero bandwidth
+        "bogus": 1,                                     # schema
     }
     with pytest.raises(MachineDocError) as err:
         validate_document(doc)
     text = str(err.value)
     violations = err.value.violations
-    assert len(violations) >= 3
+    assert len(violations) >= 4
+    assert "unknown key 'bogus'" in violations
     assert any("non-power-of-two set count" in v for v in violations)
     assert any("too small for 4 L3 clusters" in v for v in violations)
     assert any("bandwidth_bytes_per_cycle must be positive" in v

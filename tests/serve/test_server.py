@@ -7,7 +7,10 @@ server runs inline (no process pool) on an ephemeral port; one module
 fixture serves every test.
 """
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,9 @@ SPEC = {
     "scale": "tiny",
     "machine_axes": {"accel_freq_ghz": [1.0, 2.0]},
 }
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))), "src")
 
 CELL = {"workload": "fdt", "config": "dist_da_f", "scale": "tiny",
         "machine_overrides": {"accel_freq_ghz": 1.0}}
@@ -108,6 +114,20 @@ class TestErrorPaths:
                           "config": "dist_da_f"})
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("field", ["l1.ways", "core.issue_width"])
+    def test_bad_machine_override_is_400_naming_the_field(self, served,
+                                                            field):
+        status, body = served.request("POST", "/v1/query", {
+            "point": dict(CELL, machine_overrides={field: 0})})
+        assert status == 400, body
+        assert field in body["error"]
+
+    def test_bad_machine_axis_is_400_naming_the_field(self, served):
+        spec = dict(SPEC, machine_axes={"l3.size_bytes": [1000]})
+        status, body = served.request("POST", "/v1/sweeps", {"spec": spec})
+        assert status == 400, body
+        assert "l3.size_bytes" in body["error"]
+
     def test_malformed_body_is_400(self, served):
         status, body = served.request("POST", "/v1/sweeps", {})
         assert status == 400 and "spec" in body["error"]
@@ -124,6 +144,23 @@ class TestErrorPaths:
         with pytest.raises(ServiceError) as err:
             served.result("deadbeef")
         assert err.value.status == 404
+
+
+class TestSweepCli:
+    def test_bad_machine_axis_exits_2_naming_the_field(self, tmp_path):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(
+            dict(SPEC, machine_axes={"l1.ways": [0]})))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC, env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.dse", "--spec", str(spec),
+             "--dry-run"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "l1.ways" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestUnixSocket:

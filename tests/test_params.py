@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.errors import MachineConfigError
 from repro.params import (
     CACHE_LINE_BYTES,
     CacheParams,
@@ -66,8 +67,11 @@ class TestCacheGeometry:
         assert c.num_sets == c.num_lines // 8
 
     def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            CacheParams(size_bytes=1000, ways=3, latency_cycles=1, mshrs=1)
+        bad = CacheParams(size_bytes=1000, ways=3, latency_cycles=1, mshrs=1)
+        with pytest.raises(MachineConfigError) as err:
+            dataclasses.replace(default_machine(), l1=bad)
+        assert any(v.startswith("l1.size_bytes ")
+                   for v in err.value.violations)
 
 
 class TestVariants:

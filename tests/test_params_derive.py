@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MachineConfigError
 from repro.params import (
     base_machine,
     default_machine,
@@ -39,9 +39,8 @@ class TestDeriveMachine:
         assert m.inorder.freq_ghz == 3.0 and m.cgra.freq_ghz == 3.0
 
     def test_multiple_overrides_deterministic(self):
-        # l3_clusters sorts before noc.mesh_cols, so the cluster count
-        # shrinks before the mesh does and every intermediate machine
-        # stays valid
+        # the overrides apply in sorted key order and the machine is
+        # built once, so the spelling order of the mapping cannot matter
         over = {"l3.size_bytes": 1 << 20, "accel_freq_ghz": 2.0,
                 "l3_clusters": 4, "noc.mesh_cols": 2}
         a = derive_machine(default_machine(), over)
@@ -97,9 +96,11 @@ class TestDeriveMachine:
             derive_machine(default_machine(), {"l3.size_bytes": True})
 
     def test_structural_validation_still_applies(self):
-        # cache geometry divisibility is enforced by the dataclass
-        with pytest.raises(ValueError):
+        # the rules documents obey apply to overrides, naming the field
+        with pytest.raises(MachineConfigError) as err:
             derive_machine(default_machine(), {"l3.size_bytes": 1000})
+        assert any(v.startswith("l3.size_bytes ")
+                   for v in err.value.violations)
 
 
 class TestMachineDigest:

@@ -13,7 +13,9 @@ The CI gate for ``repro.serve`` (also runnable locally). It:
    latency);
 5. resubmits the spec and asserts every point is now a cache hit, and
    that one single-cell query answers cached;
-6. asks for a clean shutdown and requires the server process to exit 0.
+6. sends one query with an invalid machine override and requires a 400
+   whose error names the field;
+7. asks for a clean shutdown and requires the server process to exit 0.
 
 Exit status 0 on success; 1 with a message otherwise.
 """
@@ -80,6 +82,13 @@ def main() -> int:
                              "machine_overrides":
                                  {"accel_freq_ghz": 2.0}})
         assert resp["cached"] and resp["row"]["status"] == "ok", resp
+
+        status, body = client.request("POST", "/v1/query", {"point": {
+            "workload": "fdt", "config": "dist_da_f", "scale": "tiny",
+            "machine_overrides": {"l1.ways": 0}}})
+        assert status == 400 and "l1.ways" in body.get("error", ""), (
+            f"bad machine override answered {status}: {body}")
+        print("serve_smoke: bad override answered 400 naming l1.ways")
         stats = client.stats()["stats"]
         print(f"serve_smoke: hit_ratio={stats['hit_ratio']:.3f} "
               f"store_rows={stats['store_rows']}")
