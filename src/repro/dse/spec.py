@@ -29,6 +29,7 @@ exactly when something that could change the numbers does.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -58,15 +59,39 @@ _SPEC_KEYS = {
 _SCALES = ("tiny", "small", "large")
 
 
-def _axis_items(axes: Mapping[str, Sequence]) -> List[Tuple[str, Tuple]]:
-    """Sorted, tuple-ified axes; rejects empty value lists."""
+def _axis_items(axes: Mapping[str, Sequence],
+                name: str) -> List[Tuple[str, Tuple]]:
+    """Sorted, tuple-ified axes of the spec field ``name``. Each axis
+    takes a list of values (a tuple once parsed): a scalar, a string or
+    an empty list is refused, naming the axis."""
+    if not isinstance(axes, Mapping):
+        raise ConfigError(f"sweep {name} must be an object of axis -> "
+                          f"list of values, got {type(axes).__name__}")
     items = []
     for key in sorted(axes):
-        values = tuple(axes[key])
+        values = axes[key]
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(
+                f"sweep axis {key!r} must be a list of values, got "
+                f"{type(values).__name__} {values!r}")
         if not values:
             raise ConfigError(f"sweep axis {key!r} has no values")
-        items.append((key, values))
+        items.append((key, tuple(values)))
     return items
+
+
+def _check_dataset_keys(workload: str, keys) -> None:
+    """Refuse a dataset keyword that ``workload``'s ``build`` does not
+    take (``scale`` is set by the spec or point, never as a keyword)."""
+    from ..workloads import ALL_WORKLOADS
+
+    params = inspect.signature(ALL_WORKLOADS[workload].build).parameters
+    known = sorted(k for k in params if k != "scale")
+    for key in sorted(keys):
+        if key not in known:
+            raise ConfigError(
+                f"unknown dataset keyword {key!r} for workload "
+                f"{workload!r}; known: {known}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +147,7 @@ class SweepPoint:
             if not isinstance(value, Mapping):
                 raise ConfigError(f"sweep point {name} must be a mapping, "
                                   f"got {type(value).__name__}")
+        _check_dataset_keys(workload, kwargs)
         return cls(
             workload=workload, config=config, scale=scale,
             machine_overrides=tuple(sorted(overrides.items())),
@@ -217,8 +243,10 @@ class SweepSpec:
             configs=tuple(raw["configs"]),
             scale=str(raw.get("scale", "small")),
             base=str(raw.get("base", "experiment")),
-            machine_axes=dict(_axis_items(raw.get("machine_axes", {}))),
-            workload_axes=dict(_axis_items(raw.get("workload_axes", {}))),
+            machine_axes=dict(_axis_items(raw.get("machine_axes", {}),
+                                          "machine_axes")),
+            workload_axes=dict(_axis_items(raw.get("workload_axes", {}),
+                                           "workload_axes")),
             prune=bool(raw.get("prune", False)),
         )
         spec.validate()
@@ -253,6 +281,7 @@ class SweepSpec:
                     f"sweep {self.name!r}: unknown workload {w!r}; "
                     f"known: {sorted(ALL_WORKLOADS)}"
                 )
+            _check_dataset_keys(w, self.workload_axes)
         for c in self.configs:
             if c not in CONFIGS:
                 raise ConfigError(
@@ -269,13 +298,13 @@ class SweepSpec:
 
     # ------------------------------------------------------------------
     def _machine_combos(self) -> List[Tuple[Tuple[str, object], ...]]:
-        items = _axis_items(self.machine_axes)
+        items = _axis_items(self.machine_axes, "machine_axes")
         keys = [k for k, _ in items]
         combos = itertools.product(*(vals for _, vals in items))
         return [tuple(zip(keys, combo)) for combo in combos]
 
     def _workload_combos(self) -> List[Tuple[Tuple[str, object], ...]]:
-        items = _axis_items(self.workload_axes)
+        items = _axis_items(self.workload_axes, "workload_axes")
         keys = [k for k, _ in items]
         combos = itertools.product(*(vals for _, vals in items))
         return [tuple(zip(keys, combo)) for combo in combos]

@@ -187,29 +187,46 @@ class Cache:
                 dirty_count += 1
         return dirty_count
 
-    # -- set-major batch walk (production path) ------------------------------
+    # -- reuse-distance batch walk (production path) ------------------------
     #
-    # The per-access LRU transition is stateful *within* a set but
-    # independent *across* sets, so a batch can be replayed one set at a
-    # time: a stable sort by set keeps each set's accesses in program
-    # order, and the set's dict stays in a local for its whole run. After
-    # the first access of a set-local run of one line, that line is the
-    # set's MRU entry and accesses to other sets cannot move it, so every
-    # later access of the run is a hit whose only effect is OR-ing in its
-    # dirty bit: one lookup serves the run. The walk is bit-identical to
-    # per-access `access()` calls — counters, LRU order, dirty bits and
-    # victims alike.
+    # Before each access, an LRU set that allocates on every miss holds
+    # the `ways` most recently used distinct lines of that set (Mattson's
+    # stack-distance rule, IBM Systems Journal 1970). So every access's
+    # outcome, and every miss's victim, follow from each set's access
+    # sequence alone, and numpy can work them out for all sets at once:
+    #
+    # - A stable sort by set lays each touched set out as its resident
+    #   lines, oldest first, then its accesses in program order. A run of
+    #   one line there is one *use*: only its first access can miss, and
+    #   the run ORs its dirty bits.
+    # - One stable sort of the uses by line gives each use the distance
+    #   to the previous and to the next use of its line.
+    # - A use whose line was used at most `ways` uses back hits. For any
+    #   other use j, LB(j) is the position of the `ways`-th most recent
+    #   distinct line before j (:func:`_lru_bounds`). The use hits iff its
+    #   line was used at or after LB(j), and a miss evicts the line at
+    #   LB(j). Each set starts with `ways` virtual free ways, older than
+    #   its residents and never used: where LB(j) is one of them, the set
+    #   is not full and a miss evicts nothing.
+    # - A line's dirty bit is the OR over its residency, which starts at
+    #   the line's first use or at a miss on it.
+    # - Each touched set ends holding its last `ways` distinct lines, in
+    #   order of last use.
+    #
+    # The walk is bit-identical to per-access `access()` calls: counters,
+    # LRU order, dirty bits and victims alike. Its only Python loops run
+    # once per touched set, over at most `ways` lines.
 
     def access_batch(self, lines: np.ndarray, make_dirty: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance the cache state over a batch of line accesses.
 
         ``lines`` are line numbers (``addr >> line_shift``) in program
-        order; ``make_dirty`` is the per-access dirty contribution (the
-        hit/miss outcome and LRU movement never depend on it). Returns
-        ``(hit, victim_line, victim_dirty)`` aligned with the inputs,
-        with ``victim_line == -1`` where no dirty line was evicted.
-        Counter updates (accesses/hits/misses/writebacks) match
+        order; ``make_dirty`` is the per-access dirty contribution, a
+        bool array (the hit/miss outcome and LRU movement never depend
+        on it). Returns ``(hit, victim_line, victim_dirty)`` aligned with
+        the inputs, with ``victim_line == -1`` where no dirty line was
+        evicted. Counter updates (accesses/hits/misses/writebacks) match
         per-access ``access()`` calls exactly.
         """
         n = len(lines)
@@ -218,51 +235,80 @@ class Cache:
         victim_dirty = np.zeros(n, dtype=bool)
         if n == 0:
             return hit, victim_line, victim_dirty
-        nsets = self.num_sets
-        ways = self.ways
+        nsets, ways, sets_ = self.num_sets, self.ways, self._sets
         key = lines % nsets
         if nsets <= 1 << 16:
             key = key.astype(np.uint16)  # numpy radix-sorts 16-bit keys
-        order = np.argsort(key, kind="stable")
-        by_set = lines[order]
-        is_head = np.empty(n, dtype=bool)
-        is_head[0] = True
-        np.not_equal(by_set[1:], by_set[:-1], out=is_head[1:])
-        heads = np.flatnonzero(is_head)
-        head_lines = by_set[heads]
-        head_sets = head_lines % nsets
-        set_ends = np.flatnonzero(head_sets[1:] != head_sets[:-1]) + 1
-        set_starts = np.concatenate(([0], set_ends)).tolist()
-        tags = (head_lines // nsets).tolist()
-        dirty = np.logical_or.reduceat(make_dirty[order], heads).tolist()
-        misses: List[int] = []
-        victims: List[int] = []
-        victim_lines: List[int] = []
-        sets_ = self._sets
-        for si, lo, hi in zip(head_sets[set_starts].tolist(), set_starts,
-                              set_starts[1:] + [len(tags)]):
-            cset = sets_[si]
-            pop = cset.pop
-            for r in range(lo, hi):
-                tag = tags[r]
-                d = pop(tag, _ABSENT)
-                if d is _ABSENT:
-                    misses.append(r)
-                    if len(cset) >= ways:
-                        vtag = next(iter(cset))  # oldest == LRU
-                        if pop(vtag):
-                            victims.append(r)
-                            victim_lines.append(vtag * nsets + si)
-                    cset[tag] = dirty[r]
-                else:
-                    cset[tag] = d or dirty[r]  # move to MRU
-        first = order[heads]  # program position of each run's head
-        hit[first[misses]] = False
-        if victims:
-            at = first[victims]
-            victim_line[at] = victim_lines
-            victim_dirty[at] = True
-        self.add_counts(n, len(misses), len(victims))
+        per_set = np.bincount(key, minlength=nsets)
+        touched = np.flatnonzero(per_set)
+        res_lines: List[int] = []
+        res_dirty: List[bool] = []
+        res_n: List[int] = []
+        for s in touched.tolist():
+            cset = sets_[s]
+            res_n.append(len(cset))
+            res_lines += [tag * nsets + s for tag in cset]
+            res_dirty += cset.values()
+        nres = len(res_lines)
+        order = np.argsort(np.concatenate(
+            (np.repeat(touched.astype(key.dtype), res_n), key)),
+            kind="stable")
+        by_set = np.concatenate(
+            (np.array(res_lines, dtype=np.int64), lines))[order]
+        first = np.empty(len(by_set), dtype=bool)
+        first[0] = True
+        np.not_equal(by_set[1:], by_set[:-1], out=first[1:])
+        uses = np.flatnonzero(first)
+        use_line = by_set[uses]
+        use_dirty = np.bitwise_or.reduceat(np.concatenate(
+            (np.array(res_dirty, dtype=np.uint8),
+             np.asarray(make_dirty, dtype=bool).view(np.uint8)))[order],
+            uses)
+        # < nres: a resident; otherwise nres + the program position
+        src = order[uses]
+        region = per_set[touched] + res_n
+        start = np.searchsorted(uses, np.cumsum(region) - region)
+        by_line, same, gap, next_gap, never = _reuse_links(use_line, ways)
+        k = len(uses)
+        j = np.flatnonzero(gap > ways)
+        j = j[src[j] >= nres]
+        lb = _lru_bounds(j, start, gap, next_gap, ways)
+        is_miss = j - gap[j] < np.maximum(lb, 0)
+        miss = j[is_miss]
+        victim = lb[is_miss]
+        # residencies, in line order: each line's first use or a miss
+        # starts one; `end_dirty` holds each one's OR at its last use
+        opens = np.empty(k, dtype=bool)
+        opens[0] = True
+        np.logical_not(same, out=opens[1:])
+        missed = np.zeros(k, dtype=bool)
+        missed[miss] = True
+        opens |= missed[by_line]
+        seg = np.flatnonzero(opens)
+        end_dirty = np.zeros(k, dtype=bool)
+        end_dirty[by_line[np.append(seg[1:], k) - 1]] = (
+            np.bitwise_or.reduceat(use_dirty[by_line], seg))
+        at = src[miss] - nres
+        hit[at] = False
+        evicts = victim >= 0
+        victim = victim[evicts]
+        dirty_victim = end_dirty[victim]
+        wb = at[evicts][dirty_victim]
+        victim_line[wb] = use_line[victim[dirty_victim]]
+        victim_dirty[wb] = True
+        self.add_counts(n, len(miss), len(wb))
+        # each set keeps its last `ways` distinct lines, oldest first
+        last = np.flatnonzero(next_gap == never)
+        ends = np.searchsorted(last, np.append(start[1:], k)).tolist()
+        tags = (use_line[last] // nsets).tolist()
+        dirt = end_dirty[last].tolist()
+        lo = 0
+        for s, hi in zip(touched.tolist(), ends):
+            cset = sets_[s]
+            cset.clear()
+            keep = max(lo, hi - ways)
+            cset.update(zip(tags[keep:hi], dirt[keep:hi]))
+            lo = hi
         return hit, victim_line, victim_dirty
 
     # -- introspection --------------------------------------------------------
@@ -284,3 +330,86 @@ class Cache:
             f"<Cache {self.name} {self.params.size_bytes // 1024}KB "
             f"{self.ways}-way hits={self.hits} misses={self.misses}>"
         )
+
+
+def _reuse_links(use_line: np.ndarray, ways: int):
+    """Link each use to the previous and next use of its line.
+
+    Returns ``(by_line, same, gap, next_gap, never)``: the stable order
+    of the uses by line, whether each neighbour pair in that order shares
+    a line, and per use the distance back to the previous use and on to
+    the next use of its line, ``never`` where there is none.
+    """
+    k = len(use_line)
+    lo = int(use_line.min())
+    key = use_line - lo
+    if int(use_line.max()) - lo < 1 << 16:
+        key = key.astype(np.uint16)  # radix sort, as for the sets
+    by_line = np.argsort(key, kind="stable")
+    ordered = key[by_line]
+    same = ordered[1:] == ordered[:-1]
+    never = k + ways + 1
+    after, before = by_line[1:], by_line[:-1]
+    dist = np.where(same, after - before, never)
+    gap = np.empty(k, dtype=np.int64)
+    gap[after] = dist
+    gap[by_line[0]] = never
+    next_gap = np.empty(k, dtype=np.int64)
+    next_gap[before] = dist
+    next_gap[by_line[-1]] = never
+    return by_line, same, gap, next_gap, never
+
+
+def _lru_bounds(j: np.ndarray, start: np.ndarray, gap: np.ndarray,
+                next_gap: np.ndarray, ways: int) -> np.ndarray:
+    """LB of each use in ``j``: the position of the ``ways``-th most
+    recent distinct line before it in its set, or -1 where that is one
+    of the set's free ways.
+
+    ``start`` holds the first use of each set's run of uses (all
+    ``gap``/``next_gap`` positions are set-major). A position p is *live*
+    at j when its line is not used again in (p, j). LB(j) is the
+    ``ways``-th largest live position before j, counting the set's
+    ``ways`` free ways just before its first use as live.
+    """
+    k = len(gap)
+    # live positions among the last `ways` before each position, as a
+    # running count: moving from i to i + 1 adds i, drops i - ways if
+    # that was still live (a free way always is), and drops the previous
+    # use of i's line if it lies inside the window
+    drop = np.ones(k, dtype=np.int32)
+    if k > ways:
+        np.greater_equal(next_gap[:-ways], ways, out=drop[ways:],
+                         casting="unsafe")
+    near = (start[:, None] + np.arange(ways)).ravel()
+    drop[near[near < k]] = 1
+    step = 1 - drop
+    step -= gap < ways
+    count = np.zeros(k + 1, dtype=np.int32)
+    np.cumsum(step, out=count[1:])
+    j_start = start[np.searchsorted(start, j, side="right") - 1]
+    live = ways + count[j] - count[j_start]
+    lb = np.where((live == ways) & (j - ways >= j_start), j - ways, -1)
+    # the rest look further back, where only a position whose next use
+    # is more than `ways` later can still be live: scan those one
+    # candidate per round, at most down to the first of the set
+    cand = np.flatnonzero(next_gap > ways)
+    cand_next = cand + next_gap[cand]
+    pend = np.flatnonzero(live < ways)
+    pj = j[pend]
+    at = np.searchsorted(cand, pj - ways) - 1
+    stop = np.searchsorted(cand, j_start[pend])
+    inside = at >= stop
+    pend, pj, at, stop = pend[inside], pj[inside], at[inside], stop[inside]
+    need = ways - live[pend]
+    while len(pend):
+        need -= cand_next[at] >= pj
+        found = need == 0
+        done = found | (at == stop)
+        if done.any():
+            lb[pend[found]] = cand[at[found]]
+            keep = ~done
+            pend, pj, at = pend[keep], pj[keep], at[keep]
+            stop, need = stop[keep], need[keep]
+        at -= 1
+    return lb

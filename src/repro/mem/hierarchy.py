@@ -401,7 +401,7 @@ class MemoryHierarchy:
     # same cache/DRAM state transitions as its scalar counterpart, in the
     # same order, but (a) works on the caches' set dicts directly, never
     # through Cache.access (the host path first advances L1, which
-    # nothing downstream feeds back into, with the set-major
+    # nothing downstream feeds back into, with the reuse-distance
     # :meth:`~repro.mem.cache.Cache.access_batch` walk), and (b) takes
     # its latencies from the shared static :class:`LatencyTable`.
     # The host walk tallies its counts per home cluster in locals and
@@ -437,7 +437,7 @@ class MemoryHierarchy:
 
         Nothing downstream ever feeds back into L1, and the prefetcher
         sees only the L1 misses' (stream, address) pairs, so both are
-        advanced over the whole chunk first: L1 by the set-major walk,
+        advanced over the whole chunk first: L1 by the reuse-distance walk,
         the prefetcher by :meth:`StridePrefetcher.observe_batch`. One
         flat loop then visits *only the L1 misses* in program order and
         applies each one's L2, prefetch, L3-slice and DRAM effects in the

@@ -25,6 +25,7 @@ fail, the service must not.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import socket
@@ -325,8 +326,16 @@ class SweepServer:
             raise ConfigError('"point" must be an object')
         point = SweepPoint.from_dict(body["point"])
         base_name = str(body.get("base", "experiment"))
-        wait = bool(body.get("wait", False))
-        timeout_s = float(body.get("timeout_s", DEFAULT_QUERY_WAIT_S))
+        wait = body.get("wait", False)
+        if not isinstance(wait, bool):
+            raise ConfigError(f'"wait" must be a boolean: {wait!r}')
+        timeout_s = body.get("timeout_s", DEFAULT_QUERY_WAIT_S)
+        # bool is an int subclass, and JSON may carry NaN or Infinity
+        if (isinstance(timeout_s, bool)
+                or not isinstance(timeout_s, (int, float))
+                or not math.isfinite(timeout_s) or timeout_s < 0):
+            raise ConfigError(
+                f'"timeout_s" must be a finite number >= 0: {timeout_s!r}')
         job, row = self.manager.submit_point(point, base_name)
         if row is not None:
             h._send(200, {"cached": True, "row": row,

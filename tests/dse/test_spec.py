@@ -82,6 +82,44 @@ class TestValidation:
         with pytest.raises(ConfigError):
             small_spec(machine_axes={"l3.size_bytes": ["two megabytes"]})
 
+    def test_scalar_axis_rejected_naming_the_axis(self):
+        with pytest.raises(ConfigError, match="'l1.ways' must be a list"):
+            small_spec(machine_axes={"l1.ways": 8})
+
+    def test_string_axis_rejected_not_split_into_characters(self):
+        with pytest.raises(ConfigError, match="'n' must be a list"):
+            small_spec(workloads=["fdt"], workload_axes={"n": "64"})
+
+    def test_axes_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="machine_axes must be an"):
+            small_spec(machine_axes=[["accel_freq_ghz", 1.0]])
+
+    def test_unknown_dataset_keyword_in_axes_names_key_and_workload(self):
+        with pytest.raises(ConfigError, match="'bogus' for workload 'fdt'"):
+            small_spec(workload_axes={"bogus": [1]})
+
+    def test_dataset_keyword_checked_for_every_workload(self):
+        # fdt takes n, bfs does not: the spec is refused, naming bfs
+        with pytest.raises(ConfigError, match="'n' for workload 'bfs'"):
+            small_spec(workloads=["fdt", "bfs"], workload_axes={"n": [8]})
+
+    def test_scale_is_not_a_dataset_keyword(self):
+        with pytest.raises(ConfigError, match="'scale' for workload"):
+            small_spec(workloads=["fdt"], workload_axes={"scale": ["tiny"]})
+
+
+class TestPointValidation:
+    def test_unknown_dataset_keyword_rejected(self):
+        with pytest.raises(ConfigError, match="'bogus' for workload 'fdt'"):
+            SweepPoint.from_dict({"workload": "fdt", "config": "ooo",
+                                  "workload_kwargs": {"bogus": 1}})
+
+    def test_known_dataset_keywords_accepted(self):
+        point = SweepPoint.from_dict({
+            "workload": "fdt", "config": "ooo", "scale": "tiny",
+            "workload_kwargs": {"n": 10, "timesteps": 1}})
+        assert dict(point.workload_kwargs) == {"n": 10, "timesteps": 1}
+
 
 class TestContentHash:
     def test_stable(self):

@@ -1,5 +1,6 @@
 """Unit and property tests for the set-associative cache."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,3 +246,99 @@ class TestInvalidateRangeOccupancyWalk:
         assert c.invalidate_range(0x100, 2 * CACHE_LINE_BYTES) == 1
         assert c.occupancy == 0
 
+
+
+def _replay_both(ref: Cache, batch: Cache, lines, make_dirty) -> None:
+    """Replay ``lines`` per access on ``ref`` and as one batch on
+    ``batch``; every output and every set must agree."""
+    n = len(lines)
+    exp_hit = np.zeros(n, dtype=bool)
+    exp_vline = np.full(n, -1, dtype=np.int64)
+    for i, (ln, wr) in enumerate(zip(lines.tolist(), make_dirty.tolist())):
+        out = ref.access(ln << ref.line_shift, wr)
+        exp_hit[i] = out.hit
+        if out.evicted is not None and out.evicted[1]:
+            exp_vline[i] = out.evicted[0]
+    hit, vline, vdirty = batch.access_batch(lines, make_dirty)
+    np.testing.assert_array_equal(hit, exp_hit)
+    np.testing.assert_array_equal(vline, exp_vline)
+    np.testing.assert_array_equal(vdirty, exp_vline >= 0)
+    assert (batch.accesses, batch.hits, batch.misses, batch.writebacks) == (
+        ref.accesses, ref.hits, ref.misses, ref.writebacks)
+    # LRU order and dirty bits of every set, not just membership
+    assert [list(s.items()) for s in batch._sets] == [
+        list(s.items()) for s in ref._sets]
+
+
+def _stream(rng, kind: str, nsets: int, ways: int, home) -> np.ndarray:
+    """One stream segment of ``kind`` over the sets in ``home``."""
+    def line(tag, k=0):
+        return tag * nsets + home[k % len(home)]
+
+    if kind == "cycle":      # periodic interleaving of <= ways + 2 lines
+        m = int(rng.integers(1, ways + 3))
+        tags = rng.choice(64, m, replace=False)
+        return np.array([line(t) for t in tags] * int(rng.integers(1, 6)))
+    if kind == "alternate":  # few lines for long: LB lies far back
+        m = int(rng.integers(1, max(ways, 2)))
+        tags = rng.choice(64, m + 1, replace=False)
+        hot = [line(t) for t in tags[:m]] * int(rng.integers(ways, 4 * ways))
+        return np.array(hot + [line(tags[m])] + hot[:2 * m])
+    if kind == "sweep":      # cold lines, one after another
+        start = int(rng.integers(64, 1 << 10))
+        return np.array([line(start + i, i) for i in
+                         range(int(rng.integers(1, 3 * ways + 2)))])
+    if kind == "wide":       # spans more than 2^16 lines: no radix sort
+        tags = rng.integers(0, (1 << 17) // nsets + 2, 12)
+        return np.array([line(int(t), k) for k, t in enumerate(tags)])
+    # random lines of the home sets, each run repeated in program order
+    base = rng.integers(0, 3 * ways, int(rng.integers(1, 40)))
+    runs = np.array([line(int(t), int(t)) for t in base])
+    return np.repeat(runs, rng.integers(1, 4, len(runs)))
+
+
+class TestReuseDistanceWalk:
+    """``Cache.access_batch`` against per-access ``Cache.access`` on
+    streams built to reach each branch of the walk: hits inside the
+    `ways` window, bounds found by the look-back past it, free ways,
+    cold misses, wide line spans and program-order repeats."""
+
+    KINDS = ("cycle", "alternate", "sweep", "wide", "repeat")
+
+    @given(
+        ways=st.integers(min_value=1, max_value=16),
+        set_bits=st.integers(min_value=0, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        sizes=st.lists(st.sampled_from(("empty", "one", "full")),
+                       min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_access_replay(self, ways, set_bits, seed, kinds,
+                                       sizes):
+        nsets = 1 << set_bits
+        params = CacheParams(size_bytes=nsets * ways * CACHE_LINE_BYTES,
+                             ways=ways, latency_cycles=1, mshrs=4)
+        ref, batch = Cache(params), Cache(params)
+        rng = np.random.default_rng(seed)
+        home = rng.choice(nsets, min(nsets, 3), replace=False).tolist()
+        # a warm state: partly filled sets, some lines dirty
+        for c in (ref, batch):
+            warm = np.random.default_rng(seed + 1)
+            for tag in warm.integers(0, 2 * ways, 3 * ways):
+                c.access(int(tag * nsets + home[tag % len(home)])
+                         << c.line_shift, bool(warm.random() < 0.5))
+        for size in sizes:
+            if size == "empty":
+                lines = np.empty(0, dtype=np.int64)
+            else:
+                parts = [_stream(rng, k, nsets, ways, home) for k in kinds]
+                # interleave the segments, each kept in its own order
+                keys = np.concatenate([np.sort(rng.random(len(p)))
+                                       for p in parts])
+                lines = np.concatenate(parts)[np.argsort(keys,
+                                                         kind="stable")]
+                if size == "one":
+                    lines = lines[:1]
+            lines = lines.astype(np.int64)
+            _replay_both(ref, batch, lines, rng.random(len(lines)) < 0.3)

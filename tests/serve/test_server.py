@@ -128,6 +128,32 @@ class TestErrorPaths:
         assert status == 400, body
         assert "l3.size_bytes" in body["error"]
 
+    def test_scalar_axis_is_400_naming_the_axis(self, served):
+        spec = dict(SPEC, machine_axes={"l1.ways": 8})
+        status, body = served.request("POST", "/v1/sweeps", {"spec": spec})
+        assert status == 400, body
+        assert "'l1.ways' must be a list" in body["error"]
+
+    def test_unknown_dataset_keyword_is_400(self, served):
+        status, body = served.request("POST", "/v1/query", {
+            "point": dict(CELL, workload_kwargs={"bogus": 1})})
+        assert status == 400, body
+        assert "bogus" in body["error"] and "fdt" in body["error"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("wait", "no"), ("wait", 1), ("timeout_s", "abc"),
+        ("timeout_s", -1), ("timeout_s", True), ("timeout_s", None),
+        ("timeout_s", float("nan")), ("timeout_s", float("inf")),
+    ])
+    def test_bad_query_option_is_400_naming_the_field(self, served, field,
+                                                       value):
+        # an uncomputed point: a "wait" taken as true would block here
+        cold = dict(CELL, machine_overrides={"accel_freq_ghz": 3.5})
+        status, body = served.request("POST", "/v1/query", {
+            "point": cold, "wait": True, "timeout_s": 30, field: value})
+        assert status == 400, body
+        assert field in body["error"]
+
     def test_malformed_body_is_400(self, served):
         status, body = served.request("POST", "/v1/sweeps", {})
         assert status == 400 and "spec" in body["error"]
@@ -160,6 +186,21 @@ class TestSweepCli:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert "l1.ways" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+    def test_scalar_axis_exits_2_naming_the_axis(self, tmp_path):
+        spec = tmp_path / "scalar.json"
+        spec.write_text(json.dumps(dict(SPEC, machine_axes={"l1.ways": 8})))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC, env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.dse", "--spec", str(spec),
+             "--dry-run"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "'l1.ways' must be a list" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
