@@ -43,6 +43,8 @@ from .errors import DeadlockError, SimulationError
 
 PS_PER_NS = 1000
 
+_heappush = heapq.heappush
+
 
 def cycles_to_ps(cycles: float, freq_ghz: float) -> int:
     """Convert a cycle count at ``freq_ghz`` into integer picoseconds."""
@@ -181,45 +183,46 @@ class Channel:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
+    # The two arms run once per Get and Put of every replay, so each
+    # completes its hand-off in place. Two invariants hold between arms:
+    # a putter waits only while the channel is full, and a getter only
+    # while it is empty. So a get that finds putters has freed the one
+    # slot the oldest of them takes, no getter is waiting for it, and
+    # the channel is as full again as the put that filled it left it,
+    # which ``max_occupancy`` already counts.
     def _arm_get(self, proc: Process) -> None:
-        if self._items:
-            item = self._items.popleft()
+        items = self._items
+        if items:
+            item = items.popleft()
             self.total_gets += 1
-            self.sim._schedule(self.sim.now, proc, item)
-            self._drain_putters()
+            sim = self.sim
+            sim._schedule(sim._now, proc, item)
+            if self._putters:
+                putter, item = self._putters.popleft()
+                self.total_puts += 1
+                items.append(item)
+                sim._schedule(sim._now, putter, None)
         else:
             proc.blocked_on = ("get", self)
             self._getters.append(proc)
 
     def _arm_put(self, proc: Process, item: Any) -> None:
-        if not self.full:
-            self._accept(item)
-            self.sim._schedule(self.sim.now, proc, None)
-        else:
+        items = self._items
+        capacity = self.capacity
+        if capacity is not None and len(items) >= capacity:
             proc.blocked_on = ("put", self)
             self._putters.append((proc, item))
-
-    def _accept(self, item: Any) -> None:
+            return
         self.total_puts += 1
+        sim = self.sim
         if self._getters:
-            getter = self._getters.popleft()
-            getter.blocked_on = None
             self.total_gets += 1
-            self.sim._schedule(self.sim.now, getter, item)
+            sim._schedule(sim._now, self._getters.popleft(), item)
         else:
-            self._items.append(item)
-            self.max_occupancy = max(self.max_occupancy, len(self._items))
-
-    def _drain_putters(self) -> None:
-        while self._putters and not self.full:
-            putter, item = self._putters.popleft()
-            putter.blocked_on = None
-            self._accept(item)
-            self.sim._schedule(self.sim.now, putter, None)
+            items.append(item)
+            if len(items) > self.max_occupancy:
+                self.max_occupancy = len(items)
+        sim._schedule(sim._now, proc, None)
 
 
 class Simulator:
@@ -262,10 +265,11 @@ class Simulator:
 
     def _schedule(self, time_ps: int, proc: Process, value: Any) -> None:
         proc.blocked_on = None
-        self._seq += 1
-        heapq.heappush(self._heap, (time_ps, self._seq, proc, value))
-        if len(self._heap) > self.peak_pending:
-            self.peak_pending = len(self._heap)
+        self._seq = seq = self._seq + 1
+        heap = self._heap
+        _heappush(heap, (time_ps, seq, proc, value))
+        if len(heap) > self.peak_pending:
+            self.peak_pending = len(heap)
 
     def _step(self, proc: Process, value: Any) -> None:
         try:

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..accel.base import PartitionProfile
 from ..compiler.pipeline import CompiledOffload
 from ..energy import EnergyLedger
 from ..envcfg import reference_enabled
-from ..events import Channel, Delay, Get, Put, Simulator, cycles_to_ps
+from ..events import (
+    PS_PER_NS, Channel, Delay, Get, Put, Simulator, cycles_to_ps,
+)
 from ..errors import AllocationError, InterfaceError
 from ..interface.config import AccessConfig, AccessKind, PartitionConfig
 from ..interface.intrinsics import mmio_bytes
@@ -40,6 +42,13 @@ FSM_OVERLAP = 4
 HOST_SYNC_CYCLES = 40
 #: memory clock domain for latency accounting
 MEM_FREQ_GHZ = 2.0
+#: picoseconds per memory cycle. A chunk delay of ``x`` cycles is
+#: ``round(x * PS_PER_MEM_CYCLE)``, which equals
+#: ``cycles_to_ps(x, MEM_FREQ_GHZ)`` exactly because the clock is a power
+#: of two: dividing by it only shifts the exponent, so scaling by
+#: ``1000 / MEM_FREQ_GHZ`` rounds once, where ``x * 1000 / MEM_FREQ_GHZ``
+#: rounds once and then divides exactly
+PS_PER_MEM_CYCLE = PS_PER_NS / MEM_FREQ_GHZ
 
 
 @dataclass
@@ -459,7 +468,7 @@ class _RunContext:
         ]
 
     def _steps(self, acc: AccessConfig, cluster: int, lines: bool,
-               tally: AccelTally) -> Tuple[KeptPlan, tuple, List[int]]:
+               tally: AccelTally) -> Tuple[KeptPlan, tuple, Sequence[int]]:
         """The access's kept plan of line or element addresses (for an
         invariant stream, only chunk 0's first line), its walk bound for
         this run, and the latency of each chunk that no cache state
@@ -491,8 +500,7 @@ class _RunContext:
         if hierarchy.private is not None:
             # Mono-CA: one cycle per private-cache access
             tally.private_acc += kept.accesses
-            return kept, kept.private_steps(cluster), [
-                b - a for a, b in zip(cuts, cuts[1:])]
+            return kept, kept.private_steps(cluster), kept.spans
         free = hierarchy.accel_costs(kept.costs(cluster, acc.is_write),
                                      lines, tally)
         return kept, kept.line_steps() if lines else kept.elem_steps(), free
@@ -517,7 +525,7 @@ class _RunContext:
         invariant = self._is_invariant(acc)
         tally = self.engine.hierarchy.accel_tally()
         kept, walk, free = self._steps(acc, cluster, True, tally)
-        cuts = kept.plan[1]
+        spans = kept.spans
         take, give = self._port_commands()
         for c in range(len(self.chunk_sizes)):
             if invariant and c > 0:
@@ -526,10 +534,8 @@ class _RunContext:
             if take is not None:
                 yield take
             lat_cycles = free[c] + fetch(walk, c, False, tally)
-            yield Delay(cycles_to_ps(
-                lat_cycles / FSM_OVERLAP + (cuts[c + 1] - cuts[c]),
-                MEM_FREQ_GHZ
-            ))
+            yield Delay(round((lat_cycles / FSM_OVERLAP + spans[c])
+                              * PS_PER_MEM_CYCLE))
             if give is not None:
                 yield give
             yield Put(tok, c)
@@ -550,7 +556,7 @@ class _RunContext:
         fetch = self.fetch_lines
         tally = self.engine.hierarchy.accel_tally()
         kept, walk, free = self._steps(acc, cluster, True, tally)
-        cuts = kept.plan[1]
+        spans = kept.spans
         take, give = self._port_commands()
         next_chunk = Get(tok)
         for _ in self.chunk_sizes:
@@ -558,10 +564,8 @@ class _RunContext:
             if take is not None:
                 yield take
             lat_cycles = free[c] + fetch(walk, c, True, tally)
-            yield Delay(cycles_to_ps(
-                lat_cycles / FSM_OVERLAP + (cuts[c + 1] - cuts[c]),
-                MEM_FREQ_GHZ
-            ))
+            yield Delay(round((lat_cycles / FSM_OVERLAP + spans[c])
+                              * PS_PER_MEM_CYCLE))
             if give is not None:
                 yield give
         self.engine.hierarchy.charge_accel(tally)
@@ -631,7 +635,7 @@ class _RunContext:
             compute_ps = ii_ps * iters
             # a loop-carried address chain (pointer chasing) serializes
             # indirect accesses on every substrate (overlap hoisted)
-            indirect_ps = cycles_to_ps(ind_cycles / overlap, MEM_FREQ_GHZ)
+            indirect_ps = round(ind_cycles / overlap * PS_PER_MEM_CYCLE)
             yield Delay(compute_ps + indirect_ps)
             total_iters += iters
             for ch, dst_cluster, payload_bytes in produce_chs:
@@ -733,7 +737,7 @@ class _RunContext:
             # dependence cycle: no overlap across iterations
             yield Delay(
                 iters * (per_iter_ps + hop_ps)
-                + cycles_to_ps(ind_cycles, MEM_FREQ_GHZ)
+                + round(ind_cycles * PS_PER_MEM_CYCLE)
             )
             total_iters += iters
             for ch in intra_channels:

@@ -317,13 +317,15 @@ class KeptPlan:
     Each part is built on first use. A :class:`SiteStreams` keeps these,
     and a record never pickles its streams."""
 
-    __slots__ = ("plan", "nonempty", "accesses", "payload", "_layout",
-                 "_lines", "_walk", "_homes", "_costs")
+    __slots__ = ("plan", "spans", "nonempty", "accesses", "payload",
+                 "_layout", "_lines", "_walk", "_homes", "_costs")
 
     def __init__(self, plan: Plan, layout: Layout, lines: bool,
                  payload: int):
         self.plan = plan
         cuts = plan[1]
+        #: each chunk's address count
+        self.spans = tuple([b - a for a, b in zip(cuts, cuts[1:])])
         #: chunks with at least one address, and the addresses
         self.nonempty = int(np.count_nonzero(np.diff(cuts)))
         self.accesses = cuts[-1] - cuts[0]

@@ -18,7 +18,6 @@ from ..errors import ConfigError
 from ..events import cycles_to_ps
 from ..interface.intrinsics import CoverageRecorder
 from ..ir.vecinterp import VecInterpreter, make_interpreter
-from ..ir.program import Kernel
 from ..mem.coherence import CoherenceManager, Domain
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.slab import SlabAllocator
@@ -278,8 +277,8 @@ class SystemSimulator:
             io_overlap=spec.io_overlap,
             localized_control=spec.localized_control,
         )
+        # this cell's compiled kernels, by kernel name and fingerprint
         compiled: Dict[Tuple[str, str], CompiledKernel] = {}
-        fingerprints: Dict[int, Tuple[Kernel, Tuple[str, str]]] = {}
         dist = AccessDistribution()
         total_ps = 0
         insts = 0
@@ -287,29 +286,11 @@ class SystemSimulator:
         mmio = 0
         accel_iters = 0
         for rec in entry.calls:
-            kernel = rec.kernel
             mem_ops += rec.counts.loads + rec.counts.stores
-            # compile cache: keyed by stable kernel identity (name +
-            # structural fingerprint) — ``id()`` can be reused after a
-            # kernel object is garbage collected, silently returning a
-            # stale CompiledKernel. The fingerprint is memoized per live
-            # object (the held reference keeps its id valid).
-            memo = fingerprints.get(id(kernel))
-            if memo is not None and memo[0] is kernel:
-                ck_key = memo[1]
-            else:
-                ck_key = (kernel.name, kernel.fingerprint())
-                fingerprints[id(kernel)] = (kernel, ck_key)
-            ck = compiled.get(ck_key)
+            kernel_key = rec.kernel_key()
+            ck = compiled.get(kernel_key)
             if ck is None:
-                OBS.inc("compile.kernels")
-                ck = compile_kernel(
-                    kernel, spec.mode,
-                    trip_count_hint=max(rec.inner_iterations, 1),
-                    coverage=self.coverage,
-                    disable_stream_spec=spec.no_stream_spec,
-                )
-                compiled[ck_key] = ck
+                ck = compiled[kernel_key] = self._compile(entry, rec)
             # split once per recorded call, shared by every replay
             streams = rec.site_streams()
             offloaded_insts = 0
@@ -359,6 +340,31 @@ class SystemSimulator:
             entry, spec.name, total_ps, insts, mem_ops, energy,
             hierarchy, dist, mmio, accel_iters,
         )
+
+    def _compile(self, entry: WorkloadTrace,
+                 rec: FunctionalCallRecord) -> CompiledKernel:
+        """``rec``'s kernel compiled for this configuration, once per
+        dataset: the compiler's output depends on the kernel, the
+        compile mode, the stream-spec flag and the trip hint of the
+        kernel's first call, and on nothing a machine, cell or chunk
+        changes. The compile records into its own coverage, which every
+        cell that takes it merges into its own."""
+        spec = self.spec
+        key = (*rec.kernel_key(), spec.mode, spec.no_stream_spec)
+        memo = entry.compiled.get(key)
+        if memo is None:
+            OBS.inc("compile.kernels")
+            coverage = CoverageRecorder()
+            memo = entry.compiled[key] = (compile_kernel(
+                rec.kernel, spec.mode,
+                trip_count_hint=max(rec.inner_iterations, 1),
+                coverage=coverage,
+                disable_stream_spec=spec.no_stream_spec,
+            ), coverage)
+        else:
+            OBS.inc("compile.reused")
+        self.coverage.merge(memo[1])
+        return memo[0]
 
     def _make_backend(self):
         if self.spec.backend == "io":

@@ -90,6 +90,10 @@ class FunctionalCallRecord:
     _streams: Optional[SiteStreams] = field(
         default=None, init=False, repr=False, compare=False,
     )
+    #: memoized :meth:`kernel_key`
+    _kernel_key: Optional[Tuple[str, str]] = field(
+        default=None, init=False, repr=False, compare=False,
+    )
 
     @classmethod
     def from_interp(cls, kernel: Kernel, scalars: Dict[str, float],
@@ -114,6 +118,14 @@ class FunctionalCallRecord:
         if self._streams is None:
             self._streams = SiteStreams(self.trace)
         return self._streams
+
+    def kernel_key(self) -> Tuple[str, str]:
+        """The kernel's name and structural fingerprint: its identity
+        for compile memos (``id()`` may be reused once an object is
+        garbage collected)."""
+        if self._kernel_key is None:
+            self._kernel_key = (self.kernel.name, self.kernel.fingerprint())
+        return self._kernel_key
 
     def __getstate__(self) -> Dict[str, object]:
         # a pickle holds the trace only; an unpickled record re-splits it
@@ -142,10 +154,21 @@ class WorkloadTrace:
     #: the interpreted outputs matched the NumPy reference (checked once,
     #: by the interpreting cell, when the arrays were final)
     validated: bool
+    #: the dataset's compiled kernels, filled and read by the cells that
+    #: replay it (:meth:`repro.sim.system.SystemSimulator.run`): (kernel
+    #: name, fingerprint, compile mode, no stream spec) -> (compiled
+    #: kernel, the coverage its compile recorded). Never pickled.
+    compiled: Dict[tuple, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False,
+    )
 
     @property
     def peak_trace_elems(self) -> int:
         return max((len(c.trace) for c in self.calls), default=0)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # a pickle holds the functional record only; compiles are redone
+        return dict(self.__dict__, compiled={})
 
 
 class TraceCache:

@@ -1,9 +1,12 @@
 """Unit tests for the offload execution engine."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import envcfg
 from repro.accel.cgra import CgraBackend
@@ -11,6 +14,7 @@ from repro.accel.inorder import InOrderBackend
 from repro.compiler import CompileMode, compile_kernel
 from repro.energy import EnergyLedger
 from repro.errors import AllocationError
+from repro.events import cycles_to_ps
 from repro.interface.config import AccessKind
 from repro.interface.scheduler import HardwareScheduler
 from repro.ir import FLOAT32, Interpreter, Kernel, Loop, LoopVar, MemObject
@@ -19,6 +23,7 @@ from repro.mem.cache import Cache
 from repro.obs import OBS
 from repro.params import experiment_machine
 from repro.runtime import OffloadEngine, SiteStreams
+from repro.runtime.engine import MEM_FREQ_GHZ, PS_PER_MEM_CYCLE
 from repro.runtime.streams import KeptPlan
 
 
@@ -319,3 +324,45 @@ class TestPrivateFetch:
             assert [list(s.items()) for s in a._sets] == [
                 list(s.items()) for s in b._sets]
         assert pc.hits > 0 and pc.writebacks > 0
+
+
+class TestChunkDelay:
+    """A process turns a chunk's memory cycles into its delay as
+    ``round(cycles * PS_PER_MEM_CYCLE)``, which must equal
+    ``cycles_to_ps(cycles, MEM_FREQ_GHZ)`` bit for bit."""
+
+    def test_memory_clock_is_a_power_of_two(self):
+        mantissa, _ = math.frexp(MEM_FREQ_GHZ)
+        assert mantissa == 0.5, (
+            "chunk delays scale by PS_PER_MEM_CYCLE = 1000 / MEM_FREQ_GHZ, "
+            "which equals cycles_to_ps's multiply-then-divide only when "
+            "dividing by MEM_FREQ_GHZ is exact, that is, when it is a "
+            "power of two")
+
+    @settings(max_examples=500, deadline=None)
+    @given(cycles=st.one_of(
+        st.floats(min_value=0, max_value=1e12),
+        # quarter cycles (a fill's latency over FSM_OVERLAP, plus its
+        # lines), and odd eighths, whose delay is an exact .5 tie
+        st.integers(0, 2 ** 40).map(lambda k: k / 4),
+        st.integers(0, 2 ** 40).map(lambda k: (2 * k + 1) / 8),
+        # sums of integer cycles over an accelerator's overlap
+        st.tuples(st.integers(0, 2 ** 40), st.sampled_from(
+            (1.0, 2.0, 4.0, 6.0, 12.0))).map(lambda t: t[0] / t[1]),
+    ))
+    def test_float_cycles(self, cycles):
+        assert round(cycles * PS_PER_MEM_CYCLE) == cycles_to_ps(
+            cycles, MEM_FREQ_GHZ)
+
+    def test_ties_round_to_even_like_cycles_to_ps(self):
+        for k in range(64):
+            cycles = (2 * k + 1) / 8
+            assert (cycles * PS_PER_MEM_CYCLE) % 1 == 0.5
+            assert round(cycles * PS_PER_MEM_CYCLE) == cycles_to_ps(
+                cycles, MEM_FREQ_GHZ)
+
+    @settings(max_examples=500, deadline=None)
+    @given(cycles=st.integers(0, 2 ** 53))
+    def test_integer_cycles(self, cycles):
+        assert round(cycles * PS_PER_MEM_CYCLE) == cycles_to_ps(
+            cycles, MEM_FREQ_GHZ)

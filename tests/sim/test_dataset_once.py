@@ -1,19 +1,29 @@
-"""Each dataset's functional work happens once.
+"""Each dataset's functional work and compiles happen once.
 
 A trace-cache hit replays the cached per-dataset artifact: it builds no
 workload instance, runs no NumPy reference and copies no arrays. Only
-the cell that interprets a dataset builds and validates it, and every
+the cell that interprets a dataset builds and validates it. Each kernel
+is compiled once per dataset for each compile mode and stream-spec
+flag, and every cell that takes the compile merges its coverage. Every
 cell still equals an uncached simulation of a fresh instance.
 """
 
+import pickle
+import re
+
 import pytest
 
+from repro.compiler import CompileMode
 from repro.dse import SweepSpec, run_sweep
 from repro.dse.scheduler import point_metrics
+from repro.experiments.__main__ import main as report_main
 from repro.experiments.runner import ResultMatrix, _matrix_worker
+from repro.interface.intrinsics import CoverageRecorder
 from repro.obs import OBS
 from repro.params import experiment_machine
-from repro.sim import simulate_workload
+from repro.sim import simulate_workload, system
+from repro.sim.system import simulate_dataset
+from repro.sim.tracecache import TraceCache, functional_key
 from repro.workloads import ALL_WORKLOADS
 from repro.workloads.base import WorkloadInstance
 
@@ -47,6 +57,22 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(WorkloadInstance, "validate", validate)
     return counts
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Record each compile the system simulator runs as (kernel name,
+    fingerprint, compile mode, stream-spec flag)."""
+    calls = []
+    real = system.compile_kernel
+
+    def compile_kernel(kernel, mode, **kwargs):
+        calls.append((kernel.name, kernel.fingerprint(), mode,
+                      kwargs["disable_stream_spec"]))
+        return real(kernel, mode, **kwargs)
+
+    monkeypatch.setattr(system, "compile_kernel", compile_kernel)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +143,100 @@ class TestSweep:
             row = result.rows[point.content_hash(base)]
             assert row["metrics"] == point_metrics(run), point
             assert row["metrics"]["validated"]
+
+
+#: each tiny workload's Table V row (mnemonics in ``Intrinsic`` order,
+#: "." where unused) as the matrix recorded it when every cell compiled
+#: its kernels itself
+TABLE5_ROWS = {
+    "adi": "CC.CCCCC......C", "bfs": "CCCCCCC.CC..CCC",
+    "cho": "CC.CCCCC......C", "dis": "CCCCCCCC.C..CCC",
+    "fdt": "CC.CCCCC......C", "nw": "CC.CCCCC......C",
+    "pca": "CC.CCCCC......C", "pch": "CCCCCCCC.C....C",
+    "pf": "CCCCCCCC.C..CCC", "pr": "CCCCCCCCCC..CCC",
+    "sei": "CC.CCCCC......C", "tra": "CC.CCCCC......C",
+}
+
+
+class TestCompileOnce:
+    def test_sweep_compiles_each_kernel_once(self, compiles):
+        """Two configurations of one compile mode on two clocks: the
+        dataset's kernels are compiled once, for the first cell."""
+        spec = SweepSpec(
+            name="compile-once", workloads=("fdt",),
+            configs=("dist_da_io", "dist_da_f"), scale="tiny",
+            base="experiment", machine_axes={"accel_freq_ghz": (1.0, 2.0)},
+        )
+        result = run_sweep(spec, jobs=1)
+        assert len(result.ok_rows()) == 4 and not result.failed_rows()
+        assert compiles and len(compiles) == len(set(compiles))
+        assert {mode for _, _, mode, _ in compiles} == {CompileMode.DIST}
+        base = spec.base_machine()
+        for point in spec.points():
+            run = uncached(point.workload, point.config, point.machine(base))
+            row = result.rows[point.content_hash(base)]
+            assert row["metrics"] == point_metrics(run), point
+
+    def test_matrix_compiles_each_kernel_once_per_mode(self, compiles,
+                                                       machine):
+        OBS.reset()
+        matrix = ResultMatrix(scale="tiny", machine=machine)
+        matrix.run_all(jobs=1)
+        compiled = list(compiles)
+        assert len(compiled) == len(set(compiled))
+        assert {mode for _, _, mode, _ in compiled} == set(CompileMode)
+        assert OBS.counter("compile.kernels") == len(compiled)
+        # every other accelerator cell took a compile of its dataset
+        assert OBS.counter("compile.reused") > 0
+        rows = {w: "".join(v or "." for v in cov.row().values())
+                for w, cov in matrix.coverage.items()}
+        assert rows == TABLE5_ROWS
+        for (w, c), run in matrix.results.items():
+            assert run_sig(run) == run_sig(uncached(w, c, machine)), (w, c)
+
+    def test_each_cell_merges_the_coverage_of_its_compiles(self, machine):
+        """Cells with their own recorders on one trace cache: a cell
+        that takes an earlier cell's compile records what the compile
+        recorded, as a cell that compiles for itself does."""
+        cache = TraceCache(max_entries=1)
+        for config in ("mono_da_io", "mono_da_f", "dist_da_f"):
+            shared, alone = CoverageRecorder(), CoverageRecorder()
+            simulate_dataset("bfs", "tiny", config, machine=machine,
+                             coverage=shared, trace_cache=cache)
+            simulate_workload(ALL_WORKLOADS["bfs"].build("tiny"), config,
+                              machine=machine, coverage=alone)
+            assert shared.used() and shared.row() == alone.row(), config
+
+    def test_pickled_entry_carries_no_compiled_kernel(self, compiles,
+                                                      machine):
+        cache = TraceCache(max_entries=1)
+        first = simulate_dataset("fdt", "tiny", "dist_da_f",
+                                 machine=machine, trace_cache=cache)
+        entry = cache.get(*functional_key("fdt", "tiny"))
+        assert entry.compiled
+        blob = pickle.dumps(entry)
+        assert b"CompiledKernel" not in blob
+        assert b"CompiledOffload" not in blob
+        clone = pickle.loads(blob)
+        assert clone.compiled == {}
+        # an unpickled entry compiles again and replays the same cell
+        before = len(compiles)
+        cache.put(clone)
+        again = simulate_dataset("fdt", "tiny", "dist_da_f",
+                                 machine=machine, trace_cache=cache)
+        assert len(compiles) > before
+        assert run_sig(again) == run_sig(first)
+
+    def test_report_stats_count_compiles_and_reuses(self, capsys,
+                                                    tmp_path):
+        """``--stats`` on the tiny report: the cells that took a
+        dataset's compile, next to the compiles themselves; together
+        they are the 229 compiles of a run that compiles in every
+        cell."""
+        OBS.reset()
+        report_main(["--scale", "tiny", "--jobs", "1", "--stats",
+                     "--out", str(tmp_path / "report.txt")])
+        out = capsys.readouterr().out
+        counts = dict(re.findall(r"^ +(compile\.\w+) +([\d,]+)$", out,
+                                 re.MULTILINE))
+        assert counts == {"compile.kernels": "153", "compile.reused": "76"}

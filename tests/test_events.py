@@ -1,5 +1,7 @@
 """Unit and property tests for the discrete-event simulation kernel."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -403,11 +405,12 @@ COMMANDS = st.one_of(
 )
 
 
-def run_network(procs, capacities, bounded):
+def run_network(procs, capacities, bounded, simulator=Simulator,
+                channel=Channel):
     """Run a drawn process network; return everything the two dispatch
     loops must agree on."""
-    sim = Simulator()
-    chans = [Channel(sim, capacity=cap, name=f"c{k}")
+    sim = simulator()
+    chans = [channel(sim, capacity=cap, name=f"c{k}")
              for k, cap in enumerate(capacities)]
     handles = []
     log = []
@@ -446,14 +449,52 @@ def run_network(procs, capacities, bounded):
               list(ch._items)) for ch in chans])
 
 
-@settings(deadline=None, max_examples=300)
-@given(
-    procs=st.lists(st.tuples(st.booleans(),
-                             st.lists(COMMANDS, max_size=12)),
-                   min_size=2, max_size=5),
-    capacities=st.lists(st.sampled_from((1, 2, 3, None)), min_size=3,
-                        max_size=3),
+def stage(source, ps, sink, chunks):
+    """One pipeline stage's commands: per chunk, a get from ``source``
+    (none for the first stage), a delay, and a put to ``sink`` (none for
+    the last), as a fill FSM, a partition and a drain do."""
+    commands = []
+    for _ in range(chunks):
+        if source is not None:
+            commands.append(("get", source))
+        commands.append(("delay", ps))
+        if sink is not None:
+            commands.append(("put", sink))
+    return commands
+
+
+@st.composite
+def pipelines(draw):
+    """A chain of stages over channels 0, 1, ..., spawned in a drawn
+    order, then up to three processes of drawn commands. A stage faster
+    than the next fills their channel, so gets find putters waiting,
+    which few networks of drawn commands alone do."""
+    chunks = draw(st.integers(1, 8))
+    depth = draw(st.integers(1, 3))
+    chain = [
+        (False, stage(k - 1 if k else None, draw(st.sampled_from((0, 1, 3))),
+                      k if k < depth else None, chunks))
+        for k in range(depth + 1)
+    ]
+    order = draw(st.permutations(range(depth + 1)))
+    return [chain[k] for k in order] + draw(st.lists(
+        st.tuples(st.booleans(), st.lists(COMMANDS, max_size=12)),
+        max_size=3))
+
+
+#: drawn process networks: pipelines, or 2–5 processes of drawn commands
+PROCS = st.one_of(
+    pipelines(),
+    st.lists(st.tuples(st.booleans(), st.lists(COMMANDS, max_size=12)),
+             min_size=2, max_size=5),
 )
+#: the capacities of the three channels
+CAPACITIES = st.lists(st.sampled_from((1, 2, 3, None)), min_size=3,
+                      max_size=3)
+
+
+@settings(deadline=None, max_examples=300)
+@given(procs=PROCS, capacities=CAPACITIES)
 def test_inline_arms_match_command_arm(procs, capacities):
     """Property: the unbounded loop (inline Delay, Get and Put handed
     straight to the channel) and the general loop's ``Command.arm``
@@ -463,3 +504,76 @@ def test_inline_arms_match_command_arm(procs, capacities):
     items."""
     assert (run_network(procs, capacities, bounded=False)
             == run_network(procs, capacities, bounded=True))
+
+
+class OracleSimulator(Simulator):
+    """A simulator whose ``_schedule`` is a copy of the original one."""
+
+    def _schedule(self, time_ps, proc, value):
+        proc.blocked_on = None
+        self._seq += 1
+        heapq.heappush(self._heap, (time_ps, self._seq, proc, value))
+        if len(self._heap) > self.peak_pending:
+            self.peak_pending = len(self._heap)
+
+
+class OracleChannel(Channel):
+    """A channel whose arms are the original call chain, kept as an
+    oracle that shares no code with the arms it checks: a put tests
+    ``full``, then ``_accept`` hands the item to a waiting getter or
+    queues it, and a get drains every putter that fits."""
+
+    @property
+    def full(self):
+        return self.capacity is not None and len(self._items) >= self.capacity
+
+    def _arm_get(self, proc):
+        if self._items:
+            item = self._items.popleft()
+            self.total_gets += 1
+            self.sim._schedule(self.sim.now, proc, item)
+            self._drain_putters()
+        else:
+            proc.blocked_on = ("get", self)
+            self._getters.append(proc)
+
+    def _arm_put(self, proc, item):
+        if not self.full:
+            self._accept(item)
+            self.sim._schedule(self.sim.now, proc, None)
+        else:
+            proc.blocked_on = ("put", self)
+            self._putters.append((proc, item))
+
+    def _accept(self, item):
+        self.total_puts += 1
+        if self._getters:
+            getter = self._getters.popleft()
+            getter.blocked_on = None
+            self.total_gets += 1
+            self.sim._schedule(self.sim.now, getter, item)
+        else:
+            self._items.append(item)
+            self.max_occupancy = max(self.max_occupancy, len(self._items))
+
+    def _drain_putters(self):
+        while self._putters and not self.full:
+            putter, item = self._putters.popleft()
+            putter.blocked_on = None
+            self._accept(item)
+            self.sim._schedule(self.sim.now, putter, None)
+
+
+@settings(deadline=None, max_examples=300)
+@given(procs=PROCS, capacities=CAPACITIES, bounded=st.booleans())
+def test_arms_match_the_call_chain_oracle(procs, capacities, bounded):
+    """Property: the channel arms, which complete each hand-off in
+    place, run every drawn network as the original call chain does:
+    the same resumes, times and received items, the same end time or
+    deadlock, the same event count and heap high-water mark, and the
+    same channel counters and leftover items, under either dispatch
+    loop."""
+    assert (run_network(procs, capacities, bounded)
+            == run_network(procs, capacities, bounded,
+                           simulator=OracleSimulator,
+                           channel=OracleChannel))
