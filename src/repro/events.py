@@ -11,7 +11,6 @@ Commands a process may yield:
 * :class:`Delay` — advance this process by N picoseconds.
 * :class:`Get` — take one item from a :class:`Channel` (blocks when empty).
 * :class:`Put` — add one item to a :class:`Channel` (blocks when full).
-* :class:`WaitProcess` — block until another process terminates.
 
 Example::
 
@@ -24,9 +23,8 @@ Example::
             yield Delay(500)
 
     def consumer(out):
-        while True:
-            item = yield Get(ch)
-            out.append(item)
+        for _ in range(4):
+            out.append((yield Get(ch)))
 
     sim.spawn("prod", producer())
     sim.spawn("cons", consumer(out := []))
@@ -104,44 +102,20 @@ class Put(Command):
         self.channel._arm_put(proc, self.item)
 
 
-class WaitProcess(Command):
-    """Block until ``target`` terminates; resumes with its return value."""
-
-    __slots__ = ("target",)
-
-    def __init__(self, target: "Process"):
-        self.target = target
-
-    def arm(self, sim: "Simulator", proc: "Process") -> None:
-        if self.target.done:
-            sim._schedule(sim.now, proc, self.target.result)
-        else:
-            proc.blocked_on = ("wait", self.target)
-            self.target._waiters.append(proc)
-
-
 class Process:
     """Handle to a running simulation process."""
 
-    __slots__ = (
-        "name", "_gen", "done", "result", "_waiters", "blocked_on", "daemon"
-    )
+    __slots__ = ("name", "_gen", "done", "blocked_on")
 
-    def __init__(self, name: str, gen: Generator[Command, Any, Any],
-                 daemon: bool = False):
+    def __init__(self, name: str, gen: Generator[Command, Any, Any]):
         self.name = name
         self._gen = gen
         self.done = False
-        self.result: Any = None
-        self._waiters: List["Process"] = []
-        #: what the process is blocked on — ``("get", channel)``,
-        #: ``("put", channel)`` or ``("wait", process)``, formatted
-        #: lazily for deadlock diagnostics (blocks are frequent; f-strings
-        #: per block are not free on the replay hot path)
+        #: what the process is blocked on — ``("get", channel)`` or
+        #: ``("put", channel)``, formatted lazily for deadlock diagnostics
+        #: (blocks are frequent; f-strings per block are not free on the
+        #: replay hot path)
         self.blocked_on: Optional[tuple] = None
-        #: daemon processes (e.g. sinks, FSMs that serve forever) may remain
-        #: blocked at end of simulation without signalling deadlock.
-        self.daemon = daemon
 
     @property
     def blocked_desc(self) -> Optional[str]:
@@ -247,18 +221,13 @@ class Simulator:
         """Current simulation time in picoseconds."""
         return self._now
 
-    def spawn(self, name: str, gen: Generator[Command, Any, Any],
-              daemon: bool = False) -> Process:
-        """Register ``gen`` as a new process, runnable at the current time.
-
-        Daemon processes are allowed to remain blocked forever; they model
-        hardware that services requests for the lifetime of the system.
-        """
+    def spawn(self, name: str, gen: Generator[Command, Any, Any]) -> Process:
+        """Register ``gen`` as a new process, runnable at the current time."""
         if not isinstance(gen, Iterator):
             raise SimulationError(
                 f"process {name!r} must be a generator, got {type(gen)!r}"
             )
-        proc = Process(name, gen, daemon=daemon)
+        proc = Process(name, gen)
         self._processes.append(proc)
         self._schedule(self._now, proc, None)
         return proc
@@ -274,12 +243,8 @@ class Simulator:
     def _step(self, proc: Process, value: Any) -> None:
         try:
             cmd = proc._gen.send(value)
-        except StopIteration as stop:
+        except StopIteration:
             proc.done = True
-            proc.result = stop.value
-            for waiter in proc._waiters:
-                self._schedule(self._now, waiter, proc.result)
-            proc._waiters.clear()
             return
         if not isinstance(cmd, Command):
             raise SimulationError(
@@ -300,8 +265,7 @@ class Simulator:
         if not self._dispatch(until_ps, max_events):
             return self._now  # paused at the horizon, events remain
         blocked = [
-            p for p in self._processes
-            if not p.done and p.blocked_on and not p.daemon
+            p for p in self._processes if not p.done and p.blocked_on
         ]
         if blocked:
             detail = ", ".join(f"{p.name} on {p.blocked_desc}" for p in blocked)
@@ -331,12 +295,8 @@ class Simulator:
                     executed += 1
                     try:
                         cmd = proc._gen.send(value)
-                    except StopIteration as stop:
+                    except StopIteration:
                         proc.done = True
-                        proc.result = stop.value
-                        for waiter in proc._waiters:
-                            self._schedule(time_ps, waiter, stop.value)
-                        proc._waiters.clear()
                         continue
                     cls = cmd.__class__
                     if cls is Delay:

@@ -180,15 +180,17 @@ class Interpreter:
             state.inner_invocations_by_loop[loop_key] = (
                 state.inner_invocations_by_loop.get(loop_key, 0) + 1
             )
-        env = dict(outer_env)
         iters = 0
+        var = loop.var
+        counts = state.counts
+        body = [(isinstance(stmt, Loop), stmt) for stmt in loop.body]
         for value in range(lower, upper, loop.step):
             iters += 1
             env = dict(outer_env)
-            env[loop.var] = value
-            state.counts.loop_overhead += 2  # induction ++ / bound check
-            for stmt in loop.body:
-                if isinstance(stmt, Loop):
+            env[var] = value
+            counts.loop_overhead += 2  # induction ++ / bound check
+            for nested, stmt in body:
+                if nested:
                     self._run_loop(stmt, state, env, innermost)
                 else:
                     self._exec_stmt(stmt, env, state)
@@ -277,7 +279,7 @@ class Interpreter:
                 state.trace.append(
                     (self._site_ids[id(expr)], expr.obj, index, False)
                 )
-            return arr[index].item()
+            return arr.item(index)
         if kind is BinOp:
             lhs = self._eval(expr.lhs, env, state)
             rhs = self._eval(expr.rhs, env, state)

@@ -68,15 +68,17 @@ class ColumnarTrace:
         if not records:
             return cls.empty()
         sites, objs, idxs, writes = zip(*records)
-        # factorize object names in one C pass (traces repeat a handful
-        # of names millions of times)
-        names, inverse = np.unique(np.asarray(objs), return_inverse=True)
+        # traces repeat a handful of names many times: code them through
+        # a dict of the distinct names rather than sorting every record
+        names = sorted(dict.fromkeys(objs))
+        code = {name: i for i, name in enumerate(names)}
         return cls(
             np.asarray(sites, dtype=np.int32),
-            inverse.astype(np.int16),
+            np.fromiter(map(code.__getitem__, objs), dtype=np.int16,
+                        count=len(objs)),
             np.asarray(idxs, dtype=np.int64),
             np.asarray(writes, dtype=bool),
-            tuple(str(n) for n in names),
+            tuple(names),
         )
 
     # -- sequence protocol (MemAccess compatibility) ------------------------

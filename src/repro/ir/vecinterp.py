@@ -36,20 +36,27 @@ updates of the element an iteration owns and disjoint-object stencils
 pass statement at a time. The test reasons per object name, so a call
 in which two names share memory runs every nest on the tree walker.
 
-An in-place recurrence (Seidel-2D, ADI's sweeps, Needleman-Wunsch)
-fails that order, and may pass a wavefront schedule: the order
-(wavefront, body site, iteration) with wavefront ``t = c . k``, ``k``
-the per-loop iteration counters and ``c`` a small non-negative integer
-vector. The schedules are tried fewest wavefronts first. A wavefront
-nest must keep its trace and counts independent of values: every
-access of every stored object in one iteration table, and no ``When``,
-``Select``, fold, or load (directly or through a temp) in a subscript
-or loop bound. The full pass then still emits the trace and counts;
-only the stored values are recomputed, wavefront by wavefront, from the
-committed arrays, through the same operator kernels and store-cast
-guards, so a guard that trips in a late wavefront commits nothing. A
-schedule with fewer rows per wavefront than :data:`_WAVE_WIDTH` stays
-on the fallback, whose per-iteration cost is lower there.
+A nest whose trace and counts cannot depend on values (no ``When``,
+``Select`` or fold, and no load, directly or through a temp, in a
+subscript or loop bound) and that accesses a stored object at two or
+more sites runs by a schedule. Its full pass emits the trace and counts
+but computes no stored value. Each row of a group runs at a wavefront
+``t``: a group is one table's run of statements between two of its
+loops, a row one iteration of that table. A wavefront runs its groups
+in body order, each over its rows in row order, through the same
+operator kernels and store-cast guards, from the committed arrays, so a
+guard that trips in a late wavefront commits nothing. The wavefronts
+come from the conflict pairs: a pair in order statement at a time may
+share a wavefront, any other needs its later row in a later one. When
+one group holds every pair, Lamport's hyperplane method (CACM 1974)
+derives ``t = c . k`` from the pairs' distance vectors, ``k`` the
+group's per-loop iteration counters, innermost coefficient first.
+Across groups each row gets its earliest wavefront, the longest path to
+it through the pairs, in the spirit of Feautrier's per-statement
+schedules (IJPP 1992); cholesky's then run at ``k + 2`` (k-body),
+``j + 1`` (j-tail), ``k2 + 1`` (diagonal body) and ``i`` (square
+root), ``n`` wavefronts. Either schedule is checked on every pair, and
+a nest it failed would fall back.
 
 Folds are ordered by a schedule of their own: an in-place fold, a store
 ``X[e] = X[e] op r`` with ``op`` one of ``+ - * min max``, where the
@@ -59,9 +66,17 @@ nest accesses ``X``. Then no load, count or trace entry depends on
 stored values are recomputed: iterations that store to the same
 element are ranked by a stable sort of the store vector, and step ``t``
 applies every element's ``t``-th update at once, through the same
-operator kernel and store-cast guards as any other store. A fold with
-many steps per element (a running sum into one element) stays on the
-fallback, whose per-iteration cost is lower there (:data:`_FOLD_WIDTH`).
+operator kernel and store-cast guards as any other store.
+
+A nest whose ``When`` or ``Select`` conditions read an object it stores
+(and whose stored values reach no subscript or loop bound) may run in
+rounds when its pass is out of order: the pass is the first round, and
+in each later one a load of a stored object sees the last store before
+it, in scalar order, of the previous round's stores. By induction over
+scalar order, a round whose stores equal the previous round's is the
+scalar run; the nest commits it, or falls back after :data:`_ROUNDS`
+rounds. This is a run-time check of a speculation, like the LRPD test
+(Rauchwerger and Padua, PLDI 1995).
 
 Every fallback carries one reason code (:data:`FALLBACK_CODES`), and
 :class:`VecInterpreter` counts fallback nests per code.
@@ -69,8 +84,7 @@ Every fallback carries one reason code (:data:`FALLBACK_CODES`), and
 
 from __future__ import annotations
 
-import itertools
-import math
+import operator
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -100,7 +114,6 @@ from .interp import (
 from .program import Kernel
 from .stmt import Assign, Loop, Stmt, Store, When
 from .trace import ColumnarTrace
-from . import nestjit
 
 _I64_MIN = -(2 ** 63)
 _I64_MAX = 2 ** 63 - 1
@@ -109,13 +122,10 @@ _I64_MAX = 2 ** 63 - 1
 _F64_EXACT = 2 ** 53
 
 #: why a nest left the vector path, counted per code in
-#: :attr:`VecInterpreter.fallback_reasons`. For a nest that no
-#: admissible schedule orders: ``repeated-index`` — a stored object
-#: repeats an index and is no fold; ``unequal-vectors`` — a stored
-#: object is accessed at unequal index vectors. Then:
-#: ``narrow-fold`` — a fold with too many steps per element;
-#: ``narrow-wavefront`` — only a schedule with too few rows per
-#: wavefront orders the nest;
+#: :attr:`VecInterpreter.fallback_reasons`. For a nest that runs out of
+#: scalar order and no schedule orders: ``repeated-index`` — a stored
+#: object repeats an index and is no fold; ``unequal-vectors`` — a
+#: stored object is accessed at unequal index vectors. Then:
 #: ``scalar-error`` — the scalar path raises (out of bounds, zero
 #: divisor, square root of a negative, unbound name, zero step);
 #: ``int-range`` — a value leaves int64 or the stored dtype;
@@ -125,33 +135,20 @@ _F64_EXACT = 2 ** 53
 #: path does not express, or a conflict test too large for int64
 #: keys; ``aliased`` — two of the kernel's object names share memory
 FALLBACK_CODES = (
-    "repeated-index", "unequal-vectors", "narrow-fold", "narrow-wavefront",
-    "scalar-error", "int-range", "float-semantics", "unsupported",
-    "aliased",
+    "repeated-index", "unequal-vectors", "scalar-error", "int-range",
+    "float-semantics", "unsupported", "aliased",
 )
 
 #: operators of an in-place fold ``X[e] = X[e] op r``
 _FOLD_OPS = frozenset(("+", "-", "*", "min", "max"))
-#: a fold that repeats an index runs vectorized when its iterations
-#: number at least this many times its steps (elements updated per
-#: step, on average): each step costs about as much as three compiled
-#: fallback iterations (``benchmarks/perf/bench_fold.py``;
-#: EXPERIMENTS.md, "In-place folds on the vector path")
-_FOLD_WIDTH = 3
-#: a wavefront schedule runs vectorized when its iterations number at
-#: least this many times its wavefronts: each wavefront costs about as
-#: much as 8 to 16 compiled fallback iterations
-#: (``benchmarks/perf/bench_fold.py``; EXPERIMENTS.md, "In-place
-#: recurrences on the vector path")
-_WAVE_WIDTH = 12
-#: the conflict test of a nest that no wavefront can order looks at
-#: every this-many-th element first, and the test of a wavefront
-#: schedule at every this-many-th pair
+#: float operators whose :meth:`_NestRun._binop` path is the operator
+_FLOAT_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+#: the conflict test of a nest that no schedule can order looks at
+#: every this-many-th element first
 _SAMPLE = 61
-#: largest loop depth whose wavefront schedules are tried, and the
-#: largest per-loop coefficient
-_WAVE_DEPTH = 3
-_WAVE_COEF = 2
+#: rounds a nest whose guards read a stored object may take, after its
+#: first pass, to reach a store set that no longer changes
+_ROUNDS = 4
 
 
 class _Fallback(Exception):
@@ -181,27 +178,23 @@ class _Ctx:
 
     ``n`` rows in execution order; ``env`` maps loop vars and temps to
     ``(value, is_float)`` where value is an int64/float64 vector over
-    the table (or a Python scalar), and ``env0`` is ``env`` before the
-    loop body assigned any temp; ``prefix`` holds the hierarchical
-    order-key columns of every ancestor level. ``loop`` is the table's
-    loop node, ``up`` the enclosing table, ``parent_idx`` each row's
-    row in ``up`` and ``offs`` each row's iteration counter of ``loop``
-    (all None for the root table).
+    the table (or a Python scalar, or None for a value a scheduled
+    nest's pass leaves to its wavefronts); ``prefix`` holds the
+    hierarchical order-key columns of every ancestor level. ``up`` is
+    the enclosing table, ``parent_idx`` each row's row in ``up`` and
+    ``offs`` each row's iteration counter of the table's loop (all None
+    for the root table, and the last two outside a scheduled nest).
     """
 
-    __slots__ = ("n", "env", "env0", "prefix", "loop", "up",
-                 "parent_idx", "offs")
+    __slots__ = ("n", "env", "prefix", "up", "parent_idx", "offs")
 
     def __init__(self, n: int, env: Dict[str, Tuple[object, bool]],
-                 prefix: List[np.ndarray],
-                 loop: Optional[Loop] = None, up: Optional["_Ctx"] = None,
+                 prefix: List[np.ndarray], up: Optional["_Ctx"] = None,
                  parent_idx: Optional[np.ndarray] = None,
                  offs: Optional[np.ndarray] = None):
         self.n = n
         self.env = env
-        self.env0 = dict(env)
         self.prefix = prefix
-        self.loop = loop
         self.up = up
         self.parent_idx = parent_idx
         self.offs = offs
@@ -211,22 +204,39 @@ class _Ctx:
         cols = []
         rows = None
         ctx = self
-        while ctx.loop is not None:
+        while ctx.up is not None:
             cols.append(ctx.offs if rows is None else ctx.offs[rows])
             rows = ctx.parent_idx if rows is None else ctx.parent_idx[rows]
             ctx = ctx.up
         return cols[::-1]
 
 
+class _Group:
+    """A run of one table's body statements between two of its loops:
+    ``stmts`` run for every row of ``ctx``, from ``env``, the table's
+    bindings when the run starts."""
+
+    __slots__ = ("ctx", "env", "stmts")
+
+    def __init__(self, ctx: _Ctx):
+        self.ctx = ctx
+        self.env = dict(ctx.env)
+        self.stmts: List[Stmt] = []
+
+
 class _Access:
     """One static access site's dynamic accesses for one table: rows
     ``sel`` of ``ctx`` (all rows when None), emitted ``seq``-th in the
-    table's scalar evaluation order."""
+    table's scalar evaluation order by a statement of ``group`` (None
+    for a loop bound). A store in a nest that may run in rounds keeps
+    its values in ``vals``."""
 
-    __slots__ = ("node", "obj", "idx", "is_write", "ctx", "sel", "seq")
+    __slots__ = ("node", "obj", "idx", "is_write", "ctx", "sel", "seq",
+                 "group", "vals", "rank")
 
     def __init__(self, node, obj: str, idx: np.ndarray, is_write: bool,
-                 ctx: _Ctx, sel: Optional[np.ndarray], seq: int):
+                 ctx: _Ctx, sel: Optional[np.ndarray], seq: int,
+                 group: Optional[_Group]):
         self.node = node
         self.obj = obj
         self.idx = idx
@@ -234,6 +244,10 @@ class _Access:
         self.ctx = ctx
         self.sel = sel
         self.seq = seq
+        self.group = group
+        self.vals: Optional[np.ndarray] = None
+        #: each access's place in program order (:func:`_rank`)
+        self.rank: Optional[np.ndarray] = None
 
     def rows(self) -> np.ndarray:
         if self.sel is None:
@@ -243,8 +257,11 @@ class _Access:
     def sample(self, stride: int) -> "_Access":
         """The accesses to elements that ``stride`` divides."""
         keep = self.idx % stride == 0
-        return _Access(self.node, self.obj, self.idx[keep], self.is_write,
-                       self.ctx, self.rows()[keep], self.seq)
+        part = _Access(self.node, self.obj, self.idx[keep], self.is_write,
+                       self.ctx, self.rows()[keep], self.seq, self.group)
+        if self.rank is not None:
+            part.rank = self.rank[keep]
+        return part
 
     def order_cols(self) -> List[np.ndarray]:
         """Hierarchical program-order key columns of every access."""
@@ -257,22 +274,24 @@ class _Access:
 
 class _Order:
     """The pairs of accesses to one element, at least one a store, whose
-    order every schedule must keep, each as (earlier row, later row) in
-    scalar order: each store after its element's previous store, each
-    load after the last store of its element before it and before the
-    first store after it. The stores sorted by (element, program
-    order), and each load's place among them, yield the pairs.
+    order every schedule must keep, each from an earlier access (record
+    ``rec_b`` of ``accs``, row ``row_b``) to a later one (``rec_a``,
+    ``row_a``) in scalar order: each store after its element's previous
+    store, each load after the last store of its element before it and
+    before the first store after it. The stores sorted by (element,
+    program order), and each load's place among them, yield the pairs.
 
     ``tie[k]`` says whether pair ``k`` runs in order statement at a
-    time, i.e. in the order (access record, row); a wavefront schedule
-    runs it in order when ``t(later row) - t(earlier row) + tie > 0``.
+    time, i.e. in the order (access record, row): a schedule may run a
+    tied pair in one wavefront, any other needs its later row in a
+    later wavefront.
     """
 
     def __init__(self, accs: List[_Access], offsets: Dict[str, int]):
-        accs = [a for a in accs if len(a.idx)]
-        self.objs = [a.obj for a in accs]
+        self.accs = accs = [a for a in accs if len(a.idx)]
         if not accs:
-            self.row_b = self.row_a = self.rec_a = np.empty(0, np.int64)
+            self.rec_b = self.rec_a = np.empty(0, np.int32)
+            self.row_b = self.row_a = np.empty(0, np.int64)
             self.tie = np.empty(0, dtype=bool)
             return
         k = len(accs)
@@ -282,9 +301,10 @@ class _Order:
             # one table: (row, record) is program order
             span, rank = accs[0].ctx.n * k, None
         else:
-            span = sum(lens)
-            rank = np.empty(span, dtype=np.int64)
-            rank[_program_order(accs)] = np.arange(span)
+            if any(a.rank is None for a in accs):
+                _rank(accs)
+            rank = np.concatenate([a.rank for a in accs])
+            span = int(rank.max()) + 1
         if (max(int(e.max()) for e in elems) + 1) * span >= 2 ** 62:
             raise _Fallback("unsupported")  # the keys would leave int64
         cuts = np.cumsum([0] + lens).tolist()
@@ -300,7 +320,8 @@ class _Order:
         # each record's keys mostly ascend: a few long runs to merge
         order = np.argsort(s_key, kind="stable")
         s_key = s_key[order]
-        s_rec = np.repeat(np.array(st, dtype=np.int64),
+        # record numbers are few: int32 halves the two record columns
+        s_rec = np.repeat(np.array(st, dtype=np.int32),
                           [lens[j] for j in st])[order]
         s_row = np.concatenate([accs[j].rows() for j in st]
                                + [np.empty(0, np.int64)])[order]
@@ -310,7 +331,7 @@ class _Order:
         s_elem = np.concatenate(([-1], s_key // span, [-1]))
         below, above = s_elem[:-1], s_elem[1:]
         q = np.flatnonzero(s_elem[1:-2] == s_elem[2:-1])
-        parts = [(s_row[q], s_row[q + 1], s_rec[q + 1],
+        parts = [(s_rec[q], s_row[q], s_rec[q + 1], s_row[q + 1],
                   (s_rec[q] < s_rec[q + 1])
                   | ((s_rec[q] == s_rec[q + 1]) & (s_row[q] < s_row[q + 1])))]
         for j, a in enumerate(accs):
@@ -318,35 +339,84 @@ class _Order:
                 continue
             pos = np.searchsorted(s_key, key(j))
             rows = a.rows()
+            recs = np.full(len(rows), j, dtype=np.int32)
             prev = np.flatnonzero(below[pos] == elems[j])
             q = pos[prev] - 1
-            parts.append((s_row[q], rows[prev],
-                          np.full(len(q), j, dtype=np.int64), s_rec[q] < j))
+            parts.append((s_rec[q], s_row[q], recs[prev], rows[prev],
+                          s_rec[q] < j))
             nxt = np.flatnonzero(above[pos] == elems[j])
             q = pos[nxt]
-            parts.append((rows[nxt], s_row[q], s_rec[q], j < s_rec[q]))
-        self.row_b, self.row_a, self.rec_a, self.tie = (
+            parts.append((recs[nxt], rows[nxt], s_rec[q], s_row[q],
+                          j < s_rec[q]))
+        self.rec_b, self.row_b, self.rec_a, self.row_a, self.tie = (
             np.concatenate(col) for col in zip(*parts))
 
     def failing_objects(self) -> set:
         """Objects of the pairs out of order statement at a time."""
         recs = np.unique(self.rec_a[~self.tie])
-        return {self.objs[r] for r in recs.tolist()}
+        return {self.accs[r].obj for r in recs.tolist()}
 
-    def wave_ordered(self, counters: List[np.ndarray],
-                     coefs: Tuple[int, ...]) -> bool:
-        """Whether ``t = coefs . counters`` keeps every pair in order
-        (checked on every :data:`_SAMPLE`-th pair first, so a schedule
-        that fails usually fails at a fraction of the cost)."""
-        for sl in (slice(None, None, _SAMPLE), slice(None)):
-            rb, ra = self.row_b[sl], self.row_a[sl]
-            gap = self.tie[sl].astype(np.int64)
-            for c, k in zip(coefs, counters):
+
+def _hyperplane(counters: List[np.ndarray], row_b: np.ndarray,
+                row_a: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Lamport's wavefronts ``t = c . counters`` of one iteration table:
+    each pair's distance vector ``d`` (later row's counters minus the
+    earlier row's) is lexicographically positive, and level ``l``'s
+    coefficient, chosen after every deeper one, is the least
+    non-negative ``c_l`` with ``c . d >= gap`` for each pair whose first
+    non-zero distance is at level ``l``."""
+    depth = len(counters)
+    dist = [k[row_a] - k[row_b] for k in counters]
+    lead = np.full(len(row_b), depth)
+    for level in range(depth - 1, -1, -1):
+        lead[dist[level] != 0] = level
+    coefs = [0] * depth
+    t = np.zeros(len(counters[0]) if counters else 0, dtype=np.int64)
+    for level in range(depth - 1, -1, -1):
+        sel = lead == level
+        if sel.any():
+            rest = -gap[sel].astype(np.int64)
+            for c, d in zip(coefs[level + 1:], dist[level + 1:]):
                 if c:
-                    gap += c * (k[ra] - k[rb])
-            if not bool((gap > 0).all()):
-                return False
-        return True
+                    rest = rest + c * d[sel]
+            # ceil((gap - rest) / d_l), with d_l > 0
+            coefs[level] = max(0, int((-(rest // dist[level][sel])).max()))
+        if coefs[level]:
+            t += coefs[level] * counters[level]
+    return t
+
+
+def _longest_paths(nodes: int, src: np.ndarray, dst: np.ndarray,
+                   gap: np.ndarray) -> np.ndarray:
+    """Each node's earliest wavefront: the longest path to it along the
+    edges ``src -> dst`` of length ``gap``, relaxed a frontier of nodes
+    at a time in topological order (Kahn's algorithm). The edges run
+    forward in scalar order, so they form no cycle."""
+    keep = src != dst  # a row's own accesses run in scalar order
+    order = np.argsort(src[keep], kind="stable")
+    src, dst, gap = src[keep][order], dst[keep][order], gap[keep][order]
+    starts = np.zeros(nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=nodes), out=starts[1:])
+    waiting = np.bincount(dst, minlength=nodes)
+    t = np.zeros(nodes, dtype=np.int64)
+    ready = np.flatnonzero(waiting == 0)
+    while len(ready):
+        lo = starts[ready]
+        count = starts[ready + 1] - lo
+        total = int(count.sum())
+        if not total:
+            break
+        edges = np.repeat(lo - np.cumsum(count) + count, count) \
+            + np.arange(total)
+        heads = dst[edges]
+        np.maximum.at(t, heads, t[src[edges]] + gap[edges])
+        np.subtract.at(waiting, heads, 1)
+        ready = np.sort(heads[waiting[heads] == 0])
+        if len(ready) > 1:  # a node with two edges from the frontier
+            ready = ready[np.concatenate(([True], ready[1:] != ready[:-1]))]
+    if waiting.any():
+        raise _Fallback("unsupported")  # unreachable: the edges run forward
+    return t
 
 
 def _int_bounds(value) -> Tuple[int, int]:
@@ -358,6 +428,12 @@ def _int_bounds(value) -> Tuple[int, int]:
     return (int(value), int(value))
 
 
+def _injective(idx: np.ndarray) -> bool:
+    """Whether no element index repeats (the indices are in bounds, so
+    a count per element is cheaper than sorting them)."""
+    return idx.size < 2 or int(np.bincount(idx).max()) < 2
+
+
 def _guard_i64(*corners: int) -> None:
     for c in corners:
         if not (_I64_MIN <= c <= _I64_MAX):
@@ -366,9 +442,10 @@ def _guard_i64(*corners: int) -> None:
 
 def _folds(loop: Loop) -> Dict[int, bool]:
     """The nest's in-place folds: ``id(store)`` -> whether ``X[e]`` is
-    the left operand, for each store ``X[e] = X[e] op r`` whose object
-    the nest accesses nowhere else (at run time, the load's index vector
-    must still equal the store's)."""
+    the left operand, for each store ``X[e] = X[e] op r``, with one
+    subscript expression ``e``, whose object the nest accesses nowhere
+    else (at run time, the load's index vector must still equal the
+    store's)."""
     accesses: Dict[str, List[object]] = {}  # per object, in visit order
 
     def visit(stmt: Stmt) -> None:
@@ -392,62 +469,112 @@ def _folds(loop: Loop) -> Dict[int, bool]:
         load, store = nodes
         value = store.value
         if (isinstance(value, BinOp) and value.op in _FOLD_OPS
-                and (value.lhs is load or value.rhs is load)):
+                and (value.lhs is load or value.rhs is load)
+                and repr(load.index) == repr(store.index)):
             folds[id(store)] = value.lhs is load
     return folds
 
 
-def _values_steer(loop: Loop) -> bool:
-    """Whether a loaded value can change the nest's trace or counts: a
-    ``When`` or ``Select``, or a load (directly or through a temp) in a
-    subscript or loop bound."""
+def _steering(loop: Loop) -> Tuple[bool, set, set, set]:
+    """How loaded values can steer the nest: whether it has a ``When`` or
+    ``Select``, the objects whose loaded values reach a ``When`` or
+    ``Select`` condition, those whose loaded values reach a subscript or
+    loop bound (each directly or through temps), and the stored objects
+    that the nest accesses at two or more sites."""
     assigns: List[Assign] = []
+    guards: List[Expr] = []  # conditions
     keyed: List[Expr] = []  # subscripts and loop bounds
+    sites: Dict[str, int] = {}
+    stored: set = set()
     stack: List[Stmt] = [loop]
     while stack:
         stmt = stack.pop()
-        if isinstance(stmt, When):
-            return True
+        exprs = stmt.expressions()
         if isinstance(stmt, Loop):
             stack.extend(stmt.body)
-            keyed.extend((stmt.lower, stmt.upper))
+            keyed.extend(exprs)
+        elif isinstance(stmt, When):
+            stack.extend(stmt.body)
+            guards.append(stmt.cond)
+            exprs = (stmt.cond,)
         elif isinstance(stmt, Assign):
             assigns.append(stmt)
         elif isinstance(stmt, Store):
+            stored.add(stmt.obj)
+            sites[stmt.obj] = sites.get(stmt.obj, 0) + 1
             keyed.append(stmt.index)
-        for expr in stmt.expressions():
+        for expr in exprs:
             for node in expr.walk():
                 if isinstance(node, Select):
-                    return True
-                if isinstance(node, Load):
+                    guards.append(node.cond)
+                elif isinstance(node, Load):
                     keyed.append(node.index)
-    loaded: set = set()  # temps that carry a loaded value
+                    sites[node.obj] = sites.get(node.obj, 0) + 1
+    carried: Dict[str, set] = {}  # objects each temp's value was loaded from
 
-    def reads_load(expr: Expr) -> bool:
-        return any(isinstance(n, Load)
-                   or (isinstance(n, Temp) and n.name in loaded)
-                   for n in expr.walk())
+    def loaded(expr: Expr) -> set:
+        out: set = set()
+        for node in expr.walk():
+            if isinstance(node, Load):
+                out.add(node.obj)
+            elif isinstance(node, Temp):
+                out |= carried.get(node.name, set())
+        return out
 
     grew = True
     while grew:
         grew = False
         for a in assigns:
-            if a.name not in loaded and reads_load(a.value):
-                loaded.add(a.name)
+            objs = loaded(a.value)
+            have = carried.setdefault(a.name, set())
+            if not objs <= have:
+                have |= objs
                 grew = True
-    return any(reads_load(expr) for expr in keyed)
+    return (bool(guards), set().union(*map(loaded, guards)),
+            set().union(*map(loaded, keyed)),
+            {obj for obj in stored if sites[obj] > 1})
 
 
-def _program_order(accs: List["_Access"]) -> np.ndarray:
-    """The permutation that puts the concatenated accesses of ``accs``
-    in scalar program order."""
+def _plan(loop: Loop) -> Tuple[Dict[int, bool], bool, bool]:
+    """What a nest's run needs of its statements: its folds
+    (:func:`_folds`), whether it runs by a schedule (its trace and
+    counts cannot depend on values, and it accesses a stored object at
+    two or more sites), and whether an out-of-order pass may settle in
+    rounds (its conditions read an object it stores, whose values reach
+    no subscript or loop bound)."""
+    folds = _folds(loop)
+    branches, guarded, keyed, repeated = _steering(loop)
+    return (folds,
+            not folds and not branches and not keyed and bool(repeated),
+            not folds and bool(guarded & repeated) and not keyed & repeated)
+
+
+def _rank(accs: List["_Access"]) -> None:
+    """Set each access's ``rank``: its place in scalar program order
+    among the accesses of ``accs``. The order key's columns, shifted so
+    that a shallower access's missing ones read 0, join into one int64
+    key when their ranges multiply within it."""
     cols = [a.order_cols() for a in accs]
     depth = max(len(c) for c in cols)
     keys = [np.concatenate([
-        c[d] if d < len(c) else np.full(len(c[0]), -1, dtype=np.int64)
+        c[d] + 1 if d < len(c) else np.zeros(len(c[0]), dtype=np.int64)
         for c in cols
     ]) for d in range(depth)]
-    return np.lexsort(keys[::-1])
+    spans = [int(k.max()) + 1 for k in keys]
+    if float(np.prod(spans, dtype=np.float64)) < 2 ** 62:
+        key = keys[0]
+        for k, span in zip(keys[1:], spans[1:]):
+            key = key * span + k
+        # each record's keys ascend: a few long runs to merge
+        order = np.argsort(key, kind="stable")
+    else:
+        order = np.lexsort(keys[::-1])
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    start = 0
+    for a in accs:
+        a.rank = rank[start:start + len(a.idx)]
+        start += len(a.idx)
 
 
 class _NestRun:
@@ -468,6 +595,23 @@ class _NestRun:
         self.loop_ids = loop_ids
         self.innermost = innermost
         self.record_trace = record_trace
+        #: the nest's in-place fold stores (:func:`_folds`)
+        self.folds: Dict[int, bool] = {}
+        #: whether the nest runs by a schedule: its trace and counts
+        #: cannot depend on values, and it accesses a stored object at
+        #: two or more sites; its pass then computes no stored value
+        self.scheduled = False
+        #: whether an out-of-order pass may be run again in rounds
+        self.may_settle = False
+        #: a round's view of the previous round's stores, per stored
+        #: object: (sorted (element, position) keys, values); position
+        #: is ``row * stride + seq`` in the one table that accesses them
+        self.seen: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
+        self.stride = self.width = 0
+        self._begin()
+
+    def _begin(self) -> None:
+        """Empty the buffers of one pass."""
         self.counts = OpCounts()
         self.iterations: Dict[str, int] = {}
         self.obj_accesses: Dict[str, int] = {}
@@ -477,51 +621,56 @@ class _NestRun:
         self.pending: Dict[str, np.ndarray] = {}
         #: every access of the full pass, in pass order
         self.accesses: List[_Access] = []
-        #: the nest's in-place fold stores (:func:`_folds`) and their
-        #: objects, which order their own repeats
-        self.folds: Dict[int, bool] = {}
+        #: every statement group of the pass, in pass order, and the
+        #: one the pass is in (None while it evaluates loop bounds)
+        self.groups: List[_Group] = []
+        self.group: Optional[_Group] = None
+        #: the fold objects, which order their own repeats
         self.fold_objs: set = set()
-        #: whether a wavefront schedule may run the nest: its trace and
-        #: counts cannot depend on values (:func:`_values_steer`)
-        self.may_wave = False
 
     # -- top level ---------------------------------------------------------
-    def execute(self, loop: Loop) -> Optional[Tuple]:
-        root = _Ctx(1, {}, [])
-        self.folds = _folds(loop)
-        self.may_wave = not self.folds and not _values_steer(loop)
+    def execute(self, loop: Loop, plan: Tuple) -> Optional[Tuple]:
+        self.folds, self.scheduled, self.may_settle = plan
         try:
-            self._exec_loop(loop, root, _Seq())
+            self._pass(loop)
         except _Fallback:
             # a pass that ran accesses out of scalar order computed
             # values the scalar path never sees: the order is the reason
-            code = self._disorder()
+            code = None if self.scheduled else self._disorder()
             if code is not None:
                 raise _Fallback(code) from None
             raise
-        self._schedule()
+        if self.scheduled:
+            self._recompute(self._schedule())
+        else:
+            self._check(loop)
         self._commit()
         if not self.record_trace:
             return None
         return self._assemble_segment()
 
-    # -- schedules ---------------------------------------------------------
-    def _shared(self) -> set:
+    def _pass(self, loop: Loop) -> None:
+        self._exec_loop(loop, _Ctx(1, {}, []), _Seq())
+
+    # -- conflict test -----------------------------------------------------
+    def _shared(self, reordered: bool = False) -> set:
         """Stored objects, folds aside, whose elements more than one
-        iteration may access: accessed more than once, and not at one
-        injective index vector over all rows of one table."""
+        row may access: not at one injective index vector over all rows
+        of one group, and accessed more than once unless the rows run
+        ``reordered`` (a lone store's repeats then need ordering too)."""
         by_obj: Dict[str, List[_Access]] = {}
         for a in self.accesses:
             by_obj.setdefault(a.obj, []).append(a)
         shared = set()
         for obj, accs in by_obj.items():
-            if (len(accs) < 2 or obj in self.fold_objs
+            if ((len(accs) < 2 and not reordered) or obj in self.fold_objs
                     or not any(a.is_write for a in accs)):
                 continue
             first = accs[0]
-            if all(a.ctx is first.ctx and a.sel is None
+            if all(a.group is first.group and a.sel is None
                    and np.array_equal(a.idx, first.idx) for a in accs) \
-                    and np.unique(first.idx).size == first.idx.size:
+                    and first.group is not None \
+                    and _injective(first.idx):
                 continue
             shared.add(obj)
         return shared
@@ -572,107 +721,181 @@ class _NestRun:
             if obj in stored:
                 if not equal[obj]:
                     return "unequal-vectors"
-                if np.unique(first[obj]).size < first[obj].size:
+                if not _injective(first[obj]):
                     return "repeated-index"
         return "unequal-vectors"
 
-    def _schedule(self) -> None:
+    def _check(self, loop: Loop) -> None:
         """Keep the pass's stored values when it ran every conflicting
-        pair of accesses in scalar order; else recompute them by the
-        widest wavefront schedule that does, or fall back."""
+        pair of accesses in scalar order; else settle them in rounds, or
+        fall back."""
         shared = self._shared()
-        if not shared:
+        failing = self._unordered(shared) if shared else None
+        if failing is None:
             return
+        code = self._disorder_code(failing)
+        if not (self.may_settle and self._settle(loop)):
+            raise _Fallback(code)
+
+    # -- rounds ------------------------------------------------------------
+    def _settle(self, loop: Loop) -> bool:
+        """Run the pass again, each load of a stored object seeing the
+        last store before it of the pass before, until its stores stop
+        changing (then commit them in scalar order) or :data:`_ROUNDS`
+        rounds have run."""
         stored = {a.obj for a in self.accesses if a.is_write}
-        table = self._wave_table(stored)
-        if table is None:
-            failing = self._unordered(shared)
-            if failing is not None:
-                raise _Fallback(self._disorder_code(failing))
-            return
-        order = self._order(stored)
-        if bool(order.tie.all()):
-            return
-        counters = table.counters()
-        for waves, coefs, t in self._waves(counters):
-            if order.wave_ordered(counters, coefs):
-                if waves * _WAVE_WIDTH > table.n:
-                    raise _Fallback("narrow-wavefront")
-                self._recompute(table, t, stored)
-                return
-        raise _Fallback(self._disorder_code(order.failing_objects()))
+        accs = [a for a in self.accesses if a.obj in stored]
+        if len({id(a.ctx) for a in accs}) != 1:
+            return False
+        self.stride = max(a.seq for a in accs) + 1
+        self.width = width = accs[0].ctx.n * self.stride
+        if max(self.state.arrays[obj].size for obj in stored) * width \
+                >= 2 ** 62:
+            return False  # the keys would leave int64
+        for _ in range(_ROUNDS):
+            self.seen = seen = self._stores()
+            self._begin()
+            try:
+                self._pass(loop)
+            except _Fallback:
+                return False
+            stores = self._stores()
+            if all(np.array_equal(stores[obj][0], seen[obj][0])
+                   and stores[obj][1].tobytes() == seen[obj][1].tobytes()
+                   for obj in stored):
+                for obj, (keys, vals) in stores.items():
+                    arr = self.state.arrays[obj].copy()
+                    last = np.ones(len(keys), dtype=bool)
+                    last[:-1] = keys[1:] // width != keys[:-1] // width
+                    arr[keys[last] // width] = vals[last]
+                    self.pending[obj] = arr
+                return True
+        return False
 
-    def _wave_table(self, stored: set) -> Optional[_Ctx]:
-        """The one iteration table that holds every access of every
-        stored object, when the nest's trace and counts cannot depend on
-        values; else None."""
-        if not self.may_wave:
-            return None
-        tables = {id(a.ctx): a.ctx for a in self.accesses
-                  if a.obj in stored}
-        if len(tables) != 1:
-            return None
-        table = next(iter(tables.values()))
-        if table.loop is None:
-            return None
-        return table
+    def _stores(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+        """The pass's stores per object: their (element, position) keys
+        in ascending order, and their values."""
+        out: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        for obj in {a.obj for a in self.accesses if a.is_write}:
+            accs = [a for a in self.accesses if a.is_write and a.obj == obj]
+            keys = np.concatenate([
+                a.idx * self.width + a.rows() * self.stride + a.seq
+                for a in accs])
+            dtype = self.state.arrays[obj].dtype
+            vals = np.concatenate([a.vals.astype(dtype) for a in accs])
+            order = np.argsort(keys, kind="stable")
+            out[obj] = (keys[order], vals[order])
+        return out
 
-    @staticmethod
-    def _waves(counters: List[np.ndarray]):
-        """Wavefront schedules ``t = coefs . counters`` as (wavefronts,
-        coefs, t), fewest wavefronts first."""
-        if len(counters) > _WAVE_DEPTH:
-            return []
-        cands = []
-        for coefs in itertools.product(range(_WAVE_COEF + 1),
-                                       repeat=len(counters)):
-            if math.gcd(*coefs) != 1:
-                continue  # the zero vector, or a multiple of another
-            t = sum(c * k for c, k in zip(coefs, counters) if c)
-            waves = int(np.count_nonzero(np.bincount(t)))
-            cands.append((waves, coefs, t))
-        cands.sort(key=lambda cand: cand[:2])
-        return cands
+    def _seen(self, obj: str, idx: np.ndarray) -> np.ndarray:
+        """What the last access, a load of ``obj`` at ``idx``, sees of
+        the previous round: the last earlier store to each element, or
+        the committed value."""
+        keys, vals = self.seen[obj]
+        a = self.accesses[-1]
+        want = idx * self.width + a.rows() * self.stride + a.seq
+        q = np.searchsorted(keys, want) - 1
+        out = self.state.arrays[obj][idx]
+        hit = q >= 0
+        hit[hit] = keys[q[hit]] // self.width == idx[hit]
+        out[hit] = vals[q[hit]]
+        return out
 
-    def _recompute(self, table: _Ctx, t: np.ndarray, stored: set) -> None:
-        """Recompute the stored values from the committed arrays,
-        wavefront by wavefront: each wavefront runs the table's
-        statements in body order over its rows in row order. The trace
-        and counts of the full pass stand."""
-        order = np.argsort(t, kind="stable")
-        sizes = np.bincount(t)
-        cuts = np.concatenate(([0], np.cumsum(sizes[sizes > 0]))).tolist()
-        # index vectors, loop vars and inherited temps in wavefront order
-        idx = {id(a.node): a.idx[order] for a in self.accesses
-               if a.ctx is table}
-        env = {name: (v[order] if isinstance(v, np.ndarray) else v, f)
-               for name, (v, f) in table.env0.items()}
+    # -- schedules ---------------------------------------------------------
+    def _schedule(self) -> List[np.ndarray]:
+        """Each group's wavefront per row. A pass whose conflicting pairs
+        all run in order statement at a time needs one wavefront; when
+        one group holds every pair, Lamport's hyperplane orders it; else
+        each row takes its earliest wavefront. Either schedule is then
+        checked on every pair."""
+        groups = self.groups
+        base = np.cumsum([0] + [g.ctx.n for g in groups]).tolist()
+        t = np.zeros(base[-1], dtype=np.int64)
+        shared = self._shared(reordered=True)
+        order = self._order(shared) if shared else None
+        if order is not None and not bool(order.tie.all()):
+            gap = ~order.tie
+            first = {id(g): b for g, b in zip(groups, base)}
+            paired = {id(a.group) for a in order.accs}
+            held = [g for g in groups if id(g) in paired]
+            if len(held) == 1:
+                # the rows of the one group are the pairs' nodes
+                lo = first[id(held[0])]
+                t_held = t[lo:lo + held[0].ctx.n]
+                t_held[:] = _hyperplane(held[0].ctx.counters(),
+                                        order.row_b, order.row_a, gap)
+                before, after = order.row_b, order.row_a
+            else:
+                rec_base = np.array([first[id(a.group)] for a in order.accs],
+                                    dtype=np.int64)
+                before = rec_base[order.rec_b] + order.row_b
+                after = rec_base[order.rec_a] + order.row_a
+                t = t_held = _longest_paths(base[-1], before, after, gap)
+            late = t_held[after]
+            late -= t_held[before]
+            if not bool((late >= gap).all()):
+                raise _Fallback(self._disorder_code(order.failing_objects()))
+        return [t[b:e] for b, e in zip(base[:-1], base[1:])]
+
+    def _recompute(self, times: List[np.ndarray]) -> None:
+        """Compute the stored values from the committed arrays,
+        wavefront by wavefront: each wavefront runs the groups that
+        store, in pass order, each over its rows of that wavefront in
+        row order. The trace and counts of the full pass stand."""
         arrays = self.state.arrays
-        work = {obj: arrays[obj].copy() for obj in stored}
-        span = [0, 0]  # the current wavefront's rows
-        local: Dict[str, Tuple[object, bool]] = {}
-        assigned: set = set()
+        work = {obj: arrays[obj].copy()
+                for obj in {a.obj for a in self.accesses if a.is_write}}
+        waves = np.flatnonzero(np.bincount(
+            np.concatenate(times + [np.empty(0, dtype=np.int64)])))
+        runs = []
+        for group, t in zip(self.groups, times):
+            if not any(isinstance(s, Store) for s in group.stmts):
+                continue
+            order = np.argsort(t, kind="stable")
+            cuts = np.searchsorted(t[order], waves).tolist() + [len(t)]
+            span = [0, 0]
+            runs.append((cuts, span, self._steps(group, order, span, work)))
+        for k in range(len(waves)):
+            for cuts, span, steps in runs:
+                span[0], span[1] = cuts[k], cuts[k + 1]
+                if span[0] < span[1]:
+                    for step in steps:
+                        step()
+        self.pending.update(work)
+
+    def _steps(self, group: _Group, order: np.ndarray, span: List[int],
+               work: Dict[str, np.ndarray]) -> list:
+        """One closure per statement of ``group``, running it over the
+        rows ``order[span[0]:span[1]]``. Each expression compiles to a
+        closure of its value and its static type (the type the pass
+        found); a float ``+ - *`` of floats skips :meth:`_binop`'s
+        dispatch, whose float path is that one operator."""
+        idx = {id(a.node): a.idx[order] for a in self.accesses
+               if a.group is group}
+        arrays = self.state.arrays
+        local: Dict[str, object] = {}
+        types: Dict[str, bool] = {}
         binop, unop = self._binop, self._unop
 
         def compile_(expr: Expr):
             kind = expr.__class__
-            if kind is Const or kind is Scalar or (
-                    kind in (LoopVar, Temp) and expr.name not in assigned
-                    and not isinstance(env[expr.name][0], np.ndarray)):
-                if kind is Const:
-                    got = (expr.value, isinstance(expr.value, float))
-                elif kind is Scalar:
-                    v = self.state.scalars[expr.name]
-                    got = (v, isinstance(v, float))
-                else:
-                    got = env[expr.name]
-                return lambda: got
             if kind is LoopVar or kind is Temp:
                 name = expr.name
-                if name in assigned:
-                    return lambda: local[name]
-                vec, f = env[name]
-                return lambda: (vec[span[0]:span[1]], f)
+                if name in types:
+                    return (lambda: local[name]), types[name]
+                vec, f = group.env[name]
+                if vec is None:
+                    # a temp loaded in another group: its value would
+                    # depend on that group's wavefront
+                    raise _Fallback("unsupported")
+                if isinstance(vec, np.ndarray):
+                    vec = vec[order]
+                    return (lambda: vec[span[0]:span[1]]), f
+                return (lambda: vec), f
+            if kind is Const or kind is Scalar:
+                v = expr.value if kind is Const \
+                    else self.state.scalars[expr.name]
+                return (lambda: v), isinstance(v, float)
             if kind is Load:
                 ix = idx[id(expr)]
                 arr = work.get(expr.obj)
@@ -680,20 +903,25 @@ class _NestRun:
                     arr = arrays[expr.obj]
                 f = arr.dtype.kind == "f"
                 wide = np.float64 if f else np.int64
-                return lambda: (arr[ix[span[0]:span[1]]].astype(
-                    wide, copy=False), f)
+                return (lambda: arr[ix[span[0]:span[1]]].astype(
+                    wide, copy=False)), f
             if kind is BinOp:
-                lhs, rhs, op = compile_(expr.lhs), compile_(expr.rhs), \
-                    expr.op
-                return lambda: binop(op, *lhs(), *rhs())
-            operand, op = compile_(expr.operand), expr.op
-            return lambda: unop(op, *operand())
+                (lhs, lf), (rhs, rf), op = compile_(expr.lhs), \
+                    compile_(expr.rhs), expr.op
+                if lf and rf and op in _FLOAT_ARITH:
+                    fn = _FLOAT_ARITH[op]
+                    return (lambda: fn(lhs(), rhs())), True
+                return (lambda: binop(op, lhs(), lf, rhs(), rf)[0]), \
+                    self._binop_type(op, lf, rf)
+            (operand, f), op = compile_(expr.operand), expr.op
+            return (lambda: unop(op, operand(), f)[0]), \
+                unop(op, None, f)[1]
 
         def compile_stmt(stmt: Stmt):
-            value = compile_(stmt.value)
+            value, vf = compile_(stmt.value)
             if isinstance(stmt, Assign):
-                assigned.add(stmt.name)
                 name = stmt.name
+                types[name] = vf
 
                 def assign() -> None:
                     local[name] = value()
@@ -701,18 +929,12 @@ class _NestRun:
             ix, arr = idx[id(stmt)], work[stmt.obj]
 
             def store() -> None:
-                vals, vf = value()
-                vals = self._materialize(vals, vf, span[1] - span[0])
+                vals = self._materialize(value(), vf, span[1] - span[0])
                 self._guard_store_cast(arr.dtype, vals, vf)
                 arr[ix[span[0]:span[1]]] = vals
             return store
 
-        steps = [compile_stmt(s) for s in table.loop.body
-                 if not isinstance(s, Loop)]
-        for span[0], span[1] in zip(cuts[:-1], cuts[1:]):
-            for step in steps:
-                step()
-        self.pending.update(work)
+        return [compile_stmt(s) for s in group.stmts]
 
     # -- loops -------------------------------------------------------------
     def _exec_loop(self, loop: Loop, ctx: _Ctx, seq: _Seq) -> None:
@@ -720,6 +942,7 @@ class _NestRun:
             # the enclosing loop never iterates: the scalar interpreter
             # never invokes this one (no bound evals, no map entries)
             return
+        self.group = None
         lo = self._index_vec(*self._eval(loop.lower, ctx, None, seq), ctx.n)
         up = self._index_vec(*self._eval(loop.upper, ctx, None, seq), ctx.n)
         step = loop.step
@@ -758,15 +981,22 @@ class _NestRun:
         prefix = [c[parent_idx] for c in ctx.prefix]
         prefix.append(parent_idx)
         prefix.append(np.full(n_c, s_loop, dtype=np.int64))
-        # only a wavefront schedule reads the counters
-        child = _Ctx(n_c, env, prefix, loop, ctx,
-                     *((parent_idx, offs) if self.may_wave else ()))
+        # only a schedule reads the counters
+        child = _Ctx(n_c, env, prefix, ctx,
+                     *((parent_idx, offs) if self.scheduled else ()))
         child_seq = _Seq()
+        group = None
         for stmt in loop.body:
             if isinstance(stmt, Loop):
                 self._exec_loop(stmt, child, child_seq)
-            else:
-                self._exec_stmt(stmt, child, None, child_seq)
+                group = None
+                continue
+            if group is None:
+                group = _Group(child)
+                self.groups.append(group)
+            group.stmts.append(stmt)
+            self.group = group
+            self._exec_stmt(stmt, child, None, child_seq)
 
     # -- statements --------------------------------------------------------
     def _exec_stmt(self, stmt: Stmt, ctx: _Ctx,
@@ -817,15 +1047,19 @@ class _NestRun:
             if not np.array_equal(load.idx, idx):
                 raise _Fallback("unequal-vectors")
             self.fold_objs.add(stmt.obj)
-        if stmt.obj not in self.pending:
-            arr = self.pending[stmt.obj] = arr.copy()
-        if x_left is None:
+        if self.scheduled:
+            pass  # the wavefronts compute the stored values
+        elif x_left is None:
+            if stmt.obj not in self.pending:
+                arr = self.pending[stmt.obj] = arr.copy()
             vals = self._materialize(value, vf, m)
             self._guard_store_cast(arr.dtype, vals, vf)
             # duplicate scatter indices: numpy assigns in order, last
             # wins — the same winner the scalar per-iteration order picks
             arr[idx] = vals
         else:
+            if stmt.obj not in self.pending:
+                arr = self.pending[stmt.obj] = arr.copy()
             self._fold(arr, idx, stmt.value.op, x_left, r, rf)
         self.counts.stores += m
         if m:  # the scalar path creates per-object entries lazily
@@ -833,6 +1067,8 @@ class _NestRun:
                 self.obj_accesses.get(stmt.obj, 0) + m
             )
         self._emit(stmt, ctx, sel, seq, stmt.obj, idx, True)
+        if self.may_settle:
+            self.accesses[-1].vals = vals
 
     def _guard_store_cast(self, dtype: np.dtype, vals: np.ndarray,
                           is_float: bool) -> None:
@@ -918,7 +1154,12 @@ class _NestRun:
                 self.obj_accesses.get(expr.obj, 0) + m
             )
         self._emit(expr, ctx, sel, seq, expr.obj, idx, False)
-        vals = arr[idx]
+        if self.scheduled:
+            return None, arr.dtype.kind == "f"
+        if self.seen is not None and expr.obj in self.seen:
+            vals = self._seen(expr.obj, idx)
+        else:
+            vals = arr[idx]
         if arr.dtype.kind == "f":
             # .item() widens to python float == float64; exact upcast
             return vals.astype(np.float64), True
@@ -956,6 +1197,9 @@ class _NestRun:
 
     # -- operator semantics ------------------------------------------------
     def _binop(self, op: str, lhs, lf: bool, rhs, rf: bool):
+        if lhs is None or rhs is None:
+            # a scheduled pass: the wavefronts compute the value
+            return None, self._binop_type(op, lf, rf)
         if not isinstance(lhs, np.ndarray) and not isinstance(rhs,
                                                               np.ndarray):
             # two runtime constants: defer to the exact scalar kernel
@@ -1058,7 +1302,36 @@ class _NestRun:
             return fn(l, r), False
         raise _Fallback("unsupported")
 
+    @staticmethod
+    def _binop_type(op: str, lf: bool, rf: bool) -> bool:
+        """Whether ``lhs op rhs`` is a float, as :meth:`_binop` decides
+        it from its operands' types alone."""
+        if op in ("+", "-", "*", "/", "%"):
+            return lf or rf
+        if op in ("min", "max"):
+            if lf != rf:
+                raise _Fallback("float-semantics")
+            return lf
+        if op in ("==", "!=", "<", "<=", ">", ">="):
+            return False
+        if op in ("&", "|", "^", "<<", ">>"):
+            if lf or rf:
+                raise _Fallback("float-semantics")
+            return False
+        raise _Fallback("unsupported")
+
     def _unop(self, op: str, val, vf: bool):
+        if val is None:
+            # a scheduled pass: the wavefronts compute the value
+            if op in ("-", "abs"):
+                return None, vf
+            if op == "sqrt":
+                return None, True
+            if op in ("floor", "not"):
+                return None, False
+            if op in ("exp", "log"):
+                raise _Fallback("float-semantics")
+            raise _Fallback("unsupported")
         if not isinstance(val, np.ndarray):
             try:
                 res = _apply_unop(op, val)
@@ -1188,8 +1461,6 @@ class _NestRun:
         rank = pos - np.maximum.accumulate(np.where(head, pos, 0))
         per_step = np.bincount(rank)
         steps = len(per_step)
-        if steps > 1 and steps * _FOLD_WIDTH > m:
-            raise _Fallback("narrow-fold")
         # iterations grouped by step, each step's in sorted element order
         by_step = order[np.argsort(rank, kind="stable")]
         elems = idx[by_step]
@@ -1215,8 +1486,8 @@ class _NestRun:
     def _emit(self, node, ctx: _Ctx, sel: Optional[np.ndarray],
               seq: _Seq, obj: str, idx: np.ndarray,
               is_write: bool) -> None:
-        self.accesses.append(
-            _Access(node, obj, idx, is_write, ctx, sel, seq.next()))
+        self.accesses.append(_Access(node, obj, idx, is_write, ctx, sel,
+                                     seq.next(), self.group))
 
     def _assemble_segment(self) -> Optional[Tuple]:
         """Interleave per-site accesses into program-order columns."""
@@ -1225,30 +1496,33 @@ class _NestRun:
             return None
         names = sorted({a.obj for a in accs})
         name_id = {n: i for i, n in enumerate(names)}
+        if all(a.ctx is accs[0].ctx and a.sel is None for a in accs):
+            # the common shape: every access site covers the same full
+            # table, so program order is row after row of the sites
+            rows = accs[0].ctx.n
+            return (
+                np.tile(np.array([self.site_ids[id(a.node)] for a in accs],
+                                 dtype=np.int32), rows),
+                np.tile(np.array([name_id[a.obj] for a in accs],
+                                 dtype=np.int16), rows),
+                np.stack([a.idx for a in accs], axis=1).ravel(),
+                np.tile(np.array([a.is_write for a in accs], dtype=bool),
+                        rows),
+                tuple(names))
         total = sum(len(a.idx) for a in accs)
         site = np.empty(total, dtype=np.int32)
         obj = np.empty(total, dtype=np.int16)
         idx = np.empty(total, dtype=np.int64)
         w = np.empty(total, dtype=bool)
-        k = len(accs)
-        if all(a.ctx is accs[0].ctx and a.sel is None for a in accs):
-            # the common shape: every access site covers the same full
-            # table, so program order is a strided interleave
-            for j, a in enumerate(accs):
-                site[j::k] = self.site_ids[id(a.node)]
-                obj[j::k] = name_id[a.obj]
-                idx[j::k] = a.idx
-                w[j::k] = a.is_write
-            return site, obj, idx, w, tuple(names)
-        order = _program_order(accs)
-        np.concatenate([np.full(len(a.idx), self.site_ids[id(a.node)],
-                                dtype=np.int32) for a in accs], out=site)
-        np.concatenate([np.full(len(a.idx), name_id[a.obj],
-                                dtype=np.int16) for a in accs], out=obj)
-        np.concatenate([a.idx for a in accs], out=idx)
-        np.concatenate([np.full(len(a.idx), a.is_write, dtype=bool)
-                        for a in accs], out=w)
-        return site[order], obj[order], idx[order], w[order], tuple(names)
+        if any(a.rank is None for a in accs):
+            _rank(accs)
+        for a in accs:
+            at = a.rank
+            site[at] = self.site_ids[id(a.node)]
+            obj[at] = name_id[a.obj]
+            idx[at] = a.idx
+            w[at] = a.is_write
+        return site, obj, idx, w, tuple(names)
 
     # -- commit ------------------------------------------------------------
     def _commit(self) -> None:
@@ -1277,15 +1551,31 @@ class VecInterpreter:
 
     def __init__(self, record_trace: bool = False):
         self.record_trace = record_trace
-        #: nests executed vectorized vs. by the scalar fallback (telemetry
-        #: for tests and the bench harness; not part of the result);
-        #: ``jit_nests`` counts the subset of fallbacks that ran through
-        #: the specialized per-nest compiler instead of the tree walker
+        #: nests executed vectorized vs. by the tree walker (telemetry
+        #: for tests and the bench harness; not part of the result)
         self.vectorized_nests = 0
         self.fallback_nests = 0
-        self.jit_nests = 0
         #: fallback nests per reason code (:data:`FALLBACK_CODES`)
         self.fallback_reasons: Dict[str, int] = {}
+        #: per kernel and per nest, by id: the object, which the entry
+        #: keeps alive so that its id is not reused, and what its calls
+        #: share: site ids, innermost loop ids and innermost loops, or
+        #: the nest's :func:`_plan`
+        self._known: Dict[int, Tuple] = {}
+
+    def _kernel_ids(self, kernel: Kernel) -> Tuple:
+        entry = self._known.get(id(kernel))
+        if entry is None:
+            entry = self._known[id(kernel)] = (
+                kernel, kernel.site_ids(), kernel.innermost_loop_ids(),
+                {id(l) for l in kernel.innermost_loops()})
+        return entry[1:]
+
+    def _plan(self, loop: Loop) -> Tuple:
+        entry = self._known.get(id(loop))
+        if entry is None:
+            entry = self._known[id(loop)] = (loop, _plan(loop))
+        return entry[1]
 
     def run(self, kernel: Kernel,
             arrays: Dict[str, np.ndarray],
@@ -1298,8 +1588,7 @@ class VecInterpreter:
         env_scalars = dict(kernel.scalars)
         if scalars:
             env_scalars.update(scalars)
-        site_ids = kernel.site_ids()
-        loop_ids = kernel.innermost_loop_ids()
+        site_ids, loop_ids, innermost = self._kernel_ids(kernel)
         scalar._site_ids = site_ids
         scalar._loop_ids = loop_ids
         state = _State(
@@ -1307,33 +1596,26 @@ class VecInterpreter:
             scalars=env_scalars,
             trace=[] if self.record_trace else None,
         )
-        innermost = {id(l) for l in kernel.innermost_loops()}
         # one (site, obj, idx, is_write, names) column segment per nest
         # that recorded accesses, in program order
         segments: List[Tuple] = []
-        # the vector path and nestjit reason per object name: names that
-        # share memory leave every nest to the tree walker
+        # the vector path reasons per object name: names that share
+        # memory leave every nest to the tree walker
         aliased = self._aliased([arrays[name] for name in kernel.objects])
-        for nest_index, loop in enumerate(kernel.loops):
+        for loop in kernel.loops:
             nest = _NestRun(state, site_ids, loop_ids, innermost,
                             self.record_trace)
             try:
                 if aliased:
                     raise _Fallback("aliased")
-                seg = nest.execute(loop)
+                seg = nest.execute(loop, self._plan(loop))
             except _Fallback as exc:
                 self.fallback_nests += 1
                 self.fallback_reasons[exc.code] = (
                     self.fallback_reasons.get(exc.code, 0) + 1
                 )
-                jit = None if aliased else nestjit.compiled_nest(
-                    kernel, nest_index, state, self.record_trace)
-                if jit is not None:
-                    self.jit_nests += 1
-                    seg = jit.execute(state)
-                else:
-                    scalar._run_loop(loop, state, {}, innermost)
-                    seg = self._take_records(state)
+                scalar._run_loop(loop, state, {}, innermost)
+                seg = self._take_records(state)
             else:
                 self.vectorized_nests += 1
             if seg is not None:

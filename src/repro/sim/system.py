@@ -228,7 +228,6 @@ class SystemSimulator:
         if isinstance(interp, VecInterpreter):
             # how each loop nest ran, and why it left the vector path
             OBS.inc("interp.vec_nests", interp.vectorized_nests)
-            OBS.inc("interp.jit_nests", interp.jit_nests)
             for code, n in interp.fallback_reasons.items():
                 OBS.inc(f"interp.fallback.{code}", n)
         workload, scale = key or (instance.name, "")  # never cached

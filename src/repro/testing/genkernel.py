@@ -10,10 +10,13 @@ indexing, ``When``-guarded stores over data-dependent predicates,
 indirect gather/scatter accesses, loop-carried reductions, in-place
 folds through repeated indices (``out[idx[i]] op= f(in[i])``, the
 pagerank scatter), in-place 2-D recurrences (``A[i, j] = f(A[i + a,
-j + b], ...)``, the Seidel/ADI/NW shape), multi-kernel workloads
-chained through a shared intermediate object, large-magnitude INT64
-division (operands beyond float64's exact-integer range), and
-degenerate loop bounds (zero-trip and statically-dead nests).
+j + b], ...)``, the Seidel/ADI/NW shape), cholesky's imperfect in-place
+nest (an inner loop, then a statement after it on the same object),
+BFS's guarded in-place update (guards that read the object the nest
+stores), multi-kernel workloads chained through a shared intermediate
+object, large-magnitude INT64 division (operands beyond float64's
+exact-integer range), and degenerate loop bounds (zero-trip and
+statically-dead nests).
 
 Every emitted case is *well-formed by construction*: it passes the
 static verifier with no ERROR findings and interprets without dynamic
@@ -64,6 +67,8 @@ SHAPES = (
     "degenerate",
     "scatter_add",
     "recurrence",
+    "imperfect",
+    "guarded_inplace",
 )
 
 #: value-combining ops safe on arbitrary float data (no div-by-zero,
@@ -562,8 +567,8 @@ def _scatter_add(rng: random.Random, seed: int) -> GeneratedCase:
     ``out[idx[i]] = out[idx[i]] op f(in0[i])``.
 
     One or two target elements give a fold with a step per iteration or
-    two (the vectorized interpreter leaves it to the fallback); eight or
-    more give a wide one (the vectorized interpreter ranks the repeats).
+    two; eight or more give a wide one. The vectorized interpreter ranks
+    the repeats of either into steps.
     Accumulators are float32, float64 or int32; int32 terms stay small
     (in {-1, 0, 1} under ``*``) so no sum or product leaves int32.
     """
@@ -616,14 +621,13 @@ def _recurrence(rng: random.Random, seed: int) -> GeneratedCase:
     """In-place 2-D recurrence ``A[i, j] = f(A[i + a, j + b], ...)``.
 
     One to three distances from {-1, 0, 1}^2; a quarter of the cases add
-    the pair (-1, 2), (0, -1), which no wavefront ``t = c . (i, j)``
-    with coefficients up to 2 orders. Sometimes a second statement
+    the pair (-1, 2), (0, -1), which only a wavefront ``t = c . (i, j)``
+    with a coefficient of 3 orders. Sometimes a second statement
     ``B[i, j] = g(B[i + a, j + b], A[i + a', j + b'])`` reads the first
     one's output, and sometimes a loop runs downward. Grids of 3 to 24
-    rows and columns put wavefront schedules on both sides of the
-    vectorized interpreter's width rule. Float values are scaled by 0.3
-    per step and int32 values reduced modulo 1009, so nothing leaves
-    range.
+    rows and columns give wavefronts of one row to many. Float values
+    are scaled by 0.3 per step and int32 values reduced modulo 1009, so
+    nothing leaves range.
     """
     rows, cols = rng.randint(3, 24), rng.randint(3, 24)
     margin = 2
@@ -682,6 +686,96 @@ def _recurrence(rng: random.Random, seed: int) -> GeneratedCase:
     )
 
 
+def _imperfect(rng: random.Random, seed: int) -> GeneratedCase:
+    """Cholesky's imperfect in-place nest: an inner loop updates
+    ``A[i, j]`` in place, over ``j`` up to ``i`` or over every column,
+    and a statement after it updates ``A[i, i]`` from elements the inner
+    loop stored; sometimes a statement before it updates the column
+    left of the inner loop's first. Each statement reads up to three
+    elements at distances from {-1, 0, 1}^2 of its own, and an inner
+    statement sometimes the transposed ``A[j, i]``. Float values are
+    scaled by 0.3 per statement and int32 values reduced modulo 1009,
+    as in :func:`_recurrence`.
+    """
+    n = rng.randint(3, 16)
+    margin = 2
+    dtype = rng.choice((FLOAT64, FLOAT32, INT32))
+    size = n + 2 * margin
+    a = MemObject("A", (size, size), dtype)
+
+    def value(terms: List[Expr]) -> Expr:
+        ops = SAFE_OPS if dtype is not INT32 else ("+", "-", "min", "max")
+        expr = terms[0]
+        for term in terms[1:]:
+            expr = BinOp(rng.choice(ops), expr, term)
+        return expr % 1009 if dtype is INT32 else expr * 0.3
+
+    def update(row, col, extra: List[Expr]) -> object:
+        """``A[row, col] = f(A[row, col], neighbours..., extra...)``."""
+        terms = [a[row, col]] + [
+            a[row + rng.randint(-1, 1), col + rng.randint(-1, 1)]
+            for _ in range(rng.randint(0, 2))] + extra
+        return a.store((row, col), value(terms))
+
+    upper = I if rng.random() < 0.6 else n + margin
+    inner = Loop("j", margin, upper, [
+        update(I, J, [a[J, I]] if rng.random() < 0.5 else [])])
+    body: List = [inner, update(I, I, [a[I, I - 1]])]
+    if rng.random() < 0.3:
+        body.insert(0, update(I, margin - 1, []))
+    kernel = Kernel("fz_imperfect", {"A": a}, [
+        Loop("i", margin, n + margin, body)], outputs=["A"])
+    gen = np.random.default_rng(rng.getrandbits(31))
+    if dtype is INT32:
+        data = gen.integers(0, 100, a.num_elements).astype(np.int32)
+    else:
+        data = gen.random(a.num_elements).astype(dtype.numpy_dtype)
+    return GeneratedCase(
+        name=f"imperfect-{seed}", shape="imperfect", seed=seed,
+        kernels=[kernel], calls=[("fz_imperfect", {})],
+        arrays={"A": data}, outputs=["A"],
+    )
+
+
+def _guarded_inplace(rng: random.Random, seed: int) -> GeneratedCase:
+    """BFS's guarded in-place update, whose guards read the object it
+    stores: over drawn edges, ``when L[src[i]] == cur: when L[dst[i]] <
+    0: L[dst[i]] = cur + 1``, one call per level ``cur``. A third of the
+    cases propagate ``L[dst[i]] = L[src[i]] + 1`` under ``L[src[i]] >=
+    0`` in one call instead, where a chain of updates can run as long as
+    the loop.
+    """
+    nodes = rng.randint(6, 32)
+    n = rng.randint(8, 48)
+    objects = {
+        "src": MemObject("src", n, INT32),
+        "dst": MemObject("dst", n, INT32),
+        "L": MemObject("L", nodes, INT32),
+    }
+    src, dst, lvl = objects["src"], objects["dst"], objects["L"]
+    if rng.random() < 2 / 3:
+        cur = Scalar("cur")
+        reached, value = lvl[src[I]].eq(cur), cur + 1
+        calls = [("fz_guarded_inplace", {"cur": c})
+                 for c in range(rng.randint(1, 3))]
+    else:
+        reached, value = lvl[src[I]].ge(0), lvl[src[I]] + 1
+        calls = [("fz_guarded_inplace", {})]
+    loop = Loop("i", 0, n, [When(reached, [
+        When(lvl[dst[I]].lt(0), [lvl.store(dst[I], value)])])])
+    kernel = Kernel("fz_guarded_inplace", objects, [loop],
+                    scalars={"cur": 0}, outputs=["L"])
+    levels = np.full(nodes, -1, dtype=np.int32)
+    levels[0] = 0
+    return GeneratedCase(
+        name=f"guarded_inplace-{seed}", shape="guarded_inplace", seed=seed,
+        kernels=[kernel], calls=calls,
+        arrays={"src": _index_data(rng, n, nodes),
+                "dst": _index_data(rng, n, nodes), "L": levels},
+        outputs=["L"],
+    )
+
+
 _EMITTERS = {
     "elementwise": _elementwise,
     "nested": _nested,
@@ -694,6 +788,8 @@ _EMITTERS = {
     "degenerate": _degenerate,
     "scatter_add": _scatter_add,
     "recurrence": _recurrence,
+    "imperfect": _imperfect,
+    "guarded_inplace": _guarded_inplace,
 }
 
 

@@ -155,30 +155,6 @@ class TestVectorizationCoverage:
         assert vi.vectorized_nests == 1
         assert vi.fallback_nests == 0
 
-    def test_reduction_falls_back(self):
-        # a running sum into one element: a fold with one element per
-        # step stays on the fallback
-        k = self.reduction()
-        arrays = rng_arrays(k)
-        arrays["S"] = np.zeros(1, dtype=np.float64)
-        _, _, vi = run_both(k, arrays)
-        assert vi.vectorized_nests == 0
-        assert vi.fallback_nests == 1
-
-    def test_inplace_stencil_falls_back(self):
-        # a 1-D scan: only one iteration per wavefront orders it, too
-        # narrow for the vector path
-        n = 32
-        A = MemObject("A", n, FLOAT64)
-        i = LoopVar("i")
-        k = Kernel(
-            "scan", {"A": A},
-            [Loop("i", 1, n, [A.store(i, A[i - 1] + A[i])])],
-            outputs=["A"],
-        )
-        _, _, vi = run_both(k, rng_arrays(k))
-        assert vi.fallback_nests == 1
-
     def test_gather_scatter_vectorize(self):
         # indirect addressing is vectorizable: injectivity is a runtime
         # property of the index data, not of the expression shape
@@ -204,34 +180,35 @@ class TestVectorizationCoverage:
         n = 16
         A = MemObject("A", n, FLOAT64)
         B = MemObject("B", n, FLOAT64)
-        S = MemObject("S", 1, FLOAT64)
+        P = MemObject("P", n, INT64)
         i = LoopVar("i")
         j = LoopVar("j")
         k = Kernel(
-            "mixed", {"A": A, "B": B, "S": S},
+            "mixed", {"A": A, "B": B, "P": P},
             [
                 Loop("i", 0, n, [B.store(i, A[i] + 1.0)]),
-                Loop("j", 0, n, [S.store(0, S[0] + B[j])]),
+                # a pointer chase: the load in its own subscript
+                Loop("j", 0, n, [P.store(0, P[P[0]])]),
             ],
-            outputs=["B", "S"],
+            outputs=["B", "P"],
         )
         arrays = rng_arrays(k)
-        arrays["S"] = np.zeros(1, dtype=np.float64)
+        arrays["P"] = np.random.default_rng(1).permutation(n)
         _, _, vi = run_both(k, arrays)
         assert vi.vectorized_nests == 1
         assert vi.fallback_nests == 1
 
     def test_three_trace_origins_merge_in_program_order(self):
-        # one nest per trace origin: vectorized columns, nestjit's
-        # site/index columns, and the tree walker's records (nestjit
-        # declines the non-finite constant). Objects are first used in
-        # the reverse of their sorted order (Z, R, T, M), so every
-        # segment's local object ids must be remapped to merge
-        k = three_origins_kernel()
-        _, _, vi = run_both(k, rng_arrays(k))
-        assert vi.vectorized_nests == 1
-        assert vi.fallback_nests == 2
-        assert vi.jit_nests == 1
+        # one nest per trace origin: vectorized columns of full tables,
+        # vectorized columns placed by program-order rank (a guarded
+        # fold), and the tree walker's records (a pointer chase).
+        # Objects are first used in the reverse of their sorted order
+        # (Z, R, T, M), so every segment's local object ids must be
+        # remapped to merge
+        k = origins_kernel()
+        _, _, vi = run_both(k, origins_arrays(k))
+        assert vi.vectorized_nests == 2
+        assert vi.fallback_nests == 1
 
     def test_guarded_and_nested_identity(self):
         n = 12
@@ -267,6 +244,10 @@ class TestVectorizationCoverage:
                 Loop("i", 0, n, [Loop("j", i, 2, [
                     B.store(j, A[j] + 1.0)
                 ])]),
+                # a nest that would run by a schedule, with no group
+                Loop("i", 5, 5, [Loop("j", 0, 3, [
+                    A.store(j, A[j] + 1.0)
+                ])]),
             ],
             outputs=["B"],
         )
@@ -287,23 +268,29 @@ class TestVectorizationCoverage:
         run_both(k, rng_arrays(k))
 
 
-def three_origins_kernel(n=16):
+def origins_kernel(n=16):
     Z = MemObject("Z", n, FLOAT64)
     R = MemObject("R", n, FLOAT64)
     T = MemObject("T", 1, FLOAT64)
-    M = MemObject("M", 1, FLOAT64)
+    M = MemObject("M", n, INT64)
     i, j, m = LoopVar("i"), LoopVar("j"), LoopVar("m")
     return Kernel(
         "origins", {"Z": Z, "R": R, "T": T, "M": M},
         [
             Loop("i", 0, n, [R.store(i, Z[i] * 2.0)]),
-            Loop("j", 0, n, [T.store(0, T[0] + R[j] * Z[j])]),
-            Loop("m", 0, n, [
-                M.store(0, M[0].min(R[m]).min(Const(float("inf")))),
-            ]),
+            Loop("j", 0, n, [When(Z[j].gt(0.3), [
+                T.store(0, T[0] + R[j] * Z[j])])]),
+            # a pointer chase through M, which no schedule orders
+            Loop("m", 0, n, [M.store(0, M[M[0]])]),
         ],
         outputs=["R", "T", "M"],
     )
+
+
+def origins_arrays(kernel):
+    arrays = rng_arrays(kernel)
+    arrays["M"] = np.random.default_rng(2).permutation(len(arrays["M"]))
+    return arrays
 
 
 def scatter_fold(op, x_dtype, n, elems, x_left=True, seed=0):
@@ -324,9 +311,9 @@ def scatter_fold(op, x_dtype, n, elems, x_left=True, seed=0):
 
 
 class TestInPlaceFolds:
-    """``X[e] = X[e] op r`` with repeated ``e`` runs on the vector path,
-    bit-identical to the tree walker, when it has enough elements per
-    step; every other shape that repeats a stored index falls back."""
+    """``X[e] = X[e] op r`` with repeated ``e`` runs on the vector path
+    step by step, bit-identical to the tree walker; another shape that
+    repeats a stored index runs by a schedule or falls back."""
 
     def test_indirect_float32_scatter_add(self):
         k, arrays = scatter_fold("+", FLOAT32, 200, 16)
@@ -439,7 +426,9 @@ class TestInPlaceFolds:
             ]),
         ], outputs=["mean"])
         _, _, vi = run_both(k, rng_arrays(k))
-        assert vi.fallback_reasons == {"repeated-index": 1}
+        # it runs by a schedule instead: each step of the sum, then the
+        # rescale after the last
+        assert vi.vectorized_nests == 1
 
     def test_x_inside_its_own_index_does_not_fold(self):
         n = 32
@@ -479,14 +468,15 @@ class TestInPlaceFolds:
         assert folds <= vectorized
 
 
-    def test_generated_folds_reach_both_sides_of_the_width_rule(self):
-        # the scatter_add cases test_identity_per_shape draws
+    def test_generated_folds_vectorize(self):
+        # the scatter_add cases test_identity_per_shape draws, one with
+        # a step per iteration or two among them
         sides = set()
         for seed in range(3):
             case = generate_case(1000 * seed + 17, "scatter_add")
             _, _, vi = run_both(case.kernel("fz_scatter_add"), case.arrays)
             sides.add(tuple(vi.fallback_reasons) or "vector")
-        assert sides == {"vector", ("narrow-fold",)}
+        assert sides == {"vector"}
 
 
 def unordered_recurrence(n):
@@ -502,28 +492,34 @@ def unordered_recurrence(n):
 
 @pytest.fixture
 def wavefronts(monkeypatch):
-    """The wavefront count of every nest recomputed by wavefronts."""
+    """The wavefront count of every nest that runs by a schedule."""
     counts = []
     recompute = vecinterp._NestRun._recompute
 
-    def spy(self, table, t, stored):
-        counts.append(int(np.count_nonzero(np.bincount(t))))
-        return recompute(self, table, t, stored)
+    def spy(self, times):
+        counts.append(len(np.unique(np.concatenate(times))))
+        return recompute(self, times)
 
     monkeypatch.setattr(vecinterp._NestRun, "_recompute", spy)
     return counts
 
 
 class TestWavefronts:
-    """In-place recurrences run on the vector path by wavefronts,
-    bit-identical to the tree walker, when a wide enough schedule
-    orders them; guarded and unordered ones fall back."""
+    """In-place recurrences run on the vector path by wavefronts derived
+    from their conflict pairs, bit-identical to the tree walker; a
+    guarded one whose rounds do not settle falls back."""
 
     @pytest.mark.parametrize("name,kwargs,kernel,waved", [
         ("adi", {"n": 40}, "adi", True),
         ("sei", {"n": 64}, "seidel2d", True),
         ("nw", {"n": 40}, "nw", True),
         ("dis", {"n": 24}, "disp_select", False),
+        # cholesky's four groups, each at its earliest wavefront
+        ("cho", {"n": 13}, "cholesky", True),
+        # the sum step by step, then the rescale after its last step
+        ("pca", {"n": 40, "d": 6}, "pca_mean", True),
+        # guards that read the stored level: rounds, no wavefronts
+        ("bfs", {"num_nodes": 300}, "bfs_level", False),
     ])
     def test_workload_recurrences(self, wavefronts, name, kwargs, kernel,
                                   waved):
@@ -545,6 +541,30 @@ class TestWavefronts:
                                           inst_v.arrays[key])
         assert seen
         assert bool(wavefronts) == waved
+
+    def test_cholesky_runs_at_its_earliest_wavefronts(self, monkeypatch):
+        # k-body at k + 2, j-tail at j + 1, diagonal body at k2 + 1 and
+        # square root at i: n wavefronts
+        groups = []
+        recompute = vecinterp._NestRun._recompute
+
+        def spy(self, times):
+            for group, t in zip(self.groups, times):
+                counters = group.ctx.counters()
+                groups.append((t, counters))
+            return recompute(self, times)
+
+        monkeypatch.setattr(vecinterp._NestRun, "_recompute", spy)
+        n = 20
+        inst = ALL_WORKLOADS["cho"].build("tiny", n=n)
+        call = next(iter(inst.calls()))
+        run_both(call.kernel, inst.arrays, call.scalars)
+        want = [lambda i, j, k: k + 2, lambda i, j: j + 1,
+                lambda i, k2: k2 + 1, lambda i: i]
+        assert len(groups) == len(want)
+        for (t, counters), rule in zip(groups, want):
+            np.testing.assert_array_equal(t, rule(*counters))
+        assert len(np.unique(np.concatenate([t for t, _ in groups]))) == n
 
     def test_negative_step_recurrence(self, wavefronts):
         # ADI's backward substitution: j runs down, reading j + 1
@@ -618,11 +638,13 @@ class TestWavefronts:
         assert vi.fallback_reasons == {"unequal-vectors": 1}
         assert wavefronts == []
 
-    def test_unordered_distances_fall_back(self, wavefronts):
-        k = unordered_recurrence(40)
+    def test_unordered_distances_run_by_wavefronts(self, wavefronts):
+        # distances (1, -2) and (0, 1): Lamport's hyperplane t = 3i + j
+        n = 40
+        k = unordered_recurrence(n)
         _, _, vi = run_both(k, rng_arrays(k))
-        assert vi.fallback_reasons == {"unequal-vectors": 1}
-        assert wavefronts == []
+        assert vi.vectorized_nests == 1
+        assert wavefronts == [4 * n - 9]
 
     def test_anti_dependence_runs_by_wavefronts(self, wavefronts):
         # iteration (i, j) reads A[i, j + 1] before (i, j + 1) stores
@@ -676,9 +698,9 @@ class TestWavefronts:
                                     for obj, off in offsets.items()})
         assert err.value.code == "unsupported"
 
-    def test_generated_recurrences_reach_the_wavefronts_and_the_fallback(
-            self, wavefronts):
-        # the recurrence cases test_identity_per_shape draws
+    def test_generated_recurrences_run_by_wavefronts(self, wavefronts):
+        # the recurrence cases test_identity_per_shape draws, one with
+        # the distances that no coefficient up to 2 orders among them
         paths = []
         for seed in range(3):
             case = generate_case(1000 * seed + 17, "recurrence")
@@ -686,11 +708,11 @@ class TestWavefronts:
             _, _, vi = run_both(case.kernel("fz_recurrence"), case.arrays)
             paths.append("wavefronts" if wavefronts
                          else tuple(vi.fallback_reasons))
-        assert set(paths) == {"wavefronts", ("unequal-vectors",)}
+        assert set(paths) == {"wavefronts"}
 
     def test_one_segment_merge_equals_general_path(self, monkeypatch):
-        # a vectorized, a nestjit and a tree-walker segment, each merged
-        # alone and merged with an empty segment (the general path)
+        # the three origins' segments, each merged alone and merged
+        # with an empty segment (the general path)
         segments = []
         merge = VecInterpreter._merge_trace
 
@@ -700,10 +722,9 @@ class TestWavefronts:
 
         monkeypatch.setattr(VecInterpreter, "_merge_trace",
                             staticmethod(spy))
-        k = three_origins_kernel()
-        _, _, vi = run_both(k, rng_arrays(k))
-        assert (vi.vectorized_nests, vi.jit_nests, vi.fallback_nests) == (
-            1, 1, 2)
+        k = origins_kernel()
+        _, _, vi = run_both(k, origins_arrays(k))
+        assert (vi.vectorized_nests, vi.fallback_nests) == (2, 1)
         empty = (np.empty(0, np.int32), np.empty(0, np.int16),
                  np.empty(0, np.int64), np.empty(0, bool), ())
         assert len(segments) == 3
@@ -743,21 +764,40 @@ class TestFallbackReasons:
         arrays["D"] = (np.arange(n) % 4).astype(np.int32)
         assert self.reasons(k, arrays) == {"repeated-index": 1}
 
-    def test_unequal_vectors(self):
-        # distances (1, -2) and (0, 1) between iterations: no wavefront
-        # t = c . (i, j) with coefficients up to 2 orders both
-        k = unordered_recurrence(24)
-        assert self.reasons(k, rng_arrays(k)) == {"unequal-vectors": 1}
+    def test_narrow_fold(self):
+        # a running sum into one element, a step per iteration: no code,
+        # the narrow fold runs on the vector path
+        k = TestVectorizationCoverage().reduction()
+        arrays = rng_arrays(k)
+        arrays["S"] = np.zeros(1, dtype=np.float64)
+        assert self.reasons(k, arrays) == {}
 
-    def test_narrow_wavefront(self):
-        # a 1-D scan: ordered only by one iteration per wavefront
+    def test_narrow_wavefront(self, wavefronts):
+        # a 1-D scan, one iteration per wavefront: no code, the narrow
+        # schedule runs on the vector path
         n = 32
         A = MemObject("A", n, FLOAT64)
         i = LoopVar("i")
         k = Kernel("scan", {"A": A},
                    [Loop("i", 1, n, [A.store(i, A[i - 1] + A[i])])],
                    outputs=["A"])
-        assert self.reasons(k, rng_arrays(k)) == {"narrow-wavefront": 1}
+        assert self.reasons(k, rng_arrays(k)) == {}
+        assert wavefronts == [n - 1]
+
+    def test_unequal_vectors(self):
+        # A read through an index array at the iteration's own element:
+        # loads in subscripts leave no schedule
+        n = 24
+        D = MemObject("D", n, INT32)
+        A = MemObject("A", n, FLOAT64)
+        i = LoopVar("i")
+        k = Kernel("gather", {"D": D, "A": A},
+                   [Loop("i", 0, n, [A.store(D[i], A[D[i]] + A[i])])],
+                   outputs=["A"])
+        arrays = rng_arrays(k)
+        arrays["D"] = np.random.default_rng(2).integers(
+            0, 6, n).astype(np.int32)
+        assert self.reasons(k, arrays) == {"unequal-vectors": 1}
 
     def test_aliased(self):
         # two names over one array: the vector path would read A from
@@ -780,13 +820,6 @@ class TestFallbackReasons:
         assert result_sig(outs[0][1]) == result_sig(outs[1][1])
         assert outs[0][1].trace == outs[1][1].trace
         assert interp.fallback_reasons == {"aliased": 1}
-        assert interp.jit_nests == 0
-
-    def test_narrow_fold(self):
-        k = TestVectorizationCoverage().reduction()
-        arrays = rng_arrays(k)
-        arrays["S"] = np.zeros(1, dtype=np.float64)
-        assert self.reasons(k, arrays) == {"narrow-fold": 1}
 
     def test_scalar_error(self, monkeypatch):
         monkeypatch.setenv(OPT_OUT_ENV, "1")
@@ -837,22 +870,51 @@ class TestFallbackReasons:
                                 B.store(i, Temp("t"))]),
         ])], outputs=["B"])
         assert self.reasons(k, rng_arrays(k)) == {"unsupported": 1}
+        # a scheduled nest's loaded temp read after an inner loop: its
+        # value would depend on the wavefront of the statements before
+        m = 8
+        C = MemObject("C", (m, m), FLOAT64)
+        j = LoopVar("j")
+        k = Kernel("split_temp", {"C": C}, [Loop("i", 1, m, [
+            Assign("t", C[i - 1, 0] * 0.5),
+            Loop("j", 1, m, [C.store((i, j), C[i, j - 1] + C[i - 1, j])]),
+            C.store((i, 0), Temp("t") + 1.0),
+        ])], outputs=["C"])
+        assert self.reasons(k, rng_arrays(k)) == {"unsupported": 1}
 
     def test_codes_of_tiny_workloads(self):
+        # every workload at tiny scale, and the small datasets of the four
+        # kernels that once left the vector path: only pchase's nest
+        # reaches the tree walker. A nest that drops to it runs several
+        # times slower and changes no result, so this map is its guard
+        datasets = [(name, "tiny") for name in sorted(ALL_WORKLOADS)]
+        datasets += [(name, "small") for name in ("cho", "bfs", "pca", "pch")]
         got = {}
-        for name in ("pr", "pca", "adi", "pch"):
-            inst = ALL_WORKLOADS[name].build("tiny")
+        for name, scale in datasets:
+            inst = ALL_WORKLOADS[name].build(scale)
             vi = VecInterpreter(record_trace=True)
+            fell = set()
             for call in inst.calls():
+                before = vi.fallback_nests
                 vi.run(call.kernel, inst.arrays, call.scalars)
-            got[name] = (vi.vectorized_nests, vi.jit_nests,
-                         vi.fallback_reasons)
-        assert got == {
-            "pr": (4, 0, {}),
-            "pca": (1, 1, {"repeated-index": 1}),
-            "adi": (0, 4, {"narrow-wavefront": 4}),
-            "pch": (0, 1, {"repeated-index": 1}),
+                if vi.fallback_nests > before:
+                    fell.add(call.kernel.name)
+            got[name, scale] = (vi.vectorized_nests, vi.fallback_reasons,
+                                fell)
+        vectorized = {
+            "adi": 4, "bfs": 3, "cho": 1, "dis": 6, "fdt": 6, "nw": 1,
+            "pca": 2, "pf": 3, "pr": 4, "sei": 2, "spmv": 2, "tra": 3,
         }
+        expected = {(name, "tiny"): (n, {}, set())
+                    for name, n in vectorized.items()}
+        expected.update({
+            ("cho", "small"): (1, {}, set()),
+            ("bfs", "small"): (4, {}, set()),
+            ("pca", "small"): (2, {}, set()),
+        })
+        for scale in ("tiny", "small"):
+            expected["pch", scale] = (0, {"repeated-index": 1}, {"pchase"})
+        assert got == expected
 
     def test_counts_reach_run_statistics(self):
         from repro.obs import OBS
@@ -864,11 +926,9 @@ class TestFallbackReasons:
                           machine=experiment_machine())
         counters = {name: n for name, n in OBS.counters.items()
                     if name.startswith(("interp.fallback.",
-                                        "interp.vec_nests",
-                                        "interp.jit_nests"))}
+                                        "interp.vec_nests"))}
         OBS.reset()
-        assert counters == {"interp.vec_nests": 1, "interp.jit_nests": 1,
-                            "interp.fallback.repeated-index": 1}
+        assert counters == {"interp.vec_nests": 2}
 
 
 class TestFallbackErrorSemantics:

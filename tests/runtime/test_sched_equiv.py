@@ -16,9 +16,8 @@ The second half pins the event-kernel *semantics* of the one heap core
 in both of its dispatch loops — the specialized unbounded loop every
 replay run takes, and the general loop that ``until_ps`` /
 ``max_events`` select: putter FIFO order under a full channel, getter
-wake order, ``WaitProcess`` on an already-finished process and on one
-that never ends, daemon-vs-deadlock classification, and the
-``run(until_ps=...)`` pause/resume contract (the popped over-horizon
+wake order, a blocked process at the end of a run as a deadlock, and
+the ``run(until_ps=...)`` pause/resume contract (the popped over-horizon
 event must not be lost). The ``[False]`` ids
 run the unbounded loop, which pushes a ``Delay`` inline and hands a
 ``Get`` or ``Put`` straight to its channel. The ``[True]`` ids run the
@@ -40,7 +39,6 @@ from repro.events import (
     Get,
     Put,
     Simulator,
-    WaitProcess,
 )
 from repro.experiments.runner import BASELINE, PAPER_CONFIGS, ResultMatrix
 from repro.mem.hierarchy import MemoryHierarchy
@@ -277,41 +275,6 @@ class TestKernelSemantics:
         run(sim, bounded)
         assert woke == [("first", 0), ("second", 1), ("third", 2)]
 
-    def test_wait_on_already_done_process(self, bounded):
-        """WaitProcess on a finished process resumes at the current time
-        with the stored result."""
-        sim = Simulator()
-
-        def quick():
-            yield Delay(10)
-            return 42
-
-        def waiter(target, out):
-            yield Delay(500)  # target is long done by now
-            result = yield WaitProcess(target)
-            out.append((result, sim.now))
-
-        target = sim.spawn("quick", quick())
-        sim.spawn("waiter", waiter(target, out := []))
-        run(sim, bounded)
-        assert out == [(42, 500)]
-
-    def test_daemon_may_block_forever(self, bounded):
-        sim = Simulator()
-        ch = Channel(sim, name="sink")
-
-        def server():
-            while True:
-                yield Get(ch)
-
-        def client():
-            yield Put(ch, "one")
-            yield Delay(100)
-
-        sim.spawn("server", server(), daemon=True)
-        sim.spawn("client", client())
-        assert run(sim, bounded) == 100  # no DeadlockError
-
     def test_non_daemon_blocked_is_deadlock(self, bounded):
         sim = Simulator()
         ch = Channel(sim, name="stuck")
@@ -322,27 +285,6 @@ class TestKernelSemantics:
         sim.spawn("starved", starved())
         with pytest.raises(DeadlockError, match=r"starved on get\(stuck\)"):
             run(sim, bounded)
-
-    def test_wait_on_never_ending_process_is_deadlock(self, bounded):
-        """A non-daemon process waiting on a process that never ends is
-        blocked on it, so the run raises instead of returning."""
-        sim = Simulator()
-        ch = Channel(sim, name="idle")
-
-        def server():
-            while True:
-                yield Get(ch)
-
-        def waiter(target):
-            yield WaitProcess(target)
-
-        target = sim.spawn("server", server(), daemon=True)
-        proc = sim.spawn("waiter", waiter(target))
-        with pytest.raises(DeadlockError,
-                           match=r"waiter on wait\(server\)"):
-            run(sim, bounded)
-        assert not proc.done
-        assert proc.blocked_desc == "wait(server)"
 
     def test_run_until_does_not_lose_horizon_event(self, bounded):
         """Regression: run(until_ps) used to pop the first over-horizon

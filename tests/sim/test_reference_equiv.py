@@ -11,7 +11,6 @@ import pytest
 
 from repro import envcfg
 from repro.experiments.runner import BASELINE, PAPER_CONFIGS
-from repro.ir import nestjit
 from repro.ir.trace import ColumnarTrace
 from repro.ir.vecinterp import VecInterpreter
 from repro.mem.cache import Cache
@@ -26,7 +25,6 @@ CONFIGS = (BASELINE,) + PAPER_CONFIGS
 #: every production-only implementation the switch must bypass
 PRODUCTION_ONLY = (
     (VecInterpreter, "run"),
-    (nestjit, "compiled_nest"),
     (ColumnarTrace, "addresses"),
     (ColumnarTrace, "streams_by_site"),
     (MemoryHierarchy, "host_access_batch"),

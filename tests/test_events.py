@@ -13,7 +13,6 @@ from repro.events import (
     Get,
     Put,
     Simulator,
-    WaitProcess,
     cycles_to_ps,
     ps_to_cycles,
 )
@@ -200,53 +199,17 @@ class TestChannel:
                 put_times.append(sim.now)
 
         def consumer():
-            while True:
+            for _ in range(6):
                 yield Get(ch)
                 yield Delay(1000)
 
         sim.spawn("p", producer())
-        sim.spawn("c", consumer(), daemon=True)
+        sim.spawn("c", consumer())
         sim.run()
         # first 3 puts immediate (2 slots + 1 handed straight to consumer);
         # thereafter one put per 1000 ps consumer period.
         assert put_times[0] == 0
         assert put_times[-1] >= 3000
-
-
-class TestWaitProcess:
-    def test_wait_gets_return_value(self):
-        sim = Simulator()
-        results = []
-
-        def worker():
-            yield Delay(100)
-            return 42
-
-        def waiter(target):
-            value = yield WaitProcess(target)
-            results.append((sim.now, value))
-
-        w = sim.spawn("w", worker())
-        sim.spawn("waiter", waiter(w))
-        sim.run()
-        assert results == [(100, 42)]
-
-    def test_wait_on_finished_process(self):
-        sim = Simulator()
-        results = []
-
-        def worker():
-            return "done"
-            yield  # pragma: no cover - makes this a generator
-
-        def waiter(target):
-            yield Delay(500)
-            results.append((yield WaitProcess(target)))
-
-        w = sim.spawn("w", worker())
-        sim.spawn("waiter", waiter(w))
-        sim.run()
-        assert results == ["done"]
 
 
 class TestDeadlock:
@@ -260,21 +223,6 @@ class TestDeadlock:
         sim.spawn("s", starved())
         with pytest.raises(DeadlockError, match=r"s on get"):
             sim.run()
-
-    def test_daemon_may_block_forever(self):
-        sim = Simulator()
-        ch = Channel(sim, capacity=1)
-
-        def sink():
-            while True:
-                yield Get(ch)
-
-        def producer():
-            yield Put(ch, 1)
-
-        sim.spawn("sink", sink(), daemon=True)
-        sim.spawn("p", producer())
-        sim.run()  # no DeadlockError despite blocked sink
 
     def test_mutual_deadlock_detected(self):
         sim = Simulator()
@@ -401,7 +349,6 @@ def test_random_pipelines_match_recurrence(delays_p, delays_c, capacity):
 COMMANDS = st.one_of(
     st.tuples(st.sampled_from(("delay", "spawn")), st.sampled_from((0, 1, 3))),
     st.tuples(st.sampled_from(("put", "get")), st.integers(0, 2)),
-    st.tuples(st.just("wait"), st.integers(0, 3)),
 )
 
 
@@ -412,7 +359,6 @@ def run_network(procs, capacities, bounded, simulator=Simulator,
     sim = simulator()
     chans = [channel(sim, capacity=cap, name=f"c{k}")
              for k, cap in enumerate(capacities)]
-    handles = []
     log = []
 
     def child(tag, ps):
@@ -429,17 +375,14 @@ def run_network(procs, capacities, bounded, simulator=Simulator,
                 cmd = Delay(arg)
             elif op == "put":
                 cmd = Put(chans[arg], (i, k))
-            elif op == "get":
+            else:
                 cmd = Get(chans[arg])
-            else:  # any process but this one
-                cmd = WaitProcess(
-                    handles[(i + 1 + arg % (len(procs) - 1)) % len(procs)])
             got = yield cmd
             log.append((i, op, arg, sim.now, got))
         return i
 
-    for i, (daemon, commands) in enumerate(procs):
-        handles.append(sim.spawn(f"p{i}", body(i, commands), daemon=daemon))
+    for i, commands in enumerate(procs):
+        sim.spawn(f"p{i}", body(i, commands))
     try:
         outcome = sim.run(max_events=10**6) if bounded else sim.run()
     except DeadlockError as err:
@@ -472,21 +415,19 @@ def pipelines(draw):
     chunks = draw(st.integers(1, 8))
     depth = draw(st.integers(1, 3))
     chain = [
-        (False, stage(k - 1 if k else None, draw(st.sampled_from((0, 1, 3))),
-                      k if k < depth else None, chunks))
+        stage(k - 1 if k else None, draw(st.sampled_from((0, 1, 3))),
+              k if k < depth else None, chunks)
         for k in range(depth + 1)
     ]
     order = draw(st.permutations(range(depth + 1)))
     return [chain[k] for k in order] + draw(st.lists(
-        st.tuples(st.booleans(), st.lists(COMMANDS, max_size=12)),
-        max_size=3))
+        st.lists(COMMANDS, max_size=12), max_size=3))
 
 
 #: drawn process networks: pipelines, or 2–5 processes of drawn commands
 PROCS = st.one_of(
     pipelines(),
-    st.lists(st.tuples(st.booleans(), st.lists(COMMANDS, max_size=12)),
-             min_size=2, max_size=5),
+    st.lists(st.lists(COMMANDS, max_size=12), min_size=2, max_size=5),
 )
 #: the capacities of the three channels
 CAPACITIES = st.lists(st.sampled_from((1, 2, 3, None)), min_size=3,
