@@ -155,6 +155,31 @@ class TestVectorizationCoverage:
         assert vi.vectorized_nests == 1
         assert vi.fallback_nests == 0
 
+    def test_reduction_falls_back(self):
+        # a running sum into one element, one element per step: it no
+        # longer falls back, the fold runs on the vector path
+        k = self.reduction()
+        arrays = rng_arrays(k)
+        arrays["S"] = np.zeros(1, dtype=np.float64)
+        _, _, vi = run_both(k, arrays)
+        assert vi.vectorized_nests == 1
+        assert vi.fallback_nests == 0
+
+    def test_inplace_stencil_falls_back(self):
+        # a 1-D scan, one iteration per wavefront: it no longer falls
+        # back, the schedule runs on the vector path
+        n = 32
+        A = MemObject("A", n, FLOAT64)
+        i = LoopVar("i")
+        k = Kernel(
+            "scan", {"A": A},
+            [Loop("i", 1, n, [A.store(i, A[i - 1] + A[i])])],
+            outputs=["A"],
+        )
+        _, _, vi = run_both(k, rng_arrays(k))
+        assert vi.vectorized_nests == 1
+        assert vi.fallback_nests == 0
+
     def test_gather_scatter_vectorize(self):
         # indirect addressing is vectorizable: injectivity is a runtime
         # property of the index data, not of the expression shape
