@@ -18,10 +18,14 @@ field (plus digest) against ``tests/golden/machines.json`` — a change
 to a shipped document, a schema default, or the construction path shows
 up as a reviewable diff.
 
+A third snapshot, ``tests/golden/sections_tiny.json``, pins the report
+sections that are not matrix cells, as their ``compute()`` functions
+return them at tiny scale: Table V, Table VI, Figure 12 and Figure 14.
+
 Usage::
 
-    python -m repro.testing.golden                  # verify both snapshots
-    python -m repro.testing.golden --update           # refresh the matrix
+    python -m repro.testing.golden                  # verify all snapshots
+    python -m repro.testing.golden --update   # refresh matrix and sections
     python -m repro.testing.golden --update-machines  # refresh machines
     python -m repro.testing.golden --jobs 4      # verify a parallel run too
 
@@ -56,6 +60,11 @@ GOLDEN_PATH = os.path.join(
 #: committed machine snapshot: derived MachineParams of every builtin
 MACHINES_GOLDEN_PATH = os.path.join(
     os.path.dirname(GOLDEN_PATH), "machines.json",
+)
+
+#: committed snapshot of the report's non-matrix sections at tiny scale
+SECTIONS_GOLDEN_PATH = os.path.join(
+    os.path.dirname(GOLDEN_PATH), "sections_tiny.json",
 )
 
 
@@ -116,6 +125,31 @@ def matrix_snapshot(scale: str = "tiny",
             for w in workloads
         },
     }
+
+
+def sections_snapshot() -> Dict[str, object]:
+    """Table V, Table VI and Figures 12 and 14 as the report computes
+    them at tiny scale, in JSON form (tuples become lists, Figure 12b's
+    thread counts string keys), so it compares equal to its load."""
+    from ..experiments import fig12, fig14, table5, table6
+    from ..params import experiment_machine
+
+    machine = experiment_machine()
+    return json.loads(snapshot_text({
+        "scale": "tiny",
+        "table5": table5.compute(scale="tiny"),
+        "table6": table6.compute(scale="tiny"),
+        "fig12": fig12.compute(machine, "tiny"),
+        "fig14": fig14.compute(machine=machine, scale="tiny"),
+    }))
+
+
+def diff_sections(expected: Dict[str, object],
+                  actual: Dict[str, object]) -> list:
+    """Human-readable divergences between two sections snapshots."""
+    lines: list = []
+    _diff_fields("sections", expected, actual, lines)
+    return lines
 
 
 def machines_snapshot() -> Dict[str, object]:
@@ -219,8 +253,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "of the experiment matrix's headline numbers.",
     )
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the matrix snapshot instead of "
-                             "verifying")
+                        help="rewrite the matrix and sections snapshots "
+                             "instead of verifying")
     parser.add_argument("--update-machines", action="store_true",
                         help="rewrite the builtin-machine snapshot "
                              "instead of verifying")
@@ -245,16 +279,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
     snapshot = matrix_snapshot(scale=args.scale, jobs=args.jobs)
+    sections = sections_snapshot()
     if args.update:
         write_snapshot(snapshot, args.path)
+        write_snapshot(sections, SECTIONS_GOLDEN_PATH)
         ncells = sum(len(v) for v in snapshot["cells"].values())
-        print(f"golden snapshot written to {args.path} ({ncells} cells)")
+        print(f"golden snapshot written to {args.path} ({ncells} cells); "
+              f"sections written to {SECTIONS_GOLDEN_PATH}")
         return 0
-    if not os.path.exists(args.path):
-        print(f"no golden snapshot at {args.path}; run with --update",
-              file=sys.stderr)
-        return 2
+    for path in (args.path, SECTIONS_GOLDEN_PATH):
+        if not os.path.exists(path):
+            print(f"no golden snapshot at {path}; run with --update",
+                  file=sys.stderr)
+            return 2
     lines = diff_snapshots(load_snapshot(args.path), snapshot)
+    lines += diff_sections(load_snapshot(SECTIONS_GOLDEN_PATH), sections)
     if not args.update_machines:
         if not os.path.exists(args.machines_path):
             print(f"no machine snapshot at {args.machines_path}; run "
@@ -268,9 +307,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"--update-machines if the change is intended",
               file=sys.stderr)
         return 1
-    print(f"matrix matches golden snapshot {args.path}; "
-          f"{len(machines['machines'])} builtin machines match "
-          f"{args.machines_path}")
+    print(f"matrix matches golden snapshot {args.path}; sections match "
+          f"{SECTIONS_GOLDEN_PATH}; {len(machines['machines'])} builtin "
+          f"machines match {args.machines_path}")
     return 0
 
 
