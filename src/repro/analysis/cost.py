@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..ir.expr import (
     COMPLEX_OPS,
@@ -824,19 +824,13 @@ def enumerate_calls(instance: Any) -> List[Tuple[Kernel, Dict[str, Any]]]:
     """Materialize a workload instance's call schedule.
 
     Data-dependent schedules (e.g. BFS frontiers) advance on array
-    state, so each call is executed through the golden interpreter on
-    the instance's arrays — the exact discipline the runner's
-    functional-interpretation pass uses, yielding the same schedule the
-    simulator will see.
+    state, so the calls come from the simulator's own functional pass
+    over the instance's arrays: the schedule the simulator will see.
     """
-    from ..ir.interp import Interpreter
+    from ..sim.system import functional_pass
 
-    interp = Interpreter(record_trace=False)
-    out: List[Tuple[Kernel, Dict[str, Any]]] = []
-    for call in instance.calls():
-        out.append((call.kernel, dict(call.scalars)))
-        interp.run(call.kernel, instance.arrays, dict(call.scalars))
-    return out
+    entry = functional_pass(lambda: instance)
+    return [(rec.kernel, dict(rec.scalars)) for rec in entry.calls]
 
 
 @dataclass
@@ -1134,7 +1128,7 @@ class CostModel:
                                           machine.energy)
                 # per-invocation relaunch sync (host HOST_SYNC_CYCLES)
                 if (invocations.hi > 1 and not spec.localized_control
-                        and _bounds_data_dependent(off)):
+                        and off.bounds_data_dependent):
                     extra = (invocations - _ONE).clamp_nonneg()
                     relaunches = relaunches + extra
                     call_time_hi += (_mul0(extra.hi, RELAUNCH_PS)
@@ -1234,81 +1228,26 @@ def _setup_pj(backend: Any, partitions: Sequence[Any],
     return ledger.total_pj()
 
 
-def _fused_channel_ids(config: Any) -> set:
-    """Channel ids inside a multi-partition SCC of the channel graph.
-
-    Mirrors the runtime engine's ``_serial_groups``: those channels are
-    executed as a per-iteration dependence cycle (the operand round
-    trip is paid every iteration); every other channel is a pipelined
+def _fused_channel_ids(config: Any) -> Set[int]:
+    """Channel ids the time bound charges as a per-iteration dependence
+    cycle (the operand round trip is paid every iteration): those inside
+    one of :meth:`~repro.interface.config.OffloadConfig.channel_components`
+    of two or more partitions, which the runtime engine fuses, and a
+    partition's channel to itself. Every other channel is a pipelined
     buffer whose only timing cost is a one-time fill delay.
     """
-    n = config.num_partitions
-    succ: Dict[int, List[int]] = {p: [] for p in range(n)}
+    comp: Dict[int, List[int]] = {}
+    for group in config.channel_components():
+        for part in group:
+            comp[part] = group
+    fused: Set[int] = set()
     for ch in config.channels:
-        succ[ch.producer_partition].append(ch.consumer_partition)
-    # iterative Tarjan (partition counts are tiny, but avoid recursion)
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Dict[int, bool] = {}
-    stack: List[int] = []
-    comp: Dict[int, int] = {}
-    counter = [0]
-    ncomp = [0]
-
-    def strongconnect(root: int) -> None:
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if w not in index:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack.get(w):
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp[0]
-                    if w == v:
-                        break
-                ncomp[0] += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-
-    for p in range(n):
-        if p not in index:
-            strongconnect(p)
-    sizes: Dict[int, int] = {}
-    for c in comp.values():
-        sizes[c] = sizes.get(c, 0) + 1
-    fused = set()
-    for ch in config.channels:
-        same = comp[ch.producer_partition] == comp[ch.consumer_partition]
-        if same and (sizes[comp[ch.producer_partition]] > 1
-                     or ch.producer_partition == ch.consumer_partition):
+        group = comp[ch.producer_partition]
+        if ch.consumer_partition in group and (
+                len(group) > 1
+                or ch.producer_partition == ch.consumer_partition):
             fused.add(ch.channel_id)
     return fused
-
-
-def _bounds_data_dependent(offload: Any) -> bool:
-    for expr in (offload.loop.lower, offload.loop.upper):
-        if any(isinstance(node, Load) for node in expr.walk()):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

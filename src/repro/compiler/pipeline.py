@@ -25,6 +25,7 @@ from ..dfg.node import AccessNode
 from ..errors import AllocationError, ConfigError
 from ..interface.config import OffloadConfig
 from ..interface.intrinsics import CoverageRecorder, mmio_bytes
+from ..ir.expr import Load
 from ..ir.program import Kernel
 from ..ir.stmt import Loop
 from ..partition.iterate import DfgPartitioning, partition_dfg
@@ -110,6 +111,15 @@ class CompiledOffload:
     @property
     def init_mmio_bytes(self) -> int:
         return mmio_bytes(self.config.config_calls())
+
+    @property
+    def bounds_data_dependent(self) -> bool:
+        """The loop's bounds load from memory (spmv's row pointers), so
+        the host relaunches the offload for every invocation after the
+        first, unless control is localized."""
+        return any(isinstance(node, Load)
+                   for expr in (self.loop.lower, self.loop.upper)
+                   for node in expr.walk())
 
 
 @dataclass

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional
 
 from ..interface.intrinsics import CoverageRecorder, Intrinsic
 from ..params import MachineParams, experiment_machine
-from ..sim.system import simulate_workload
-from ..workloads import ALL_WORKLOADS
+from ..sim.system import simulate_dataset
+from ..sim.tracecache import TraceCache
 from .runner import format_table
 
 CASE_CONFIGS = ("dist_da_b", "dist_da_bn", "dist_da_bns")
@@ -55,17 +55,16 @@ def compute_control_intensive(machine: Optional[MachineParams] = None,
                               scale: str = "small") -> Dict:
     """Fig 12a: spmv & nw speedups for B / BN / BNS, normalized to OoO."""
     machine = machine or experiment_machine()
+    # each dataset's cells run back to back, so one entry serves them all
+    cache = TraceCache(max_entries=1)
     rows: Dict[str, Dict[str, float]] = {}
     for workload in ("spmv", "nw"):
-        base = simulate_workload(
-            ALL_WORKLOADS[workload].build(scale), "ooo", machine=machine
-        )
+        base = simulate_dataset(workload, scale, "ooo", machine=machine,
+                                trace_cache=cache)
         rows[workload] = {}
         for config in CASE_CONFIGS:
-            run = simulate_workload(
-                ALL_WORKLOADS[workload].build(scale), config,
-                machine=machine,
-            )
+            run = simulate_dataset(workload, scale, config,
+                                   machine=machine, trace_cache=cache)
             rows[workload][config] = run.speedup_vs(base)
     return {"speedup": rows}
 
@@ -74,14 +73,13 @@ def compute_multithreaded(machine: Optional[MachineParams] = None,
                           scale: str = "small") -> Dict:
     """Fig 12b: thread-count scaling for pathfinder and BFS."""
     machine = machine or experiment_machine()
+    cache = TraceCache(max_entries=1)
     rows: Dict[str, Dict[int, float]] = {}
     for workload, config in (("pf", "dist_da_mt"), ("bfs", "dist_da_f")):
-        base = simulate_workload(
-            ALL_WORKLOADS[workload].build(scale), "ooo", machine=machine
-        )
-        single = simulate_workload(
-            ALL_WORKLOADS[workload].build(scale), config, machine=machine
-        )
+        base = simulate_dataset(workload, scale, "ooo", machine=machine,
+                                trace_cache=cache)
+        single = simulate_dataset(workload, scale, config, machine=machine,
+                                  trace_cache=cache)
         # DRAM utilization drives the shared-memory contention uplift
         dram_cycles = single.cache_stats.dram * 5
         util = min(dram_cycles / max(single.cycles, 1), 1.0)

@@ -16,8 +16,9 @@ from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
 from ..params import MachineParams, experiment_machine
-from ..sim.system import simulate_workload
-from ..workloads import ALL_WORKLOADS, PAPER_ORDER
+from ..sim.system import simulate_dataset
+from ..sim.tracecache import TraceCache
+from ..workloads import PAPER_ORDER
 from .runner import format_table, geomean
 
 VARIANTS = ("dist_da_io_sw", "dist_da_f_alloc")
@@ -27,30 +28,26 @@ def compute(workloads: Sequence[str] = PAPER_ORDER,
             machine: Optional[MachineParams] = None,
             scale: str = "small") -> Dict:
     machine = machine or experiment_machine()
+    # +A: allocation tuned for intra-cluster locality — modeled as the F
+    # configuration with larger access-unit buffers capturing the
+    # manually co-located windows
+    alloc_machine = replace(
+        machine, access_unit=replace(
+            machine.access_unit,
+            buffer_bytes=machine.access_unit.buffer_bytes * 2,
+        )
+    )
+    # each dataset's three cells run back to back and share its entry
+    cache = TraceCache(max_entries=1)
     speedup: Dict[str, Dict[str, float]] = {}
     energy: Dict[str, Dict[str, float]] = {}
     for workload in workloads:
-        base_io = simulate_workload(
-            ALL_WORKLOADS[workload].build(scale), "dist_da_io",
-            machine=machine,
-        )
-        sw = simulate_workload(
-            ALL_WORKLOADS[workload].build(scale), "dist_da_io_sw",
-            machine=machine,
-        )
-        # +A: allocation tuned for intra-cluster locality — modeled as
-        # the F configuration with larger access-unit buffers capturing
-        # the manually co-located windows
-        alloc_machine = replace(
-            machine, access_unit=replace(
-                machine.access_unit,
-                buffer_bytes=machine.access_unit.buffer_bytes * 2,
-            )
-        )
-        f_alloc = simulate_workload(
-            ALL_WORKLOADS[workload].build(scale), "dist_da_f",
-            machine=alloc_machine,
-        )
+        base_io = simulate_dataset(workload, scale, "dist_da_io",
+                                   machine=machine, trace_cache=cache)
+        sw = simulate_dataset(workload, scale, "dist_da_io_sw",
+                              machine=machine, trace_cache=cache)
+        f_alloc = simulate_dataset(workload, scale, "dist_da_f",
+                                   machine=alloc_machine, trace_cache=cache)
         speedup[workload] = {
             "dist_da_io_sw": sw.speedup_vs(base_io),
             "dist_da_f_alloc": f_alloc.speedup_vs(base_io),

@@ -11,8 +11,7 @@ The matrix can be populated three ways, all numerically identical:
   once and replays the functional trace for all remaining configurations
   via the shared :class:`~repro.sim.tracecache.TraceCache`.
 
-Workers ship their per-cell :class:`~repro.sim.results.RunResult`\\ s and
-per-workload :class:`~repro.interface.intrinsics.CoverageRecorder`\\ s
+Workers ship their per-cell :class:`~repro.sim.results.RunResult`\\ s
 back to the parent (the executor carries their observability records).
 A workload whose unit raises, times out or loses its worker process
 twice does not stop the others: ``run_all`` raises one error naming it
@@ -36,7 +35,6 @@ from typing import (
 )
 
 from ..errors import ConfigError, ReproError
-from ..interface.intrinsics import CoverageRecorder
 from ..obs import OBS, CellStat
 from ..params import MachineParams, experiment_machine
 from ..sim.results import RunResult
@@ -70,7 +68,6 @@ class ResultMatrix:
     workloads: Sequence[str] = PAPER_ORDER
     configs: Sequence[str] = (BASELINE,) + PAPER_CONFIGS
     results: Dict[Tuple[str, str], RunResult] = field(default_factory=dict)
-    coverage: Dict[str, CoverageRecorder] = field(default_factory=dict)
     #: shared functional-trace store; one entry serves every config of a
     #: workload, so only the first config pays the interpreter (cells
     #: are visited one workload at a time, so it holds one dataset)
@@ -87,11 +84,10 @@ class ResultMatrix:
         if key not in self.results:
             if workload not in ALL_WORKLOADS:
                 raise ConfigError(f"unknown workload {workload!r}")
-            cov = self.coverage.setdefault(workload, CoverageRecorder())
             start = perf_counter()
             self.results[key] = simulate_dataset(
                 workload, self.scale, config, machine=self.machine,
-                coverage=cov, trace_cache=self.trace_cache,
+                trace_cache=self.trace_cache,
             )
             OBS.add_cell(CellStat(
                 workload, config, perf_counter() - start,
@@ -155,10 +151,9 @@ class ResultMatrix:
                     failed.append(f"{workload} ({out.attempts} attempts: "
                                   f"{out.error})")
                     continue
-                cells, cov, wall = out
+                cells, wall = out
                 for config, result in cells:
                     self.results[(workload, config)] = result
-                self.coverage[workload] = cov
                 if progress is not None:
                     progress(
                         f"[{done}/{len(pending)} workloads] {workload}"
@@ -198,16 +193,15 @@ def _matrix_worker(args: Tuple[str, Tuple[str, ...], str, MachineParams]):
     """Executor unit: simulate every configuration of one workload.
 
     Populates a one-workload :class:`ResultMatrix` (with its own
-    single-entry trace cache); returns its ``(config, RunResult)`` cells,
-    the workload's coverage and the wall seconds they took.
+    single-entry trace cache); returns its ``(config, RunResult)`` cells
+    and the wall seconds they took.
     """
     workload, configs, scale, machine = args
     start = perf_counter()
     matrix = ResultMatrix(scale=scale, machine=machine,
                           workloads=(workload,), configs=configs)
     cells = [(config, matrix.get(workload, config)) for config in configs]
-    cov = matrix.coverage.setdefault(workload, CoverageRecorder())
-    return cells, cov, perf_counter() - start
+    return cells, perf_counter() - start
 
 
 def run_matrix(scale: str = "small",

@@ -1,18 +1,18 @@
 """Table V: coverage of interface mechanisms per benchmark.
 
 'C' marks compiler-automated use, 'U' user-annotated use (the §VI-D case
-studies). The compiler rows come straight from the coverage recorders
-populated during compilation; the user rows from the case studies'
-annotation sets.
+studies). The compiler rows come straight from the coverage recorders of
+each dataset's Dist-DA compiles, the ones its cells replay; the user rows
+from the case studies' annotation sets.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence
 
+from ..compiler import CompileMode
 from ..interface.intrinsics import CoverageRecorder, Intrinsic
-from ..ir.interp import Interpreter
-from ..compiler import CompileMode, compile_kernel
+from ..sim.system import compiled_kernel, functional_pass
 from ..workloads import ALL_WORKLOADS, PAPER_ORDER
 from .fig12 import user_annotation_coverage
 from .runner import format_table
@@ -27,17 +27,11 @@ CASE_STUDIES = (
 
 def coverage_for_workload(short: str, scale: str = "tiny"
                           ) -> CoverageRecorder:
-    """Compile every kernel of a workload and collect mechanism use."""
+    """The mechanisms a workload's Dist-DA compiles use."""
     cov = CoverageRecorder()
-    instance = ALL_WORKLOADS[short].build(scale)
-    interp = Interpreter()
-    seen = set()
-    for call in instance.calls():
-        if id(call.kernel) in seen:
-            continue
-        seen.add(id(call.kernel))
-        compile_kernel(call.kernel, CompileMode.DIST, coverage=cov)
-        interp.run(call.kernel, instance.arrays, call.scalars)
+    entry = functional_pass(lambda: ALL_WORKLOADS[short].build(scale))
+    for rec in entry.first_calls():
+        cov.merge(compiled_kernel(entry, rec, CompileMode.DIST).coverage)
     return cov
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import InterfaceError
 
@@ -155,6 +155,61 @@ class OffloadConfig:
     @property
     def num_partitions(self) -> int:
         return len(self.partitions)
+
+    def channel_components(self) -> List[List[int]]:
+        """Strongly connected components of the partition channel graph
+        (one edge per channel, producer to consumer), each sorted, in the
+        order Tarjan's algorithm closes them.
+
+        A component of two or more partitions is a per-iteration
+        dependence cycle (e.g. pointer chasing through a remote object).
+        The walk keeps its own stack, so no partition count reaches the
+        recursion limit.
+        """
+        succ: List[List[int]] = [[] for _ in self.partitions]
+        for ch in self.channels:
+            succ[ch.producer_partition].append(ch.consumer_partition)
+        index: Dict[int, int] = {}
+        low: Dict[int, int] = {}
+        stack: List[int] = []
+        on_stack: Set[int] = set()
+        #: the DFS path: each vertex with the successors it has left
+        work: List[Tuple[int, Iterator[int]]] = []
+        out: List[List[int]] = []
+
+        def visit(v: int) -> None:
+            index[v] = low[v] = len(index)
+            stack.append(v)
+            on_stack.add(v)
+            work.append((v, iter(succ[v])))
+
+        for root in range(len(succ)):
+            if root in index:
+                continue
+            visit(root)
+            while work:
+                v, successors = work[-1]
+                for w in successors:
+                    if w not in index:
+                        visit(w)
+                        break
+                    if w in on_stack:
+                        low[v] = min(low[v], index[w])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[v])
+                    if low[v] == index[v]:
+                        comp: List[int] = []
+                        while True:
+                            w = stack.pop()
+                            on_stack.discard(w)
+                            comp.append(w)
+                            if w == v:
+                                break
+                        out.append(sorted(comp))
+        return out
 
     def config_calls(self) -> List:
         """The host-side intrinsic sequence that installs this offload.

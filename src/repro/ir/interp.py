@@ -87,8 +87,6 @@ class InterpResult:
     counts: OpCounts
     arrays: Dict[str, np.ndarray]
     trace: Optional[ColumnarTrace]
-    iterations: Dict[str, int] = field(default_factory=dict)
-    accesses_per_object: Dict[str, int] = field(default_factory=dict)
     #: innermost-loop body executions (total inner iterations)
     inner_iterations: int = 0
     #: per-innermost-loop totals, keyed by the loop's stable structural
@@ -138,8 +136,6 @@ class Interpreter:
             arrays=arrays,
             trace=(ColumnarTrace.from_records(state.trace)
                    if state.trace is not None else None),
-            iterations=dict(state.iterations),
-            accesses_per_object=dict(state.obj_accesses),
             inner_iterations=state.inner_iterations,
             inner_iters_by_loop=dict(state.inner_iters_by_loop),
             inner_invocations_by_loop=dict(state.inner_invocations_by_loop),
@@ -200,7 +196,6 @@ class Interpreter:
             state.inner_iters_by_loop[loop_key] = (
                 state.inner_iters_by_loop.get(loop_key, 0) + iters
             )
-        state.iterations[loop.var] = state.iterations.get(loop.var, 0) + iters
 
     def _exec_stmt(self, stmt: Stmt, env: Dict[str, float],
                    state: "_State") -> None:
@@ -230,7 +225,6 @@ class Interpreter:
             )
         arr[index] = value
         state.counts.stores += 1
-        state.obj_accesses[stmt.obj] = state.obj_accesses.get(stmt.obj, 0) + 1
         if state.trace is not None:
             # plain tuple, not MemAccess: structurally identical, and the
             # NamedTuple constructor is measurable at millions of appends
@@ -272,9 +266,6 @@ class Interpreter:
                     f"(size {arr.size})"
                 )
             state.counts.loads += 1
-            state.obj_accesses[expr.obj] = (
-                state.obj_accesses.get(expr.obj, 0) + 1
-            )
             if state.trace is not None:
                 state.trace.append(
                     (self._site_ids[id(expr)], expr.obj, index, False)
@@ -394,8 +385,6 @@ class _State:
     #: MemAccess-shaped plain tuples (site_id, obj, elem_index, is_write)
     trace: Optional[List[Tuple[int, str, int, bool]]]
     counts: OpCounts = field(default_factory=OpCounts)
-    iterations: Dict[str, int] = field(default_factory=dict)
-    obj_accesses: Dict[str, int] = field(default_factory=dict)
     inner_iterations: int = 0
     inner_iters_by_loop: Dict[int, int] = field(default_factory=dict)
     inner_invocations_by_loop: Dict[int, int] = field(default_factory=dict)

@@ -7,8 +7,8 @@ over a predictable iteration grid. :class:`VecInterpreter` executes one
 whole loop nest at a time as numpy array expressions over that grid —
 loads become gathers, stores become scatters, the access trace is
 emitted as full per-site index vectors interleaved into a
-:class:`~repro.ir.trace.ColumnarTrace`, and `OpCounts`, per-loop
-iteration totals and ``accesses_per_object`` come out in closed form.
+:class:`~repro.ir.trace.ColumnarTrace`, and `OpCounts` and the
+innermost-loop iteration totals come out in closed form.
 
 Bit-identity with the scalar interpreter is the contract, not an
 approximation: same outputs (same IEEE operation order per element, same
@@ -613,8 +613,6 @@ class _NestRun:
     def _begin(self) -> None:
         """Empty the buffers of one pass."""
         self.counts = OpCounts()
-        self.iterations: Dict[str, int] = {}
-        self.obj_accesses: Dict[str, int] = {}
         self.inner_iterations = 0
         self.inner_iters: Dict[int, int] = {}
         self.inner_invocs: Dict[int, int] = {}
@@ -964,7 +962,6 @@ class _NestRun:
             self.inner_invocs[key] = self.inner_invocs.get(key, 0) + ctx.n
             self.inner_iters[key] = self.inner_iters.get(key, 0) + n_c
             self.inner_iterations += n_c
-        self.iterations[loop.var] = self.iterations.get(loop.var, 0) + n_c
         self.counts.loop_overhead += 2 * n_c
 
         parent_idx = np.repeat(np.arange(ctx.n, dtype=np.int64), trips)
@@ -1062,10 +1059,6 @@ class _NestRun:
                 arr = self.pending[stmt.obj] = arr.copy()
             self._fold(arr, idx, stmt.value.op, x_left, r, rf)
         self.counts.stores += m
-        if m:  # the scalar path creates per-object entries lazily
-            self.obj_accesses[stmt.obj] = (
-                self.obj_accesses.get(stmt.obj, 0) + m
-            )
         self._emit(stmt, ctx, sel, seq, stmt.obj, idx, True)
         if self.may_settle:
             self.accesses[-1].vals = vals
@@ -1149,10 +1142,6 @@ class _NestRun:
         idx = self._index_vec(*self._eval(expr.index, ctx, sel, seq), m)
         arr = self._array(expr.obj, idx, m)
         self.counts.loads += m
-        if m:  # the scalar path creates per-object entries lazily
-            self.obj_accesses[expr.obj] = (
-                self.obj_accesses.get(expr.obj, 0) + m
-            )
         self._emit(expr, ctx, sel, seq, expr.obj, idx, False)
         if self.scheduled:
             return None, arr.dtype.kind == "f"
@@ -1528,10 +1517,6 @@ class _NestRun:
     def _commit(self) -> None:
         st = self.state
         st.counts = st.counts.merged(self.counts)
-        for k, v in self.iterations.items():
-            st.iterations[k] = st.iterations.get(k, 0) + v
-        for k, v in self.obj_accesses.items():
-            st.obj_accesses[k] = st.obj_accesses.get(k, 0) + v
         st.inner_iterations += self.inner_iterations
         for k, v in self.inner_iters.items():
             st.inner_iters_by_loop[k] = (
@@ -1625,8 +1610,6 @@ class VecInterpreter:
             arrays=arrays,
             trace=(self._merge_trace(segments)
                    if self.record_trace else None),
-            iterations=dict(state.iterations),
-            accesses_per_object=dict(state.obj_accesses),
             inner_iterations=state.inner_iterations,
             inner_iters_by_loop=dict(state.inner_iters_by_loop),
             inner_invocations_by_loop=dict(state.inner_invocations_by_loop),

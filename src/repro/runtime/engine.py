@@ -26,7 +26,6 @@ from ..errors import AllocationError, InterfaceError
 from ..interface.config import AccessConfig, AccessKind, PartitionConfig
 from ..interface.intrinsics import mmio_bytes
 from ..interface.scheduler import HardwareScheduler
-from ..ir.expr import Load
 from ..mem.hierarchy import AccelTally, MemoryHierarchy
 from ..mem.slab import SlabAllocator
 from ..noc import TrafficClass
@@ -254,7 +253,7 @@ class OffloadEngine:
         # per-invocation host relaunch overhead for data-dependent inner
         # bounds (the paper's spmv Dist-DA-B effect); affine bounds are
         # iterated by the partition orchestrators themselves
-        if (self._bounds_data_dependent(offload) and invocations > 1
+        if (offload.bounds_data_dependent and invocations > 1
                 and not self.localized_control):
             sync_ps = cycles_to_ps(HOST_SYNC_CYCLES, MEM_FREQ_GHZ)
             stats.time_ps += (invocations - 1) * sync_ps
@@ -262,13 +261,6 @@ class OffloadEngine:
             self.energy.charge("host_iface", "mmio_access",
                                2 * (invocations - 1))
         return stats
-
-    @staticmethod
-    def _bounds_data_dependent(offload: CompiledOffload) -> bool:
-        for expr in (offload.loop.lower, offload.loop.upper):
-            if any(isinstance(n, Load) for n in expr.walk()):
-                return True
-        return False
 
 
 @dataclass
@@ -315,7 +307,10 @@ class _RunContext:
             self.fetch_lines = hierarchy.accel_line_fetch_batch
             self.access_elems = hierarchy.accel_elem_access_batch
         config = self.offload.config
-        groups = self._serial_groups()
+        # a group of two or more partitions is a true per-iteration
+        # dependence cycle: its partitions execute serially, paying the
+        # operand round trip every iteration
+        groups = config.channel_components()
         for ch in config.channels:
             # channels inside a fused serial group are modeled by the
             # group's per-iteration round-trip latency, not as buffers
@@ -369,51 +364,6 @@ class _RunContext:
                 )
 
     # -- serialization (partition-level channel cycles) ----------------------
-    def _serial_groups(self) -> List[List[int]]:
-        """Strongly connected components of the partition channel graph.
-
-        A multi-partition SCC is a true per-iteration dependence cycle
-        (e.g. pointer chasing through a remote object): its partitions
-        execute serially, paying the operand round-trip every iteration.
-        """
-        config = self.offload.config
-        n = config.num_partitions
-        succ: Dict[int, List[int]] = {p: [] for p in range(n)}
-        for ch in config.channels:
-            succ[ch.producer_partition].append(ch.consumer_partition)
-        index: Dict[int, int] = {}
-        low: Dict[int, int] = {}
-        on_stack: Dict[int, bool] = {}
-        stack: List[int] = []
-        out: List[List[int]] = []
-        counter = [0]
-
-        def strongconnect(v: int) -> None:
-            index[v] = low[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack[v] = True
-            for w in succ[v]:
-                if w not in index:
-                    strongconnect(w)
-                    low[v] = min(low[v], low[w])
-                elif on_stack.get(w):
-                    low[v] = min(low[v], index[w])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(comp))
-
-        for v in range(n):
-            if v not in index:
-                strongconnect(v)
-        return out
-
     def _intra_group(self, ch, groups: List[List[int]]) -> bool:
         for group in groups:
             if len(group) > 1 and (ch.producer_partition in group

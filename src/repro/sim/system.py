@@ -4,6 +4,11 @@ Implements the six tested configurations of paper §VI-A and the
 sensitivity variants (§VI-E). Every experiment enters through
 ``simulate_dataset`` (a registered workload's dataset, built only on a
 trace-cache miss) or ``simulate_workload`` (an already built instance).
+
+A dataset's calls are interpreted once, by :func:`functional_pass`, and
+each of its kernels is compiled once per compile mode, by
+:func:`compiled_kernel`; the cells, Tables V and VI and AN-C's call
+schedule all take them from there.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from ..compiler.pipeline import CompiledKernel, CompileMode, compile_kernel
 from ..energy import EnergyLedger
 from ..errors import ConfigError
 from ..events import cycles_to_ps
-from ..interface.intrinsics import CoverageRecorder
 from ..ir.vecinterp import VecInterpreter, make_interpreter
 from ..mem.coherence import CoherenceManager, Domain
 from ..mem.hierarchy import MemoryHierarchy
@@ -147,17 +151,86 @@ def config_spec(name: str) -> ConfigSpec:
         ) from None
 
 
+def functional_pass(build: Callable[[], WorkloadInstance],
+                    trace_cache: Optional[TraceCache] = None,
+                    trace_key: Optional[Tuple[str, str]] = None
+                    ) -> WorkloadTrace:
+    """The dataset's configuration-independent functional artifact: its
+    calls as the golden interpreter ran them, and its validation.
+
+    With a ``trace_cache`` and ``trace_key``, one cache lookup comes
+    before anything is built, and a miss is stored. A miss builds,
+    interprets and validates the whole dataset first, so every cell
+    times the same complete artifact, whether it was cached or not.
+    """
+    recording = trace_cache is not None and trace_key is not None
+    if recording:
+        entry = trace_cache.get(*trace_key)
+        if entry is not None:
+            return entry
+    instance = build()
+    # vectorized whole-loop interpretation; tree-walking under
+    # REPRO_REFERENCE=1 — bit-identical either way
+    interp = make_interpreter(record_trace=True)
+    records = []
+    for call in instance.calls():
+        OBS.inc("interp.invocations")
+        res = interp.run(call.kernel, instance.arrays, call.scalars)
+        OBS.observe_max("interp.peak_trace_elems", len(res.trace or ()))
+        records.append(FunctionalCallRecord.from_interp(
+            call.kernel, call.scalars, res
+        ))
+    if isinstance(interp, VecInterpreter):
+        # how each loop nest ran, and why it left the vector path
+        OBS.inc("interp.vec_nests", interp.vectorized_nests)
+        for code, n in interp.fallback_reasons.items():
+            OBS.inc(f"interp.fallback.{code}", n)
+    workload, scale = trace_key or (instance.name, "")  # never cached
+    entry = WorkloadTrace(
+        workload=workload, scale=scale, calls=records,
+        info=DatasetInfo(
+            instance.short, dict(instance.objects),
+            instance.host_insts_per_call, instance.serial_fraction,
+        ),
+        # the arrays are final: the one validation this dataset gets
+        validated=instance.validate(),
+    )
+    if recording:
+        trace_cache.put(entry)
+    return entry
+
+
+def compiled_kernel(entry: WorkloadTrace, rec: FunctionalCallRecord,
+                    mode: CompileMode, no_stream_spec: bool = False
+                    ) -> CompiledKernel:
+    """``rec``'s kernel compiled for ``mode``, once per dataset: the
+    compiler's output depends on the kernel, the compile mode, the
+    stream-spec flag and the trip hint of the kernel's first call, and
+    on nothing a machine, cell or chunk changes. The compile records the
+    mechanisms it uses in its own ``coverage``."""
+    key = (*rec.kernel_key(), mode, no_stream_spec)
+    compiled = entry.compiled.get(key)
+    if compiled is None:
+        OBS.inc("compile.kernels")
+        compiled = entry.compiled[key] = compile_kernel(
+            rec.kernel, mode,
+            trip_count_hint=max(rec.inner_iterations, 1),
+            disable_stream_spec=no_stream_spec,
+        )
+    else:
+        OBS.inc("compile.reused")
+    return compiled
+
+
 class SystemSimulator:
     """Simulates one workload instance on one configuration."""
 
     def __init__(self, config: str,
                  machine: Optional[MachineParams] = None,
-                 coverage: Optional[CoverageRecorder] = None,
                  trace_cache: Optional[TraceCache] = None,
                  trace_key: Optional[Tuple[str, str]] = None):
         self.spec = config_spec(config)
         self.machine = self.spec.machine(machine or default_machine())
-        self.coverage = coverage if coverage is not None else CoverageRecorder()
         #: shared functional-trace store; the interpretation of a
         #: (workload, scale) pair is configuration-independent, so one
         #: cache entry serves all six configs of the experiment matrix
@@ -170,8 +243,9 @@ class SystemSimulator:
             ) -> RunResult:
         """Simulate ``instance``, or what ``build()`` returns; a trace
         cache hit neither calls ``build`` nor touches ``instance``."""
-        entry = self._functional(
-            build if instance is None else (lambda: instance)
+        entry = functional_pass(
+            build if instance is None else (lambda: instance),
+            self.trace_cache, self.trace_key,
         )
         energy = EnergyLedger(self.machine.energy)
         hierarchy = MemoryHierarchy(self.machine, energy,
@@ -197,52 +271,6 @@ class SystemSimulator:
                 coherence,
             )
         return result
-
-    # ------------------------------------------------------------------
-    def _functional(self, build: Callable[[], WorkloadInstance]
-                    ) -> WorkloadTrace:
-        """The dataset's configuration-independent functional artifact.
-
-        One cache lookup comes before anything is built. A miss builds,
-        interprets and validates the whole dataset first, so every cell
-        times the same complete artifact, whether it was cached or not.
-        """
-        cache, key = self.trace_cache, self.trace_key
-        recording = cache is not None and key is not None
-        if recording:
-            entry = cache.get(*key)
-            if entry is not None:
-                return entry
-        instance = build()
-        # vectorized whole-loop interpretation; tree-walking under
-        # REPRO_REFERENCE=1 — bit-identical either way
-        interp = make_interpreter(record_trace=True)
-        records = []
-        for call in instance.calls():
-            OBS.inc("interp.invocations")
-            res = interp.run(call.kernel, instance.arrays, call.scalars)
-            OBS.observe_max("interp.peak_trace_elems", len(res.trace or ()))
-            records.append(FunctionalCallRecord.from_interp(
-                call.kernel, call.scalars, res
-            ))
-        if isinstance(interp, VecInterpreter):
-            # how each loop nest ran, and why it left the vector path
-            OBS.inc("interp.vec_nests", interp.vectorized_nests)
-            for code, n in interp.fallback_reasons.items():
-                OBS.inc(f"interp.fallback.{code}", n)
-        workload, scale = key or (instance.name, "")  # never cached
-        entry = WorkloadTrace(
-            workload=workload, scale=scale, calls=records,
-            info=DatasetInfo(
-                instance.short, dict(instance.objects),
-                instance.host_insts_per_call, instance.serial_fraction,
-            ),
-            # the arrays are final: the one validation this dataset gets
-            validated=instance.validate(),
-        )
-        if recording:
-            cache.put(entry)
-        return entry
 
     # ------------------------------------------------------------------
     def _run_ooo(self, entry: WorkloadTrace, ooo: OooModel,
@@ -289,7 +317,9 @@ class SystemSimulator:
             kernel_key = rec.kernel_key()
             ck = compiled.get(kernel_key)
             if ck is None:
-                ck = compiled[kernel_key] = self._compile(entry, rec)
+                ck = compiled[kernel_key] = compiled_kernel(
+                    entry, rec, spec.mode, spec.no_stream_spec
+                )
             # split once per recorded call, shared by every replay
             streams = rec.site_streams()
             offloaded_insts = 0
@@ -339,31 +369,6 @@ class SystemSimulator:
             entry, spec.name, total_ps, insts, mem_ops, energy,
             hierarchy, dist, mmio, accel_iters,
         )
-
-    def _compile(self, entry: WorkloadTrace,
-                 rec: FunctionalCallRecord) -> CompiledKernel:
-        """``rec``'s kernel compiled for this configuration, once per
-        dataset: the compiler's output depends on the kernel, the
-        compile mode, the stream-spec flag and the trip hint of the
-        kernel's first call, and on nothing a machine, cell or chunk
-        changes. The compile records into its own coverage, which every
-        cell that takes it merges into its own."""
-        spec = self.spec
-        key = (*rec.kernel_key(), spec.mode, spec.no_stream_spec)
-        memo = entry.compiled.get(key)
-        if memo is None:
-            OBS.inc("compile.kernels")
-            coverage = CoverageRecorder()
-            memo = entry.compiled[key] = (compile_kernel(
-                rec.kernel, spec.mode,
-                trip_count_hint=max(rec.inner_iterations, 1),
-                coverage=coverage,
-                disable_stream_spec=spec.no_stream_spec,
-            ), coverage)
-        else:
-            OBS.inc("compile.reused")
-        self.coverage.merge(memo[1])
-        return memo[0]
 
     def _make_backend(self):
         if self.spec.backend == "io":
@@ -419,7 +424,6 @@ class SystemSimulator:
 
 def simulate_workload(instance: WorkloadInstance, config: str,
                       machine: Optional[MachineParams] = None,
-                      coverage: Optional[CoverageRecorder] = None,
                       trace_cache: Optional[TraceCache] = None,
                       trace_key: Optional[Tuple[str, str]] = None
                       ) -> RunResult:
@@ -430,15 +434,13 @@ def simulate_workload(instance: WorkloadInstance, config: str,
     configurations of the same workload.
     """
     return SystemSimulator(
-        config, machine, coverage,
-        trace_cache=trace_cache, trace_key=trace_key,
+        config, machine, trace_cache=trace_cache, trace_key=trace_key,
     ).run(instance)
 
 
 def simulate_dataset(workload: str, scale: str, config: str,
                      build_kwargs: Optional[Dict[str, object]] = None,
                      machine: Optional[MachineParams] = None,
-                     coverage: Optional[CoverageRecorder] = None,
                      trace_cache: Optional[TraceCache] = None
                      ) -> RunResult:
     """Simulate a registered workload's dataset on one configuration,
@@ -446,6 +448,6 @@ def simulate_dataset(workload: str, scale: str, config: str,
     from the same arguments as the build, so the two cannot disagree."""
     kwargs = dict(build_kwargs or {})
     return SystemSimulator(
-        config, machine, coverage, trace_cache=trace_cache,
+        config, machine, trace_cache=trace_cache,
         trace_key=functional_key(workload, scale, kwargs),
     ).run(build=lambda: ALL_WORKLOADS[workload].build(scale, **kwargs))

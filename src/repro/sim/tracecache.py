@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..envcfg import reference_enabled
 from ..ir.interp import InterpResult, MemAccess, OpCounts
@@ -35,6 +35,9 @@ from ..ir.program import Kernel, MemObject
 from ..ir.trace import ColumnarTrace
 from ..obs import OBS
 from ..runtime.streams import SiteStreams
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..compiler.pipeline import CompiledKernel
 
 #: a recorded access trace: columnar (normal) or a plain MemAccess list
 #: (an untraced call's empty list / hand-built tests) — both speak the
@@ -154,17 +157,26 @@ class WorkloadTrace:
     #: the interpreted outputs matched the NumPy reference (checked once,
     #: by the interpreting cell, when the arrays were final)
     validated: bool
-    #: the dataset's compiled kernels, filled and read by the cells that
-    #: replay it (:meth:`repro.sim.system.SystemSimulator.run`): (kernel
-    #: name, fingerprint, compile mode, no stream spec) -> (compiled
-    #: kernel, the coverage its compile recorded). Never pickled.
-    compiled: Dict[tuple, tuple] = field(
+    #: the dataset's compiled kernels, filled and read through
+    #: :func:`repro.sim.system.compiled_kernel`: (kernel name,
+    #: fingerprint, compile mode, no stream spec) -> compiled kernel.
+    #: Never pickled.
+    compiled: Dict[tuple, "CompiledKernel"] = field(
         default_factory=dict, init=False, repr=False, compare=False,
     )
 
     @property
     def peak_trace_elems(self) -> int:
         return max((len(c.trace) for c in self.calls), default=0)
+
+    def first_calls(self) -> List[FunctionalCallRecord]:
+        """The first call of each kernel (by name and fingerprint), in
+        call order: the call each of the dataset's compiles takes its
+        trip hint from."""
+        first: Dict[Tuple[str, str], FunctionalCallRecord] = {}
+        for rec in self.calls:
+            first.setdefault(rec.kernel_key(), rec)
+        return list(first.values())
 
     def __getstate__(self) -> Dict[str, object]:
         # a pickle holds the functional record only; compiles are redone

@@ -1,9 +1,7 @@
 """Tests for the full compilation pipeline."""
 
-import numpy as np
-
 from repro.accel.microcode import Opcode, disassemble
-from repro.compiler import CompileMode, compile_kernel, profile_kernel
+from repro.compiler import CompileMode, compile_kernel
 from repro.dfg.classify import Classification
 from repro.interface import Intrinsic
 from repro.ir import (
@@ -156,23 +154,3 @@ class TestRejection:
         assert len(ck.offloads) == 1
         assert ck.offloads[0].loop is inner
 
-
-class TestProfiling:
-    def test_profile_coverage(self):
-        k = vaddmul(32)
-        arrays = {
-            name: np.zeros(32, dtype=np.float32) for name in ("A", "B", "C")
-        }
-        rep = profile_kernel(k, arrays, host_insts=50, host_accesses=10)
-        assert 0 < rep.pct_code_coverage < 100
-        assert rep.pct_data_coverage > 80
-        assert rep.inner_iterations == 32
-
-    def test_hot_gate(self):
-        k = vaddmul(32)
-        arrays = {
-            name: np.zeros(32, dtype=np.float32) for name in ("A", "B", "C")
-        }
-        hot = profile_kernel(k, arrays, host_insts=10)
-        cold = profile_kernel(k, arrays, host_insts=10**9)
-        assert hot.hot and not cold.hot

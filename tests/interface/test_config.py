@@ -1,5 +1,7 @@
 """Tests for offload-configuration records."""
 
+import random
+
 import pytest
 
 from repro.errors import InterfaceError
@@ -112,3 +114,73 @@ class TestConfigCalls:
 
         off = simple_offload()
         assert 0 < mmio_bytes(off.config_calls()) < 1024
+
+
+def graph_offload(n, edges):
+    """An offload of ``n`` bare partitions with one channel per edge."""
+    return OffloadConfig(
+        offload_id=0, kernel_name="g",
+        partitions=[PartitionConfig(partition_index=p, anchor_object=None)
+                    for p in range(n)],
+        channels=[
+            ChannelConfig(channel_id=c, producer_partition=a,
+                          consumer_partition=b, producer_access_id=2 * c,
+                          consumer_access_id=2 * c + 1)
+            for c, (a, b) in enumerate(edges)
+        ],
+    )
+
+
+def recursive_components(n, edges):
+    """Textbook recursive Tarjan over the same successor order."""
+    succ = {p: [] for p in range(n)}
+    for a, b in edges:
+        succ[a].append(b)
+    index, low, stack, out = {}, {}, [], []
+
+    def connect(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in succ[v]:
+            if w not in index:
+                connect(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while True:
+                w = stack.pop()
+                comp.append(w)
+                if w == v:
+                    break
+            out.append(sorted(comp))
+
+    for v in range(n):
+        if v not in index:
+            connect(v)
+    return out
+
+
+class TestChannelComponents:
+    def test_chain_has_singletons(self):
+        assert simple_offload().channel_components() == [[1], [0]]
+
+    def test_cycle_and_self_loop(self):
+        off = graph_offload(4, [(0, 1), (1, 2), (2, 0), (3, 3), (2, 3)])
+        assert off.channel_components() == [[3], [0, 1, 2]]
+
+    def test_matches_recursive_tarjan_in_order(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randrange(1, 9)
+            edges = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randrange(0, 3 * n))]
+            assert graph_offload(n, edges).channel_components() == (
+                recursive_components(n, edges)), (n, edges)
+
+    def test_long_chain_needs_no_recursion(self):
+        n = 5000
+        off = graph_offload(n, [(p, p + 1) for p in range(n - 1)]
+                            + [(n - 1, 0)])
+        assert off.channel_components() == [list(range(n))]

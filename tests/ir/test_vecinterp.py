@@ -41,8 +41,7 @@ OPT_OUT_ENV = "REPRO_NO_VERIFY"
 
 def result_sig(res):
     return (
-        res.counts, res.iterations, res.accesses_per_object,
-        res.inner_iterations, res.inner_iters_by_loop,
+        res.counts, res.inner_iterations, res.inner_iters_by_loop,
         res.inner_invocations_by_loop,
     )
 
@@ -255,8 +254,9 @@ class TestVectorizationCoverage:
         run_both(k, rng_arrays(k))
 
     def test_zero_trip_loops_identical(self):
-        # degenerate bounds: invoked-but-empty loops must still create
-        # their iteration-map entries (with zeros) on both paths
+        # degenerate bounds: invoked-but-empty innermost loops must
+        # still create their iteration-map entries (with zeros) on both
+        # paths
         n = 8
         A = MemObject("A", n, FLOAT64)
         B = MemObject("B", n, FLOAT64)
@@ -276,8 +276,7 @@ class TestVectorizationCoverage:
             ],
             outputs=["B"],
         )
-        res_s, res_v, _ = run_both(k, rng_arrays(k))
-        assert res_s.iterations["i"] == res_v.iterations["i"]
+        _, res_v, _ = run_both(k, rng_arrays(k))
         assert 0 in res_v.inner_iters_by_loop
 
     def test_negative_step_identity(self):

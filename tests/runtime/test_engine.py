@@ -179,16 +179,8 @@ class TestLineSize:
 
 class TestSerialGroups:
     def test_saxpy_has_no_cycles(self):
-        engine, off, clusters, res, streams, _ = saxpy_setup()
-        from repro.runtime.engine import _RunContext
-        from repro.events import Simulator
-
-        ctx = _RunContext(
-            engine=engine, offload=off, clusters=clusters,
-            chunk_sizes=[1], site_streams=streams,
-            sim=Simulator(), stats=None,
-        )
-        groups = ctx._serial_groups()
+        _, off, _, _, _, _ = saxpy_setup()
+        groups = off.config.channel_components()
         assert all(len(g) == 1 for g in groups)
         assert sum(len(g) for g in groups) == off.config.num_partitions
 

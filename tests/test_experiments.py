@@ -55,10 +55,6 @@ class TestMatrix:
         assert tiny_matrix.speedup("fdt", "ooo") == 1.0
         assert tiny_matrix.energy_efficiency("fdt", "dist_da_f") > 1.0
 
-    def test_coverage_collected(self, tiny_matrix):
-        assert "fdt" in tiny_matrix.coverage
-        assert tiny_matrix.coverage["fdt"].used()
-
 
 class TestFigureModules:
     def test_fig07_structure(self, tiny_matrix):

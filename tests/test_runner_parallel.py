@@ -65,11 +65,6 @@ class TestParallelEquality:
                 parallel.results[key]
             ), key
 
-    def test_coverage_merged_per_workload(self, serial, parallel):
-        assert set(parallel.coverage) == set(WORKLOADS)
-        for w in WORKLOADS:
-            assert parallel.coverage[w].row() == serial.coverage[w].row()
-
     def test_all_validated(self, parallel):
         assert parallel.all_validated()
 
