@@ -72,8 +72,6 @@ class PartitionProfile:
 class IterationTiming:
     """Steady-state timing of one partition iteration."""
 
-    #: cycles from first input to last output of one iteration
-    latency_cycles: float
     #: initiation interval: cycles between successive iteration starts
     ii_cycles: float
     freq_ghz: float
@@ -83,12 +81,6 @@ class IterationTiming:
         from ..events import cycles_to_ps
 
         return cycles_to_ps(self.ii_cycles, self.freq_ghz)
-
-    @property
-    def latency_ps(self) -> int:
-        from ..events import cycles_to_ps
-
-        return cycles_to_ps(self.latency_cycles, self.freq_ghz)
 
 
 class ComputeBackend(Protocol):

@@ -1,11 +1,5 @@
-"""Statically-mapped heterogeneous CGRA fabric (CGRA-Mapper substitute)."""
+"""Statically-mapped heterogeneous CGRA fabric, timed by its resource bound."""
 
-from .fabric import CgraFabric, PeType
-from .mapper import CgraMapping, map_dfg_partition
 from .backend import CgraBackend
 
-__all__ = [
-    "CgraFabric", "PeType",
-    "CgraMapping", "map_dfg_partition",
-    "CgraBackend",
-]
+__all__ = ["CgraBackend"]

@@ -5,19 +5,21 @@ state; spatially-mapped producer/consumer PEs exchange operands with
 implicit access-ids (paper §IV-B), so per-op instruction overhead
 disappears — that is the compute-specialization win quantified as the
 1.23x (energy) / 1.43x (speedup) Dist-DA-F vs Dist-DA-IO gap.
+
+The II is the larger of two bounds: each op class over its ALU count
+(the resource bound) and the buffer operands over the buffers' two
+ports. Placement and routing on the PE grid are not modelled; the grid
+only caps the ALU budget (``rows x cols``, a machine rule).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from ...energy import EnergyLedger
 from ...interface.config import PartitionConfig
 from ...params import CgraParams
 from ..base import IterationTiming, PartitionProfile
-from .fabric import CgraFabric
-from .mapper import CgraMapping
 
 
 class CgraBackend:
@@ -25,25 +27,15 @@ class CgraBackend:
 
     def __init__(self, params: CgraParams):
         self.params = params
-        self.fabric = CgraFabric(params)
         self.freq_ghz = params.freq_ghz
 
-    def timing(self, profile: PartitionProfile,
-               mapping: Optional[CgraMapping] = None) -> IterationTiming:
-        if mapping is not None:
-            ii = mapping.ii
-            depth = mapping.depth_cycles
-        else:
-            ii = self._resource_ii(profile)
-            depth = max(1, round(math.sqrt(max(profile.total_compute, 1))) + 1)
+    def timing(self, profile: PartitionProfile) -> IterationTiming:
         # buffer interface ports: dual-ported access-unit buffers
         port_ii = math.ceil(
             max(profile.buffer_reads, profile.buffer_writes, 1) / 2
         )
-        ii = max(ii, port_ii)
         return IterationTiming(
-            latency_cycles=depth + ii - 1,
-            ii_cycles=ii,
+            ii_cycles=max(self._resource_ii(profile), port_ii),
             freq_ghz=self.freq_ghz,
         )
 

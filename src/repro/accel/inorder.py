@@ -28,9 +28,7 @@ class InOrderBackend:
         extra = 3 * profile.compute_ops.get("complex", 0)
         cycles = (insts + extra) / self.params.issue_width
         cycles = max(cycles, 1.0)
-        return IterationTiming(
-            latency_cycles=cycles, ii_cycles=cycles, freq_ghz=self.freq_ghz
-        )
+        return IterationTiming(ii_cycles=cycles, freq_ghz=self.freq_ghz)
 
     def charge_iteration(self, profile: PartitionProfile,
                          energy: EnergyLedger, count: float = 1.0) -> None:

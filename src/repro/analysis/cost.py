@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from ..ir.expr import (
     COMPLEX_OPS,
@@ -54,6 +56,9 @@ from ..energy.tables import EnergyTable
 from ..ir.stmt import Assign, Loop, Stmt, Store, When
 from ..params import CACHE_LINE_BYTES, MachineParams
 from .ranges import affine_form
+
+if TYPE_CHECKING:
+    from ..sim.tracecache import WorkloadTrace
 
 INF = math.inf
 
@@ -792,8 +797,7 @@ def _site_distinct_lines(site: SiteRec, elem_bytes: int,
     return best
 
 
-def distinct_line_bound(calls: Sequence[KernelCallCost],
-                        objects: Mapping[str, MemObject]) -> int:
+def distinct_line_bound(calls: Sequence[KernelCallCost]) -> int:
     """Compulsory-miss lower bound: distinct lines the run must touch.
 
     Caches persist across calls, so per object the bound is the *max*
@@ -812,26 +816,12 @@ def distinct_line_bound(calls: Sequence[KernelCallCost],
                 cap = -(-obj.size_bytes // CACHE_LINE_BYTES)
                 per_object[site.obj] = max(per_object.get(site.obj, 0),
                                            min(lines, cap))
-    del objects  # reserved for cross-kernel aliasing policies
     return sum(per_object.values())
 
 
 # ---------------------------------------------------------------------------
 # workload-level drivers
 # ---------------------------------------------------------------------------
-
-def enumerate_calls(instance: Any) -> List[Tuple[Kernel, Dict[str, Any]]]:
-    """Materialize a workload instance's call schedule.
-
-    Data-dependent schedules (e.g. BFS frontiers) advance on array
-    state, so the calls come from the simulator's own functional pass
-    over the instance's arrays: the schedule the simulator will see.
-    """
-    from ..sim.system import functional_pass
-
-    entry = functional_pass(lambda: instance)
-    return [(rec.kernel, dict(rec.scalars)) for rec in entry.calls]
-
 
 @dataclass
 class CostReport:
@@ -861,23 +851,27 @@ class CostReport:
 
 
 class CostModel:
-    """Derives metric intervals for a fixed call schedule and machine."""
+    """Derives metric intervals for one dataset's calls and a machine.
 
-    def __init__(self, calls: Sequence[Tuple[Kernel, Dict[str, Any]]],
-                 machine: MachineParams,
-                 host_insts_per_call: int,
-                 serial_fraction: float,
-                 objects: Optional[Mapping[str, MemObject]] = None) -> None:
+    ``trace`` is the dataset's functional pass
+    (:func:`repro.sim.system.functional_pass`): data-dependent schedules
+    (e.g. BFS frontiers) advance on array state, so the calls are the
+    ones the simulator replays, and each kernel's compile comes from the
+    simulator's own memo on the trace.
+    """
+
+    def __init__(self, trace: WorkloadTrace,
+                 machine: MachineParams) -> None:
+        self.trace = trace
         self.machine = machine
-        self.host_insts_per_call = host_insts_per_call
-        self.serial_fraction = serial_fraction
-        self.calls = [analyze_kernel_call(k, s) for k, s in calls]
-        self.objects: Dict[str, MemObject] = dict(objects or {})
-        for kernel, _ in calls:
-            for name, obj in kernel.objects.items():
-                self.objects.setdefault(name, obj)
-        self.distinct_lines = distinct_line_bound(self.calls, self.objects)
-        self._compiled: Dict[Tuple[str, Any, bool], Any] = {}
+        self.host_insts_per_call = trace.info.host_insts_per_call
+        self.serial_fraction = trace.info.serial_fraction
+        self.calls = [analyze_kernel_call(rec.kernel, rec.scalars)
+                      for rec in trace.calls]
+        self.objects: Dict[str, MemObject] = {}
+        for rec in trace.calls:
+            self.objects.update(rec.kernel.objects)
+        self.distinct_lines = distinct_line_bound(self.calls)
 
     # -- shared --------------------------------------------------------
     @property
@@ -972,33 +966,13 @@ class CostModel:
             rel=1e-9, abs_=1.0)
 
     # -- accelerator configs -------------------------------------------
-    def _compile(self, kernel: Kernel, spec: Any,
-                 call: KernelCallCost) -> Any:
-        from ..compiler.pipeline import compile_kernel
-
-        key = (kernel.fingerprint(), spec.mode, spec.no_stream_spec)
-        cached = self._compiled.get(key)
-        if cached is not None:
-            return cached
-        hint = 1
-        for iters, _inv in call.trips.values():
-            if math.isfinite(iters.hi) and iters.hi > hint:
-                hint = int(iters.hi)
-            elif iters.lo > hint:
-                hint = int(iters.lo)
-        compiled = compile_kernel(
-            kernel, spec.mode, trip_count_hint=max(hint, 1),
-            disable_stream_spec=spec.no_stream_spec,
-        )
-        self._compiled[key] = compiled
-        return compiled
-
     def _predict_accel(self, spec: Any,
                        machine: MachineParams) -> Dict[str, Interval]:
         from ..accel.base import PartitionProfile
         from ..accel.inorder import InOrderBackend
         from ..events import cycles_to_ps
         from ..interface.config import AccessKind
+        from ..sim.system import compiled_kernel
 
         if spec.backend == "io":
             backend = InOrderBackend(machine.inorder)
@@ -1027,11 +1001,13 @@ class CostModel:
         setup_pj = 0.0
         relaunches = _ZERO
 
-        for call in self.calls:
+        for rec, call in zip(self.trace.calls, self.calls):
             counts = call.counts
             mem = mem + counts.mem_ops
-            compiled = self._compile(call.kernel, spec, call)
-            loop_ids = call.kernel.innermost_loop_ids()
+            compiled = compiled_kernel(self.trace, rec, spec.mode,
+                                       spec.no_stream_spec)
+            # loops by structural position, as the simulator finds them
+            loop_ids = compiled.kernel.innermost_loop_ids()
             total = counts.total_insts
             offloaded = _ZERO
             call_time_hi = 0.0
@@ -1257,16 +1233,9 @@ def _fused_channel_ids(config: Any) -> Set[int]:
 def cost_model_for_instance(instance: Any,
                             machine: MachineParams) -> CostModel:
     """Build a :class:`CostModel` from a fresh workload instance."""
-    calls = enumerate_calls(instance)
-    objects: Dict[str, MemObject] = {}
-    for kernel, _ in calls:
-        objects.update(kernel.objects)
-    return CostModel(
-        calls, machine,
-        host_insts_per_call=instance.host_insts_per_call,
-        serial_fraction=instance.serial_fraction,
-        objects=objects,
-    )
+    from ..sim.system import functional_pass
+
+    return CostModel(functional_pass(lambda: instance), machine)
 
 
 def workload_cost_report(instance: Any, machine: MachineParams,

@@ -138,14 +138,12 @@ class CompiledKernel:
 
 
 def compile_kernel(kernel: Kernel, mode: CompileMode = CompileMode.DIST,
-                   max_partitions: Optional[int] = None,
                    trip_count_hint: Optional[int] = None,
-                   coverage: Optional[CoverageRecorder] = None,
                    disable_stream_spec: bool = False) -> CompiledKernel:
     """Compile every offloadable innermost loop of ``kernel``."""
     # static legality guard (repro.analysis); REPRO_NO_VERIFY=1 opts out
     assert_kernel_verified(kernel, context="compiler")
-    coverage = coverage if coverage is not None else CoverageRecorder()
+    coverage = CoverageRecorder()
     offloads: List[CompiledOffload] = []
     rejected: List[Tuple[Loop, Classification]] = []
     for index, loop in enumerate(kernel.innermost_loops()):
@@ -154,7 +152,7 @@ def compile_kernel(kernel: Kernel, mode: CompileMode = CompileMode.DIST,
             rejected.append((loop, classify.kind))
             continue
         dfg = build_dfg(loop, kernel, name=f"{kernel.name}.{loop.var}{index}")
-        partitioning = _partition_for_mode(dfg, mode, max_partitions)
+        partitioning = _partition_for_mode(dfg, mode)
         config = specialize_offload(
             dfg, partitioning, kernel, offload_id=index,
             coverage=coverage, trip_count=trip_count_hint,
@@ -177,10 +175,9 @@ def compile_kernel(kernel: Kernel, mode: CompileMode = CompileMode.DIST,
     )
 
 
-def _partition_for_mode(dfg: Dfg, mode: CompileMode,
-                        max_partitions: Optional[int]) -> DfgPartitioning:
+def _partition_for_mode(dfg: Dfg, mode: CompileMode) -> DfgPartitioning:
     if mode is CompileMode.DIST:
-        return partition_dfg(dfg, max_partitions=max_partitions)
+        return partition_dfg(dfg)
     if mode is CompileMode.MONO_CA:
         assignment = {nid: 0 for nid in dfg.nodes}
         return DfgPartitioning(

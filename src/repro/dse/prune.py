@@ -33,13 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.cost import (
-    METRICS,
-    VALIDATED_CONFIGS,
-    CostModel,
-    enumerate_calls,
-)
+from ..analysis.cost import METRICS, VALIDATED_CONFIGS, CostModel
 from ..params import MachineParams
+from ..sim.system import functional_pass
+from ..sim.tracecache import WorkloadTrace
 from ..workloads import ALL_WORKLOADS
 from .spec import SweepPoint, SweepSpec
 
@@ -88,7 +85,7 @@ def static_bounds_fn(spec: SweepSpec, base: MachineParams) -> BoundsFn:
     pre-pass costs one interpreter walk per dataset — the same unit of
     reuse the sweep scheduler itself exploits for traces.
     """
-    analyzed: Dict[Tuple, Tuple] = {}
+    analyzed: Dict[Tuple, WorkloadTrace] = {}
     models: Dict[Tuple, CostModel] = {}
 
     def bounds(point: SweepPoint) -> Optional[Dict[str, Tuple[float, float]]]:
@@ -99,24 +96,14 @@ def static_bounds_fn(spec: SweepSpec, base: MachineParams) -> BoundsFn:
             return None
         dataset = (point.workload, point.scale, point.workload_kwargs)
         if dataset not in analyzed:
-            instance = ALL_WORKLOADS[point.workload].build(
-                point.scale, **dict(point.workload_kwargs)
-            )
-            analyzed[dataset] = (
-                enumerate_calls(instance),
-                dict(instance.objects),
-                instance.host_insts_per_call,
-                instance.serial_fraction,
-            )
+            analyzed[dataset] = functional_pass(
+                lambda: ALL_WORKLOADS[point.workload].build(
+                    point.scale, **dict(point.workload_kwargs)))
         model_key = (dataset, point.machine_overrides)
         model = models.get(model_key)
         if model is None:
-            calls, objects, hipc, sf = analyzed[dataset]
             model = models[model_key] = CostModel(
-                calls, point.machine(base),
-                host_insts_per_call=hipc, serial_fraction=sf,
-                objects=objects,
-            )
+                analyzed[dataset], point.machine(base))
         pred = model.predict(point.config)
         return {m: pred[m].as_pair() for m in METRICS}
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from concurrent.futures import as_completed
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..obs import OBS, CellStat, SweepProgress
+from ..obs import SweepProgress
 from ..params import MachineParams
 from ..sim.results import RunResult
 from ..sim.system import simulate_dataset
@@ -93,16 +92,7 @@ def _run_point(planned: PlannedPoint,
 def _run_group(group: List[PlannedPoint],
                cache: TraceCache) -> List[Dict[str, object]]:
     """Run one dataset group; returns its rows in point order."""
-    rows = []
-    for planned in group:
-        point = planned.point
-        start = perf_counter()
-        rows.append(_run_point(planned, cache))
-        OBS.add_cell(CellStat(
-            point.workload, point.config, perf_counter() - start,
-            trace_elems=cache.peak_trace_elems(*point.trace_key()),
-        ))
-    return rows
+    return [_run_point(planned, cache) for planned in group]
 
 
 def _sweep_worker(group: List[PlannedPoint]) -> List[Dict[str, object]]:

@@ -80,8 +80,10 @@ def compute_multithreaded(machine: Optional[MachineParams] = None,
                                 trace_cache=cache)
         single = simulate_dataset(workload, scale, config, machine=machine,
                                   trace_cache=cache)
-        # DRAM utilization drives the shared-memory contention uplift
-        dram_cycles = single.cache_stats.dram * 5
+        # DRAM utilization drives the shared-memory contention uplift:
+        # each line holds the channel for line / bandwidth cycles
+        dram_cycles = single.cache_stats.dram * (
+            machine.l3.line_bytes / machine.dram.bandwidth_bytes_per_cycle)
         util = min(dram_cycles / max(single.cycles, 1), 1.0)
         rows[workload] = {}
         for threads in THREAD_COUNTS:

@@ -35,7 +35,6 @@ from typing import (
 )
 
 from ..errors import ConfigError, ReproError
-from ..obs import OBS, CellStat
 from ..params import MachineParams, experiment_machine
 from ..sim.results import RunResult
 from ..sim.system import simulate_dataset
@@ -84,17 +83,10 @@ class ResultMatrix:
         if key not in self.results:
             if workload not in ALL_WORKLOADS:
                 raise ConfigError(f"unknown workload {workload!r}")
-            start = perf_counter()
             self.results[key] = simulate_dataset(
                 workload, self.scale, config, machine=self.machine,
                 trace_cache=self.trace_cache,
             )
-            OBS.add_cell(CellStat(
-                workload, config, perf_counter() - start,
-                trace_elems=self.trace_cache.peak_trace_elems(
-                    workload, self.scale
-                ),
-            ))
         return self.results[key]
 
     def baseline(self, workload: str) -> RunResult:

@@ -1,4 +1,4 @@
-"""LPDDR main-memory model: fixed latency + bandwidth + energy accounting.
+"""LPDDR main-memory model: fixed latency + energy accounting.
 
 Row-buffer effects are folded into the average access latency; the paper's
 comparisons are dominated by *whether* an access leaves the chip, not by
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..energy import EnergyLedger
-from ..params import CACHE_LINE_BYTES, DramParams
+from ..params import DramParams
 
 
 class Dram:
@@ -23,29 +23,16 @@ class Dram:
         self.reads = 0
         self.writes = 0
 
-    def access(self, is_write: bool, lines: int = 1) -> int:
-        """Record ``lines`` line transfers; returns latency in cycles.
-
-        Latency covers the first line; subsequent lines of a burst stream
-        at the channel bandwidth.
-        """
-        if lines < 1:
-            raise ValueError(f"lines must be >= 1: {lines}")
+    def access(self, is_write: bool) -> int:
+        """Record one line transfer; returns its latency in cycles."""
         if is_write:
-            self.writes += lines
+            self.writes += 1
         else:
-            self.reads += lines
+            self.reads += 1
         if self.energy is not None:
-            self.energy.charge("dram", "dram_line_access", lines)
-        burst_cycles = int(
-            (lines - 1) * CACHE_LINE_BYTES / self.params.bandwidth_bytes_per_cycle
-        )
-        return self.params.latency_cycles + burst_cycles
+            self.energy.charge("dram", "dram_line_access", 1)
+        return self.params.latency_cycles
 
     @property
     def accesses(self) -> int:
         return self.reads + self.writes
-
-    @property
-    def bytes_transferred(self) -> int:
-        return self.accesses * CACHE_LINE_BYTES

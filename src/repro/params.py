@@ -9,9 +9,11 @@ Paper reference (Table III):
 * OoO core: 2 GHz, 2x4 decode/issue, x86, 5-way Ice Lake-like.
 * L1 D/I: 8-way 32 KB, 8 MSHRs, latency 2.
 * L2: 128 KB 16-way, 16 MSHRs, latency 4, stride prefetcher.
-* L3: 2 MB static NUCA (256 KB per cluster), 8 clusters (4 banks each) on a
-  mesh NoC, 16-way, 64 MSHRs, latency 10.
-* Memory: LPDDR 2 GB.
+* L3: 2 MB static NUCA (256 KB per cluster), 8 clusters on a mesh NoC,
+  16-way, 64 MSHRs, latency 10. (The paper's 4 banks per cluster are not
+  modelled: a slice is one cache.)
+* Memory: LPDDR 2 GB. (The capacity is not modelled: no working set
+  comes near it.)
 * Accelerators: CGRA @ 1 GHz or 1-issue in-order @ 2 GHz, 4 KB buffer per
   L3 cluster, ACP 1-way 1 KB.
 """
@@ -85,7 +87,6 @@ class NocParams:
 class DramParams:
     """LPDDR main-memory model."""
 
-    size_bytes: int = 2 * 1024**3
     latency_cycles: int = 120
     bandwidth_bytes_per_cycle: float = 12.8  # ~25.6 GB/s at 2 GHz
 
@@ -105,7 +106,6 @@ class InOrderParams:
 
     freq_ghz: float = 2.0
     issue_width: int = 1
-    mem_level_parallelism: int = 1
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,8 @@ class CgraParams:
 
     The paper provisions a 5x5 tile per L3 cluster for Dist-DA-F (four
     float, four complex, fifteen integer ALUs) and an 8x8 fabric for
-    Mono-DA-F.
+    Mono-DA-F. The ALUs must fit the grid (``int_alus + float_alus +
+    complex_alus <= rows x cols``, a machine rule).
     """
 
     freq_ghz: float = 1.0
@@ -241,7 +242,6 @@ class MachineParams:
         )
     )
     l3_clusters: int = 8
-    l3_banks_per_cluster: int = 4
     l2_stride_prefetcher: bool = True
     noc: NocParams = field(default_factory=NocParams)
     dram: DramParams = field(default_factory=DramParams)
@@ -338,7 +338,6 @@ def machine_violations(m: MachineParams) -> List[str]:
 
     clusters = m.l3_clusters
     at_least("l3_clusters", clusters, 1)
-    at_least("l3_banks_per_cluster", m.l3_banks_per_cluster, 1)
     at_least("l3_bank_latency", m.l3_bank_latency, 1)
     if clusters >= 1:
         slice_bytes, rem = divmod(m.l3.size_bytes, clusters)
@@ -370,7 +369,6 @@ def machine_violations(m: MachineParams) -> List[str]:
             v.append(f"noc.host_node {noc.host_node} is not co-located "
                      f"with an L3 cluster (l3_clusters={clusters})")
 
-    at_least("dram.size_bytes", m.dram.size_bytes, 1)
     at_least("dram.latency_cycles", m.dram.latency_cycles, 0)
     positive("dram.bandwidth_bytes_per_cycle",
              m.dram.bandwidth_bytes_per_cycle)
@@ -379,8 +377,7 @@ def machine_violations(m: MachineParams) -> List[str]:
         group = getattr(m, name)
         positive(f"{name}.freq_ghz", group.freq_ghz)
         at_least(f"{name}.issue_width", group.issue_width, 1)
-        at_least(f"{name}.mem_level_parallelism",
-                 group.mem_level_parallelism, 1)
+    at_least("core.mem_level_parallelism", m.core.mem_level_parallelism, 1)
     cgra = m.cgra
     positive("cgra.freq_ghz", cgra.freq_ghz)
     at_least("cgra.rows", cgra.rows, 1)
@@ -388,6 +385,11 @@ def machine_violations(m: MachineParams) -> List[str]:
     at_least("cgra.int_alus", cgra.int_alus, 0)
     at_least("cgra.float_alus", cgra.float_alus, 0)
     at_least("cgra.complex_alus", cgra.complex_alus, 0)
+    alus = cgra.int_alus + cgra.float_alus + cgra.complex_alus
+    if alus > cgra.num_pes:
+        v.append(f"cgra.int_alus + cgra.float_alus + cgra.complex_alus "
+                 f"({alus}) must fit the cgra.rows x cgra.cols grid "
+                 f"({cgra.rows}x{cgra.cols}, {cgra.num_pes} PEs)")
 
     au = m.access_unit
     at_least("access_unit.buffer_bytes", au.buffer_bytes, 1)
@@ -606,7 +608,7 @@ def experiment_machine() -> MachineParams:
     Pure-Python cycle-approximate simulation cannot execute multi-MB
     working sets at element granularity; instead every storage capacity
     (caches, ACP, access buffers, Mono-CA private cache) shrinks by
-    :data:`EXPERIMENT_SCALE` while organization (ways, clusters, banks),
+    :data:`EXPERIMENT_SCALE` while organization (ways, clusters),
     latencies, frequencies and compute resources stay at Table III
     values. Workload "small" datasets are sized so that working-set /
     LLC ratios match the paper's, which preserves every capacity-driven

@@ -7,14 +7,15 @@ trace-cache miss) or ``simulate_workload`` (an already built instance).
 
 A dataset's calls are interpreted once, by :func:`functional_pass`, and
 each of its kernels is compiled once per compile mode, by
-:func:`compiled_kernel`; the cells, Tables V and VI and AN-C's call
-schedule all take them from there.
+:func:`compiled_kernel`; the cells, Tables V and VI and AN-C's cost
+model all take them from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from time import perf_counter
 from typing import Callable, Dict, Optional, Tuple
 
 from ..compiler.pipeline import CompiledKernel, CompileMode, compile_kernel
@@ -25,7 +26,7 @@ from ..ir.vecinterp import VecInterpreter, make_interpreter
 from ..mem.coherence import CoherenceManager, Domain
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.slab import SlabAllocator
-from ..obs import OBS
+from ..obs import OBS, CellStat
 from ..params import (
     PAGE_BYTES,
     MachineParams,
@@ -242,11 +243,30 @@ class SystemSimulator:
             build: Optional[Callable[[], WorkloadInstance]] = None
             ) -> RunResult:
         """Simulate ``instance``, or what ``build()`` returns; a trace
-        cache hit neither calls ``build`` nor touches ``instance``."""
-        entry = functional_pass(
-            build if instance is None else (lambda: instance),
-            self.trace_cache, self.trace_key,
-        )
+        cache hit neither calls ``build`` nor touches ``instance``.
+
+        Every call records one ``OBS`` cell (wall time, longest call
+        trace), whether it returns or raises.
+        """
+        start = perf_counter()
+        entry: Optional[WorkloadTrace] = None
+        try:
+            entry = functional_pass(
+                build if instance is None else (lambda: instance),
+                self.trace_cache, self.trace_key,
+            )
+            return self._simulate(entry)
+        finally:
+            if entry is not None:
+                workload, elems = entry.workload, entry.peak_trace_elems
+            else:
+                workload = (self.trace_key[0] if self.trace_key
+                            else getattr(instance, "name", "?"))
+                elems = 0
+            OBS.add_cell(CellStat(workload, self.spec.name,
+                                  perf_counter() - start, elems))
+
+    def _simulate(self, entry: WorkloadTrace) -> RunResult:
         energy = EnergyLedger(self.machine.energy)
         hierarchy = MemoryHierarchy(self.machine, energy,
                                     private_cache=self.spec.private_cache)

@@ -216,12 +216,3 @@ class TraceCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-
-    def peak_trace_elems(self, workload: str, scale: str) -> int:
-        """Longest per-call trace of a resident entry (0 when absent).
-
-        A pure query: does not count as a hit/miss and does not touch
-        LRU order.
-        """
-        entry = self._entries.get((workload, scale))
-        return entry.peak_trace_elems if entry is not None else 0

@@ -3,9 +3,9 @@
 One seed in, one *valid* machine document out: cluster counts from
 {1, 2, 4, 8, 16}, every mesh shape large enough to host them (with a
 random host tile and memory-controller attachment), randomized per-level
-cache geometry (power-of-two set counts by construction), bank counts,
-clock ratios and access-unit sizing. Capacities stay experiment-scale
-small so a fuzz case simulates in milliseconds. Energy/area charge
+cache geometry (power-of-two set counts by construction), clock ratios
+and access-unit sizing. Capacities stay experiment-scale small so a
+fuzz case simulates in milliseconds. Energy/area charge
 sheets keep their calibrated defaults — the AN-C static cost bounds are
 part of the oracle, and their fixed margins are calibrated against the
 default tables.
@@ -68,7 +68,6 @@ def generate_machine_doc(seed: int) -> Dict[str, object]:
             "latency_cycles": rng.randint(6, 12),
         },
         "l3_clusters": clusters,
-        "l3_banks_per_cluster": rng.choice((1, 2, 4, 8)),
         "l3_bank_latency": rng.randint(1, 4),
         "noc": {
             "mesh_cols": cols,

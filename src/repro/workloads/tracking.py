@@ -3,7 +3,8 @@
 Three stages per frame: central-difference gradients, per-pixel tensor
 products, and a 3x3-windowed corner response. The response DFG is the
 largest in the suite (Table VI: tra has the maximum static instruction
-count), exercising the CGRA mapper's capacity handling.
+count); more of its CGRA partitions are bound by the fabric's ALU
+counts than any other workload's.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dse import SweepSpec, load_spec, shipped_specs
 from repro.dse.spec import SweepPoint
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MachineConfigError
 from repro.params import experiment_machine
 
 
@@ -81,6 +81,11 @@ class TestValidation:
     def test_bad_machine_axis_type_rejected(self):
         with pytest.raises(ConfigError):
             small_spec(machine_axes={"l3.size_bytes": ["two megabytes"]})
+
+    def test_alus_beyond_the_grid_rejected_at_load(self):
+        # 30 + 4 + 4 ALUs do not fit the experiment machine's 5x5 grid
+        with pytest.raises(MachineConfigError, match=r"cgra\.int_alus"):
+            small_spec(machine_axes={"cgra.int_alus": [15, 30]})
 
     def test_scalar_axis_rejected_naming_the_axis(self):
         with pytest.raises(ConfigError, match="'l1.ways' must be a list"):

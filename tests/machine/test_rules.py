@@ -1,8 +1,9 @@
 """Documents and sweep overrides obey one set of structural rules.
 
-Every schema leaf at 0, -1 and NaN (JSON documents may carry NaN), and
-a size with a non-power-of-two set count for each cache the hierarchy
-builds, is applied both ways: as a ``derive_machine`` override of the
+Every schema leaf at 0, -1 and NaN (JSON documents may carry NaN), a
+size with a non-power-of-two set count for each cache the hierarchy
+builds, and more CGRA ALUs than the grid has PEs (the last two always
+refused), is applied both ways: as a ``derive_machine`` override of the
 experiment machine and as the same field in the experiment machine's
 document. Either both are refused,
 each with the one :class:`MachineConfigError` and a violation naming
@@ -40,8 +41,12 @@ NON_POW2_SIZES = {
     "mono_private_bytes": 3 * MONO_PRIVATE_WAYS * _LINE,
 }
 
+#: inputs every machine must refuse: the sizes above, and more CGRA
+#: ALUs than the grid has PEs (30 + 4 + 4 on the 5x5 grid's 25)
+REFUSED = sorted(NON_POW2_SIZES.items()) + [("cgra.int_alus", 30)]
+
 CASES = [(leaf, value) for leaf in sorted(schema_fields())
-         for value in (0, -1, float("nan"))] + sorted(NON_POW2_SIZES.items())
+         for value in (0, -1, float("nan"))] + REFUSED
 
 
 def _document(leaf, value):
@@ -77,6 +82,7 @@ def test_override_and_document_agree(leaf, value):
     assert (override_err is None) == (document_err is None), (
         override_err, document_err)
     if override_err is None:
+        assert (leaf, value) not in REFUSED
         assert derived == described
         return
     for err in (override_err, document_err):

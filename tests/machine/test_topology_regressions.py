@@ -55,15 +55,6 @@ def test_nuca_home_mapping_16_clusters():
     assert homes == set(range(16))
 
 
-def test_nuca_line_interleaved_banks_follow_document():
-    machine = _machine_16c()
-    nuca = NucaL3(machine)
-    line = machine.l3.line_bytes
-    banks = machine.l3_banks_per_cluster
-    for k in range(4 * banks):
-        assert nuca.bank(k * line) == k % banks
-
-
 # ---------------------------------------------------------------------------
 # slab alignment when the stripe is smaller than a page
 # ---------------------------------------------------------------------------

@@ -29,12 +29,6 @@ class TestNuca:
         assert l3.home_cluster(stripe) == 1
         assert l3.home_cluster(8 * stripe) == 0
 
-    def test_bank_interleaved_lines(self):
-        l3 = NucaL3(default_machine())
-        assert l3.bank(0) == 0
-        assert l3.bank(64) == 1
-        assert l3.bank(4 * 64) == 0
-
     def test_slices_sum_to_l3_capacity(self):
         m = default_machine()
         l3 = NucaL3(m)
@@ -199,7 +193,7 @@ class TestDram:
         h.host_access(0x2000_0000, False)
         h.host_access(0x2000_0000 + 10 * PAGE_BYTES, False)
         assert h.dram.reads == 2
-        assert h.dram.bytes_transferred == 2 * 64
+        assert h.dram.accesses == 2
 
 
 def with_lines(m, line_bytes):

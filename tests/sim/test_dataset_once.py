@@ -8,6 +8,8 @@ flag, and the compile keeps the coverage it recorded. Every cell still
 equals an uncached simulation of a fresh instance.
 """
 
+import contextlib
+import io
 import pickle
 import re
 
@@ -79,6 +81,17 @@ def compiles(monkeypatch):
 @pytest.fixture(scope="module")
 def machine():
     return experiment_machine()
+
+
+@pytest.fixture(scope="module")
+def tiny_report_stats(tmp_path_factory):
+    """What ``--stats`` prints after one serial tiny report."""
+    OBS.reset()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        report_main(["--scale", "tiny", "--jobs", "1", "--stats", "--out",
+                     str(tmp_path_factory.mktemp("report") / "report.txt")])
+    return out.getvalue()
 
 
 def uncached(workload, config, machine, **kwargs):
@@ -238,18 +251,24 @@ class TestCompileOnce:
         assert len(compiles) > before
         assert run_sig(again) == run_sig(first)
 
-    def test_report_stats_count_compiles_and_reuses(self, capsys,
-                                                    tmp_path):
+    def test_report_stats_count_compiles_and_reuses(self,
+                                                    tiny_report_stats):
         """``--stats`` on the tiny report: the lookups that took a
         dataset's compile, next to the compiles themselves. The matrix
         compiles 57 kernels and reuses 38, Fig 12 6 and 6, Fig 13 and
         Fig 14 19 and 38 each, Tables V and VI 19 each, the WSS sweep 8;
         together they are the 267 compiles of a run that compiles in
         every cell and table."""
-        OBS.reset()
-        report_main(["--scale", "tiny", "--jobs", "1", "--stats",
-                     "--out", str(tmp_path / "report.txt")])
-        out = capsys.readouterr().out
-        counts = dict(re.findall(r"^ +(compile\.\w+) +([\d,]+)$", out,
-                                 re.MULTILINE))
+        counts = dict(re.findall(r"^ +(compile\.\w+) +([\d,]+)$",
+                                 tiny_report_stats, re.MULTILINE))
         assert counts == {"compile.kernels": "147", "compile.reused": "120"}
+
+    def test_report_stats_list_every_simulated_cell(self,
+                                                    tiny_report_stats):
+        """Figs 12 and 14 simulate cells outside the matrix; ``--stats``
+        lists every simulated cell once, as many as ``sim.cells``."""
+        out = tiny_report_stats
+        sim_cells = re.search(r"^ +sim\.cells +([\d,]+)$", out, re.MULTILINE)
+        listed = re.search(r"^  cells: (\d+) completed", out, re.MULTILINE)
+        assert int(listed.group(1)) == int(sim_cells.group(1).replace(
+            ",", "")) > 72

@@ -206,17 +206,6 @@ class TestTraceCache:
         assert cache.get("a", "tiny") is None
         assert cache.get("b", "tiny") is not None
 
-    def test_peak_trace_elems_is_pure(self):
-        cache = TraceCache(max_entries=2)
-        assert cache.peak_trace_elems("wl", "tiny") == 0
-        trace = make_trace()
-        cache.put(trace)
-        assert cache.peak_trace_elems("wl", "tiny") == len(
-            trace.calls[0].trace
-        )
-        # the query must not perturb hit/miss accounting
-        assert (cache.hits, cache.misses) == (0, 0)
-
 
 def run_sig(run):
     return (

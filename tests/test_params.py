@@ -39,7 +39,6 @@ class TestTableIII:
     def test_l3(self):
         assert self.m.l3.size_bytes == 2 * 1024 * 1024
         assert self.m.l3_clusters == 8
-        assert self.m.l3_banks_per_cluster == 4
         assert self.m.l3_cluster_bytes == 256 * 1024
         assert self.m.l3.ways == 16
         assert self.m.l3.mshrs == 64
@@ -49,7 +48,8 @@ class TestTableIII:
         assert self.m.noc.num_nodes == self.m.l3_clusters
 
     def test_dram(self):
-        assert self.m.dram.size_bytes == 2 * 1024**3
+        assert self.m.dram.latency_cycles == 120
+        assert self.m.dram.bandwidth_bytes_per_cycle == 12.8
 
     def test_accelerators(self):
         assert self.m.inorder.freq_ghz == 2.0

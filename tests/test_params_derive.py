@@ -73,11 +73,13 @@ class TestDeriveMachine:
 
     @pytest.mark.parametrize("path", [
         "noc.credits_per_link", "core.rob_entries", "l3.writeback",
-        "inorder.sw_prefetch", "access_unit.fill_burst_elems"])
+        "inorder.sw_prefetch", "access_unit.fill_burst_elems",
+        "l3_banks_per_cluster", "dram.size_bytes",
+        "inorder.mem_level_parallelism"])
     def test_unmodelled_field_rejected_by_name(self, path):
         """A sweep axis on a field the simulator never modelled fails,
         naming the field, instead of sweeping flat rows."""
-        leaf = path.split(".")[1]
+        leaf = path.rpartition(".")[2]
         with pytest.raises(ConfigError, match=f"{path!r}.*no field {leaf!r}"):
             derive_machine(default_machine(), {path: 1})
 

@@ -107,4 +107,4 @@ class TestLazyMatrix:
         first = matrix.get("cho", "ooo")
         assert matrix.get("cho", "ooo") is first
         # the shared trace cache has the workload's functional trace
-        assert matrix.trace_cache.peak_trace_elems("cho", "tiny") > 0
+        assert matrix.trace_cache.get("cho", "tiny").peak_trace_elems > 0
