@@ -50,7 +50,7 @@ class CgraBackend:
         )
         for need, have in pairs:
             if need:
-                ii = max(ii, math.ceil(need / max(have, 1)))
+                ii = max(ii, math.ceil(need / have))
         return ii
 
     def charge_iteration(self, profile: PartitionProfile,

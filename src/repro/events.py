@@ -6,11 +6,14 @@ host) runs as a *process*: a Python generator that yields commands to the
 in different clock domains (2 GHz host/IO cores vs. 1 GHz CGRA) compose
 without rounding drift.
 
-Commands a process may yield:
+What a process may yield:
 
-* :class:`Delay` — advance this process by N picoseconds.
+* an ``int`` — advance this process by that many picoseconds (a
+  negative one is an error).
 * :class:`Get` — take one item from a :class:`Channel` (blocks when empty).
 * :class:`Put` — add one item to a :class:`Channel` (blocks when full).
+
+A process that yields the same command many times can build it once.
 
 Example::
 
@@ -20,11 +23,12 @@ Example::
     def producer():
         for i in range(4):
             yield Put(ch, i)
-            yield Delay(500)
+            yield 500
 
     def consumer(out):
+        take = Get(ch)
         for _ in range(4):
-            out.append((yield Get(ch)))
+            out.append((yield take))
 
     sim.spawn("prod", producer())
     sim.spawn("cons", consumer(out := []))
@@ -57,24 +61,11 @@ def ps_to_cycles(ps: int, freq_ghz: float) -> float:
 
 
 class Command:
-    """Base class for commands a process can yield to the simulator."""
+    """Base class for the channel commands a process can yield to the
+    simulator (a delay is a plain ``int``)."""
 
     def arm(self, sim: "Simulator", proc: "Process") -> None:
         raise NotImplementedError
-
-
-class Delay(Command):
-    """Suspend the yielding process for ``ps`` picoseconds."""
-
-    __slots__ = ("ps",)
-
-    def __init__(self, ps: int):
-        if ps < 0:
-            raise SimulationError(f"negative delay: {ps}")
-        self.ps = int(ps)
-
-    def arm(self, sim: "Simulator", proc: "Process") -> None:
-        sim._schedule(sim.now + self.ps, proc, None)
 
 
 class Get(Command):
@@ -105,11 +96,12 @@ class Put(Command):
 class Process:
     """Handle to a running simulation process."""
 
-    __slots__ = ("name", "_gen", "done", "blocked_on")
+    __slots__ = ("name", "send", "done", "blocked_on")
 
-    def __init__(self, name: str, gen: Generator[Command, Any, Any]):
+    def __init__(self, name: str, gen: Generator[Any, Any, Any]):
         self.name = name
-        self._gen = gen
+        #: the generator's bound ``send``, which resumes the process
+        self.send = gen.send
         self.done = False
         #: what the process is blocked on — ``("get", channel)`` or
         #: ``("put", channel)``, formatted lazily for deadlock diagnostics
@@ -138,7 +130,7 @@ class Channel:
     """
 
     __slots__ = ("sim", "capacity", "name", "_items", "_getters",
-                 "_putters", "total_puts", "total_gets", "max_occupancy")
+                 "_putters", "max_occupancy")
 
     def __init__(self, sim: "Simulator", capacity: Optional[int] = None,
                  name: str = "chan"):
@@ -150,35 +142,46 @@ class Channel:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Process] = deque()
         self._putters: Deque[tuple] = deque()  # (process, item)
-        self.total_puts = 0
-        self.total_gets = 0
         self.max_occupancy = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
     # The two arms run once per Get and Put of every replay, so each
-    # completes its hand-off in place. Two invariants hold between arms:
-    # a putter waits only while the channel is full, and a getter only
-    # while it is empty. So a get that finds putters has freed the one
-    # slot the oldest of them takes, no getter is waiting for it, and
-    # the channel is as full again as the put that filled it left it,
-    # which ``max_occupancy`` already counts.
+    # completes its hand-off in place and pushes the resumes it makes
+    # onto the heap itself, with the next sequence numbers, in the order
+    # ``Simulator._schedule`` would: a woken getter before its putter,
+    # and a getter before the putter it frees. Only a woken process was
+    # blocked, so only its ``blocked_on`` is reset. The heap grows only
+    # by pushes, so checking ``peak_pending`` once after an arm's pushes
+    # finds the same high-water mark as checking after each.
+    #
+    # Two invariants hold between arms: a putter waits only while the
+    # channel is full, and a getter only while it is empty. So a get
+    # that finds putters has freed the one slot the oldest of them
+    # takes, no getter is waiting for it, and the channel is as full
+    # again as the put that filled it left it, which ``max_occupancy``
+    # already counts.
     def _arm_get(self, proc: Process) -> None:
         items = self._items
-        if items:
-            item = items.popleft()
-            self.total_gets += 1
-            sim = self.sim
-            sim._schedule(sim._now, proc, item)
-            if self._putters:
-                putter, item = self._putters.popleft()
-                self.total_puts += 1
-                items.append(item)
-                sim._schedule(sim._now, putter, None)
-        else:
+        if not items:
             proc.blocked_on = ("get", self)
             self._getters.append(proc)
+            return
+        sim = self.sim
+        heap = sim._heap
+        now = sim._now
+        seq = sim._seq + 1
+        _heappush(heap, (now, seq, proc, items.popleft()))
+        if self._putters:
+            putter, item = self._putters.popleft()
+            putter.blocked_on = None
+            items.append(item)
+            seq += 1
+            _heappush(heap, (now, seq, putter, None))
+        sim._seq = seq
+        if len(heap) > sim.peak_pending:
+            sim.peak_pending = len(heap)
 
     def _arm_put(self, proc: Process, item: Any) -> None:
         items = self._items
@@ -187,16 +190,23 @@ class Channel:
             proc.blocked_on = ("put", self)
             self._putters.append((proc, item))
             return
-        self.total_puts += 1
         sim = self.sim
+        heap = sim._heap
+        now = sim._now
+        seq = sim._seq + 1
         if self._getters:
-            self.total_gets += 1
-            sim._schedule(sim._now, self._getters.popleft(), item)
+            getter = self._getters.popleft()
+            getter.blocked_on = None
+            _heappush(heap, (now, seq, getter, item))
+            seq += 1
         else:
             items.append(item)
             if len(items) > self.max_occupancy:
                 self.max_occupancy = len(items)
-        sim._schedule(sim._now, proc, None)
+        _heappush(heap, (now, seq, proc, None))
+        sim._seq = seq
+        if len(heap) > sim.peak_pending:
+            sim.peak_pending = len(heap)
 
 
 class Simulator:
@@ -221,7 +231,7 @@ class Simulator:
         """Current simulation time in picoseconds."""
         return self._now
 
-    def spawn(self, name: str, gen: Generator[Command, Any, Any]) -> Process:
+    def spawn(self, name: str, gen: Generator[Any, Any, Any]) -> Process:
         """Register ``gen`` as a new process, runnable at the current time."""
         if not isinstance(gen, Iterator):
             raise SimulationError(
@@ -242,15 +252,18 @@ class Simulator:
 
     def _step(self, proc: Process, value: Any) -> None:
         try:
-            cmd = proc._gen.send(value)
+            cmd = proc.send(value)
         except StopIteration:
             proc.done = True
             return
-        if not isinstance(cmd, Command):
-            raise SimulationError(
-                f"process {proc.name!r} yielded {cmd!r}, expected a Command"
-            )
-        cmd.arm(self, proc)
+        if cmd.__class__ is int:
+            if cmd < 0:
+                raise _negative_delay(proc, cmd)
+            self._schedule(self._now + cmd, proc, None)
+        elif isinstance(cmd, Command):
+            cmd.arm(self, proc)
+        else:
+            raise _not_a_command(proc, cmd)
 
     def run(self, until_ps: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
@@ -279,11 +292,12 @@ class Simulator:
             # specialized dispatch loop for the unbounded case (every
             # replay run): no limit checks, counter kept in a local, the
             # generator resumed without the _step call indirection, a
-            # Delay pushed inline and a Get or Put handed straight to its
-            # channel. The inline Delay pushes the entry Delay.arm would
+            # delay pushed inline and a Get or Put handed straight to its
+            # channel. The inline delay pushes the entry _schedule would
             # (a running process is never blocked, so it needs no
-            # blocked_on reset); the general loop below arms every
-            # command through Command.arm, the reference it must match.
+            # blocked_on reset); the general loop below schedules every
+            # delay through _schedule and arms every command through
+            # Command.arm, the reference it must match.
             heap = self._heap
             pop = heapq.heappop
             push = heapq.heappush
@@ -294,14 +308,16 @@ class Simulator:
                     self._now = time_ps
                     executed += 1
                     try:
-                        cmd = proc._gen.send(value)
+                        cmd = proc.send(value)
                     except StopIteration:
                         proc.done = True
                         continue
                     cls = cmd.__class__
-                    if cls is Delay:
+                    if cls is int:
+                        if cmd < 0:
+                            raise _negative_delay(proc, cmd)
                         self._seq = seq = self._seq + 1
-                        push(heap, (time_ps + cmd.ps, seq, proc, None))
+                        push(heap, (time_ps + cmd, seq, proc, None))
                         if len(heap) > self.peak_pending:
                             self.peak_pending = len(heap)
                     elif cls is Get:
@@ -311,10 +327,7 @@ class Simulator:
                     elif isinstance(cmd, Command):
                         cmd.arm(self, proc)
                     else:
-                        raise SimulationError(
-                            f"process {proc.name!r} yielded {cmd!r}, "
-                            f"expected a Command"
-                        )
+                        raise _not_a_command(proc, cmd)
             finally:
                 self.events_executed += executed
             return True
@@ -336,3 +349,15 @@ class Simulator:
                 )
             self._step(proc, value)
         return True
+
+
+def _negative_delay(proc: Process, ps: int) -> SimulationError:
+    return SimulationError(
+        f"process {proc.name!r} yielded a negative delay: {ps}"
+    )
+
+
+def _not_a_command(proc: Process, cmd: Any) -> SimulationError:
+    return SimulationError(
+        f"process {proc.name!r} yielded {cmd!r}, expected a Command"
+    )

@@ -114,8 +114,9 @@ class CgraParams:
 
     The paper provisions a 5x5 tile per L3 cluster for Dist-DA-F (four
     float, four complex, fifteen integer ALUs) and an 8x8 fabric for
-    Mono-DA-F. The ALUs must fit the grid (``int_alus + float_alus +
-    complex_alus <= rows x cols``, a machine rule).
+    Mono-DA-F. Each ALU class needs at least one ALU, and the ALUs must
+    fit the grid (``int_alus + float_alus + complex_alus <= rows x
+    cols``); both are machine rules.
     """
 
     freq_ghz: float = 1.0
@@ -382,9 +383,10 @@ def machine_violations(m: MachineParams) -> List[str]:
     positive("cgra.freq_ghz", cgra.freq_ghz)
     at_least("cgra.rows", cgra.rows, 1)
     at_least("cgra.cols", cgra.cols, 1)
-    at_least("cgra.int_alus", cgra.int_alus, 0)
-    at_least("cgra.float_alus", cgra.float_alus, 0)
-    at_least("cgra.complex_alus", cgra.complex_alus, 0)
+    # the CGRA runs every op class, so each needs at least one ALU
+    at_least("cgra.int_alus", cgra.int_alus, 1)
+    at_least("cgra.float_alus", cgra.float_alus, 1)
+    at_least("cgra.complex_alus", cgra.complex_alus, 1)
     alus = cgra.int_alus + cgra.float_alus + cgra.complex_alus
     if alus > cgra.num_pes:
         v.append(f"cgra.int_alus + cgra.float_alus + cgra.complex_alus "

@@ -12,6 +12,7 @@ emerge at chunk resolution while event counts stay tractable.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -19,9 +20,7 @@ from ..accel.base import PartitionProfile
 from ..compiler.pipeline import CompiledOffload
 from ..energy import EnergyLedger
 from ..envcfg import reference_enabled
-from ..events import (
-    PS_PER_NS, Channel, Delay, Get, Put, Simulator, cycles_to_ps,
-)
+from ..events import PS_PER_NS, Channel, Get, Put, Simulator, cycles_to_ps
 from ..errors import AllocationError, InterfaceError
 from ..interface.config import AccessConfig, AccessKind, PartitionConfig
 from ..interface.intrinsics import mmio_bytes
@@ -48,6 +47,13 @@ MEM_FREQ_GHZ = 2.0
 #: ``1000 / MEM_FREQ_GHZ`` rounds once, where ``x * 1000 / MEM_FREQ_GHZ``
 #: rounds once and then divides exactly
 PS_PER_MEM_CYCLE = PS_PER_NS / MEM_FREQ_GHZ
+#: a fill's or drain's chunk of ``x`` latency cycles and ``n`` lines
+#: takes ``round((x / FSM_OVERLAP + n) * PS_PER_MEM_CYCLE)`` ps, which is
+#: the integer ``FSM_PS_PER_CYCLE * x + FSM_PS_PER_LINE * n``: the memory
+#: cycle is a whole number of picoseconds that FSM_OVERLAP divides, so
+#: nothing rounds while every term stays below 2**53
+FSM_PS_PER_LINE = int(PS_PER_MEM_CYCLE)
+FSM_PS_PER_CYCLE = FSM_PS_PER_LINE // FSM_OVERLAP
 
 
 @dataclass
@@ -288,8 +294,12 @@ class _RunContext:
     #: whether the walks take their steps from the plans' chunk walks
     #: (the production path; REPRO_REFERENCE=1 turns it off)
     walk_plans: bool = field(init=False)
+    #: how many chunks have each size, in chunk order: the full size,
+    #: then at most one remainder
+    size_counts: Dict[int, int] = field(init=False)
 
     def build(self) -> None:
+        self.size_counts = Counter(self.chunk_sizes)
         engine = self.engine
         hierarchy = engine.hierarchy
         # On the production path every process walks the cache set dicts
@@ -468,27 +478,32 @@ class _RunContext:
     # -- processes -----------------------------------------------------------
     # A process charges what it adds up once, after its chunk loop: the
     # chunk walks' tally, and the energy charges and Fig-9 byte tallies
-    # it takes from its plans. All are commutative integer counts, so
-    # this is bit-identical to charging each chunk as it runs.
+    # it takes from its plans or its chunk sizes. All are commutative
+    # integer counts, so this is bit-identical to charging each chunk as
+    # it runs. Each process builds its commands once per run, and a
+    # chunk delay is an int of picoseconds. Tokens carry no information:
+    # a drain counts its own chunks, since its one producer puts them in
+    # order.
     def _fill_proc(self, acc: AccessConfig, cluster: int, tok: Channel):
         fetch = self.fetch_lines
         invariant = self._is_invariant(acc)
         tally = self.engine.hierarchy.accel_tally()
         kept, walk, free = self._steps(acc, cluster, True, tally)
-        spans = kept.spans
+        base = _fsm_base(free, kept.spans)
         take, give = self._port_commands()
-        for c in range(len(self.chunk_sizes)):
-            if invariant and c > 0:
-                yield Put(tok, c)
-                continue
+        put = Put(tok, None)
+        nchunks = len(self.chunk_sizes)
+        # an invariant stream fetches once, then only hands out tokens
+        for c in range(1 if invariant else nchunks):
             if take is not None:
                 yield take
-            lat_cycles = free[c] + fetch(walk, c, False, tally)
-            yield Delay(round((lat_cycles / FSM_OVERLAP + spans[c])
-                              * PS_PER_MEM_CYCLE))
+            yield base[c] + FSM_PS_PER_CYCLE * fetch(walk, c, False, tally)
             if give is not None:
                 yield give
-            yield Put(tok, c)
+            yield put
+        if invariant:
+            for _ in range(nchunks - 1):
+                yield put
         self.engine.hierarchy.charge_accel(tally)
         buf_n = kept.accesses
         # an invariant stream fetches one line for all its elements
@@ -506,16 +521,14 @@ class _RunContext:
         fetch = self.fetch_lines
         tally = self.engine.hierarchy.accel_tally()
         kept, walk, free = self._steps(acc, cluster, True, tally)
-        spans = kept.spans
+        base = _fsm_base(free, kept.spans)
         take, give = self._port_commands()
         next_chunk = Get(tok)
-        for _ in self.chunk_sizes:
-            c = yield next_chunk
+        for c in range(len(self.chunk_sizes)):
+            yield next_chunk
             if take is not None:
                 yield take
-            lat_cycles = free[c] + fetch(walk, c, True, tally)
-            yield Delay(round((lat_cycles / FSM_OVERLAP + spans[c])
-                              * PS_PER_MEM_CYCLE))
+            yield base[c] + FSM_PS_PER_CYCLE * fetch(walk, c, True, tally)
             if give is not None:
                 yield give
         self.engine.hierarchy.charge_accel(tally)
@@ -544,13 +557,30 @@ class _RunContext:
                 moved += kept.accesses * acc.elem_bytes
         return walks, free, lookups, moved
 
+    def _operand_counts(self, channels: list
+                        ) -> Tuple[int, Dict[Tuple[int, int, int], int]]:
+        """The operand bytes ``channels`` carry over the whole run, and
+        how many messages of each (source cluster, destination cluster,
+        payload) they send: one per channel and chunk, keyed in the order
+        the chunks would first send them."""
+        clusters = self.clusters
+        a_a = 0
+        recs: Dict[Tuple[int, int, int], int] = {}
+        for iters, count in self.size_counts.items():
+            for ch in channels:
+                payload = ch.payload_bytes * iters
+                key = (clusters[ch.producer_partition],
+                       clusters[ch.consumer_partition], payload)
+                recs[key] = recs.get(key, 0) + count
+                a_a += payload * count
+        return a_a, recs
+
     def _partition_proc(self, part: PartitionConfig, cluster: int):
         engine = self.engine
         energy = engine.energy
         config = self.offload.config
         profile = PartitionProfile.from_config(part)
         timing = engine.backend.timing(profile)
-        ii_ps = timing.ii_ps  # property: hoisted out of the chunk loop
         traffic = engine.hierarchy.traffic
         intra_per_iter = (
             profile.buffer_reads + profile.buffer_writes
@@ -558,54 +588,49 @@ class _RunContext:
         access = self.access_elems
         tally = engine.hierarchy.accel_tally()
         indirect, free, trans_n, d_a = self._indirect_steps([part], tally)
-        # hoist the per-chunk channel/token lookups out of the loop
         gets = [Get(self.channels[ch_id]) for ch_id in part.consumes]
         gets += [Get(self.fill_tokens[b])
                  for b in self.read_bufs[part.partition_index]]
-        write_toks = [self.drain_tokens[b]
-                      for b in self.write_bufs[part.partition_index]]
-        produce_chs = [
-            (self.channels[ch_id],
-             self.clusters[config.channel(ch_id).consumer_partition],
-             config.channel(ch_id).payload_bytes)
-            for ch_id in part.produces
-        ]
+        produces = [config.channel(ch_id) for ch_id in part.produces]
+        # after its compute, a chunk puts to each operand channel and
+        # then each drain; the first chunk waits out each operand's
+        # pipeline fill latency before its put
+        puts = [Put(self.channels[ch.channel_id], None) for ch in produces]
+        first = []
+        for ch, put in zip(produces, puts):
+            lat_ps = traffic.latency_of(
+                cluster, self.clusters[ch.consumer_partition],
+                ch.payload_bytes * self.chunk_sizes[0])
+            first += [lat_ps, put] if lat_ps else [put]
+        puts += [Put(self.drain_tokens[b], None)
+                 for b in self.write_bufs[part.partition_index]]
+        first += puts[len(produces):]
+        # the compute time of each chunk, its whole delay when the
+        # partition makes no indirect access
+        ii_ps = timing.ii_ps  # a property: read once
+        delays = [ii_ps * iters for iters in self.chunk_sizes]
         overlap = 1.0 if self.offload.serial_chain else engine.io_overlap
-        # deferred commutative accounting, flushed once after the loop
-        # (bit-identical to per-chunk charges/records: the ledgers
-        # accumulate exact integer counts)
-        total_iters = a_a = 0
-        operand_recs: Dict[Tuple[int, int], int] = {}
-        for c, iters in enumerate(self.chunk_sizes):
+        for c in range(len(delays)):
             for get in gets:
                 yield get
-            ind_cycles = free[c]
-            for walk, is_write in indirect:
-                ind_cycles += access(walk, c, is_write, tally)
-            compute_ps = ii_ps * iters
-            # a loop-carried address chain (pointer chasing) serializes
-            # indirect accesses on every substrate (overlap hoisted)
-            indirect_ps = round(ind_cycles / overlap * PS_PER_MEM_CYCLE)
-            yield Delay(compute_ps + indirect_ps)
-            total_iters += iters
-            for ch, dst_cluster, payload_bytes in produce_chs:
-                payload = payload_bytes * iters
-                key = (dst_cluster, payload)
-                operand_recs[key] = operand_recs.get(key, 0) + 1
-                a_a += payload
-                if c == 0:
-                    lat_ps = traffic.latency_of(
-                        cluster, dst_cluster, payload
-                    )
-                    if lat_ps:
-                        yield Delay(lat_ps)  # pipeline fill latency, once
-                yield Put(ch, c)
-            for tok in write_toks:
-                yield Put(tok, c)
+            if indirect:
+                ind_cycles = free[c]
+                for walk, is_write in indirect:
+                    ind_cycles += access(walk, c, is_write, tally)
+                # a loop-carried address chain (pointer chasing)
+                # serializes indirect accesses on every substrate
+                # (overlap hoisted)
+                yield delays[c] + round(
+                    ind_cycles / overlap * PS_PER_MEM_CYCLE)
+            else:
+                yield delays[c]
+            for put in (puts if c else first):
+                yield put
         engine.hierarchy.charge_accel(tally)
         if trans_n:
             energy.charge("access_unit", "translation_lookup", trans_n)
             self.stats.d_a_bytes += d_a
+        total_iters = sum(self.chunk_sizes)
         engine.backend.charge_iteration(profile, energy, count=total_iters)
         # operand reads/writes: access-unit SRAM buffers, or the
         # centralized private cache in Mono-CA
@@ -616,8 +641,9 @@ class _RunContext:
         energy.charge("access_unit", operand_event,
                       intra_per_iter * total_iters)
         self.stats.intra_bytes += intra_per_iter * total_iters * 4
+        a_a, operand_recs = self._operand_counts(produces)
         self.stats.a_a_bytes += a_a
-        for (dst_cluster, payload), count in operand_recs.items():
+        for (_, dst_cluster, payload), count in operand_recs.items():
             traffic.record(TrafficClass.ACC_DATA, cluster, dst_cluster,
                            payload, count=count)
             # every operand message is matched by a zero-payload credit
@@ -673,48 +699,32 @@ class _RunContext:
         gets = [Get(self.channels[ch_id]) for ch_id in external_consumes]
         gets += [Get(self.fill_tokens[b]) for part in members
                  for b in self.read_bufs[part.partition_index]]
-        write_toks = [self.drain_tokens[b] for part in members
-                      for b in self.write_bufs[part.partition_index]]
-        # deferred commutative accounting (see _partition_proc)
-        total_iters = a_a = 0
-        operand_recs: Dict[Tuple[int, int, int], int] = {}
-        for c, iters in enumerate(self.chunk_sizes):
+        puts = [Put(self.channels[ch.channel_id], None)
+                for ch in external_produces]
+        puts += [Put(self.drain_tokens[b], None) for part in members
+                 for b in self.write_bufs[part.partition_index]]
+        # each chunk's serial time, its whole delay when the group makes
+        # no indirect access: a dependence cycle has no overlap across
+        # iterations
+        delays = [iters * (per_iter_ps + hop_ps)
+                  for iters in self.chunk_sizes]
+        for c in range(len(delays)):
             for get in gets:
                 yield get
-            ind_cycles = free[c]
-            for walk, is_write in indirect:
-                ind_cycles += access(walk, c, is_write, tally)
-            # dependence cycle: no overlap across iterations
-            yield Delay(
-                iters * (per_iter_ps + hop_ps)
-                + round(ind_cycles * PS_PER_MEM_CYCLE)
-            )
-            total_iters += iters
-            for ch in intra_channels:
-                payload = ch.payload_bytes * iters
-                key = (
-                    self.clusters[ch.producer_partition],
-                    self.clusters[ch.consumer_partition],
-                    payload,
-                )
-                operand_recs[key] = operand_recs.get(key, 0) + 1
-                a_a += payload
-            for ch in external_produces:
-                payload = ch.payload_bytes * iters
-                key = (
-                    self.clusters[ch.producer_partition],
-                    self.clusters[ch.consumer_partition],
-                    payload,
-                )
-                operand_recs[key] = operand_recs.get(key, 0) + 1
-                a_a += payload
-                yield Put(self.channels[ch.channel_id], c)
-            for tok in write_toks:
-                yield Put(tok, c)
+            if indirect:
+                ind_cycles = free[c]
+                for walk, is_write in indirect:
+                    ind_cycles += access(walk, c, is_write, tally)
+                yield delays[c] + round(ind_cycles * PS_PER_MEM_CYCLE)
+            else:
+                yield delays[c]
+            for put in puts:
+                yield put
         engine.hierarchy.charge_accel(tally)
         if trans_n:
             energy.charge("access_unit", "translation_lookup", trans_n)
             self.stats.d_a_bytes += d_a
+        total_iters = sum(self.chunk_sizes)
         for part in members:
             profile = profiles[part.partition_index]
             engine.backend.charge_iteration(profile, energy,
@@ -723,10 +733,20 @@ class _RunContext:
             energy.charge("access_unit", "buffer_access",
                           intra * total_iters)
             self.stats.intra_bytes += intra * total_iters * 4
+        a_a, operand_recs = self._operand_counts(
+            intra_channels + external_produces)
         self.stats.a_a_bytes += a_a
         for (src, dst, payload), count in operand_recs.items():
             traffic.record(TrafficClass.ACC_DATA, src, dst, payload,
                            count=count)
+
+
+def _fsm_base(free: Sequence[int], spans: Sequence[int]) -> List[int]:
+    """Each chunk's fill or drain delay in ps before its cache walk adds
+    ``FSM_PS_PER_CYCLE`` per cycle: its latency that no cache state
+    changes, and its lines."""
+    return [FSM_PS_PER_CYCLE * x + FSM_PS_PER_LINE * n
+            for x, n in zip(free, spans)]
 
 
 def _line_shift(machine: MachineParams) -> int:

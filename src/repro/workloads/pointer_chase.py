@@ -37,11 +37,17 @@ def build_kernel(n: int, steps: int) -> Kernel:
 
 
 def make_cycle(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A single-cycle permutation (Sattolo), uniform random traversal."""
-    perm = np.arange(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        j = rng.integers(0, i)
+    """A single-cycle permutation (Sattolo), uniform random traversal.
+
+    Sattolo's shuffle swaps each ``i`` from ``n - 1`` down to 1 with a
+    ``j`` drawn from ``[0, i)``. One array draw takes every ``j`` in that
+    order, the same values and generator state as one scalar draw per
+    ``i``; the swaps then run over a list."""
+    draws = rng.integers(0, np.arange(n - 1, 0, -1)).tolist()
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), draws):
         perm[i], perm[j] = perm[j], perm[i]
+    perm = np.array(perm, dtype=np.int64)
     # perm is a random permutation; build successor mapping along a cycle
     order = np.empty(n, dtype=np.int64)
     order[perm[:-1]] = perm[1:]

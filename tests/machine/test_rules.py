@@ -15,6 +15,7 @@ import re
 
 import pytest
 
+from repro.dse import SweepSpec
 from repro.errors import MachineConfigError
 from repro.machine import (
     MachineDocError,
@@ -125,3 +126,22 @@ def test_topology_alias_obeys_the_rules():
     assert err is not None
     for leaf in ("noc.mesh_cols", "l3_clusters"):
         assert any(_names(leaf, v) for v in err.violations), err.violations
+
+
+@pytest.mark.parametrize("leaf", ("cgra.int_alus", "cgra.float_alus",
+                                  "cgra.complex_alus"))
+def test_cgra_without_an_alu_class_refused(leaf):
+    """Every op class runs on its own ALUs, so a CGRA with none of one
+    class is refused, naming the field, whether the count comes from
+    ``derive_machine``, a document or a sweep axis."""
+    errors = [
+        _build(lambda: derive_machine(experiment_machine(), {leaf: 0}))[1],
+        _build(lambda: machine_from_document(_document(leaf, 0)))[1],
+        _build(lambda: SweepSpec.from_dict({
+            "name": "no-alu", "workloads": ["fdt"], "configs": ["dist_da_f"],
+            "scale": "tiny", "machine_axes": {leaf: [4, 0]}}))[1],
+    ]
+    for err in errors:
+        assert type(err) is MachineConfigError, err
+        assert any(_names(leaf, v) and "must be >= 1" in v
+                   for v in err.violations), err.violations

@@ -1,6 +1,7 @@
 """Unit tests for the offload execution engine."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import envcfg
+from repro.accel.base import PartitionProfile
 from repro.accel.cgra import CgraBackend
 from repro.accel.inorder import InOrderBackend
 from repro.compiler import CompileMode, compile_kernel
@@ -23,8 +25,16 @@ from repro.mem.cache import Cache
 from repro.obs import OBS
 from repro.params import experiment_machine
 from repro.runtime import OffloadEngine, SiteStreams
-from repro.runtime.engine import MEM_FREQ_GHZ, PS_PER_MEM_CYCLE
+from repro.runtime.engine import (
+    FSM_OVERLAP,
+    FSM_PS_PER_CYCLE,
+    FSM_PS_PER_LINE,
+    MEM_FREQ_GHZ,
+    PS_PER_MEM_CYCLE,
+    TARGET_CHUNKS,
+)
 from repro.runtime.streams import KeptPlan
+from repro.workloads import pointer_chase
 
 
 def saxpy_setup(n=256, mode=CompileMode.DIST, backend="io", machine=None):
@@ -358,3 +368,80 @@ class TestChunkDelay:
     def test_integer_cycles(self, cycles):
         assert round(cycles * PS_PER_MEM_CYCLE) == cycles_to_ps(
             cycles, MEM_FREQ_GHZ)
+
+    @settings(max_examples=500, deadline=None)
+    @given(cycles=st.integers(0, 2 ** 45), lines=st.integers(0, 2 ** 43))
+    def test_fill_and_drain_delays_in_integers(self, cycles, lines):
+        """A fill's or drain's chunk of ``cycles`` latency and ``lines``
+        lines takes ``FSM_PS_PER_CYCLE * cycles + FSM_PS_PER_LINE *
+        lines`` ps, the integer form of its float delay (every term
+        below 2**53)."""
+        assert FSM_PS_PER_CYCLE * FSM_OVERLAP == PS_PER_MEM_CYCLE
+        assert FSM_PS_PER_LINE == PS_PER_MEM_CYCLE
+        assert (FSM_PS_PER_CYCLE * cycles + FSM_PS_PER_LINE * lines
+                == round((cycles / FSM_OVERLAP + lines) * PS_PER_MEM_CYCLE))
+
+
+def pchase_setup(steps):
+    """A pointer chase over 64 nodes: a serial dependence cycle, which
+    runs as one fused group of partitions."""
+    kernel = pointer_chase.build_kernel(64, steps)
+    arrays = {"next": pointer_chase.make_cycle(64, np.random.default_rng(1)),
+              "cur": np.zeros(1, dtype=np.int64)}
+    return kernel_setup(kernel, arrays, steps)
+
+
+@pytest.mark.parametrize("setup", (saxpy_setup, pchase_setup),
+                         ids=("partitions", "fused-group"))
+def test_remainder_chunk_charges_per_chunk_sums(monkeypatch, setup):
+    """1,000 trips run as 142 chunks of 7 and one of 6. What a partition
+    or a fused group charges once from its chunk sizes, its operand
+    messages, Fig-9 bytes and compute energy, equals the sum over its
+    chunks computed here."""
+    trips = 1000
+    engine, off, clusters, res, streams, _ = setup(trips)
+    assert res.inner_iterations == trips
+    sizes = [7] * 142 + [6]
+    assert len(sizes) == -(-trips // (trips // TARGET_CHUNKS))
+    traffic = engine.hierarchy.traffic
+    record = traffic.record
+    recorded = Counter()
+
+    def counting_record(tclass, src, dst, payload_bytes, count=1):
+        recorded[(tclass.name, src, dst, payload_bytes)] += count
+        return record(tclass, src, dst, payload_bytes, count=count)
+
+    monkeypatch.setattr(traffic, "record", counting_record)
+    stats = engine.run(off, clusters, trips, 1, streams)
+
+    config = off.config
+    messages = Counter()
+    a_a = intra = 0
+    energy = EnergyLedger()
+    for group in config.channel_components():
+        fused = len(group) > 1
+        for iters in sizes:
+            for index in group:
+                part = config.partition(index)
+                profile = PartitionProfile.from_config(part)
+                engine.backend.charge_iteration(profile, energy, count=iters)
+                intra += (profile.buffer_reads + profile.buffer_writes) \
+                    * iters * 4
+                for ch_id in part.produces:
+                    ch = config.channel(ch_id)
+                    src = clusters[index]
+                    dst = clusters[ch.consumer_partition]
+                    payload = ch.payload_bytes * iters
+                    messages[("ACC_DATA", src, dst, payload)] += 1
+                    if not fused:
+                        messages[("ACC_CTRL", dst, src, 0)] += 1
+                    a_a += payload
+    operands = Counter({shape: n for shape, n in recorded.items()
+                        if shape[0] in ("ACC_DATA", "ACC_CTRL")})
+    assert messages and operands == messages
+    assert stats.a_a_bytes == a_a
+    assert stats.intra_bytes == intra
+    # the compute energy: only partitions charge the accel component
+    got = {k: v for k, v in engine.energy.counts().items()
+           if k[0] == "accel"}
+    assert got == energy.counts()

@@ -19,11 +19,12 @@ replay run takes, and the general loop that ``until_ps`` /
 wake order, a blocked process at the end of a run as a deadlock, and
 the ``run(until_ps=...)`` pause/resume contract (the popped over-horizon
 event must not be lost). The ``[False]`` ids
-run the unbounded loop, which pushes a ``Delay`` inline and hands a
+run the unbounded loop, which pushes an int delay inline and hands a
 ``Get`` or ``Put`` straight to its channel. The ``[True]`` ids run the
-general loop, which arms every command through ``Command.arm``: they
-pin the semantics of those arm methods, the reference the unbounded
-loop must match push for push
+general loop, which schedules every delay through ``Simulator._schedule``
+and arms every command through ``Command.arm``: they pin the semantics
+of those methods, the reference the unbounded loop must match push for
+push
 (``tests/test_events.py::test_inline_arms_match_command_arm`` checks
 that the two loops agree on drawn process networks).
 """
@@ -35,7 +36,6 @@ from repro.energy import EnergyLedger
 from repro.errors import DeadlockError
 from repro.events import (
     Channel,
-    Delay,
     Get,
     Put,
     Simulator,
@@ -43,6 +43,7 @@ from repro.events import (
 from repro.experiments.runner import BASELINE, PAPER_CONFIGS, ResultMatrix
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.noc import TrafficLedger
+from repro.obs import OBS
 from repro.params import experiment_machine
 from repro.runtime import engine
 from repro.sim import simulate_workload
@@ -144,6 +145,32 @@ def test_sched_path_defaults_on(monkeypatch):
     assert len({id(tally) for tally in charged}) == len(charged)
 
 
+#: what the tiny 12x6 matrix's offload replay dispatches: events, runs,
+#: the deepest heap and the fullest channel
+TINY_MATRIX_REPLAY = {"engine.sim_events": 218_488,
+                      "engine.offload_runs": 185}
+TINY_MATRIX_PEAKS = {"engine.sim_peak_pending": 21,
+                     "engine.chan_max_occupancy": 8}
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_tiny_matrix_dispatches_the_pinned_events(monkeypatch, jobs):
+    """Every chunk command costs one event, so the tiny matrix dispatches
+    as many events as it always has, serially or across workers: a
+    change that adds or merges events fails here even when every
+    result holds."""
+    monkeypatch.delenv(envcfg.REPRO_REFERENCE.name, raising=False)
+    OBS.reset()
+    try:
+        ResultMatrix(scale="tiny").run_all(jobs=jobs)
+        counts = {name: OBS.counter(name) for name in TINY_MATRIX_REPLAY}
+        peaks = {name: OBS.maxima.get(name) for name in TINY_MATRIX_PEAKS}
+    finally:
+        OBS.reset()
+    assert counts == TINY_MATRIX_REPLAY
+    assert peaks == TINY_MATRIX_PEAKS
+
+
 def results_of(result):
     """Every metric of a cell that a figure or table reads."""
     return (result.time_ps, result.insts, result.mem_ops, result.energy_nj,
@@ -236,7 +263,7 @@ class TestKernelSemantics:
 
         def consumer():
             for _ in range(4):
-                yield Delay(100)
+                yield 100
                 item = yield Get(ch)
                 log.append(("got", item, sim.now))
 
@@ -265,7 +292,7 @@ class TestKernelSemantics:
             woke.append((tag, item))
 
         def producer():
-            yield Delay(50)
+            yield 50
             for i in range(3):
                 yield Put(ch, i)
 
@@ -294,7 +321,7 @@ class TestKernelSemantics:
         log = []
 
         def sleeper():
-            yield Delay(100)
+            yield 100
             log.append(("woke", sim.now))
 
         sim.spawn("sleeper", sleeper())
@@ -308,7 +335,7 @@ class TestKernelSemantics:
         log = []
 
         def sleeper(ps, tag):
-            yield Delay(ps)
+            yield ps
             log.append(tag)
 
         sim.spawn("at", sleeper(100, "at"))
@@ -324,7 +351,7 @@ class TestKernelSemantics:
         log = []
 
         def sleeper(tag):
-            yield Delay(200)
+            yield 200
             log.append(tag)
 
         for tag in ("x", "y", "z"):

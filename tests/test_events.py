@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.errors import DeadlockError, SimulationError
 from repro.events import (
     Channel,
-    Delay,
     Get,
     Put,
     Simulator,
@@ -43,14 +42,23 @@ class TestDelay:
         sim = Simulator()
 
         def proc():
-            yield Delay(1234)
+            yield 1234
 
         sim.spawn("p", proc())
         assert sim.run() == 1234
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Delay(-1)
+        """Under either dispatch loop, naming the process."""
+        for bounded in (False, True):
+            sim = Simulator()
+
+            def proc():
+                yield -1
+
+            sim.spawn("early", proc())
+            with pytest.raises(SimulationError,
+                               match=r"'early' yielded a negative delay: -1"):
+                sim.run(max_events=10) if bounded else sim.run()
 
     def test_sequential_delays_accumulate(self):
         sim = Simulator()
@@ -58,7 +66,7 @@ class TestDelay:
 
         def proc():
             for _ in range(3):
-                yield Delay(100)
+                yield 100
                 times.append(sim.now)
 
         sim.spawn("p", proc())
@@ -71,7 +79,7 @@ class TestDelay:
 
         def proc(name, step):
             for _ in range(2):
-                yield Delay(step)
+                yield step
                 order.append((sim.now, name))
 
         sim.spawn("a", proc("a", 100))
@@ -110,7 +118,7 @@ class TestChannel:
             arrival.append((sim.now, item))
 
         def producer():
-            yield Delay(500)
+            yield 500
             yield Put(ch, "x")
 
         sim.spawn("c", consumer())
@@ -129,7 +137,7 @@ class TestChannel:
             done_times.append(sim.now)
 
         def consumer():
-            yield Delay(700)
+            yield 700
             yield Get(ch)
             yield Get(ch)
 
@@ -152,15 +160,13 @@ class TestChannel:
                 yield Put(ch, i)
 
         def consumer():
-            yield Delay(10)
+            yield 10
             for _ in range(5):
                 yield Get(ch)
 
         sim.spawn("p", producer())
         sim.spawn("c", consumer())
         sim.run()
-        assert ch.total_puts == 5
-        assert ch.total_gets == 5
         assert ch.max_occupancy == 5
 
     @given(
@@ -201,7 +207,7 @@ class TestChannel:
         def consumer():
             for _ in range(6):
                 yield Get(ch)
-                yield Delay(1000)
+                yield 1000
 
         sim.spawn("p", producer())
         sim.spawn("c", consumer())
@@ -247,7 +253,7 @@ class TestDeadlock:
 
         def spinner():
             while True:
-                yield Delay(1)
+                yield 1
 
         sim.spawn("spin", spinner())
         with pytest.raises(SimulationError, match="max_events"):
@@ -259,14 +265,19 @@ class TestDeadlock:
             sim.spawn("bad", lambda: None)  # type: ignore[arg-type]
 
     def test_bad_yield_rejected(self):
-        sim = Simulator()
+        """A delay is an int: a float or a bool is not a command, under
+        either dispatch loop."""
+        for bad_value in (1.5, True):
+            for bounded in (False, True):
+                sim = Simulator()
 
-        def bad():
-            yield 123  # not a Command
+                def bad():
+                    yield bad_value
 
-        sim.spawn("bad", bad())
-        with pytest.raises(SimulationError, match="expected a Command"):
-            sim.run()
+                sim.spawn("bad", bad())
+                with pytest.raises(SimulationError,
+                                   match="expected a Command"):
+                    sim.run(max_events=10) if bounded else sim.run()
 
 
 def test_observability_counters():
@@ -277,7 +288,7 @@ def test_observability_counters():
 
     def producer():
         for i in range(8):
-            yield Delay(10)
+            yield 10
             yield Put(ch, i)
 
     def consumer(out):
@@ -288,7 +299,7 @@ def test_observability_counters():
     sim.spawn("cons", consumer(out := []))
     sim.run()
     assert out == list(range(8))
-    # producer: spawn + 8 x (Delay wakeup, Put resume) = 17;
+    # producer: spawn + 8 x (delay wakeup, Put resume) = 17;
     # consumer: spawn + 8 Get resumes = 9
     assert sim.events_executed == 26
     assert sim.peak_pending == 2  # both spawns, before the first dispatch
@@ -313,13 +324,13 @@ def test_random_pipelines_match_recurrence(delays_p, delays_c, capacity):
 
     def producer():
         for i, d in enumerate(delays_p):
-            yield Delay(d)
+            yield d
             yield Put(ch, i)
             puts.append((i, sim.now))
 
     def consumer():
         for i in range(n):
-            yield Delay(delays_c[i % len(delays_c)])
+            yield delays_c[i % len(delays_c)]
             item = yield Get(ch)
             gets.append((item, sim.now))
 
@@ -362,7 +373,7 @@ def run_network(procs, capacities, bounded, simulator=Simulator,
     log = []
 
     def child(tag, ps):
-        yield Delay(ps)
+        yield ps
         log.append((tag, "woke", ps, sim.now, None))
 
     def body(i, commands):
@@ -372,7 +383,7 @@ def run_network(procs, capacities, bounded, simulator=Simulator,
                 log.append((i, op, arg, sim.now, None))
                 continue
             if op == "delay":
-                cmd = Delay(arg)
+                cmd = arg
             elif op == "put":
                 cmd = Put(chans[arg], (i, k))
             else:
@@ -388,8 +399,7 @@ def run_network(procs, capacities, bounded, simulator=Simulator,
     except DeadlockError as err:
         outcome = str(err)
     return (log, outcome, sim.events_executed, sim.peak_pending,
-            [(ch.total_puts, ch.total_gets, ch.max_occupancy,
-              list(ch._items)) for ch in chans])
+            [(ch.max_occupancy, list(ch._items)) for ch in chans])
 
 
 def stage(source, ps, sink, chunks):
@@ -437,12 +447,12 @@ CAPACITIES = st.lists(st.sampled_from((1, 2, 3, None)), min_size=3,
 @settings(deadline=None, max_examples=300)
 @given(procs=PROCS, capacities=CAPACITIES)
 def test_inline_arms_match_command_arm(procs, capacities):
-    """Property: the unbounded loop (inline Delay, Get and Put handed
-    straight to the channel) and the general loop's ``Command.arm``
-    produce the same run: the same global order of resumes, times and
-    received items, the same end time or deadlock, the same event count
-    and heap high-water mark, and the same channel counters and leftover
-    items."""
+    """Property: the unbounded loop (inline int delay, Get and Put
+    handed straight to the channel) and the general loop's
+    ``Simulator._schedule`` and ``Command.arm`` produce the same run: the
+    same global order of resumes, times and received items, the same end
+    time or deadlock, the same event count and heap high-water mark, and
+    the same channel occupancy peaks and leftover items."""
     assert (run_network(procs, capacities, bounded=False)
             == run_network(procs, capacities, bounded=True))
 
@@ -471,7 +481,6 @@ class OracleChannel(Channel):
     def _arm_get(self, proc):
         if self._items:
             item = self._items.popleft()
-            self.total_gets += 1
             self.sim._schedule(self.sim.now, proc, item)
             self._drain_putters()
         else:
@@ -487,11 +496,9 @@ class OracleChannel(Channel):
             self._putters.append((proc, item))
 
     def _accept(self, item):
-        self.total_puts += 1
         if self._getters:
             getter = self._getters.popleft()
             getter.blocked_on = None
-            self.total_gets += 1
             self.sim._schedule(self.sim.now, getter, item)
         else:
             self._items.append(item)
@@ -512,8 +519,8 @@ def test_arms_match_the_call_chain_oracle(procs, capacities, bounded):
     place, run every drawn network as the original call chain does:
     the same resumes, times and received items, the same end time or
     deadlock, the same event count and heap high-water mark, and the
-    same channel counters and leftover items, under either dispatch
-    loop."""
+    same channel occupancy peaks and leftover items, under either
+    dispatch loop."""
     assert (run_network(procs, capacities, bounded)
             == run_network(procs, capacities, bounded,
                            simulator=OracleSimulator,

@@ -1,11 +1,13 @@
 """Per-workload validation: IR semantics match the NumPy references."""
 
+import numpy as np
 import pytest
 
 from repro.compiler import CompileMode, compile_kernel
 from repro.errors import ConfigError
 from repro.ir import Interpreter
 from repro.workloads import ALL_WORKLOADS, PAPER_ORDER
+from repro.workloads.pointer_chase import make_cycle
 
 ALL_SHORTS = tuple(sorted(ALL_WORKLOADS))
 
@@ -158,3 +160,34 @@ class TestCharacteristicPatterns:
         loop = ck.offloads[0].loop
         bounds_loads = list(loop.lower.loads()) + list(loop.upper.loads())
         assert bounds_loads  # CSR row pointers feed the inner bounds
+
+
+def sattolo_by_scalar_draws(n, rng):
+    """The pointer-chase cycle as first written, one draw per swap: the
+    reference ``make_cycle`` must match."""
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = rng.integers(0, i)
+        perm[i], perm[j] = perm[j], perm[i]
+    order = np.empty(n, dtype=np.int64)
+    order[perm[:-1]] = perm[1:]
+    order[perm[-1]] = perm[0]
+    return order
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 64, 1000, 16384, 17000))
+def test_pointer_chase_cycle_matches_scalar_draws(n):
+    """One array draw gives the same cycle as a draw per swap, and
+    leaves the generator where they leave it."""
+    fast_rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    fast = make_cycle(n, fast_rng)
+    ref = sattolo_by_scalar_draws(n, ref_rng)
+    assert fast.dtype == ref.dtype
+    assert np.array_equal(fast, ref)
+    assert fast_rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+    # one cycle through every node
+    node, seen = 0, set()
+    for _ in range(n):
+        seen.add(node)
+        node = int(fast[node])
+    assert node == 0 and len(seen) == n
